@@ -1,11 +1,16 @@
 //! Bit-level I/O with Exp-Golomb codes — the entropy-coding layer.
 
 /// Writes bits MSB-first into a growable buffer.
+///
+/// Bits collect in a 64-bit accumulator and reach the buffer a 32-bit word
+/// at a time.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    cur: u8,
-    nbits: u8,
+    /// The low `nbits` bits are pending output; higher bits are stale.
+    acc: u64,
+    /// Always below 32 between calls.
+    nbits: u32,
 }
 
 impl BitWriter {
@@ -14,15 +19,18 @@ impl BitWriter {
         BitWriter::default()
     }
 
+    /// Creates an empty writer that reuses `buf`'s allocation.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        BitWriter {
+            buf,
+            ..BitWriter::default()
+        }
+    }
+
     /// Writes a single bit.
     pub fn put_bit(&mut self, bit: bool) {
-        self.cur = (self.cur << 1) | bit as u8;
-        self.nbits += 1;
-        if self.nbits == 8 {
-            self.buf.push(self.cur);
-            self.cur = 0;
-            self.nbits = 0;
-        }
+        self.put_bits(bit as u32, 1);
     }
 
     /// Writes the low `n` bits of `v`, MSB first.
@@ -32,37 +40,44 @@ impl BitWriter {
     /// Panics if `n > 32`.
     pub fn put_bits(&mut self, v: u32, n: u8) {
         assert!(n <= 32, "at most 32 bits at a time");
-        for i in (0..n).rev() {
-            self.put_bit((v >> i) & 1 == 1);
+        self.acc = (self.acc << n) | (v as u64 & ((1u64 << n) - 1));
+        self.nbits += n as u32;
+        if self.nbits >= 32 {
+            self.nbits -= 32;
+            let word = (self.acc >> self.nbits) as u32;
+            self.buf.extend_from_slice(&word.to_be_bytes());
         }
     }
 
     /// Writes an unsigned Exp-Golomb code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v == u32::MAX`: the longest code [`BitReader::get_ue`]
+    /// accepts (31 leading zeros) ends at `u32::MAX - 1`.
     pub fn put_ue(&mut self, v: u32) {
-        let x = v + 1;
+        let x = v.checked_add(1).expect("Exp-Golomb value out of range");
         let len = 32 - x.leading_zeros() as u8; // bit length of x
-        for _ in 0..len - 1 {
-            self.put_bit(false);
-        }
+        self.put_bits(0, len - 1);
         self.put_bits(x, len);
     }
 
     /// Writes a signed Exp-Golomb code (0, 1, −1, 2, −2, … mapping).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v == i32::MIN`, whose code would need 32 leading zeros.
     pub fn put_se(&mut self, v: i32) {
-        let u = if v > 0 {
-            (v as u32) * 2 - 1
-        } else {
-            (-(v as i64) as u32) * 2
-        };
-        self.put_ue(u);
+        assert!(v > i32::MIN, "Exp-Golomb value out of range");
+        let m = v.unsigned_abs();
+        self.put_ue(if v > 0 { m * 2 - 1 } else { m * 2 });
     }
 
     /// Flushes any partial byte (zero-padded) and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            self.cur <<= 8 - self.nbits;
-            self.buf.push(self.cur);
-        }
+        let word = (self.acc << (32 - self.nbits)) as u32;
+        let bytes = self.nbits.div_ceil(8) as usize;
+        self.buf.extend_from_slice(&word.to_be_bytes()[..bytes]);
         self.buf
     }
 
@@ -129,11 +144,137 @@ impl<'a> BitReader<'a> {
     pub fn bit_pos(&self) -> usize {
         self.pos
     }
+
+    /// Bits not yet read.
+    pub fn bits_left(&self) -> usize {
+        self.data.len() * 8 - self.pos
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    /// The scalar reference writer: one bit at a time into a byte.
+    #[derive(Default)]
+    struct BitAtATime {
+        buf: Vec<u8>,
+        cur: u8,
+        nbits: u8,
+    }
+
+    impl BitAtATime {
+        fn put_bit(&mut self, bit: bool) {
+            self.cur = (self.cur << 1) | bit as u8;
+            self.nbits += 1;
+            if self.nbits == 8 {
+                self.buf.push(self.cur);
+                (self.cur, self.nbits) = (0, 0);
+            }
+        }
+
+        fn put_bits(&mut self, v: u32, n: u8) {
+            for i in (0..n).rev() {
+                self.put_bit((v >> i) & 1 == 1);
+            }
+        }
+
+        fn put_ue(&mut self, v: u32) {
+            let x = v + 1;
+            let len = 32 - x.leading_zeros() as u8;
+            for _ in 0..len - 1 {
+                self.put_bit(false);
+            }
+            self.put_bits(x, len);
+        }
+
+        fn put_se(&mut self, v: i32) {
+            self.put_ue(if v > 0 {
+                (v as u32) * 2 - 1
+            } else {
+                (-(v as i64) as u32) * 2
+            });
+        }
+
+        fn bit_len(&self) -> usize {
+            self.buf.len() * 8 + self.nbits as usize
+        }
+
+        fn finish(mut self) -> Vec<u8> {
+            if self.nbits > 0 {
+                self.buf.push(self.cur << (8 - self.nbits));
+            }
+            self.buf
+        }
+    }
+
+    proptest! {
+        /// Random mixes of every put, with values up to the edge of each
+        /// code's domain and unmasked high bits in `put_bits`: the same
+        /// bytes and bit length as the bit-at-a-time writer, and the reader
+        /// gets every value back.
+        #[test]
+        fn word_writer_matches_the_bit_at_a_time_writer(seed in any::<u64>(), ops in 0usize..200) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            // A recycled buffer must not leak its old contents.
+            let (mut fast, mut slow) = (BitWriter::reusing(vec![0xAB; 9]), BitAtATime::default());
+            let mut written = Vec::new();
+            for _ in 0..ops {
+                let magnitude = rng.gen_range(0..=31);
+                let v = rng.gen_range(0..=u32::MAX - 1) >> magnitude;
+                let n = rng.gen_range(0..=32u8);
+                let op = rng.gen_range(0..4);
+                match op {
+                    0 => (fast.put_bit(v & 1 == 1), slow.put_bit(v & 1 == 1)),
+                    1 => (fast.put_bits(v, n), slow.put_bits(v, n)),
+                    2 => (fast.put_ue(v), slow.put_ue(v)),
+                    _ => (fast.put_se((v as i32).max(-i32::MAX)), slow.put_se((v as i32).max(-i32::MAX))),
+                };
+                prop_assert_eq!(fast.bit_len(), slow.bit_len());
+                written.push((op, v, n));
+            }
+            let bytes = fast.finish();
+            prop_assert_eq!(&bytes, &slow.finish());
+            let mut r = BitReader::new(&bytes);
+            for (op, v, n) in written {
+                match op {
+                    0 => prop_assert_eq!(r.get_bit(), Some(v & 1 == 1)),
+                    1 => prop_assert_eq!(r.get_bits(n), Some((v as u64 & ((1u64 << n) - 1)) as u32)),
+                    2 => prop_assert_eq!(r.get_ue(), Some(v)),
+                    _ => prop_assert_eq!(r.get_se(), Some((v as i32).max(-i32::MAX))),
+                }
+            }
+            prop_assert!(r.bits_left() < 8);
+        }
+    }
+
+    #[test]
+    fn exp_golomb_domain_edges_roundtrip() {
+        let mut w = BitWriter::new();
+        w.put_ue(u32::MAX - 1);
+        w.put_se(i32::MAX);
+        w.put_se(-i32::MAX);
+        assert_eq!(w.bit_len(), 3 * 63);
+        let bytes = w.finish();
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(r.get_ue(), Some(u32::MAX - 1));
+        assert_eq!(r.get_se(), Some(i32::MAX));
+        assert_eq!(r.get_se(), Some(-i32::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn ue_rejects_the_value_past_its_domain() {
+        BitWriter::new().put_ue(u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn se_rejects_the_value_past_its_domain() {
+        BitWriter::new().put_se(i32::MIN);
+    }
 
     #[test]
     fn bits_roundtrip() {

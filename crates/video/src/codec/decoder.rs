@@ -5,10 +5,10 @@
 use super::bitstream::BitReader;
 use super::color::Ycbcr420;
 use super::encoder::{
-    copy_mb, decode_plane_intra, decode_residual_block, read_header, EncodedFrame,
+    blocks, copy_mb, decode_plane_intra, decode_residual_block, read_header, EncodedFrame,
 };
 use super::motion::MotionVector;
-use super::quant::steps;
+use super::quant::{steps, QP_MAX};
 use super::MB;
 use crate::{Frame, Resolution};
 
@@ -20,6 +20,8 @@ pub enum DecodeError {
     /// A P-frame arrived with no reference (stream must start with an
     /// I-frame, and [`Decoder::reset`] discards the reference).
     MissingReference,
+    /// A P-frame's header resolution differs from its reference's.
+    ReferenceMismatch,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -27,6 +29,9 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Corrupt(what) => write!(f, "corrupt bitstream: {what}"),
             DecodeError::MissingReference => write!(f, "P-frame without a reference frame"),
+            DecodeError::ReferenceMismatch => {
+                write!(f, "P-frame resolution differs from its reference")
+            }
         }
     }
 }
@@ -54,9 +59,10 @@ impl Decoder {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError::Corrupt`] for malformed bitstreams and
+    /// Returns [`DecodeError::Corrupt`] for malformed bitstreams,
     /// [`DecodeError::MissingReference`] for a P-frame with no prior
-    /// I-frame.
+    /// I-frame and [`DecodeError::ReferenceMismatch`] for a P-frame of
+    /// another size than its reference.
     pub fn decode(&mut self, encoded: &EncodedFrame) -> Result<Frame, DecodeError> {
         let mut r = BitReader::new(&encoded.data);
         let hdr = read_header(&mut r).ok_or(DecodeError::Corrupt("header"))?;
@@ -64,17 +70,43 @@ impl Decoder {
         if res.pixels() == 0 {
             return Err(DecodeError::Corrupt("empty resolution"));
         }
+        if hdr.qp > QP_MAX {
+            return Err(DecodeError::Corrupt("qp"));
+        }
+        // The header must not make us allocate more than the payload can
+        // fill: an intra block costs at least 14 bits (a zero DC and the
+        // end-of-block code), a P macroblock at least its one-bit SKIP.
+        let min_bits = if hdr.intra {
+            let (cw, ch) = (res.width.div_ceil(2), res.height.div_ceil(2));
+            14 * (blocks(res.width) * blocks(res.height) + 2 * blocks(cw) * blocks(ch))
+        } else {
+            res.width.div_ceil(MB) * res.height.div_ceil(MB)
+        };
+        if min_bits > r.bits_left() {
+            return Err(DecodeError::Corrupt("truncated"));
+        }
+        // A P-frame is checked against its reference before anything is
+        // allocated for it; failing either check costs the reference, as a
+        // failed P-frame always has.
+        let reference = if hdr.intra {
+            None
+        } else {
+            match self.reference.take() {
+                None => return Err(DecodeError::MissingReference),
+                Some(r) if r.resolution != res => return Err(DecodeError::ReferenceMismatch),
+                reference => reference,
+            }
+        };
         let mut recon = Ycbcr420::black(res);
-        if hdr.intra {
+        if let Some(reference) = &reference {
+            self.decode_inter(&mut r, reference, &mut recon, hdr.qp)?;
+        } else {
             decode_plane_intra(&mut r, &mut recon.y, false, hdr.qp)
                 .ok_or(DecodeError::Corrupt("luma plane"))?;
             decode_plane_intra(&mut r, &mut recon.cb, true, hdr.qp)
                 .ok_or(DecodeError::Corrupt("cb plane"))?;
             decode_plane_intra(&mut r, &mut recon.cr, true, hdr.qp)
                 .ok_or(DecodeError::Corrupt("cr plane"))?;
-        } else {
-            let reference = self.reference.take().ok_or(DecodeError::MissingReference)?;
-            self.decode_inter(&mut r, &reference, &mut recon, hdr.qp)?;
         }
         let frame = recon.to_frame();
         self.reference = Some(recon);
@@ -117,26 +149,13 @@ impl Decoder {
                             dx: mv.dx / 2,
                             dy: mv.dy / 2,
                         };
-                        decode_residual_block(
-                            r,
-                            &reference.cb,
-                            &mut recon.cb,
-                            mbx,
-                            mby,
-                            cmv,
-                            &st_chroma,
-                        )
-                        .ok_or(DecodeError::Corrupt("cb residual"))?;
-                        decode_residual_block(
-                            r,
-                            &reference.cr,
-                            &mut recon.cr,
-                            mbx,
-                            mby,
-                            cmv,
-                            &st_chroma,
-                        )
-                        .ok_or(DecodeError::Corrupt("cr residual"))?;
+                        for (reference, recon, what) in [
+                            (&reference.cb, &mut recon.cb, "cb residual"),
+                            (&reference.cr, &mut recon.cr, "cr residual"),
+                        ] {
+                            decode_residual_block(r, reference, recon, mbx, mby, cmv, &st_chroma)
+                                .ok_or(DecodeError::Corrupt(what))?;
+                        }
                     }
                     _ => return Err(DecodeError::Corrupt("unknown mb mode")),
                 }
@@ -214,6 +233,52 @@ mod tests {
         e.data.truncate(3);
         let mut dec = Decoder::new();
         assert!(matches!(dec.decode(&e), Err(DecodeError::Corrupt(_))));
+    }
+
+    #[test]
+    fn header_qp_past_the_range_is_corrupt() {
+        let res = Resolution::new(32, 32);
+        let mut e = Encoder::new(EncoderConfig::with_qp(res, 15.0, 20)).encode(&Frame::black(res));
+        // Header: 16 + 16 bits of size, the intra bit, six bits of QP.
+        for qp in 52..=63u8 {
+            e.data[4] = (e.data[4] & 0x81) | (qp << 1);
+            assert_eq!(
+                Decoder::new().decode(&e),
+                Err(DecodeError::Corrupt("qp")),
+                "qp {qp}"
+            );
+        }
+        e.data[4] = (e.data[4] & 0x81) | (51 << 1);
+        assert!(Decoder::new().decode(&e).is_ok());
+    }
+
+    #[test]
+    fn giant_header_on_a_tiny_payload_is_rejected() {
+        // 65535×65535 in five bytes: ~25 GB of planes if believed.
+        for intra in [0x80, 0x00] {
+            let e = EncodedFrame {
+                data: vec![0xFF, 0xFF, 0xFF, 0xFF, intra | (20 << 1)],
+                frame_type: crate::codec::FrameType::I,
+                qp: 20,
+            };
+            let mut dec = Decoder::new();
+            assert_eq!(dec.decode(&e), Err(DecodeError::Corrupt("truncated")));
+        }
+    }
+
+    #[test]
+    fn p_frame_of_another_size_than_its_reference_is_a_typed_error() {
+        let (small, large) = (Resolution::new(32, 32), Resolution::new(48, 32));
+        let mut enc_small = Encoder::new(EncoderConfig::with_qp(small, 15.0, 20));
+        let mut enc_large = Encoder::new(EncoderConfig::with_qp(large, 15.0, 20));
+        let mut dec = Decoder::new();
+        dec.decode(&enc_small.encode(&Frame::black(small))).unwrap();
+        let _ = enc_large.encode(&Frame::black(large));
+        let p_large = enc_large.encode(&Frame::black(large));
+        assert_eq!(dec.decode(&p_large), Err(DecodeError::ReferenceMismatch));
+        // Like any failed P-frame, it costs the reference.
+        let p_small = enc_small.encode(&Frame::black(small));
+        assert_eq!(dec.decode(&p_small), Err(DecodeError::MissingReference));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The encoder: I/P GOP structure, macroblock mode decisions, transform
 //! coding, and closed-loop reconstruction.
 
+use std::cell::RefCell;
+
 use serde::{Deserialize, Serialize};
 
 use super::bitstream::BitWriter;
 use super::color::{Plane, Ycbcr420};
-use super::motion::{sad, three_step_search, MotionVector};
+use super::motion::{sad_n, three_step_search, MotionVector};
 use super::quant::{dequantize, quantize, read_block, steps, write_block};
 use super::rate::RateController;
 use super::{dct, BLOCK, MB};
@@ -91,6 +93,21 @@ impl EncodedFrame {
     }
 }
 
+/// Per-thread working storage: the current picture and a copy of the
+/// reference, both with replicated borders (so no block read clamps), and
+/// the bit buffer. Every encoder on the thread shares it, so an encoder's
+/// own resident memory is its reference picture alone.
+#[derive(Default)]
+struct Scratch {
+    cur: Ycbcr420,
+    reference: Ycbcr420,
+    bits: Vec<u8>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
 /// The FBC encoder. Feed frames in display order; the first frame of every
 /// GOP is intra-coded.
 #[derive(Debug)]
@@ -135,7 +152,6 @@ impl Encoder {
     /// predecessor).
     pub fn force_keyframe(&mut self) {
         self.frame_index = 0;
-        self.reference = None;
     }
 
     /// Encodes one frame.
@@ -149,7 +165,6 @@ impl Encoder {
             self.cfg.resolution,
             "frame size changed mid-stream"
         );
-        let cur = Ycbcr420::from_frame(frame);
         let is_intra =
             self.frame_index.is_multiple_of(self.cfg.gop as u64) || self.reference.is_none();
         let qp = match (&self.rate, self.cfg.rate) {
@@ -157,29 +172,35 @@ impl Encoder {
             (None, RateMode::ConstantQp(q)) => q,
             (None, RateMode::TargetBitrate(_)) => unreachable!("checked in new()"),
         };
-
-        let mut w = BitWriter::new();
         let res = frame.resolution();
-        w.put_bits(res.width as u32, 16);
-        w.put_bits(res.height as u32, 16);
-        w.put_bit(is_intra);
-        w.put_bits(qp as u32, 6);
+        // The reconstruction overwrites the reference in place: inter
+        // prediction reads the scratch copy, and a SKIP block is already
+        // there.
+        let recon = self.reference.get_or_insert_with(|| Ycbcr420::black(res));
 
-        let mut recon = Ycbcr420::black(res);
-        if is_intra {
-            encode_plane_intra(&mut w, &cur.y, &mut recon.y, false, qp);
-            encode_plane_intra(&mut w, &cur.cb, &mut recon.cb, true, qp);
-            encode_plane_intra(&mut w, &cur.cr, &mut recon.cr, true, qp);
-        } else {
-            let reference = self.reference.as_ref().expect("P-frame without reference");
-            encode_inter(&mut w, &cur, reference, &mut recon, qp, &self.cfg);
-        }
-
-        let data = w.finish();
+        let data = SCRATCH.with_borrow_mut(|s| {
+            s.cur.load_frame(frame, MB);
+            let mut w = BitWriter::reusing(std::mem::take(&mut s.bits));
+            w.put_bits(res.width as u32, 16);
+            w.put_bits(res.height as u32, 16);
+            w.put_bit(is_intra);
+            w.put_bits(qp as u32, 6);
+            if is_intra {
+                encode_plane_intra(&mut w, &s.cur.y, &mut recon.y, false, qp);
+                encode_plane_intra(&mut w, &s.cur.cb, &mut recon.cb, true, qp);
+                encode_plane_intra(&mut w, &s.cur.cr, &mut recon.cr, true, qp);
+            } else {
+                s.reference.y.copy_padded_from(&recon.y, MB);
+                s.reference.cb.copy_padded_from(&recon.cb, BLOCK);
+                s.reference.cr.copy_padded_from(&recon.cr, BLOCK);
+                encode_inter(&mut w, &s.cur, &s.reference, recon, qp, &self.cfg);
+            }
+            s.bits = w.finish();
+            s.bits.clone() // sized exactly; the scratch keeps the grown buffer
+        });
         if let Some(rc) = &mut self.rate {
             rc.record(data.len() * 8);
         }
-        self.reference = Some(recon);
         self.frame_index += 1;
         EncodedFrame {
             data,
@@ -198,7 +219,7 @@ impl Encoder {
 }
 
 /// Number of 8×8 blocks covering `n` pixels.
-fn blocks(n: usize) -> usize {
+pub(super) fn blocks(n: usize) -> usize {
     n.div_ceil(BLOCK)
 }
 
@@ -224,47 +245,21 @@ fn encode_plane_intra(w: &mut BitWriter, plane: &Plane, recon: &mut Plane, chrom
 /// Extracts the motion-compensated 8×8 prediction block at block coords
 /// `(bx, by)` displaced by `mv` (in this plane's pixel units).
 fn pred_block8(reference: &Plane, bx: usize, by: usize, mv: MotionVector) -> [f32; 64] {
-    let mut out = [0.0f32; 64];
-    for j in 0..BLOCK {
-        for i in 0..BLOCK {
-            out[j * BLOCK + i] = reference.at_clamped(
-                (bx * BLOCK + i) as isize + mv.dx as isize,
-                (by * BLOCK + j) as isize + mv.dy as isize,
-            );
-        }
-    }
-    out
+    reference.block8_at(
+        (bx * BLOCK) as isize + mv.dx as isize,
+        (by * BLOCK) as isize + mv.dy as isize,
+    )
 }
 
-/// Quantized residual for one 8×8 block at a motion vector.
-fn residual_levels(
-    plane: &Plane,
-    reference: &Plane,
-    bx: usize,
-    by: usize,
-    mv: MotionVector,
-    st: &[f32; 64],
-) -> [i32; 64] {
-    let cur = plane.block8(bx, by);
-    let pred = pred_block8(reference, bx, by, mv);
-    let mut residual = [0.0f32; 64];
-    for i in 0..64 {
-        residual[i] = cur[i] - pred[i];
-    }
-    quantize(&dct::forward(&residual), st)
-}
-
-/// Reconstructs `recon`'s block from prediction + dequantized levels.
-fn apply_levels(
-    reference: &Plane,
+/// Writes prediction + dequantized residual, clamped, to `recon`'s block.
+fn reconstruct(
     recon: &mut Plane,
     bx: usize,
     by: usize,
-    mv: MotionVector,
+    pred: &[f32; 64],
     levels: &[i32; 64],
     st: &[f32; 64],
 ) {
-    let pred = pred_block8(reference, bx, by, mv);
     let rec_res = dct::inverse(&dequantize(levels, st));
     let mut rec = [0.0f32; 64];
     for i in 0..64 {
@@ -273,6 +268,9 @@ fn apply_levels(
     recon.set_block8(bx, by, &rec);
 }
 
+/// Codes a P-frame. `reference` is the bordered copy of the previous
+/// reconstruction; `recon` still holds that reconstruction and is
+/// overwritten macroblock by macroblock.
 fn encode_inter(
     w: &mut BitWriter,
     cur: &Ycbcr420,
@@ -281,88 +279,61 @@ fn encode_inter(
     qp: u8,
     cfg: &EncoderConfig,
 ) {
-    let st_luma = steps(false, qp);
-    let st_chroma = steps(true, qp);
-    let mbs_x = cur.y.width().div_ceil(MB);
-    let mbs_y = cur.y.height().div_ceil(MB);
-    for mby in 0..mbs_y {
-        for mbx in 0..mbs_x {
+    let st = [steps(false, qp), steps(true, qp), steps(true, qp)];
+    let cur = [&cur.y, &cur.cb, &cur.cr];
+    let reference = [&reference.y, &reference.cb, &reference.cr];
+    let recon = [&mut recon.y, &mut recon.cb, &mut recon.cr];
+    let zero = MotionVector::default();
+    for mby in 0..cur[0].height().div_ceil(MB) {
+        for mbx in 0..cur[0].width().div_ceil(MB) {
             let (x0, y0) = (mbx * MB, mby * MB);
             // Motion search, with a fast path: a small zero-MV SAD skips
             // the search (not the coding decision).
-            let zero_sad = sad(&cur.y, &reference.y, x0, y0, 0, 0);
+            let [zero_sad] = sad_n(cur[0], reference[0], x0, y0, &[zero]);
             let mv = if zero_sad <= cfg.skip_threshold * (MB * MB) as f32 {
-                MotionVector::default()
+                zero
             } else {
-                three_step_search(&cur.y, &reference.y, x0, y0, cfg.search_range).0
+                three_step_search(cur[0], reference[0], x0, y0, cfg.search_range, zero_sad).0
             };
-            let luma_blocks = [(0, 0), (0, 1), (1, 0), (1, 1)];
-            let luma_levels: Vec<[i32; 64]> = luma_blocks
-                .iter()
-                .map(|&(dy, dx)| {
-                    residual_levels(
-                        &cur.y,
-                        &reference.y,
-                        mbx * 2 + dx,
-                        mby * 2 + dy,
-                        mv,
-                        &st_luma,
-                    )
-                })
-                .collect();
             let cmv = MotionVector {
                 dx: mv.dx / 2,
                 dy: mv.dy / 2,
             };
-            let cb_levels = residual_levels(&cur.cb, &reference.cb, mbx, mby, cmv, &st_chroma);
-            let cr_levels = residual_levels(&cur.cr, &reference.cr, mbx, mby, cmv, &st_chroma);
+            // (plane, block x, block y, vector) of the macroblock's four
+            // luma and two chroma blocks, in bitstream order.
+            let (bx, by) = (mbx * 2, mby * 2);
+            let blocks = [
+                (0, bx, by, mv),
+                (0, bx + 1, by, mv),
+                (0, bx, by + 1, mv),
+                (0, bx + 1, by + 1, mv),
+                (1, mbx, mby, cmv),
+                (2, mbx, mby, cmv),
+            ];
+            let mut preds = [[0.0f32; 64]; 6];
+            let mut levels = [[0i32; 64]; 6];
+            for (k, &(p, bx, by, v)) in blocks.iter().enumerate() {
+                preds[k] = pred_block8(reference[p], bx, by, v);
+                let mut residual = cur[p].block8(bx, by);
+                for (r, pred) in residual.iter_mut().zip(&preds[k]) {
+                    *r -= pred;
+                }
+                levels[k] = quantize(&dct::forward(&residual), &st[p]);
+            }
 
             // True SKIP decision: zero vector and all-zero residuals means
-            // the reconstruction would equal the reference exactly.
-            let all_zero = mv == MotionVector::default()
-                && luma_levels.iter().all(|l| l.iter().all(|&v| v == 0))
-                && cb_levels.iter().all(|&v| v == 0)
-                && cr_levels.iter().all(|&v| v == 0);
-            if all_zero {
+            // the reconstruction equals the reference exactly.
+            if mv == zero && levels.iter().flatten().all(|&v| v == 0) {
                 w.put_ue(0);
-                copy_mb(reference, recon, mbx, mby);
                 continue;
             }
             w.put_ue(1);
             w.put_se(mv.dx);
             w.put_se(mv.dy);
-            for (&(dy, dx), levels) in luma_blocks.iter().zip(&luma_levels) {
-                write_block(w, levels);
-                apply_levels(
-                    &reference.y,
-                    &mut recon.y,
-                    mbx * 2 + dx,
-                    mby * 2 + dy,
-                    mv,
-                    levels,
-                    &st_luma,
-                );
+            for (k, &(p, bx, by, _)) in blocks.iter().enumerate() {
+                write_block(w, &levels[k]);
+                reconstruct(recon[p], bx, by, &preds[k], &levels[k], &st[p]);
             }
-            write_block(w, &cb_levels);
-            apply_levels(
-                &reference.cb,
-                &mut recon.cb,
-                mbx,
-                mby,
-                cmv,
-                &cb_levels,
-                &st_chroma,
-            );
-            write_block(w, &cr_levels);
-            apply_levels(
-                &reference.cr,
-                &mut recon.cr,
-                mbx,
-                mby,
-                cmv,
-                &cr_levels,
-                &st_chroma,
-            );
         }
     }
 }
@@ -431,12 +402,7 @@ pub(super) fn decode_residual_block(
 ) -> Option<()> {
     let levels = read_block(r)?;
     let pred = pred_block8(reference, bx, by, mv);
-    let rec_res = dct::inverse(&dequantize(&levels, st));
-    let mut rec = [0.0f32; 64];
-    for i in 0..64 {
-        rec[i] = (pred[i] + rec_res[i]).clamp(0.0, 255.0);
-    }
-    recon.set_block8(bx, by, &rec);
+    reconstruct(recon, bx, by, &pred, &levels, st);
     Some(())
 }
 

@@ -49,13 +49,21 @@ pub fn steps(chroma: bool, qp: u8) -> [f32; 64] {
     out
 }
 
-/// Quantizes DCT coefficients to integer levels.
+/// Quantizes DCT coefficients to integer levels: `(c / q).round() as i32`.
 pub fn quantize(coefs: &[f32; 64], steps: &[f32; 64]) -> [i32; 64] {
-    let mut out = [0i32; 64];
-    for ((o, &c), &q) in out.iter_mut().zip(coefs).zip(steps) {
-        *o = (c / q).round() as i32;
+    let mut rounded = [0.0f32; 64];
+    for ((r, &c), &q) in rounded.iter_mut().zip(coefs).zip(steps) {
+        *r = (c / q).round();
     }
-    out
+    // The saturating `as i32` does not vectorize. For an integer-valued `r`
+    // with |r| ≤ 2²² the sum `r + 1.5·2²³` is exact and carries `r` in its
+    // low mantissa bits; anything larger (or NaN) takes the plain cast.
+    const MAGIC: f32 = 12_582_912.0;
+    if rounded.iter().all(|r| r.abs() <= 4_194_304.0) {
+        rounded.map(|r| ((r + MAGIC).to_bits() as i32).wrapping_sub(MAGIC.to_bits() as i32))
+    } else {
+        rounded.map(|r| r as i32)
+    }
 }
 
 /// Reconstructs DCT coefficients from integer levels.
@@ -114,6 +122,58 @@ pub fn read_block(r: &mut BitReader<'_>) -> Option<[i32; 64]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The scalar definition, over everything a coefficient can be:
+    /// ordinary values, halves (round-half-away), the edges of the fast
+    /// range, the saturating casts, infinities and NaN.
+    #[test]
+    fn quantize_matches_the_scalar_definition() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let special = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -2.5,
+            0.499_999_97,
+            4_194_303.5,
+            4_194_304.0,
+            -4_194_304.0,
+            4_194_305.0,
+            8_388_609.0,
+            2.2e9,
+            -2.2e9,
+            3e38,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for round in 0..200 {
+            let mut coefs = [0.0f32; 64];
+            for c in &mut coefs {
+                *c = match round % 4 {
+                    0 => rng.gen_range(-2100.0f32..2100.0),
+                    1 => rng.gen_range(-40i32..40) as f32 / 2.0,
+                    _ => special[rng.gen_range(0..special.len())],
+                };
+            }
+            let steps = if round % 2 == 0 {
+                steps(false, 20)
+            } else {
+                [1.0; 64]
+            };
+            if round % 4 == 3 {
+                coefs[1..].fill(3.0); // one special value among ordinary ones
+            }
+            let mut want = [0i32; 64];
+            for i in 0..64 {
+                want[i] = (coefs[i] / steps[i]).round() as i32;
+            }
+            assert_eq!(quantize(&coefs, &steps), want, "{coefs:?}");
+        }
+    }
 
     #[test]
     fn zigzag_is_permutation() {

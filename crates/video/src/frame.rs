@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// A frame size in pixels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Resolution {
     /// Width in pixels.
     pub width: usize,

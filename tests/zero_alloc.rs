@@ -5,7 +5,9 @@
 //! both a throughput tax and a fragmentation risk on constrained nodes.
 //! This suite installs a counting allocator and pins the contract from the
 //! tensor-layer redesign: after one warm-up frame, feature extraction and
-//! the microclassifier loop perform **zero heap allocations per frame**.
+//! the microclassifier loop perform **zero heap allocations per frame**,
+//! and the event write path — re-encode for upload, record to the archive —
+//! allocates **exactly its output buffer** per frame.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -39,10 +41,13 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+use ff_core::archive::{ArchiveConfig, EdgeArchive};
 use ff_core::{FeatureExtractor, McSpec};
 use ff_models::MobileNetConfig;
 use ff_tensor::Tensor;
-use ff_video::Resolution;
+use ff_video::codec::{Encoder, EncoderConfig};
+use ff_video::scene::{Scene, SceneConfig};
+use ff_video::{Frame, Resolution};
 
 #[test]
 fn extractor_and_mc_loop_are_allocation_free_after_warmup() {
@@ -112,4 +117,53 @@ fn extractor_and_mc_loop_are_allocation_free_after_warmup() {
         "hot loop allocated {} times over 20 frames",
         after - before
     );
+    // The counter is process-wide, so the write path is checked from this
+    // test rather than from a second one the harness could run (and
+    // report on) concurrently.
+    write_path_allocates_only_its_output_buffers();
+}
+
+/// `Encoder::encode` and `EdgeArchive::record` after warm-up: one
+/// allocation per frame, the returned bitstream. Working pictures, the bit
+/// buffer and per-macroblock levels are per-thread scratch or on the stack.
+fn write_path_allocates_only_its_output_buffers() {
+    let res = Resolution::new(96, 54);
+    let scene = SceneConfig {
+        resolution: res,
+        seed: 3,
+        pedestrian_rate: 0.1,
+        car_rate: 0.05,
+        ..Default::default()
+    };
+    // Two GOPs, so a second pass meets the same frame at the same GOP phase.
+    let clip: Vec<Frame> = Scene::new(scene).take(30).map(|(f, _)| f).collect();
+    let measured = clip.len() as u64;
+
+    let mut upload = Encoder::new(EncoderConfig::with_bitrate(res, 15.0, 50_000.0));
+    let mut fixed_qp = Encoder::new(EncoderConfig::with_qp(res, 15.0, 20));
+    for enc in [&mut upload, &mut fixed_qp] {
+        // Warm-up sizes the scratch and lets the rate controller settle; a
+        // forced keyframe mid-stream must reuse the reference it has.
+        for f in clip.iter().chain(&clip) {
+            let _ = enc.encode(f);
+        }
+        enc.force_keyframe();
+        let before = allocs();
+        for f in &clip {
+            let _ = std::hint::black_box(enc.encode(f));
+        }
+        assert_eq!(allocs() - before, measured, "encode: one output per frame");
+    }
+
+    // The archive keeps every bitstream in a doubling `Vec`: 40 frames of
+    // warm-up leave room for 24 more, so the window sees no regrowth.
+    let mut archive = EdgeArchive::new(ArchiveConfig::default(), res, 15.0);
+    for f in clip.iter().cycle().take(40) {
+        archive.record(f);
+    }
+    let before = allocs();
+    for f in clip.iter().take(20) {
+        std::hint::black_box(archive.record(f));
+    }
+    assert_eq!(allocs() - before, 20, "record: one output per frame");
 }
