@@ -206,11 +206,8 @@ impl DwGeom {
     }
 }
 
-/// Output columns processed together by the stride-1 strip kernel.
+/// Output columns processed together by the 3×3 strip kernels.
 const STRIP: usize = 4;
-/// Largest kernel size the strip kernel's sliding input window supports
-/// (`STRIP + MAX_STRIP_K - 1` vector registers of input per kernel row).
-const MAX_STRIP_K: usize = 7;
 
 /// The shared depthwise-convolution kernel, split into **interior** and
 /// **border** output columns per row:
@@ -218,11 +215,12 @@ const MAX_STRIP_K: usize = 7;
 /// - Interior cells (tap rectangle fully inside the input in x) run a
 ///   branch-free kernel with explicit 8-wide SIMD over channels and the
 ///   accumulator held in registers across all `k²` taps — the hot path,
-///   covering almost every cell at stream resolutions. On stride-1 rows
-///   they are processed in strips of [`STRIP`] adjacent columns whose
-///   overlapping tap windows share input loads (`STRIP + k - 1` loads per
-///   kernel row instead of `STRIP·k`) and reuse each weight load across the
-///   whole strip.
+///   covering almost every cell at stream resolutions. For `k = 3` (every
+///   MobileNet unit) at stride 1 or 2 they are processed in strips of
+///   [`STRIP`] adjacent columns by a kernel compiled for those constants:
+///   overlapping tap windows share input loads, each weight load serves
+///   the whole strip, and the unrolled window stays in registers. Other
+///   kernel sizes run one cell at a time over a runtime `k`.
 /// - Border cells (clipped by SAME padding) keep the per-cell-clipped
 ///   scalar loops.
 ///
@@ -299,7 +297,7 @@ pub(crate) fn depthwise_forward_batch(
 }
 
 /// One output row: border cells at the clipped fringes, interior cells in
-/// load-sharing strips (stride 1) or one at a time.
+/// load-sharing strips (3×3) or one at a time.
 fn depthwise_row(
     xd: &[f32],
     weight: &[f32],
@@ -312,8 +310,10 @@ fn depthwise_row(
     let (k, c) = (g.k, g.c);
     let y0 = (oy * g.stride) as isize - g.pad_top as isize;
     // Vertical clip is shared by every cell of the row.
-    let ky_lo = (-y0).clamp(0, k as isize) as usize;
-    let ky_hi = ((g.in_h as isize - y0).clamp(0, k as isize)) as usize;
+    let ky = (
+        (-y0).clamp(0, k as isize) as usize,
+        ((g.in_h as isize - y0).clamp(0, k as isize)) as usize,
+    );
     for ox in (0..g.ix_lo).chain(g.ix_hi..g.out_w) {
         border_cell(
             xd,
@@ -323,30 +323,22 @@ fn depthwise_row(
             &mut row[ox * c..(ox + 1) * c],
             (ox * g.stride) as isize - g.pad_left as isize,
             y0,
-            (ky_lo, ky_hi),
+            ky,
             k,
             c,
             g.in_w,
         );
     }
     let mut ox = g.ix_lo;
-    if g.stride == 1 && k <= MAX_STRIP_K {
-        // Row-level tap reuse: adjacent stride-1 windows overlap in k - 1
-        // input columns, so a strip of STRIP cells shares its loads.
+    if k == 3 && g.stride <= 2 {
         while ox + STRIP <= g.ix_hi {
-            interior_strip(
-                xd,
-                weight,
-                bias,
-                tail,
-                &mut row[ox * c..(ox + STRIP) * c],
-                ox - g.pad_left,
-                y0,
-                (ky_lo, ky_hi),
-                k,
-                c,
-                g.in_w,
-            );
+            let cells = &mut row[ox * c..(ox + STRIP) * c];
+            let x0 = ox * g.stride - g.pad_left;
+            if g.stride == 1 {
+                interior_strip::<3, 1>(xd, weight, bias, tail, cells, x0, y0, ky, c, g.in_w);
+            } else {
+                interior_strip::<3, 2>(xd, weight, bias, tail, cells, x0, y0, ky, c, g.in_w);
+            }
             ox += STRIP;
         }
     }
@@ -359,7 +351,7 @@ fn depthwise_row(
             &mut row[ox * c..(ox + 1) * c],
             ox * g.stride - g.pad_left,
             y0,
-            (ky_lo, ky_hi),
+            ky,
             k,
             c,
             g.in_w,
@@ -492,11 +484,12 @@ fn interior_cell(
     interior_cell_scalar(xd, weight, bias, tail, cell, x0, y0, ky, k, c, in_w, 0);
 }
 
-/// A strip of [`STRIP`] adjacent **stride-1** interior cells computed
-/// together: per kernel row the `STRIP + k - 1` overlapping input vectors
-/// are loaded once and slid across the strip, and each weight vector is
-/// loaded once for all [`STRIP`] cells — versus `STRIP·k` input and
-/// `STRIP·k` weight loads for cell-at-a-time execution.
+/// A strip of [`STRIP`] interior cells `S` input columns apart, `K×K`
+/// taps, both compile-time constants: per kernel row the
+/// `(STRIP - 1)·S + K` input vectors the strip's windows span are loaded
+/// once into an unrolled register window, and each weight vector is loaded
+/// once for all [`STRIP`] cells — versus `STRIP·K` input and `STRIP·K`
+/// weight loads for cell-at-a-time execution.
 ///
 /// Each cell's accumulator still runs `bias + Σ_ky Σ_kx x·w` in exactly the
 /// order of [`interior_cell`] (ky then kx ascending, mul-then-add, no FMA
@@ -504,7 +497,7 @@ fn interior_cell(
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn interior_strip(
+fn interior_strip<const K: usize, const S: usize>(
     xd: &[f32],
     weight: &[f32],
     bias: &[f32],
@@ -513,35 +506,37 @@ fn interior_strip(
     x0: usize,
     y0: isize,
     (ky_lo, ky_hi): (usize, usize),
-    k: usize,
     c: usize,
     in_w: usize,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(k <= MAX_STRIP_K && cells.len() == STRIP * c);
+    // Window registers: the span of the widest instantiation (k 3, stride
+    // 2); a narrower one leaves the rest unused and optimized away.
+    const STRIP_SPAN: usize = (STRIP - 1) * 2 + 3;
+    const { assert!((STRIP - 1) * S + K <= STRIP_SPAN) };
+    debug_assert!(cells.len() == STRIP * c && x0 + (STRIP - 1) * S + K <= in_w);
     let simd_c = c - c % 8;
     // SAFETY: avx2 is a compile-time target feature here; the caller
-    // guarantees all STRIP cells are interior (`x0 + STRIP - 1 + k ≤ in_w`)
-    // and the row clip guarantees `0 ≤ y0 + ky < in_h`, so every 8-lane
-    // load below is in bounds of `xd`/`weight` for channels `< simd_c ≤ c`.
+    // guarantees all STRIP cells are interior
+    // (`x0 + (STRIP - 1)·S + K ≤ in_w`) and the row clip guarantees
+    // `0 ≤ y0 + ky < in_h`, so every 8-lane load below is in bounds of
+    // `xd`/`weight` for channels `< simd_c ≤ c`.
     unsafe {
         let mut ch = 0;
         while ch < simd_c {
-            let b = _mm256_loadu_ps(bias.as_ptr().add(ch));
-            let mut acc = [b; STRIP];
+            let mut acc = [_mm256_loadu_ps(bias.as_ptr().add(ch)); STRIP];
             for ky in ky_lo..ky_hi {
                 let y = (y0 + ky as isize) as usize;
                 let xrow = xd.as_ptr().add((y * in_w + x0) * c + ch);
-                // One sliding window of input vectors for the whole strip.
-                let mut xv = [_mm256_setzero_ps(); STRIP + MAX_STRIP_K - 1];
-                for (i, v) in xv.iter_mut().enumerate().take(STRIP + k - 1) {
+                let mut xv = [_mm256_setzero_ps(); STRIP_SPAN];
+                for (i, v) in xv.iter_mut().enumerate().take((STRIP - 1) * S + K) {
                     *v = _mm256_loadu_ps(xrow.add(i * c));
                 }
-                let wrow = weight.as_ptr().add(ky * k * c + ch);
-                for kx in 0..k {
+                let wrow = weight.as_ptr().add(ky * K * c + ch);
+                for kx in 0..K {
                     let wv = _mm256_loadu_ps(wrow.add(kx * c));
                     for (s, a) in acc.iter_mut().enumerate() {
-                        *a = _mm256_add_ps(*a, _mm256_mul_ps(xv[s + kx], wv));
+                        *a = _mm256_add_ps(*a, _mm256_mul_ps(xv[s * S + kx], wv));
                     }
                 }
             }
@@ -566,10 +561,10 @@ fn interior_strip(
             bias,
             tail,
             &mut cells[s * c..(s + 1) * c],
-            x0 + s,
+            x0 + s * S,
             y0,
             (ky_lo, ky_hi),
-            k,
+            K,
             c,
             in_w,
             simd_c,
@@ -582,7 +577,7 @@ fn interior_strip(
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn interior_strip(
+fn interior_strip<const K: usize, const S: usize>(
     xd: &[f32],
     weight: &[f32],
     bias: &[f32],
@@ -591,24 +586,11 @@ fn interior_strip(
     x0: usize,
     y0: isize,
     ky: (usize, usize),
-    k: usize,
     c: usize,
     in_w: usize,
 ) {
-    for s in 0..STRIP {
-        interior_cell(
-            xd,
-            weight,
-            bias,
-            tail,
-            &mut cells[s * c..(s + 1) * c],
-            x0 + s,
-            y0,
-            ky,
-            k,
-            c,
-            in_w,
-        );
+    for (s, cell) in cells.chunks_mut(c).enumerate() {
+        interior_cell(xd, weight, bias, tail, cell, x0 + s * S, y0, ky, K, c, in_w);
     }
 }
 
@@ -850,14 +832,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn interior_border_split_matches_naive_reference_bit_for_bit() {
+    /// [`depthwise_forward`] against the naive per-output loop (same tap
+    /// order, same mul-then-add), with and without the fused tail.
+    fn assert_matches_naive(h: usize, w: usize, c: usize, k: usize, stride: usize) {
         use ff_tensor::{Conv2dGeometry, Padding};
         use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        let x = Tensor::from_vec(
+            vec![h, w, c],
+            (0..h * w * c).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+        );
+        let weight: Vec<f32> = (0..k * k * c).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let bias: Vec<f32> = (0..c).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let scale: Vec<f32> = (0..c).map(|_| rng.gen_range(0.5..1.5)).collect();
+        let shift: Vec<f32> = (0..c).map(|_| rng.gen_range(-0.5..0.5)).collect();
+        let geo = Conv2dGeometry::resolve((h, w, c), (k, k), stride, Padding::Same);
+        for tail in [None, Some((&scale[..], &shift[..]))] {
+            let mut got = Tensor::zeros(vec![geo.out_h, geo.out_w, c]);
+            depthwise_forward(&x, &geo, k, &weight, &bias, tail, &mut got);
+            let mut want = Tensor::zeros(vec![geo.out_h, geo.out_w, c]);
+            for oy in 0..geo.out_h {
+                for ox in 0..geo.out_w {
+                    for ch in 0..c {
+                        let mut acc = bias[ch];
+                        for ky in 0..k {
+                            let y = (oy * stride + ky) as isize - geo.pad_top as isize;
+                            if y < 0 || y >= h as isize {
+                                continue;
+                            }
+                            for kx in 0..k {
+                                let xx = (ox * stride + kx) as isize - geo.pad_left as isize;
+                                if xx < 0 || xx >= w as isize {
+                                    continue;
+                                }
+                                acc += x.at3(y as usize, xx as usize, ch)
+                                    * weight[(ky * k + kx) * c + ch];
+                            }
+                        }
+                        if let Some((s, t)) = tail {
+                            acc = (acc * s[ch] + t[ch]).max(0.0);
+                        }
+                        want.data_mut()[(oy * geo.out_w + ox) * c + ch] = acc;
+                    }
+                }
+            }
+            assert_eq!(
+                got.data(),
+                want.data(),
+                "h{h} w{w} c{c} k{k} s{stride} tail={}",
+                tail.is_some()
+            );
+        }
+    }
+
+    #[test]
+    fn interior_border_split_matches_naive_reference_bit_for_bit() {
         // Geometries chosen to hit every path: channel counts off the
         // 8-lane SIMD width (scalar tail), widths where interior is empty,
-        // strides > 1, kernels larger than the input, and stride-1 rows
-        // wide enough for the load-sharing strip kernel (full strips, strip
+        // strides > 1, kernels larger than the input, and rows wide enough
+        // for the load-sharing 3×3 strip kernels (full strips, strip
         // remainders, and multi-strip rows).
         for &(h, w, c, k, stride) in &[
             (9usize, 7usize, 5usize, 3usize, 1usize),
@@ -867,55 +900,22 @@ mod tests {
             (4, 2, 3, 3, 1),   // interior empty in x
             (2, 2, 9, 5, 1),   // kernel larger than input
             (7, 16, 8, 3, 1),  // three strips + remainder
-            (6, 13, 12, 5, 1), // k=5 strips, ragged channels
-            (5, 14, 4, 7, 1),  // k=MAX_STRIP_K, two strips
+            (6, 13, 12, 5, 1), // k=5, ragged channels
+            (5, 14, 4, 7, 1),  // k=7, no vector channels
         ] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-            let x = Tensor::from_vec(
-                vec![h, w, c],
-                (0..h * w * c).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-            );
-            let weight: Vec<f32> = (0..k * k * c).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let bias: Vec<f32> = (0..c).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let scale: Vec<f32> = (0..c).map(|_| rng.gen_range(0.5..1.5)).collect();
-            let shift: Vec<f32> = (0..c).map(|_| rng.gen_range(-0.5..0.5)).collect();
-            let geo = Conv2dGeometry::resolve((h, w, c), (k, k), stride, Padding::Same);
-            for tail in [None, Some((&scale[..], &shift[..]))] {
-                let mut got = Tensor::zeros(vec![geo.out_h, geo.out_w, c]);
-                depthwise_forward(&x, &geo, k, &weight, &bias, tail, &mut got);
-                // Naive reference: same tap order, same mul-then-add.
-                let mut want = Tensor::zeros(vec![geo.out_h, geo.out_w, c]);
-                for oy in 0..geo.out_h {
-                    for ox in 0..geo.out_w {
-                        for ch in 0..c {
-                            let mut acc = bias[ch];
-                            for ky in 0..k {
-                                let y = (oy * stride + ky) as isize - geo.pad_top as isize;
-                                if y < 0 || y >= h as isize {
-                                    continue;
-                                }
-                                for kx in 0..k {
-                                    let xx = (ox * stride + kx) as isize - geo.pad_left as isize;
-                                    if xx < 0 || xx >= w as isize {
-                                        continue;
-                                    }
-                                    acc += x.at3(y as usize, xx as usize, ch)
-                                        * weight[(ky * k + kx) * c + ch];
-                                }
-                            }
-                            if let Some((s, t)) = tail {
-                                acc = (acc * s[ch] + t[ch]).max(0.0);
-                            }
-                            want.data_mut()[(oy * geo.out_w + ox) * c + ch] = acc;
-                        }
+            assert_matches_naive(h, w, c, k, stride);
+        }
+        // The strip instantiations (k = 3, strides 1 and 2) and the
+        // runtime-k cells (k = 5) over odd sizes — one, several and no
+        // whole strips, odd heights so both vertical clips occur — and
+        // channel counts below, at and off the vector width.
+        for k in [3usize, 5] {
+            for stride in [1usize, 2] {
+                for (h, w) in [(5usize, 9usize), (7, 19), (3, 27), (9, 11)] {
+                    for c in [3usize, 8, 12, 21] {
+                        assert_matches_naive(h, w, c, k, stride);
                     }
                 }
-                assert_eq!(
-                    got.data(),
-                    want.data(),
-                    "h{h} w{w} c{c} k{k} s{stride} tail={}",
-                    tail.is_some()
-                );
             }
         }
     }

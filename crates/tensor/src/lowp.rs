@@ -30,7 +30,8 @@
 //! # Whole-int8 quantization scheme ([`Precision::Int8Act`])
 //!
 //! The [`gemm_prepacked_i8i8`] path quantizes *both* operands so the inner
-//! loop is pure integer arithmetic (`vpmaddubsw` + `vpmaddwd` on AVX2):
+//! loop is pure integer arithmetic (`vpmaddubsw` + `vpmaddwd` on AVX2, one
+//! `vpdpbusd` where the CPU has AVX-VNNI — see "Instruction selection"):
 //!
 //! - **Activations** are quantized dynamically, per row (per frame for the
 //!   conv layers), to **asymmetric u8**: the row range is widened to
@@ -61,7 +62,32 @@
 //!   (`Σ(q−zp)·w = Σq·w − zp·Σw`), the compensated i32 converts exactly to
 //!   f32 and FMA-accumulates with the group's weight scale, and the row's
 //!   activation scale multiplies the finished sum — which then feeds the
-//!   ordinary f32 [`Epilogue`] (bias / BN / ReLU), unchanged.
+//!   ordinary f32 [`Epilogue`] (bias / BN / ReLU), unchanged: the tile
+//!   applies it to its registers and stores each output once.
+//!
+//! # Instruction selection
+//!
+//! The quad step has two x86 encodings: `vpmaddubsw` + `vpmaddwd(·, 1)` +
+//! `vpaddd` (AVX2, three µops per 32 multiply-adds, i16 pair sums that
+//! saturate) and `vpdpbusd` (AVX-VNNI, one µop, no saturation). Because
+//! packed weight codes are clamped to `[-63, 63]`, a pair sum is at most
+//! `2·255·63 = 32130 < 2¹⁵` and never saturates, so on packed panels the
+//! two sequences are **the same integer function** and everything after
+//! them — compensation, dequant, epilogue — is shared code. The tile body
+//! is therefore written once, generic over the step, and instantiated
+//! twice: under `#[target_feature(enable = "avx2,fma,avxvnni")]` and under
+//! the build's own AVX2+FMA baseline, the only one an x86-64-v3 host
+//! without AVX-VNNI can run. [`PackedPanels::gemm_u8`] picks between them
+//! once per call from `is_x86_feature_detected!("avxvnni")`; nothing else
+//! — no option, feature or environment variable — reaches either. Results
+//! are host-independent: a given build produces the same bits on a VNNI
+//! host, on a plain AVX2 host, and from the scalar walk (builds without
+//! FMA contract nothing, so they differ from FMA builds in the float
+//! dequant, as every GEMM path here does, but again not by host).
+//!
+//! The raw [`gemm_prepacked_i8i8`] entry point takes the caller's codes,
+//! which may be as wide as ±127 and *can* saturate; it always runs the
+//! saturating sequence (or its scalar twin).
 
 use crate::matmul::{check_gemm_args, fmadd, Epilogue, MIN_ELEMS_FOR_THREADS, MR, NR};
 use crate::matmul::{pack_b_panels_into, packed_panels_len};
@@ -86,7 +112,8 @@ pub enum Precision {
     Int8,
     /// Whole-int8: symmetric s8 panels with per-`K`-group scales *and*
     /// dynamically quantized asymmetric u8 activations, accumulated in i32
-    /// (`vpmaddubsw`/`vpmaddwd` on AVX2) with one fused dequant per group.
+    /// (`vpdpbusd` with AVX-VNNI, else `vpmaddubsw`/`vpmaddwd`; same bits)
+    /// with one fused dequant per group.
     /// Quarters panel bytes and replaces the f32 FMA chain with integer
     /// arithmetic — the deepest precision rung.
     Int8Act,
@@ -510,21 +537,32 @@ fn minmax_generic(row: &[f32]) -> (f32, f32) {
     (lo, hi)
 }
 
-/// AVX2 min/max sweep: 8-lane `vminps`/`vmaxps` accumulators seeded at
-/// 0.0, horizontal reduce, scalar tail. Identical to [`minmax_generic`]
-/// for all finite inputs.
+/// AVX2 min/max sweep: four independent 8-lane `vminps`/`vmaxps`
+/// accumulator pairs seeded at 0.0 (one pair is a 4-cycle dependency chain
+/// per 32 bytes — slower than the memory it reads), horizontal reduce,
+/// scalar tail. Identical to [`minmax_generic`] for all finite inputs.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 unsafe fn minmax_avx2(row: &[f32]) -> (f32, f32) {
     use std::arch::x86_64::*;
     unsafe {
-        let mut lo_v = _mm256_setzero_ps();
-        let mut hi_v = _mm256_setzero_ps();
-        let mut chunks = row.chunks_exact(8);
+        let mut lo_v = [_mm256_setzero_ps(); 4];
+        let mut hi_v = [_mm256_setzero_ps(); 4];
+        let mut chunks = row.chunks_exact(32);
         for c in chunks.by_ref() {
-            let v = _mm256_loadu_ps(c.as_ptr());
-            lo_v = _mm256_min_ps(lo_v, v);
-            hi_v = _mm256_max_ps(hi_v, v);
+            for (i, (lo, hi)) in lo_v.iter_mut().zip(&mut hi_v).enumerate() {
+                let v = _mm256_loadu_ps(c.as_ptr().add(8 * i));
+                *lo = _mm256_min_ps(*lo, v);
+                *hi = _mm256_max_ps(*hi, v);
+            }
         }
+        let lo_v = _mm256_min_ps(
+            _mm256_min_ps(lo_v[0], lo_v[1]),
+            _mm256_min_ps(lo_v[2], lo_v[3]),
+        );
+        let hi_v = _mm256_max_ps(
+            _mm256_max_ps(hi_v[0], hi_v[1]),
+            _mm256_max_ps(hi_v[2], hi_v[3]),
+        );
         let mut lo_a = [0.0f32; 8];
         let mut hi_a = [0.0f32; 8];
         _mm256_storeu_ps(lo_a.as_mut_ptr(), lo_v);
@@ -711,10 +749,17 @@ pub fn gemm_prepacked_i8(
 /// The inner loop is pure integer arithmetic under the `vpmaddubsw`
 /// saturating-pair contract (module docs), accumulated in i32 per group;
 /// dequantization fuses once per group (zero-point compensation + group
-/// scale, FMA into the f32 accumulator) and the row's activation scale
-/// multiplies the finished sum before the f32 `Epilogue` runs. The AVX2
-/// and scalar paths are bit-identical, and i32 accumulation makes the
-/// result independent of thread count.
+/// scale, FMA into the f32 accumulator), the row's activation scale
+/// multiplies the finished sum, and the f32 `Epilogue` runs on each tile
+/// before its one store. The AVX2 and scalar paths are bit-identical, and
+/// i32 accumulation makes the result independent of thread count.
+///
+/// The codes are the caller's, so they may be anything in `[-127, 127]` and
+/// a pair sum may saturate: this entry point always runs the saturating
+/// `vpmaddubsw` sequence (or its scalar twin), on every host. Only
+/// [`PackedPanels::Int8Act`], whose codes are clamped at pack time, may
+/// take the `vpdpbusd` tile (see "Instruction selection" in the module
+/// docs).
 ///
 /// # Panics
 ///
@@ -735,34 +780,132 @@ pub fn gemm_prepacked_i8i8(
     n: usize,
     ep: Epilogue,
 ) {
-    assert!(
-        group_size > 0 && group_size.is_multiple_of(4),
-        "i8i8 group size must be a positive multiple of 4"
+    let g = I8I8::checked(
+        aq, a_scales, a_zps, packed_b, b_scales, colsums, group_size, m, k, n, ep,
     );
-    assert_eq!(aq.len(), m * i8i8_padded_k(k), "gemm i8i8 A codes");
-    assert_eq!(a_scales.len(), m, "gemm i8i8 A scales");
-    assert_eq!(a_zps.len(), m, "gemm i8i8 A zero-points");
-    assert_eq!(
-        packed_b.len(),
-        packed_panels_i8i8_len(k, n),
-        "gemm packed-i8i8 B buffer"
-    );
-    let gl = packed_scales_i8i8_len(k, n, group_size);
-    assert_eq!(b_scales.len(), gl, "gemm i8i8 B scales");
-    assert_eq!(colsums.len(), gl, "gemm i8i8 B column sums");
+    gemm_i8i8(&g, out, false);
+}
+
+/// The operands of one whole-int8 GEMM with their geometry checked: the
+/// row walkers and tiles index them with raw pointers, so a value of this
+/// type only ever comes from [`I8I8::checked`].
+struct I8I8<'a> {
+    aq: &'a [u8],
+    a_scales: &'a [f32],
+    a_zps: &'a [u8],
+    packed: &'a [i8],
+    b_scales: &'a [f32],
+    colsums: &'a [i32],
+    group_size: usize,
+    m: usize,
+    /// K padded to whole quads: the A row stride and packed K extent.
+    kp: usize,
+    n: usize,
+    ep: Epilogue<'a>,
+}
+
+impl<'a> I8I8<'a> {
+    /// # Panics
+    ///
+    /// Panics on any disagreement listed at [`gemm_prepacked_i8i8`].
+    #[allow(clippy::too_many_arguments)]
+    fn checked(
+        aq: &'a [u8],
+        a_scales: &'a [f32],
+        a_zps: &'a [u8],
+        packed: &'a [i8],
+        b_scales: &'a [f32],
+        colsums: &'a [i32],
+        group_size: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+        ep: Epilogue<'a>,
+    ) -> Self {
+        assert!(
+            group_size > 0 && group_size.is_multiple_of(4),
+            "i8i8 group size must be a positive multiple of 4"
+        );
+        let kp = i8i8_padded_k(k);
+        assert_eq!(aq.len(), m * kp, "gemm i8i8 A codes");
+        assert_eq!(a_scales.len(), m, "gemm i8i8 A scales");
+        assert_eq!(a_zps.len(), m, "gemm i8i8 A zero-points");
+        assert_eq!(
+            packed.len(),
+            packed_panels_i8i8_len(k, n),
+            "gemm packed-i8i8 B buffer"
+        );
+        let gl = packed_scales_i8i8_len(k, n, group_size);
+        assert_eq!(b_scales.len(), gl, "gemm i8i8 B scales");
+        assert_eq!(colsums.len(), gl, "gemm i8i8 B column sums");
+        if let Some(bias) = ep.bias {
+            assert!(bias.len() >= n, "epilogue bias");
+        }
+        if let Some((sc, sh)) = ep.scale_shift {
+            assert!(sc.len() >= n && sh.len() >= n, "epilogue scale/shift");
+        }
+        I8I8 {
+            aq,
+            a_scales,
+            a_zps,
+            packed,
+            b_scales,
+            colsums,
+            group_size,
+            m,
+            kp,
+            n,
+            ep,
+        }
+    }
+
+    /// Rows in `block`, which must be whole output rows `row0..` of this
+    /// GEMM — the bound every walker's indexing rests on.
+    fn block_rows(&self, block: &[f32], row0: usize) -> usize {
+        let rows = block.len() / self.n;
+        assert!(
+            block.len() == rows * self.n && row0 + rows <= self.m,
+            "i8i8 block"
+        );
+        rows
+    }
+
+    /// `ep` restricted to columns `j0..`, to finish one row segment in
+    /// place with [`Epilogue::apply`]'s own per-element operations.
+    fn epilogue_from(&self, j0: usize) -> Epilogue<'a> {
+        Epilogue {
+            bias: self.ep.bias.map(|b| &b[j0..]),
+            scale_shift: self.ep.scale_shift.map(|(s, t)| (&s[j0..], &t[j0..])),
+            relu: self.ep.relu,
+        }
+    }
+}
+
+/// Bytes of quantized A rows plus f32 C rows that one pass of the panel
+/// walk covers — half the smallest L2 of any AVX2 part. Early MobileNet
+/// layers are tall and thin (`32400×32→64`: 1 MB of codes, 8 MB of output,
+/// 2 KB of panels), and walking every panel over all rows evicts both
+/// operands between panels; a pass keeps its A and C rows cache-resident
+/// while the panels are re-read once per pass instead. Deep layers
+/// (`510×512→512`) get passes of a few dozen rows.
+const I8I8_PASS_BYTES: usize = 1 << 17;
+/// Fewest rows in a pass: with 16 or more, re-reading every panel once per
+/// pass (`kp·n` bytes) moves no more than the A re-reads per panel it
+/// replaces (`rows·kp·n/NR`), whatever the shape.
+const I8I8_MIN_PASS_ROWS: usize = 4 * MR;
+
+/// Shared whole-int8 driver: row chunks per thread, each walked in passes
+/// of [`I8I8_PASS_BYTES`]. `vnni` selects the `vpdpbusd` tile; callers
+/// pass `true` only for pack-clamped codes on a CPU that has it.
+fn gemm_i8i8(g: &I8I8, out: &mut [f32], vnni: bool) {
+    let (m, n) = (g.m, g.n);
     assert_eq!(out.len(), m * n, "gemm out buffer");
-    if let Some(bias) = ep.bias {
-        assert!(bias.len() >= n, "epilogue bias");
-    }
-    if let Some((sc, sh)) = ep.scale_shift {
-        assert!(sc.len() >= n && sh.len() >= n, "epilogue scale/shift");
-    }
     if m == 0 || n == 0 {
         return;
     }
-    if k == 0 {
+    if g.kp == 0 {
         out.fill(0.0);
-        ep.apply(out, n);
+        g.ep.apply(out, n);
         return;
     }
     let t = if m * n >= MIN_ELEMS_FOR_THREADS {
@@ -770,12 +913,32 @@ pub fn gemm_prepacked_i8i8(
     } else {
         1
     };
-    parallel_row_blocks_mut(out, n, t, |row0, block| {
-        gemm_i8i8_rows(
-            aq, a_scales, a_zps, packed_b, b_scales, colsums, group_size, block, row0, k, n,
-        );
-        ep.apply(block, n);
+    let pass_rows = (I8I8_PASS_BYTES / (g.kp + 4 * n)).max(I8I8_MIN_PASS_ROWS) / MR * MR;
+    parallel_row_blocks_mut(out, n, t, |row0, chunk| {
+        for (i, block) in chunk.chunks_mut(pass_rows * n).enumerate() {
+            i8i8_rows(g, block, row0 + i * pass_rows, vnni);
+        }
     });
+}
+
+/// Whether this build and this CPU can run the `vpdpbusd` tile.
+fn vnni_available() -> bool {
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))]
+    {
+        std::arch::is_x86_feature_detected!("avxvnni")
+    }
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    )))]
+    {
+        false
+    }
 }
 
 /// Weight panels prepacked at a chosen [`Precision`], with the matching
@@ -798,6 +961,11 @@ pub enum PackedPanels {
     /// zero-point-compensation column sums ([`pack_b_panels_i8i8_into`],
     /// group size [`I8I8_GROUP_SIZE`]); activations quantize dynamically
     /// per row at dispatch time.
+    ///
+    /// Every code in `q` lies in `[-63, 63]` — the packer clamps, and
+    /// [`PackedPanels::repack`] checks it in debug builds. The GEMM picks
+    /// its instruction sequence on that guarantee, so a value built by
+    /// hand with wider codes computes host-dependent sums.
     Int8Act {
         /// Quantized, quad-interleaved panel elements.
         q: Vec<i8>,
@@ -862,6 +1030,7 @@ impl PackedPanels {
                 scales.resize(gl, 0.0);
                 colsums.resize(gl, 0);
                 pack_b_panels_i8i8_into(b, q, scales, colsums, k, n, I8I8_GROUP_SIZE);
+                debug_assert!(q.iter().all(|c| (-63..=63).contains(c)));
             }
         }
     }
@@ -899,26 +1068,13 @@ impl PackedPanels {
             PackedPanels::F32(buf) => crate::matmul::gemm_prepacked(a, buf, out, m, k, n, ep),
             PackedPanels::F16(buf) => gemm_prepacked_f16(a, buf, out, m, k, n, ep),
             PackedPanels::Int8 { q, scales } => gemm_prepacked_i8(a, q, scales, out, m, k, n, ep),
-            PackedPanels::Int8Act { q, scales, colsums } => QA_BUF.with(|buf| {
+            PackedPanels::Int8Act { .. } => QA_BUF.with(|buf| {
                 let (aq, asc, azp) = &mut *buf.borrow_mut();
                 aq.resize(m * i8i8_padded_k(k), 0);
                 asc.resize(m, 0.0);
                 azp.resize(m, 0);
                 quantize_a_rows_into(a, aq, asc, azp, m, k);
-                gemm_prepacked_i8i8(
-                    aq,
-                    asc,
-                    azp,
-                    q,
-                    scales,
-                    colsums,
-                    I8I8_GROUP_SIZE,
-                    out,
-                    m,
-                    k,
-                    n,
-                    ep,
-                );
+                self.gemm_u8(aq, asc, azp, out, m, k, n, ep);
             }),
         }
     }
@@ -946,20 +1102,22 @@ impl PackedPanels {
         ep: Epilogue,
     ) {
         match self {
-            PackedPanels::Int8Act { q, scales, colsums } => gemm_prepacked_i8i8(
-                aq,
-                a_scales,
-                a_zps,
-                q,
-                scales,
-                colsums,
-                I8I8_GROUP_SIZE,
-                out,
-                m,
-                k,
-                n,
-                ep,
-            ),
+            PackedPanels::Int8Act { q, scales, colsums } => {
+                let g = I8I8::checked(
+                    aq,
+                    a_scales,
+                    a_zps,
+                    q,
+                    scales,
+                    colsums,
+                    I8I8_GROUP_SIZE,
+                    m,
+                    k,
+                    n,
+                    ep,
+                );
+                gemm_i8i8(&g, out, vnni_available());
+            }
             other => panic!(
                 "PackedPanels::gemm_u8 requires Int8Act panels, got {}",
                 other.precision().label()
@@ -1021,70 +1179,40 @@ fn gemm_i8_rows(
     }
 }
 
-/// Computes `block` (rows `row0..`) from quantized activations and
-/// quad-interleaved i8i8 panels + per-group scales / column sums.
-#[allow(clippy::too_many_arguments)]
-fn gemm_i8i8_rows(
-    aq: &[u8],
-    a_scales: &[f32],
-    a_zps: &[u8],
-    packed: &[i8],
-    b_scales: &[f32],
-    colsums: &[i32],
-    group_size: usize,
-    block: &mut [f32],
-    row0: usize,
-    k: usize,
-    n: usize,
-) {
-    let kp = i8i8_padded_k(k);
-    let np = packed_scales_i8_len(n);
-    let rows = block.len() / n;
-    let panels = n.div_ceil(NR);
-    for jp in 0..panels {
-        let j0 = jp * NR;
-        let w = (n - j0).min(NR);
-        let panel = &packed[jp * NR * kp..(jp + 1) * NR * kp];
-        let mut r = 0;
-        while r + MR <= rows {
-            micro_kernel_mr_i8i8(
-                aq,
-                a_scales,
-                a_zps,
-                panel,
-                b_scales,
-                colsums,
-                group_size,
-                np,
-                block,
-                row0 + r,
-                r,
-                j0,
-                w,
-                kp,
-                n,
-            );
-            r += MR;
-        }
-        while r < rows {
-            micro_kernel_1_i8i8(
-                aq,
-                a_scales,
-                a_zps,
-                panel,
-                b_scales,
-                colsums,
-                group_size,
-                np,
-                block,
-                row0 + r,
-                r,
-                j0,
-                w,
-                kp,
-                n,
-            );
-            r += 1;
+/// Computes `block` (rows `row0..`) of a whole-int8 GEMM, epilogue
+/// included, with the tile the build and `vnni` select.
+fn i8i8_rows(g: &I8I8, block: &mut [f32], row0: usize, vnni: bool) {
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))]
+    if vnni {
+        // SAFETY: `vnni` is only ever true when `vnni_available()` saw
+        // AVX-VNNI on this CPU.
+        unsafe { i8i8_rows_vnni(g, block, row0) }
+    } else {
+        i8i8_rows_avx2(g, block, row0)
+    }
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    )))]
+    {
+        debug_assert!(!vnni);
+        i8i8_rows_scalar(g, block, row0)
+    }
+}
+
+/// The scalar walk: [`micro_kernel_1_i8i8`] per row per panel — the whole
+/// path off AVX2, and the tiles' reference in tests.
+#[allow(dead_code)]
+fn i8i8_rows_scalar(g: &I8I8, block: &mut [f32], row0: usize) {
+    let rows = g.block_rows(block, row0);
+    for jp in 0..g.n.div_ceil(NR) {
+        for r in 0..rows {
+            micro_kernel_1_i8i8(g, block, row0 + r, r, jp);
         }
     }
 }
@@ -1430,132 +1558,26 @@ fn quad_dot_i8i8(aq: &[u8], wq: &[i8]) -> i32 {
     p0.clamp(-32768, 32767) + p1.clamp(-32768, 32767)
 }
 
-/// `MR×NR` whole-int8 register tile: AVX2 kernel when compiled in, else
-/// the portable saturating-quad loop (bit-identical).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn micro_kernel_mr_i8i8(
-    aq: &[u8],
-    a_scales: &[f32],
-    a_zps: &[u8],
-    panel: &[i8],
-    b_scales: &[f32],
-    colsums: &[i32],
-    group_size: usize,
-    np: usize,
-    block: &mut [f32],
-    a_row: usize,
-    c_row: usize,
-    j0: usize,
-    w: usize,
-    kp: usize,
-    n: usize,
-) {
-    #[cfg(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma"
-    ))]
-    {
-        // SAFETY: avx2+fma are compile-time target features here; slice
-        // bounds are asserted by the callers' geometry.
-        unsafe {
-            micro_kernel_mr_i8i8_avx2(
-                aq, a_scales, a_zps, panel, b_scales, colsums, group_size, np, block, a_row, c_row,
-                j0, w, kp, n,
-            )
-        }
-    }
-    #[cfg(not(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma"
-    )))]
-    {
-        micro_kernel_mr_i8i8_generic(
-            aq, a_scales, a_zps, panel, b_scales, colsums, group_size, np, block, a_row, c_row, j0,
-            w, kp, n,
-        )
-    }
-}
-
-/// Portable `MR×NR` whole-int8 tile: `MR` passes of the single-row kernel
-/// (row results are independent, so this is trivially bit-identical to the
-/// SIMD tile, which interleaves the same per-row arithmetic).
-#[allow(clippy::too_many_arguments)]
+/// Single-row whole-int8 kernel for panel `jp` — the scalar definition of
+/// the contract: per group, ascending-`k` quads of [`quad_dot_i8i8`] into
+/// an i32 accumulator, zero-point compensation against the group column
+/// sum, one FMA with the group scale; the row's activation scale multiplies
+/// the finished f32 sum, and the epilogue finishes the segment in place.
 #[allow(dead_code)]
 #[inline]
-fn micro_kernel_mr_i8i8_generic(
-    aq: &[u8],
-    a_scales: &[f32],
-    a_zps: &[u8],
-    panel: &[i8],
-    b_scales: &[f32],
-    colsums: &[i32],
-    group_size: usize,
-    np: usize,
-    block: &mut [f32],
-    a_row: usize,
-    c_row: usize,
-    j0: usize,
-    w: usize,
-    kp: usize,
-    n: usize,
-) {
-    for r in 0..MR {
-        micro_kernel_1_i8i8(
-            aq,
-            a_scales,
-            a_zps,
-            panel,
-            b_scales,
-            colsums,
-            group_size,
-            np,
-            block,
-            a_row + r,
-            c_row + r,
-            j0,
-            w,
-            kp,
-            n,
-        );
-    }
-}
-
-/// Single-row whole-int8 kernel — the scalar definition of the contract:
-/// per group, ascending-`k` quads of [`quad_dot_i8i8`] into an i32
-/// accumulator, zero-point compensation against the group column sum, one
-/// FMA with the group scale; the row's activation scale multiplies the
-/// finished f32 sum.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn micro_kernel_1_i8i8(
-    aq: &[u8],
-    a_scales: &[f32],
-    a_zps: &[u8],
-    panel: &[i8],
-    b_scales: &[f32],
-    colsums: &[i32],
-    group_size: usize,
-    np: usize,
-    block: &mut [f32],
-    a_row: usize,
-    c_row: usize,
-    j0: usize,
-    w: usize,
-    kp: usize,
-    n: usize,
-) {
-    let row = &aq[a_row * kp..(a_row + 1) * kp];
-    let zp = i32::from(a_zps[a_row]);
-    let sa = a_scales[a_row];
+fn micro_kernel_1_i8i8(g: &I8I8, block: &mut [f32], a_row: usize, c_row: usize, jp: usize) {
+    let (kp, n) = (g.kp, g.n);
+    let np = packed_scales_i8_len(n);
+    let j0 = jp * NR;
+    let w = (n - j0).min(NR);
+    let panel = &g.packed[jp * NR * kp..(jp + 1) * NR * kp];
+    let row = &g.aq[a_row * kp..(a_row + 1) * kp];
+    let zp = i32::from(g.a_zps[a_row]);
     let quads = kp / 4;
-    let gq = group_size / 4;
-    let groups = kp.div_ceil(group_size);
+    let gq = g.group_size / 4;
     let mut facc = [0.0f32; NR];
-    for g in 0..groups {
-        let q0 = g * gq;
+    for gi in 0..kp.div_ceil(g.group_size) {
+        let q0 = gi * gq;
         let q1 = (q0 + gq).min(quads);
         let mut iacc = [0i32; NR];
         for kq in q0..q1 {
@@ -1565,108 +1587,232 @@ fn micro_kernel_1_i8i8(
                 *acc += quad_dot_i8i8(a4, &wq[jo * 4..jo * 4 + 4]);
             }
         }
-        let sb = &b_scales[g * np + j0..g * np + j0 + NR];
-        let cs = &colsums[g * np + j0..g * np + j0 + NR];
+        let sb = &g.b_scales[gi * np + j0..gi * np + j0 + NR];
+        let cs = &g.colsums[gi * np + j0..gi * np + j0 + NR];
         for ((f, &ia), (&s, &c)) in facc.iter_mut().zip(&iacc).zip(sb.iter().zip(cs)) {
             *f = fmadd(*f, (ia - zp * c) as f32, s);
         }
     }
     let dst = &mut block[c_row * n + j0..c_row * n + j0 + w];
     for (d, &f) in dst.iter_mut().zip(facc.iter()) {
-        *d = f * sa;
+        *d = f * g.a_scales[a_row];
     }
+    g.epilogue_from(j0).apply(dst, w);
 }
 
-/// Hand-scheduled AVX2 `4×16` whole-int8 tile: per `k`-quad, one 4-byte
-/// activation broadcast (`vpbroadcastd`) against two 32-byte panel loads
-/// (8 columns × 4 K-rows each) through `vpmaddubsw` → `vpmaddwd(·, 1)` →
-/// `vpaddd` into per-group i32 accumulators; per group, zero-point
-/// compensation (`vpmulld` + `vpsubd` against the column sums), exact
-/// `vcvtdq2ps`, and one FMA with the group scales; the activation scale
-/// multiplies the finished tile. Bit-identical to
-/// [`micro_kernel_1_i8i8`] — integer arithmetic is exact and the float
-/// fuse runs in the same group-ascending order with the same FMA.
+/// The AVX-VNNI instantiation of [`i8i8_rows_simd`]: one `vpdpbusd` per
+/// quad step.
 ///
 /// # Safety
 ///
-/// Caller must guarantee avx2+fma are available (compile-time gated at the
-/// call site) and the usual geometry invariants (`aq` holds `MR` rows of
-/// `kp` codes at `a_row`, `panel` holds `kp·NR` codes, the scale/column-sum
-/// vectors hold `NR` entries per group at `j0`, `block` holds the target
-/// rows).
-#[allow(clippy::too_many_arguments)]
+/// The CPU must support AVX-VNNI (`is_x86_feature_detected!("avxvnni")`;
+/// AVX2 and FMA are this build's baseline). The result equals the AVX2
+/// instantiation's only for weight codes in `[-63, 63]` — `vpdpbusd` does
+/// not saturate the pair sums — which [`PackedPanels::Int8Act`] guarantees.
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx2",
     target_feature = "fma"
 ))]
-#[inline]
-unsafe fn micro_kernel_mr_i8i8_avx2(
-    aq: &[u8],
-    a_scales: &[f32],
-    a_zps: &[u8],
-    panel: &[i8],
-    b_scales: &[f32],
-    colsums: &[i32],
-    group_size: usize,
-    np: usize,
+#[target_feature(enable = "avx2,fma,avxvnni")]
+unsafe fn i8i8_rows_vnni(g: &I8I8, block: &mut [f32], row0: usize) {
+    // SAFETY: the caller vouches for AVX-VNNI.
+    unsafe { i8i8_rows_simd::<true>(g, block, row0) }
+}
+
+/// The AVX2 instantiation of [`i8i8_rows_simd`]: `vpmaddubsw` +
+/// `vpmaddwd(·, 1)` + `vpaddd` per quad step, the saturating-pair contract
+/// for any codes — the tile for x86-64-v3 hosts without AVX-VNNI and for
+/// caller-supplied codes.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
+fn i8i8_rows_avx2(g: &I8I8, block: &mut [f32], row0: usize) {
+    // SAFETY: this instantiation uses only AVX2 and FMA, compile-time
+    // target features here.
+    unsafe { i8i8_rows_simd::<false>(g, block, row0) }
+}
+
+/// Panel-major walk of one row block in `MR`-row tiles; the last tile may
+/// be short.
+///
+/// # Safety
+///
+/// AVX2 and FMA must be available, and AVX-VNNI too when `VNNI`.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
+#[inline(always)]
+unsafe fn i8i8_rows_simd<const VNNI: bool>(g: &I8I8, block: &mut [f32], row0: usize) {
+    let rows = g.block_rows(block, row0);
+    for jp in 0..g.n.div_ceil(NR) {
+        for r in (0..rows).step_by(MR) {
+            // SAFETY: forwarded from the caller; rows `row0 + r..` and the
+            // block's rows `r..r + mr` exist by `block_rows`' check.
+            unsafe { i8i8_tile::<VNNI>(g, block, row0 + r, r, (rows - r).min(MR), jp) };
+        }
+    }
+}
+
+/// One quad step of the integer dot, `acc + Σ₄ a·w` per i32 lane (`a`: u8
+/// quads broadcast to every lane, `w`: 8 columns × 4 s8 codes), as one
+/// `vpdpbusd` or as `vpmaddubsw` + `vpmaddwd(·, 1)` + `vpaddd`. For codes
+/// in `[-63, 63]` the i16 pair sums cannot saturate and the two are the
+/// same integer function.
+///
+/// # Safety
+///
+/// AVX2 must be available, and AVX-VNNI when `VNNI`.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
+#[inline(always)]
+unsafe fn quad_step<const VNNI: bool>(
+    acc: std::arch::x86_64::__m256i,
+    a: std::arch::x86_64::__m256i,
+    w: std::arch::x86_64::__m256i,
+) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    // SAFETY: forwarded from the caller.
+    unsafe {
+        if VNNI {
+            _mm256_dpbusd_avx_epi32(acc, a, w)
+        } else {
+            let pairs = _mm256_maddubs_epi16(a, w);
+            _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, _mm256_set1_epi16(1)))
+        }
+    }
+}
+
+/// The `4×16` whole-int8 tile at rows `a_row..a_row + mr` (`mr ≤ MR`) of
+/// panel `jp`: per `k`-quad, one 4-byte activation broadcast per row
+/// against two 32-byte panel loads (8 columns × 4 K-rows each) through
+/// [`quad_step`] into per-group i32 accumulators; per group, zero-point
+/// compensation (`vpmulld` + `vpsubd` against the column sums), exact
+/// `vcvtdq2ps`, and one FMA with the group scales; then the activation
+/// scale, the epilogue (`+ bias`, `·scale + shift` fused, `max 0` — the
+/// operations of [`Epilogue::apply`] in its order) and the tile's only
+/// store. Bit-identical to [`micro_kernel_1_i8i8`]: integer arithmetic is
+/// exact and every float operation is the same one in the same order.
+///
+/// A short tile computes its missing rows as copies of its last real row
+/// and stores only the real ones, so remainder rows run at tile speed.
+///
+/// # Safety
+///
+/// AVX2 and FMA must be available (AVX-VNNI when `VNNI`), `1 ≤ mr`,
+/// `a_row + mr ≤ g.m`, and `block` must hold rows `c_row..c_row + mr` of
+/// an `[*, g.n]` matrix; everything else is [`I8I8::checked`]'s geometry.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
+#[inline(always)]
+unsafe fn i8i8_tile<const VNNI: bool>(
+    g: &I8I8,
     block: &mut [f32],
     a_row: usize,
     c_row: usize,
-    j0: usize,
-    w: usize,
-    kp: usize,
-    n: usize,
+    mr: usize,
+    jp: usize,
 ) {
     use std::arch::x86_64::*;
     const { assert!(NR == 16 && MR == 4) };
+    let (kp, n) = (g.kp, g.n);
+    let np = packed_scales_i8_len(n);
+    let j0 = jp * NR;
+    let quads = kp / 4;
+    let gq = g.group_size / 4;
+    // SAFETY: target features per the caller; `src` rows are below `g.m`,
+    // the panel, scale and column-sum offsets are inside the lengths
+    // `I8I8::checked` asserted, and a full panel has `j0 + NR ≤ n`
+    // epilogue entries and output columns.
     unsafe {
-        let quads = kp / 4;
-        let gq = group_size / 4;
-        let groups = kp.div_ceil(group_size);
-        let ones = _mm256_set1_epi16(1);
-        let mut facc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
-        let pp = panel.as_ptr();
-        let rowp: [*const u8; MR] = std::array::from_fn(|r| aq.as_ptr().add((a_row + r) * kp));
-        let zpv: [__m256i; MR] =
-            std::array::from_fn(|r| _mm256_set1_epi32(i32::from(a_zps[a_row + r])));
-        for g in 0..groups {
-            let q0 = g * gq;
-            let q1 = (q0 + gq).min(quads);
-            let mut iacc: [[__m256i; 2]; MR] = [[_mm256_setzero_si256(); 2]; MR];
-            for kq in q0..q1 {
-                let b0 = _mm256_loadu_si256(pp.add(kq * NR * 4) as *const __m256i);
-                let b1 = _mm256_loadu_si256(pp.add(kq * NR * 4 + 32) as *const __m256i);
-                for (r, accr) in iacc.iter_mut().enumerate() {
-                    let a4 = (rowp[r].add(kq * 4) as *const i32).read_unaligned();
-                    let av = _mm256_set1_epi32(a4);
-                    accr[0] = _mm256_add_epi32(
-                        accr[0],
-                        _mm256_madd_epi16(_mm256_maddubs_epi16(av, b0), ones),
-                    );
-                    accr[1] = _mm256_add_epi32(
-                        accr[1],
-                        _mm256_madd_epi16(_mm256_maddubs_epi16(av, b1), ones),
-                    );
+        let src: [usize; MR] = std::array::from_fn(|r| a_row + r.min(mr - 1));
+        let pp = g.packed.as_ptr().add(jp * NR * kp);
+        let mut facc = [[_mm256_setzero_ps(); 2]; MR];
+        for gi in 0..kp.div_ceil(g.group_size) {
+            let mut iacc = [[_mm256_setzero_si256(); 2]; MR];
+            for kq in gi * gq..((gi + 1) * gq).min(quads) {
+                let b0 = _mm256_loadu_si256(pp.add(kq * NR * 4).cast());
+                let b1 = _mm256_loadu_si256(pp.add(kq * NR * 4 + 32).cast());
+                for (accr, &i) in iacc.iter_mut().zip(&src) {
+                    let a4 = g.aq.as_ptr().add(i * kp + kq * 4).cast::<i32>();
+                    let av = _mm256_set1_epi32(a4.read_unaligned());
+                    accr[0] = quad_step::<VNNI>(accr[0], av, b0);
+                    accr[1] = quad_step::<VNNI>(accr[1], av, b1);
                 }
             }
-            let sb0 = _mm256_loadu_ps(b_scales.as_ptr().add(g * np + j0));
-            let sb1 = _mm256_loadu_ps(b_scales.as_ptr().add(g * np + j0 + 8));
-            let cs0 = _mm256_loadu_si256(colsums.as_ptr().add(g * np + j0) as *const __m256i);
-            let cs1 = _mm256_loadu_si256(colsums.as_ptr().add(g * np + j0 + 8) as *const __m256i);
-            for (r, accr) in facc.iter_mut().enumerate() {
-                let c0 = _mm256_sub_epi32(iacc[r][0], _mm256_mullo_epi32(zpv[r], cs0));
-                let c1 = _mm256_sub_epi32(iacc[r][1], _mm256_mullo_epi32(zpv[r], cs1));
+            let at = gi * np + j0;
+            let sb0 = _mm256_loadu_ps(g.b_scales.as_ptr().add(at));
+            let sb1 = _mm256_loadu_ps(g.b_scales.as_ptr().add(at + 8));
+            let cs0 = _mm256_loadu_si256(g.colsums.as_ptr().add(at).cast());
+            let cs1 = _mm256_loadu_si256(g.colsums.as_ptr().add(at + 8).cast());
+            for ((accr, ir), &i) in facc.iter_mut().zip(&iacc).zip(&src) {
+                let zp = _mm256_set1_epi32(i32::from(g.a_zps[i]));
+                let c0 = _mm256_sub_epi32(ir[0], _mm256_mullo_epi32(zp, cs0));
+                let c1 = _mm256_sub_epi32(ir[1], _mm256_mullo_epi32(zp, cs1));
                 accr[0] = _mm256_fmadd_ps(_mm256_cvtepi32_ps(c0), sb0, accr[0]);
                 accr[1] = _mm256_fmadd_ps(_mm256_cvtepi32_ps(c1), sb1, accr[1]);
             }
         }
-        for (r, accr) in facc.iter_mut().enumerate() {
-            let sa = _mm256_set1_ps(a_scales[a_row + r]);
+        for (accr, &i) in facc.iter_mut().zip(&src) {
+            let sa = _mm256_set1_ps(g.a_scales[i]);
             accr[0] = _mm256_mul_ps(accr[0], sa);
             accr[1] = _mm256_mul_ps(accr[1], sa);
         }
-        store_acc(facc, block, c_row, j0, w, n);
+        if n - j0 < NR {
+            // Ragged last panel: spill each row, finish the real columns
+            // with the scalar epilogue.
+            let w = n - j0;
+            let ep = g.epilogue_from(j0);
+            let mut tmp = [0.0f32; NR];
+            for (r, accr) in facc.iter().enumerate().take(mr) {
+                _mm256_storeu_ps(tmp.as_mut_ptr(), accr[0]);
+                _mm256_storeu_ps(tmp.as_mut_ptr().add(8), accr[1]);
+                let dst = &mut block[(c_row + r) * n + j0..(c_row + r) * n + j0 + w];
+                dst.copy_from_slice(&tmp[..w]);
+                ep.apply(dst, w);
+            }
+            return;
+        }
+        if let Some(bias) = g.ep.bias {
+            let b0 = _mm256_loadu_ps(bias.as_ptr().add(j0));
+            let b1 = _mm256_loadu_ps(bias.as_ptr().add(j0 + 8));
+            for accr in facc.iter_mut() {
+                accr[0] = _mm256_add_ps(accr[0], b0);
+                accr[1] = _mm256_add_ps(accr[1], b1);
+            }
+        }
+        if let Some((scale, shift)) = g.ep.scale_shift {
+            let s0 = _mm256_loadu_ps(scale.as_ptr().add(j0));
+            let s1 = _mm256_loadu_ps(scale.as_ptr().add(j0 + 8));
+            let t0 = _mm256_loadu_ps(shift.as_ptr().add(j0));
+            let t1 = _mm256_loadu_ps(shift.as_ptr().add(j0 + 8));
+            for accr in facc.iter_mut() {
+                accr[0] = _mm256_fmadd_ps(accr[0], s0, t0);
+                accr[1] = _mm256_fmadd_ps(accr[1], s1, t1);
+            }
+        }
+        if g.ep.relu {
+            let zero = _mm256_setzero_ps();
+            for accr in facc.iter_mut() {
+                accr[0] = _mm256_max_ps(accr[0], zero);
+                accr[1] = _mm256_max_ps(accr[1], zero);
+            }
+        }
+        let cp = block[c_row * n + j0..].as_mut_ptr();
+        for (r, accr) in facc.iter().enumerate().take(mr) {
+            _mm256_storeu_ps(cp.add(r * n), accr[0]);
+            _mm256_storeu_ps(cp.add(r * n + 8), accr[1]);
+        }
     }
 }
 
@@ -1966,12 +2112,84 @@ mod tests {
         out
     }
 
+    /// Packed operands of one random whole-int8 problem.
+    struct I8I8Case {
+        aq: Vec<u8>,
+        asc: Vec<f32>,
+        azp: Vec<u8>,
+        q: Vec<i8>,
+        scales: Vec<f32>,
+        colsums: Vec<i32>,
+        gs: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+    }
+
+    impl I8I8Case {
+        fn new(m: usize, k: usize, n: usize, gs: usize) -> Self {
+            let a = random(m * k, 81 + (m + gs) as u64);
+            let b = random(k * n, 82 + (n + gs) as u64);
+            let mut q = vec![0i8; packed_panels_i8i8_len(k, n)];
+            let gl = packed_scales_i8i8_len(k, n, gs);
+            let (mut scales, mut colsums) = (vec![0.0f32; gl], vec![0i32; gl]);
+            pack_b_panels_i8i8_into(&b, &mut q, &mut scales, &mut colsums, k, n, gs);
+            let mut aq = vec![0u8; m * i8i8_padded_k(k)];
+            let (mut asc, mut azp) = (vec![0.0f32; m], vec![0u8; m]);
+            quantize_a_rows_into(&a, &mut aq, &mut asc, &mut azp, m, k);
+            I8I8Case {
+                aq,
+                asc,
+                azp,
+                q,
+                scales,
+                colsums,
+                gs,
+                m,
+                k,
+                n,
+            }
+        }
+
+        fn operands<'a>(&'a self, ep: Epilogue<'a>) -> I8I8<'a> {
+            I8I8::checked(
+                &self.aq,
+                &self.asc,
+                &self.azp,
+                &self.q,
+                &self.scales,
+                &self.colsums,
+                self.gs,
+                self.m,
+                self.k,
+                self.n,
+                ep,
+            )
+        }
+
+        fn reference(&self, ep: Epilogue) -> Vec<f32> {
+            i8i8_reference(
+                &self.aq,
+                &self.asc,
+                &self.azp,
+                &self.q,
+                &self.scales,
+                &self.colsums,
+                self.gs,
+                self.m,
+                self.k,
+                self.n,
+                ep,
+            )
+        }
+    }
+
     #[test]
     fn i8i8_gemm_matches_scalar_reference_bit_for_bit() {
-        // The dispatched kernel (AVX2 on this target) must reproduce the
-        // scalar saturating-quad reference exactly, over ragged shapes,
-        // group sizes, and epilogues — including remainder rows and the
-        // ragged final panel.
+        // The public raw entry point (AVX2 on this target) must reproduce
+        // the scalar saturating-quad reference exactly, over ragged
+        // shapes, group sizes, and epilogues — including remainder rows
+        // and the ragged final panel.
         for &(m, k, n) in &[
             (1, 4, 3),
             (4, 16, 16),
@@ -1980,18 +2198,7 @@ mod tests {
             (64, 70, 96),
         ] {
             for gs in [4usize, 8, 64] {
-                let a = random(m * k, 61 + (m + gs) as u64);
-                let b = random(k * n, 62 + (n + gs) as u64);
-                let mut q = vec![0i8; packed_panels_i8i8_len(k, n)];
-                let gl = packed_scales_i8i8_len(k, n, gs);
-                let mut scales = vec![0.0f32; gl];
-                let mut colsums = vec![0i32; gl];
-                pack_b_panels_i8i8_into(&b, &mut q, &mut scales, &mut colsums, k, n, gs);
-                let kp = i8i8_padded_k(k);
-                let mut aq = vec![0u8; m * kp];
-                let mut asc = vec![0.0f32; m];
-                let mut azp = vec![0u8; m];
-                quantize_a_rows_into(&a, &mut aq, &mut asc, &mut azp, m, k);
+                let c = I8I8Case::new(m, k, n, gs);
                 let bias: Vec<f32> = random(n, 63);
                 let shift: Vec<f32> = random(n, 64);
                 let scale_v: Vec<f32> = random(n, 65);
@@ -2005,13 +2212,160 @@ mod tests {
                 ] {
                     let mut got = vec![0.0f32; m * n];
                     gemm_prepacked_i8i8(
-                        &aq, &asc, &azp, &q, &scales, &colsums, gs, &mut got, m, k, n, ep,
+                        &c.aq, &c.asc, &c.azp, &c.q, &c.scales, &c.colsums, gs, &mut got, m, k, n,
+                        ep,
                     );
-                    let want =
-                        i8i8_reference(&aq, &asc, &azp, &q, &scales, &colsums, gs, m, k, n, ep);
-                    assert_eq!(got, want, "{m}x{k}x{n} gs={gs}");
+                    assert_eq!(got, c.reference(ep), "{m}x{k}x{n} gs={gs}");
                 }
             }
+        }
+    }
+
+    type RowWalker = fn(&I8I8, &mut [f32], usize);
+
+    /// Every tile instantiation this build and CPU can run, called
+    /// directly — no dispatch in between — and a printed line saying which.
+    fn tile_instantiations() -> Vec<(&'static str, RowWalker)> {
+        #[allow(unused_mut)]
+        let mut tiles: Vec<(&'static str, RowWalker)> = vec![("scalar", i8i8_rows_scalar)];
+        #[cfg(all(
+            target_arch = "x86_64",
+            target_feature = "avx2",
+            target_feature = "fma"
+        ))]
+        {
+            tiles.push(("avx2", i8i8_rows_avx2));
+            if std::arch::is_x86_feature_detected!("avxvnni") {
+                // SAFETY: AVX-VNNI was detected on this CPU just above.
+                tiles.push(("vnni", |g, block, row0| unsafe {
+                    i8i8_rows_vnni(g, block, row0)
+                }));
+            } else {
+                println!("lowp: skipping the vpdpbusd tile, this CPU has no AVX-VNNI");
+            }
+        }
+        let names: Vec<&str> = tiles.iter().map(|t| t.0).collect();
+        println!("lowp: whole-int8 tile instantiations exercised: {names:?}");
+        tiles
+    }
+
+    /// `walk` over the whole output in row blocks of `block_rows`.
+    fn walk_in_blocks(walk: RowWalker, g: &I8I8, block_rows: usize) -> Vec<u32> {
+        let mut out = vec![f32::NAN; g.m * g.n];
+        for (i, block) in out.chunks_mut(block_rows * g.n).enumerate() {
+            walk(g, block, i * block_rows);
+        }
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn i8i8_tile_instantiations_match_scalar_reference_bit_for_bit() {
+        // Each instantiation against the from-scratch model: row counts off
+        // the tile height, a ragged last panel, k off the quad and the
+        // group size, zero-points at both ends of the code range, every
+        // epilogue combination, and the row-blocked walk at three block
+        // sizes (tile-sized, mid-matrix with a short last block, whole).
+        let tiles = tile_instantiations();
+        for &(m, k, n) in &[(1, 4, 3), (5, 7, 10), (11, 23, 37), (103, 70, 96)] {
+            for gs in [4usize, 8, 64] {
+                let mut case = I8I8Case::new(m, k, n, gs);
+                for (i, zp) in case.azp.iter_mut().enumerate().skip(1) {
+                    match i % 3 {
+                        0 => *zp = 0,
+                        1 => *zp = 255,
+                        _ => {}
+                    }
+                }
+                let bias = random(n, 83);
+                let (scale, shift) = (random(n, 84), random(n, 85));
+                for bits in 0..8u32 {
+                    let ep = Epilogue {
+                        bias: (bits & 1 != 0).then_some(&bias[..]),
+                        scale_shift: (bits & 2 != 0).then_some((&scale[..], &shift[..])),
+                        relu: bits & 4 != 0,
+                    };
+                    let want: Vec<u32> = case.reference(ep).iter().map(|v| v.to_bits()).collect();
+                    let g = case.operands(ep);
+                    for &(name, walk) in &tiles {
+                        for block_rows in [4, 100, m] {
+                            assert_eq!(
+                                walk_in_blocks(walk, &g, block_rows),
+                                want,
+                                "{name} {m}x{k}x{n} gs={gs} ep={bits:03b} block={block_rows}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_int8act_gemm_walks_tall_outputs_in_passes() {
+        // Tall and thin enough for several `I8I8_PASS_BYTES` passes with a
+        // short last tile: the dispatched GEMM (whichever tile this CPU
+        // selects) must equal the scalar walk over the whole matrix.
+        let (m, k, n) = (1203, 32, 64);
+        assert!(m * (i8i8_padded_k(k) + 4 * n) > 2 * I8I8_PASS_BYTES);
+        let case = I8I8Case::new(m, k, n, I8I8_GROUP_SIZE);
+        let bias = random(n, 86);
+        let ep = Epilogue {
+            bias: Some(&bias),
+            scale_shift: None,
+            relu: true,
+        };
+        let panels = PackedPanels::Int8Act {
+            q: case.q.clone(),
+            scales: case.scales.clone(),
+            colsums: case.colsums.clone(),
+        };
+        let mut got = vec![0.0f32; m * n];
+        panels.gemm_u8(&case.aq, &case.asc, &case.azp, &mut got, m, k, n, ep);
+        let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, walk_in_blocks(i8i8_rows_scalar, &case.operands(ep), m));
+    }
+
+    #[test]
+    fn raw_i8i8_entry_point_saturates_on_every_host() {
+        // Caller-supplied codes at ±127 against activations of 255: every
+        // pair sum is ±64770 and clips to the i16 range, which is the raw
+        // entry point's documented arithmetic. `vpdpbusd` does not clip,
+        // so this API must not take that tile even where the CPU has it.
+        let (m, k, n, gs) = (6usize, 16usize, 16usize, 8usize);
+        let aq = vec![255u8; m * k];
+        let (asc, azp) = (vec![1.0f32; m], vec![0u8; m]);
+        let mut q = vec![0i8; packed_panels_i8i8_len(k, n)];
+        for (i, code) in q.iter_mut().enumerate() {
+            *code = if (i / 4) % 2 == 0 { 127 } else { -127 };
+        }
+        let gl = packed_scales_i8i8_len(k, n, gs);
+        let scales = vec![1.0f32; gl];
+        let colsums: Vec<i32> = (0..gl)
+            .map(|i| if i % 2 == 0 { 127 } else { -127 } * gs as i32)
+            .collect();
+        let ep = Epilogue::default();
+        let mut got = vec![0.0f32; m * n];
+        gemm_prepacked_i8i8(
+            &aq, &asc, &azp, &q, &scales, &colsums, gs, &mut got, m, k, n, ep,
+        );
+        let want = i8i8_reference(&aq, &asc, &azp, &q, &scales, &colsums, gs, m, k, n, ep);
+        assert_eq!(got, want);
+        let clipped = (2 * 32767 * (k / 4)) as f32;
+        assert_eq!((got[0], got[1]), (clipped, -clipped - (k / 2) as f32));
+        // The same operands through the `vpdpbusd` tile give the unclipped
+        // sums — the reason only pack-clamped codes may be routed to it.
+        #[cfg(all(
+            target_arch = "x86_64",
+            target_feature = "avx2",
+            target_feature = "fma"
+        ))]
+        if std::arch::is_x86_feature_detected!("avxvnni") {
+            let g = I8I8::checked(&aq, &asc, &azp, &q, &scales, &colsums, gs, m, k, n, ep);
+            let mut out = vec![0.0f32; m * n];
+            // SAFETY: AVX-VNNI was detected on this CPU just above.
+            unsafe { i8i8_rows_vnni(&g, &mut out, 0) };
+            let exact = (255 * 127 * k) as f32;
+            assert_eq!((out[0], out[1]), (exact, -exact));
         }
     }
 

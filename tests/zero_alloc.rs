@@ -7,7 +7,8 @@
 //! tensor-layer redesign: after one warm-up frame, feature extraction and
 //! the microclassifier loop perform **zero heap allocations per frame**,
 //! and the event write path — re-encode for upload, record to the archive —
-//! allocates **exactly its output buffer** per frame.
+//! allocates **exactly its output buffer** per frame. The same holds for the
+//! whole-int8 backbone, single-frame and batched.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -121,6 +122,40 @@ fn extractor_and_mc_loop_are_allocation_free_after_warmup() {
     // test rather than from a second one the harness could run (and
     // report on) concurrently.
     write_path_allocates_only_its_output_buffers();
+    int8act_extraction_is_allocation_free_after_warmup();
+}
+
+/// The whole-int8 backbone, one frame at a time and as a gathered batch:
+/// its u8 scratch (quantized map, im2col codes, row scales and
+/// zero-points) is thread-local and must stop growing after warm-up, like
+/// the f32 workspace.
+fn int8act_extraction_is_allocation_free_after_warmup() {
+    let res = Resolution::new(96, 54);
+    let mut extractor = FeatureExtractor::new(
+        MobileNetConfig::with_width(0.25).with_precision(ff_tensor::Precision::Int8Act),
+        vec![
+            ff_models::LAYER_LOCALIZED_TAP.to_string(),
+            ff_models::LAYER_FULL_FRAME_TAP.to_string(),
+        ],
+    );
+    let frames: Vec<Tensor> = [0.2, 0.4, 0.6]
+        .iter()
+        .map(|&v| Tensor::filled(vec![res.height, res.width, 3], v))
+        .collect();
+    for _ in 0..3 {
+        let _ = extractor.extract(&frames[0]);
+        let _ = extractor.extract_batch(&frames);
+    }
+    let before = allocs();
+    for _ in 0..10 {
+        let _ = std::hint::black_box(extractor.extract(&frames[0]));
+    }
+    assert_eq!(allocs() - before, 0, "int8act extract allocated");
+    let before = allocs();
+    for _ in 0..10 {
+        let _ = std::hint::black_box(extractor.extract_batch(&frames));
+    }
+    assert_eq!(allocs() - before, 0, "int8act extract_batch allocated");
 }
 
 /// `Encoder::encode` and `EdgeArchive::record` after warm-up: one
