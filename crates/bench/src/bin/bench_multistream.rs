@@ -1,23 +1,21 @@
 //! Multi-stream scaling: aggregate frames/sec of the [`EdgeNode`] runtime
-//! over streams × shard layouts — sharded per-stream mode **and**
-//! gather-batch mode (one shared batched base-DNN pass per round) —
-//! against the serial single-stream loop on the same thread budget: the
-//! node-scale counterpart of Figure 5.
+//! over stream counts — per-stream style (one pool job per stream per
+//! round) **and** gather-batch style (one shared batched base-DNN pass per
+//! round) — against the serial single-stream loop on the same thread
+//! budget: the node-scale counterpart of Figure 5.
 //!
 //! Every run's per-stream verdicts are checked **bit-for-bit** against the
 //! serial `FilterForward::process` path (run at the same weight-panel
 //! precision — the `*_f16` / `*_int8` rows sweep `ff_tensor::Precision`
-//! through the gather-batched mode) before its throughput is reported, so a
-//! number only lands in the JSON if the sharded, pipelined, or batched
-//! execution is provably equivalent.
+//! through the gather-batched style) before its throughput is reported, so
+//! a number only lands in the JSON if the concurrent or batched execution
+//! is provably equivalent.
 //!
 //! Results are spliced into `BENCH_throughput.json` (next to the
 //! single-stream rows emitted by `bench_throughput`) under a
 //! `"multistream"` key. The config block records the container's
-//! `available_parallelism` and whether the thread budget saturates it:
-//! when it does (e.g. a 1-core CI container), the sharded speedups are
-//! bounded near 1× by hardware, not by the runtime — don't read them as
-//! regressions.
+//! `available_parallelism`, which bounds how many streams a round can serve
+//! at once.
 //!
 //! Usage: `cargo run --release -p ff-bench --bin bench_multistream`
 //! (override the output path with `BENCH_OUT=/path/file.json`, per-stream
@@ -26,7 +24,7 @@
 use std::io::Write;
 use std::time::{Duration, Instant};
 
-use ff_core::control::{BatchPolicy, ControlConfig, RebalancePolicy};
+use ff_core::control::{BatchPolicy, ControlConfig};
 use ff_core::faults::{FaultPlan, FaultsReport, FleetFaultPlan, RecoveryConfig, RetryPolicy};
 use ff_core::fleet::{Fleet, FleetConfig, FleetReport};
 use ff_core::pipeline::{FilterForward, FrameVerdict, PipelineConfig};
@@ -103,13 +101,13 @@ fn serial_fps(frames: &[ff_video::Frame]) -> f64 {
     (frames.len() - 1) as f64 / best
 }
 
-/// One `EdgeNode` configuration: `streams` scene streams over `layout`,
-/// optionally in gather-batch mode, at the given weight-panel precision.
+/// One `EdgeNode` configuration: `streams` scene streams on a `budget`-wide
+/// pool, optionally in gather-batch mode, at the given weight-panel precision.
 /// Returns the best aggregate fps across repeats after asserting every
 /// stream's verdicts match the serial gold **of the same precision**.
 fn measure_node(
     streams: usize,
-    layout: &ShardLayout,
+    budget: usize,
     gather: Option<GatherBatch>,
     precision: Precision,
     n_frames: u64,
@@ -117,7 +115,7 @@ fn measure_node(
 ) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..REPEATS {
-        let mut cfg = EdgeNodeConfig::new(layout.clone());
+        let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget));
         cfg.gather_batch = gather;
         let mut node = EdgeNode::new(cfg);
         for (s, &seed) in STREAM_SEEDS.iter().enumerate().take(streams) {
@@ -128,10 +126,8 @@ fn measure_node(
         let report = node.run();
         for (s, sr) in report.streams.iter().enumerate() {
             assert_eq!(
-                sr.verdicts,
-                gold[s],
-                "{streams} streams / {:?}: stream {s} verdicts diverged from serial",
-                layout.widths()
+                sr.verdicts, gold[s],
+                "{streams} streams / {gather:?}: stream {s} verdicts diverged from serial"
             );
         }
         best = best.max(report.node.aggregate_fps());
@@ -158,13 +154,11 @@ fn skewed_sources(n_frames: u64) -> Vec<Box<dyn FrameSource>> {
         .collect()
 }
 
-/// One controlled-executor run over the skewed load: `adaptive` arms the
-/// style's policy (batch sizing in gather style, shard rebalancing in
-/// sharded style); fixed runs use `ControlConfig::observe_only` — the
-/// identical virtual-time executor with every policy off, so the
-/// comparison isolates adaptation itself. Verdicts are asserted against
-/// the serial golds either way (these policies move compute, never
-/// results).
+/// One run over the skewed load: `adaptive` arms gather style's batch
+/// sizing; fixed runs use `ControlConfig::observe_only` — the identical
+/// loop with every policy off, so the comparison isolates adaptation
+/// itself. Verdicts are asserted against the serial golds either way (the
+/// policy moves compute, never results).
 fn measure_controlled(
     gather: bool,
     adaptive: bool,
@@ -172,14 +166,9 @@ fn measure_controlled(
     n_frames: u64,
     gold: &[Vec<FrameVerdict>],
 ) -> f64 {
-    let n_streams = STREAM_SEEDS.len();
     let mut best = 0.0f64;
     for _ in 0..REPEATS {
-        let mut cfg = EdgeNodeConfig::new(if gather {
-            ShardLayout::single(budget)
-        } else {
-            ShardLayout::even(budget, n_streams.min(budget))
-        });
+        let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget));
         if gather {
             cfg.gather_batch = Some(GatherBatch {
                 max_batch: 8,
@@ -195,16 +184,7 @@ fn measure_controlled(
             ControlConfig {
                 tick_frames: 8,
                 arrival_alpha: 0.5,
-                batch: if gather {
-                    Some(BatchPolicy::default())
-                } else {
-                    None
-                },
-                rebalance: if gather {
-                    None
-                } else {
-                    Some(RebalancePolicy::default())
-                },
+                batch: Some(BatchPolicy::default()),
                 degrade: None, // degradation changes verdicts; keep the A/B pure
                 watchdog: None,
             }
@@ -217,7 +197,7 @@ fn measure_controlled(
                 sr.verdicts,
                 gold[s],
                 "skewed {} {}: stream {s} verdicts diverged from serial",
-                if gather { "gather" } else { "sharded" },
+                if gather { "gather" } else { "per-stream" },
                 if adaptive { "adaptive" } else { "fixed" },
             );
         }
@@ -470,158 +450,77 @@ fn main() {
     let baseline = serial_fps(&rendered[0]);
     ff_tensor::parallel::set_threads(0);
 
-    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // When the budget saturates the container (always true here, since the
-    // budget *is* available_parallelism), sharded speedups are hardware-
-    // bounded near 1× — the flag below keeps that from reading as a
-    // runtime regression. Batched mode still gains from cache amortization
-    // even on one core.
-    let saturated = budget >= available;
-    if saturated {
-        println!(
-            "note: budget ({budget} threads) saturates the container \
-             (available_parallelism {available}); sharded speedups are \
-             hardware-bounded on this machine"
-        );
-    }
-
-    // streams × shard layouts. Shard counts are capped at the budget
-    // (ShardLayout::even's width-≥1 floor would otherwise oversubscribe
-    // on machines with fewer cores than streams, which would invalidate
-    // the "same thread budget" comparison against the serial baseline);
-    // streams beyond the shard count share shards round-robin. The
-    // `*_batched` rows run gather-batch mode: one shared batched base-DNN
-    // pass per round over the whole thread budget.
+    // Stream counts on one budget-wide pool. `*_per_stream` rows serve each
+    // round's frames as concurrent pool jobs; `*_batched` rows run
+    // gather-batch mode: one shared batched base-DNN pass per round over
+    // the whole thread budget.
     let gather = |b: usize| {
         Some(GatherBatch {
             max_batch: b,
             gather_wait: Duration::from_millis(2),
         })
     };
-    type Case = (
-        &'static str,
-        usize,
-        ShardLayout,
-        Option<GatherBatch>,
-        Precision,
-    );
+    type Case = (&'static str, usize, Option<GatherBatch>, Precision);
     let f32p = Precision::F32;
     let cases: Vec<Case> = vec![
-        ("1s_1shard", 1, ShardLayout::single(budget), None, f32p),
-        (
-            "2s_sharded",
-            2,
-            ShardLayout::even(budget, 2.min(budget)),
-            None,
-            f32p,
-        ),
-        (
-            "4s_sharded",
-            4,
-            ShardLayout::even(budget, 4.min(budget)),
-            None,
-            f32p,
-        ),
-        ("4s_1shard", 4, ShardLayout::single(budget), None, f32p),
-        (
-            "1s_batched_b8",
-            1,
-            ShardLayout::single(budget),
-            gather(8),
-            f32p,
-        ),
-        (
-            "2s_batched_b2",
-            2,
-            ShardLayout::single(budget),
-            gather(2),
-            f32p,
-        ),
-        (
-            "4s_batched_b4",
-            4,
-            ShardLayout::single(budget),
-            gather(4),
-            f32p,
-        ),
-        (
-            "4s_batched_b8",
-            4,
-            ShardLayout::single(budget),
-            gather(8),
-            f32p,
-        ),
+        ("1s_per_stream", 1, None, f32p),
+        ("2s_per_stream", 2, None, f32p),
+        ("4s_per_stream", 4, None, f32p),
+        ("1s_batched_b8", 1, gather(8), f32p),
+        ("2s_batched_b2", 2, gather(2), f32p),
+        ("4s_batched_b4", 4, gather(4), f32p),
+        ("4s_batched_b8", 4, gather(8), f32p),
         // Precision sweep at the strongest batched operating point: f16
         // halves, int8 quarters the weight panels streamed per shared pass.
-        (
-            "4s_batched_b8_f16",
-            4,
-            ShardLayout::single(budget),
-            gather(8),
-            Precision::F16,
-        ),
-        (
-            "4s_batched_b8_int8",
-            4,
-            ShardLayout::single(budget),
-            gather(8),
-            Precision::Int8,
-        ),
+        ("4s_batched_b8_f16", 4, gather(8), Precision::F16),
+        ("4s_batched_b8_int8", 4, gather(8), Precision::Int8),
         // Whole-int8: weights *and* activations quantized, the u8 gather +
         // vpmaddubsw GEMM path.
-        (
-            "4s_batched_b8_int8act",
-            4,
-            ShardLayout::single(budget),
-            gather(8),
-            Precision::Int8Act,
-        ),
+        ("4s_batched_b8_int8act", 4, gather(8), Precision::Int8Act),
     ];
     let mut rows: Vec<(String, f64)> = vec![(format!("serial_1s_t{budget}"), baseline)];
     println!(
         "{:<24} {baseline:>10.2} fps",
         format!("serial_1s_t{budget}")
     );
-    let mut fps_4s_sharded = 0.0;
+    let mut fps_4s_per_stream = 0.0;
     let mut fps_4s_batched = 0.0;
-    for (name, streams, layout, gb, precision) in &cases {
+    for (name, streams, gb, precision) in &cases {
         let gold_p = match precision {
             Precision::F32 => &gold,
             Precision::F16 => &gold_f16,
             Precision::Int8 => &gold_int8,
             Precision::Int8Act => &gold_int8act,
         };
-        let fps = measure_node(*streams, layout, *gb, *precision, n_frames, gold_p);
-        if *name == "4s_sharded" {
-            fps_4s_sharded = fps;
+        let fps = measure_node(*streams, budget, *gb, *precision, n_frames, gold_p);
+        if *name == "4s_per_stream" {
+            fps_4s_per_stream = fps;
         }
         if *name == "4s_batched_b4" {
             fps_4s_batched = fps;
         }
         let mode = match gb {
             Some(g) => format!("gather-batch ≤{}", g.max_batch),
-            None => format!("shards {:?}", layout.widths()),
+            None => "one pool job per stream".to_string(),
         };
         println!("{name:<24} {fps:>10.2} fps  (aggregate, {mode})");
         rows.push((name.to_string(), fps));
     }
-    let speedup = fps_4s_sharded / baseline;
+    let speedup = fps_4s_per_stream / baseline;
     let speedup_batched = fps_4s_batched / baseline;
-    println!("4-stream aggregate vs serial single-stream: {speedup:.2}x sharded, {speedup_batched:.2}x batched (budget {budget} threads)");
+    println!("4-stream aggregate vs serial single-stream: {speedup:.2}x per-stream, {speedup_batched:.2}x batched (budget {budget} threads)");
     println!(
-        "verdicts: bit-for-bit identical to the serial pipeline for every layout and batch mode"
+        "verdicts: bit-for-bit identical to the serial pipeline for every stream count and batch mode"
     );
 
     // Control-plane sweep: the same skewed diurnal load (1 busy camera, 3
-    // night cameras) through the controlled virtual-time executor, fixed
-    // layouts vs adaptive policies, both styles. Verdict-checked against
-    // the serial golds like every other row.
+    // night cameras), policies off in both styles vs adaptive batch sizing.
+    // Verdict-checked against the serial golds like every other row.
     println!();
     println!("control sweep (skewed diurnal load: 1 always-on + 3 night cameras):");
     let mut control_rows: Vec<(String, f64)> = Vec::new();
     for (name, gather, adaptive) in [
-        ("skewed_fixed_sharded", false, false),
-        ("skewed_adaptive_sharded", false, true),
+        ("skewed_fixed_per_stream", false, false),
         ("skewed_fixed_gather_b8", true, false),
         ("skewed_adaptive_gather", true, true),
     ] {
@@ -629,11 +528,10 @@ fn main() {
         println!("{name:<24} {fps:>10.2} fps  (aggregate)");
         control_rows.push((name.to_string(), fps));
     }
-    let best_fixed = control_rows[0].1.max(control_rows[2].1);
-    let best_adaptive = control_rows[1].1.max(control_rows[3].1);
-    let adaptive_vs_fixed = best_adaptive / best_fixed;
+    let best_fixed = control_rows[0].1.max(control_rows[1].1);
+    let adaptive_vs_fixed = control_rows[2].1 / best_fixed;
     println!(
-        "adaptive vs best fixed layout on skewed load: {adaptive_vs_fixed:.2}x \
+        "adaptive vs best fixed style on skewed load: {adaptive_vs_fixed:.2}x \
          (budget {budget} threads)"
     );
 
@@ -744,7 +642,7 @@ fn main() {
     let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_throughput.json".into());
     let mut section = String::from("  \"multistream\": {\n");
     section.push_str(&format!(
-        "    \"config\": {{\"resolution\": \"{RES}\", \"frames_per_stream\": {n_frames}, \"budget_threads\": {budget}, \"available_parallelism\": {available}, \"budget_saturates_container\": {saturated}}},\n"
+        "    \"config\": {{\"resolution\": \"{RES}\", \"frames_per_stream\": {n_frames}, \"budget_threads\": {budget}, \"available_parallelism\": {budget}}},\n"
     ));
     section.push_str("    \"aggregate_fps\": {\n");
     for (i, (name, fps)) in rows.iter().enumerate() {
@@ -761,7 +659,7 @@ fn main() {
     // The control-plane A/B, spliced as its own top-level section.
     section.push_str("  \"control\": {\n");
     section.push_str(&format!(
-        "    \"config\": {{\"resolution\": \"{RES}\", \"frames_per_stream\": {n_frames}, \"budget_threads\": {budget}, \"available_parallelism\": {available}, \"load\": \"1 always-on + 3 duty-cycled 8/24 cameras\", \"policies\": \"rebalance (sharded) / batch sizing (gather); degrade off to keep verdicts comparable\"}},\n"
+        "    \"config\": {{\"resolution\": \"{RES}\", \"frames_per_stream\": {n_frames}, \"budget_threads\": {budget}, \"available_parallelism\": {budget}, \"load\": \"1 always-on + 3 duty-cycled 8/24 cameras\", \"policies\": \"batch sizing (gather); degrade off to keep verdicts comparable\"}},\n"
     ));
     section.push_str("    \"aggregate_fps\": {\n");
     for (i, (name, fps)) in control_rows.iter().enumerate() {
@@ -772,12 +670,6 @@ fn main() {
     section.push_str(&format!(
         "    \"adaptive_vs_best_fixed\": {adaptive_vs_fixed:.2},\n"
     ));
-    let control_note = if budget <= STREAM_SEEDS.len() {
-        "this container's budget leaves nothing for adaptation to move: with <= 1 thread per stream every shard is already at the width-1 floor (rebalancing is an identity) and batch sizing only changes cache amortization, which the huge shared LLC already hides (same class of container limit as the sharded/batched rows above); the structural win appears when budget > streams, where the rebalancer concentrates real cores on the busy camera while the night cameras sleep"
-    } else {
-        "adaptive rebalancing concentrates the thread budget on the busy camera while the night cameras sleep"
-    };
-    section.push_str(&format!("    \"note\": \"{control_note}\",\n"));
     section.push_str("    \"verdicts_identical\": true\n  },\n");
 
     // The fault sweep, spliced as its own top-level section.

@@ -3,17 +3,17 @@
 //! the runtime already has.
 //!
 //! The paper's premise is that a constrained edge node must adapt what it
-//! spends per stream to stay inside its compute and uplink budgets. The
-//! uncontrolled [`crate::runtime::EdgeNode`] fixes shard widths, gather
-//! batch sizes, and precision for a whole run — an idle night-time camera
-//! holds workers hostage while a bursty one overflows its queue. This
-//! module adds the loop that moves those knobs at run time:
+//! spends per stream to stay inside its compute and uplink budgets. With
+//! every policy off ([`ControlConfig::observe_only`],
+//! [`crate::runtime::EdgeNode::run`]) the gather batch size, precision, and
+//! upload stride are fixed for a whole run. This module adds the loop that
+//! moves those knobs at run time:
 //!
 //! ```text
 //!             SENSORS                 POLICIES               KNOBS
 //!  ┌──────────────────────────┐  ┌────────────────┐  ┌───────────────────┐
 //!  │ per-stream queue depths  │  │ BatchPolicy    │─▶│ gather max_batch  │
-//!  │ arrival-rate EWMAs       │─▶│ RebalancePolicy│─▶│ PoolShard widths  │
+//!  │ arrival-rate EWMAs       │─▶│ WatchdogPolicy │─▶│ task quarantine   │
 //!  │ per-round gather fill    │  │ DegradePolicy  │─▶│ weight precision  │
 //!  │ uplink offered/accepted  │  │ (hysteresis in │  │ upload stride     │
 //!  │ backlog + drops          │  │  every policy) │  └───────────────────┘
@@ -33,7 +33,7 @@
 //! gather fill, uplink accounting — is a pure function of the round number
 //! and the stream contents, so the resulting [`ControlTrace`] is
 //! **bit-replayable**: identical across repeated runs, thread counts, and
-//! shard widths. Wall-clock stage latencies ([`WallTelemetry`]) are
+//! pool widths. Wall-clock stage latencies ([`WallTelemetry`]) are
 //! collected for observability only; **no policy reads them** — that is the
 //! line between "deterministic decision input" and "profiling extra", and
 //! crossing it would break replay.
@@ -47,9 +47,7 @@
 //!   tick that breaks the streak resets it;
 //! * opposing conditions use **separated thresholds** (grow above
 //!   [`BatchPolicy::grow_backlog`] vs shrink below
-//!   [`BatchPolicy::shrink_fill`]; idle below
-//!   [`RebalancePolicy::idle_below`] vs active above
-//!   [`RebalancePolicy::active_above`]; stalled below
+//!   [`BatchPolicy::shrink_fill`]; stalled below
 //!   [`WatchdogPolicy::stall_below`] vs recovered above
 //!   [`WatchdogPolicy::recover_above`]; degrade above
 //!   [`DegradePolicy::high_water`] vs recover below
@@ -74,7 +72,7 @@
 //! [`AdmissionPolicy`] gates [`crate::runtime::EdgeNode::try_add_stream`]
 //! against the [`crate::node`] memory model
 //! ([`crate::node::mobilenet_instance_bytes`] /
-//! [`crate::node::max_mobilenet_instances`]) and the shard thread budget,
+//! [`crate::node::max_mobilenet_instances`]) and the thread budget,
 //! with a typed [`AdmissionError`] naming exactly which envelope the stream
 //! would burst.
 
@@ -120,7 +118,7 @@ pub struct StreamTelemetry {
 }
 
 /// Gather-stage sensors for a tick (all zero when the node runs the
-/// per-stream sharded style, which has no gather stage).
+/// per-stream style, which has no gather stage).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GatherTelemetry {
     /// Rounds (frame intervals) covered by the tick.
@@ -237,7 +235,7 @@ pub struct NodeTelemetry {
     pub round: u64,
     /// Per-stream sensors, indexed by [`StreamId`].
     pub streams: Vec<StreamTelemetry>,
-    /// Gather-stage sensors (zeroed in sharded style).
+    /// Gather-stage sensors (zeroed in per-stream style).
     pub gather: GatherTelemetry,
     /// Shared-uplink sensors.
     pub uplink: UplinkTelemetry,
@@ -384,7 +382,7 @@ impl Sensors {
     }
 
     /// A round (frame interval) completed; `gathered` frames went into the
-    /// shared batch (pass the served count in sharded style — it is ignored
+    /// shared batch (pass the served count in per-stream style — it is ignored
     /// there because [`GatherTelemetry::max_batch`] is 0).
     pub fn on_round(&mut self, gathered: usize) {
         self.rounds.inc();
@@ -411,7 +409,7 @@ impl Sensors {
     /// controlled executor); `wake_ages` each stream's rounds-since-last-
     /// arrival ([`StreamTelemetry::rounds_since_wake`], pass `&[]` to
     /// report 0 for every stream); `max_batch` the gather capacity in
-    /// force (0 in sharded style).
+    /// force (0 in per-stream style).
     pub fn snapshot(
         &mut self,
         round: u64,
@@ -569,34 +567,6 @@ impl Default for BatchPolicy {
     }
 }
 
-/// Shard rebalancing: concentrate the thread budget on streams that are
-/// actually producing frames. A stream whose arrival EWMA collapses below
-/// `idle_below` is reclassified idle (width 1); one that climbs above
-/// `active_above` is reclassified active; the active set splits the
-/// remaining budget evenly.
-#[derive(Debug, Clone, Copy)]
-pub struct RebalancePolicy {
-    /// Arrival EWMA (frames per round) at or below which a stream counts
-    /// as idle.
-    pub idle_below: f64,
-    /// Arrival EWMA at or above which a stream counts as active. Must
-    /// exceed `idle_below`; the gap is the hysteresis band.
-    pub active_above: f64,
-    /// Consecutive ticks a stream must sit in its new class before it is
-    /// reclassified.
-    pub patience: u32,
-}
-
-impl Default for RebalancePolicy {
-    fn default() -> Self {
-        RebalancePolicy {
-            idle_below: 0.2,
-            active_above: 0.6,
-            patience: 2,
-        }
-    }
-}
-
 /// Uplink-aware degradation: under sustained offered load above
 /// `high_water` the node steps down the ladder (precision f32 → f16 →
 /// int8, then upload stride 2, 4, …); sustained load below `low_water`
@@ -685,10 +655,10 @@ impl PrecisionCost {
 
 /// Per-stream watchdog: a stream whose arrival EWMA collapses to
 /// `stall_below` (a stalled or dead camera, detected purely from
-/// virtual-time arrivals) is **quarantined** — in sharded style its shard
-/// shrinks to width 1 and the reclaimed threads go to healthy streams; in
-/// gather style the quarantine is a trace marker (the shared batch adapts
-/// by itself). A recovery above `recover_above` **readmits** it. Same
+/// virtual-time arrivals) is **quarantined**: its task is suspended and
+/// counted out of the healthy census ([`FaultTelemetry::quarantined`]) —
+/// a marker, since an empty mailbox costs neither service style anything.
+/// A recovery above `recover_above` **readmits** it. Same
 /// hysteresis discipline as every other arm: separated thresholds plus a
 /// consecutive-tick patience streak.
 #[derive(Debug, Clone, Copy)]
@@ -725,8 +695,6 @@ pub struct ControlConfig {
     pub arrival_alpha: f64,
     /// Dynamic gather-batch sizing (gather style only).
     pub batch: Option<BatchPolicy>,
-    /// Shard rebalancing (sharded style only).
-    pub rebalance: Option<RebalancePolicy>,
     /// Uplink-aware degradation ladder.
     pub degrade: Option<DegradePolicy>,
     /// Per-stream stall watchdog (quarantine/readmit).
@@ -739,7 +707,6 @@ impl Default for ControlConfig {
             tick_frames: 8,
             arrival_alpha: 0.5,
             batch: Some(BatchPolicy::default()),
-            rebalance: Some(RebalancePolicy::default()),
             degrade: Some(DegradePolicy::default()),
             watchdog: None,
         }
@@ -755,7 +722,6 @@ impl ControlConfig {
             tick_frames,
             arrival_alpha: 0.5,
             batch: None,
-            rebalance: None,
             degrade: None,
             watchdog: None,
         }
@@ -776,11 +742,6 @@ pub enum ControlAction {
         /// Capacity after.
         to: usize,
     },
-    /// Reassign per-stream shard widths (index = [`StreamId`]).
-    Repartition {
-        /// New width per stream shard.
-        widths: Vec<usize>,
-    },
     /// Step the base DNN's weight-panel precision.
     SetPrecision {
         /// Precision before.
@@ -796,10 +757,7 @@ pub enum ControlAction {
         /// Stride after.
         to: u32,
     },
-    /// The watchdog quarantined a stalled stream. In sharded style a
-    /// [`ControlAction::Repartition`] carrying the width change follows in
-    /// the same plan; in gather style this is a marker only, which keeps
-    /// the trace comparable across shard widths.
+    /// The watchdog quarantined a stalled stream (its task is suspended).
     Quarantine {
         /// The stalled stream.
         stream: usize,
@@ -815,7 +773,6 @@ impl std::fmt::Display for ControlAction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ControlAction::SetMaxBatch { from, to } => write!(f, "max_batch {from} → {to}"),
-            ControlAction::Repartition { widths } => write!(f, "shard widths → {widths:?}"),
             ControlAction::SetPrecision { from, to } => {
                 write!(f, "precision {from:?} → {to:?}")
             }
@@ -842,7 +799,7 @@ pub struct ControlDecision {
 }
 
 /// The actions one tick's policy evaluation produced, in fixed policy
-/// order (batch, watchdog, rebalance, degrade) — the runtime applies them
+/// order (batch, watchdog, degrade) — the runtime applies them
 /// before the next round.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ControlPlan {
@@ -859,7 +816,7 @@ impl ControlPlan {
 
 /// The full decision history of a run — the **bit-replayable trace**: for
 /// a fixed node configuration and stream contents it is identical across
-/// repeated runs, thread counts, and shard widths (compare with `==`).
+/// repeated runs, thread counts, and pool widths (compare with `==`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ControlTrace {
     /// Every decision, in tick order.
@@ -900,14 +857,9 @@ impl std::fmt::Display for ControlTrace {
 pub struct ControllerInit {
     /// Stream count.
     pub streams: usize,
-    /// Total thread budget across shards.
-    pub budget: usize,
-    /// Gather batch capacity at start (0 ⇒ sharded style, batch policy
+    /// Gather batch capacity at start (0 ⇒ per-stream style, batch policy
     /// inert).
     pub initial_batch: usize,
-    /// Per-stream shard widths at start (empty ⇒ gather style, rebalance
-    /// policy inert).
-    pub initial_widths: Vec<usize>,
     /// Weight-panel precision at start (the ladder's top rung).
     pub base_precision: Precision,
     /// Calibration-time per-precision cost table. `Some` with an entry for
@@ -933,12 +885,8 @@ pub struct Controller {
     cur_batch: usize,
     grow_streak: u32,
     shrink_streak: u32,
-    // Rebalance arm.
-    budget: usize,
-    activity: Vec<Activity>,
-    cur_widths: Vec<usize>,
     // Watchdog arm: per-stream quarantine state. `active == true` means
-    // healthy; the streak debounces flips exactly like `activity`.
+    // healthy; the streak debounces flips.
     watchdog: Vec<Activity>,
     // Degradation arm.
     rungs: Vec<(Precision, u32)>,
@@ -947,18 +895,6 @@ pub struct Controller {
     cool_streak: u32,
     precision_cost: Option<PrecisionCost>,
     trace: ControlTrace,
-}
-
-/// `budget` threads split as evenly as possible over `n` slots, floor 1
-/// (oversubscribing only when `budget < n`, where nothing narrower than
-/// width 1 exists). Also the controlled runtime's initial per-stream shard
-/// split.
-pub(crate) fn split_even(budget: usize, n: usize) -> Vec<usize> {
-    let base = budget / n;
-    let extra = budget % n;
-    (0..n)
-        .map(|i| (base + usize::from(i < extra)).max(1))
-        .collect()
 }
 
 impl Controller {
@@ -986,16 +922,6 @@ impl Controller {
                 b.max_batch
             );
             assert!(b.patience >= 1, "batch patience must be ≥ 1");
-        }
-        if let Some(r) = &cfg.rebalance {
-            assert!(r.patience >= 1, "rebalance patience must be ≥ 1");
-            assert!(
-                r.idle_below < r.active_above,
-                "rebalance thresholds must leave a hysteresis band \
-                 (idle_below {} < active_above {})",
-                r.idle_below,
-                r.active_above
-            );
         }
         if let Some(w) = &cfg.watchdog {
             assert!(w.patience >= 1, "watchdog patience must be ≥ 1");
@@ -1044,15 +970,6 @@ impl Controller {
             cur_batch: init.initial_batch,
             grow_streak: 0,
             shrink_streak: 0,
-            budget: init.budget,
-            activity: vec![
-                Activity {
-                    active: true,
-                    streak: 0
-                };
-                init.streams
-            ],
-            cur_widths: init.initial_widths,
             watchdog: vec![
                 Activity {
                     active: true,
@@ -1086,7 +1003,6 @@ impl Controller {
         let mut plan = ControlPlan::default();
         self.observe_batch(t, &mut plan);
         self.observe_watchdog(t, &mut plan);
-        self.observe_rebalance(t, &mut plan);
         self.observe_degrade(t, &mut plan);
         for action in &plan.actions {
             self.trace.decisions.push(ControlDecision {
@@ -1100,7 +1016,7 @@ impl Controller {
     fn observe_batch(&mut self, t: &NodeTelemetry, plan: &mut ControlPlan) {
         let Some(p) = self.cfg.batch else { return };
         if self.cur_batch == 0 {
-            return; // sharded style: no gather stage to size
+            return; // per-stream style: no gather stage to size
         }
         let open = t.open_streams().max(1);
         let backlog_per_stream = t.total_queue_depth() as f64 / open as f64;
@@ -1140,11 +1056,9 @@ impl Controller {
 
     fn observe_watchdog(&mut self, t: &NodeTelemetry, plan: &mut ControlPlan) {
         let Some(p) = self.cfg.watchdog else { return };
-        let mut flipped = false;
         for (st, w) in t.streams.iter().zip(self.watchdog.iter_mut()) {
             // An ended stream is drained, not stalled: never quarantine
-            // it, and let an already-quarantined one stay put (rebalance
-            // already treats ended as idle).
+            // it, and let an already-quarantined one stay put.
             let want = if st.ended {
                 None
             } else if st.arrival_ewma <= p.stall_below {
@@ -1160,7 +1074,6 @@ impl Controller {
                     if w.streak >= p.patience {
                         w.active = healthy;
                         w.streak = 0;
-                        flipped = true;
                         plan.actions.push(if healthy {
                             ControlAction::Readmit { stream: st.id.0 }
                         } else {
@@ -1171,75 +1084,6 @@ impl Controller {
                 _ => w.streak = 0,
             }
         }
-        // In sharded style a quarantine/readmit moves real threads: emit
-        // the width change here so the watchdog works even with the
-        // rebalance arm disabled. (Gather style: marker actions only.)
-        if flipped && !self.cur_widths.is_empty() {
-            let widths = self.rebalanced_widths();
-            if widths != self.cur_widths {
-                plan.actions.push(ControlAction::Repartition {
-                    widths: widths.clone(),
-                });
-                self.cur_widths = widths;
-            }
-        }
-    }
-
-    fn observe_rebalance(&mut self, t: &NodeTelemetry, plan: &mut ControlPlan) {
-        let Some(p) = self.cfg.rebalance else { return };
-        if self.cur_widths.is_empty() {
-            return; // gather style: one node-wide shard, nothing to move
-        }
-        for (st, a) in t.streams.iter().zip(self.activity.iter_mut()) {
-            let want = if st.ended || st.arrival_ewma <= p.idle_below {
-                Some(false)
-            } else if st.arrival_ewma >= p.active_above {
-                Some(true)
-            } else {
-                None // inside the hysteresis band: no opinion
-            };
-            match want {
-                Some(w) if w != a.active => {
-                    a.streak += 1;
-                    if a.streak >= p.patience {
-                        a.active = w;
-                        a.streak = 0;
-                    }
-                }
-                _ => a.streak = 0,
-            }
-        }
-        let widths = self.rebalanced_widths();
-        if widths != self.cur_widths {
-            plan.actions.push(ControlAction::Repartition {
-                widths: widths.clone(),
-            });
-            self.cur_widths = widths;
-        }
-    }
-
-    /// Widths implied by the current activity and quarantine
-    /// classification: idle and quarantined streams hold width 1, the rest
-    /// split the remaining budget evenly (in stream order). Degenerate
-    /// budgets (≤ one thread per stream) stay at the even floor-1 split —
-    /// there is no narrower width to take from.
-    fn rebalanced_widths(&self) -> Vec<usize> {
-        let n = self.activity.len();
-        let active: Vec<usize> = (0..n)
-            .filter(|&i| self.activity[i].active && self.watchdog[i].active)
-            .collect();
-        let k = active.len();
-        if k == 0 || self.budget <= n {
-            return split_even(self.budget, n);
-        }
-        let mut widths = vec![1usize; n];
-        let spare = self.budget - (n - k);
-        let base = spare / k;
-        let extra = spare % k;
-        for (j, &s) in active.iter().enumerate() {
-            widths[s] = (base + usize::from(j < extra)).max(1);
-        }
-        widths
     }
 
     fn observe_degrade(&mut self, t: &NodeTelemetry, plan: &mut ControlPlan) {
@@ -1336,7 +1180,7 @@ impl Controller {
 
 /// Gate for [`crate::runtime::EdgeNode::try_add_stream`]: a stream is
 /// admitted only if its base-DNN instance fits the node's remaining memory
-/// envelope (the [`crate::node`] model) and the shard thread budget is not
+/// envelope (the [`crate::node`] model) and the thread budget is not
 /// oversubscribed past `max_streams_per_worker`.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionPolicy {
@@ -1515,9 +1359,7 @@ mod tests {
             cfg,
             ControllerInit {
                 streams: 2,
-                budget: 4,
                 initial_batch: 4,
-                initial_widths: Vec::new(),
                 base_precision: Precision::F32,
                 precision_cost: None,
             },
@@ -1528,7 +1370,6 @@ mod tests {
     fn batch_grows_after_patience_and_not_before() {
         let cfg = ControlConfig {
             batch: Some(BatchPolicy::default()),
-            rebalance: None,
             degrade: None,
             ..ControlConfig::default()
         };
@@ -1555,7 +1396,6 @@ mod tests {
     fn batch_shrinks_toward_service_floor() {
         let cfg = ControlConfig {
             batch: Some(BatchPolicy::default()),
-            rebalance: None,
             degrade: None,
             ..ControlConfig::default()
         };
@@ -1583,56 +1423,9 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_moves_budget_to_active_streams_with_hysteresis() {
+    fn watchdog_quarantines_stalled_stream_and_readmits_with_hysteresis() {
         let cfg = ControlConfig {
             batch: None,
-            rebalance: Some(RebalancePolicy::default()),
-            degrade: None,
-            ..ControlConfig::default()
-        };
-        let mut c = Controller::new(
-            cfg,
-            ControllerInit {
-                streams: 4,
-                budget: 8,
-                initial_batch: 0,
-                initial_widths: vec![2, 2, 2, 2],
-                base_precision: Precision::F32,
-                precision_cost: None,
-            },
-        );
-        // Streams 2 and 3 collapse; patience 2 ⇒ second tick repartitions.
-        let night = |tick| telem(tick, &[0; 4], &[1.0, 1.0, 0.0, 0.0], (8, 0, 0), 0.0);
-        assert!(c.observe(&night(1)).is_empty());
-        let plan = c.observe(&night(2));
-        assert_eq!(
-            plan.actions,
-            vec![ControlAction::Repartition {
-                widths: vec![3, 3, 1, 1]
-            }]
-        );
-        // A stream inside the hysteresis band keeps its class.
-        let dusk = |tick| telem(tick, &[0; 4], &[1.0, 0.4, 0.0, 0.0], (8, 0, 0), 0.0);
-        assert!(c.observe(&dusk(3)).is_empty());
-        assert!(c.observe(&dusk(4)).is_empty());
-        // Stream 2 returns at dawn.
-        let dawn = |tick| telem(tick, &[0; 4], &[1.0, 1.0, 1.0, 0.0], (8, 0, 0), 0.0);
-        assert!(c.observe(&dawn(5)).is_empty());
-        let plan = c.observe(&dawn(6));
-        // Earlier active streams take the remainder, like ShardLayout::even.
-        assert_eq!(
-            plan.actions,
-            vec![ControlAction::Repartition {
-                widths: vec![3, 2, 2, 1]
-            }]
-        );
-    }
-
-    #[test]
-    fn watchdog_quarantines_stalled_stream_and_readmits_with_widths() {
-        let cfg = ControlConfig {
-            batch: None,
-            rebalance: None,
             degrade: None,
             watchdog: Some(WatchdogPolicy::default()),
             ..ControlConfig::default()
@@ -1641,29 +1434,16 @@ mod tests {
             cfg,
             ControllerInit {
                 streams: 4,
-                budget: 8,
                 initial_batch: 0,
-                initial_widths: vec![2, 2, 2, 2],
                 base_precision: Precision::F32,
                 precision_cost: None,
             },
         );
-        // Stream 2's camera dies; patience 2 ⇒ second tick quarantines
-        // and (sharded style) the width change rides the same plan: the
-        // quarantined stream drops to width 1 and the spare 7 splits
-        // round-robin over the three live streams.
+        // Stream 2's camera dies; patience 2 ⇒ second tick quarantines.
         let dead = |tick| telem(tick, &[0; 4], &[1.0, 1.0, 0.0, 1.0], (8, 0, 0), 0.0);
         assert!(c.observe(&dead(1)).is_empty(), "patience must delay");
         let plan = c.observe(&dead(2));
-        assert_eq!(
-            plan.actions,
-            vec![
-                ControlAction::Quarantine { stream: 2 },
-                ControlAction::Repartition {
-                    widths: vec![3, 2, 1, 2]
-                },
-            ]
-        );
+        assert_eq!(plan.actions, vec![ControlAction::Quarantine { stream: 2 }]);
         // An EWMA inside the band (0.05..0.5) keeps the quarantine.
         let limp = |tick| telem(tick, &[0; 4], &[1.0, 1.0, 0.3, 1.0], (8, 0, 0), 0.0);
         assert!(c.observe(&limp(3)).is_empty());
@@ -1672,40 +1452,13 @@ mod tests {
         let back = |tick| telem(tick, &[0; 4], &[1.0, 1.0, 1.0, 1.0], (8, 0, 0), 0.0);
         assert!(c.observe(&back(5)).is_empty());
         let plan = c.observe(&back(6));
-        assert_eq!(
-            plan.actions,
-            vec![
-                ControlAction::Readmit { stream: 2 },
-                ControlAction::Repartition {
-                    widths: vec![2, 2, 2, 2]
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn watchdog_in_gather_style_emits_markers_only() {
-        let cfg = ControlConfig {
-            batch: None,
-            rebalance: None,
-            degrade: None,
-            watchdog: Some(WatchdogPolicy::default()),
-            ..ControlConfig::default()
-        };
-        let mut c = gather_controller(cfg);
-        let dead = |tick| telem(tick, &[0, 0], &[1.0, 0.0], (8, 16, 4), 0.0);
-        assert!(c.observe(&dead(1)).is_empty());
-        let plan = c.observe(&dead(2));
-        // No widths to move in gather style: the marker alone, which keeps
-        // the trace comparable across shard widths.
-        assert_eq!(plan.actions, vec![ControlAction::Quarantine { stream: 1 }]);
+        assert_eq!(plan.actions, vec![ControlAction::Readmit { stream: 2 }]);
     }
 
     #[test]
     fn degrade_treats_an_outage_as_saturation() {
         let cfg = ControlConfig {
             batch: None,
-            rebalance: None,
             degrade: Some(DegradePolicy {
                 saturate_ticks: 2,
                 ..DegradePolicy::default()
@@ -1735,7 +1488,6 @@ mod tests {
     fn degrade_ladder_steps_down_then_recovers_in_order() {
         let cfg = ControlConfig {
             batch: None,
-            rebalance: None,
             degrade: Some(DegradePolicy {
                 saturate_ticks: 2,
                 relax_ticks: 3,
@@ -1804,7 +1556,6 @@ mod tests {
     fn degrade_holds_inside_the_watermark_band() {
         let cfg = ControlConfig {
             batch: None,
-            rebalance: None,
             degrade: Some(DegradePolicy {
                 saturate_ticks: 2,
                 ..DegradePolicy::default()
@@ -1825,9 +1576,7 @@ mod tests {
             cfg,
             ControllerInit {
                 streams: 2,
-                budget: 4,
                 initial_batch: 4,
-                initial_widths: Vec::new(),
                 base_precision: Precision::F32,
                 precision_cost: Some(cost),
             },
@@ -1837,7 +1586,6 @@ mod tests {
     fn degrade_only(saturate_ticks: u32) -> ControlConfig {
         ControlConfig {
             batch: None,
-            rebalance: None,
             degrade: Some(DegradePolicy {
                 saturate_ticks,
                 ..DegradePolicy::default()

@@ -4,7 +4,7 @@
 //!
 //! FilterForward's premise is that the edge-to-cloud link is the scarce,
 //! *unreliable* resource; real deployments add stalling cameras and
-//! crashing stages on top. The controlled executor
+//! crashing stages on top. The node's round loop
 //! ([`crate::runtime::EdgeNode::run_controlled`]) gives this module the
 //! one thing chaos engineering usually lacks: **bit-replayable time**. A
 //! [`FaultPlan`] schedules faults in virtual-time rounds, every recovery
@@ -30,14 +30,14 @@
 //!  │                         │ │                     │ │   drop (SegmentLedger)  │
 //!  │                         │ │                     │ │                         │
 //!  │ camera stall/blackout/ ─┼─┼─▶ arrival EWMA ─────┼─┼─▶ WatchdogPolicy        │
-//!  │ corruption              │ │   collapse in       │ │   quarantines (width→1) │
-//!  │ (FaultySource)          │ │   NodeTelemetry     │ │   and readmits on       │
-//!  │                         │ │                     │ │   recovery              │
+//!  │ corruption              │ │   collapse in       │ │   quarantines (task     │
+//!  │ (FaultySource)          │ │   NodeTelemetry     │ │   suspended) and        │
+//!  │                         │ │                     │ │   readmits on recovery  │
 //!  │                         │ │                     │ │                         │
 //!  │ scripted stage panic ───┼─┼─▶ catch_unwind at ──┼─┼─▶ bounded restarts,     │
-//!  │                         │ │   the shard bounda- │ │   then the circuit      │
-//!  │                         │ │   ry (PoolShard::   │ │   breaker kills the one │
-//!  │                         │ │   try_run)          │ │   stream — node lives   │
+//!  │                         │ │   the pool-job      │ │   then the circuit      │
+//!  │                         │ │   boundary (Pool-   │ │   breaker kills the one │
+//!  │                         │ │   Shard::run_items) │ │   stream — node lives   │
 //!  └─────────────────────────┘ └─────────────────────┘ └─────────────────────────┘
 //! ```
 //!
@@ -55,7 +55,7 @@
 //!
 //! Packet loss and retry jitter draw from the seeded compat `rand` shim;
 //! both are consumed in the fixed one-offer-per-stream-slot-per-round
-//! order of the controlled executor, so the full fault/recovery history —
+//! order of the round loop, so the full fault/recovery history —
 //! ledger, trace, telemetry — replays bit-for-bit regardless of thread
 //! counts or shard widths. Camera faults are scheduled in *source poll
 //! ticks* (see [`CameraFault`]), which the lock-step executor also makes

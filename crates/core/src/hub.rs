@@ -65,6 +65,7 @@ use crate::archive::{EdgeArchive, FetchError};
 use crate::events::McId;
 use crate::query::Query;
 use ff_obs::{Counter, Registry, Span, SpanTracer};
+use ff_tensor::PoolShard;
 use ff_video::Frame;
 
 // ---------------------------------------------------------------------------
@@ -848,7 +849,7 @@ impl CloudHub {
             }
         } else {
             // Move each involved node's dedup window out, run the shard
-            // partitions on scoped threads, then put the windows back.
+            // partitions as jobs on a worker pool, then put the windows back.
             let mut shard_work: Vec<Vec<(usize, u64, usize, u64)>> = vec![Vec::new(); shards];
             for (i, (msg_id, seg)) in arrivals.iter().enumerate() {
                 let node = seg.node.0;
@@ -874,38 +875,27 @@ impl CloudHub {
                     let (node, win) = w.take().expect("window present");
                     shard_windows[node % shards].push((node, win));
                 }
-                // One shard's output: its node windows (to put back) and
-                // its `(slot, msg_id, verdict)` triples (to merge).
-                type ShardOut = (Vec<(usize, DedupWindow)>, Vec<(usize, u64, Admit)>);
-                let mut out: Vec<ShardOut> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = shard_windows
-                        .into_iter()
-                        .zip(shard_work.iter())
-                        .map(|(mut wins, work)| {
-                            scope.spawn(move || {
-                                let mut res = Vec::with_capacity(work.len());
-                                for &(slot, msg_id, node, seq) in work {
-                                    let win = wins
-                                        .iter_mut()
-                                        .find(|(n, _)| *n == node)
-                                        .map(|(_, w)| w)
-                                        .expect("node assigned to this shard");
-                                    res.push((slot, msg_id, win.admit(seq)));
-                                }
-                                (wins, res)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard panicked"))
-                        .collect()
+                // One job per shard: it admits its partition against its
+                // own node windows and returns the `(slot, msg_id, verdict)`
+                // triples to merge.
+                let results = PoolShard::new(shards).run_items(&mut shard_windows, |i, wins| {
+                    let work = &shard_work[i];
+                    let mut res = Vec::with_capacity(work.len());
+                    for &(slot, msg_id, node, seq) in work {
+                        let win = wins
+                            .iter_mut()
+                            .find(|(n, _)| *n == node)
+                            .map(|(_, w)| w)
+                            .expect("node assigned to this shard");
+                        res.push((slot, msg_id, win.admit(seq)));
+                    }
+                    res
                 });
-                for (wins, res) in out.drain(..) {
+                for (wins, res) in shard_windows.into_iter().zip(results) {
                     for (node, win) in wins {
                         self.nodes[node].dedup = win;
                     }
-                    for (slot, msg_id, v) in res {
+                    for (slot, msg_id, v) in res.expect("shard panicked") {
                         slots[slot] = (msg_id, v);
                     }
                 }

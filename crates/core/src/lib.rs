@@ -17,18 +17,19 @@
 //!   that assigns monotonically increasing per-MC event IDs.
 //! * [`pipeline`] — the end-to-end per-stream pipeline: archive, extract,
 //!   classify, smooth, re-encode, upload.
-//! * [`runtime`] — the multi-stream edge node: N pipelined streams over a
-//!   sharded worker pool sharing one uplink, or gather-batched into one
-//!   shared batched base-DNN pass per round. The controlled path runs
-//!   every stream as a [`task`] (an actor-style state machine) on one
-//!   budget-wide pool — no per-stream threads — so a node carries 1000+
-//!   mostly-idle duty-cycled cameras with bit-replayable traces.
+//! * [`runtime`] — the multi-stream edge node: one virtual-time round
+//!   loop running every stream as a [`task`] (an actor-style state
+//!   machine) on one worker pool sharing one uplink — each round's
+//!   runnable streams served concurrently as pool jobs, or gather-batched
+//!   into one shared base-DNN pass per bucket. No per-stream threads, so a
+//!   node carries 1000+ mostly-idle duty-cycled cameras with
+//!   bit-replayable traces.
 //! * [`task`] — the per-stream state machine (poll → decode → infer →
-//!   collect as typed messages) behind the controlled executor.
+//!   collect as typed messages) the round loop drives.
 //! * [`control`] — the adaptive control plane: deterministic virtual-time
 //!   telemetry (queue depths, arrival EWMAs, gather fill, uplink load)
-//!   feeding policies that resize the gather batch, rebalance shard
-//!   widths, degrade precision/upload stride under uplink saturation
+//!   feeding policies that resize the gather batch, quarantine stalled
+//!   cameras, degrade precision/upload stride under uplink saturation
 //!   (all with hysteresis), and gate stream admission against the
 //!   [`node`] memory model — every decision lands in a bit-replayable
 //!   trace (see [`runtime::EdgeNode::run_controlled`] and
@@ -39,7 +40,7 @@
 //!   [`FeatureExtractor::set_precision`] /
 //!   [`pipeline::FilterForward::set_precision`], or the node-wide
 //!   `EdgeNodeConfig::precision` override; reduced-precision runs stay
-//!   bit-for-bit deterministic across thread counts, shard layouts, and
+//!   bit-for-bit deterministic across thread counts, pool widths, and
 //!   batch modes.
 //! * [`archive`] — local storage + demand-fetch of context segments.
 //! * [`hub`] — the cloud tier: a [`hub::CloudHub`] fanning in event
@@ -139,7 +140,7 @@ pub use hub::{
 };
 pub use pipeline::{FilterForward, FrameVerdict, PipelineConfig, PipelineStats};
 pub use runtime::{
-    EdgeNode, EdgeNodeConfig, GatherBatch, NodeReport, NodeStats, ShardLayout, StreamId,
+    ControlledReport, EdgeNode, EdgeNodeConfig, GatherBatch, NodeStats, ShardLayout, StreamId,
 };
 pub use smoothing::{KVotingSmoother, SmoothingConfig};
 pub use spec::{McKind, McModel, McRuntime, McSpec};

@@ -1,77 +1,40 @@
-//! The multi-stream edge-node runtime: N camera streams, each with its own
-//! pipelined [`FilterForward`] instance, driven concurrently over a sharded
-//! persistent worker pool and sharing one constrained [`Uplink`].
+//! The multi-stream edge-node runtime: N camera streams, each a
+//! [`crate::task::StreamTask`] owning its own [`FilterForward`], multiplexed
+//! by **one round loop** onto one persistent worker pool and sharing one
+//! constrained [`Uplink`].
 //!
-//! # Stage / channel architecture
+//! # One loop
 //!
-//! Each stream runs as a three-stage pipeline connected by **bounded**
-//! channels (capacity [`EdgeNodeConfig::queue_depth`]), so a slow stage
-//! exerts backpressure instead of growing queues:
+//! [`EdgeNode::run_controlled`] is the only executor; [`EdgeNode::run`] is
+//! the same loop with every control policy off. It spawns **no per-stream
+//! OS threads** — the only threads on the node are the workers of its one
+//! [`PoolShard`] ([`ff_tensor::parallel`] is the one place threads live).
+//! Each iteration is one *round*: one frame interval of virtual time.
 //!
-//! ```text
-//!  decode thread          inference thread              collector (caller)
-//!  ┌─────────────┐  ch   ┌───────────────────────┐  ch  ┌────────────────┐
-//!  │ FrameSource │ ────▶ │ extract → MCs → smooth │ ───▶ │ uplink + stats │
-//!  │ + to_tensor │       │ (FilterForward, scoped │      │ (shared across │
-//!  └─────────────┘       │  to one PoolShard)     │      │  all streams)  │
-//!                        └───────────────────────┘       └────────────────┘
-//! ```
+//! | phase of a round | runs on | why |
+//! |---|---|---|
+//! | **arrivals** — poll every open stream once, decode pixels → tensor into the task's mailbox | the calling thread | poll order *is* the wake log, and decode is cheap next to inference |
+//! | **service, per-stream style** — every stream with mail serves one frame (extract → MCs → smooth → re-encode) | one pool job per runnable stream ([`PoolShard::run_items`]): `min(runnable, pool width)` cores. A round with one runnable stream keeps the kernel-level fan-out instead (its GEMMs split across the whole pool) | streams share no inference state, so whole passes are the coarsest — cheapest — unit of parallel work |
+//! | **service, gather style** ([`EdgeNodeConfig::gather_batch`]) — served frames are bucketed by (base-DNN config, resolution); one [`crate::FeatureExtractor::extract_batch`] per bucket, then per-frame fan-out to each stream's own MCs | the batched pass fans its kernels across the whole pool; the MC fan-out runs on the calling thread | one GEMM over the stacked im2col matrix streams each packed weight panel once per *batch* instead of once per camera |
+//! | **fold, close, uplink, control tick** | the calling thread, in stream order | see below |
 //!
-//! - **Decode** pulls frames from the stream's [`FrameSource`] and converts
-//!   pixels to the input tensor, so decode of frame `t + 1` overlaps
-//!   extraction of frame `t`.
-//! - **Inference** owns the stream's [`FilterForward`] (extraction, the MC
-//!   loop, K-voting, event assembly, re-encode — all of the per-frame work,
-//!   which shares one workspace and therefore one stage thread; see
-//!   [`FilterForward::process_decoded`]). Every kernel it dispatches is
-//!   scoped to the stream's [`PoolShard`], so streams' base-DNN passes run
-//!   concurrently on disjoint worker subsets.
-//! - **Collector** (the thread that called [`EdgeNode::run`]) interleaves
-//!   finished verdicts across streams in a fixed round-robin order — frame
-//!   `r` of stream 0, frame `r` of stream 1, … — and offers matched frames
-//!   to the shared [`Uplink`]. The fixed order makes node-level uplink
-//!   accounting (backlog, drops, peak delay) deterministic even though the
-//!   stage threads race.
+//! # Why every trace replays
 //!
-//! # Gather-batch mode
+//! Pool jobs finish in whatever order the cores get to them, but nothing
+//! observes that order: a job writes only its own stream's pipeline and
+//! result slot, and the loop folds the round's results — verdicts, sensor
+//! counts, spans, fault events, restarts — back **in stream order** after
+//! the last job lands. Kernels dispatched from inside a job run serially on
+//! the thread that claimed it, and kernel results are independent of worker
+//! count (see [`ff_tensor::parallel`]), batched kernels compute every
+//! output element from its own frame's data in the per-frame accumulation
+//! order, and streams share no mutable inference state. So per-stream
+//! verdicts are **bit-for-bit identical** to a serial
+//! [`FilterForward::process`] loop, and every sensor, control decision,
+//! fault event, and span is a pure function of (round, stream content):
+//! identical across runs, pool widths, batch sizes, and core counts.
 //!
-//! With [`EdgeNodeConfig::gather_batch`] set, the per-stream inference
-//! threads are replaced by **one** inference stage that gathers one decoded
-//! frame from each active stream (bounded wait, so a stalled camera cannot
-//! hold the batch), stacks them, and runs a **single batched base-DNN
-//! pass** for the whole gather — one GEMM over the stacked im2col matrix
-//! per layer, streaming each packed weight panel once per *batch* instead
-//! of once per camera (see [`crate::FeatureExtractor::extract_batch`]).
-//! Per-frame taps then fan out to each stream's own microclassifiers,
-//! voting, and event assembly, which stay fully per-stream. When a single
-//! stream outpaces the gather (or the node has one camera), consecutive
-//! frames of the same stream fill the batch instead — single-stream
-//! micro-batching from the same machinery.
-//!
-//! Gather-batch requires every stream to share one base-DNN configuration
-//! and resolution (asserted at [`EdgeNode::run`]); calibrate through
-//! [`EdgeNode::calibrate`] so the shared batched extractor and the
-//! per-stream extractors stay in sync.
-//!
-//! # Determinism
-//!
-//! Per-stream verdicts are **bit-for-bit identical** to running the same
-//! frames through a serial [`FilterForward::process`] loop, for every shard
-//! layout, batch mode, and gather size: tensor-kernel results are
-//! independent of thread count (see [`ff_tensor::parallel`]), batched
-//! kernels compute every output element from its own frame's data in the
-//! same accumulation order as the per-frame path, streams share no mutable
-//! inference state, and stage boundaries only move *where* work happens,
-//! never what is computed.
-//!
-//! # Controlled path: actor-style stream tasks
-//!
-//! [`EdgeNode::run_controlled`] spawns **no per-stream OS threads**. Each
-//! stream is one [`crate::task::StreamTask`] — a message-passing state
-//! machine whose stages (poll → decode → infer → collect) exchange typed
-//! messages ([`crate::task::DecodedFrame`] in, [`FrameVerdict`] out)
-//! driven by the virtual-time round loop, with every kernel dispatched to
-//! **one** budget-wide [`PoolShard`]:
+//! # Stream tasks
 //!
 //! ```text
 //!              frame arrives (poll → decode → deliver)
@@ -79,7 +42,7 @@
 //!       ▲                                                  │
 //!       │    round with no arrival and an empty mailbox    │ infer → collect
 //!       └──────────────────────────────────────────────────┘ (≤ 1 frame per
-//!                                                             round sharded;
+//!                                                             round per-stream;
 //!    Awake / Sleeping ──watchdog quarantine──▶ Suspended     batched in
 //!    Suspended ──readmit──▶ Awake or Sleeping (by mailbox)   gather style)
 //!    any ──source End, mailbox drained, pipeline flushed──▶ Ended
@@ -92,26 +55,11 @@
 //! its [`ff_video::FrameSource::duty_fraction`] (see
 //! [`EdgeNode::try_add_stream`]), and with
 //! [`EdgeNodeConfig::shared_backbone`] the sleepers do not even hold a
-//! private base-DNN instance. In gather style the round's served frames
-//! are **bucketed by (base-DNN config, resolution)** — one
-//! [`crate::FeatureExtractor::extract_batch`] per bucket — so
-//! mixed-resolution fleets still get batched backbone passes, with
-//! verdicts bit-identical to per-stream serial execution.
-//!
-//! ## Threads vs tasks
-//!
-//! The threaded stage/channel pipeline above still backs [`EdgeNode::run`]:
-//! it is the path that overlaps decode and inference on real cores, so it
-//! remains the right executor for wall-clock throughput measurement and
-//! for latency under a live camera. The controlled task path trades that
-//! overlap for virtual time — every sensor becomes a pure function of
-//! (round, stream content), so control decisions and fault traces replay
-//! bit-for-bit across runs, worker counts, and shard widths, and stream
-//! count is bounded by the memory model instead of the thread budget.
-//! Per-stream verdicts are bit-identical on both paths.
+//! private base-DNN instance. Gather style buckets by (base-DNN config,
+//! resolution), so mixed-resolution fleets still get batched backbone
+//! passes; calibrate through [`EdgeNode::calibrate`] so the shared batched
+//! extractors and the per-stream extractors stay in sync.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use ff_models::MobileNetConfig;
@@ -137,109 +85,53 @@ use crate::uplink::Uplink;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StreamId(pub usize);
 
-/// How the node's thread budget is partitioned into [`PoolShard`]s.
-///
-/// Streams are assigned to shards round-robin (`stream i → shard i mod
-/// shards`); streams sharing a shard serialize their kernels on its
-/// submission lock but still pipeline their decode stages.
+/// Decoded frames a task's mailbox holds before the loop stops polling its
+/// source: the stream's next frame then arrives at a later round instead of
+/// growing the mailbox (the camera's clock stalls with it). Leaves room
+/// above [`crate::control::BatchPolicy::grow_backlog`] so the batch sizer
+/// sees real backlog before the bound engages.
+const MAILBOX_CAP: usize = 4;
+
+/// The node's thread budget: the width of the one [`PoolShard`] every
+/// stream's kernels and per-stream jobs run on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardLayout {
-    widths: Vec<usize>,
+    width: usize,
 }
 
 impl ShardLayout {
-    /// One shard of the given width — every stream shares it.
+    /// One pool of the given width — every stream shares it.
     ///
     /// # Panics
     ///
-    /// Panics if `width` is 0: a zero-width shard has no worker to execute
-    /// anything and would wedge every stream assigned to it.
+    /// Panics if `width` is 0: a zero-width pool has no worker to execute
+    /// anything and would wedge every stream.
     pub fn single(width: usize) -> Self {
         assert!(
             width > 0,
             "shard width must be ≥ 1 (a zero-width shard can execute nothing)"
         );
-        ShardLayout {
-            widths: vec![width],
-        }
+        ShardLayout { width }
     }
 
-    /// `shards` shards splitting `budget` threads as evenly as possible
-    /// (earlier shards get the remainder; every shard has width ≥ 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is 0, or if `budget < shards` — there is no way
-    /// to give every shard its mandatory width-1 floor without silently
-    /// **oversubscribing** the budget (`even(2, 4)` would need 4 threads
-    /// for a 2-thread budget). Cap the shard count at the budget first:
-    /// `ShardLayout::even(budget, shards.min(budget))`.
-    pub fn even(budget: usize, shards: usize) -> Self {
-        assert!(shards > 0, "shard count must be ≥ 1");
-        assert!(
-            budget >= shards,
-            "shard budget over-subscribed: {budget} thread(s) cannot give \
-             {shards} shards a width-1 floor each; cap the shard count at \
-             the budget (e.g. ShardLayout::even(budget, shards.min(budget)))"
-        );
-        let base = budget / shards;
-        let extra = budget % shards;
-        ShardLayout {
-            widths: (0..shards).map(|i| base + usize::from(i < extra)).collect(),
-        }
-    }
-
-    /// Explicit per-shard widths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `widths` is empty or contains a zero (a zero-width shard
-    /// can execute nothing).
-    pub fn explicit(widths: Vec<usize>) -> Self {
-        assert!(!widths.is_empty(), "shard layout needs at least one shard");
-        assert!(
-            widths.iter().all(|&w| w > 0),
-            "shard widths must all be ≥ 1 (a zero-width shard can execute \
-             nothing), got {widths:?}"
-        );
-        ShardLayout { widths }
-    }
-
-    /// Per-shard thread widths.
-    pub fn widths(&self) -> &[usize] {
-        &self.widths
-    }
-
-    /// Total thread budget across shards.
+    /// Total thread budget.
     pub fn budget(&self) -> usize {
-        self.widths.iter().sum()
-    }
-
-    /// Builds at most `max_shards` shards (streams are assigned round-robin,
-    /// so shards beyond the stream count would only park idle workers).
-    fn build(&self, max_shards: usize) -> Vec<PoolShard> {
-        self.widths[..self.widths.len().min(max_shards.max(1))]
-            .iter()
-            .map(|&w| PoolShard::new(w))
-            .collect()
+        self.width
     }
 }
 
-/// Gather-batch settings (see the [module docs](self)): the single
-/// inference stage collects up to `max_batch` decoded frames — one per
-/// active stream, then extras round-robin — and runs one shared batched
-/// base-DNN pass over them.
+/// Gather-batch settings (see the [module docs](self)): the round's served
+/// frames — one per stream with mail, then extras round-robin, up to
+/// `max_batch` — share one batched base-DNN pass per bucket.
 #[derive(Debug, Clone, Copy)]
 pub struct GatherBatch {
-    /// Most frames per shared pass. With fewer streams than this, a fast
-    /// stream's consecutive frames fill the remainder (single-stream
-    /// micro-batching).
+    /// Most frames per round's shared passes. With fewer streams than this,
+    /// a backlogged stream's consecutive frames fill the remainder
+    /// (single-stream micro-batching).
     pub max_batch: usize,
-    /// How long each per-stream pull waits during a gather scan. A stalled
-    /// camera therefore delays a scan by at most this much; its frames
-    /// simply join a later batch (which never changes any verdict — batch
-    /// composition is bit-invisible). When no stream has a frame at all,
-    /// the gatherer keeps scanning, parked in these bounded waits.
+    /// **Ignored.** The round loop gathers from mailboxes and never waits;
+    /// this bounded the threaded gatherer's per-stream pull. Kept only
+    /// because `ffbench/` still constructs it (see ROADMAP).
     pub gather_wait: Duration,
 }
 
@@ -255,21 +147,17 @@ impl Default for GatherBatch {
 /// Node-level configuration.
 #[derive(Debug, Clone)]
 pub struct EdgeNodeConfig {
-    /// Worker-pool partitioning across streams.
+    /// The node's worker-pool width.
     pub shards: ShardLayout,
-    /// Capacity of each inter-stage channel. Small values (the default, 2)
-    /// bound in-flight frames per stream to `2 × queue_depth` while still
-    /// letting adjacent stages overlap.
-    pub queue_depth: usize,
     /// Capacity of the shared edge-to-cloud uplink in bits/second.
     pub uplink_capacity_bps: f64,
     /// Bounds the uplink send queue; uploads beyond it are dropped
     /// (counted in [`NodeStats::uplink_dropped`]). `None` = unbounded.
     pub uplink_queue_limit_bytes: Option<u64>,
     /// `Some` switches the node to gather-batch execution: one shared
-    /// batched base-DNN pass over all streams per round, the whole thread
-    /// budget behind it. `None` (the default) runs each stream's inference
-    /// independently on its round-robin shard.
+    /// batched base-DNN pass per bucket per round, the whole thread budget
+    /// behind it. `None` (the default) serves each stream's frame as its
+    /// own pool job, concurrently across streams.
     pub gather_batch: Option<GatherBatch>,
     /// `Some` overrides every stream's base-DNN weight-panel precision at
     /// run start (applied uniformly, so gather-batch streams keep one
@@ -277,7 +165,7 @@ pub struct EdgeNodeConfig {
     /// [`crate::pipeline::FilterForward::set_precision`]). `None` (the
     /// default) respects each pipeline's own `MobileNetConfig::precision`.
     pub precision: Option<ff_tensor::Precision>,
-    /// `Some` hands the controlled executor a calibration-time per-rung
+    /// `Some` hands the degrade policy a calibration-time per-rung
     /// cost table (see [`PrecisionCost`]): the degrade policy then
     /// *predicts* which ladder rung clears an uplink deficit and jumps
     /// straight there. `None` (the default) keeps the blind
@@ -294,19 +182,16 @@ pub struct EdgeNodeConfig {
     /// distinct (base-DNN config, resolution) bucket and runs the batched
     /// backbone pass for everyone, so a 1000-camera fleet pays for a
     /// handful of base-DNN instances instead of 1000. Requires gather
-    /// execution ([`Self::gather_batch`] for [`EdgeNode::run`]; the
-    /// controlled executor buckets automatically). `false` (the default)
-    /// keeps a private extractor per stream.
+    /// execution ([`Self::gather_batch`]). `false` (the default) keeps a
+    /// private extractor per stream.
     pub shared_backbone: bool,
-    /// `Some` injects a deterministic fault schedule into
-    /// [`EdgeNode::run_controlled`] (see [`crate::faults`]): uplink
-    /// outages/dips/loss, camera stalls/blackouts/corruption, scripted
-    /// stage panics. `None` (the default) runs fault-free. [`EdgeNode::run`]
-    /// rejects a plan — fault windows are scheduled in virtual-time rounds,
-    /// which only the controlled executor has.
+    /// `Some` injects a deterministic fault schedule (see
+    /// [`crate::faults`]): uplink outages/dips/loss, camera
+    /// stalls/blackouts/corruption, scripted stage panics, all keyed to
+    /// virtual-time rounds. `None` (the default) runs fault-free.
     pub faults: Option<FaultPlan>,
-    /// Recovery knobs (retry backoff, spill capacity, restart budget) for
-    /// the controlled executor; inert without faults to recover from.
+    /// Recovery knobs (retry backoff, spill capacity, restart budget);
+    /// inert without faults to recover from.
     pub recovery: RecoveryConfig,
     /// `Some` turns on deep observability in
     /// [`EdgeNode::run_controlled`]: a virtual-time span trace of every
@@ -336,13 +221,11 @@ impl Default for ObsConfig {
 }
 
 impl EdgeNodeConfig {
-    /// A config with sensible defaults: the given shard layout, stage
-    /// queues of 2, and a 1 Mb/s shared uplink (a few hundred kb/s per
-    /// stream at paper scale).
+    /// A config with sensible defaults: the given pool width and a 1 Mb/s
+    /// shared uplink (a few hundred kb/s per stream at paper scale).
     pub fn new(shards: ShardLayout) -> Self {
         EdgeNodeConfig {
             shards,
-            queue_depth: 2,
             uplink_capacity_bps: 1_000_000.0,
             uplink_queue_limit_bytes: None,
             gather_batch: None,
@@ -449,17 +332,6 @@ pub struct NodeStats {
     /// Accepted uplink load as a fraction of capacity — only bits admitted
     /// into the send queue (see [`Uplink::accepted_utilization`]).
     pub uplink_accepted_utilization: f64,
-    /// Highest number of verdicts simultaneously in flight on gather
-    /// mode's deliberately unbounded verdict channels (bounding them could
-    /// deadlock the single inference stage against the lock-step
-    /// collector; this gauge proves the depth stays bounded in practice).
-    /// 0 in the other execution styles, whose channels are bounded.
-    pub verdict_backlog_peak: usize,
-    /// Verdict sends observed past the gather-mode soft cap
-    /// (`(queue_depth · 2 + 2) · streams`, mirroring the per-stream bound
-    /// of streamed mode). Accounting only — nothing is dropped or blocked;
-    /// a non-zero count flags a collector that cannot keep up.
-    pub verdict_overflow: u64,
     /// Wall-clock duration of the run.
     pub wall: Duration,
 }
@@ -477,17 +349,8 @@ impl NodeStats {
     }
 }
 
-/// The result of [`EdgeNode::run`]: per-stream and node-level views.
-#[derive(Debug)]
-pub struct NodeReport {
-    /// One report per stream, indexed by [`StreamId`].
-    pub streams: Vec<StreamReport>,
-    /// Node-level aggregates.
-    pub node: NodeStats,
-}
-
-/// The result of [`EdgeNode::run_controlled`]: everything a [`NodeReport`]
-/// carries, plus the control plane's decision history and telemetry log.
+/// The result of a run: per-stream and node-level views, plus the control
+/// plane's decision history and telemetry log.
 #[derive(Debug)]
 pub struct ControlledReport {
     /// One report per stream, indexed by [`StreamId`].
@@ -502,7 +365,7 @@ pub struct ControlledReport {
     /// The scheduler's wake log: one `(round, stream)` entry per
     /// Sleeping → Awake transition (see [`crate::task::StreamTask`]), in
     /// delivery order. A pure function of (seed, duty-cycle schedules,
-    /// round) — independent of worker count and shard widths — so two runs
+    /// round) — independent of worker count and pool width — so two runs
     /// of the same fleet produce identical logs.
     pub wakes: Vec<(u64, usize)>,
     /// What the fault/recovery machinery did — `Some` exactly when
@@ -555,19 +418,13 @@ struct StreamEntry {
     ff: FilterForward,
 }
 
-/// Messages an inference stage sends to the collector.
-enum Msg {
-    Verdict(FrameVerdict),
-    Done(Box<(PipelineStats, PhaseTimers)>),
-}
-
 /// A multi-stream edge node.
 ///
 /// Add streams ([`Self::add_stream`]), deploy microclassifiers per stream
 /// ([`Self::deploy`] / [`Self::pipeline_mut`] for weight installation and
 /// calibration), then [`Self::run`] to drive every source to exhaustion.
 ///
-/// See the [module docs](self) for the stage/channel architecture.
+/// See the [module docs](self) for the round loop.
 pub struct EdgeNode {
     cfg: EdgeNodeConfig,
     streams: Vec<StreamEntry>,
@@ -800,328 +657,43 @@ impl EdgeNode {
         self.calibration_frames = Some(frames.to_vec());
     }
 
-    /// Drives every stream to end-of-source and returns per-stream and
-    /// node-level results.
+    /// Drives every stream to end-of-source with every control policy off:
+    /// [`Self::run_controlled`] observing only.
+    pub fn run(self) -> ControlledReport {
+        self.run_controlled(ControlConfig::observe_only(8))
+    }
+
+    /// Drives every stream to end-of-source under the **adaptive control
+    /// plane** (see [`crate::control`]): the lock-step **virtual-time**
+    /// round loop of the [module docs](self). Each round every open stream
+    /// is polled once ([`FrameSource::poll_frame`], so sources can idle
+    /// without ending), decoded frames land in per-stream task mailboxes,
+    /// the mailboxes are served, and every [`ControlConfig::tick_frames`]
+    /// rounds the [`Controller`] snapshots the sensors and moves the knobs.
+    /// Every Sleeping → Awake edge lands in [`ControlledReport::wakes`].
     ///
-    /// Without [`EdgeNodeConfig::gather_batch`], spawns two stage threads
-    /// per stream (decode, inference); with it, one decode thread per
-    /// stream plus a single gather-batch inference stage (see the
-    /// [module docs](self)). Verdicts are collected on the calling thread
-    /// either way; returns once every source is exhausted and every
-    /// in-flight frame is finalized.
+    /// Two service styles, chosen by [`EdgeNodeConfig::gather_batch`]:
+    ///
+    /// * **gather style** (`Some`): the round's served frames are bucketed
+    ///   by (base-DNN config, resolution) and each bucket runs one shared
+    ///   batched base-DNN pass (rotating scan start, so no stream
+    ///   monopolizes the batch); the *batch policy* resizes `max_batch`
+    ///   live.
+    /// * **per-stream style** (`None`): each stream serves at most one
+    ///   frame per round, the round's runnable streams concurrently — one
+    ///   pool job each.
+    ///
+    /// The degradation ladder applies in both styles. When no policy fires,
+    /// per-stream verdicts are bit-identical to a serial
+    /// [`FilterForward::process`] loop over the same streams.
     ///
     /// # Panics
     ///
     /// Panics if no streams are registered, a stream has no MCs deployed,
-    /// a stage thread panics, or gather-batch mode is enabled with streams
-    /// that do not share one base-DNN config and resolution.
-    pub fn run(mut self) -> NodeReport {
-        assert!(
-            !self.streams.is_empty(),
-            "add at least one stream before running"
-        );
-        assert!(
-            self.cfg.faults.is_none(),
-            "fault plans are scheduled in virtual-time rounds, which only \
-             the controlled executor has: use run_controlled"
-        );
-        assert!(
-            self.cfg.gather_batch.is_some() || !self.cfg.shared_backbone,
-            "shared_backbone streams have no private extractor, so per-stream \
-             threaded execution cannot serve them: enable gather_batch (the \
-             shared batched pass) or use run_controlled"
-        );
-        // Apply the node-level precision override before dispatch (and
-        // before gather mode snapshots the shared base-DNN config), so every
-        // stream — and the shared batched extractor built from that config —
-        // quantizes one uniform weight set.
-        if let Some(p) = self.cfg.precision {
-            for s in &mut self.streams {
-                s.ff.set_precision(p);
-            }
-        }
-        if self.cfg.gather_batch.is_some() {
-            self.run_gathered()
-        } else {
-            self.run_streamed()
-        }
-    }
-
-    /// Per-stream execution: each stream's inference thread runs the full
-    /// pipeline scoped to its round-robin shard.
-    fn run_streamed(self) -> NodeReport {
-        let EdgeNode { cfg, streams, .. } = self;
-        let n = streams.len();
-        let shards = cfg.shards.build(n);
-        let mut uplink = build_uplink(&cfg, &streams);
-        let mut reports = empty_reports(n);
-
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            let mut verdict_rx: Vec<Receiver<Msg>> = Vec::with_capacity(n);
-            for (i, entry) in streams.into_iter().enumerate() {
-                let StreamEntry { mut source, mut ff } = entry;
-                let shard = &shards[i % shards.len()];
-                let (frame_tx, frame_rx) =
-                    sync_channel::<(Frame, Tensor, Duration)>(cfg.queue_depth);
-                // Verdict sends are the collector's lock-step pacing, so
-                // give them a little extra slack over the frame channel.
-                let (msg_tx, msg_rx) = sync_channel::<Msg>(cfg.queue_depth * 2 + 2);
-                verdict_rx.push(msg_rx);
-
-                scope.spawn(move || {
-                    // Decode stage: synthetic decode + pixel→tensor. The
-                    // conversion is timed so `PhaseTimers::base_dnn` keeps
-                    // its serial-path meaning (decode + extraction) even
-                    // though decode runs on its own thread here.
-                    while let Some(frame) = source.next_frame() {
-                        let t = Instant::now();
-                        let tensor = frame.to_tensor();
-                        let decode = t.elapsed();
-                        if frame_tx.send((frame, tensor, decode)).is_err() {
-                            return; // inference stage died; unwind quietly
-                        }
-                    }
-                });
-                scope.spawn(move || {
-                    // Inference stage: extraction → MCs → smoothing, every
-                    // kernel scoped to this stream's shard.
-                    for (frame, tensor, decode) in frame_rx {
-                        ff.credit_decode(decode);
-                        let verdicts = shard.run(|| ff.process_decoded(&frame, &tensor));
-                        for v in verdicts {
-                            if msg_tx.send(Msg::Verdict(v)).is_err() {
-                                return;
-                            }
-                        }
-                    }
-                    let (tail, stats, timers) = ff.finish();
-                    for v in tail {
-                        if msg_tx.send(Msg::Verdict(v)).is_err() {
-                            return;
-                        }
-                    }
-                    let _ = msg_tx.send(Msg::Done(Box::new((stats, timers))));
-                });
-            }
-
-            collect_verdicts(&verdict_rx, &mut uplink, &mut reports, None);
-        });
-        node_report(reports, &uplink, t0.elapsed())
-    }
-
-    /// Gather-batch execution: one inference stage batches one frame per
-    /// active stream (plus consecutive frames when capacity remains) into a
-    /// single shared base-DNN pass per round.
-    fn run_gathered(self) -> NodeReport {
-        let EdgeNode {
-            cfg,
-            streams,
-            calibration_frames,
-            ..
-        } = self;
-        let n = streams.len();
-        let gb = cfg.gather_batch.expect("gather mode");
-        let max_batch = gb.max_batch.max(1);
-        let mut batch_ex = build_shared_extractor(&streams, &calibration_frames);
-        let mut uplink = build_uplink(&cfg, &streams);
-        let mut reports = empty_reports(n);
-        let gauge = VerdictGauge::new((cfg.queue_depth * 2 + 2) * n);
-
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            let mut frame_rx: Vec<Receiver<(Frame, Tensor, Duration)>> = Vec::with_capacity(n);
-            let mut verdict_rx: Vec<Receiver<Msg>> = Vec::with_capacity(n);
-            let mut msg_tx = Vec::with_capacity(n);
-            let mut ffs: Vec<Option<FilterForward>> = Vec::with_capacity(n);
-            for entry in streams {
-                let StreamEntry { mut source, ff } = entry;
-                let (frame_tx, frx) = sync_channel::<(Frame, Tensor, Duration)>(cfg.queue_depth);
-                // Unbounded verdict channels: one inference thread serves
-                // every stream, so a bounded send for stream A could
-                // deadlock against the collector blocking on stream B.
-                // Depth stays bounded in practice by the bounded decode
-                // channels plus the smoothing delay.
-                let (mtx, mrx) = channel::<Msg>();
-                frame_rx.push(frx);
-                verdict_rx.push(mrx);
-                msg_tx.push(mtx);
-                ffs.push(Some(ff));
-                scope.spawn(move || {
-                    while let Some(frame) = source.next_frame() {
-                        let t = Instant::now();
-                        let tensor = frame.to_tensor();
-                        let decode = t.elapsed();
-                        if frame_tx.send((frame, tensor, decode)).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-
-            let gauge_ref = &gauge;
-            scope.spawn(move || {
-                // The whole thread budget backs the one shared pass —
-                // batching replaces shard-level concurrency as the
-                // cross-stream scaling mechanism.
-                let shard = PoolShard::new(cfg.shards.budget());
-                let mut open = vec![true; n];
-                let mut to_close: Vec<usize> = Vec::new();
-                let mut meta: Vec<(usize, Frame, Duration)> = Vec::with_capacity(max_batch);
-                let mut tensors: Vec<Tensor> = Vec::with_capacity(max_batch);
-                // Rotating scan start: each round begins one stream later,
-                // so when open streams outnumber `max_batch` every stream
-                // still gets gathered in turn instead of the lowest indices
-                // monopolizing the batch.
-                let mut scan_start = 0usize;
-                loop {
-                    meta.clear();
-                    tensors.clear();
-                    to_close.clear();
-                    // Gather: scan the open streams (from the rotating
-                    // start) until the batch is full or a whole pass adds
-                    // nothing. Every pull waits at most `gather_wait`, so a
-                    // stalled camera delays a scan by that bound and its
-                    // frames join a later round (batch composition never
-                    // changes a verdict); with no frames anywhere the scan
-                    // itself repeats, parked in `recv_timeout`, until a
-                    // frame or a disconnect arrives.
-                    'gather: loop {
-                        let mut progressed = false;
-                        for i in 0..n {
-                            let s = (scan_start + i) % n;
-                            if !open[s] || to_close.contains(&s) {
-                                continue;
-                            }
-                            if meta.len() == max_batch {
-                                break 'gather;
-                            }
-                            match frame_rx[s].recv_timeout(gb.gather_wait) {
-                                Ok((frame, tensor, decode)) => {
-                                    meta.push((s, frame, decode));
-                                    tensors.push(tensor);
-                                    progressed = true;
-                                }
-                                Err(RecvTimeoutError::Disconnected) => {
-                                    to_close.push(s);
-                                    progressed = true;
-                                }
-                                Err(RecvTimeoutError::Timeout) => {}
-                            }
-                        }
-                        // A pass that added nothing ends the round only if
-                        // it holds at least one frame or a pending close;
-                        // otherwise keep scanning (each miss parks in
-                        // recv_timeout, so an idle node costs no CPU).
-                        let holds_work = !meta.is_empty() || !to_close.is_empty();
-                        if meta.len() == max_batch || (!progressed && holds_work) {
-                            break;
-                        }
-                    }
-                    scan_start = (scan_start + 1) % n;
-
-                    if !tensors.is_empty() {
-                        // One batched base-DNN pass for the whole gather,
-                        // then per-frame fanout to each stream's MCs —
-                        // all scoped to the node-wide shard.
-                        let collector_gone = shard.run(|| {
-                            let te = Instant::now();
-                            let maps = batch_ex.extract_batch(&tensors);
-                            let share = te.elapsed() / tensors.len() as u32;
-                            for (i, (s, frame, decode)) in meta.iter().enumerate() {
-                                let ff = ffs[*s].as_mut().expect("open stream has a pipeline");
-                                ff.credit_decode(*decode);
-                                for v in ff.process_with_maps(frame, &maps[i], share) {
-                                    // Count before the send: the collector
-                                    // may drain (and decrement) the instant
-                                    // the send lands. A failed send leaks
-                                    // one count into a dying run — harmless.
-                                    gauge_ref.on_send();
-                                    if msg_tx[*s].send(Msg::Verdict(v)).is_err() {
-                                        return true;
-                                    }
-                                }
-                            }
-                            false
-                        });
-                        if collector_gone {
-                            return;
-                        }
-                    }
-
-                    // Close ended streams only after their final gathered
-                    // frames were processed above.
-                    for &s in &to_close {
-                        let ff = ffs[s].take().expect("closing an open stream");
-                        let (tail, stats, timers) = shard.run(|| ff.finish());
-                        for v in tail {
-                            gauge_ref.on_send();
-                            if msg_tx[s].send(Msg::Verdict(v)).is_err() {
-                                return;
-                            }
-                        }
-                        let _ = msg_tx[s].send(Msg::Done(Box::new((stats, timers))));
-                        open[s] = false;
-                    }
-                    if open.iter().all(|o| !o) {
-                        return;
-                    }
-                }
-            });
-
-            collect_verdicts(&verdict_rx, &mut uplink, &mut reports, Some(&gauge));
-        });
-        let mut report = node_report(reports, &uplink, t0.elapsed());
-        report.node.verdict_backlog_peak = gauge.peak.load(Ordering::Relaxed);
-        report.node.verdict_overflow = gauge.overflow.load(Ordering::Relaxed);
-        report
-    }
-
-    /// Drives every stream under the **adaptive control plane** (see
-    /// [`crate::control`]): a lock-step **virtual-time** loop where each
-    /// iteration is one frame interval (a *round*) — every open stream is
-    /// polled once ([`FrameSource::poll_frame`], so sources can idle
-    /// without ending), decoded frames land in per-stream **task
-    /// mailboxes**, the scheduler serves the mailboxes, and every
-    /// [`ControlConfig::tick_frames`] rounds the [`Controller`] snapshots
-    /// the sensors and moves the knobs.
-    ///
-    /// Each stream is a [`crate::task::StreamTask`] — **no per-stream OS
-    /// threads** — multiplexed onto one budget-wide [`PoolShard`]; see the
-    /// task state-machine diagram in the [module docs](self). Sleeping
-    /// duty-cycled tasks cost one poll per round, so stream count is
-    /// bounded by memory, not threads. Every Sleeping → Awake edge lands
-    /// in [`ControlledReport::wakes`].
-    ///
-    /// Two execution styles, chosen by [`EdgeNodeConfig::gather_batch`]
-    /// exactly like [`Self::run`]:
-    ///
-    /// * **gather style** (`Some`): the round's served frames are bucketed
-    ///   by (base-DNN config, resolution) and each bucket runs one shared
-    ///   batched base-DNN pass (rotating scan start, like the threaded
-    ///   gather stage) — so mixed-resolution fleets batch too, and a
-    ///   homogeneous fleet reduces to the single legacy shared pass; the
-    ///   *batch policy* resizes `max_batch` live.
-    /// * **sharded style** (`None`): each stream serves at most one frame
-    ///   per round; the *rebalance policy* moves per-stream shard widths,
-    ///   which are **virtual accounting** over the shared pool — kernel
-    ///   results are independent of worker count, so repartitioning never
-    ///   changes a bit.
-    ///
-    /// The degradation ladder applies in both styles. Kernel-level
-    /// parallelism is untouched — the pool still fans every GEMM across
-    /// its workers — only the *stage* loop is synchronous, which is what
-    /// makes every sensor a pure function of round number and stream
-    /// content, and therefore the decision trace bit-replayable across
-    /// runs, thread counts, and shard widths. When no policy fires,
-    /// per-stream verdicts are bit-identical to [`Self::run`] on the same
-    /// streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Self::run`], plus if the
-    /// control config is invalid (see [`Controller::new`]), or if
-    /// [`EdgeNodeConfig::shared_backbone`] is set without gather-batch
+    /// the control config or fault plan is invalid (see
+    /// [`Controller::new`], [`FaultPlan::validate`]), gather style meets a
+    /// stream calibrated behind the node's back (see [`Self::calibrate`]),
+    /// or [`EdgeNodeConfig::shared_backbone`] is set without gather-batch
     /// execution.
     pub fn run_controlled(mut self, ctl: ControlConfig) -> ControlledReport {
         assert!(
@@ -1131,10 +703,11 @@ impl EdgeNode {
         assert!(
             self.cfg.gather_batch.is_some() || !self.cfg.shared_backbone,
             "shared_backbone streams have no private extractor, so the \
-             sharded per-stream style cannot serve them: enable gather_batch"
+             per-stream style cannot serve them: enable gather_batch"
         );
-        // Same precision-override point as `run`: before the gather-style
-        // shared extractor snapshots the config.
+        // Apply the node-level precision override before the gather-style
+        // shared extractors snapshot the config, so every stream — and
+        // every shared extractor — quantizes one uniform weight set.
         if let Some(p) = self.cfg.precision {
             for s in &mut self.streams {
                 s.ff.set_precision(p);
@@ -1152,7 +725,6 @@ impl EdgeNode {
             ..
         } = self;
         let n = streams.len();
-        let budget = cfg.shards.budget();
 
         // The recovery layer always wraps the link (a pass-through when no
         // plan is scheduled); the report carries Some only with a plan.
@@ -1181,27 +753,21 @@ impl EdgeNode {
         // no fault-machinery API changes needed.
         let mut fault_cursor = 0usize;
 
-        // Execution-style state: gather (one shared batched pass per
-        // (config, resolution) bucket, dynamic max_batch) or sharded (one
-        // frame per stream per round, virtual per-stream widths). Both
-        // styles dispatch every kernel to ONE budget-wide pool — kernel
-        // results are independent of worker count (see
-        // [`ff_tensor::parallel`]), so shard widths are pure control-plane
-        // accounting and no stream owns a thread.
+        // Service-style state: gather (one shared batched pass per
+        // (config, resolution) bucket, dynamic max_batch) or per-stream
+        // (one frame per stream per round). Both run on ONE budget-wide
+        // pool; no stream owns a thread.
         let gather = cfg.gather_batch.is_some();
         let mut buckets: Vec<GatherBucket> = Vec::new();
         let mut bucket_of: Vec<usize> = Vec::new();
         let mut cur_batch = 0usize;
-        let mut widths: Vec<usize> = Vec::new();
         if let Some(gb) = cfg.gather_batch {
             let (b, map) = build_gather_buckets(&streams, &calibration_frames);
             buckets = b;
             bucket_of = map;
             cur_batch = gb.max_batch.max(1);
-        } else {
-            widths = crate::control::split_even(budget, n);
         }
-        let mut shard = PoolShard::new(budget);
+        let mut shard = PoolShard::new(cfg.shards.budget());
         if cfg.obs.is_some() {
             shard.bind_obs(ShardObs {
                 jobs: registry.counter("shard", "jobs", &[]),
@@ -1213,7 +779,7 @@ impl EdgeNode {
         // policy armed, every stream must start at the same precision or
         // the ladder (built from stream 0's) would silently re-quantize a
         // lower-precision stream *upwards*. Gather style already asserts
-        // per-bucket config homogeneity; sharded style must check here.
+        // per-bucket config homogeneity; per-stream style must check here.
         if ctl.degrade.is_some() {
             for s in &streams {
                 assert_eq!(
@@ -1229,9 +795,7 @@ impl EdgeNode {
             ctl,
             ControllerInit {
                 streams: n,
-                budget,
                 initial_batch: cur_batch,
-                initial_widths: widths.clone(),
                 base_precision,
                 precision_cost: cfg.precision_cost.clone(),
             },
@@ -1252,9 +816,7 @@ impl EdgeNode {
             } else {
                 Box::new(FaultySource::new(e.source, sf))
             };
-            let mut task = StreamTask::new(source, e.ff);
-            task.width = widths.get(s).copied().unwrap_or(0);
-            tasks.push(task);
+            tasks.push(StreamTask::new(source, e.ff));
         }
         let mut reports = empty_reports(n);
         let mut meta: Vec<(usize, Frame, Duration)> = Vec::new();
@@ -1264,15 +826,6 @@ impl EdgeNode {
         let mut scan_start = 0usize;
         let mut round: u64 = 0;
 
-        // Backpressure, mirroring the threaded runtime's bounded channels:
-        // a task whose mailbox is full is not polled this round — its next
-        // frame arrives at a later tick instead of growing the mailbox
-        // without bound (the camera's clock stalls with it, exactly like a
-        // decode thread blocked on a full channel). The cap leaves room
-        // above BatchPolicy::grow_backlog so the batch sizer still sees
-        // real backlog before the bound engages.
-        let queue_cap = (cfg.queue_depth * 2).max(4);
-
         let t0 = Instant::now();
         loop {
             // 1. Arrivals: one poll per open stream per round. Idle
@@ -1280,7 +833,7 @@ impl EdgeNode {
             //    frame delivered to a sleeping task wakes it (logged).
             for (s, task) in tasks.iter_mut().enumerate() {
                 task.begin_round();
-                if !task.source_open || task.mailbox.len() >= queue_cap {
+                if !task.source_open || task.mailbox.len() >= MAILBOX_CAP {
                     continue;
                 }
                 match task.source.poll_frame() {
@@ -1347,23 +900,14 @@ impl EdgeNode {
                                 // breaker kills the stream), while every
                                 // other stream's round proceeds untouched.
                                 panic_sched.remove(idx);
-                                tasks[s].frames_lost += 1;
-                                fault_trace.push(
+                                if !tasks[s].stage_panicked(
                                     round,
-                                    FaultEventKind::StagePanic {
-                                        stream: s,
-                                        frame: k,
-                                    },
-                                );
-                                if tasks[s].restarts < cfg.recovery.max_restarts_per_stream {
-                                    tasks[s].restarts += 1;
-                                    restarts_cell.inc();
-                                    fault_trace
-                                        .push(round, FaultEventKind::StageRestarted { stream: s });
-                                } else {
-                                    fault_trace
-                                        .push(round, FaultEventKind::StreamKilled { stream: s });
-                                    tasks[s].kill();
+                                    s,
+                                    k,
+                                    cfg.recovery.max_restarts_per_stream,
+                                    &restarts_cell,
+                                    &mut fault_trace,
+                                ) {
                                     kills.push(s);
                                 }
                                 continue;
@@ -1418,74 +962,70 @@ impl EdgeNode {
                     });
                 }
             } else {
-                // Sharded style: each stream serves at most one frame per
-                // round. The pass runs under `PoolShard::try_run` on the
-                // shared budget-wide pool — kernel results do not depend
-                // on worker count, so the per-stream virtual widths stay
-                // pure accounting — and a panicking stage, scripted or
-                // real, unwinds to this loop instead of tearing the node
-                // down; the pool itself survives a panicking job (workers
-                // catch at the job boundary) and stays deterministic.
-                let mut served = 0usize;
+                // Per-stream style: every stream with mail serves one frame,
+                // all of them concurrently — one pool job per stream, each
+                // catching its own unwind, so a panicking stage (scripted
+                // or real) costs its own stream one frame and nobody else
+                // anything. Jobs finish in any order; the fold below walks
+                // them in stream order, which is what every trace records.
+                let mut jobs: Vec<ServeJob> = Vec::new();
                 for (s, task) in tasks.iter_mut().enumerate() {
-                    if let Some(msg) = task.mailbox.pop_front() {
-                        let DecodedFrame {
-                            frame,
-                            tensor,
-                            decode,
-                        } = msg;
-                        let k = task.served;
-                        task.served += 1;
-                        let inject = panic_sched
-                            .iter()
-                            .position(|p| p.stream == s && p.at_frame == k)
-                            .map(|idx| panic_sched.remove(idx))
-                            .is_some();
-                        let ff = task.ff.as_mut().expect("open stream has a pipeline");
-                        ff.credit_decode(decode);
-                        let te = Instant::now();
-                        let result = shard.try_run(|| {
-                            if inject {
-                                panic!("scripted stage panic: stream {s}, frame {k}");
+                    let Some(msg) = task.mailbox.pop_front() else {
+                        continue;
+                    };
+                    let frame_no = task.served;
+                    task.served += 1;
+                    let inject_panic = panic_sched
+                        .iter()
+                        .position(|p| p.stream == s && p.at_frame == frame_no)
+                        .map(|idx| panic_sched.remove(idx))
+                        .is_some();
+                    jobs.push(ServeJob {
+                        stream: s,
+                        frame_no,
+                        inject_panic,
+                        msg,
+                        task,
+                    });
+                }
+                let outcomes = shard.run_items(&mut jobs, |_, job| {
+                    if job.inject_panic {
+                        panic!(
+                            "scripted stage panic: stream {}, frame {}",
+                            job.stream, job.frame_no
+                        );
+                    }
+                    let ff = job.task.ff.as_mut().expect("open stream has a pipeline");
+                    ff.credit_decode(job.msg.decode);
+                    let te = Instant::now();
+                    let verdicts = ff.process_decoded(&job.msg.frame, &job.msg.tensor);
+                    (verdicts, te.elapsed())
+                });
+                let mut served = 0usize;
+                for (job, outcome) in jobs.into_iter().zip(outcomes) {
+                    let (s, task) = (job.stream, job.task);
+                    match outcome {
+                        Ok((verdicts, extract)) => {
+                            sensors.on_extract_wall(extract, 1);
+                            sensors.on_served(s);
+                            served += 1;
+                            if let Some(t) = tracer.as_mut() {
+                                let mut sp = Span::new(round, s as u32, "infer", "serve", 1);
+                                sp.wall_nanos = extract.as_nanos() as u64;
+                                t.emit(sp);
                             }
-                            ff.process_decoded(&frame, &tensor)
-                        });
-                        let extract = te.elapsed();
-                        sensors.on_extract_wall(extract, 1);
-                        match result {
-                            Ok(verdicts) => {
-                                sensors.on_served(s);
-                                served += 1;
-                                if let Some(t) = tracer.as_mut() {
-                                    let mut sp = Span::new(round, s as u32, "infer", "serve", 1);
-                                    sp.wall_nanos = extract.as_nanos() as u64;
-                                    t.emit(sp);
-                                }
-                                task.pending.extend(verdicts);
-                            }
-                            Err(_) => {
-                                // The in-flight frame is lost; restart the
-                                // task within the breaker budget, kill the
-                                // one stream past it.
-                                task.frames_lost += 1;
-                                fault_trace.push(
-                                    round,
-                                    FaultEventKind::StagePanic {
-                                        stream: s,
-                                        frame: k,
-                                    },
-                                );
-                                if task.restarts < cfg.recovery.max_restarts_per_stream {
-                                    task.restarts += 1;
-                                    restarts_cell.inc();
-                                    fault_trace
-                                        .push(round, FaultEventKind::StageRestarted { stream: s });
-                                } else {
-                                    fault_trace
-                                        .push(round, FaultEventKind::StreamKilled { stream: s });
-                                    task.kill();
-                                    kills.push(s);
-                                }
+                            task.pending.extend(verdicts);
+                        }
+                        Err(_) => {
+                            if !task.stage_panicked(
+                                round,
+                                s,
+                                job.frame_no,
+                                cfg.recovery.max_restarts_per_stream,
+                                &restarts_cell,
+                                &mut fault_trace,
+                            ) {
+                                kills.push(s);
                             }
                         }
                     }
@@ -1599,15 +1139,6 @@ impl EdgeNode {
                 for action in &plan.actions {
                     match action {
                         ControlAction::SetMaxBatch { to, .. } => cur_batch = *to,
-                        ControlAction::Repartition { widths } => {
-                            // Virtual repartition: every kernel runs on
-                            // the one budget-wide pool and its results are
-                            // width-independent, so the new widths update
-                            // task accounting without moving a thread.
-                            for (task, &w) in tasks.iter_mut().zip(widths) {
-                                task.width = w;
-                            }
-                        }
                         ControlAction::SetPrecision { to, .. } => {
                             for bucket in &mut buckets {
                                 bucket.ex.set_precision(*to);
@@ -1629,8 +1160,7 @@ impl EdgeNode {
                         // and drains (watchdog priority, never
                         // correctness), so suspension changes no verdict
                         // and no trace byte; the FaultTelemetry census
-                        // counts suspended tasks. Width changes ride a
-                        // Repartition in the same plan.
+                        // counts suspended tasks.
                         ControlAction::Quarantine { stream } => {
                             tasks[*stream].suspend();
                             if let Some(t) = tracer.as_mut() {
@@ -1671,10 +1201,9 @@ impl EdgeNode {
         });
         let restarts: Vec<u32> = tasks.iter().map(|t| t.restarts).collect();
         let frames_lost: Vec<u64> = tasks.iter().map(|t| t.frames_lost).collect();
-        let NodeReport { streams, node } = node_report(reports, &uplink, t0.elapsed());
         ControlledReport {
-            streams,
-            node,
+            node: node_stats(&reports, &uplink, t0.elapsed()),
+            streams: reports,
             trace: controller.into_trace(),
             telemetry,
             wakes,
@@ -1721,53 +1250,17 @@ fn fault_span(e: &crate::faults::FaultEvent) -> Span {
     Span::new(e.round, stream, stage, kind, value)
 }
 
-/// Validates the shared-pass invariants and builds the **shared batched
-/// extractor** for gather-style execution: one shared base-DNN pass means
-/// one weight set, so every stream must run the same base-DNN
-/// configuration at the same resolution (MCs, thresholds, smoothing, and
-/// events stay fully per-stream), and calibration must have gone through
-/// [`EdgeNode::calibrate`] — a stream calibrated behind the node's back
-/// (via `pipeline_mut(..).calibrate(..)`) would silently diverge from the
-/// shared extractor. The extractor serves the union of every stream's taps
-/// with the node's calibration frames replayed.
-fn build_shared_extractor(
-    streams: &[StreamEntry],
-    calibration_frames: &Option<Vec<Frame>>,
-) -> FeatureExtractor {
-    let base = *streams[0].ff.base_config();
-    let res = streams[0].source.resolution();
-    for s in streams {
-        assert_eq!(
-            *s.ff.base_config(),
-            base,
-            "gather-batch mode requires every stream to share one base-DNN config"
-        );
-        assert_eq!(
-            s.source.resolution(),
-            res,
-            "gather-batch mode requires every stream to share one resolution"
-        );
-        assert_eq!(
-            s.ff.is_calibrated(),
-            calibration_frames.is_some(),
-            "gather-batch mode requires calibration through EdgeNode::calibrate, \
-             not per-stream FilterForward::calibrate"
-        );
-    }
-    let mut taps: Vec<String> = Vec::new();
-    for s in streams {
-        for t in s.ff.taps() {
-            if !taps.iter().any(|have| have == t) {
-                taps.push(t.clone());
-            }
-        }
-    }
-    let mut batch_ex = FeatureExtractor::new(base, taps);
-    if let Some(frames) = calibration_frames {
-        let tensors: Vec<Tensor> = frames.iter().map(Frame::to_tensor).collect();
-        batch_ex.calibrate(&tensors);
-    }
-    batch_ex
+/// One per-stream pool job: a stream's next decoded frame and the task
+/// whose pipeline will process it, on loan for the span of the round's
+/// dispatch.
+struct ServeJob<'a> {
+    stream: usize,
+    /// Index of the frame among those the stream has served — what the
+    /// panic schedule keys on.
+    frame_no: u64,
+    inject_panic: bool,
+    msg: DecodedFrame,
+    task: &'a mut StreamTask,
 }
 
 /// One controlled-gather **bucket**: the shared batched extractor for a
@@ -1879,98 +1372,11 @@ fn empty_reports(n: usize) -> Vec<StreamReport> {
         .collect()
 }
 
-/// Soft accounting for gather mode's deliberately **unbounded** verdict
-/// channels. A bounded send there could deadlock: the single inference
-/// stage would block sending stream A's verdict while the lock-step
-/// collector blocks receiving stream B's. Instead of a hard bound, this
-/// gauge tracks the in-flight high-water mark and counts sends past a soft
-/// cap — proving (in [`NodeStats::verdict_backlog_peak`] /
-/// [`NodeStats::verdict_overflow`]) that the bounded decode channels plus
-/// the smoothing delay keep the depth bounded in practice.
-struct VerdictGauge {
-    inflight: AtomicUsize,
-    peak: AtomicUsize,
-    overflow: AtomicU64,
-    soft_cap: usize,
-}
-
-impl VerdictGauge {
-    fn new(soft_cap: usize) -> Self {
-        VerdictGauge {
-            inflight: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
-            overflow: AtomicU64::new(0),
-            soft_cap,
-        }
-    }
-
-    fn on_send(&self) {
-        let cur = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(cur, Ordering::Relaxed);
-        if cur > self.soft_cap {
-            self.overflow.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn on_recv(&self) {
-        self.inflight.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Collector: lock-step rounds — one verdict per open stream per round,
-/// offered to the shared uplink in stream order. The fixed order makes
-/// node-level uplink accounting deterministic regardless of how the stage
-/// threads race (and regardless of batch composition in gather mode).
-fn collect_verdicts(
-    verdict_rx: &[Receiver<Msg>],
-    uplink: &mut Uplink,
-    reports: &mut [StreamReport],
-    gauge: Option<&VerdictGauge>,
-) {
-    let mut open = vec![true; verdict_rx.len()];
-    let mut remaining = verdict_rx.len();
-    while remaining > 0 {
-        for (s, rx) in verdict_rx.iter().enumerate() {
-            if !open[s] {
-                // A finished stream's slot still advances the shared link
-                // one drain interval, keeping the drain rate at capacity
-                // when streams end at different lengths.
-                uplink.offer(0);
-                continue;
-            }
-            match rx.recv() {
-                Ok(Msg::Verdict(v)) => {
-                    if let Some(g) = gauge {
-                        g.on_recv();
-                    }
-                    let report = &mut reports[s];
-                    report.offered_bytes += v.uploaded_bytes as u64;
-                    uplink.offer(v.uploaded_bytes);
-                    report.verdicts.push(v);
-                }
-                Ok(Msg::Done(boxed)) => {
-                    let (stats, timers) = *boxed;
-                    reports[s].stats = stats;
-                    reports[s].timers = timers;
-                    open[s] = false;
-                    remaining -= 1;
-                }
-                Err(_) => {
-                    // Stage thread died without Done: the scope join
-                    // re-raises its panic.
-                    open[s] = false;
-                    remaining -= 1;
-                }
-            }
-        }
-    }
-}
-
 /// Sums per-stream reports into the node-level view.
-fn node_report(reports: Vec<StreamReport>, uplink: &Uplink, wall: Duration) -> NodeReport {
+fn node_stats(reports: &[StreamReport], uplink: &Uplink, wall: Duration) -> NodeStats {
     let mut pipeline = PipelineStats::default();
     let mut timers = PhaseTimers::default();
-    for r in &reports {
+    for r in reports {
         pipeline.frames_in += r.stats.frames_in;
         pipeline.frames_out += r.stats.frames_out;
         pipeline.frames_uploaded += r.stats.frames_uploaded;
@@ -1981,21 +1387,16 @@ fn node_report(reports: Vec<StreamReport>, uplink: &Uplink, wall: Duration) -> N
         timers.microclassifiers += r.timers.microclassifiers;
         timers.frames += r.timers.frames;
     }
-    NodeReport {
-        node: NodeStats {
-            streams: reports.len(),
-            pipeline,
-            timers,
-            uplink_backlog_bits: uplink.backlog_bits(),
-            uplink_peak_delay_secs: uplink.peak_delay_secs(),
-            uplink_dropped: uplink.dropped(),
-            uplink_utilization: uplink.utilization(),
-            uplink_accepted_utilization: uplink.accepted_utilization(),
-            verdict_backlog_peak: 0,
-            verdict_overflow: 0,
-            wall,
-        },
-        streams: reports,
+    NodeStats {
+        streams: reports.len(),
+        pipeline,
+        timers,
+        uplink_backlog_bits: uplink.backlog_bits(),
+        uplink_peak_delay_secs: uplink.peak_delay_secs(),
+        uplink_dropped: uplink.dropped(),
+        uplink_utilization: uplink.utilization(),
+        uplink_accepted_utilization: uplink.accepted_utilization(),
+        wall,
     }
 }
 
@@ -2029,7 +1430,7 @@ mod tests {
     #[test]
     fn two_streams_finalize_every_frame() {
         let res = Resolution::new(64, 32);
-        let mut node = EdgeNode::new(EdgeNodeConfig::new(ShardLayout::even(2, 2)));
+        let mut node = EdgeNode::new(EdgeNodeConfig::new(ShardLayout::single(2)));
         for seed in [3, 4] {
             let src = Box::new(SceneSource::new(scene_cfg(res, seed), 10));
             let id = node.add_stream(src, tiny_pipeline(res));
@@ -2049,7 +1450,7 @@ mod tests {
     }
 
     #[test]
-    fn streams_sharing_one_shard_still_complete() {
+    fn more_streams_than_pool_workers_still_complete() {
         let res = Resolution::new(64, 32);
         let mut node = EdgeNode::new(EdgeNodeConfig::new(ShardLayout::single(2)));
         for seed in [7, 8, 9] {
@@ -2064,7 +1465,7 @@ mod tests {
     #[test]
     fn shared_uplink_accounts_per_stream_offers() {
         let res = Resolution::new(64, 32);
-        let mut cfg = EdgeNodeConfig::new(ShardLayout::even(1, 1));
+        let mut cfg = EdgeNodeConfig::new(ShardLayout::single(1));
         cfg.uplink_capacity_bps = 10_000.0; // tight: force backlog
         let mut node = EdgeNode::new(cfg);
         for seed in [1, 2] {
@@ -2118,12 +1519,6 @@ mod tests {
         }
         assert_eq!(report.node.pipeline.frames_out, 27);
         assert_eq!(report.node.timers.frames, 27);
-        // The gather-mode verdict channels are deliberately unbounded
-        // (bounding them can deadlock the shared batch); the gauge must
-        // have watched them: 27 verdicts crossed, so the peak saw ≥ 1,
-        // and a 3-stream node this small never trips the soft cap.
-        assert!(report.node.verdict_backlog_peak >= 1);
-        assert_eq!(report.node.verdict_overflow, 0);
     }
 
     #[test]
@@ -2205,20 +1600,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "share one base-DNN config")]
-    fn gather_batch_rejects_mismatched_base_dnn() {
+    fn gather_batch_buckets_mixed_base_dnn_configs() {
+        // Two base-DNN widths cannot share one batched pass; gather style
+        // gives each its own bucket and every verdict still equals the
+        // per-stream style's.
         let res = Resolution::new(64, 32);
-        let cfg =
-            EdgeNodeConfig::new(ShardLayout::single(1)).with_gather_batch(GatherBatch::default());
-        let mut node = EdgeNode::new(cfg);
-        for (seed, width) in [(1u64, 0.25f32), (2, 0.5)] {
-            let src = Box::new(SceneSource::new(scene_cfg(res, seed), 2));
-            let mut p = tiny_pipeline(res);
-            p.mobilenet = MobileNetConfig::with_width(width);
-            let id = node.add_stream(src, p);
-            node.deploy(id, McSpec::full_frame(format!("mc{seed}"), seed));
+        let build = |gather: Option<GatherBatch>| {
+            let mut cfg = EdgeNodeConfig::new(ShardLayout::single(1));
+            cfg.gather_batch = gather;
+            let mut node = EdgeNode::new(cfg);
+            for (seed, width) in [(1u64, 0.25f32), (2, 0.5), (3, 0.25)] {
+                let src = Box::new(SceneSource::new(scene_cfg(res, seed), 6));
+                let mut p = tiny_pipeline(res);
+                p.mobilenet = MobileNetConfig::with_width(width);
+                let id = node.add_stream(src, p);
+                node.deploy(id, McSpec::full_frame(format!("mc{seed}"), seed));
+            }
+            node.run()
+        };
+        let streamed = build(None);
+        let gathered = build(Some(GatherBatch::default()));
+        for (a, b) in streamed.streams.iter().zip(&gathered.streams) {
+            assert_eq!(a.verdicts.len(), 6);
+            assert_eq!(a.verdicts, b.verdicts, "stream {:?}", a.id);
         }
-        let _ = node.run();
     }
 
     #[test]
@@ -2262,9 +1667,9 @@ mod tests {
     }
 
     #[test]
-    fn controlled_sharded_finalizes_every_frame() {
+    fn controlled_per_stream_finalizes_every_frame() {
         let res = Resolution::new(64, 32);
-        let mut node = EdgeNode::new(EdgeNodeConfig::new(ShardLayout::even(2, 2)));
+        let mut node = EdgeNode::new(EdgeNodeConfig::new(ShardLayout::single(2)));
         for seed in [3, 4] {
             let src = Box::new(SceneSource::new(scene_cfg(res, seed), 10));
             let id = node.add_stream(src, tiny_pipeline(res));
@@ -2278,10 +1683,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "share one weight-panel precision")]
     fn controlled_degrade_rejects_mixed_precision_streams() {
-        // Sharded style never asserts config homogeneity, but the ladder
+        // Per-stream style never asserts config homogeneity, but the ladder
         // would force-sync an int8 stream up to stream 0's f32 rungs.
         let res = Resolution::new(64, 32);
-        let mut node = EdgeNode::new(EdgeNodeConfig::new(ShardLayout::even(2, 2)));
+        let mut node = EdgeNode::new(EdgeNodeConfig::new(ShardLayout::single(2)));
         for (seed, precision) in [
             (1u64, ff_tensor::Precision::F32),
             (2, ff_tensor::Precision::Int8),
@@ -2339,43 +1744,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_layouts_partition_budget() {
-        assert_eq!(ShardLayout::even(8, 3).widths(), &[3, 3, 2]);
-        assert_eq!(ShardLayout::even(4, 4).widths(), &[1, 1, 1, 1]);
-        assert_eq!(ShardLayout::even(8, 3).budget(), 8);
-        assert_eq!(ShardLayout::single(4).widths(), &[4]);
-        assert_eq!(ShardLayout::explicit(vec![2, 1]).budget(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "over-subscribed")]
-    fn even_layout_rejects_budget_below_shard_count() {
-        // The old behavior silently padded to four width-1 shards (budget
-        // 4 from a budget-2 spec); now it must refuse loudly.
-        let _ = ShardLayout::even(2, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count must be ≥ 1")]
-    fn even_layout_rejects_zero_shards() {
-        let _ = ShardLayout::even(4, 0);
-    }
-
-    #[test]
     #[should_panic(expected = "zero-width shard can execute nothing")]
     fn single_layout_rejects_zero_width() {
         let _ = ShardLayout::single(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard widths must all be ≥ 1")]
-    fn explicit_layout_rejects_zero_width() {
-        let _ = ShardLayout::explicit(vec![2, 0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn explicit_layout_rejects_empty() {
-        let _ = ShardLayout::explicit(Vec::new());
     }
 }

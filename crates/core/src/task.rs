@@ -1,4 +1,4 @@
-//! Actor-style per-stream **tasks** for the controlled executor.
+//! Actor-style per-stream **tasks** for the node's round loop.
 //!
 //! Each camera stream in [`crate::runtime::EdgeNode::run_controlled`] is one
 //! [`StreamTask`]: a lightweight state machine owning the stream's source,
@@ -8,10 +8,12 @@
 //! node carry 1000+ mostly-idle duty-cycled cameras (see the state-machine
 //! diagram in [`crate::runtime`]).
 //!
-//! The scheduler (the virtual-time round loop) drives every transition;
-//! tasks never run concurrently with each other at the *stage* level, so
-//! every field here is a pure function of (round, stream content) and the
-//! run's traces stay bit-replayable.
+//! The scheduler (the virtual-time round loop) drives every transition
+//! from its own thread. The one time a task leaves it is on loan to a pool
+//! job for the span of a round's inference, which touches only the task's
+//! pipeline; results are folded back in stream order — so every field here
+//! is a pure function of (round, stream content) and the run's traces stay
+//! bit-replayable.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -19,6 +21,7 @@ use std::time::Duration;
 use ff_tensor::Tensor;
 use ff_video::{Frame, FrameSource};
 
+use crate::faults::{FaultEventKind, FaultTrace};
 use crate::pipeline::{FilterForward, FrameVerdict};
 
 /// One decoded frame waiting in a task's mailbox: the typed message the
@@ -61,8 +64,8 @@ pub enum TaskState {
 /// One stream as a message-passing state machine: source + pipeline +
 /// mailbox + the per-stream counters the fault and control planes read.
 ///
-/// The fields are driven by the controlled executor's round loop (the
-/// scheduler); the public accessors expose the state for tests and
+/// The fields are driven by the node's round loop (the scheduler); the
+/// public accessors expose the state for tests and
 /// telemetry.
 pub struct StreamTask {
     /// The camera (possibly wrapped in fault or duty-cycle adapters).
@@ -70,8 +73,7 @@ pub struct StreamTask {
     /// The stream's pipeline; `None` once finished (flushed or killed).
     pub(crate) ff: Option<FilterForward>,
     /// Decoded frames awaiting inference (the bounded task mailbox — the
-    /// scheduler skips the poll when it is full, the same backpressure a
-    /// bounded channel gave the threaded path).
+    /// scheduler skips the poll when it is full).
     pub(crate) mailbox: VecDeque<DecodedFrame>,
     /// Whether the source has reported end-of-stream.
     pub(crate) source_open: bool,
@@ -84,11 +86,6 @@ pub struct StreamTask {
     pub(crate) frames_lost: u64,
     /// Verdicts finalized this round, awaiting the uplink offer.
     pub(crate) pending: Vec<FrameVerdict>,
-    /// Virtual shard width assigned by the control plane. Bookkeeping
-    /// only: every kernel runs on the shared budget-wide pool, whose
-    /// results are bit-identical at any width, so repartitioning moves
-    /// *accounting* without moving threads.
-    pub(crate) width: usize,
     /// Watchdog quarantine flag (the telemetry census). Kept separate from
     /// [`TaskState`] so a quarantined stream that ends keeps counting as
     /// quarantined until an explicit readmit — exactly the pre-task
@@ -123,7 +120,6 @@ impl StreamTask {
             restarts: 0,
             frames_lost: 0,
             pending: Vec::new(),
-            width: 0,
             suspended: false,
             state: TaskState::Sleeping,
             rounds_since_wake: 0,
@@ -216,6 +212,33 @@ impl StreamTask {
     /// Marks the task killed by the stage-panic circuit breaker.
     pub(crate) fn kill(&mut self) {
         self.state = TaskState::Killed;
+    }
+
+    /// The stage serving `frame` of `stream` panicked in `round`: the
+    /// in-flight frame is lost, and the task restarts within the breaker
+    /// budget (`true`) or is killed past it (`false`). Logs the panic and
+    /// its outcome to the fault trace.
+    pub(crate) fn stage_panicked(
+        &mut self,
+        round: u64,
+        stream: usize,
+        frame: u64,
+        max_restarts: u32,
+        restarts: &ff_obs::Counter,
+        trace: &mut FaultTrace,
+    ) -> bool {
+        self.frames_lost += 1;
+        trace.push(round, FaultEventKind::StagePanic { stream, frame });
+        let restart = self.restarts < max_restarts;
+        if restart {
+            self.restarts += 1;
+            restarts.inc();
+            trace.push(round, FaultEventKind::StageRestarted { stream });
+        } else {
+            trace.push(round, FaultEventKind::StreamKilled { stream });
+            self.kill();
+        }
+        restart
     }
 }
 

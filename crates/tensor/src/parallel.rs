@@ -38,6 +38,11 @@
 //! identical for **any** shard width — a sharded run reproduces the global
 //! pool (which is simply the one-shard case) exactly.
 //!
+//! A shard also runs **whole jobs** side by side: [`PoolShard::run_items`]
+//! hands each of a handful of independent items (a camera stream's
+//! inference pass, say) to its own worker, and the kernels an item
+//! dispatches run serially inside it — same bits, coarser grain.
+//!
 //! Worker panics are caught, forwarded, and re-raised on the submitting
 //! thread after the job drains, so a poisoned job cannot wedge the pool.
 
@@ -115,12 +120,6 @@ struct State {
     panicked: bool,
     /// Workers exit at the next wakeup (set when a [`PoolShard`] drops).
     shutdown: bool,
-    /// Workers currently attached to this pool/shard.
-    live_workers: usize,
-    /// Workers the pool/shard *wants*: when `live_workers` exceeds it
-    /// (after [`PoolShard::set_width`] shrinks a shard), excess workers
-    /// decrement `live_workers` and exit at their next wakeup.
-    target_workers: usize,
 }
 
 impl State {
@@ -132,8 +131,6 @@ impl State {
             pending: 0,
             panicked: false,
             shutdown: false,
-            live_workers: 0,
-            target_workers: 0,
         }
     }
 }
@@ -188,13 +185,7 @@ impl Pool {
             let shared: &'static Shared = Box::leak(Box::new(Shared::new()));
             // One worker per core beyond the submitting thread. Workers are
             // detached; they park forever once the process stops submitting.
-            let workers = hardware_parallelism() - 1;
-            {
-                let mut st = shared.state.lock().unwrap();
-                st.live_workers = workers;
-                st.target_workers = workers;
-            }
-            for i in 0..workers {
+            for i in 0..hardware_parallelism() - 1 {
                 std::thread::Builder::new()
                     .name(format!("ff-tensor-{i}"))
                     .spawn(move || {
@@ -291,13 +282,6 @@ fn worker_loop(shared: &Shared) {
             let mut st = shared.state.lock().unwrap();
             loop {
                 if st.shutdown {
-                    return;
-                }
-                // A shrunk shard wants fewer workers: any excess worker
-                // (they are interchangeable) retires at its next wakeup,
-                // before claiming chunks of a new job.
-                if st.live_workers > st.target_workers {
-                    st.live_workers -= 1;
                     return;
                 }
                 if st.epoch != seen && st.job.is_some() {
@@ -403,11 +387,6 @@ impl PoolShard {
     pub fn new(width: usize) -> Self {
         let width = width.max(1);
         let shared = Arc::new(Shared::new());
-        {
-            let mut st = shared.state.lock().unwrap();
-            st.live_workers = width - 1;
-            st.target_workers = width - 1;
-        }
         for i in 0..width - 1 {
             let sh = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -438,59 +417,17 @@ impl PoolShard {
         self.width
     }
 
-    /// Resizes the shard to `width` (clamped to ≥ 1) — the control plane's
-    /// **repartition point**: a multi-stream runtime can move thread budget
-    /// between streams' shards while they run, as long as it resizes
-    /// *between rounds* (the `&mut self` receiver guarantees no job of this
-    /// shard is in flight, since submission borrows the shard).
-    ///
-    /// Growing spawns the missing workers immediately; shrinking retires
-    /// excess workers lazily at their next wakeup (they are parked on the
-    /// shard's condvar, so retirement costs one wakeup, not a join). Either
-    /// way, kernels dispatched after `set_width` split their work by the
-    /// new width — and since chunk splits are a pure function of work size
-    /// and width, and every kernel fixes each output element's accumulation
-    /// order up front, results stay **bit-for-bit identical across any
-    /// resize sequence** (the determinism contract of this module is width-
-    /// independent; see the module docs).
-    pub fn set_width(&mut self, width: usize) {
-        let width = width.max(1);
-        if width == self.width {
-            return;
-        }
-        let target = width - 1;
-        let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.target_workers = target;
-        let live = st.live_workers;
-        if live < target {
-            // Account for the new workers before spawning so a concurrent
-            // wakeup never sees an inconsistent surplus.
-            st.live_workers = target;
-            drop(st);
-            for i in live..target {
-                let sh = Arc::clone(&self.shared);
-                std::thread::Builder::new()
-                    .name(format!("ff-shard-{i}"))
-                    .spawn(move || {
-                        IS_WORKER.with(|w| w.set(true));
-                        worker_loop(&sh);
-                    })
-                    .expect("spawn shard worker");
-            }
-        } else {
-            drop(st);
-            // Wake parked workers so the excess ones retire promptly.
-            self.shared.work.notify_all();
-        }
-        self.width = width;
-    }
-
     /// Runs `f` with every tensor-kernel dispatch inside scoped to this
     /// shard: work splits into [`Self::width`] chunks executed by the
     /// shard's workers (plus the calling thread), concurrently with other
     /// shards. Nested scopes restore the previous shard on exit, including
     /// on panic.
     pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
+        self.scoped(1, f)
+    }
+
+    /// [`Self::run`] accounted as `jobs` jobs in the bound [`ShardObs`].
+    fn scoped<R>(&self, jobs: u64, f: impl FnOnce() -> R) -> R {
         struct Restore(Option<ShardCtx>);
         impl Drop for Restore {
             fn drop(&mut self) {
@@ -509,7 +446,7 @@ impl PoolShard {
                 // The job count is driven by the (single-threaded)
                 // scheduler, so it is deterministic; only the wall-clock
                 // payload varies run to run.
-                obs.jobs.inc();
+                obs.jobs.add(jobs);
                 let t0 = std::time::Instant::now();
                 let r = f();
                 obs.busy_nanos.add(t0.elapsed().as_nanos() as u64);
@@ -518,20 +455,47 @@ impl PoolShard {
         }
     }
 
-    /// Panic-isolating [`Self::run`]: executes `f` scoped to this shard and
-    /// returns any panic — the closure's own, or one raised inside a worker
-    /// and re-raised on the submitting thread — as `Err` instead of
-    /// unwinding the caller.
+    /// Runs `f(i, &mut items[i])` for every item as **one pool job per
+    /// item** (unlike [`parallel_chunks`], which stays serial up to
+    /// `MIN_ITEMS_PER_THREAD` items — right for cheap elements, wrong for
+    /// a handful of whole per-stream inference passes), returning each
+    /// item's result in item order.
     ///
-    /// The shard itself **survives** a panicking job: workers catch panics
-    /// at the job boundary, finish draining the dispatch, and park for the
-    /// next one, so a subsequent [`Self::run`] / [`Self::try_run`] (and
-    /// [`Self::set_width`]) behaves exactly as if the poisoned job had
-    /// never been submitted — including bit-for-bit determinism of later
-    /// kernels. This is the isolation boundary the fault-tolerant edge
-    /// runtime wraps around per-stream inference stages.
-    pub fn try_run<R>(&self, f: impl FnOnce() -> R) -> std::thread::Result<R> {
-        catch_unwind(AssertUnwindSafe(|| self.run(f)))
+    /// Every item catches its own unwind, so a panicking item yields `Err`
+    /// in its slot while the other items' results and the shard stay
+    /// intact — the isolation boundary the edge runtime puts around each
+    /// stream's inference stage.
+    ///
+    /// Kernels dispatched from inside an item run serially on the thread
+    /// that claimed it (the submitting thread counts as a worker while it
+    /// drains), and kernel results are width-invariant, so an item computes
+    /// the same bits here as it would alone on the shard. A single item is
+    /// simply [`Self::run`]: it keeps the kernel-level fan-out.
+    pub fn run_items<T: Send, R: Send>(
+        &self,
+        items: &mut [T],
+        f: impl Fn(usize, &mut T) -> R + Sync,
+    ) -> Vec<std::thread::Result<R>> {
+        let n = items.len();
+        let mut out: Vec<Option<std::thread::Result<R>>> = (0..n).map(|_| None).collect();
+        let (items_base, out_base) = (items.as_mut_ptr() as usize, out.as_mut_ptr() as usize);
+        self.scoped(n as u64, || {
+            run_chunked(n, &|i| {
+                // SAFETY: chunk `i` is claimed exactly once and touches only
+                // `items[i]` and `out[i]`; the dispatcher blocks until every
+                // chunk finishes, so both borrows outlive all uses.
+                let (item, slot) = unsafe {
+                    (
+                        &mut *(items_base as *mut T).add(i),
+                        &mut *(out_base as *mut Option<std::thread::Result<R>>).add(i),
+                    )
+                };
+                *slot = Some(catch_unwind(AssertUnwindSafe(|| f(i, item))));
+            })
+        });
+        out.into_iter()
+            .map(|r| r.expect("the dispatcher ran every item"))
+            .collect()
     }
 
     /// Shard-scoped [`parallel_chunks`]: splits `0..n` into at most
@@ -811,56 +775,89 @@ mod tests {
     }
 
     #[test]
-    fn resized_shard_results_stay_bit_identical() {
-        // Grow and shrink a shard between jobs: every job completes and
-        // results match the serial gold bit-for-bit at every width.
-        let fill = |buf: &mut [f32]| {
-            parallel_rows_mut(buf, 512, |r, row| {
-                for (c, v) in row.iter_mut().enumerate() {
-                    *v = (r as f32).sin() * (c as f32).cos();
-                }
+    fn run_items_hands_each_item_out_once_and_returns_results_in_order() {
+        for width in 1..=4 {
+            let shard = PoolShard::new(width);
+            let mut items: Vec<Vec<u32>> = (0..5).map(|i| vec![i; 3]).collect();
+            let sums = shard.run_items(&mut items, |i, item| {
+                item.push(100 + i as u32);
+                item.iter().sum::<u32>()
             });
-        };
+            for (i, (item, sum)) in items.iter().zip(sums).enumerate() {
+                let i = i as u32;
+                assert_eq!(*item, [i, i, i, 100 + i], "width {width}");
+                assert_eq!(sum.unwrap(), 4 * i + 100, "width {width}");
+            }
+            assert!(shard.run_items(&mut [0u8; 0], |_, _| ()).is_empty());
+        }
+    }
+
+    #[test]
+    fn run_items_runs_items_concurrently_and_their_kernels_serially() {
+        // Two items on a two-wide shard meet at a barrier — one is claimed
+        // by the submitting thread, one by the worker, or this deadlocks —
+        // and every chunk of the kernel an item dispatches runs on the
+        // thread that claimed the item, submitter and worker alike.
+        let shard = PoolShard::new(2);
+        let barrier = std::sync::Barrier::new(2);
+        let mut items = [0usize; 2];
+        let threads_seen = shard.run_items(&mut items, |_, _| {
+            barrier.wait();
+            let nested = Mutex::new(Vec::new());
+            parallel_chunks(1000, |_, _| {
+                nested.lock().unwrap().push(std::thread::current().id());
+            });
+            let nested = nested.into_inner().unwrap();
+            assert!(nested.len() > 1, "the kernel must still split its work");
+            assert!(nested.iter().all(|t| *t == std::thread::current().id()));
+            std::thread::current().id()
+        });
+        let ids: Vec<_> = threads_seen.into_iter().map(|r| r.unwrap()).collect();
+        assert_ne!(ids[0], ids[1]);
+        // A lone item is `run`: its kernels fan out across the shard.
+        let fanned = shard.run_items(&mut [0usize], |_, _| {
+            let nested = Mutex::new(std::collections::HashSet::new());
+            let both = std::sync::Barrier::new(2);
+            parallel_chunks(1000, |_, _| {
+                both.wait();
+                nested.lock().unwrap().insert(std::thread::current().id());
+            });
+            nested.into_inner().unwrap().len()
+        });
+        assert_eq!(fanned[0].as_ref().unwrap(), &2);
+    }
+
+    #[test]
+    fn gemm_inside_an_item_matches_top_level_gemm_bit_for_bit() {
+        let (m, k, n) = (256, 96, 160); // above the GEMM's threading threshold
+        let a: Vec<f32> = (0..m * k)
+            .map(|i| ((i * 7) % 23) as f32 * 0.37 - 3.0)
+            .collect();
+        let b: Vec<f32> = (0..k * n)
+            .map(|i| ((i * 5) % 19) as f32 * 0.21 - 1.5)
+            .collect();
         set_threads(1);
-        let mut gold = vec![0.0f32; 128 * 512];
-        fill(&mut gold);
+        let mut gold = vec![0.0f32; m * n];
+        crate::matmul::gemm(&a, &b, &mut gold, m, k, n);
         set_threads(0);
-        let mut shard = PoolShard::new(1);
-        for &w in &[3usize, 1, 4, 2, 1, 5] {
-            shard.set_width(w);
-            assert_eq!(shard.width(), w);
-            let mut buf = vec![0.0f32; 128 * 512];
-            shard.run(|| fill(&mut buf));
-            assert_eq!(buf, gold, "after resize to width {w}");
+        for width in 1..=4 {
+            let shard = PoolShard::new(width);
+            for n_items in [1, 3] {
+                let mut outs = vec![vec![0.0f32; m * n]; n_items];
+                let done = shard.run_items(&mut outs, |_, out| {
+                    crate::matmul::gemm(&a, &b, out, m, k, n);
+                });
+                assert!(done.iter().all(|r| r.is_ok()));
+                for out in &outs {
+                    assert_eq!(*out, gold, "width {width}, {n_items} item(s)");
+                }
+            }
         }
     }
 
     #[test]
-    fn shrunk_then_regrown_shard_still_completes_jobs() {
-        // Repeated shrink/regrow cycles: retired workers must not wedge the
-        // shard, and regrowth must replace them.
-        let mut shard = PoolShard::new(4);
-        for round in 0..20 {
-            shard.set_width(if round % 2 == 0 { 1 } else { 4 });
-            let mut buf = vec![0.0f32; 64 * 1024];
-            shard.parallel_rows_mut(&mut buf, 1024, |r, row| row.fill((r + round) as f32));
-            assert_eq!(buf[1024 * 3], (3 + round) as f32);
-        }
-    }
-
-    #[test]
-    fn set_width_overrides_chunk_split_inside_scope() {
-        let mut shard = PoolShard::new(2);
-        shard.run(|| assert_eq!(threads(), 2));
-        shard.set_width(5);
-        shard.run(|| assert_eq!(threads(), 5));
-        shard.set_width(1);
-        shard.run(|| assert_eq!(threads(), 1));
-    }
-
-    #[test]
-    fn shard_survives_panicking_job_and_stays_deterministic() {
-        let mut shard = PoolShard::new(2);
+    fn shard_survives_panicking_items_and_stays_deterministic() {
+        let shard = PoolShard::new(2);
         let work = |shard: &PoolShard| -> Vec<f32> {
             let mut buf = vec![0.0f32; 32 * 256];
             shard.parallel_rows_mut(&mut buf, 256, |r, row| {
@@ -871,26 +868,37 @@ mod tests {
             buf
         };
         let gold = work(&shard);
-        // A panic inside the closure surfaces as Err, not an unwind.
-        let err = shard.try_run(|| -> () { panic!("injected stage panic") });
-        assert!(err.is_err());
-        // A panic inside a *worker* (mid-kernel) is re-raised on the
-        // submitter and caught the same way.
-        let err = shard.try_run(|| {
-            let mut buf = vec![0.0f32; 8 * 64];
+        // A panicking item surfaces as Err in its own slot; its neighbours
+        // still ran to completion.
+        let mut items = [0u32; 4];
+        let results = shard.run_items(&mut items, |i, item| {
+            if i == 1 {
+                panic!("injected stage panic");
+            }
+            *item = 10 + i as u32;
+            i
+        });
+        let ok: Vec<Option<usize>> = results.into_iter().map(|r| r.ok()).collect();
+        assert_eq!(ok, [Some(0), None, Some(2), Some(3)]);
+        assert_eq!(items, [10, 0, 12, 13]);
+        // A panic inside a *worker* mid-kernel (a lone item keeps the
+        // kernel fan-out) is re-raised on the submitter and caught the
+        // same way.
+        let results = shard.run_items(&mut [0u8], |_, _| {
+            let mut buf = vec![0.0f32; 1024 * 64];
             parallel_rows_mut(&mut buf, 64, |r, _| {
-                if r == 5 {
+                if r == 1000 {
                     panic!("injected worker panic");
                 }
             });
         });
-        assert!(err.is_err());
-        // The shard survives both: later jobs run and match bit-for-bit,
-        // and resizing still works.
+        assert!(results[0].is_err());
+        // The shard survives both: later jobs run and match bit-for-bit.
         assert_eq!(work(&shard), gold, "post-panic kernels must be identical");
-        shard.set_width(3);
-        assert_eq!(work(&shard), gold, "resize after panic must still work");
-        assert_eq!(shard.try_run(|| 7).unwrap(), 7);
+        assert_eq!(
+            shard.run_items(&mut [7], |_, v| *v)[0].as_ref().unwrap(),
+            &7
+        );
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! ```
 //!
 //! `--sharded` switches from the gather-batched style (dynamic batch
-//! sizing) to per-stream shards (dynamic width rebalancing).
+//! sizing) to one pool job per stream (only the degradation ladder acts).
 
 use std::time::Duration;
 
-use ff_core::control::{BatchPolicy, ControlConfig, DegradePolicy, RebalancePolicy};
+use ff_core::control::{BatchPolicy, ControlConfig, DegradePolicy};
 use ff_core::runtime::{EdgeNode, EdgeNodeConfig, GatherBatch, ShardLayout};
 use ff_core::{McSpec, PipelineConfig};
 use ff_models::MobileNetConfig;
@@ -76,7 +76,6 @@ fn main() {
         tick_frames: 8,
         arrival_alpha: 0.5,
         batch: Some(BatchPolicy::default()),
-        rebalance: Some(RebalancePolicy::default()),
         degrade: Some(DegradePolicy {
             saturate_ticks: 2,
             relax_ticks: 4,
@@ -86,7 +85,7 @@ fn main() {
     });
 
     let style = if sharded {
-        "per-stream shards + rebalancing"
+        "one pool job per stream"
     } else {
         "gather-batched + dynamic batch sizing"
     };

@@ -52,12 +52,7 @@ fn main() {
         .stage_panic(2, n_frames / 2)
         .stage_panic(2, n_frames / 2 + 7);
 
-    let layout = if sharded {
-        ShardLayout::even(budget.max(4), 4)
-    } else {
-        ShardLayout::single(budget)
-    };
-    let mut cfg = EdgeNodeConfig::new(layout)
+    let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget))
         .with_faults(plan)
         .with_obs(ObsConfig::default());
     if !sharded {
@@ -88,7 +83,6 @@ fn main() {
         tick_frames: 8,
         arrival_alpha: 0.5,
         batch: None,
-        rebalance: None,
         degrade: Some(DegradePolicy {
             saturate_ticks: 2,
             relax_ticks: 4,
@@ -99,7 +93,7 @@ fn main() {
     let faults = report.faults.as_ref().expect("a plan was scheduled");
 
     let style = if sharded {
-        "per-stream shards"
+        "per-stream jobs"
     } else {
         "gather-batched"
     };

@@ -71,7 +71,6 @@ fn run_fleet(n_streams: usize, n_frames: u64, period: u64, budget: usize) -> Con
         tick_frames: 8,
         arrival_alpha: 0.5,
         batch: None,
-        rebalance: None,
         degrade: None,
         watchdog: None,
     })

@@ -1,9 +1,9 @@
 //! One edge node, many cameras (§2.2.1): four independent street-camera
-//! streams driven concurrently by the [`EdgeNode`] runtime — per-stream
-//! pipelined decode → extract → MC → smoothing, sharded worker pool, and
+//! streams driven by the [`EdgeNode`] round loop — each round's frames run
+//! extract → MC → smoothing as concurrent jobs on one worker pool — and
 //! one shared bandwidth-constrained uplink. Pass `--batched` to gather all
 //! cameras' frames into one shared batched base-DNN pass per round (one
-//! GEMM over the stacked im2col matrix per layer) instead of sharding.
+//! GEMM over the stacked im2col matrix per layer) instead.
 //!
 //! ```sh
 //! cargo run --release --example multi_stream [-- --streams 4 --frames 60 --batched]
@@ -29,19 +29,10 @@ fn main() {
     let budget = std::thread::available_parallelism().map_or(1, |n| n.get());
     let res = Resolution::new(160, 90);
 
-    // One shard per stream, splitting the machine's threads evenly; all
-    // streams share a 600 kb/s uplink (a few hundred kb/s per camera, the
-    // paper's provisioning regime).
+    // One pool as wide as the machine; all streams share a 600 kb/s uplink
+    // (a few hundred kb/s per camera, the paper's provisioning regime).
     let batched = std::env::args().any(|a| a == "--batched");
-    // Shard count capped at the budget: ShardLayout::even refuses layouts
-    // that would oversubscribe (more shards than threads).
-    let shards = n_streams.min(budget);
-    let mut cfg = EdgeNodeConfig::new(if batched {
-        // Gather-batch: the whole budget behind one shared batched pass.
-        ShardLayout::single(budget)
-    } else {
-        ShardLayout::even(budget, shards)
-    });
+    let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget));
     if batched {
         cfg.gather_batch = Some(GatherBatch::default());
     }
@@ -72,9 +63,9 @@ fn main() {
     let report = node.run();
 
     let mode = if batched {
-        "gather-batched base DNN".to_string()
+        "gather-batched base DNN"
     } else {
-        format!("shards {:?}", ShardLayout::even(budget, shards).widths())
+        "one pool job per stream"
     };
     println!("{n_streams} streams x {n_frames} frames at {res}, {budget}-thread budget, {mode}:");
     for sr in &report.streams {

@@ -1,7 +1,7 @@
 //! Scalable multi-tenancy (§2.2.3): dozens of applications install
 //! microclassifiers on one edge node, all sharing a single base-DNN pass.
-//! The stream runs through the [`EdgeNode`] runtime (pipelined decode →
-//! extract → MC → uplink), and its cost growth is compared against running
+//! The stream runs through the [`EdgeNode`] runtime (decode → extract →
+//! MC → uplink, round by round), and its cost growth is compared against running
 //! one discrete classifier per application.
 //!
 //! ```sh
@@ -37,8 +37,7 @@ fn main() {
 
     // FilterForward under the runtime, with a diverse mix of tenants:
     // different architectures and different crops, all on one shared
-    // extraction. The recorded clip replays through the node's pipelined
-    // decode stage.
+    // extraction. The recorded clip replays through the node's round loop.
     let budget = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut node = EdgeNode::new(EdgeNodeConfig::new(ShardLayout::single(budget)));
     let mut cfg = PipelineConfig::new(res, scene_cfg.fps);

@@ -1,9 +1,8 @@
-//! A `top`-style view of one edge node: run a few cameras under the
-//! controlled executor with observability on, then fold the span trace
-//! into a per-round, per-stage activity table — wakes, gather batches,
-//! frames served, uplink offers, and control ticks, round by round. The
-//! table is a pure function of the deterministic span trace, so two runs
-//! print the same rows.
+//! A `top`-style view of one edge node: run a few cameras with
+//! observability on, then fold the span trace into a per-round, per-stage
+//! activity table — wakes, gather batches, frames served, uplink offers,
+//! and control ticks, round by round. The table is a pure function of the
+//! deterministic span trace, so two runs print the same rows.
 //!
 //! ```sh
 //! cargo run --release --example node_top [-- --frames 48 --streams 6]
@@ -35,8 +34,7 @@ fn main() {
     let budget = std::thread::available_parallelism().map_or(1, |n| n.get());
     let res = Resolution::new(120, 67);
 
-    let layout = ShardLayout::even(budget.max(n_streams), n_streams);
-    let cfg = EdgeNodeConfig::new(layout).with_obs(ObsConfig::default());
+    let cfg = EdgeNodeConfig::new(ShardLayout::single(budget)).with_obs(ObsConfig::default());
     let mut node = EdgeNode::new(cfg);
     for s in 0..n_streams as u64 {
         let scene = SceneConfig {

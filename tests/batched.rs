@@ -164,8 +164,8 @@ fn serial_verdicts(stream: usize, seed: u64) -> Vec<FrameVerdict> {
 }
 
 /// Gather-batch `EdgeNode` verdicts must equal the serial pipeline's for
-/// every streams × shard-layout × max-batch combination, including the
-/// single-stream micro-batching case.
+/// every streams × pool-width × max-batch combination, including a batch
+/// capacity one stream can never fill.
 #[test]
 fn gather_batch_node_matches_serial_pipeline_across_layouts_and_batch_sizes() {
     let gold: Vec<Vec<FrameVerdict>> = STREAM_SEEDS
@@ -174,19 +174,17 @@ fn gather_batch_node_matches_serial_pipeline_across_layouts_and_batch_sizes() {
         .map(|(s, &seed)| serial_verdicts(s, seed))
         .collect();
 
-    let cases: Vec<(usize, ShardLayout, usize)> = vec![
-        (1, ShardLayout::single(1), 8), // single-stream micro-batching
-        (1, ShardLayout::single(2), 1), // gather mode, forced batch-1
-        (2, ShardLayout::even(2, 2), 2),
-        (3, ShardLayout::single(2), 3),
-        (3, ShardLayout::explicit(vec![3, 1]), 8),
+    // (streams, pool width, max_batch)
+    let cases = [
+        (1, 1, 8), // capacity beyond what one stream delivers per round
+        (1, 2, 1), // gather mode, forced batch-1
+        (2, 2, 2),
+        (3, 2, 3),
+        (3, 4, 8),
     ];
-    for (n_streams, layout, max_batch) in cases {
-        let label = format!(
-            "{n_streams} streams, shards {:?}, max_batch {max_batch}",
-            layout.widths()
-        );
-        let cfg = EdgeNodeConfig::new(layout).with_gather_batch(GatherBatch {
+    for (n_streams, width, max_batch) in cases {
+        let label = format!("{n_streams} streams, pool width {width}, max_batch {max_batch}");
+        let cfg = EdgeNodeConfig::new(ShardLayout::single(width)).with_gather_batch(GatherBatch {
             max_batch,
             gather_wait: Duration::from_millis(1),
         });

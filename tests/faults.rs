@@ -5,11 +5,14 @@
 //!   and a crashing inference stage in one run — must complete, conserve
 //!   its segment ledger, leave unaffected streams' verdicts bit-identical
 //!   to a fault-free run, and replay its fault/recovery trace bit-for-bit
-//!   across repeated runs and shard widths;
+//!   across repeated runs and pool widths;
+//! * **simultaneous stage panics** in per-stream style, where the crashing
+//!   stages run as concurrent pool jobs: the traces record stream order,
+//!   never completion order;
 //! * the **circuit breaker** killing a repeatedly-crashing stream while
 //!   the node keeps running;
 //! * the **watchdog** quarantining a stalled camera and readmitting it on
-//!   recovery, moving real shard width in sharded style;
+//!   recovery;
 //! * the **degradation ladder** treating an outage as saturation;
 //! * **spill/overflow accounting** under a tiny retry budget.
 
@@ -17,7 +20,9 @@ use std::time::Duration;
 
 use ff_core::control::{ControlAction, ControlConfig, DegradePolicy, WatchdogPolicy};
 use ff_core::faults::{FaultEventKind, FaultPlan, RecoveryConfig, RetryPolicy};
-use ff_core::runtime::{ControlledReport, EdgeNode, EdgeNodeConfig, GatherBatch, ShardLayout};
+use ff_core::runtime::{
+    ControlledReport, EdgeNode, EdgeNodeConfig, GatherBatch, ObsConfig, ShardLayout,
+};
 use ff_core::{McSpec, PipelineConfig};
 use ff_models::MobileNetConfig;
 use ff_video::scene::SceneConfig;
@@ -74,7 +79,6 @@ fn quiet_ctl() -> ControlConfig {
         tick_frames: 4,
         arrival_alpha: 0.5,
         batch: None,
-        rebalance: None,
         degrade: None,
         watchdog: Some(WatchdogPolicy::default()),
     }
@@ -198,9 +202,95 @@ fn chaos_trace_is_bit_identical_across_runs_and_widths() {
 }
 
 #[test]
+fn simultaneous_stage_panics_fold_in_stream_order_at_every_width() {
+    // Per-stream style: streams 3 and 1 both crash on their frame 4, i.e.
+    // in the same round, inside pool jobs that run side by side and finish
+    // in whatever order the cores allow. Fold order, not completion order,
+    // is the spec: every trace and export is byte-identical from one
+    // worker (jobs back to back) to four.
+    let run = |width: usize, plan: Option<FaultPlan>| {
+        let mut cfg =
+            EdgeNodeConfig::new(ShardLayout::single(width)).with_obs(ObsConfig::default());
+        cfg.uplink_capacity_bps = 1_000_000.0;
+        if let Some(plan) = plan {
+            cfg = cfg.with_faults(plan);
+        }
+        build_node(cfg, 4, 24).run_controlled(quiet_ctl())
+    };
+    let plan = || FaultPlan::new().stage_panic(3, 4).stage_panic(1, 4);
+    let baseline = run(1, None);
+    let gold = run(1, Some(plan()));
+    let faults = gold.faults.as_ref().expect("faults report");
+    let panics: Vec<_> = (faults.trace.events.iter())
+        .filter(|e| !matches!(e.kind, FaultEventKind::LinkUp | FaultEventKind::LinkDown))
+        .map(|e| (e.round, e.kind))
+        .collect();
+    assert_eq!(
+        panics,
+        [
+            (
+                4,
+                FaultEventKind::StagePanic {
+                    stream: 1,
+                    frame: 4
+                }
+            ),
+            (4, FaultEventKind::StageRestarted { stream: 1 }),
+            (
+                4,
+                FaultEventKind::StagePanic {
+                    stream: 3,
+                    frame: 4
+                }
+            ),
+            (4, FaultEventKind::StageRestarted { stream: 3 }),
+        ],
+        "{}",
+        faults.trace
+    );
+    assert_eq!(faults.restarts, vec![0, 1, 0, 1]);
+    assert_eq!(faults.frames_lost, vec![0, 1, 0, 1]);
+    for s in [0usize, 2] {
+        assert_eq!(
+            gold.streams[s].verdicts, baseline.streams[s].verdicts,
+            "stream {s} shared a dispatch with two crashes and must not notice"
+        );
+    }
+    for s in [1usize, 3] {
+        assert_eq!(
+            gold.streams[s].verdicts[..4],
+            baseline.streams[s].verdicts[..4]
+        );
+        assert_eq!(gold.streams[s].verdicts.len(), 23);
+    }
+    let exports = |r: &ControlledReport| {
+        let obs = r.obs.as_ref().expect("obs enabled");
+        assert_eq!(obs.dropped_spans, 0);
+        (
+            obs.chrome_trace(),
+            obs.metrics.to_json(),
+            obs.metrics.to_prometheus(),
+        )
+    };
+    for width in [1usize, 2, 4] {
+        let again = run(width, Some(plan()));
+        assert_eq!(gold.faults, again.faults, "fault report, width {width}");
+        assert_eq!(gold.trace, again.trace, "control trace, width {width}");
+        assert_eq!(
+            exports(&gold),
+            exports(&again),
+            "obs exports, width {width}"
+        );
+        for (a, b) in gold.streams.iter().zip(&again.streams) {
+            assert_eq!(a.verdicts, b.verdicts, "width {width} stream {:?}", a.id);
+        }
+    }
+}
+
+#[test]
 fn circuit_breaker_kills_a_crashing_stream_and_the_node_survives() {
     let run = |plan: Option<FaultPlan>| {
-        let mut cfg = EdgeNodeConfig::new(ShardLayout::even(4, 4));
+        let mut cfg = EdgeNodeConfig::new(ShardLayout::single(2));
         cfg.uplink_capacity_bps = 1_000_000.0;
         if let Some(plan) = plan {
             cfg = cfg.with_faults(plan);
@@ -246,17 +336,15 @@ fn circuit_breaker_kills_a_crashing_stream_and_the_node_survives() {
 
 #[test]
 fn watchdog_quarantines_the_stalled_camera_and_readmits_it() {
-    // Sharded style, width to move: a long stall collapses stream 2's
-    // arrival EWMA, the watchdog quarantines it (width → 1) and readmits
-    // once frames return.
-    let mut cfg = EdgeNodeConfig::new(ShardLayout::even(8, 4))
+    // Per-stream style: a long stall collapses stream 2's arrival EWMA,
+    // the watchdog quarantines it and readmits once frames return.
+    let mut cfg = EdgeNodeConfig::new(ShardLayout::single(2))
         .with_faults(FaultPlan::new().camera_stall(2, 8, 40));
     cfg.uplink_capacity_bps = 1_000_000.0;
     let report = build_node(cfg, 4, 72).run_controlled(ControlConfig {
         tick_frames: 4,
         arrival_alpha: 0.5,
         batch: None,
-        rebalance: None,
         degrade: None,
         watchdog: Some(WatchdogPolicy::default()),
     });
@@ -275,16 +363,6 @@ fn watchdog_quarantines_the_stalled_camera_and_readmits_it() {
         readmit.unwrap_or_else(|| panic!("no readmit in:\n{}", report.trace)),
     );
     assert!(q < r, "quarantine precedes readmit:\n{}", report.trace);
-    // Sharded style moves real width alongside the markers.
-    assert!(
-        report
-            .trace
-            .decisions
-            .iter()
-            .any(|d| matches!(d.action, ControlAction::Repartition { .. })),
-        "the quarantine must repartition width:\n{}",
-        report.trace
-    );
     // Telemetry carried the quarantine census while it was in force.
     assert!(
         report.telemetry.iter().any(|t| t.faults.quarantined == 1),
@@ -309,7 +387,6 @@ fn degradation_ladder_treats_an_outage_as_saturation() {
         tick_frames: 4,
         arrival_alpha: 0.5,
         batch: None,
-        rebalance: None,
         degrade: Some(DegradePolicy {
             saturate_ticks: 2,
             relax_ticks: 16, // hold the rung: this test is about stepping down
@@ -336,7 +413,7 @@ fn exhausted_retries_spill_to_archive_and_overflow_is_accounted() {
     // A run-long outage with one delivery attempt and a 4-segment bin:
     // refusals exhaust instantly, the bin fills, the rest are accounted
     // drops — nothing silently lost.
-    let mut cfg = EdgeNodeConfig::new(ShardLayout::even(2, 2))
+    let mut cfg = EdgeNodeConfig::new(ShardLayout::single(2))
         .with_faults(FaultPlan::new().uplink_outage(0, 10_000))
         .with_recovery(RecoveryConfig {
             retry: RetryPolicy {
@@ -378,11 +455,18 @@ fn exhausted_retries_spill_to_archive_and_overflow_is_accounted() {
 }
 
 #[test]
-#[should_panic(expected = "use run_controlled")]
-fn threaded_runtime_rejects_fault_plans() {
-    // Fault plans are scheduled in virtual-time rounds; the wall-clock
-    // threaded runtime has no such clock and must refuse the config.
-    let cfg = EdgeNodeConfig::new(ShardLayout::even(2, 2))
-        .with_faults(FaultPlan::new().uplink_outage(0, 8));
-    build_node(cfg, 2, 8).run();
+fn run_executes_a_fault_plan_and_its_ledger_conserves() {
+    // `run()` is the round loop with every policy off, so a fault plan's
+    // virtual-time windows apply to it like to any other run.
+    let cfg = EdgeNodeConfig::new(ShardLayout::single(2))
+        .with_faults(FaultPlan::new().uplink_outage(4, 6).stage_panic(1, 2));
+    let report = build_node(cfg, 2, 32).run();
+    let faults = report.faults.as_ref().expect("plan ⇒ faults report");
+    assert!(faults.ledger.conserves(), "{:?}", faults.ledger);
+    assert!(faults.ledger.offered > 0);
+    assert!(faults.ledger.delivered_late > 0, "{:?}", faults.ledger);
+    assert_eq!(faults.restarts, vec![0, 1]);
+    assert_eq!(report.streams[0].verdicts.len(), 32);
+    assert_eq!(report.streams[1].verdicts.len(), 31);
+    assert!(report.trace.is_empty(), "no policy is armed");
 }

@@ -68,7 +68,6 @@ fn quiet_ctl() -> ControlConfig {
         tick_frames: 8,
         arrival_alpha: 0.5,
         batch: None,
-        rebalance: None,
         degrade: None,
         watchdog: None,
     }
