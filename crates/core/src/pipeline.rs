@@ -548,6 +548,21 @@ impl FilterForward {
         maps: &crate::extractor::FeatureMaps,
         shared_extract: Duration,
     ) -> Vec<FrameVerdict> {
+        let mut out = Vec::new();
+        self.process_with_maps_into(frame, maps, shared_extract, &mut out);
+        out
+    }
+
+    /// [`Self::process_with_maps`] appending the finalized frames to `out`
+    /// instead of returning a fresh `Vec` per frame — the node's gather
+    /// fan-out writes straight into the stream task's pending list.
+    pub(crate) fn process_with_maps_into(
+        &mut self,
+        frame: &Frame,
+        maps: &crate::extractor::FeatureMaps,
+        shared_extract: Duration,
+        out: &mut Vec<FrameVerdict>,
+    ) {
         self.ingest_frame(frame);
         self.timers.base_dnn += shared_extract;
 
@@ -561,7 +576,7 @@ impl FilterForward {
             self.apply_decision(mc_id, d);
         }
         self.decisions_scratch = decisions;
-        self.drain()
+        self.drain_into(out);
     }
 
     /// Shared ingest bookkeeping: frame counters, archival, and the pending
@@ -623,8 +638,13 @@ impl FilterForward {
 
     /// Finalizes fully-decided frames in order.
     fn drain(&mut self) -> Vec<FrameVerdict> {
-        let n_mcs = self.mcs.len();
         let mut out = Vec::new();
+        self.drain_into(&mut out);
+        out
+    }
+
+    fn drain_into(&mut self, out: &mut Vec<FrameVerdict>) {
+        let n_mcs = self.mcs.len();
         while let Some(entry) = self.pending.get(&self.next_out) {
             if entry.decided < n_mcs {
                 break;
@@ -638,7 +658,6 @@ impl FilterForward {
             out.push(self.finalize(self.next_out, frame, metadata, closed));
             self.next_out += 1;
         }
-        out
     }
 
     fn finalize(

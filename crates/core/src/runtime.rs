@@ -15,16 +15,17 @@
 //! |---|---|---|
 //! | **arrivals** — poll every open stream once, decode pixels → tensor into the task's mailbox | the calling thread | poll order *is* the wake log, and decode is cheap next to inference |
 //! | **service, per-stream style** — every stream with mail serves one frame (extract → MCs → smooth → re-encode) | one pool job per runnable stream ([`PoolShard::run_items`]): `min(runnable, pool width)` cores. A round with one runnable stream keeps the kernel-level fan-out instead (its GEMMs split across the whole pool) | streams share no inference state, so whole passes are the coarsest — cheapest — unit of parallel work |
-//! | **service, gather style** ([`EdgeNodeConfig::gather_batch`]) — served frames are bucketed by (base-DNN config, resolution); one [`crate::FeatureExtractor::extract_batch`] per bucket, then per-frame fan-out to each stream's own MCs | the batched pass fans its kernels across the whole pool; the MC fan-out runs on the calling thread | one GEMM over the stacked im2col matrix streams each packed weight panel once per *batch* instead of once per camera |
+//! | **service, gather style** ([`EdgeNodeConfig::gather_batch`]) — served frames are bucketed by (base-DNN config, resolution); one [`crate::FeatureExtractor::extract_batch`] per bucket, then fan-out to each stream's own MCs, upload re-encode and archive | the batched pass fans its kernels across the whole pool; fan-out: one pool job per stream with a gathered frame, `min(streams in batch, width)` cores (a stream with two frames in the batch serves them in batch order inside its one job) | one GEMM over the stacked im2col matrix streams each packed weight panel once per *batch* instead of once per camera; what follows it is per-stream state only, so it parallelises like the per-stream style |
 //! | **fold, close, uplink, control tick** | the calling thread, in stream order | see below |
 //!
 //! # Why every trace replays
 //!
 //! Pool jobs finish in whatever order the cores get to them, but nothing
-//! observes that order: a job writes only its own stream's pipeline and
-//! result slot, and the loop folds the round's results — verdicts, sensor
-//! counts, spans, fault events, restarts — back **in stream order** after
-//! the last job lands. Kernels dispatched from inside a job run serially on
+//! observes that order: a job writes only its own stream's task (its
+//! pipeline, and in gather style the task's pending verdicts) and result
+//! slot, and the loop folds the round's results — verdicts, sensor counts,
+//! spans, fault events, restarts — back **in stream order** after the last
+//! job lands. Kernels dispatched from inside a job run serially on
 //! the thread that claimed it, and kernel results are independent of worker
 //! count (see [`ff_tensor::parallel`]), batched kernels compute every
 //! output element from its own frame's data in the per-frame accumulation
@@ -677,8 +678,9 @@ impl EdgeNode {
     /// * **gather style** (`Some`): the round's served frames are bucketed
     ///   by (base-DNN config, resolution) and each bucket runs one shared
     ///   batched base-DNN pass (rotating scan start, so no stream
-    ///   monopolizes the batch); the *batch policy* resizes `max_batch`
-    ///   live.
+    ///   monopolizes the batch), then the bucket's streams run their MCs and
+    ///   re-encodes concurrently — one pool job each; the *batch policy*
+    ///   resizes `max_batch` live.
     /// * **per-stream style** (`None`): each stream serves at most one
     ///   frame per round, the round's runnable streams concurrently — one
     ///   pool job each.
@@ -823,6 +825,9 @@ impl EdgeNode {
         // Per gathered frame: which bucket it joined and at which position,
         // so the fanout can find its feature maps after the bucket passes.
         let mut slot_of: Vec<(usize, usize)> = Vec::new();
+        // Fan-out scratch: one bucket's gathered frames (indices into
+        // `meta`) grouped by stream, batch order kept within a stream.
+        let mut order: Vec<usize> = Vec::new();
         let mut scan_start = 0usize;
         let mut round: u64 = 0;
 
@@ -868,7 +873,7 @@ impl EdgeNode {
                 // Gather style: fill up to `cur_batch` from the mailboxes,
                 // rotating the scan start so no stream monopolizes the
                 // batch; one shared batched pass per (config, resolution)
-                // bucket, per-frame fanout to each stream's own MCs.
+                // bucket, then one pool job per stream for its own MCs.
                 meta.clear();
                 slot_of.clear();
                 for b in &mut buckets {
@@ -946,17 +951,47 @@ impl EdgeNode {
                                 sp.wall_nanos = extract.as_nanos() as u64;
                                 t.emit(sp);
                             }
+                            // Fan-out: one pool job per stream with a frame
+                            // in this bucket. A stream's frames stay in
+                            // batch order inside its job, and a job touches
+                            // only its own task, so nothing observes which
+                            // core ran it or when.
                             let share = extract / bucket.tensors.len() as u32;
-                            for (i, (s, frame, decode)) in meta.iter().enumerate() {
-                                if slot_of[i].0 != bi {
-                                    continue;
+                            order.clear();
+                            order.extend((0..meta.len()).filter(|&i| slot_of[i].0 == bi));
+                            order.sort_unstable_by_key(|&i| (meta[i].0, i));
+                            let mut rest = tasks.iter_mut().enumerate();
+                            let mut jobs: Vec<FanoutJob> = Vec::with_capacity(order.len());
+                            jobs.extend(order.chunk_by(|&a, &b| meta[a].0 == meta[b].0).map(
+                                |frames| {
+                                    let s = meta[frames[0]].0;
+                                    let (_, task) = rest
+                                        .find(|(t, _)| *t == s)
+                                        .expect("jobs are built in ascending stream order");
+                                    FanoutJob { task, frames }
+                                },
+                            ));
+                            let outcomes = shard.run_items(&mut jobs, |_, job| {
+                                let StreamTask { ff, pending, .. } = &mut *job.task;
+                                let ff = ff.as_mut().expect("open stream has a pipeline");
+                                for &i in job.frames {
+                                    let (_, frame, decode) = &meta[i];
+                                    ff.credit_decode(*decode);
+                                    ff.process_with_maps_into(
+                                        frame,
+                                        &maps[slot_of[i].1],
+                                        share,
+                                        pending,
+                                    );
                                 }
-                                let task = &mut tasks[*s];
-                                let ff = task.ff.as_mut().expect("open stream has a pipeline");
-                                ff.credit_decode(*decode);
-                                let verdicts =
-                                    ff.process_with_maps(frame, &maps[slot_of[i].1], share);
-                                task.pending.extend(verdicts);
+                            });
+                            // A panic here is a bug, not a scripted fault
+                            // (those were isolated before the batch): it
+                            // ends the run, as it did when the fan-out ran
+                            // on this thread — after the round's other
+                            // jobs have finished.
+                            if let Some(payload) = outcomes.into_iter().find_map(Result::err) {
+                                std::panic::resume_unwind(payload);
                             }
                         }
                     });
@@ -1263,6 +1298,14 @@ struct ServeJob<'a> {
     task: &'a mut StreamTask,
 }
 
+/// One gather-style fan-out pool job: a stream's task on loan for the span
+/// of a bucket's dispatch, and which of the round's gathered frames (indices
+/// into the batch, in batch order) are that stream's.
+struct FanoutJob<'a> {
+    task: &'a mut StreamTask,
+    frames: &'a [usize],
+}
+
 /// One controlled-gather **bucket**: the shared batched extractor for a
 /// (base-DNN config, resolution) class of streams, plus the round's tensor
 /// scratch. One `extract_batch` runs per non-empty bucket per round.
@@ -1519,6 +1562,26 @@ mod tests {
         }
         assert_eq!(report.node.pipeline.frames_out, 27);
         assert_eq!(report.node.timers.frames, 27);
+    }
+
+    #[test]
+    #[should_panic(expected = "deploy at least one MC")]
+    fn gather_fanout_reraises_a_job_panic_on_the_loop_thread() {
+        // Stream 1 has no MC, which its pipeline refuses to serve — inside
+        // its fan-out pool job, beside stream 0's. The run must still die
+        // with that message, not lose it on a worker.
+        let res = Resolution::new(64, 32);
+        let cfg =
+            EdgeNodeConfig::new(ShardLayout::single(2)).with_gather_batch(GatherBatch::default());
+        let mut node = EdgeNode::new(cfg);
+        for seed in [5, 6] {
+            let src = Box::new(SceneSource::new(scene_cfg(res, seed), 3));
+            let id = node.add_stream(src, tiny_pipeline(res));
+            if seed == 5 {
+                node.deploy(id, McSpec::full_frame("mc", seed));
+            }
+        }
+        let _ = node.run();
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! The scheduler (the virtual-time round loop) drives every transition
 //! from its own thread. The one time a task leaves it is on loan to a pool
 //! job for the span of a round's inference, which touches only the task's
-//! pipeline; results are folded back in stream order — so every field here
-//! is a pure function of (round, stream content) and the run's traces stay
-//! bit-replayable.
+//! pipeline and pending verdicts; results are folded back in stream order —
+//! so every field here is a pure function of (round, stream content) and the
+//! run's traces stay bit-replayable.
 
 use std::collections::VecDeque;
 use std::time::Duration;

@@ -4,14 +4,31 @@
 //! The original implementation spawned fresh `std::thread::scope` threads on
 //! every kernel call; at streaming-video rates (hundreds of GEMMs per frame)
 //! thread spawn/join dominated small-layer cost. This module keeps a
-//! process-wide pool of workers parked on a condvar and dispatches jobs to
-//! them with one lock round-trip.
+//! process-wide pool of persistent workers and dispatches jobs to them with
+//! one lock round-trip.
 //!
 //! # Threading model
 //!
 //! - The pool is created lazily on first parallel dispatch and lives for the
-//!   process. Workers park on a condvar between jobs; an idle pool costs
-//!   nothing but its stacks.
+//!   process. Between jobs a worker **spins briefly, then parks**: it polls
+//!   a published-epoch hint for a bounded budget (`SPIN_BUDGET`, on the
+//!   order of 100 µs) and only then waits on a condvar, and the submitter
+//!   polls the unfinished-chunk count the same way before it waits for the
+//!   job to drain. A base-DNN pass is ~45 kernel dispatches a few tens of
+//!   microseconds apart; parking between each pair costs a futex sleep and
+//!   wake per layer, which (inside a VM especially) is longer than the
+//!   layer's share of work. Past the budget the worker parks, so an idle
+//!   pool still costs nothing but its stacks.
+//! - Spinning applies only where it cannot steal a core from the thread
+//!   doing the work: a pool or shard spins iff it has no more threads than
+//!   the machine has cores (observed once, at construction). A shard wider
+//!   than the machine — or any shard on a one-core box — parks immediately,
+//!   as before.
+//! - The hint is only a hint. Both polled values are plain atomics mirrored
+//!   from the lock-protected state; they end a spin early and decide
+//!   nothing. A worker parks, claims a chunk, or exits only on what it reads
+//!   under the state lock, and the submitter returns only on the locked
+//!   pending count — so a stale or missed hint costs latency, never a chunk.
 //! - [`set_threads`] bounds how many *chunks* a kernel is split into, not the
 //!   pool size: the split is a deterministic function of the work size and
 //!   the configured thread count, so results are **bit-for-bit identical**
@@ -47,8 +64,9 @@
 //! thread after the job drains, so a poisoned job cannot wedge the pool.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
@@ -94,6 +112,23 @@ const MIN_ITEMS_PER_THREAD: usize = 8;
 /// (the microclassifier tails) are cheaper than that, so they must stay
 /// serial or streaming becomes dispatch-bound.
 const MIN_PARALLEL_ELEMS: usize = 32 * 1024;
+
+/// How long a worker polls for the next job (and a submitter for its last
+/// chunk) before parking on the condvar. A duration, not a poll count: one
+/// `spin_loop` poll is 11 ns on the box this was tuned on and ten times that
+/// on cores with a long `pause`. The clock is read once per
+/// [`POLLS_PER_CLOCK_READ`] polls.
+///
+/// Chosen by a sweep on ffbench `event_storm` (2 cores, `--seconds 12`,
+/// seed 7, three runs each; 800 frames/s at the parent, which never spun):
+/// 15 / 100 / 400 µs read 1060 / 1165 / 1190 frames/s. 15 µs expires in the
+/// gap between two layers' dispatches (the serial layers in between run
+/// tens of microseconds); 400 µs buys 2 % more and quadruples what an idle
+/// worker burns before it parks.
+const SPIN_BUDGET: Duration = Duration::from_micros(100);
+
+/// Polls between clock reads while spinning (a read is ~30 ns, a poll ~11).
+const POLLS_PER_CLOCK_READ: u32 = 64;
 
 /// A chunk runner with its lifetime erased. Soundness: the submitting thread
 /// blocks in [`Pool::run`] until every chunk has finished, so the referent
@@ -141,14 +176,55 @@ struct Shared {
     work: Condvar,
     /// Signaled when the last chunk of a job finishes.
     done: Condvar,
+    /// Mirror of `State::epoch`, stored under the state lock at publication.
+    /// Spinning workers poll it; nothing is decided on it (see the module
+    /// docs), so `Relaxed` suffices — the lock orders the state it mirrors.
+    epoch_hint: AtomicU64,
+    /// Mirror of `State::pending`, stored under the state lock; the
+    /// submitter polls it before waiting on `done`. Same contract.
+    pending_hint: AtomicUsize,
+    /// Whether this pool's threads spin before parking: true iff the pool
+    /// (workers plus submitter) is no wider than the machine.
+    spins: bool,
+    /// Times a worker went to sleep on `work`, so the tests can tell a job
+    /// picked up while spinning from one picked up after parking.
+    #[cfg(test)]
+    parks: AtomicUsize,
 }
 
 impl Shared {
-    fn new() -> Self {
+    /// Dispatch state for a pool of `width` threads (submitter included).
+    fn new(width: usize) -> Self {
         Shared {
             state: Mutex::new(State::idle()),
             work: Condvar::new(),
             done: Condvar::new(),
+            epoch_hint: AtomicU64::new(0),
+            pending_hint: AtomicUsize::new(0),
+            spins: width > 1 && width <= hardware_parallelism(),
+            #[cfg(test)]
+            parks: AtomicUsize::new(0),
+        }
+    }
+
+    /// Polls `settled` for up to [`SPIN_BUDGET`]; a no-op on a pool that
+    /// does not spin. Returning proves nothing — callers re-check under the
+    /// state lock.
+    fn spin_until(&self, settled: impl Fn() -> bool) {
+        if !self.spins {
+            return;
+        }
+        let t0 = Instant::now();
+        loop {
+            for _ in 0..POLLS_PER_CLOCK_READ {
+                if settled() {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+            if t0.elapsed() >= SPIN_BUDGET {
+                return;
+            }
         }
     }
 }
@@ -182,7 +258,7 @@ static POOL: OnceLock<Pool> = OnceLock::new();
 impl Pool {
     fn get() -> &'static Pool {
         POOL.get_or_init(|| {
-            let shared: &'static Shared = Box::leak(Box::new(Shared::new()));
+            let shared: &'static Shared = Box::leak(Box::new(Shared::new(hardware_parallelism())));
             // One worker per core beyond the submitting thread. Workers are
             // detached; they park forever once the process stops submitting.
             for i in 0..hardware_parallelism() - 1 {
@@ -222,6 +298,8 @@ fn submit_and_drain(
         st.job = Some(Job { f: erased, chunks });
         st.next = 0;
         st.pending = chunks;
+        shared.pending_hint.store(chunks, Ordering::Relaxed);
+        shared.epoch_hint.store(st.epoch, Ordering::Relaxed);
         shared.work.notify_all();
         st.epoch
     };
@@ -231,6 +309,9 @@ fn submit_and_drain(
     IS_WORKER.with(|w| w.set(true));
     drain_chunks(shared, epoch);
     IS_WORKER.with(|w| w.set(false));
+    // A worker is typically still inside the last chunk it claimed; it is
+    // due within a chunk's run time, which is shorter than a futex sleep.
+    shared.spin_until(|| shared.pending_hint.load(Ordering::Relaxed) == 0);
     let mut st = shared.state.lock().unwrap();
     while st.pending > 0 {
         st = shared.done.wait(st).unwrap();
@@ -247,8 +328,7 @@ fn submit_and_drain(
 fn drain_chunks(shared: &Shared, epoch: u64) {
     loop {
         let (f, i) = {
-            let st = shared.state.lock().unwrap();
-            let mut st = st;
+            let mut st = shared.state.lock().unwrap();
             if st.epoch != epoch {
                 return;
             }
@@ -269,6 +349,7 @@ fn drain_chunks(shared: &Shared, epoch: u64) {
             st.panicked = true;
         }
         st.pending -= 1;
+        shared.pending_hint.store(st.pending, Ordering::Relaxed);
         if st.pending == 0 {
             shared.done.notify_all();
         }
@@ -278,19 +359,26 @@ fn drain_chunks(shared: &Shared, epoch: u64) {
 fn worker_loop(shared: &Shared) {
     let mut seen = 0u64;
     loop {
+        shared.spin_until(|| shared.epoch_hint.load(Ordering::Relaxed) != seen);
         let epoch = {
             let mut st = shared.state.lock().unwrap();
             loop {
                 if st.shutdown {
                     return;
                 }
-                if st.epoch != seen && st.job.is_some() {
+                if st.epoch != seen {
                     break;
                 }
+                #[cfg(test)]
+                shared.parks.fetch_add(1, Ordering::Relaxed);
                 st = shared.work.wait(st).unwrap();
             }
             st.epoch
         };
+        // A job the submitter drained alone before this worker looked is
+        // still *seen*: `drain_chunks` finds nothing to claim and the worker
+        // goes back to spinning for the next one instead of parking on a
+        // stale epoch.
         seen = epoch;
         drain_chunks(shared, epoch);
     }
@@ -346,16 +434,23 @@ pub struct PoolShard {
 /// Busy-accounting hooks a runtime can bind to a shard with
 /// [`PoolShard::bind_obs`].
 ///
-/// `jobs` counts [`PoolShard::run`] entries — the scheduler's dispatch
-/// count, a pure function of virtual time and therefore deterministic
-/// across thread counts and shard widths. `busy_nanos` accumulates the
-/// wall-clock time spent inside those jobs and is **observability only**
-/// (register it volatile); policies must never read it.
+/// `jobs` counts [`PoolShard::run`] entries and [`PoolShard::run_items`]
+/// items — the scheduler's dispatch count, a pure function of virtual time
+/// and therefore deterministic across thread counts and shard widths.
+/// `busy_nanos` is **observability only** (register it volatile); policies
+/// must never read it.
 #[derive(Debug, Clone)]
 pub struct ShardObs {
     /// Jobs dispatched through the shard (deterministic).
     pub jobs: ff_obs::Counter,
-    /// Wall-clock nanoseconds spent inside shard jobs (volatile).
+    /// Wall-clock nanoseconds the *submitting* thread spent inside this
+    /// shard's outermost [`PoolShard::run`] / [`PoolShard::run_items`]
+    /// scopes (volatile). A scope nested inside another scope of the same
+    /// shard adds nothing — the outer scope's wall already covers it. This
+    /// is submitter-side scope wall, **not core occupancy**: it does not
+    /// know how many of the shard's threads were working, so dividing it by
+    /// `wall × width` reads ≈ `1/width` for a loop that lives inside `run`,
+    /// whatever the workers did.
     pub busy_nanos: ff_obs::Counter,
 }
 
@@ -386,7 +481,7 @@ impl PoolShard {
     /// `width - 1` dedicated workers.
     pub fn new(width: usize) -> Self {
         let width = width.max(1);
-        let shared = Arc::new(Shared::new());
+        let shared = Arc::new(Shared::new(width));
         for i in 0..width - 1 {
             let sh = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -405,9 +500,8 @@ impl PoolShard {
         }
     }
 
-    /// Binds busy-accounting cells to this shard: every subsequent
-    /// [`Self::run`] increments `obs.jobs` and adds its wall-clock duration
-    /// to `obs.busy_nanos`. Unbound shards pay nothing.
+    /// Binds busy-accounting cells to this shard (see [`ShardObs`] for what
+    /// each subsequent scope adds to them). Unbound shards pay nothing.
     pub fn bind_obs(&mut self, obs: ShardObs) {
         self.obs = Some(obs);
     }
@@ -439,20 +533,24 @@ impl PoolShard {
             submit: &self.submit,
             width: self.width,
         };
-        let _restore = Restore(CURRENT_SHARD.with(|c| c.replace(Some(ctx))));
-        match &self.obs {
-            None => f(),
-            Some(obs) => {
-                // The job count is driven by the (single-threaded)
-                // scheduler, so it is deterministic; only the wall-clock
-                // payload varies run to run.
-                obs.jobs.add(jobs);
-                let t0 = std::time::Instant::now();
-                let r = f();
-                obs.busy_nanos.add(t0.elapsed().as_nanos() as u64);
-                r
-            }
+        let restore = Restore(CURRENT_SHARD.with(|c| c.replace(Some(ctx))));
+        let Some(obs) = &self.obs else {
+            return f();
+        };
+        // The job count is driven by the (single-threaded) scheduler, so it
+        // is deterministic; only the wall-clock payload varies run to run.
+        obs.jobs.add(jobs);
+        if restore
+            .0
+            .is_some_and(|outer| std::ptr::eq(outer.shared, ctx.shared))
+        {
+            // Nested in a scope of this same shard, whose timer is running.
+            return f();
         }
+        let t0 = Instant::now();
+        let r = f();
+        obs.busy_nanos.add(t0.elapsed().as_nanos() as u64);
+        r
     }
 
     /// Runs `f(i, &mut items[i])` for every item as **one pool job per
@@ -700,6 +798,150 @@ mod tests {
         }
     }
 
+    /// A seeded submitter-side pause between dispatches, straddling
+    /// [`SPIN_BUDGET`]: most are shorter (the next job finds the worker
+    /// still polling), some several times longer (it has parked).
+    fn straddling_pause(rng: &mut u64) {
+        *rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let pause = match (*rng >> 33) % 16 {
+            0..=8 => return,
+            9..=11 => SPIN_BUDGET / 4,
+            12..=13 => SPIN_BUDGET * 3 / 2,
+            _ => SPIN_BUDGET * 4,
+        };
+        // Busy-wait: a sleep this short rounds up past the budget.
+        let t0 = Instant::now();
+        while t0.elapsed() < pause {
+            std::hint::spin_loop();
+        }
+    }
+
+    #[test]
+    fn back_to_back_dispatches_run_every_chunk_once_spinning_or_parked() {
+        const DISPATCHES: usize = 10_000;
+        const ROWS: usize = 16;
+        const COLS: usize = 8;
+        // Every dispatch adds a function of (dispatch, element) to a
+        // running buffer through `width` row blocks, so a chunk that ran
+        // twice, or not at all, or a job picked up with a stale closure,
+        // changes the final bits. Every 1000th dispatch has a panicking
+        // chunk instead.
+        let run = |width: usize| -> (Vec<f32>, usize, bool) {
+            let shard = PoolShard::new(width);
+            let mut acc = vec![0.0f32; ROWS * COLS];
+            let mut rng = 0x5eed_u64 + width as u64;
+            for d in 0..DISPATCHES {
+                straddling_pause(&mut rng);
+                if d % 1000 == 999 {
+                    let ran = AtomicUsize::new(0);
+                    let poisoned = catch_unwind(AssertUnwindSafe(|| {
+                        shard.run(|| {
+                            parallel_row_blocks_mut(&mut acc, COLS, width, |r0, _| {
+                                ran.fetch_add(1, Ordering::Relaxed);
+                                if r0 == 0 {
+                                    panic!("injected chunk panic");
+                                }
+                            })
+                        })
+                    }));
+                    assert!(poisoned.is_err(), "width {width}: panic not forwarded");
+                    assert_eq!(ran.load(Ordering::Relaxed), width, "width {width}");
+                    continue; // ...and poisons only that job: the next one runs.
+                }
+                let rows_hit = AtomicUsize::new(0);
+                shard.run(|| {
+                    parallel_row_blocks_mut(&mut acc, COLS, width, |r0, block| {
+                        for (i, v) in block.iter_mut().enumerate() {
+                            *v += ((d % 251) as f32).sqrt() + (r0 * COLS + i) as f32 * 0.125;
+                        }
+                        rows_hit.fetch_add(block.len() / COLS, Ordering::Relaxed);
+                    })
+                });
+                assert_eq!(
+                    rows_hit.load(Ordering::Relaxed),
+                    ROWS,
+                    "width {width}, job {d}"
+                );
+            }
+            let parks = shard.shared.parks.load(Ordering::Relaxed);
+            (acc, parks, shard.shared.spins)
+        };
+        let (gold, ..) = run(1);
+        for width in 2..=4 {
+            let (acc, parks, spins) = run(width);
+            assert_eq!(acc, gold, "width {width} diverged from the width-1 bits");
+            assert_eq!(spins, width <= hardware_parallelism(), "width {width}");
+            if spins {
+                // Both pick-up paths ran: the long pauses parked the
+                // workers, the back-to-back dispatches found them polling.
+                assert!(parks > 0, "width {width}: no worker ever parked");
+                assert!(
+                    parks < DISPATCHES * (width - 1),
+                    "width {width}: {parks} parks over {DISPATCHES} dispatches, \
+                     so no job was picked up while spinning"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_shard_wider_than_the_machine_never_spins() {
+        let cores = hardware_parallelism();
+        for width in [1, 2, 4, 8, cores, cores + 1] {
+            let shard = PoolShard::new(width);
+            assert_eq!(
+                shard.shared.spins,
+                (2..=cores).contains(&width),
+                "width {width} on {cores} core(s)"
+            );
+            // Parked-only shards behave as they always did.
+            let mut buf = vec![0.0f32; 64 * 1024];
+            for round in 0..50 {
+                shard.parallel_rows_mut(&mut buf, 1024, |r, row| row.fill((r + round) as f32));
+                assert_eq!(buf[1024 * 9], (9 + round) as f32, "width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_idle_worker_parks_inside_a_run_scope() {
+        // Both threads of a two-wide shard take an item (they meet at the
+        // barrier); the one that is not this thread reports where the
+        // kernel keeps its CPU clock.
+        let shard = PoolShard::new(2);
+        let barrier = std::sync::Barrier::new(2);
+        let me = std::thread::current().id();
+        let stats = shard.run_items(&mut [(); 2], |_, _| {
+            barrier.wait();
+            (std::thread::current().id() != me)
+                .then(|| std::fs::read_link("/proc/thread-self").ok())
+                .flatten()
+        });
+        let Some(task) = stats.into_iter().find_map(|s| s.unwrap()) else {
+            eprintln!("no /proc/thread-self here: worker CPU time not readable, skipping");
+            return;
+        };
+        // utime + stime of the worker, in clock ticks (fields 14 and 15;
+        // the thread name in field 2 has no spaces).
+        let cpu_ticks = || -> u64 {
+            let stat = std::fs::read_to_string(format!("/proc/{}/stat", task.display())).unwrap();
+            let mut fields = stat.split_whitespace().skip(13);
+            let mut tick = || fields.next().unwrap().parse::<u64>().unwrap();
+            tick() + tick()
+        };
+        shard.run(|| {
+            let before = cpu_ticks();
+            std::thread::sleep(Duration::from_secs(1));
+            let burned = cpu_ticks() - before;
+            // A worker spinning through the sleep would burn the whole
+            // second (100 ticks at the usual 100 Hz); a parked one burns at
+            // most the spin budget.
+            assert!(burned <= 5, "idle worker burned {burned} ticks in 1 s");
+        });
+    }
+
     #[test]
     fn thread_count_override() {
         let before = threads();
@@ -803,12 +1045,15 @@ mod tests {
         let mut items = [0usize; 2];
         let threads_seen = shard.run_items(&mut items, |_, _| {
             barrier.wait();
+            // An explicit four-way split: a worker thread carries no shard
+            // scope, so `parallel_chunks` there would split by the global
+            // setting — one chunk on a one-core box.
             let nested = Mutex::new(Vec::new());
-            parallel_chunks(1000, |_, _| {
+            parallel_row_blocks_mut(&mut [0.0f32; 64], 8, 4, |_, _| {
                 nested.lock().unwrap().push(std::thread::current().id());
             });
             let nested = nested.into_inner().unwrap();
-            assert!(nested.len() > 1, "the kernel must still split its work");
+            assert_eq!(nested.len(), 4, "the kernel must still split its work");
             assert!(nested.iter().all(|t| *t == std::thread::current().id()));
             std::thread::current().id()
         });
@@ -825,6 +1070,30 @@ mod tests {
             nested.into_inner().unwrap().len()
         });
         assert_eq!(fanned[0].as_ref().unwrap(), &2);
+    }
+
+    #[test]
+    fn nested_scopes_count_jobs_but_time_only_the_outermost() {
+        let mut shard = PoolShard::new(2);
+        let obs = ShardObs::new();
+        shard.bind_obs(obs.clone());
+        let pause = Duration::from_millis(20);
+        let t0 = Instant::now();
+        shard.run(|| {
+            std::thread::sleep(pause);
+            shard.run_items(&mut [(); 2], |_, _| std::thread::sleep(pause));
+        });
+        let outer = t0.elapsed().as_nanos() as u64;
+        assert_eq!(obs.jobs.get(), 3, "one `run` plus two items");
+        // Timed twice, the nested 20 ms would push the sum past the wall
+        // measured out here.
+        let busy = obs.busy_nanos.get();
+        assert!(busy <= outer, "busy {busy} ns inside a {outer} ns scope");
+        assert!(busy >= 2 * pause.as_nanos() as u64);
+        // A sibling scope is its own outermost scope.
+        shard.run_items(&mut [(); 2], |_, _| std::thread::sleep(pause));
+        assert_eq!(obs.jobs.get(), 5);
+        assert!(obs.busy_nanos.get() >= busy + pause.as_nanos() as u64);
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! * **simultaneous stage panics** in per-stream style, where the crashing
 //!   stages run as concurrent pool jobs: the traces record stream order,
 //!   never completion order;
+//! * the **gather fan-out** serving two frames of one stream in one batch
+//!   (a stall, a shrunken batch, then the backlog) as one pool job, equal
+//!   to the serial pipeline and byte-identical at every pool width;
 //! * the **circuit breaker** killing a repeatedly-crashing stream while
 //!   the node keeps running;
 //! * the **watchdog** quarantining a stalled camera and readmitting it on
@@ -18,14 +21,14 @@
 
 use std::time::Duration;
 
-use ff_core::control::{ControlAction, ControlConfig, DegradePolicy, WatchdogPolicy};
+use ff_core::control::{BatchPolicy, ControlAction, ControlConfig, DegradePolicy, WatchdogPolicy};
 use ff_core::faults::{FaultEventKind, FaultPlan, RecoveryConfig, RetryPolicy};
 use ff_core::runtime::{
     ControlledReport, EdgeNode, EdgeNodeConfig, GatherBatch, ObsConfig, ShardLayout,
 };
-use ff_core::{McSpec, PipelineConfig};
+use ff_core::{FilterForward, McSpec, PipelineConfig};
 use ff_models::MobileNetConfig;
-use ff_video::scene::SceneConfig;
+use ff_video::scene::{Scene, SceneConfig};
 use ff_video::{Resolution, SceneSource};
 
 const RES: Resolution = Resolution::new(64, 32);
@@ -59,16 +62,19 @@ fn build_node(cfg: EdgeNodeConfig, streams: usize, frames: u64) -> EdgeNode {
             Box::new(SceneSource::new(scene_cfg(seed), frames)),
             pipeline(),
         );
-        node.deploy(
-            id,
-            McSpec {
-                threshold: 0.0,
-                smoothing: ff_core::SmoothingConfig { n: 1, k: 1 },
-                ..McSpec::full_frame(format!("cam{s}"), seed)
-            },
-        );
+        node.deploy(id, cam_spec(s));
     }
     node
+}
+
+/// Camera `s`'s microclassifier: threshold 0, unsmoothed — every frame
+/// matches the moment it is served.
+fn cam_spec(s: usize) -> McSpec {
+    McSpec {
+        threshold: 0.0,
+        smoothing: ff_core::SmoothingConfig { n: 1, k: 1 },
+        ..McSpec::full_frame(format!("cam{s}"), 41 + s as u64)
+    }
 }
 
 /// Policy-free control config (faults must not leak into verdicts through
@@ -92,6 +98,18 @@ fn chaos_plan() -> FaultPlan {
         .uplink_outage(12, 12)
         .camera_stall(1, 8, 12)
         .stage_panic(2, 5)
+}
+
+/// The deterministic observability exports of a run (Chrome trace, metrics
+/// JSON, Prometheus text): byte-identical across repeats and pool widths.
+fn obs_exports(r: &ControlledReport) -> (String, String, String) {
+    let obs = r.obs.as_ref().expect("obs enabled");
+    assert_eq!(obs.dropped_spans, 0);
+    (
+        obs.chrome_trace(),
+        obs.metrics.to_json(),
+        obs.metrics.to_prometheus(),
+    )
 }
 
 fn chaos_gather_run(budget: usize, plan: Option<FaultPlan>) -> ControlledReport {
@@ -263,26 +281,108 @@ fn simultaneous_stage_panics_fold_in_stream_order_at_every_width() {
         );
         assert_eq!(gold.streams[s].verdicts.len(), 23);
     }
-    let exports = |r: &ControlledReport| {
-        let obs = r.obs.as_ref().expect("obs enabled");
-        assert_eq!(obs.dropped_spans, 0);
-        (
-            obs.chrome_trace(),
-            obs.metrics.to_json(),
-            obs.metrics.to_prometheus(),
-        )
-    };
     for width in [1usize, 2, 4] {
         let again = run(width, Some(plan()));
         assert_eq!(gold.faults, again.faults, "fault report, width {width}");
         assert_eq!(gold.trace, again.trace, "control trace, width {width}");
         assert_eq!(
-            exports(&gold),
-            exports(&again),
+            obs_exports(&gold),
+            obs_exports(&again),
             "obs exports, width {width}"
         );
         for (a, b) in gold.streams.iter().zip(&again.streams) {
             assert_eq!(a.verdicts, b.verdicts, "width {width} stream {:?}", a.id);
+        }
+    }
+}
+
+#[test]
+fn gather_fanout_serves_two_frames_of_a_stream_in_one_batch_identically_at_every_width() {
+    // Gather style, 4 streams, max_batch 8. Cameras 1–3 stall for 12 polls,
+    // the lone stream's thin fill walks the batch policy down 8 → 2, and
+    // when the three come back the node is behind: mailboxes back up, the
+    // policy grows the batch again, and the batches that drain the backlog
+    // carry two frames of the same stream — which the fan-out serves inside
+    // one pool job, in batch order, beside the other streams' jobs.
+    const FRAMES: u64 = 48;
+    let plan = || {
+        FaultPlan::new()
+            .camera_stall(1, 2, 12)
+            .camera_stall(2, 2, 12)
+            .camera_stall(3, 2, 12)
+    };
+    let ctl = ControlConfig {
+        tick_frames: 2,
+        batch: Some(BatchPolicy {
+            max_batch: 8,
+            patience: 1,
+            ..BatchPolicy::default()
+        }),
+        ..quiet_ctl()
+    };
+    let run = |width: usize| {
+        let mut cfg = EdgeNodeConfig::new(ShardLayout::single(width))
+            .with_gather_batch(GatherBatch {
+                max_batch: 8,
+                gather_wait: Duration::from_millis(1),
+            })
+            .with_faults(plan())
+            .with_obs(ObsConfig::default());
+        cfg.uplink_capacity_bps = 200_000.0;
+        build_node(cfg, 4, FRAMES).run_controlled(ctl)
+    };
+    let gold = run(1);
+
+    // The scenario happened: the batch shrank, grew back, and some batch
+    // held more frames than there are streams.
+    let resized: Vec<_> = (gold.trace.decisions.iter())
+        .filter_map(|d| match d.action {
+            ControlAction::SetMaxBatch { from, to } => Some((from, to)),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        resized.contains(&(4, 2)) && resized.contains(&(4, 8)),
+        "{resized:?}"
+    );
+    let obs = gold.obs.as_ref().expect("obs enabled");
+    let fullest = (obs.spans.iter())
+        .filter(|s| (s.stage, s.kind) == ("gather", "extract"))
+        .map(|s| s.value)
+        .max();
+    assert!(
+        fullest > Some(4),
+        "no batch carried two frames of one stream (fullest: {fullest:?})"
+    );
+
+    // A stall shifts timing, never content: every verdict equals a serial
+    // pipeline's over the same camera.
+    for (s, sr) in gold.streams.iter().enumerate() {
+        let mut ff = FilterForward::new(pipeline());
+        ff.deploy(cam_spec(s));
+        let mut scene = Scene::new(scene_cfg(41 + s as u64));
+        let mut serial = Vec::new();
+        for _ in 0..FRAMES {
+            serial.extend(ff.process(&scene.step().0));
+        }
+        serial.extend(ff.finish().0);
+        assert_eq!(
+            sr.verdicts, serial,
+            "stream {s} diverged from the serial pipeline"
+        );
+    }
+
+    for width in [1usize, 2, 3, 4] {
+        for repeat in 0..2 {
+            let again = run(width);
+            let at = format!("width {width}, repeat {repeat}");
+            assert_eq!(gold.faults, again.faults, "fault report, {at}");
+            assert_eq!(gold.trace, again.trace, "control trace, {at}");
+            assert_eq!(gold.wakes, again.wakes, "wake log, {at}");
+            assert_eq!(obs_exports(&gold), obs_exports(&again), "obs exports, {at}");
+            for (a, b) in gold.streams.iter().zip(&again.streams) {
+                assert_eq!(a.verdicts, b.verdicts, "{at}, stream {:?}", a.id);
+            }
         }
     }
 }

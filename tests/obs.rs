@@ -3,8 +3,9 @@
 //!
 //! * the chaos-node Chrome trace and deterministic metrics snapshot must
 //!   be **byte-identical** across repeated runs and across shard widths
-//!   {1, 2, 3} — spans are keyed by virtual rounds and the deterministic
-//!   exports exclude every wall-clock cell;
+//!   {1, 2, 3, 4} — spans are keyed by virtual rounds and the deterministic
+//!   exports exclude every wall-clock cell (`shard/jobs`, which counts the
+//!   gather fan-out's pool jobs, is among the cells compared);
 //! * the registry must agree with the report it mirrors (one cell backs
 //!   both), for the node and for the hub under fleet chaos;
 //! * wall-clock cells appear only in the `_with_volatile` exports.
@@ -86,7 +87,8 @@ fn chaos_trace_and_metrics_are_byte_identical_across_runs_and_widths() {
     assert!(trace.contains("task:wake"));
     assert!(trace.contains("uplink:link_down"));
     assert!(trace.contains("task:panic"));
-    for width in [1usize, 2, 3] {
+    assert!(json.contains("\"jobs\""), "shard/jobs must be exported");
+    for width in [1usize, 2, 3, 4] {
         for repeat in 0..2 {
             let (t, j, p) = exports(width);
             assert_eq!(trace, t, "trace differs (width {width}, repeat {repeat})");
