@@ -5,11 +5,10 @@
 //! budget: the node-scale counterpart of Figure 5.
 //!
 //! Every run's per-stream verdicts are checked **bit-for-bit** against the
-//! serial `FilterForward::process` path (run at the same weight-panel
-//! precision — the `*_f16` / `*_int8` rows sweep `ff_tensor::Precision`
-//! through the gather-batched style) before its throughput is reported, so
-//! a number only lands in the JSON if the concurrent or batched execution
-//! is provably equivalent.
+//! serial `FilterForward::process` path (run at the same precision — the
+//! `*_int8act` row runs the gather-batched style at whole-int8) before its
+//! throughput is reported, so a number only lands in the JSON if the
+//! concurrent or batched execution is provably equivalent.
 //!
 //! Results are spliced into `BENCH_throughput.json` (next to the
 //! single-stream rows emitted by `bench_throughput`) under a
@@ -430,10 +429,9 @@ fn main() {
                 .collect()
         })
         .collect();
-    // Per-precision serial golds: a reduced-precision node must reproduce
-    // the serial loop run at the *same* precision bit-for-bit (quantization
-    // changes the weights once, at pack time; execution mode never changes
-    // a bit).
+    // Per-precision serial golds: a whole-int8 node must reproduce the
+    // serial loop run at the *same* precision bit-for-bit (execution mode
+    // never changes a bit).
     let gold_for = |p: Precision| -> Vec<Vec<FrameVerdict>> {
         rendered
             .iter()
@@ -442,8 +440,6 @@ fn main() {
             .collect()
     };
     let gold = gold_for(Precision::F32);
-    let gold_f16 = gold_for(Precision::F16);
-    let gold_int8 = gold_for(Precision::Int8);
     let gold_int8act = gold_for(Precision::Int8Act);
 
     ff_tensor::parallel::set_threads(budget);
@@ -470,12 +466,8 @@ fn main() {
         ("2s_batched_b2", 2, gather(2), f32p),
         ("4s_batched_b4", 4, gather(4), f32p),
         ("4s_batched_b8", 4, gather(8), f32p),
-        // Precision sweep at the strongest batched operating point: f16
-        // halves, int8 quarters the weight panels streamed per shared pass.
-        ("4s_batched_b8_f16", 4, gather(8), Precision::F16),
-        ("4s_batched_b8_int8", 4, gather(8), Precision::Int8),
-        // Whole-int8: weights *and* activations quantized, the u8 gather +
-        // vpmaddubsw GEMM path.
+        // Whole-int8 at the strongest batched operating point: weights
+        // *and* activations quantized, the u8 gather + integer GEMM path.
         ("4s_batched_b8_int8act", 4, gather(8), Precision::Int8Act),
     ];
     let mut rows: Vec<(String, f64)> = vec![(format!("serial_1s_t{budget}"), baseline)];
@@ -488,8 +480,6 @@ fn main() {
     for (name, streams, gb, precision) in &cases {
         let gold_p = match precision {
             Precision::F32 => &gold,
-            Precision::F16 => &gold_f16,
-            Precision::Int8 => &gold_int8,
             Precision::Int8Act => &gold_int8act,
         };
         let fps = measure_node(*streams, budget, *gb, *precision, n_frames, gold_p);

@@ -4,13 +4,11 @@
 //! section sweeping micro-batch sizes B ∈ {1, 2, 4, 8} through the batched
 //! extraction path (one GEMM over the stacked im2col matrix per layer; see
 //! `FeatureExtractor::extract_batch`) and a `"precision"` section sweeping
-//! the weight-panel storage precision (f32 / f16 / int8 / int8act — see
-//! `ff_tensor::Precision`) at B ∈ {1, 8}, and a `"panel_bound"` section
-//! sweeping the same precisions through an α=1 backbone at 480×270 —
-//! the geometry whose weight set and activation buffers dwarf the
-//! per-core L2, where the reduced-precision panels (and the
-//! whole-int8 `vpmaddubsw` kernel) actually pay (override its frame count
-//! with `BENCH_PANEL_FRAMES=n`).
+//! the backbone precision (f32 / int8act — see `ff_tensor::Precision`) at
+//! B ∈ {1, 8}, and a `"panel_bound"` section sweeping the same precisions
+//! through an α=1 backbone at 480×270 — the geometry whose weight set and
+//! activation buffers dwarf the per-core L2 (override its frame count with
+//! `BENCH_PANEL_FRAMES=n`).
 //!
 //! All numbers are single-threaded (see
 //! [`ff_bench::throughput::single_threaded`]) — the Figure 5 framing — and
@@ -41,15 +39,9 @@ const N_CLASSIFIERS: usize = 4;
 /// Micro-batch sizes swept through the batched extraction path.
 const BATCH_SIZES: [usize; 4] = [1, 2, 4, 8];
 
-/// Weight-panel precisions swept through the batched extraction path
-/// (f32 baseline, f16 half-byte panels, int8 quarter-byte panels, and
-/// whole-int8 — weights *and* activations quantized).
-const PRECISIONS: [Precision; 4] = [
-    Precision::F32,
-    Precision::F16,
-    Precision::Int8,
-    Precision::Int8Act,
-];
+/// Backbone precisions swept through the batched extraction path (f32
+/// baseline and whole-int8 — weights *and* activations quantized).
+const PRECISIONS: [Precision; 2] = [Precision::F32, Precision::Int8Act];
 
 /// Panel-bound geometry: an α=1 backbone at the largest frame the
 /// pure-Rust inference budget admits (scale 4 ⇒ 480×270). What makes the
@@ -108,9 +100,8 @@ fn main() {
     let b8 = batched[batched.len() - 1].1;
     let speedup = b8 / b1;
 
-    // Precision sweep: the same batched extraction with the weight panels
-    // stored at f32 / f16 / int8 (arithmetic stays f32; only the panel
-    // bytes streamed per GEMM change), at B = 1 and B = 8.
+    // Precision sweep: the same batched extraction at f32 and at
+    // whole-int8, at B = 1 and B = 8.
     let precision: Vec<(String, f64)> = PRECISIONS
         .iter()
         .flat_map(|&p| {
@@ -122,15 +113,6 @@ fn main() {
             })
         })
         .collect();
-    let lookup = |name: &str| {
-        precision
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, f)| f)
-            .expect("swept")
-    };
-    let f16_speedup_b1 = lookup("f16_b1") / lookup("f32_b1");
-    let f16_speedup_b8 = lookup("f16_b8") / lookup("f32_b8");
 
     // Panel-bound sweep: the α=1 backbone at 1080p-class resolution runs
     // every precision through the serial batched path (B=1: at this
@@ -157,7 +139,6 @@ fn main() {
             .expect("swept")
     };
     let int8act_vs_f32 = panel_lookup("int8act") / panel_lookup("f32");
-    let f16_vs_f32_panel = panel_lookup("f16") / panel_lookup("f32");
 
     let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_throughput.json".into());
     let mut json = String::from("{\n");
@@ -201,20 +182,10 @@ fn main() {
         println!("extractor_{name:<14} {fps:>10.2} fps");
     }
     json.push_str("    },\n");
-    json.push_str(&format!(
-        "    \"speedup_f16_vs_f32_b1\": {f16_speedup_b1:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"speedup_f16_vs_f32_b8\": {f16_speedup_b8:.2},\n"
-    ));
     json.push_str(
-        "    \"note\": \"panel bytes halve (f16) / quarter (int8) but throughput is \
-         compute-bound on this container: the f32 weight set (~2 MB at this geometry) already \
-         fits the very large shared LLC, so shrinking it buys no bandwidth back, and the \
-         widening adds a vcvtph2ps/vpmovsxbd per panel load on a kernel that was at ~89% FMA \
-         peak; expect the f16/int8 win where the working set exceeds the LLC (many streams, \
-         alpha=1 models, small-LLC edge parts) exactly as batching's panel-streaming \
-         amortization does\"\n  },\n",
+        "    \"note\": \"the f32 weight set (~2 MB at this geometry) fits the very large \
+         shared LLC, so whole-int8's gain here is arithmetic density (integer MACs), not \
+         panel bytes; the panel_bound section below is the geometry where bytes count too\"\n  },\n",
     );
     json.push_str("  \"panel_bound\": {\n");
     json.push_str(&format!(
@@ -229,15 +200,12 @@ fn main() {
     json.push_str(&format!(
         "    \"speedup_int8act_vs_f32\": {int8act_vs_f32:.2},\n"
     ));
-    json.push_str(&format!(
-        "    \"speedup_f16_vs_f32\": {f16_vs_f32_panel:.2},\n"
-    ));
     json.push_str(
         "    \"note\": \"alpha=1 at 480x270 (the largest frame the pure-Rust budget admits): \
          the weight panels (~17 MB f32) and im2col buffers overflow this container's 2 MB L2 \
          by an order of magnitude, so every GEMM streams its panels — the geometry the scale-16 sections \
-         above cannot reach; the whole-int8 rung additionally swaps the widen-to-f32 panel \
-         loads for vpmaddubsw/vpmaddwd integer MACs (2 multiply-adds per byte lane per \
+         above cannot reach; the whole-int8 rung swaps the f32 FMA chain \
+         for vpmaddubsw/vpmaddwd integer MACs (2 multiply-adds per byte lane per \
          instruction vs 1 per f32 FMA lane), so its win here combines streamed-byte \
          reduction (4x fewer panel bytes than f32) with integer-kernel arithmetic density; \
          the 260 MB shared LLC still backstops DRAM traffic on this container, bounding the \
@@ -247,10 +215,7 @@ fn main() {
     json.push('\n');
     println!("batched extraction B=8 vs B=1: {speedup:.2}x (single-threaded)");
     println!(
-        "f16 vs f32 extraction: {f16_speedup_b1:.2}x at B=1, {f16_speedup_b8:.2}x at B=8 (single-threaded)"
-    );
-    println!(
-        "panel-bound (alpha={PANEL_ALPHA}, scale {PANEL_SCALE}): int8act vs f32 {int8act_vs_f32:.2}x, f16 vs f32 {f16_vs_f32_panel:.2}x (single-threaded)"
+        "panel-bound (alpha={PANEL_ALPHA}, scale {PANEL_SCALE}): int8act vs f32 {int8act_vs_f32:.2}x (single-threaded)"
     );
     let mut f = std::fs::File::create(&out_path).expect("create BENCH_throughput.json");
     f.write_all(json.as_bytes()).expect("write json");

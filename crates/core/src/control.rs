@@ -59,13 +59,14 @@
 //! # The degradation ladder
 //!
 //! Under sustained uplink saturation the node trades fidelity for headroom
-//! one rung at a time: weight-panel precision steps f32 → f16 → int8
-//! (through the existing [`ff_tensor::Precision`] plumbing), then the
-//! **upload frame stride** doubles (2, 4, … up to
-//! [`DegradePolicy::max_stride`]) so only every k-th frame of a matched
-//! event run is re-encoded and uploaded
-//! ([`crate::FilterForward::set_upload_stride`]). Sustained relief walks
-//! the same ladder back up.
+//! one rung at a time: the base DNN steps from f32 to whole-int8
+//! ([`ff_tensor::Precision`] has only those two rungs; a node that already
+//! runs whole-int8 skips this step), then the **upload frame stride**
+//! doubles (2, 4, … up to [`DegradePolicy::max_stride`]) so only every
+//! k-th frame of a matched event run is re-encoded and uploaded
+//! ([`crate::FilterForward::set_upload_stride`]). The precision rung buys
+//! compute headroom, not bytes; the stride rungs are the ones that shed
+//! uplink load. Sustained relief walks the same ladder back up.
 //!
 //! # Admission control
 //!
@@ -568,9 +569,9 @@ impl Default for BatchPolicy {
 }
 
 /// Uplink-aware degradation: under sustained offered load above
-/// `high_water` the node steps down the ladder (precision f32 → f16 →
-/// int8, then upload stride 2, 4, …); sustained load below `low_water`
-/// steps back up.
+/// `high_water` the node steps down the ladder (precision f32 →
+/// whole-int8, then upload stride 2, 4, …), one rung per saturation
+/// streak; sustained load below `low_water` steps back up.
 #[derive(Debug, Clone, Copy)]
 pub struct DegradePolicy {
     /// Per-tick offered utilization above which a tick counts as
@@ -597,59 +598,6 @@ impl Default for DegradePolicy {
             relax_ticks: 6,
             max_stride: 4,
         }
-    }
-}
-
-/// Measured-at-calibration per-precision cost table consumed by the
-/// degrade arm: for each precision the node calibrated, the extractor
-/// throughput (fps) and the uplink bytes per uploaded frame at that rung.
-///
-/// With a complete table (an entry for the ladder's every precision) the
-/// degrade policy **predicts** which rung clears the uplink deficit and
-/// jumps straight there, instead of stepping one rung per saturation
-/// streak and re-measuring. The table is plain measured data — entries in
-/// fixed insertion order, consumed with pure f64 arithmetic — so decision
-/// traces stay bit-replayable.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PrecisionCost {
-    /// `(precision, extractor fps, uplink bytes per uploaded frame)` per
-    /// calibrated rung.
-    entries: Vec<(Precision, f64, f64)>,
-}
-
-impl PrecisionCost {
-    /// An empty table (degrade falls back to blind one-rung stepping).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds (or overwrites) the measured cost of one precision.
-    pub fn with_entry(mut self, precision: Precision, fps: f64, bytes_per_frame: f64) -> Self {
-        self.set(precision, fps, bytes_per_frame);
-        self
-    }
-
-    /// Adds (or overwrites) the measured cost of one precision.
-    pub fn set(&mut self, precision: Precision, fps: f64, bytes_per_frame: f64) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == precision) {
-            e.1 = fps;
-            e.2 = bytes_per_frame;
-        } else {
-            self.entries.push((precision, fps, bytes_per_frame));
-        }
-    }
-
-    /// The measured `(fps, bytes_per_frame)` of a precision, if calibrated.
-    pub fn get(&self, precision: Precision) -> Option<(f64, f64)> {
-        self.entries
-            .iter()
-            .find(|e| e.0 == precision)
-            .map(|e| (e.1, e.2))
-    }
-
-    /// Whether no precision has been calibrated.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -860,13 +808,8 @@ pub struct ControllerInit {
     /// Gather batch capacity at start (0 ⇒ per-stream style, batch policy
     /// inert).
     pub initial_batch: usize,
-    /// Weight-panel precision at start (the ladder's top rung).
+    /// Base-DNN precision at start (the ladder's top rung).
     pub base_precision: Precision,
-    /// Calibration-time per-precision cost table. `Some` with an entry for
-    /// every ladder precision enables predictive degradation (jump to the
-    /// shallowest rung predicted to clear the deficit); `None` or an
-    /// incomplete table keeps the blind one-rung-per-streak stepping.
-    pub precision_cost: Option<PrecisionCost>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -893,7 +836,6 @@ pub struct Controller {
     rung: usize,
     hot_streak: u32,
     cool_streak: u32,
-    precision_cost: Option<PrecisionCost>,
     trace: ControlTrace,
 }
 
@@ -946,16 +888,11 @@ impl Controller {
                 d.high_water
             );
         }
+        // The ladder: the base precision, whole-int8 below an f32 base,
+        // then the upload strides at the floor precision.
         let mut rungs = vec![(init.base_precision, 1u32)];
-        // Precision rungs in quality order below the base; the whole-int8
-        // rung sits under weight-only int8 (activations quantize too).
-        for p in [Precision::F16, Precision::Int8, Precision::Int8Act] {
-            match (init.base_precision, p) {
-                (Precision::F32, _)
-                | (Precision::F16, Precision::Int8 | Precision::Int8Act)
-                | (Precision::Int8, Precision::Int8Act) => rungs.push((p, 1)),
-                _ => {}
-            }
+        if init.base_precision == Precision::F32 {
+            rungs.push((Precision::Int8Act, 1));
         }
         if let Some(d) = &cfg.degrade {
             let floor_precision = rungs.last().expect("non-empty").0;
@@ -981,7 +918,6 @@ impl Controller {
             rung: 0,
             hot_streak: 0,
             cool_streak: 0,
-            precision_cost: init.precision_cost,
             trace: ControlTrace::default(),
         }
     }
@@ -1103,60 +1039,12 @@ impl Controller {
             self.cool_streak = 0;
         }
         if self.hot_streak >= p.saturate_ticks && self.rung + 1 < self.rungs.len() {
-            // During an outage the offered utilization is meaningless (a
-            // down link offers nothing), so prediction has no signal —
-            // step blind. Recovery is always one rung: stepping back up
-            // cautiously is the point of the slower relax side.
-            let target = if t.faults.link_up {
-                self.predicted_rung(u, &p)
-            } else {
-                self.rung + 1
-            };
-            self.step_rung(target, plan);
+            self.step_rung(self.rung + 1, plan);
             self.hot_streak = 0;
         } else if self.cool_streak >= p.relax_ticks && self.rung > 0 {
             self.step_rung(self.rung - 1, plan);
             self.cool_streak = 0;
         }
-    }
-
-    /// The rung the degrade arm should step down to at offered utilization
-    /// `u`: with a [`PrecisionCost`] entry for the current and every deeper
-    /// rung's precision, the shallowest rung whose **predicted** offered
-    /// utilization — `u` scaled by the measured bytes-per-frame ratio and
-    /// the upload-stride ratio — clears `high_water` (the deepest rung if
-    /// none does). A rung whose calibrated fps regresses below the current
-    /// rung's is skipped: it cannot relieve a node that is also
-    /// compute-saturated. Without a complete table: the legacy blind
-    /// single-rung step.
-    fn predicted_rung(&self, u: f64, p: &DegradePolicy) -> usize {
-        let Some(cost) = &self.precision_cost else {
-            return self.rung + 1;
-        };
-        let (cur_p, cur_s) = self.rungs[self.rung];
-        let Some((cur_fps, cur_bytes)) = cost.get(cur_p) else {
-            return self.rung + 1;
-        };
-        if self.rungs[self.rung + 1..]
-            .iter()
-            .any(|&(rp, _)| cost.get(rp).is_none())
-        {
-            return self.rung + 1;
-        }
-        let mut deepest_viable = None;
-        for j in self.rung + 1..self.rungs.len() {
-            let (rp, rs) = self.rungs[j];
-            let (fps, bytes) = cost.get(rp).expect("checked complete above");
-            if fps < cur_fps {
-                continue;
-            }
-            deepest_viable = Some(j);
-            let predicted = u * (bytes / cur_bytes) * (f64::from(cur_s) / f64::from(rs));
-            if predicted <= p.high_water {
-                return j;
-            }
-        }
-        deepest_viable.unwrap_or(self.rung + 1)
     }
 
     fn step_rung(&mut self, to: usize, plan: &mut ControlPlan) {
@@ -1361,7 +1249,6 @@ mod tests {
                 streams: 2,
                 initial_batch: 4,
                 base_precision: Precision::F32,
-                precision_cost: None,
             },
         )
     }
@@ -1436,7 +1323,6 @@ mod tests {
                 streams: 4,
                 initial_batch: 0,
                 base_precision: Precision::F32,
-                precision_cost: None,
             },
         );
         // Stream 2's camera dies; patience 2 ⇒ second tick quarantines.
@@ -1455,17 +1341,21 @@ mod tests {
         assert_eq!(plan.actions, vec![ControlAction::Readmit { stream: 2 }]);
     }
 
-    #[test]
-    fn degrade_treats_an_outage_as_saturation() {
-        let cfg = ControlConfig {
+    fn degrade_only(saturate_ticks: u32, relax_ticks: u32) -> ControlConfig {
+        ControlConfig {
             batch: None,
             degrade: Some(DegradePolicy {
-                saturate_ticks: 2,
+                saturate_ticks,
+                relax_ticks,
                 ..DegradePolicy::default()
             }),
             ..ControlConfig::default()
-        };
-        let mut c = gather_controller(cfg);
+        }
+    }
+
+    #[test]
+    fn degrade_treats_an_outage_as_saturation() {
+        let mut c = gather_controller(degrade_only(2, 6));
         // A down link offers nothing — utilization 0.0 — yet must read as
         // hot, or the ladder would *relax* mid-outage.
         let outage = |tick| {
@@ -1479,223 +1369,86 @@ mod tests {
             plan.actions,
             vec![ControlAction::SetPrecision {
                 from: Precision::F32,
-                to: Precision::F16
+                to: Precision::Int8Act
             }]
+        );
+        // However long the link stays down, each streak steps exactly one
+        // rung.
+        assert!(c.observe(&outage(3)).is_empty());
+        assert_eq!(
+            c.observe(&outage(4)).actions,
+            vec![ControlAction::SetUploadStride { from: 1, to: 2 }]
         );
     }
 
     #[test]
     fn degrade_ladder_steps_down_then_recovers_in_order() {
-        let cfg = ControlConfig {
-            batch: None,
-            degrade: Some(DegradePolicy {
-                saturate_ticks: 2,
-                relax_ticks: 3,
-                ..DegradePolicy::default()
-            }),
-            ..ControlConfig::default()
-        };
-        let mut c = gather_controller(cfg);
         let hot = |tick| telem(tick, &[0, 0], &[1.0, 1.0], (8, 32, 4), 1.5);
         let cool = |tick| telem(tick, &[0, 0], &[1.0, 1.0], (8, 32, 4), 0.2);
-        let mut actions = Vec::new();
-        for tick in 1..=10 {
-            actions.extend(c.observe(&hot(tick)).actions);
-        }
+        // Ten saturated ticks, then relief: every decision with its tick.
+        let walk = |c: &mut Controller| {
+            let mut decisions = Vec::new();
+            for tick in 1..=30 {
+                let t = if tick <= 10 { hot(tick) } else { cool(tick) };
+                for action in c.observe(&t).actions {
+                    decisions.push((tick, action));
+                }
+            }
+            decisions
+        };
+        let down = ControlAction::SetPrecision {
+            from: Precision::F32,
+            to: Precision::Int8Act,
+        };
+        let up = ControlAction::SetPrecision {
+            from: Precision::Int8Act,
+            to: Precision::F32,
+        };
+        let stride = |from, to| ControlAction::SetUploadStride { from, to };
+        // From f32: one rung per saturation streak (2 ticks) until the
+        // bottom, where further saturation does nothing; relief retraces
+        // the ladder one rung per relax streak (3 ticks).
+        let mut c = gather_controller(degrade_only(2, 3));
         assert_eq!(
-            actions,
+            walk(&mut c),
             vec![
-                ControlAction::SetPrecision {
-                    from: Precision::F32,
-                    to: Precision::F16
-                },
-                ControlAction::SetPrecision {
-                    from: Precision::F16,
-                    to: Precision::Int8
-                },
-                ControlAction::SetPrecision {
-                    from: Precision::Int8,
-                    to: Precision::Int8Act
-                },
-                ControlAction::SetUploadStride { from: 1, to: 2 },
-                ControlAction::SetUploadStride { from: 2, to: 4 },
-            ],
-            "ladder must step one rung per saturation streak, in order"
+                (2, down),
+                (4, stride(1, 2)),
+                (6, stride(2, 4)),
+                (13, stride(4, 2)),
+                (16, stride(2, 1)),
+                (19, up),
+            ]
         );
-        // Bottom of the ladder: further saturation does nothing.
-        for tick in 11..=14 {
-            assert!(c.observe(&hot(tick)).is_empty());
-        }
-        // Sustained relief walks back up, slower (relax_ticks 3).
-        let mut recovery = Vec::new();
-        for tick in 15..=30 {
-            recovery.extend(c.observe(&cool(tick)).actions);
-        }
+        // From a whole-int8 base the ladder is strides only.
+        let mut c = Controller::new(
+            degrade_only(2, 3),
+            ControllerInit {
+                streams: 2,
+                initial_batch: 4,
+                base_precision: Precision::Int8Act,
+            },
+        );
         assert_eq!(
-            recovery,
+            walk(&mut c),
             vec![
-                ControlAction::SetUploadStride { from: 4, to: 2 },
-                ControlAction::SetUploadStride { from: 2, to: 1 },
-                ControlAction::SetPrecision {
-                    from: Precision::Int8Act,
-                    to: Precision::Int8
-                },
-                ControlAction::SetPrecision {
-                    from: Precision::Int8,
-                    to: Precision::F16
-                },
-                ControlAction::SetPrecision {
-                    from: Precision::F16,
-                    to: Precision::F32
-                },
+                (2, stride(1, 2)),
+                (4, stride(2, 4)),
+                (13, stride(4, 2)),
+                (16, stride(2, 1)),
             ]
         );
     }
 
     #[test]
     fn degrade_holds_inside_the_watermark_band() {
-        let cfg = ControlConfig {
-            batch: None,
-            degrade: Some(DegradePolicy {
-                saturate_ticks: 2,
-                ..DegradePolicy::default()
-            }),
-            ..ControlConfig::default()
-        };
-        let mut c = gather_controller(cfg);
+        let mut c = gather_controller(degrade_only(2, 6));
         // Oscillating between the watermarks (0.7..1.0) never acts.
         for tick in 1..=20 {
             let u = if tick % 2 == 0 { 0.95 } else { 0.75 };
             let t = telem(tick, &[0, 0], &[1.0, 1.0], (8, 32, 4), u);
             assert!(c.observe(&t).is_empty(), "tick {tick} must hold");
         }
-    }
-
-    fn cost_controller(cfg: ControlConfig, cost: PrecisionCost) -> Controller {
-        Controller::new(
-            cfg,
-            ControllerInit {
-                streams: 2,
-                initial_batch: 4,
-                base_precision: Precision::F32,
-                precision_cost: Some(cost),
-            },
-        )
-    }
-
-    fn degrade_only(saturate_ticks: u32) -> ControlConfig {
-        ControlConfig {
-            batch: None,
-            degrade: Some(DegradePolicy {
-                saturate_ticks,
-                ..DegradePolicy::default()
-            }),
-            ..ControlConfig::default()
-        }
-    }
-
-    #[test]
-    fn degrade_with_cost_table_jumps_to_the_predicted_rung() {
-        // Bytes halve per precision rung; at u = 2.5 the f16 rung predicts
-        // 2.5·(2000/4000) = 1.25 (still over the 1.0 high water) while int8
-        // predicts 2.5·(1000/4000) = 0.625 — the policy must jump straight
-        // to int8, skipping f16.
-        let cost = PrecisionCost::new()
-            .with_entry(Precision::F32, 700.0, 4000.0)
-            .with_entry(Precision::F16, 720.0, 2000.0)
-            .with_entry(Precision::Int8, 730.0, 1000.0)
-            .with_entry(Precision::Int8Act, 900.0, 1000.0);
-        let mut c = cost_controller(degrade_only(2), cost);
-        let hot = |tick| telem(tick, &[0, 0], &[1.0, 1.0], (8, 32, 4), 2.5);
-        assert!(c.observe(&hot(1)).is_empty());
-        assert_eq!(
-            c.observe(&hot(2)).actions,
-            vec![ControlAction::SetPrecision {
-                from: Precision::F32,
-                to: Precision::Int8
-            }]
-        );
-        // Still saturated at int8: whole-int8 alone predicts 2.5, stride 2
-        // predicts 1.25 — only stride 4 clears, so one streak moves both
-        // knobs at once.
-        assert!(c.observe(&hot(3)).is_empty());
-        assert_eq!(
-            c.observe(&hot(4)).actions,
-            vec![
-                ControlAction::SetPrecision {
-                    from: Precision::Int8,
-                    to: Precision::Int8Act
-                },
-                ControlAction::SetUploadStride { from: 1, to: 4 },
-            ]
-        );
-    }
-
-    #[test]
-    fn degrade_prediction_skips_fps_regressing_rungs() {
-        // Int8's calibrated fps regresses below the current rung's (a
-        // mis-measured or genuinely slower kernel on this box): it cannot
-        // relieve a compute-saturated node, so the jump lands on the
-        // whole-int8 rung even though int8's bytes would have cleared.
-        let cost = PrecisionCost::new()
-            .with_entry(Precision::F32, 700.0, 4000.0)
-            .with_entry(Precision::F16, 710.0, 2000.0)
-            .with_entry(Precision::Int8, 600.0, 1000.0)
-            .with_entry(Precision::Int8Act, 900.0, 1000.0);
-        let mut c = cost_controller(degrade_only(2), cost);
-        let hot = |tick| telem(tick, &[0, 0], &[1.0, 1.0], (8, 32, 4), 2.5);
-        assert!(c.observe(&hot(1)).is_empty());
-        assert_eq!(
-            c.observe(&hot(2)).actions,
-            vec![ControlAction::SetPrecision {
-                from: Precision::F32,
-                to: Precision::Int8Act
-            }]
-        );
-    }
-
-    #[test]
-    fn degrade_with_incomplete_cost_table_steps_one_rung() {
-        // No whole-int8 entry: the ladder contains a rung the table cannot
-        // price, so prediction is off and the legacy blind step applies.
-        let cost = PrecisionCost::new()
-            .with_entry(Precision::F32, 700.0, 4000.0)
-            .with_entry(Precision::F16, 720.0, 2000.0)
-            .with_entry(Precision::Int8, 730.0, 1000.0);
-        let mut c = cost_controller(degrade_only(2), cost);
-        let hot = |tick| telem(tick, &[0, 0], &[1.0, 1.0], (8, 32, 4), 2.5);
-        assert!(c.observe(&hot(1)).is_empty());
-        assert_eq!(
-            c.observe(&hot(2)).actions,
-            vec![ControlAction::SetPrecision {
-                from: Precision::F32,
-                to: Precision::F16
-            }]
-        );
-    }
-
-    #[test]
-    fn predictive_degrade_trace_is_bit_replayable() {
-        let cost = PrecisionCost::new()
-            .with_entry(Precision::F32, 700.0, 4000.0)
-            .with_entry(Precision::F16, 720.0, 2000.0)
-            .with_entry(Precision::Int8, 730.0, 1000.0)
-            .with_entry(Precision::Int8Act, 900.0, 1000.0);
-        let drive = || {
-            let mut c = cost_controller(degrade_only(2), cost.clone());
-            for tick in 1..=24 {
-                // Saturation bursts with a cool tail: exercises jump,
-                // hold, and one-rung recovery on the same trace.
-                let u = if tick <= 6 { 2.5 } else { 0.2 };
-                let t = telem(tick, &[0, 0], &[1.0, 1.0], (8, 32, 4), u);
-                let _ = c.observe(&t);
-            }
-            c.into_trace()
-        };
-        let a = drive();
-        let b = drive();
-        assert!(!a.is_empty(), "the schedule must produce decisions");
-        assert_eq!(a, b, "identical inputs must replay the identical trace");
     }
 
     #[test]
@@ -1845,7 +1598,7 @@ mod tests {
                     tick: 9,
                     action: ControlAction::SetPrecision {
                         from: Precision::F32,
-                        to: Precision::F16,
+                        to: Precision::Int8Act,
                     },
                 },
             ],

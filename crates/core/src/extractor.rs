@@ -258,10 +258,10 @@ impl FeatureExtractor {
         &mut self.net
     }
 
-    /// Sets the storage precision of the backbone's inference weight panels
-    /// (see [`ff_tensor::Precision`]): f16 / int8 panels halve / quarter
-    /// the weight bytes streamed per GEMM; activations and accumulation
-    /// stay f32. Updates the recorded [`Self::config`] so twin extractors
+    /// Sets the precision the backbone's inference runs at (see
+    /// [`ff_tensor::Precision`]): f32, or whole-int8 with quarter-size
+    /// weight panels, u8 activations and integer accumulation.
+    /// Updates the recorded [`Self::config`] so twin extractors
     /// built from it (e.g. the gather-batch runtime's shared extractor)
     /// quantize identically and stay bit-compatible.
     pub fn set_precision(&mut self, precision: ff_tensor::Precision) {

@@ -34,12 +34,12 @@
 //!   [`node`] memory model — every decision lands in a bit-replayable
 //!   trace (see [`runtime::EdgeNode::run_controlled`] and
 //!   [`runtime::EdgeNode::try_add_stream`]).
-//!   The base DNN's weight panels can be stored at reduced precision
-//!   ([`ff_tensor::Precision`]: f16 halves, int8 quarters the streamed
-//!   weight bytes; arithmetic stays f32) via `MobileNetConfig::precision`,
-//!   [`FeatureExtractor::set_precision`] /
+//!   The base DNN runs at one of two precisions
+//!   ([`ff_tensor::Precision`]: f32, or whole-int8 — s8 weight panels a
+//!   quarter the size, u8 activations, i32 accumulation) via
+//!   `MobileNetConfig::precision`, [`FeatureExtractor::set_precision`] /
 //!   [`pipeline::FilterForward::set_precision`], or the node-wide
-//!   `EdgeNodeConfig::precision` override; reduced-precision runs stay
+//!   `EdgeNodeConfig::precision` override; whole-int8 runs stay
 //!   bit-for-bit deterministic across thread counts, pool widths, and
 //!   batch modes.
 //! * [`archive`] — local storage + demand-fetch of context segments.
@@ -125,7 +125,7 @@ pub mod uplink;
 
 pub use control::{
     AdmissionError, AdmissionPolicy, ControlAction, ControlConfig, ControlPlan, ControlTrace,
-    Controller, NodeTelemetry, PrecisionCost,
+    Controller, NodeTelemetry,
 };
 pub use events::{EventId, EventRecord, McId};
 pub use extractor::{FeatureExtractor, FeatureMaps};

@@ -318,8 +318,8 @@ impl FilterForward {
         // calibration frames into its shared extractor.
     }
 
-    /// Sets the storage precision of the base DNN's inference weight panels
-    /// (see [`ff_tensor::Precision`] and
+    /// Sets the precision the base DNN's inference runs at — f32 or
+    /// whole-int8 (see [`ff_tensor::Precision`] and
     /// [`crate::FeatureExtractor::set_precision`]). Microclassifiers keep
     /// their f32 weights — they are per-application, tiny next to the
     /// backbone, and retrained online.

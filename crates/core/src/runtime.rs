@@ -70,7 +70,7 @@ use ff_video::{FaultySource, Frame, FrameSource, Resolution, SourcePoll};
 
 use crate::control::{
     AdmissionError, AdmissionPolicy, ControlAction, ControlConfig, ControlTrace, Controller,
-    ControllerInit, FaultTelemetry, NodeTelemetry, PrecisionCost, Sensors,
+    ControllerInit, FaultTelemetry, NodeTelemetry, Sensors,
 };
 use crate::events::McId;
 use crate::extractor::FeatureExtractor;
@@ -166,12 +166,6 @@ pub struct EdgeNodeConfig {
     /// [`crate::pipeline::FilterForward::set_precision`]). `None` (the
     /// default) respects each pipeline's own `MobileNetConfig::precision`.
     pub precision: Option<ff_tensor::Precision>,
-    /// `Some` hands the degrade policy a calibration-time per-rung
-    /// cost table (see [`PrecisionCost`]): the degrade policy then
-    /// *predicts* which ladder rung clears an uplink deficit and jumps
-    /// straight there. `None` (the default) keeps the blind
-    /// one-rung-per-streak stepping.
-    pub precision_cost: Option<PrecisionCost>,
     /// `Some` gates [`EdgeNode::try_add_stream`] against the node's memory
     /// envelope and shard budget (see [`crate::control::AdmissionPolicy`]).
     /// `None` (the default) admits everything, the pre-control-plane
@@ -231,7 +225,6 @@ impl EdgeNodeConfig {
             uplink_queue_limit_bytes: None,
             gather_batch: None,
             precision: None,
-            precision_cost: None,
             admission: None,
             shared_backbone: false,
             faults: None,
@@ -250,13 +243,6 @@ impl EdgeNodeConfig {
     /// style).
     pub fn with_precision(mut self, precision: ff_tensor::Precision) -> Self {
         self.precision = Some(precision);
-        self
-    }
-
-    /// Hands the degrade policy a calibration-time per-precision cost
-    /// table for predictive rung selection (builder style).
-    pub fn with_precision_cost(mut self, cost: PrecisionCost) -> Self {
-        self.precision_cost = Some(cost);
         self
     }
 
@@ -799,7 +785,6 @@ impl EdgeNode {
                 streams: n,
                 initial_batch: cur_batch,
                 base_precision,
-                precision_cost: cfg.precision_cost.clone(),
             },
         );
         let mut sensors = Sensors::with_registry(n, ctl.arrival_alpha, &registry);
@@ -1610,10 +1595,10 @@ mod tests {
 
     #[test]
     fn precision_override_is_deterministic_across_modes() {
-        // An f16 node must produce the same verdicts in per-stream and
-        // gather-batch execution (quantization happens once, to one shared
-        // weight set; batching never changes a bit), and differ from the
-        // f32 node only through the weight quantization.
+        // A whole-int8 node must produce the same verdicts in per-stream
+        // and gather-batch execution: weights quantize once, to one shared
+        // set, activations quantize per frame, and integer accumulation
+        // makes batching bit-neutral.
         let res = Resolution::new(64, 32);
         let build = |gather: Option<GatherBatch>, precision| {
             let mut cfg = EdgeNodeConfig::new(ShardLayout::single(1));
@@ -1627,7 +1612,7 @@ mod tests {
             }
             node.run()
         };
-        let p = Some(ff_tensor::Precision::F16);
+        let p = Some(ff_tensor::Precision::Int8Act);
         let streamed = build(None, p);
         let gathered = build(
             Some(GatherBatch {
@@ -1639,7 +1624,7 @@ mod tests {
         for (a, b) in streamed.streams.iter().zip(&gathered.streams) {
             assert_eq!(a.verdicts, b.verdicts, "stream {:?}", a.id);
         }
-        // Re-running the same f16 config reproduces itself bit-for-bit.
+        // Re-running the same config reproduces itself bit-for-bit.
         let again = build(None, p);
         for (a, b) in streamed.streams.iter().zip(&again.streams) {
             assert_eq!(a.verdicts, b.verdicts, "rerun {:?}", a.id);
@@ -1747,12 +1732,12 @@ mod tests {
     #[should_panic(expected = "share one weight-panel precision")]
     fn controlled_degrade_rejects_mixed_precision_streams() {
         // Per-stream style never asserts config homogeneity, but the ladder
-        // would force-sync an int8 stream up to stream 0's f32 rungs.
+        // would force-sync an int8act stream up to stream 0's f32 rungs.
         let res = Resolution::new(64, 32);
         let mut node = EdgeNode::new(EdgeNodeConfig::new(ShardLayout::single(2)));
         for (seed, precision) in [
             (1u64, ff_tensor::Precision::F32),
-            (2, ff_tensor::Precision::Int8),
+            (2, ff_tensor::Precision::Int8Act),
         ] {
             let src = Box::new(SceneSource::new(scene_cfg(res, seed), 4));
             let mut p = tiny_pipeline(res);

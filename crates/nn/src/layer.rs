@@ -128,13 +128,14 @@ pub trait Layer: Send {
     /// Drops any cached training state (e.g. after an interrupted step).
     fn clear_cache(&mut self) {}
 
-    /// Selects the storage precision of this layer's static **inference**
-    /// weights (see [`Precision`]): GEMM-backed layers re-pack their weight
-    /// panels in the chosen format (f16 / int8 + per-column scale, widened
-    /// to f32 in registers), depthwise layers quantize-roundtrip their
-    /// (tiny) tap weights so a whole backbone shares one quantization
-    /// semantics. Training always runs against the full-precision weights;
-    /// the default is a no-op for layers with no static weight store.
+    /// Selects the precision this layer's **inference** runs at (see
+    /// [`Precision`]): GEMM-backed layers re-pack their weight panels in
+    /// the chosen format (at [`Precision::Int8Act`] they also quantize
+    /// their input activations per frame), depthwise layers
+    /// quantize-roundtrip their (tiny) tap weights so a whole backbone
+    /// quantizes every conv. Training always runs against the
+    /// full-precision weights; the default is a no-op for layers with no
+    /// static weight store.
     fn set_precision(&mut self, precision: Precision) {
         let _ = precision;
     }

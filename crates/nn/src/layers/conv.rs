@@ -27,9 +27,9 @@ pub struct Conv2d {
     bias: Param,
     cache: Vec<(Conv2dGeometry, Tensor)>,
     /// Weight panels prepacked in the [`Layer::set_precision`] format,
-    /// used by the inference paths when the precision is not f32 (the f32
-    /// path keeps the pack-per-call `gemm`, whose thread-local scratch
-    /// already amortizes packing). Refreshed when `weight_epoch` moves.
+    /// used by the inference paths at whole-int8 (the f32 path keeps the
+    /// pack-per-call `gemm`, whose thread-local scratch already amortizes
+    /// packing). Refreshed when `weight_epoch` moves.
     packed: PackedPanels,
     packed_epoch: u64,
     /// Bumped by every mutation access point ([`Layer::params_mut`],
@@ -90,12 +90,14 @@ impl Conv2d {
         self.packed.precision()
     }
 
-    /// Whether inference should run the reduced-precision prepacked path.
-    fn use_packed(&self, phase: Phase) -> bool {
-        phase == Phase::Inference && self.packed.precision() != Precision::F32
+    /// Whether this pass runs the whole-int8 prepacked path: inference at
+    /// [`Precision::Int8Act`]. Training (and the default f32 precision)
+    /// uses the raw weights.
+    fn use_int8act(&self, phase: Phase) -> bool {
+        phase == Phase::Inference && self.packed.precision() == Precision::Int8Act
     }
 
-    /// Refreshes the reduced-precision panels if the weights changed.
+    /// Refreshes the whole-int8 panels if the weights changed.
     fn ensure_packed(&mut self) {
         if self.packed_epoch == self.weight_epoch {
             return;
@@ -106,16 +108,9 @@ impl Conv2d {
         self.packed_epoch = self.weight_epoch;
     }
 
-    /// One `[m, k]·[k, out_c]` GEMM against either the raw f32 weights or
-    /// (when `packed`) the reduced-precision prepacked panels — the single
-    /// dispatch point shared by all forward paths.
-    fn run_gemm(&self, a: &[f32], out: &mut [f32], m: usize, k: usize, packed: bool) {
-        if packed {
-            self.packed
-                .gemm(a, out, m, k, self.out_c, Epilogue::default());
-        } else {
-            gemm(a, self.weight.value.data(), out, m, k, self.out_c);
-        }
+    /// One `[m, k]·[k, out_c]` GEMM against the raw f32 weights.
+    fn run_gemm(&self, a: &[f32], out: &mut [f32], m: usize, k: usize) {
+        gemm(a, self.weight.value.data(), out, m, k, self.out_c);
     }
 
     fn geometry(&self, in_shape: &[usize]) -> Conv2dGeometry {
@@ -150,18 +145,13 @@ impl Layer for Conv2d {
     fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
         let geo = self.geometry(x.dims());
         let positions = geo.positions();
-        // Reduced-precision inference runs the prepacked panels; training
-        // (and the default f32 precision) uses the raw weights.
-        let packed = self.use_packed(phase);
-        if packed {
-            self.ensure_packed();
-        }
         let mut out = ws.take(&[positions, self.out_c]);
         // Whole-int8 inference: the frame quantizes to u8 once and the
         // patch gather lands directly in a u8 buffer — activations never
         // round-trip through an f32 im2col matrix (1×1 kernels included,
         // whose u8 rows still need the GEMM's quad padding).
-        if packed && self.packed.precision() == Precision::Int8Act {
+        if self.use_int8act(phase) {
+            self.ensure_packed();
             crate::layers::int8act::forward_int8act(
                 x.data(),
                 1,
@@ -175,7 +165,7 @@ impl Layer for Conv2d {
             // 1×1 stride-1 kernels (ubiquitous: every pointwise conv in
             // MobileNet and the full-frame MC) skip im2col entirely — the
             // input feature map *is* the im2col matrix.
-            self.run_gemm(x.data(), out.data_mut(), positions, self.in_c, packed);
+            self.run_gemm(x.data(), out.data_mut(), positions, self.in_c);
             if phase == Phase::Train {
                 let cols = x.clone().reshape(vec![positions, self.in_c]);
                 self.cache.push((geo, cols));
@@ -183,7 +173,7 @@ impl Layer for Conv2d {
         } else {
             let mut cols = ws.take(&[positions, geo.fan_in()]);
             im2col_into(x, &geo, &mut cols);
-            self.run_gemm(cols.data(), out.data_mut(), positions, geo.fan_in(), packed);
+            self.run_gemm(cols.data(), out.data_mut(), positions, geo.fan_in());
             if phase == Phase::Train {
                 self.cache.push((geo, cols));
             } else {
@@ -213,13 +203,10 @@ impl Layer for Conv2d {
         // batch instead of once per frame. Per-row accumulation order is
         // unchanged, so each frame's rows stay bit-identical to the
         // single-frame path.
-        let packed = self.use_packed(Phase::Inference);
-        if packed {
-            self.ensure_packed();
-        }
-        if packed && self.packed.precision() == Precision::Int8Act {
+        if self.use_int8act(Phase::Inference) {
             // Whole-int8 batch: per-frame quantization + u8 gather into
             // consecutive row ranges, one GEMM for the whole batch.
+            self.ensure_packed();
             crate::layers::int8act::forward_int8act(
                 x.data(),
                 batch,
@@ -230,11 +217,11 @@ impl Layer for Conv2d {
                 Epilogue::default(),
             );
         } else if self.kh == 1 && self.kw == 1 && self.stride == 1 {
-            self.run_gemm(x.data(), out.data_mut(), rows, self.in_c, packed);
+            self.run_gemm(x.data(), out.data_mut(), rows, self.in_c);
         } else {
             let mut cols = ws.take(&[rows, geo.fan_in()]);
             im2col_batch_into(x, batch, &geo, &mut cols);
-            self.run_gemm(cols.data(), out.data_mut(), rows, geo.fan_in(), packed);
+            self.run_gemm(cols.data(), out.data_mut(), rows, geo.fan_in());
             ws.recycle(cols);
         }
         let b = self.bias.value.data();

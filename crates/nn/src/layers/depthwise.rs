@@ -1,7 +1,7 @@
 //! Depthwise 2-D convolution (channel multiplier 1), the building block of
 //! MobileNet's separable convolutions.
 
-use ff_tensor::{f16_to_f32, f32_to_f16, Conv2dGeometry, Padding, Precision, Tensor, Workspace};
+use ff_tensor::{Conv2dGeometry, Padding, Precision, Tensor, Workspace};
 use rand::SeedableRng;
 
 use crate::{Layer, Param, Phase};
@@ -12,11 +12,11 @@ use crate::{Layer, Param, Phase};
 /// Depthwise weights are tiny (`k²·C` floats — the packed GEMM panels of
 /// the pointwise convolutions dominate weight bytes by orders of
 /// magnitude), so the point here is not memory but **numeric consistency**:
-/// a backbone set to f16/int8 quantizes *every* conv's weights under one
-/// semantics. The store keeps an f32 working copy of the roundtripped
-/// weights (f16: element-wise narrow+widen; int8: one symmetric scale per
-/// channel over its `k²` taps), rebuilt only when the owning layer's weight
-/// epoch moves, so streaming inference pays no per-frame quantization.
+/// a backbone set to whole-int8 quantizes *every* conv's weights. The
+/// store keeps an f32 working copy of the roundtripped weights (one
+/// symmetric int8 scale per channel over its `k²` taps), rebuilt only when
+/// the owning layer's weight epoch moves, so streaming inference pays no
+/// per-frame quantization.
 pub(crate) struct TapWeightStore {
     precision: Precision,
     deq: Vec<f32>,
@@ -58,33 +58,22 @@ impl TapWeightStore {
         if self.epoch != weight_epoch {
             self.deq.clear();
             self.deq.extend_from_slice(w);
-            match self.precision {
-                Precision::F32 => unreachable!("handled above"),
-                Precision::F16 => {
-                    for v in &mut self.deq {
-                        *v = f16_to_f32(f32_to_f16(*v));
-                    }
+            // Depthwise taps have no GEMM lowering, so the whole-int8
+            // rung gives them a per-channel symmetric int8 roundtrip.
+            let taps = w.len() / c;
+            for ch in 0..c {
+                let mut amax = 0.0f32;
+                for t in 0..taps {
+                    amax = amax.max(w[t * c + ch].abs());
                 }
-                // Depthwise taps have no GEMM lowering, so the whole-int8
-                // rung quantizes them exactly like the weight-only int8
-                // rung: per-channel symmetric roundtrip.
-                Precision::Int8 | Precision::Int8Act => {
-                    let taps = w.len() / c;
-                    for ch in 0..c {
-                        let mut amax = 0.0f32;
-                        for t in 0..taps {
-                            amax = amax.max(w[t * c + ch].abs());
-                        }
-                        if amax == 0.0 {
-                            continue;
-                        }
-                        let scale = amax / 127.0;
-                        let inv = 127.0 / amax;
-                        for t in 0..taps {
-                            let q = (w[t * c + ch] * inv).round().clamp(-127.0, 127.0);
-                            self.deq[t * c + ch] = q * scale;
-                        }
-                    }
+                if amax == 0.0 {
+                    continue;
+                }
+                let scale = amax / 127.0;
+                let inv = 127.0 / amax;
+                for t in 0..taps {
+                    let q = (w[t * c + ch] * inv).round().clamp(-127.0, 127.0);
+                    self.deq[t * c + ch] = q * scale;
                 }
             }
             self.epoch = weight_epoch;

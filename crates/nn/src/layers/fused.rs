@@ -69,10 +69,10 @@ pub struct ConvBnRelu {
     /// Train-phase cache: (geometry, im2col matrix, pre-ReLU output).
     cache: Vec<(Conv2dGeometry, Tensor, Tensor)>,
     /// Weight panels pre-packed for the GEMM micro-kernel — in the format
-    /// chosen by [`Layer::set_precision`] (f32, f16, or int8 + per-column
-    /// scale) — refreshed lazily whenever `weight_epoch` moves. Weights are
-    /// static during streaming, so inference never pays per-call packing
-    /// (or quantization) traffic.
+    /// chosen by [`Layer::set_precision`] (f32 or whole-int8) — refreshed
+    /// lazily whenever `weight_epoch` moves. Weights are static during
+    /// streaming, so inference never pays per-call packing (or
+    /// quantization) traffic.
     packed_weights: PackedPanels,
     packed_epoch: u64,
     /// Bumped by every mutation access point ([`Layer::params_mut`],

@@ -23,20 +23,20 @@
 //! microclassifier applies one 1×1 conv to five frames) trainable with plain
 //! LIFO forward/backward calls.
 //!
-//! # Reduced-precision inference weights
+//! # Whole-int8 inference
 //!
 //! [`Layer::set_precision`] / [`Sequential::set_precision`] select the
-//! storage format of each layer's static **inference** weights (the
-//! [`Precision`] knob): the GEMM-backed layers ([`Conv2d`], [`ConvBnRelu`])
-//! keep their prepacked weight panels as f16 or int8 + per-column scale —
-//! halving / quartering the panel bytes streamed through cache per GEMM —
-//! while the depthwise layers quantize-roundtrip their (tiny) tap weights
-//! so a whole backbone shares one quantization semantics. All activations
-//! and accumulation stay f32 (panels widen to f32 in registers), training
-//! always runs against the raw f32 weights, and reduced-precision inference
-//! remains bit-for-bit deterministic across thread counts, shard layouts,
-//! and batch sizes — it differs from the f32 network only by the one-time
-//! weight quantization error.
+//! precision each layer's **inference** runs at (the [`Precision`] knob,
+//! two rungs). At [`Precision::Int8Act`] the GEMM-backed layers
+//! ([`Conv2d`], [`ConvBnRelu`]) keep their prepacked weight panels as s8
+//! codes with per-K-group scales — a quarter of the f32 panel bytes —
+//! quantize each input frame to u8 once, and accumulate in i32; only the
+//! epilogue (bias / BN / ReLU) is f32. The depthwise layers
+//! quantize-roundtrip their (tiny) tap weights so a whole backbone
+//! quantizes every conv. Training always runs against the raw f32 weights,
+//! and whole-int8 inference remains bit-for-bit deterministic across
+//! thread counts, shard layouts, and batch sizes (integer accumulation is
+//! order-independent).
 //!
 //! # Example: train a 1-layer logistic regression
 //!

@@ -6,10 +6,11 @@
 //! variant ([`im2col_batch_into`]) that stacks several frames' patch
 //! matrices row-wise so a whole batch becomes one GEMM per layer — and a
 //! packed, cache-blocked, optionally multi-threaded [GEMM](matmul()).
-//! Static weights can additionally be prepacked at reduced precision
-//! ([`Precision`]: f16 or int8 + per-column scale panels, widened to f32 in
-//! registers with f32 accumulation), shrinking the streamed weight set 2–4×
-//! where the batched GEMM is panel-bound.
+//! Static weights are prepacked at one of two precisions ([`Precision`]):
+//! f32 panels for the f32 FMA kernels, or whole-int8 — s8 panels against
+//! dynamically quantized u8 activations, accumulated in i32 — which
+//! quarters the streamed weight set and roughly doubles backbone
+//! throughput.
 //!
 //! Everything here is deliberately simple and allocation-honest: a [`Tensor`]
 //! is a shape vector plus a `Vec<f32>`, and all operators state their cost.
@@ -66,11 +67,9 @@ pub use im2col::{
 };
 pub use init::{glorot_uniform, he_normal, uniform};
 pub use lowp::{
-    f16_to_f32, f32_to_f16, gemm_prepacked_f16, gemm_prepacked_i8, gemm_prepacked_i8i8,
-    i8i8_groups, i8i8_padded_k, pack_b_panels_f16_into, pack_b_panels_i8_into,
-    pack_b_panels_i8i8_into, packed_panels_f16_len, packed_panels_i8_len, packed_panels_i8i8_len,
-    packed_scales_i8_len, packed_scales_i8i8_len, quantize_a_rows_into, quantize_map_u8_into,
-    PackedPanels, Precision, I8I8_GROUP_SIZE,
+    gemm_prepacked_i8i8, i8i8_groups, i8i8_padded_k, pack_b_panels_i8i8_into,
+    packed_panels_i8i8_len, packed_scales_i8_len, packed_scales_i8i8_len, quantize_a_rows_into,
+    quantize_map_u8_into, PackedPanels, Precision, I8I8_GROUP_SIZE,
 };
 pub use matmul::{
     gemm, gemm_fused, gemm_prepacked, matmul, matmul_into, matmul_transpose_a, matmul_transpose_b,

@@ -28,7 +28,7 @@ use crate::Tensor;
 use std::cell::RefCell;
 
 /// Micro-kernel tile height (rows of `A`/`C` per register tile). Shared with
-/// the reduced-precision kernels in [`crate::lowp`].
+/// the whole-int8 tile in [`crate::lowp`].
 pub(crate) const MR: usize = 4;
 /// Micro-kernel tile width (columns of packed `B` per register tile).
 /// Sixteen `f32` lanes = two AVX2 vectors per row; `MR·NR/8 = 8` ymm
@@ -36,9 +36,9 @@ pub(crate) const MR: usize = 4;
 pub(crate) const NR: usize = 16;
 
 /// Fused (or plain, off FMA targets) multiply-add. Every GEMM path — packed,
-/// unpacked, both transpose kernels, and the reduced-precision panel kernels
-/// in [`crate::lowp`] — funnels through this, so all paths share one
-/// rounding behavior and stay bit-identical to each other.
+/// unpacked, both transpose kernels, and the whole-int8 scalar dequant in
+/// [`crate::lowp`] — funnels through this, so all paths share one rounding
+/// behavior and stay bit-identical to each other.
 #[inline(always)]
 pub(crate) fn fmadd(acc: f32, a: f32, b: f32) -> f32 {
     #[cfg(target_feature = "fma")]
@@ -243,7 +243,7 @@ pub fn gemm_prepacked(
     gemm_packed_driver(a, packed_b, out, m, k, n, ep);
 }
 
-pub(crate) fn check_gemm_args(a: &[f32], out: &[f32], m: usize, k: usize, n: usize, ep: &Epilogue) {
+fn check_gemm_args(a: &[f32], out: &[f32], m: usize, k: usize, n: usize, ep: &Epilogue) {
     assert_eq!(a.len(), m * k, "gemm A buffer");
     assert_eq!(out.len(), m * n, "gemm C buffer");
     if let Some(b) = ep.bias {

@@ -311,12 +311,14 @@ fn degradation_ladder_lowers_offered_uplink_load() {
         tick_frames: 4,
         arrival_alpha: 0.5,
         batch: None,
-        // One rung per saturated tick: the ladder is six rungs deep (three
-        // precision rungs before the strides), and the stride rungs — the
-        // ones that actually shed bytes — must get a meaningful share of
-        // this 40-frame run.
+        // One rung per two saturated ticks: the ladder is four rungs deep
+        // (one precision rung before the strides), and the stride rungs —
+        // the ones that actually shed bytes — must get a meaningful share
+        // of this 40-frame run, yet arrive after the encoder's rate control
+        // has ramped (ticks 1–4), or there is no saturation peak for the
+        // last assertion to fall from.
         degrade: Some(DegradePolicy {
-            saturate_ticks: 1,
+            saturate_ticks: 2,
             relax_ticks: 8,
             ..DegradePolicy::default()
         }),
