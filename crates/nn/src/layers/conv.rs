@@ -3,7 +3,7 @@
 //! the input feature map reinterpreted as `[positions, channels]`.
 
 use ff_tensor::{
-    col2im, gemm, im2col_batch_into, im2col_into, matmul_transpose_a, matmul_transpose_b,
+    col2im, gemm_fused, im2col_batch_into, im2col_into, matmul_transpose_a, matmul_transpose_b,
     Conv2dGeometry, Epilogue, PackedPanels, Padding, Precision, Tensor, Workspace,
 };
 use rand::SeedableRng;
@@ -27,9 +27,10 @@ pub struct Conv2d {
     bias: Param,
     cache: Vec<(Conv2dGeometry, Tensor)>,
     /// Weight panels prepacked in the [`Layer::set_precision`] format,
-    /// used by the inference paths at whole-int8 (the f32 path keeps the
-    /// pack-per-call `gemm`, whose thread-local scratch already amortizes
-    /// packing). Refreshed when `weight_epoch` moves.
+    /// used by the inference paths at whole-int8 (the f32 path multiplies
+    /// against the raw weights where they are: the GEMM reads a row-major
+    /// `B` in place, so there is nothing to pack or keep in step).
+    /// Refreshed when `weight_epoch` moves.
     packed: PackedPanels,
     packed_epoch: u64,
     /// Bumped by every mutation access point ([`Layer::params_mut`],
@@ -108,9 +109,19 @@ impl Conv2d {
         self.packed_epoch = self.weight_epoch;
     }
 
-    /// One `[m, k]·[k, out_c]` GEMM against the raw f32 weights.
+    /// The layer's whole epilogue: one `+ bias` per output element, after
+    /// its finished sum.
+    fn bias_epilogue(&self) -> Epilogue<'_> {
+        Epilogue {
+            bias: Some(self.bias.value.data()),
+            ..Epilogue::default()
+        }
+    }
+
+    /// One `[m, k]·[k, out_c]` GEMM against the raw f32 weights, plus bias.
     fn run_gemm(&self, a: &[f32], out: &mut [f32], m: usize, k: usize) {
-        gemm(a, self.weight.value.data(), out, m, k, self.out_c);
+        let w = self.weight.value.data();
+        gemm_fused(a, w, out, m, k, self.out_c, self.bias_epilogue());
     }
 
     fn geometry(&self, in_shape: &[usize]) -> Conv2dGeometry {
@@ -159,7 +170,7 @@ impl Layer for Conv2d {
                 &self.packed,
                 out.data_mut(),
                 self.out_c,
-                Epilogue::default(),
+                self.bias_epilogue(),
             );
         } else if self.kh == 1 && self.kw == 1 && self.stride == 1 {
             // 1×1 stride-1 kernels (ubiquitous: every pointwise conv in
@@ -180,13 +191,6 @@ impl Layer for Conv2d {
                 ws.recycle(cols);
             }
         }
-        // Broadcast-add bias over positions.
-        let b = self.bias.value.data();
-        for row in out.data_mut().chunks_mut(self.out_c) {
-            for (o, &bv) in row.iter_mut().zip(b) {
-                *o += bv;
-            }
-        }
         out.reshape_to(&[geo.out_h, geo.out_w, self.out_c]);
         out
     }
@@ -198,11 +202,10 @@ impl Layer for Conv2d {
         let positions = geo.positions();
         let rows = batch * positions;
         let mut out = ws.take(&[rows, self.out_c]);
-        // One GEMM for the whole batch; with B frames the packing of the
-        // weight matrix (and its streaming through cache) is paid once per
-        // batch instead of once per frame. Per-row accumulation order is
-        // unchanged, so each frame's rows stay bit-identical to the
-        // single-frame path.
+        // One GEMM for the whole batch; with B frames the streaming of the
+        // weight matrix through cache is paid once per batch instead of
+        // once per frame. Per-row accumulation order is unchanged, so each
+        // frame's rows stay bit-identical to the single-frame path.
         if self.use_int8act(Phase::Inference) {
             // Whole-int8 batch: per-frame quantization + u8 gather into
             // consecutive row ranges, one GEMM for the whole batch.
@@ -214,7 +217,7 @@ impl Layer for Conv2d {
                 &self.packed,
                 out.data_mut(),
                 self.out_c,
-                Epilogue::default(),
+                self.bias_epilogue(),
             );
         } else if self.kh == 1 && self.kw == 1 && self.stride == 1 {
             self.run_gemm(x.data(), out.data_mut(), rows, self.in_c);
@@ -223,12 +226,6 @@ impl Layer for Conv2d {
             im2col_batch_into(x, batch, &geo, &mut cols);
             self.run_gemm(cols.data(), out.data_mut(), rows, geo.fan_in());
             ws.recycle(cols);
-        }
-        let b = self.bias.value.data();
-        for row in out.data_mut().chunks_mut(self.out_c) {
-            for (o, &bv) in row.iter_mut().zip(b) {
-                *o += bv;
-            }
         }
         out.reshape_to(&[batch, geo.out_h, geo.out_w, self.out_c]);
         out

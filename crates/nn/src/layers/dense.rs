@@ -88,29 +88,24 @@ impl Layer for Dense {
             x.dims()
         );
         let mut out = ws.take(&[self.out_len]);
+        let (k, n) = (self.in_len, self.out_len);
         // Whole-int8 inference runs the prepacked panels; training
-        // (and the default f32 precision) uses the raw weights.
-        if phase == Phase::Inference && self.packed.precision() != Precision::F32 {
+        // (and the default f32 precision) uses the raw weights. Either
+        // way the bias is the GEMM's epilogue.
+        let int8 = phase == Phase::Inference && self.packed.precision() != Precision::F32;
+        if int8 {
             self.ensure_packed();
-            self.packed.gemm(
-                x.data(),
-                out.data_mut(),
-                1,
-                self.in_len,
-                self.out_len,
-                Epilogue::default(),
-            );
-        } else {
-            ff_tensor::gemm(
-                x.data(),
-                self.weight.value.data(),
-                out.data_mut(),
-                1,
-                self.in_len,
-                self.out_len,
-            );
         }
-        out.add_assign(&self.bias.value);
+        let ep = Epilogue {
+            bias: Some(self.bias.value.data()),
+            ..Epilogue::default()
+        };
+        if int8 {
+            self.packed.gemm(x.data(), out.data_mut(), 1, k, n, ep);
+        } else {
+            let w = self.weight.value.data();
+            ff_tensor::gemm_fused(x.data(), w, out.data_mut(), 1, k, n, ep);
+        }
         if phase == Phase::Train {
             self.cache.push(x.clone().reshape(vec![1, self.in_len]));
         }

@@ -71,8 +71,8 @@ pub struct ConvBnRelu {
     /// Weight panels pre-packed for the GEMM micro-kernel — in the format
     /// chosen by [`Layer::set_precision`] (f32 or whole-int8) — refreshed
     /// lazily whenever `weight_epoch` moves. Weights are static during
-    /// streaming, so inference never pays per-call packing (or
-    /// quantization) traffic.
+    /// streaming, so inference walks sequential panels and never pays
+    /// per-call quantization traffic.
     packed_weights: PackedPanels,
     packed_epoch: u64,
     /// Bumped by every mutation access point ([`Layer::params_mut`],

@@ -37,8 +37,8 @@
 //! [`gemm`]) write into caller-provided buffers, and `ff-nn` layers route
 //! every intermediate (im2col matrices, GEMM outputs, activations) through
 //! the arena. After one warm-up frame, a forward pass performs zero heap
-//! allocations; the GEMM's internal `B`-packing scratch is likewise a
-//! reused thread-local.
+//! allocations; the f32 GEMM itself owns no scratch at all (it reads `B`
+//! where the caller keeps it, or from panels the caller packed).
 //!
 //! # Example
 //!

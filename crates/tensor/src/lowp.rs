@@ -599,16 +599,6 @@ impl<'a> I8I8<'a> {
         );
         rows
     }
-
-    /// `ep` restricted to columns `j0..`, to finish one row segment in
-    /// place with [`Epilogue::apply`]'s own per-element operations.
-    fn epilogue_from(&self, j0: usize) -> Epilogue<'a> {
-        Epilogue {
-            bias: self.ep.bias.map(|b| &b[j0..]),
-            scale_shift: self.ep.scale_shift.map(|(s, t)| (&s[j0..], &t[j0..])),
-            relu: self.ep.relu,
-        }
-    }
 }
 
 /// Bytes of quantized A rows plus f32 C rows that one pass of the panel
@@ -924,7 +914,7 @@ fn micro_kernel_1_i8i8(g: &I8I8, block: &mut [f32], a_row: usize, c_row: usize, 
     for (d, &f) in dst.iter_mut().zip(facc.iter()) {
         *d = f * g.a_scales[a_row];
     }
-    g.epilogue_from(j0).apply(dst, w);
+    g.ep.columns_from(j0).apply(dst, w);
 }
 
 /// The AVX-VNNI instantiation of [`i8i8_rows_simd`]: one `vpdpbusd` per
@@ -1099,7 +1089,7 @@ unsafe fn i8i8_tile<const VNNI: bool>(
             // Ragged last panel: spill each row, finish the real columns
             // with the scalar epilogue.
             let w = n - j0;
-            let ep = g.epilogue_from(j0);
+            let ep = g.ep.columns_from(j0);
             let mut tmp = [0.0f32; NR];
             for (r, accr) in facc.iter().enumerate().take(mr) {
                 _mm256_storeu_ps(tmp.as_mut_ptr(), accr[0]);

@@ -1,4 +1,4 @@
-//! Packed, cache-blocked, threaded matrix multiplication.
+//! Register-tiled, threaded matrix multiplication.
 //!
 //! `C[M,N] = A[M,K] · B[K,N]`, the single hot kernel of the whole
 //! reproduction: convolutions lower to it through im2col (or directly, for
@@ -6,38 +6,74 @@
 //!
 //! # Kernel structure
 //!
-//! For matrices big enough to care, `B` is first packed into `NR`-wide
-//! column panels laid out k-major (`panel[k][0..NR]` contiguous), then row
-//! blocks of `C` are computed in parallel with an `MR×NR` register-tiled
-//! micro-kernel that streams each packed panel sequentially. The packing
-//! buffer is a reused thread-local, so steady-state calls allocate nothing.
+//! Row blocks of `C` are computed in parallel, and every block is covered
+//! by **one register tile**, `f32_tile`: a few rows of `A` against two
+//! vectors of `B` columns, the `K` products of each output element
+//! accumulated in a register, the [`Epilogue`] applied to those registers,
+//! and one store. The tile reads `B` through a pointer and a row stride, so
+//! the same code serves both places `B` can live:
 //!
-//! Tiny problems (`M < 8`, e.g. dense layers on vectors) skip packing: a
-//! plain k-major loop is already optimal when the single output row stays
-//! in L1.
+//! - **prepacked panels** ([`pack_b_panels_into`]): `NR`-wide column panels
+//!   laid out k-major (`panel[k][0..NR]` contiguous, the ragged last panel
+//!   zero-padded). Layers whose weights are static during streaming pack
+//!   once and every frame walks the panels sequentially
+//!   ([`gemm_prepacked`]).
+//! - **the caller's row-major `[K, N]` matrix, in place** ([`gemm`],
+//!   [`gemm_fused`]): nothing is copied. The microclassifiers multiply a
+//!   `1440×32` weight matrix by fifteen to twenty rows; packing it per call
+//!   moved more bytes than the product reads. On a ragged last panel the
+//!   loads are lane-masked, so nothing past the end of a row is read. (A
+//!   tall product against a wide power-of-two `B` — calibration at
+//!   `N = 1024` — strides whole pages per column strip and would run faster
+//!   from panels; that is set-up, and nothing packs on its behalf.)
+//!
+//! Rows that do not fill a tile run through the same body as a short tile
+//! (its missing rows are copies of the last real one and are not stored),
+//! four rows tall when that covers them; a dense layer's single row runs
+//! as one row by eight vectors, the shape that keeps as many FMA chains in
+//! flight without an `A` row to share.
+//!
+//! # Instruction selection
+//!
+//! The tile body is written once, generic over the vector type (`Lanes`),
+//! and instantiated twice: under the build's own AVX2+FMA
+//! baseline (`ymm`, 4 rows × 16 columns — the only one an x86-64-v3 host
+//! without AVX-512 can run) and under `#[target_feature(enable =
+//! "avx512f")]` (`zmm`, 8 rows × 32 columns, two adjacent panels). The
+//! driver picks between them once per call from
+//! `is_x86_feature_detected!("avx512f")`; nothing else — no option, feature
+//! or environment variable — reaches either. A wider vector holds more
+//! columns, not a different sum: each lane is one output element's
+//! ascending-`k` FMA chain either way, so a given build produces the same
+//! bits on an AVX-512 host, on a plain AVX2 host, and from the portable
+//! kernel. Builds without FMA (`-C target-cpu=x86-64`) compile neither
+//! instantiation and never take the `zmm` tile even where the CPU has it:
+//! every vector FMA is fused, the portable [`fmadd`] in such a build is
+//! not, and mixing the two would make results depend on the host.
 //!
 //! # Determinism
 //!
 //! Every output element accumulates its `K` products in ascending-`k` order
-//! in **all** paths (packed, unpacked, any thread count), so results are
+//! in **all** paths (prepacked, in place, any tile height or width, any
+//! thread count), followed by the same epilogue operations, so results are
 //! bit-for-bit identical across `set_threads(1..)` and equal to the naive
 //! triple loop.
 
 use crate::parallel::{parallel_row_blocks_mut, parallel_rows_mut, threads};
 use crate::Tensor;
-use std::cell::RefCell;
 
-/// Micro-kernel tile height (rows of `A`/`C` per register tile). Shared with
-/// the whole-int8 tile in [`crate::lowp`].
+/// Tile height of the portable f32 kernel and of the whole-int8 tile in
+/// [`crate::lowp`] (the SIMD f32 tiles carry their own, `Lanes::ROWS`).
 pub(crate) const MR: usize = 4;
-/// Micro-kernel tile width (columns of packed `B` per register tile).
-/// Sixteen `f32` lanes = two AVX2 vectors per row; `MR·NR/8 = 8` ymm
-/// accumulators leave registers for broadcasts and panel loads.
+/// Panel width: columns of packed `B` per panel, in both the f32 layout and
+/// the whole-int8 one. Sixteen `f32` lanes are two `ymm` vectors or one
+/// `zmm`.
 pub(crate) const NR: usize = 16;
 
-/// Fused (or plain, off FMA targets) multiply-add. Every GEMM path — packed,
-/// unpacked, both transpose kernels, and the whole-int8 scalar dequant in
-/// [`crate::lowp`] — funnels through this, so all paths share one rounding
+/// Fused (or plain, off FMA targets) multiply-add. Every GEMM path — the
+/// portable kernel, both transpose kernels, and the whole-int8 scalar
+/// dequant in [`crate::lowp`] — funnels through this, and the SIMD tiles
+/// exist only in builds where it is fused, so all paths share one rounding
 /// behavior and stay bit-identical to each other.
 #[inline(always)]
 pub(crate) fn fmadd(acc: f32, a: f32, b: f32) -> f32 {
@@ -50,17 +86,8 @@ pub(crate) fn fmadd(acc: f32, a: f32, b: f32) -> f32 {
         acc + a * b
     }
 }
-/// Below this many `A` rows the packed path cannot amortize packing `B`.
-const MIN_ROWS_FOR_PACKING: usize = 8;
 /// Minimum `M·N` before a GEMM is worth dispatching to the thread pool.
 pub(crate) const MIN_ELEMS_FOR_THREADS: usize = 32 * 1024;
-
-thread_local! {
-    /// Reused packing buffer for `B` panels (and the transpose scratch of
-    /// [`matmul_transpose_a`]); grows to the largest problem seen, then
-    /// steady-state GEMMs allocate nothing.
-    static PACK_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
 
 /// `A · B` for rank-2 tensors.
 ///
@@ -90,12 +117,12 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     gemm(a.data(), b.data(), out.data_mut(), m, k, n);
 }
 
-/// Per-column epilogue fused into a GEMM: applied to each output row while
-/// it is still cache-hot, in the order `acc + bias` → `·scale + shift` →
-/// `max(0, ·)`. This is what lets a convolution, its folded batch-norm, and
-/// its ReLU execute as **one** pass over the output instead of three
-/// (separate layer passes are memory-bound and were costing more than the
-/// GEMM itself on the MobileNet hot path).
+/// Per-column epilogue fused into a GEMM: applied to each output element
+/// while it is still in a register, in the order `acc + bias` → `·scale +
+/// shift` → `max(0, ·)`. This is what lets a convolution, its folded
+/// batch-norm, and its ReLU execute as **one** pass over the output instead
+/// of three (separate layer passes are memory-bound and were costing more
+/// than the GEMM itself on the MobileNet hot path).
 #[derive(Clone, Copy, Default)]
 pub struct Epilogue<'a> {
     /// Per-output-column bias, added first.
@@ -106,12 +133,23 @@ pub struct Epilogue<'a> {
     pub relu: bool,
 }
 
-impl Epilogue<'_> {
+impl<'a> Epilogue<'a> {
     fn is_noop(&self) -> bool {
         self.bias.is_none() && self.scale_shift.is_none() && !self.relu
     }
 
-    /// Applies the epilogue to one `[rows × n]` row block.
+    /// The epilogue restricted to columns `j0..`, to finish one row segment
+    /// in place with [`Self::apply`].
+    pub(crate) fn columns_from(&self, j0: usize) -> Epilogue<'a> {
+        Epilogue {
+            bias: self.bias.map(|b| &b[j0..]),
+            scale_shift: self.scale_shift.map(|(s, t)| (&s[j0..], &t[j0..])),
+            relu: self.relu,
+        }
+    }
+
+    /// Applies the epilogue to one `[rows × n]` row block — the scalar
+    /// definition of what the tiles do to their registers.
     pub(crate) fn apply(&self, block: &mut [f32], n: usize) {
         if self.is_noop() {
             return;
@@ -148,7 +186,7 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize)
     gemm_fused(a, b, out, m, k, n, Epilogue::default());
 }
 
-/// [`gemm`] with a fused per-column [`Epilogue`].
+/// [`gemm`] with a fused per-column [`Epilogue`]. `b` is read in place.
 ///
 /// # Panics
 ///
@@ -163,31 +201,7 @@ pub fn gemm_fused(
     n: usize,
     ep: Epilogue,
 ) {
-    assert_eq!(b.len(), k * n, "gemm B buffer");
-    check_gemm_args(a, out, m, k, n, &ep);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0);
-        ep.apply(out, n);
-        return;
-    }
-    if m < MIN_ROWS_FOR_PACKING {
-        gemm_unpacked(a, b, out, k, n);
-        ep.apply(out, n);
-        return;
-    }
-    PACK_BUF.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        let packed_len = packed_panels_len(k, n);
-        if buf.len() < packed_len {
-            buf.resize(packed_len, 0.0);
-        }
-        let packed = &mut buf[..packed_len];
-        pack_b(b, packed, k, n);
-        gemm_packed_driver(a, packed, out, m, k, n, ep);
-    });
+    F32Gemm::in_place(a, b, m, k, n, ep).run(out);
 }
 
 /// Length of the panel buffer [`pack_b_panels_into`] needs for a `[K, N]`
@@ -196,10 +210,11 @@ pub fn packed_panels_len(k: usize, n: usize) -> usize {
     n.div_ceil(NR) * NR * k
 }
 
-/// Packs a row-major `[K, N]` matrix into the micro-kernel's panel layout.
-/// Callers with a static `B` (e.g. convolution weights during streaming
-/// inference) pack once and reuse via [`gemm_prepacked`], eliminating the
-/// per-call packing traffic.
+/// Packs a row-major `[K, N]` matrix into `ceil(N/NR)` k-major panels of
+/// width `NR`, zero-padding the ragged final panel. Callers with a static
+/// `B` (e.g. convolution weights during streaming inference) pack once and
+/// reuse via [`gemm_prepacked`], which then streams each panel
+/// sequentially.
 ///
 /// # Panics
 ///
@@ -207,11 +222,20 @@ pub fn packed_panels_len(k: usize, n: usize) -> usize {
 pub fn pack_b_panels_into(b: &[f32], packed: &mut [f32], k: usize, n: usize) {
     assert_eq!(b.len(), k * n, "pack B buffer");
     assert_eq!(packed.len(), packed_panels_len(k, n), "pack output buffer");
-    pack_b(b, packed, k, n);
+    for jp in 0..n.div_ceil(NR) {
+        let j0 = jp * NR;
+        let w = (n - j0).min(NR);
+        let dst = &mut packed[jp * NR * k..(jp + 1) * NR * k];
+        for kk in 0..k {
+            let cell = &mut dst[kk * NR..kk * NR + NR];
+            cell[..w].copy_from_slice(&b[kk * n + j0..kk * n + j0 + w]);
+            cell[w..].fill(0.0);
+        }
+    }
 }
 
 /// [`gemm_fused`] against a pre-packed `B` (see [`pack_b_panels_into`]).
-/// Bit-identical to the packing variants for the same operands.
+/// Bit-identical to the in-place variants for the same operands.
 ///
 /// # Panics
 ///
@@ -226,117 +250,157 @@ pub fn gemm_prepacked(
     n: usize,
     ep: Epilogue,
 ) {
-    assert_eq!(
-        packed_b.len(),
-        packed_panels_len(k, n),
-        "gemm packed-B buffer"
-    );
-    check_gemm_args(a, out, m, k, n, &ep);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0);
-        ep.apply(out, n);
-        return;
-    }
-    gemm_packed_driver(a, packed_b, out, m, k, n, ep);
+    F32Gemm::prepacked(a, packed_b, m, k, n, ep).run(out);
 }
 
-fn check_gemm_args(a: &[f32], out: &[f32], m: usize, k: usize, n: usize, ep: &Epilogue) {
-    assert_eq!(a.len(), m * k, "gemm A buffer");
-    assert_eq!(out.len(), m * n, "gemm C buffer");
-    if let Some(b) = ep.bias {
-        assert!(b.len() >= n, "epilogue bias too short");
-    }
-    if let Some((s, t)) = ep.scale_shift {
-        assert!(
-            s.len() >= n && t.len() >= n,
-            "epilogue scale/shift too short"
-        );
+/// Where a GEMM's `B` lives, as the tile addresses it: element `(kk, j)` of
+/// panel `jp` is `data[jp·panel_stride + kk·ldb + j]`.
+#[derive(Clone, Copy)]
+struct BMatrix<'a> {
+    data: &'a [f32],
+    /// Floats between consecutive `k` rows.
+    ldb: usize,
+    /// Floats between the first elements of adjacent `NR`-column panels.
+    panel_stride: usize,
+    /// Whether every panel row holds `NR` floats (the packed layout pads
+    /// its ragged last panel); if not, reads there stop at the row's end.
+    padded: bool,
+}
+
+impl BMatrix<'_> {
+    /// Offset of element `(0, j)`: the first `k` row of column `j`.
+    fn column(&self, j: usize) -> usize {
+        j / NR * self.panel_stride + j % NR
     }
 }
 
-/// Shared packed-path driver: splits `out` into row blocks (thread pool when
-/// big enough) and runs the micro-kernels plus epilogue per block.
-fn gemm_packed_driver(
-    a: &[f32],
-    packed: &[f32],
-    out: &mut [f32],
+/// One f32 GEMM's operands and geometry, validated once by its two
+/// constructors so the row walkers and tiles index without re-checking.
+struct F32Gemm<'a> {
+    a: &'a [f32],
+    b: BMatrix<'a>,
     m: usize,
     k: usize,
     n: usize,
-    ep: Epilogue,
-) {
-    let parallel = m * n >= MIN_ELEMS_FOR_THREADS;
-    let t = if parallel { threads() } else { 1 };
-    parallel_row_blocks_mut(out, n, t, |row0, block| {
-        gemm_packed_rows(a, packed, block, row0, k, n);
-        ep.apply(block, n);
-    });
+    ep: Epilogue<'a>,
 }
 
-/// Packs row-major `b[K,N]` into `ceil(N/NR)` k-major panels of width `NR`,
-/// zero-padding the ragged final panel.
-fn pack_b(b: &[f32], packed: &mut [f32], k: usize, n: usize) {
-    let panels = n.div_ceil(NR);
-    for jp in 0..panels {
-        let j0 = jp * NR;
-        let w = (n - j0).min(NR);
-        let dst = &mut packed[jp * NR * k..(jp + 1) * NR * k];
-        for kk in 0..k {
-            let src = &b[kk * n + j0..kk * n + j0 + w];
-            let cell = &mut dst[kk * NR..kk * NR + NR];
-            cell[..w].copy_from_slice(src);
-            cell[w..].fill(0.0);
+impl<'a> F32Gemm<'a> {
+    /// `a[m, k]` against panels written by [`pack_b_panels_into`].
+    ///
+    /// # Panics
+    ///
+    /// As [`gemm_prepacked`], short of the output buffer.
+    fn prepacked(
+        a: &'a [f32],
+        packed_b: &'a [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        ep: Epilogue<'a>,
+    ) -> Self {
+        assert_eq!(
+            packed_b.len(),
+            packed_panels_len(k, n),
+            "gemm packed-B buffer"
+        );
+        let b = BMatrix {
+            data: packed_b,
+            ldb: NR,
+            panel_stride: NR * k,
+            padded: true,
+        };
+        Self::checked(a, b, m, k, n, ep)
+    }
+
+    /// `a[m, k]` against a row-major `b[k, n]`, read where it is.
+    ///
+    /// # Panics
+    ///
+    /// As [`gemm_fused`], short of the output buffer.
+    fn in_place(
+        a: &'a [f32],
+        b: &'a [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        ep: Epilogue<'a>,
+    ) -> Self {
+        assert_eq!(b.len(), k * n, "gemm B buffer");
+        let b = BMatrix {
+            data: b,
+            ldb: n,
+            panel_stride: NR,
+            padded: false,
+        };
+        Self::checked(a, b, m, k, n, ep)
+    }
+
+    fn checked(
+        a: &'a [f32],
+        b: BMatrix<'a>,
+        m: usize,
+        k: usize,
+        n: usize,
+        ep: Epilogue<'a>,
+    ) -> Self {
+        assert_eq!(a.len(), m * k, "gemm A buffer");
+        if let Some(b) = ep.bias {
+            assert!(b.len() >= n, "epilogue bias too short");
         }
+        if let Some((s, t)) = ep.scale_shift {
+            assert!(
+                s.len() >= n && t.len() >= n,
+                "epilogue scale/shift too short"
+            );
+        }
+        F32Gemm { a, b, m, k, n, ep }
+    }
+
+    /// Computes `out[m, n]`: row blocks over the thread pool when the
+    /// output is big enough, each walked by the tile this build and CPU
+    /// select.
+    fn run(&self, out: &mut [f32]) {
+        let (m, n) = (self.m, self.n);
+        assert_eq!(out.len(), m * n, "gemm C buffer");
+        if m == 0 || n == 0 {
+            return;
+        }
+        if self.k == 0 {
+            out.fill(0.0);
+            self.ep.apply(out, n);
+            return;
+        }
+        let wide = avx512_available();
+        let t = if m * n >= MIN_ELEMS_FOR_THREADS {
+            threads()
+        } else {
+            1
+        };
+        parallel_row_blocks_mut(out, n, t, |row0, block| f32_rows(self, block, row0, wide));
+    }
+
+    /// Rows in `block`, which must be whole output rows `row0..` of this
+    /// GEMM — the bound every walker's indexing rests on.
+    fn block_rows(&self, block: &[f32], row0: usize) -> usize {
+        let rows = block.len() / self.n;
+        assert!(
+            block.len() == rows * self.n && row0 + rows <= self.m,
+            "gemm block"
+        );
+        rows
     }
 }
 
-/// Computes `block` (rows `row0..row0 + block.len()/n` of `C`) from `a` and
-/// packed `B` panels.
-fn gemm_packed_rows(a: &[f32], packed: &[f32], block: &mut [f32], row0: usize, k: usize, n: usize) {
-    let rows = block.len() / n;
-    let panels = n.div_ceil(NR);
-    for jp in 0..panels {
-        let j0 = jp * NR;
-        let w = (n - j0).min(NR);
-        let panel = &packed[jp * NR * k..(jp + 1) * NR * k];
-        let mut r = 0;
-        while r + MR <= rows {
-            micro_kernel_mr(a, panel, block, row0 + r, r, j0, w, k, n);
-            r += MR;
-        }
-        while r < rows {
-            micro_kernel_1(a, panel, block, row0 + r, r, j0, w, k, n);
-            r += 1;
-        }
-    }
-}
-
-/// `MR×NR` register tile: C[r..r+MR][j0..j0+w] = Σ_k A[r..][k] · panel[k][..].
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn micro_kernel_mr(
-    a: &[f32],
-    panel: &[f32],
-    block: &mut [f32],
-    a_row: usize,
-    c_row: usize,
-    j0: usize,
-    w: usize,
-    k: usize,
-    n: usize,
-) {
+/// Whether this build and this CPU can run the `zmm` tile.
+fn avx512_available() -> bool {
     #[cfg(all(
         target_arch = "x86_64",
         target_feature = "avx2",
         target_feature = "fma"
     ))]
     {
-        // SAFETY: avx2+fma are compile-time target features here; slice
-        // bounds are asserted by the callers' geometry.
-        unsafe { micro_kernel_mr_avx2(a, panel, block, a_row, c_row, j0, w, k, n) }
+        std::arch::is_x86_feature_detected!("avx512f")
     }
     #[cfg(not(all(
         target_arch = "x86_64",
@@ -344,142 +408,434 @@ fn micro_kernel_mr(
         target_feature = "fma"
     )))]
     {
-        micro_kernel_mr_generic(a, panel, block, a_row, c_row, j0, w, k, n)
+        false
     }
 }
 
-/// Portable `MR×NR` tile (LLVM auto-vectorizes the inner loop).
-#[allow(clippy::too_many_arguments)]
+/// Computes `block` (rows `row0..`) of an f32 GEMM, epilogue included,
+/// with the tile the build and `wide` select.
+fn f32_rows(g: &F32Gemm, block: &mut [f32], row0: usize, wide: bool) {
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))]
+    if wide {
+        // SAFETY: `wide` is only ever true when `avx512_available()` saw
+        // AVX-512F on this CPU.
+        unsafe { simd::f32_rows_zmm(g, block, row0) }
+    } else {
+        simd::f32_rows_ymm(g, block, row0)
+    }
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    )))]
+    {
+        debug_assert!(!wide);
+        f32_rows_generic(g, block, row0)
+    }
+}
+
+/// The portable walk: [`micro_kernel_mr_generic`] per `MR` rows per panel —
+/// the whole path off AVX2+FMA, and the tiles' reference in tests.
+#[allow(dead_code)]
+fn f32_rows_generic(g: &F32Gemm, block: &mut [f32], row0: usize) {
+    let rows = g.block_rows(block, row0);
+    for jp in 0..g.n.div_ceil(NR) {
+        for r in (0..rows).step_by(MR) {
+            micro_kernel_mr_generic(g, block, row0 + r, r, (rows - r).min(MR), jp);
+        }
+    }
+}
+
+/// Portable `MR×NR` tile (LLVM auto-vectorizes the inner loop) at rows
+/// `a_row..a_row + mr` (`mr ≤ MR`) of panel `jp`: per output element one
+/// ascending-`k` [`fmadd`] chain, then [`Epilogue::apply`] on the stored
+/// segment. A short tile computes its missing rows as copies of its last
+/// real row and stores only the real ones; a ragged panel read in place is
+/// widened to `NR` with zeros a row at a time.
 #[allow(dead_code)]
 #[inline]
 fn micro_kernel_mr_generic(
-    a: &[f32],
-    panel: &[f32],
+    g: &F32Gemm,
     block: &mut [f32],
     a_row: usize,
     c_row: usize,
-    j0: usize,
-    w: usize,
-    k: usize,
-    n: usize,
+    mr: usize,
+    jp: usize,
 ) {
+    let (k, n) = (g.k, g.n);
+    let j0 = jp * NR;
+    let w = (n - j0).min(NR);
+    let panel = &g.b.data[g.b.column(j0)..];
+    let rows: [&[f32]; MR] = std::array::from_fn(|r| {
+        let i = a_row + r.min(mr - 1);
+        &g.a[i * k..(i + 1) * k]
+    });
     let mut acc = [[0.0f32; NR]; MR];
-    let a0 = &a[a_row * k..(a_row + 1) * k];
-    let a1 = &a[(a_row + 1) * k..(a_row + 2) * k];
-    let a2 = &a[(a_row + 2) * k..(a_row + 3) * k];
-    let a3 = &a[(a_row + 3) * k..(a_row + 4) * k];
     for kk in 0..k {
-        let bk = &panel[kk * NR..kk * NR + NR];
-        let av = [a0[kk], a1[kk], a2[kk], a3[kk]];
-        for (accr, &ar) in acc.iter_mut().zip(&av) {
-            for (c, &bv) in accr.iter_mut().zip(bk) {
+        let mut bk = [0.0f32; NR];
+        bk[..w].copy_from_slice(&panel[kk * g.b.ldb..kk * g.b.ldb + w]);
+        for (accr, row) in acc.iter_mut().zip(&rows) {
+            let ar = row[kk];
+            for (c, &bv) in accr.iter_mut().zip(&bk) {
                 *c = fmadd(*c, ar, bv);
             }
         }
     }
-    for (r, accr) in acc.iter().enumerate() {
+    let ep = g.ep.columns_from(j0);
+    for (r, accr) in acc.iter().enumerate().take(mr) {
         let dst = &mut block[(c_row + r) * n + j0..(c_row + r) * n + j0 + w];
         dst.copy_from_slice(&accr[..w]);
+        ep.apply(dst, w);
     }
 }
 
-/// Hand-scheduled AVX2+FMA `4×16` tile: eight ymm accumulators, two panel
-/// loads and four broadcasts per `k` step. Lane-wise FMAs accumulate in the
-/// same ascending-`k` order as the portable kernel's `mul_add` chain, so
-/// results are bit-identical to it.
-///
-/// # Safety
-///
-/// Caller must guarantee avx2+fma are available (compile-time gated at the
-/// call site) and the usual geometry invariants (`a` holds `MR` rows of
-/// length `k` at `a_row`, `panel` holds `k·NR` floats, `block` holds the
-/// target rows).
-#[allow(clippy::too_many_arguments)]
+/// The SIMD tile and its two instantiations: compiled only where the
+/// build's own baseline has AVX2 and FMA, so that every path of one build
+/// rounds a multiply-add the same way.
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx2",
     target_feature = "fma"
 ))]
-#[inline]
-unsafe fn micro_kernel_mr_avx2(
-    a: &[f32],
-    panel: &[f32],
-    block: &mut [f32],
-    a_row: usize,
-    c_row: usize,
-    j0: usize,
-    w: usize,
-    k: usize,
-    n: usize,
-) {
+mod simd {
+    use super::{F32Gemm, NR};
     use std::arch::x86_64::*;
-    const { assert!(NR == 16 && MR == 4) };
-    unsafe {
-        let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
-        let ap = a.as_ptr();
-        let pp = panel.as_ptr();
-        for kk in 0..k {
-            let b0 = _mm256_loadu_ps(pp.add(kk * NR));
-            let b1 = _mm256_loadu_ps(pp.add(kk * NR + 8));
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ap.add((a_row + r) * k + kk));
-                accr[0] = _mm256_fmadd_ps(av, b0, accr[0]);
-                accr[1] = _mm256_fmadd_ps(av, b1, accr[1]);
-            }
+
+    /// The vector type an [`f32_tile`] instantiation computes in: `LANES`
+    /// adjacent output columns per register, every operation lane-wise.
+    ///
+    /// # Safety
+    ///
+    /// Every method requires the instruction set of the implementing type
+    /// (AVX2+FMA for `__m256`, AVX-512F for `__m512`); the pointer methods
+    /// additionally require `LANES` readable (or writable) floats at `p`,
+    /// except [`Lanes::load_first`], which touches only the first `lanes`.
+    trait Lanes: Copy {
+        /// Output columns per vector.
+        const LANES: usize;
+        /// Rows of a full tile: with two vectors per row, as many as leave
+        /// registers for the two `B` vectors and a broadcast.
+        const ROWS: usize;
+        unsafe fn zero() -> Self;
+        unsafe fn splat(x: f32) -> Self;
+        unsafe fn load(p: *const f32) -> Self;
+        /// The first `lanes ≤ LANES` floats at `p`, zeros above them; memory
+        /// past `p + lanes` is not touched.
+        unsafe fn load_first(p: *const f32, lanes: usize) -> Self;
+        unsafe fn store(self, p: *mut f32);
+        /// `self · b + c`, fused.
+        unsafe fn fmadd(self, b: Self, c: Self) -> Self;
+        unsafe fn add(self, b: Self) -> Self;
+        /// `max(self, b)` with `b` returned for a NaN `self` — `f32::max(·, 0)`
+        /// for `b = 0`.
+        unsafe fn max(self, b: Self) -> Self;
+    }
+
+    // SAFETY (both impls): each method is the one intrinsic its name says,
+    // under the trait's contract — the caller vouches for the instruction
+    // set and for the memory behind `p`.
+    impl Lanes for __m256 {
+        const LANES: usize = 8;
+        // 4 × 2 accumulators, 2 `B` vectors and a broadcast: 11 of 16 ymm.
+        const ROWS: usize = 4;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_ps()
         }
-        if w == NR {
-            let cp = block.as_mut_ptr();
-            for (r, accr) in acc.iter().enumerate() {
-                _mm256_storeu_ps(cp.add((c_row + r) * n + j0), accr[0]);
-                _mm256_storeu_ps(cp.add((c_row + r) * n + j0 + 8), accr[1]);
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm256_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            unsafe { _mm256_loadu_ps(p) }
+        }
+        #[inline(always)]
+        unsafe fn load_first(p: *const f32, lanes: usize) -> Self {
+            // `vmaskmovps` reads a lane only where the mask's sign bit is
+            // set, and does not fault on the others.
+            let index = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes as i32), index);
+            unsafe { _mm256_maskload_ps(p, mask) }
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            unsafe { _mm256_storeu_ps(p, self) }
+        }
+        #[inline(always)]
+        unsafe fn fmadd(self, b: Self, c: Self) -> Self {
+            _mm256_fmadd_ps(self, b, c)
+        }
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            _mm256_add_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn max(self, b: Self) -> Self {
+            _mm256_max_ps(self, b)
+        }
+    }
+
+    impl Lanes for __m512 {
+        const LANES: usize = 16;
+        // 8 × 2 accumulators and 2 `B` vectors: 18 of 32 zmm (the
+        // broadcast folds into the FMA's memory operand).
+        const ROWS: usize = 8;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            unsafe { _mm512_setzero_ps() }
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            unsafe { _mm512_set1_ps(x) }
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            unsafe { _mm512_loadu_ps(p) }
+        }
+        #[inline(always)]
+        unsafe fn load_first(p: *const f32, lanes: usize) -> Self {
+            // A masked-off lane of an AVX-512 load is neither read nor
+            // able to fault.
+            let mask = ((1u32 << lanes) - 1) as __mmask16;
+            unsafe { _mm512_maskz_loadu_ps(mask, p) }
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            unsafe { _mm512_storeu_ps(p, self) }
+        }
+        #[inline(always)]
+        unsafe fn fmadd(self, b: Self, c: Self) -> Self {
+            unsafe { _mm512_fmadd_ps(self, b, c) }
+        }
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            unsafe { _mm512_add_ps(self, b) }
+        }
+        #[inline(always)]
+        unsafe fn max(self, b: Self) -> Self {
+            unsafe { _mm512_max_ps(self, b) }
+        }
+    }
+
+    /// The AVX-512F instantiation of [`f32_rows_simd`]: `zmm` vectors, tiles
+    /// of up to 8 rows × 32 columns (two adjacent panels).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F (`is_x86_feature_detected!("avx512f")`;
+    /// AVX2 and FMA are this build's baseline).
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn f32_rows_zmm(g: &F32Gemm, block: &mut [f32], row0: usize) {
+        // SAFETY: the caller vouches for AVX-512F.
+        unsafe { f32_rows_simd::<__m512>(g, block, row0) }
+    }
+
+    /// The AVX2 instantiation of [`f32_rows_simd`]: `ymm` vectors, tiles of up
+    /// to 4 rows × 16 columns (one panel) — the tile for x86-64-v3 hosts
+    /// without AVX-512.
+    pub(super) fn f32_rows_ymm(g: &F32Gemm, block: &mut [f32], row0: usize) {
+        // SAFETY: this instantiation uses only AVX2 and FMA, compile-time
+        // target features here.
+        unsafe { f32_rows_simd::<__m256>(g, block, row0) }
+    }
+
+    /// Column-major walk of one row block in tiles two vectors wide: the `B`
+    /// columns of a tile stay cache-hot across all of the block's rows. The
+    /// last tile of a row takes one vector if that covers its columns, and
+    /// lane-masked loads if a row of `B` ends inside it.
+    ///
+    /// A block of one row (a dense layer) has no second row to share a `B`
+    /// vector with, and two chains cannot hide FMA latency, so it goes eight
+    /// vectors of columns at a time while whole ones last.
+    ///
+    /// # Safety
+    ///
+    /// The instruction set of `V` must be available.
+    #[inline(always)]
+    unsafe fn f32_rows_simd<V: Lanes>(g: &F32Gemm, block: &mut [f32], row0: usize) {
+        let rows = g.block_rows(block, row0);
+        let mut j0 = 0;
+        while rows == 1 && g.n - j0 >= 8 * V::LANES {
+            // SAFETY: forwarded from the caller; the block's one row, and
+            // eight whole vectors of columns from `j0`.
+            unsafe { f32_tile::<V, 1, 8, false>(g, block, row0, 0, 1, j0) };
+            j0 += 8 * V::LANES;
+        }
+        while j0 < g.n {
+            let cols = g.n - j0;
+            let two = cols > V::LANES;
+            let masked = !g.b.padded && cols < 2 * V::LANES && cols != V::LANES;
+            let mut r = 0;
+            while r < rows {
+                // SAFETY: forwarded from the caller; rows `row0 + r..` and the
+                // block's rows `r..` exist by `block_rows`' check, and the
+                // vector count and masking are the ones `cols` calls for.
+                r += unsafe {
+                    match (two, masked) {
+                        (true, false) => {
+                            f32_tiles::<V, 2, false>(g, block, row0 + r, r, rows - r, j0)
+                        }
+                        (true, true) => {
+                            f32_tiles::<V, 2, true>(g, block, row0 + r, r, rows - r, j0)
+                        }
+                        (false, false) => {
+                            f32_tiles::<V, 1, false>(g, block, row0 + r, r, rows - r, j0)
+                        }
+                        (false, true) => {
+                            f32_tiles::<V, 1, true>(g, block, row0 + r, r, rows - r, j0)
+                        }
+                    }
+                };
             }
-        } else {
-            let mut tmp = [0.0f32; NR];
-            for (r, accr) in acc.iter().enumerate() {
-                _mm256_storeu_ps(tmp.as_mut_ptr(), accr[0]);
-                _mm256_storeu_ps(tmp.as_mut_ptr().add(8), accr[1]);
-                block[(c_row + r) * n + j0..(c_row + r) * n + j0 + w].copy_from_slice(&tmp[..w]);
+            j0 += 2 * V::LANES;
+        }
+    }
+
+    /// Runs one [`f32_tile`] over the next of `left` rows — `V::ROWS` tall,
+    /// or 4 when that covers what is left — and returns how many it finished.
+    ///
+    /// # Safety
+    ///
+    /// As [`f32_tile`], with `left ≥ 1` rows at `a_row` and `c_row`.
+    #[inline(always)]
+    unsafe fn f32_tiles<V: Lanes, const NV: usize, const MASKED: bool>(
+        g: &F32Gemm,
+        block: &mut [f32],
+        a_row: usize,
+        c_row: usize,
+        left: usize,
+        j0: usize,
+    ) -> usize {
+        const { assert!(V::ROWS == 4 || V::ROWS == 8) };
+        // SAFETY: forwarded from the caller; `mr` is at most `left`.
+        unsafe {
+            if V::ROWS == 8 && left > 4 {
+                let mr = left.min(8);
+                f32_tile::<V, 8, NV, MASKED>(g, block, a_row, c_row, mr, j0);
+                mr
+            } else {
+                let mr = left.min(4);
+                f32_tile::<V, 4, NV, MASKED>(g, block, a_row, c_row, mr, j0);
+                mr
             }
         }
     }
-}
 
-/// Single-row remainder of [`micro_kernel_mr`].
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn micro_kernel_1(
-    a: &[f32],
-    panel: &[f32],
-    block: &mut [f32],
-    a_row: usize,
-    c_row: usize,
-    j0: usize,
-    w: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut acc = [0.0f32; NR];
-    let ar = &a[a_row * k..(a_row + 1) * k];
-    for (kk, &av) in ar.iter().enumerate() {
-        let bk = &panel[kk * NR..kk * NR + NR];
-        for (c, &bv) in acc.iter_mut().zip(bk) {
-            *c = fmadd(*c, av, bv);
-        }
-    }
-    block[c_row * n + j0..c_row * n + j0 + w].copy_from_slice(&acc[..w]);
-}
-
-/// Small-`M` path: dense k-major accumulation without packing. The output
-/// row stays resident in L1, and `B` is streamed row-major exactly once per
-/// output row.
-fn gemm_unpacked(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    for (i, c_row) in out.chunks_mut(n).enumerate() {
-        c_row.fill(0.0);
-        let a_row = &a[i * k..(i + 1) * k];
-        for (kk, &aik) in a_row.iter().enumerate() {
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (c, &bv) in c_row.iter_mut().zip(b_row) {
-                *c = fmadd(*c, aik, bv);
+    /// The f32 register tile: rows `a_row..a_row + mr` (`mr ≤ ROWS`) of `A`
+    /// against the `NV` vectors of `B` columns starting at `j0`. Per `k` step,
+    /// `NV` loads of `B` (lane-masked to the row's end when `MASKED`) and one
+    /// broadcast per row feed `ROWS·NV` FMAs, each lane one output element's
+    /// ascending-`k` chain; then the epilogue (`+ bias`, `·scale + shift`
+    /// fused, `max 0` — the operations of [`super::Epilogue::apply`] in its order) on
+    /// the accumulators and the tile's only store. A tile wider than the
+    /// columns left spills its rows and finishes the real columns with the
+    /// scalar epilogue. Bit-identical to [`super::micro_kernel_mr_generic`] in an FMA
+    /// build: every float operation is the same one in the same order.
+    ///
+    /// A short tile computes its missing rows as copies of its last real row
+    /// and stores only the real ones: below `ROWS·NV = 8` chains in flight the
+    /// FMA units wait on their own latency, so the copies cost nothing a
+    /// shorter tile would save.
+    ///
+    /// # Safety
+    ///
+    /// The instruction set of `V` must be available; `1 ≤ mr ≤ ROWS` and
+    /// `a_row + mr ≤ g.m`; `block` must hold rows `c_row..c_row + mr` of an
+    /// `[*, g.n]` matrix; `j0 + (NV - 1)·LANES < g.n`; and `MASKED` must be
+    /// set if `g.b` is not padded and has fewer than `NV·LANES` columns from
+    /// `j0`. Everything else is the geometry [`F32Gemm`]'s constructors
+    /// asserted.
+    #[inline(always)]
+    unsafe fn f32_tile<V: Lanes, const ROWS: usize, const NV: usize, const MASKED: bool>(
+        g: &F32Gemm,
+        block: &mut [f32],
+        a_row: usize,
+        c_row: usize,
+        mr: usize,
+        j0: usize,
+    ) {
+        const { assert!(NV * V::LANES <= 8 * NR) };
+        let (k, n, ldb) = (g.k, g.n, g.b.ldb);
+        let cols = (n - j0).min(NV * V::LANES);
+        // SAFETY: target features per the caller. `A` reads are rows below
+        // `a_row + mr ≤ g.m` of an `m·k` slice. Vector `v` reads `LANES` floats
+        // of each `k` row from column `j0 + v·LANES`: inside a padded panel
+        // row, inside a row of an in-place `B` when that many columns are
+        // left, and otherwise only the `cols - v·LANES` lanes that are. A
+        // full-width tile has `j0 + NV·LANES ≤ n` epilogue entries and output
+        // columns.
+        unsafe {
+            let ap: [*const f32; ROWS] =
+                std::array::from_fn(|r| g.a.as_ptr().add((a_row + r.min(mr - 1)) * k));
+            let bp: [*const f32; NV] =
+                std::array::from_fn(|v| g.b.data.as_ptr().add(g.b.column(j0 + v * V::LANES)));
+            let mut acc = [[V::zero(); NV]; ROWS];
+            for kk in 0..k {
+                let mut bv = [V::zero(); NV];
+                for (v, (bv, bp)) in bv.iter_mut().zip(&bp).enumerate() {
+                    let p = bp.add(kk * ldb);
+                    *bv = if MASKED {
+                        V::load_first(p, (cols - v * V::LANES).min(V::LANES))
+                    } else {
+                        V::load(p)
+                    };
+                }
+                for (accr, ap) in acc.iter_mut().zip(&ap) {
+                    let av = V::splat(*ap.add(kk));
+                    for (acc, &bv) in accr.iter_mut().zip(&bv) {
+                        *acc = av.fmadd(bv, *acc);
+                    }
+                }
+            }
+            if cols < NV * V::LANES {
+                let ep = g.ep.columns_from(j0);
+                let mut tmp = [0.0f32; 8 * NR];
+                for (r, accr) in acc.iter().enumerate().take(mr) {
+                    for (v, acc) in accr.iter().enumerate() {
+                        acc.store(tmp.as_mut_ptr().add(v * V::LANES));
+                    }
+                    let dst = &mut block[(c_row + r) * n + j0..(c_row + r) * n + j0 + cols];
+                    dst.copy_from_slice(&tmp[..cols]);
+                    ep.apply(dst, cols);
+                }
+                return;
+            }
+            if let Some(bias) = g.ep.bias {
+                for v in 0..NV {
+                    let b = V::load(bias.as_ptr().add(j0 + v * V::LANES));
+                    for accr in acc.iter_mut() {
+                        accr[v] = accr[v].add(b);
+                    }
+                }
+            }
+            if let Some((scale, shift)) = g.ep.scale_shift {
+                for v in 0..NV {
+                    let s = V::load(scale.as_ptr().add(j0 + v * V::LANES));
+                    let t = V::load(shift.as_ptr().add(j0 + v * V::LANES));
+                    for accr in acc.iter_mut() {
+                        accr[v] = accr[v].fmadd(s, t);
+                    }
+                }
+            }
+            if g.ep.relu {
+                // Nested on purpose: through `flatten()` LLVM keeps the whole
+                // accumulator array in memory, `k` loop included.
+                for accr in acc.iter_mut() {
+                    for acc in accr.iter_mut() {
+                        *acc = acc.max(V::zero());
+                    }
+                }
+            }
+            let cp = block[c_row * n + j0..].as_mut_ptr();
+            for (r, accr) in acc.iter().enumerate().take(mr) {
+                for (v, acc) in accr.iter().enumerate() {
+                    acc.store(cp.add(r * n + v * V::LANES));
+                }
             }
         }
     }
@@ -637,8 +993,8 @@ mod tests {
 
     #[test]
     fn matches_naive_odd_sizes() {
-        // Shapes straddling every path: unpacked (m < 8), packed with
-        // ragged row and column tiles, and pool-dispatched.
+        // Shapes straddling every path: short and full tiles, ragged
+        // column tiles read in place, and pool-dispatched.
         for &(m, k, n) in &[
             (1, 1, 1),
             (5, 7, 3),
@@ -721,6 +1077,227 @@ mod tests {
             assert_eq!(matmul(&a, &b), gold, "thread count {t}");
         }
         set_threads(0);
+    }
+
+    type RowWalker = fn(&F32Gemm, &mut [f32], usize);
+
+    /// Every tile instantiation this build and CPU can run, called
+    /// directly — no dispatch in between — and a printed line saying which.
+    fn tile_instantiations() -> Vec<(&'static str, RowWalker)> {
+        #[allow(unused_mut)]
+        let mut tiles: Vec<(&'static str, RowWalker)> = vec![("portable", f32_rows_generic)];
+        #[cfg(all(
+            target_arch = "x86_64",
+            target_feature = "avx2",
+            target_feature = "fma"
+        ))]
+        {
+            tiles.push(("ymm", simd::f32_rows_ymm));
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F was detected on this CPU just above.
+                tiles.push(("zmm", |g, block, row0| unsafe {
+                    simd::f32_rows_zmm(g, block, row0)
+                }));
+            } else {
+                println!("matmul: skipping the zmm tile, this CPU has no AVX-512F");
+            }
+        }
+        let names: Vec<&str> = tiles.iter().map(|t| t.0).collect();
+        println!("matmul: f32 tile instantiations exercised: {names:?}");
+        tiles
+    }
+
+    fn pack(b: &[f32], k: usize, n: usize) -> Vec<f32> {
+        let mut packed = vec![0.0f32; packed_panels_len(k, n)];
+        pack_b_panels_into(b, &mut packed, k, n);
+        packed
+    }
+
+    /// The same product from both places the tile can read `B`.
+    fn b_sources<'a>(
+        a: &'a [f32],
+        (packed, b): (&'a [f32], &'a [f32]),
+        (m, k, n): (usize, usize, usize),
+        ep: Epilogue<'a>,
+    ) -> [(&'static str, F32Gemm<'a>); 2] {
+        [
+            ("prepacked", F32Gemm::prepacked(a, packed, m, k, n, ep)),
+            ("in place", F32Gemm::in_place(a, b, m, k, n, ep)),
+        ]
+    }
+
+    /// `walk` over the whole output in row blocks of `block_rows`, as bits.
+    fn walk_in_blocks(walk: RowWalker, g: &F32Gemm, block_rows: usize) -> Vec<u32> {
+        let mut out = vec![f32::NAN; g.m * g.n];
+        for (i, block) in out.chunks_mut(block_rows * g.n).enumerate() {
+            walk(g, block, i * block_rows);
+        }
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn f32_tile_instantiations_match_naive_bit_for_bit() {
+        // Row counts on both sides of every tile height, column counts on
+        // both sides of one and two vectors of either width plus a
+        // many-panel ragged one, `k` from one step to the windowed MC's
+        // 1440 — each instantiation against the naive chain, from packed
+        // panels and in place, whole and in row blocks with a short last
+        // one. Rows are independent, so the 19-row product is the
+        // reference for every shorter `m`.
+        let tiles = tile_instantiations();
+        for n in [1, 15, 16, 17, 31, 32, 33, 200] {
+            for k in [1, 27, 64, 1440] {
+                let a = random(vec![19, k], (n * 7 + k) as u64);
+                let b = random(vec![k, n], (n * 13 + k + 1) as u64);
+                let want: Vec<u32> = naive(&a, &b).data().iter().map(|v| v.to_bits()).collect();
+                let packed = pack(b.data(), k, n);
+                for m in 1..=19 {
+                    let (a, b) = (&a.data()[..m * k], (&packed[..], b.data()));
+                    for (source, g) in b_sources(a, b, (m, k, n), Epilogue::default()) {
+                        for &(name, walk) in &tiles {
+                            for block_rows in [m, 5] {
+                                assert!(
+                                    walk_in_blocks(walk, &g, block_rows) == want[..m * n],
+                                    "{name} {source} {m}x{k}x{n} block={block_rows}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn f32_tile_epilogues_match_scalar_apply() {
+        // Every epilogue combination, applied by each instantiation to its
+        // registers (full-width tiles) or through the spill path (ragged
+        // ones), against `Epilogue::apply` on the naive product.
+        let tiles = tile_instantiations();
+        for &(m, k, n) in &[
+            (1, 27, 200),
+            (5, 9, 15),
+            (8, 64, 32),
+            (13, 27, 33),
+            (19, 5, 200),
+        ] {
+            let a = random(vec![m, k], 31);
+            let b = random(vec![k, n], 32);
+            let bias = random(vec![n], 33);
+            let (scale, shift) = (random(vec![n], 34), random(vec![n], 35));
+            let plain = naive(&a, &b);
+            let packed = pack(b.data(), k, n);
+            for bits in 0..8u32 {
+                let ep = Epilogue {
+                    bias: (bits & 1 != 0).then_some(bias.data()),
+                    scale_shift: (bits & 2 != 0).then_some((scale.data(), shift.data())),
+                    relu: bits & 4 != 0,
+                };
+                let mut want = plain.clone();
+                ep.apply(want.data_mut(), n);
+                let want: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
+                for (source, g) in b_sources(a.data(), (&packed, b.data()), (m, k, n), ep) {
+                    for &(name, walk) in &tiles {
+                        assert!(
+                            walk_in_blocks(walk, &g, m) == want,
+                            "{name} {source} {m}x{k}x{n} ep={bits:03b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A `[len]` float slice that ends exactly where its mapping does, with
+    /// an inaccessible page behind it: reading one float past the slice
+    /// faults instead of passing unnoticed.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    struct GuardedTail {
+        map: *mut u8,
+        map_len: usize,
+        len: usize,
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    impl GuardedTail {
+        const PAGE: usize = 4096;
+
+        fn new(values: &[f32]) -> Self {
+            use std::ffi::c_void;
+            extern "C" {
+                fn mmap(
+                    a: *mut c_void,
+                    len: usize,
+                    prot: i32,
+                    flags: i32,
+                    fd: i32,
+                    off: i64,
+                ) -> *mut c_void;
+                fn mprotect(a: *mut c_void, len: usize, prot: i32) -> i32;
+            }
+            let bytes = std::mem::size_of_val(values);
+            let map_len = bytes.div_ceil(Self::PAGE) * Self::PAGE + Self::PAGE;
+            // SAFETY: a fresh private anonymous read-write mapping
+            // (PROT_READ|PROT_WRITE = 3, MAP_PRIVATE|MAP_ANONYMOUS = 0x22)
+            // whose last page is then made PROT_NONE; the values are
+            // copied to end at that page's start, inside the mapping.
+            unsafe {
+                let map = mmap(std::ptr::null_mut(), map_len, 3, 0x22, -1, 0).cast::<u8>();
+                assert!(!map.is_null() && map as isize != -1, "mmap failed");
+                let guard = map.add(map_len - Self::PAGE);
+                assert_eq!(mprotect(guard.cast(), Self::PAGE, 0), 0, "mprotect failed");
+                std::ptr::copy_nonoverlapping(
+                    values.as_ptr().cast::<u8>(),
+                    guard.sub(bytes),
+                    bytes,
+                );
+                GuardedTail {
+                    map,
+                    map_len,
+                    len: values.len(),
+                }
+            }
+        }
+
+        fn as_slice(&self) -> &[f32] {
+            // SAFETY: `len` initialised floats end at the guard page; the
+            // page size is a multiple of their alignment.
+            unsafe {
+                let end = self.map.add(self.map_len - Self::PAGE);
+                std::slice::from_raw_parts(end.cast::<f32>().sub(self.len), self.len)
+            }
+        }
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    impl Drop for GuardedTail {
+        fn drop(&mut self) {
+            extern "C" {
+                fn munmap(a: *mut std::ffi::c_void, len: usize) -> i32;
+            }
+            // SAFETY: the mapping `new` created, unmapped once.
+            unsafe { munmap(self.map.cast(), self.map_len) };
+        }
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    fn f32_tile_in_place_b_is_not_read_past_its_end() {
+        // `B` in place, its last row ending at the last mapped byte: the
+        // ragged tile's loads of that row must stop at the row's end. A
+        // full-width load there would fault on the guard page.
+        let tiles = tile_instantiations();
+        for n in [1, 7, 15, 17, 31, 33, 200] {
+            let (m, k) = (6, 5);
+            let a = random(vec![m, k], 41);
+            let b = random(vec![k, n], 42);
+            let want: Vec<u32> = naive(&a, &b).data().iter().map(|v| v.to_bits()).collect();
+            let guarded = GuardedTail::new(b.data());
+            let g = F32Gemm::in_place(a.data(), guarded.as_slice(), m, k, n, Epilogue::default());
+            for &(name, walk) in &tiles {
+                assert!(walk_in_blocks(walk, &g, m) == want, "{name} {m}x{k}x{n}");
+            }
+        }
     }
 
     #[test]
