@@ -156,7 +156,7 @@ impl DepthwiseConv2d {
 /// Per-application geometry shared by every output row of one depthwise
 /// pass: the conv geometry plus the interior-column bounds, resolved once.
 #[derive(Clone, Copy)]
-pub(crate) struct DwGeom {
+struct DwGeom {
     k: usize,
     c: usize,
     in_h: usize,
@@ -195,6 +195,77 @@ impl DwGeom {
     }
 }
 
+/// One depthwise pass — geometry, taps, bias and the optional fused
+/// `·scale + shift → ReLU` tail — with every length checked against the
+/// geometry once: the interior kernels index them through raw pointers, so
+/// a value of this type only ever comes from [`DwPass::checked`].
+struct DwPass<'a> {
+    g: DwGeom,
+    weight: &'a [f32],
+    bias: &'a [f32],
+    tail: Option<(&'a [f32], &'a [f32])>,
+    /// Whether rows run the 16-lane instantiation: this CPU has AVX-512F.
+    /// Decided from CPUID alone; the bits are the same either way.
+    wide: bool,
+}
+
+impl<'a> DwPass<'a> {
+    /// # Panics
+    ///
+    /// Panics unless `weight` is `[k, k, c]` and `bias` and both halves of
+    /// `tail` are `[c]`.
+    fn checked(
+        geo: &Conv2dGeometry,
+        k: usize,
+        weight: &'a [f32],
+        bias: &'a [f32],
+        tail: Option<(&'a [f32], &'a [f32])>,
+    ) -> Self {
+        let g = DwGeom::new(geo, k);
+        assert_eq!(weight.len(), k * k * g.c, "depthwise taps");
+        assert_eq!(bias.len(), g.c, "depthwise bias");
+        if let Some((scale, shift)) = tail {
+            assert!(scale.len() == g.c && shift.len() == g.c, "depthwise tail");
+        }
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+        let wide = std::arch::is_x86_feature_detected!("avx512f");
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+        let wide = false;
+        DwPass {
+            g,
+            weight,
+            bias,
+            tail,
+            wide,
+        }
+    }
+
+    /// Output row `oy` of the frame `xd` (`[in_h, in_w, c]`) into `row`
+    /// (`[out_w, c]`), at the lane width the build and the CPU select.
+    fn row(&self, xd: &[f32], oy: usize, row: &mut [f32]) {
+        let g = &self.g;
+        assert_eq!(xd.len(), g.in_h * g.in_w * g.c, "depthwise frame");
+        assert_eq!(row.len(), g.out_w * g.c, "depthwise output row");
+        // SAFETY: the two lengths just checked and `checked`'s are all that
+        // `depthwise_row` asks for beyond its instruction set: AVX2 is a
+        // compile-time target feature where named, and `wide` is only ever
+        // true when `checked` saw AVX-512F on this CPU.
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+        unsafe {
+            if self.wide {
+                depthwise_row_zmm(self, xd, oy, row)
+            } else {
+                depthwise_row::<std::arch::x86_64::__m256>(self, xd, oy, row)
+            }
+        }
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+        unsafe {
+            debug_assert!(!self.wide);
+            depthwise_row::<f32>(self, xd, oy, row)
+        }
+    }
+}
+
 /// Output columns processed together by the 3×3 strip kernels.
 const STRIP: usize = 4;
 
@@ -202,20 +273,23 @@ const STRIP: usize = 4;
 /// **border** output columns per row:
 ///
 /// - Interior cells (tap rectangle fully inside the input in x) run a
-///   branch-free kernel with explicit 8-wide SIMD over channels and the
-///   accumulator held in registers across all `k²` taps — the hot path,
-///   covering almost every cell at stream resolutions. For `k = 3` (every
-///   MobileNet unit) at stride 1 or 2 they are processed in strips of
-///   [`STRIP`] adjacent columns by a kernel compiled for those constants:
-///   overlapping tap windows share input loads, each weight load serves
-///   the whole strip, and the unrolled window stays in registers. Other
-///   kernel sizes run one cell at a time over a runtime `k`.
+///   branch-free kernel with explicit SIMD over channels — written once over
+///   a lane type ([`Lanes`]) and instantiated per row at 16 lanes where the
+///   CPU has AVX-512F, at 8 under the build's AVX2 baseline, and at one
+///   (plain `f32`) for the channels left over and for builds without AVX2
+///   — with the accumulator held in registers across all `k²` taps: the
+///   hot path, covering almost every cell at stream resolutions. For
+///   `k = 3` (every MobileNet unit) at stride 1 or 2 they are processed in
+///   strips of [`STRIP`] adjacent columns by a kernel compiled for those
+///   constants: overlapping tap windows share input loads, each weight load
+///   serves the whole strip, and the unrolled window stays in registers.
+///   Other kernel sizes run one cell at a time over a runtime `k`.
 /// - Border cells (clipped by SAME padding) keep the per-cell-clipped
 ///   scalar loops.
 ///
 /// All paths accumulate `bias + Σ_ky Σ_kx x·w` per channel in the same
 /// order with the same mul-then-add semantics (no FMA contraction), so the
-/// split — the SIMD width, and the strip blocking — never changes a single
+/// split — the lane count, and the strip blocking — never changes a single
 /// bit of the output. The optional fused `·scale + shift → ReLU` tail is
 /// applied while each cell is register/L1-resident.
 ///
@@ -231,10 +305,10 @@ pub(crate) fn depthwise_forward(
     norm_relu_tail: Option<(&[f32], &[f32])>,
     out: &mut Tensor,
 ) {
-    let g = DwGeom::new(geo, k);
+    let p = DwPass::checked(geo, k, weight, bias, norm_relu_tail);
     let xd = x.data();
-    ff_tensor::parallel::parallel_rows_mut(out.data_mut(), g.out_w * g.c, |oy, row| {
-        depthwise_row(xd, weight, bias, norm_relu_tail, &g, oy, row);
+    ff_tensor::parallel::parallel_rows_mut(out.data_mut(), p.g.out_w * p.g.c, |oy, row| {
+        p.row(xd, oy, row);
     });
 }
 
@@ -256,7 +330,8 @@ pub(crate) fn depthwise_forward_batch(
     norm_relu_tail: Option<(&[f32], &[f32])>,
     out: &mut Tensor,
 ) {
-    let g = DwGeom::new(geo, k);
+    let p = DwPass::checked(geo, k, weight, bias, norm_relu_tail);
+    let g = &p.g;
     let out_h = geo.out_h;
     assert_eq!(
         x.dims(),
@@ -272,30 +347,149 @@ pub(crate) fn depthwise_forward_batch(
     let frame_len = g.in_h * g.in_w * g.c;
     ff_tensor::parallel::parallel_rows_mut(out.data_mut(), g.out_w * g.c, |r, row| {
         let b = r / out_h;
-        let oy = r % out_h;
-        depthwise_row(
-            &xd[b * frame_len..(b + 1) * frame_len],
-            weight,
-            bias,
-            norm_relu_tail,
-            &g,
-            oy,
-            row,
-        );
+        p.row(&xd[b * frame_len..(b + 1) * frame_len], r % out_h, row);
     });
 }
 
-/// One output row: border cells at the clipped fringes, interior cells in
-/// load-sharing strips (3×3) or one at a time.
-fn depthwise_row(
-    xd: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-    tail: Option<(&[f32], &[f32])>,
-    g: &DwGeom,
-    oy: usize,
-    row: &mut [f32],
-) {
+/// The vector type an interior-kernel instantiation computes in: `LANES`
+/// adjacent channels per register, every operation lane-wise, and every
+/// one a single IEEE operation — so each lane computes what the `f32`
+/// implementation does, which is the scalar definition.
+///
+/// # Safety
+///
+/// Every method requires the instruction set of the implementing type
+/// (none for `f32`, AVX2 for `__m256`, AVX-512F for `__m512`); the pointer
+/// methods additionally require `LANES` readable (or writable) floats at
+/// `p`.
+trait Lanes: Copy {
+    /// Channels per vector.
+    const LANES: usize;
+    unsafe fn zero() -> Self;
+    unsafe fn load(p: *const f32) -> Self;
+    unsafe fn store(self, p: *mut f32);
+    /// `self + x·w`, rounded twice — never contracted to an FMA.
+    unsafe fn add_mul(self, x: Self, w: Self) -> Self;
+    /// The fused tail: `max(self·scale + shift, 0)`, rounded twice.
+    unsafe fn norm_relu(self, scale: Self, shift: Self) -> Self;
+}
+
+// SAFETY (all impls): each method is the operations its name says, under
+// the trait's contract — the caller vouches for the instruction set and
+// for the memory behind `p`.
+impl Lanes for f32 {
+    const LANES: usize = 1;
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        0.0
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        unsafe { *p }
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        unsafe { *p = self }
+    }
+    #[inline(always)]
+    unsafe fn add_mul(self, x: Self, w: Self) -> Self {
+        self + x * w
+    }
+    #[inline(always)]
+    unsafe fn norm_relu(self, scale: Self, shift: Self) -> Self {
+        (self * scale + shift).max(0.0)
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+mod simd {
+    use super::Lanes;
+    use std::arch::x86_64::*;
+
+    impl Lanes for __m256 {
+        const LANES: usize = 8;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            unsafe { _mm256_loadu_ps(p) }
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            unsafe { _mm256_storeu_ps(p, self) }
+        }
+        #[inline(always)]
+        unsafe fn add_mul(self, x: Self, w: Self) -> Self {
+            _mm256_add_ps(self, _mm256_mul_ps(x, w))
+        }
+        #[inline(always)]
+        unsafe fn norm_relu(self, scale: Self, shift: Self) -> Self {
+            _mm256_max_ps(
+                _mm256_add_ps(_mm256_mul_ps(self, scale), shift),
+                _mm256_setzero_ps(),
+            )
+        }
+    }
+
+    impl Lanes for __m512 {
+        const LANES: usize = 16;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            unsafe { _mm512_setzero_ps() }
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            unsafe { _mm512_loadu_ps(p) }
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            unsafe { _mm512_storeu_ps(p, self) }
+        }
+        #[inline(always)]
+        unsafe fn add_mul(self, x: Self, w: Self) -> Self {
+            unsafe { _mm512_add_ps(self, _mm512_mul_ps(x, w)) }
+        }
+        #[inline(always)]
+        unsafe fn norm_relu(self, scale: Self, shift: Self) -> Self {
+            unsafe {
+                _mm512_max_ps(
+                    _mm512_add_ps(_mm512_mul_ps(self, scale), shift),
+                    _mm512_setzero_ps(),
+                )
+            }
+        }
+    }
+}
+
+/// The AVX-512F instantiation of [`depthwise_row`]: the whole row — not the
+/// strip — so nothing crosses a `target_feature` boundary per cell.
+///
+/// # Safety
+///
+/// As [`depthwise_row`]; the CPU must support AVX-512F.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+#[target_feature(enable = "avx512f")]
+unsafe fn depthwise_row_zmm(p: &DwPass, xd: &[f32], oy: usize, row: &mut [f32]) {
+    // SAFETY: forwarded from the caller.
+    unsafe { depthwise_row::<std::arch::x86_64::__m512>(p, xd, oy, row) }
+}
+
+/// One output row: border cells at the clipped fringes, then the interior
+/// cells over whole vectors of `V` channels, the channels that leaves over
+/// whole 8-lane vectors, and the rest one at a time — so 16 → 8 → scalar at
+/// the widest, and a net with 8 channels still runs a vector kernel there.
+///
+/// # Safety
+///
+/// The instruction set of `V` must be available (and AVX2 must be a
+/// compile-time target feature wherever it is compiled in), `xd` must be
+/// an `[in_h, in_w, c]` frame and `row` an `[out_w, c]` row of `p`'s
+/// geometry.
+#[inline(always)]
+unsafe fn depthwise_row<V: Lanes>(p: &DwPass, xd: &[f32], oy: usize, row: &mut [f32]) {
+    let g = &p.g;
     let (k, c) = (g.k, g.c);
     let y0 = (oy * g.stride) as isize - g.pad_top as isize;
     // Vertical clip is shared by every cell of the row.
@@ -304,69 +498,32 @@ fn depthwise_row(
         ((g.in_h as isize - y0).clamp(0, k as isize)) as usize,
     );
     for ox in (0..g.ix_lo).chain(g.ix_hi..g.out_w) {
-        border_cell(
-            xd,
-            weight,
-            bias,
-            tail,
-            &mut row[ox * c..(ox + 1) * c],
-            (ox * g.stride) as isize - g.pad_left as isize,
-            y0,
-            ky,
-            k,
-            c,
-            g.in_w,
-        );
+        let x0 = (ox * g.stride) as isize - g.pad_left as isize;
+        border_cell(p, xd, &mut row[ox * c..(ox + 1) * c], x0, y0, ky);
     }
-    let mut ox = g.ix_lo;
-    if k == 3 && g.stride <= 2 {
-        while ox + STRIP <= g.ix_hi {
-            let cells = &mut row[ox * c..(ox + STRIP) * c];
-            let x0 = ox * g.stride - g.pad_left;
-            if g.stride == 1 {
-                interior_strip::<3, 1>(xd, weight, bias, tail, cells, x0, y0, ky, c, g.in_w);
-            } else {
-                interior_strip::<3, 2>(xd, weight, bias, tail, cells, x0, y0, ky, c, g.in_w);
-            }
-            ox += STRIP;
-        }
-    }
-    while ox < g.ix_hi {
-        interior_cell(
-            xd,
-            weight,
-            bias,
-            tail,
-            &mut row[ox * c..(ox + 1) * c],
-            ox * g.stride - g.pad_left,
-            y0,
-            ky,
-            k,
-            c,
-            g.in_w,
-        );
-        ox += 1;
+    // SAFETY: forwarded from the caller; each call starts at the channel
+    // the one before it stopped at.
+    unsafe {
+        let ch = interior_cells::<V>(p, xd, row, y0, ky, 0);
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+        let ch = interior_cells::<std::arch::x86_64::__m256>(p, xd, row, y0, ky, ch);
+        interior_cells::<f32>(p, xd, row, y0, ky, ch);
     }
 }
 
 /// A padding-clipped output cell: tap ranges clamped per cell, scalar
 /// accumulation over the surviving taps.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn border_cell(
+    p: &DwPass,
     xd: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-    tail: Option<(&[f32], &[f32])>,
     cell: &mut [f32],
     x0: isize,
     y0: isize,
     (ky_lo, ky_hi): (usize, usize),
-    k: usize,
-    c: usize,
-    in_w: usize,
 ) {
-    cell.copy_from_slice(bias);
+    let (k, c, in_w) = (p.g.k, p.g.c, p.g.in_w);
+    cell.copy_from_slice(p.bias);
     let kx_lo = (-x0).clamp(0, k as isize) as usize;
     let kx_hi = ((in_w as isize - x0).clamp(0, k as isize)) as usize;
     for ky in ky_lo..ky_hi {
@@ -374,103 +531,112 @@ fn border_cell(
         for kx in kx_lo..kx_hi {
             let xx = (x0 + kx as isize) as usize;
             let xs = &xd[(y * in_w + xx) * c..][..c];
-            let ws = &weight[(ky * k + kx) * c..][..c];
+            let ws = &p.weight[(ky * k + kx) * c..][..c];
             for ((o, &xv), &wv) in cell.iter_mut().zip(xs).zip(ws) {
                 *o += xv * wv;
             }
         }
     }
-    if let Some((scale, shift)) = tail {
+    if let Some((scale, shift)) = p.tail {
         for ((o, &s), &t) in cell.iter_mut().zip(scale).zip(shift) {
             *o = (*o * s + t).max(0.0);
         }
     }
 }
 
-/// An interior output cell (no x-clipping): channels are processed eight at
-/// a time with AVX2, the accumulator staying in a `ymm` register across all
-/// `k²` taps. Mul-then-add (`_mm256_mul_ps` + `_mm256_add_ps`, matching the
-/// scalar `acc + x·w` — rustc does not contract) keeps the result
-/// bit-identical to [`border_cell`]'s accumulation on the same taps.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn interior_cell(
+/// The interior cells of one output row for channels `ch0..ch1`, the whole
+/// vectors of `V` that fit from `ch0`: 3×3 cells in load-sharing strips,
+/// anything else (and the strips' remainder) one cell at a time. Returns
+/// `ch1`, the first channel not done.
+///
+/// # Safety
+///
+/// As [`depthwise_row`], with `ch0 ≤ c`.
+#[inline(always)]
+unsafe fn interior_cells<V: Lanes>(
+    p: &DwPass,
     xd: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-    tail: Option<(&[f32], &[f32])>,
+    row: &mut [f32],
+    y0: isize,
+    ky: (usize, usize),
+    ch0: usize,
+) -> usize {
+    let g = &p.g;
+    let c = g.c;
+    let chs = ch0..ch0 + (c - ch0) / V::LANES * V::LANES;
+    if chs.is_empty() {
+        return ch0;
+    }
+    let mut ox = g.ix_lo;
+    // SAFETY: forwarded from the caller; `ox` stays inside `ix_lo..ix_hi`,
+    // whose cells (a strip's last one included) are interior by `DwGeom`'s
+    // bounds, and `chs` is whole vectors below `c`.
+    unsafe {
+        if g.k == 3 && g.stride <= 2 {
+            while ox + STRIP <= g.ix_hi {
+                let cells = &mut row[ox * c..(ox + STRIP) * c];
+                let x0 = ox * g.stride - g.pad_left;
+                if g.stride == 1 {
+                    interior_strip::<V, 3, 1>(p, xd, cells, x0, y0, ky, chs.clone());
+                } else {
+                    interior_strip::<V, 3, 2>(p, xd, cells, x0, y0, ky, chs.clone());
+                }
+                ox += STRIP;
+            }
+        }
+        while ox < g.ix_hi {
+            let cell = &mut row[ox * c..(ox + 1) * c];
+            interior_cell::<V>(p, xd, cell, ox * g.stride - g.pad_left, y0, ky, chs.clone());
+            ox += 1;
+        }
+    }
+    chs.end
+}
+
+/// An interior output cell (no x-clipping), channels `chs` in vectors of
+/// `V`: the accumulator stays in a register across all `k²` taps, and
+/// mul-then-add ([`Lanes::add_mul`], matching the scalar `acc + x·w` —
+/// rustc does not contract) keeps the result bit-identical to
+/// [`border_cell`]'s accumulation on the same taps.
+///
+/// # Safety
+///
+/// As [`depthwise_row`]; `cell` must be the `c` outputs of a cell with
+/// `x0 + k ≤ in_w`, `ky` the row's vertical clip (`0 ≤ y0 + ky < in_h`
+/// inside it), and `chs` whole vectors of `V` below `c` — so every vector
+/// load and store below is in bounds for the lengths `p` and the caller
+/// checked.
+#[inline(always)]
+unsafe fn interior_cell<V: Lanes>(
+    p: &DwPass,
+    xd: &[f32],
     cell: &mut [f32],
     x0: usize,
     y0: isize,
     (ky_lo, ky_hi): (usize, usize),
-    k: usize,
-    c: usize,
-    in_w: usize,
+    chs: std::ops::Range<usize>,
 ) {
-    use std::arch::x86_64::*;
-    let simd_c = c - c % 8;
-    // SAFETY: avx2 is a compile-time target feature here; interior cells
-    // guarantee `x0 + k ≤ in_w` and the row clip guarantees
-    // `0 ≤ y0 + ky < in_h`, so every 8-lane load below is in bounds of
-    // `xd`/`weight` for channels `< simd_c ≤ c`.
+    let (k, c, in_w) = (p.g.k, p.g.c, p.g.in_w);
+    debug_assert!(cell.len() == c && x0 + k <= in_w && chs.end <= c);
+    // SAFETY: see the function's contract.
     unsafe {
-        let mut ch = 0;
-        while ch < simd_c {
-            let mut acc = _mm256_loadu_ps(bias.as_ptr().add(ch));
+        for ch in chs.step_by(V::LANES) {
+            let mut acc = V::load(p.bias.as_ptr().add(ch));
             for ky in ky_lo..ky_hi {
                 let y = (y0 + ky as isize) as usize;
                 let xrow = xd.as_ptr().add((y * in_w + x0) * c + ch);
-                let wrow = weight.as_ptr().add(ky * k * c + ch);
+                let wrow = p.weight.as_ptr().add(ky * k * c + ch);
                 for kx in 0..k {
-                    let xv = _mm256_loadu_ps(xrow.add(kx * c));
-                    let wv = _mm256_loadu_ps(wrow.add(kx * c));
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(xv, wv));
+                    acc = acc.add_mul(V::load(xrow.add(kx * c)), V::load(wrow.add(kx * c)));
                 }
             }
-            if let Some((scale, shift)) = tail {
-                let s = _mm256_loadu_ps(scale.as_ptr().add(ch));
-                let t = _mm256_loadu_ps(shift.as_ptr().add(ch));
-                acc = _mm256_max_ps(_mm256_add_ps(_mm256_mul_ps(acc, s), t), _mm256_setzero_ps());
+            if let Some((scale, shift)) = p.tail {
+                let (s, t) = (scale.as_ptr().add(ch), shift.as_ptr().add(ch));
+                acc = acc.norm_relu(V::load(s), V::load(t));
             }
-            _mm256_storeu_ps(cell.as_mut_ptr().add(ch), acc);
-            ch += 8;
+            acc.store(cell.as_mut_ptr().add(ch));
         }
     }
-    interior_cell_scalar(
-        xd,
-        weight,
-        bias,
-        tail,
-        cell,
-        x0,
-        y0,
-        (ky_lo, ky_hi),
-        k,
-        c,
-        in_w,
-        simd_c,
-    );
-}
-
-/// Scalar interior path: the whole cell on non-AVX2 builds.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn interior_cell(
-    xd: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-    tail: Option<(&[f32], &[f32])>,
-    cell: &mut [f32],
-    x0: usize,
-    y0: isize,
-    ky: (usize, usize),
-    k: usize,
-    c: usize,
-    in_w: usize,
-) {
-    interior_cell_scalar(xd, weight, bias, tail, cell, x0, y0, ky, k, c, in_w, 0);
 }
 
 /// A strip of [`STRIP`] interior cells `S` input columns apart, `K×K`
@@ -483,140 +649,58 @@ fn interior_cell(
 /// Each cell's accumulator still runs `bias + Σ_ky Σ_kx x·w` in exactly the
 /// order of [`interior_cell`] (ky then kx ascending, mul-then-add, no FMA
 /// contraction), so the strip blocking is bit-invisible in the output.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn interior_strip<const K: usize, const S: usize>(
+///
+/// # Safety
+///
+/// As [`interior_cell`], for `cells` the `STRIP·c` outputs of a strip whose
+/// last cell is interior too: `x0 + (STRIP - 1)·S + K ≤ in_w`.
+#[inline(always)]
+unsafe fn interior_strip<V: Lanes, const K: usize, const S: usize>(
+    p: &DwPass,
     xd: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-    tail: Option<(&[f32], &[f32])>,
     cells: &mut [f32],
     x0: usize,
     y0: isize,
     (ky_lo, ky_hi): (usize, usize),
-    c: usize,
-    in_w: usize,
+    chs: std::ops::Range<usize>,
 ) {
-    use std::arch::x86_64::*;
     // Window registers: the span of the widest instantiation (k 3, stride
     // 2); a narrower one leaves the rest unused and optimized away.
     const STRIP_SPAN: usize = (STRIP - 1) * 2 + 3;
     const { assert!((STRIP - 1) * S + K <= STRIP_SPAN) };
+    let (c, in_w) = (p.g.c, p.g.in_w);
     debug_assert!(cells.len() == STRIP * c && x0 + (STRIP - 1) * S + K <= in_w);
-    let simd_c = c - c % 8;
-    // SAFETY: avx2 is a compile-time target feature here; the caller
-    // guarantees all STRIP cells are interior
-    // (`x0 + (STRIP - 1)·S + K ≤ in_w`) and the row clip guarantees
-    // `0 ≤ y0 + ky < in_h`, so every 8-lane load below is in bounds of
-    // `xd`/`weight` for channels `< simd_c ≤ c`.
+    debug_assert!(p.g.k == K && chs.end <= c);
+    // SAFETY: see the function's contract.
     unsafe {
-        let mut ch = 0;
-        while ch < simd_c {
-            let mut acc = [_mm256_loadu_ps(bias.as_ptr().add(ch)); STRIP];
+        for ch in chs.step_by(V::LANES) {
+            let mut acc = [V::load(p.bias.as_ptr().add(ch)); STRIP];
             for ky in ky_lo..ky_hi {
                 let y = (y0 + ky as isize) as usize;
                 let xrow = xd.as_ptr().add((y * in_w + x0) * c + ch);
-                let mut xv = [_mm256_setzero_ps(); STRIP_SPAN];
+                let mut xv = [V::zero(); STRIP_SPAN];
                 for (i, v) in xv.iter_mut().enumerate().take((STRIP - 1) * S + K) {
-                    *v = _mm256_loadu_ps(xrow.add(i * c));
+                    *v = V::load(xrow.add(i * c));
                 }
-                let wrow = weight.as_ptr().add(ky * K * c + ch);
+                let wrow = p.weight.as_ptr().add(ky * K * c + ch);
                 for kx in 0..K {
-                    let wv = _mm256_loadu_ps(wrow.add(kx * c));
+                    let wv = V::load(wrow.add(kx * c));
                     for (s, a) in acc.iter_mut().enumerate() {
-                        *a = _mm256_add_ps(*a, _mm256_mul_ps(xv[s * S + kx], wv));
+                        *a = a.add_mul(xv[s * S + kx], wv);
                     }
                 }
             }
-            if let Some((scale, shift)) = tail {
-                let s = _mm256_loadu_ps(scale.as_ptr().add(ch));
-                let t = _mm256_loadu_ps(shift.as_ptr().add(ch));
+            if let Some((scale, shift)) = p.tail {
+                let s = V::load(scale.as_ptr().add(ch));
+                let t = V::load(shift.as_ptr().add(ch));
                 for a in &mut acc {
-                    *a = _mm256_max_ps(_mm256_add_ps(_mm256_mul_ps(*a, s), t), _mm256_setzero_ps());
+                    *a = a.norm_relu(s, t);
                 }
             }
             for (s, a) in acc.iter().enumerate() {
-                _mm256_storeu_ps(cells.as_mut_ptr().add(s * c + ch), *a);
-            }
-            ch += 8;
-        }
-    }
-    // Ragged channel tail, cell at a time.
-    for s in 0..STRIP {
-        interior_cell_scalar(
-            xd,
-            weight,
-            bias,
-            tail,
-            &mut cells[s * c..(s + 1) * c],
-            x0 + s * S,
-            y0,
-            (ky_lo, ky_hi),
-            K,
-            c,
-            in_w,
-            simd_c,
-        );
-    }
-}
-
-/// Strip fallback without AVX2: the cells one at a time (the scalar
-/// interior kernel already keeps its accumulator in registers).
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn interior_strip<const K: usize, const S: usize>(
-    xd: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-    tail: Option<(&[f32], &[f32])>,
-    cells: &mut [f32],
-    x0: usize,
-    y0: isize,
-    ky: (usize, usize),
-    c: usize,
-    in_w: usize,
-) {
-    for (s, cell) in cells.chunks_mut(c).enumerate() {
-        interior_cell(xd, weight, bias, tail, cell, x0 + s * S, y0, ky, K, c, in_w);
-    }
-}
-
-/// Register-accumulated scalar kernel for channels `ch0..c` of an interior
-/// cell — the ragged tail of the SIMD path (and the whole cell without
-/// AVX2). Same tap order and mul-then-add semantics as the vector body.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn interior_cell_scalar(
-    xd: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-    tail: Option<(&[f32], &[f32])>,
-    cell: &mut [f32],
-    x0: usize,
-    y0: isize,
-    (ky_lo, ky_hi): (usize, usize),
-    k: usize,
-    c: usize,
-    in_w: usize,
-    ch0: usize,
-) {
-    for ch in ch0..c {
-        let mut acc = bias[ch];
-        for ky in ky_lo..ky_hi {
-            let y = (y0 + ky as isize) as usize;
-            let base_x = (y * in_w + x0) * c + ch;
-            let base_w = ky * k * c + ch;
-            for kx in 0..k {
-                acc += xd[base_x + kx * c] * weight[base_w + kx * c];
+                a.store(cells.as_mut_ptr().add(s * c + ch));
             }
         }
-        cell[ch] = if let Some((scale, shift)) = tail {
-            (acc * scale[ch] + shift[ch]).max(0.0)
-        } else {
-            acc
-        };
     }
 }
 
@@ -821,9 +905,52 @@ mod tests {
         }
     }
 
-    /// [`depthwise_forward`] against the naive per-output loop (same tap
-    /// order, same mul-then-add), with and without the fused tail.
-    fn assert_matches_naive(h: usize, w: usize, c: usize, k: usize, stride: usize) {
+    type RowKernel = unsafe fn(&DwPass, &[f32], usize, &mut [f32]);
+
+    /// Every lane width of the row kernel this build and CPU can run, called
+    /// directly — no dispatch in between — and a printed line saying which.
+    fn lane_widths() -> Vec<(&'static str, RowKernel)> {
+        #[allow(unused_mut)]
+        let mut widths: Vec<(&'static str, RowKernel)> = vec![("scalar", depthwise_row::<f32>)];
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+        {
+            widths.push(("ymm", depthwise_row::<std::arch::x86_64::__m256>));
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                widths.push(("zmm", depthwise_row_zmm));
+            } else {
+                println!("depthwise: skipping the 16-lane rows, this CPU has no avx512f");
+            }
+        }
+        let names: Vec<&str> = widths.iter().map(|w| w.0).collect();
+        println!("depthwise: lane widths exercised: {names:?}");
+        widths
+    }
+
+    /// One frame through `kernel`, row by row.
+    fn forward_with(kernel: RowKernel, p: &DwPass, x: &[f32], out_h: usize) -> Vec<f32> {
+        let row_len = p.g.out_w * p.g.c;
+        let mut out = vec![f32::NAN; out_h * row_len];
+        for (oy, row) in out.chunks_mut(row_len).enumerate() {
+            // SAFETY: `lane_widths` lists a kernel only where its
+            // instruction set was detected; `x` and `row` have the
+            // geometry's lengths (asserted by the dispatched call on the
+            // same operands in every test).
+            unsafe { kernel(p, x, oy, row) };
+        }
+        out
+    }
+
+    /// [`depthwise_forward`], and every lane width of its row kernel called
+    /// directly, against the naive per-output loop (same tap order, same
+    /// mul-then-add), with and without the fused tail.
+    fn assert_matches_naive(
+        widths: &[(&str, RowKernel)],
+        h: usize,
+        w: usize,
+        c: usize,
+        k: usize,
+        stride: usize,
+    ) {
         use ff_tensor::{Conv2dGeometry, Padding};
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
@@ -865,12 +992,13 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(
-                got.data(),
-                want.data(),
-                "h{h} w{w} c{c} k{k} s{stride} tail={}",
-                tail.is_some()
-            );
+            let what = format!("h{h} w{w} c{c} k{k} s{stride} tail={}", tail.is_some());
+            assert_eq!(got.data(), want.data(), "dispatched {what}");
+            let p = DwPass::checked(&geo, k, &weight, &bias, tail);
+            for &(name, kernel) in widths {
+                let got = forward_with(kernel, &p, x.data(), geo.out_h);
+                assert_eq!(got, want.data(), "{name} {what}");
+            }
         }
     }
 
@@ -881,6 +1009,7 @@ mod tests {
         // strides > 1, kernels larger than the input, and rows wide enough
         // for the load-sharing 3×3 strip kernels (full strips, strip
         // remainders, and multi-strip rows).
+        let widths = lane_widths();
         for &(h, w, c, k, stride) in &[
             (9usize, 7usize, 5usize, 3usize, 1usize),
             (8, 11, 8, 3, 2),
@@ -892,7 +1021,7 @@ mod tests {
             (6, 13, 12, 5, 1), // k=5, ragged channels
             (5, 14, 4, 7, 1),  // k=7, no vector channels
         ] {
-            assert_matches_naive(h, w, c, k, stride);
+            assert_matches_naive(&widths, h, w, c, k, stride);
         }
         // The strip instantiations (k = 3, strides 1 and 2) and the
         // runtime-k cells (k = 5) over odd sizes — one, several and no
@@ -902,8 +1031,26 @@ mod tests {
             for stride in [1usize, 2] {
                 for (h, w) in [(5usize, 9usize), (7, 19), (3, 27), (9, 11)] {
                     for c in [3usize, 8, 12, 21] {
-                        assert_matches_naive(h, w, c, k, stride);
+                        assert_matches_naive(&widths, h, w, c, k, stride);
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_lane_width_matches_naive_reference_bit_for_bit() {
+        // The channel walk 16 → 8 → scalar: counts that are one 8-lane
+        // vector (alpha = 0.25 nets), whole 16-lane vectors, 16 + 8, 2·16 +
+        // 8, 3·16 and a deep layer's 512, plus one with all three widths
+        // (16 + 8 + 3) — at both strip strides and at widths with no
+        // interior strip (3), one (6 at stride 1, 11 at stride 2) and many.
+        let widths = lane_widths();
+        for c in [8usize, 16, 24, 27, 40, 48, 512] {
+            for stride in [1usize, 2] {
+                for w in [3usize, 6, 11, 23] {
+                    let h = if c == 512 { 3 } else { 5 };
+                    assert_matches_naive(&widths, h, w, c, 3, stride);
                 }
             }
         }
@@ -914,10 +1061,14 @@ mod tests {
         use ff_tensor::{Conv2dGeometry, Padding};
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let widths = lane_widths();
         for &(h, w, c, k, stride, batch) in &[
             (7usize, 9usize, 8usize, 3usize, 1usize, 3usize),
             (6, 5, 5, 3, 2, 4),
             (5, 8, 16, 5, 1, 2),
+            (5, 23, 24, 3, 1, 3),
+            (4, 19, 40, 3, 2, 2),
+            (3, 9, 512, 3, 1, 2),
         ] {
             let frames: Vec<Tensor> = (0..batch)
                 .map(|_| {
@@ -941,15 +1092,19 @@ mod tests {
                 let mut got = Tensor::zeros(vec![batch, geo.out_h, geo.out_w, c]);
                 depthwise_forward_batch(&stacked, batch, &geo, k, &weight, &bias, tail, &mut got);
                 let frame_out = geo.out_h * geo.out_w * c;
+                let p = DwPass::checked(&geo, k, &weight, &bias, tail);
                 for (b, f) in frames.iter().enumerate() {
                     let mut want = Tensor::zeros(vec![geo.out_h, geo.out_w, c]);
                     depthwise_forward(f, &geo, k, &weight, &bias, tail, &mut want);
-                    assert_eq!(
-                        &got.data()[b * frame_out..(b + 1) * frame_out],
-                        want.data(),
-                        "frame {b} (k{k} s{stride} tail={})",
-                        tail.is_some()
-                    );
+                    let got = &got.data()[b * frame_out..(b + 1) * frame_out];
+                    let what = format!("frame {b} (c{c} k{k} s{stride} tail={})", tail.is_some());
+                    assert_eq!(got, want.data(), "{what}");
+                    // The batched pass runs whichever width the CPU
+                    // selects; every other width gives the same frame.
+                    for &(name, kernel) in &widths {
+                        let alone = forward_with(kernel, &p, f.data(), geo.out_h);
+                        assert_eq!(got, alone, "{name} {what}");
+                    }
                 }
             }
         }

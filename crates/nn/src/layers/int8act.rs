@@ -19,7 +19,9 @@ use ff_tensor::{
 /// keeps its own reusable scratch with the same
 /// zero-allocations-after-warm-up property.
 struct U8Scratch {
-    /// Quantized input map (one frame, HWC).
+    /// Quantized input map (one frame, HWC) — the gather path's source;
+    /// the identity 1×1 path quantizes straight into `cols` and leaves it
+    /// alone.
     qmap: Vec<u8>,
     /// Quantized im2col matrix for all frames in the call.
     cols: Vec<u8>,
@@ -72,7 +74,6 @@ pub(crate) fn forward_int8act(
             scales,
             zps,
         } = &mut *ws.borrow_mut();
-        qmap.resize(frame_len, 0);
         cols.resize(rows * kp, 0);
         scales.resize(rows, 0.0);
         zps.resize(rows, 0);
@@ -85,6 +86,9 @@ pub(crate) fn forward_int8act(
             && geo.stride == 1
             && kp == fan_in
             && positions * kp == frame_len;
+        if !identity {
+            qmap.resize(frame_len, 0);
+        }
         for f in 0..frames {
             let dst = &mut cols[f * positions * kp..(f + 1) * positions * kp];
             let (s, zp) = if identity {
@@ -99,4 +103,48 @@ pub(crate) fn forward_int8act(
         }
         packed.gemm_u8(cols, scales, zps, out, rows, fan_in, out_c, ep);
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ff_tensor::{Padding, Precision};
+
+    /// Runs one conv of the given kernel over `[h, w, c]` on this thread and
+    /// returns the scratch capacities `(qmap, cols)` afterwards.
+    fn scratch_after(h: usize, w: usize, c: usize, k: usize, stride: usize) -> (usize, usize) {
+        let geo = Conv2dGeometry::resolve((h, w, c), (k, k), stride, Padding::Same);
+        let out_c = 8;
+        let weights = vec![0.25f32; geo.fan_in() * out_c];
+        let packed = PackedPanels::pack(Precision::Int8Act, &weights, geo.fan_in(), out_c);
+        let x = vec![0.5f32; h * w * c];
+        let mut out = vec![0.0f32; geo.positions() * out_c];
+        forward_int8act(&x, 1, &geo, &packed, &mut out, out_c, Epilogue::default());
+        U8_WS.with(|ws| {
+            let ws = ws.borrow();
+            (ws.qmap.capacity(), ws.cols.capacity())
+        })
+    }
+
+    #[test]
+    fn identity_pointwise_never_grows_the_gather_scratch() {
+        // The thread-local scratch is per thread, so a fresh thread starts
+        // from empty vectors whatever other tests ran.
+        std::thread::spawn(|| {
+            // 1×1 stride 1 over quad-aligned channels quantizes straight
+            // into `cols`: the frame-sized `qmap` is never touched.
+            let (qmap, cols) = scratch_after(9, 10, 32, 1, 1);
+            assert_eq!(qmap, 0, "identity path grew qmap");
+            assert!(cols >= 9 * 10 * 32);
+            // A gather (the 3×3 stride-2 stem) sizes it to its own frame,
+            // not to the largest frame any layer has seen.
+            let (qmap, _) = scratch_after(9, 10, 3, 3, 2);
+            assert!((9 * 10 * 3..9 * 10 * 32).contains(&qmap), "qmap {qmap}");
+            // Channels off the quad take the gather path even at 1×1.
+            let (qmap, _) = scratch_after(9, 10, 6, 1, 1);
+            assert!(qmap >= 9 * 10 * 6);
+        })
+        .join()
+        .expect("scratch test thread");
+    }
 }

@@ -35,7 +35,8 @@
 //!
 //! The [`gemm_prepacked_i8i8`] path quantizes *both* operands so the inner
 //! loop is pure integer arithmetic (`vpmaddubsw` + `vpmaddwd` on AVX2, one
-//! `vpdpbusd` where the CPU has AVX-VNNI — see "Instruction selection"):
+//! `vpdpbusd` where the CPU has AVX-VNNI or AVX-512 VNNI — see "Instruction
+//! selection"):
 //!
 //! - **Activations** are quantized dynamically, per row (per frame for the
 //!   conv layers), to **asymmetric u8**: the row range is widened to
@@ -71,23 +72,38 @@
 //!
 //! # Instruction selection
 //!
-//! The quad step has two x86 encodings: `vpmaddubsw` + `vpmaddwd(·, 1)` +
+//! The quad step has three x86 encodings: `vpmaddubsw` + `vpmaddwd(·, 1)` +
 //! `vpaddd` (AVX2, three µops per 32 multiply-adds, i16 pair sums that
-//! saturate) and `vpdpbusd` (AVX-VNNI, one µop, no saturation). Because
-//! packed weight codes are clamped to `[-63, 63]`, a pair sum is at most
+//! saturate), `ymm` `vpdpbusd` (AVX-VNNI, one µop, no saturation) and `zmm`
+//! `vpdpbusd` (AVX-512 VNNI, one µop per 64 multiply-adds). Because packed
+//! weight codes are clamped to `[-63, 63]`, a pair sum is at most
 //! `2·255·63 = 32130 < 2¹⁵` and never saturates, so on packed panels the
-//! two sequences are **the same integer function** and everything after
-//! them — compensation, dequant, epilogue — is shared code. The tile body
-//! is therefore written once, generic over the step, and instantiated
-//! twice: under `#[target_feature(enable = "avx2,fma,avxvnni")]` and under
-//! the build's own AVX2+FMA baseline, the only one an x86-64-v3 host
-//! without AVX-VNNI can run. [`PackedPanels::gemm_u8`] picks between them
-//! once per call from `is_x86_feature_detected!("avxvnni")`; nothing else
-//! — no option, feature or environment variable — reaches either. Results
-//! are host-independent: a given build produces the same bits on a VNNI
-//! host, on a plain AVX2 host, and from the scalar walk (builds without
-//! FMA contract nothing, so they differ from FMA builds in the float
-//! dequant, as every GEMM path here does, but again not by host).
+//! three sequences are **the same integer function** and everything after
+//! them — compensation, dequant, epilogue — is the same float operation
+//! per lane. The tile body is therefore written once, generic over the
+//! lane type and its step (`simd::QuadLanes`, the way the f32 tile is
+//! generic over [`crate::matmul`]'s `Lanes`), and instantiated three times:
+//! 8 rows × 32 columns under `#[target_feature(enable =
+//! "avx512f,avx512vnni")]` — the quad layout is one `zmm` per panel per
+//! `k`-quad, so a tile covers two adjacent panels — and 4 rows × 16 columns
+//! under `"avx2,fma,avxvnni"` and under the build's own AVX2+FMA baseline.
+//! [`PackedPanels::gemm_u8`] picks one per call from CPUID; nothing else —
+//! no option, feature or environment variable — reaches any of them:
+//!
+//! | host                             | quad step          |
+//! |----------------------------------|--------------------|
+//! | AVX2 only                        | `vpmaddubsw` (ymm) |
+//! | AVX-VNNI without AVX-512         | `vpdpbusd` (ymm)   |
+//! | AVX-512F and AVX-512 VNNI        | `vpdpbusd` (zmm)   |
+//!
+//! The last row includes Cascade Lake and Ice Lake servers, which have no
+//! AVX-VNNI and ran the AVX2 sequence until the `zmm` tile existed.
+//!
+//! Results are host-independent: a given build produces the same bits on
+//! all three, and from the scalar walk (builds without FMA contract
+//! nothing, so they differ from FMA builds in the float dequant, as every
+//! GEMM path here does, but again not by host; they compile no SIMD tile
+//! and run the scalar walk on every host).
 //!
 //! The raw [`gemm_prepacked_i8i8`] entry point takes the caller's codes,
 //! which may be as wide as ±127 and *can* saturate; it always runs the
@@ -107,7 +123,8 @@ pub enum Precision {
     F32,
     /// Whole-int8: symmetric s8 panels with per-`K`-group scales *and*
     /// dynamically quantized asymmetric u8 activations, accumulated in i32
-    /// (`vpdpbusd` with AVX-VNNI, else `vpmaddubsw`/`vpmaddwd`; same bits)
+    /// (`vpdpbusd` with either VNNI extension, else `vpmaddubsw`/`vpmaddwd`;
+    /// same bits)
     /// with one fused dequant per group. Only the epilogue is f32.
     /// Quarters panel bytes and replaces the f32 FMA chain with integer
     /// arithmetic.
@@ -189,8 +206,9 @@ pub fn packed_scales_i8i8_len(k: usize, n: usize, group_size: usize) -> usize {
 ///
 /// Panel layout: panel `jp` holds `ceil(K/4)` quads of `NR × 4` bytes; the
 /// byte at `quad·NR·4 + jo·4 + t` is column `jp·NR + jo`, row `4·quad + t`
-/// — so one 32-byte SIMD load covers 8 columns × 4 K-rows, exactly the
-/// shape `vpmaddubsw` consumes against a broadcast activation quad. K-rows
+/// — so one 32-byte SIMD load covers 8 columns × 4 K-rows (and one 64-byte
+/// load a whole panel's quad), exactly the shape `vpmaddubsw` and
+/// `vpdpbusd` consume against a broadcast activation quad. K-rows
 /// past `K` and columns past `N` pack as zero codes; all-zero (or padded)
 /// group-columns get scale 1.0, and the column sums include only real rows
 /// (padded codes are zero, so they drop out of both the dot product and
@@ -481,14 +499,14 @@ unsafe fn quantize_row_avx2(row: &[f32], inv: f32, zpf: f32, dst: &mut [u8]) {
 /// dequantization fuses once per group (zero-point compensation + group
 /// scale, FMA into the f32 accumulator), the row's activation scale
 /// multiplies the finished sum, and the f32 `Epilogue` runs on each tile
-/// before its one store. The AVX2 and scalar paths are bit-identical, and
+/// before its one store. The SIMD and scalar paths are bit-identical, and
 /// i32 accumulation makes the result independent of thread count.
 ///
 /// The codes are the caller's, so they may be anything in `[-127, 127]` and
 /// a pair sum may saturate: this entry point always runs the saturating
 /// `vpmaddubsw` sequence (or its scalar twin), on every host. Only
 /// [`PackedPanels::Int8Act`], whose codes are clamped at pack time, may
-/// take the `vpdpbusd` tile (see "Instruction selection" in the module
+/// take a `vpdpbusd` tile (see "Instruction selection" in the module
 /// docs).
 ///
 /// # Panics
@@ -513,7 +531,7 @@ pub fn gemm_prepacked_i8i8(
     let g = I8I8::checked(
         aq, a_scales, a_zps, packed_b, b_scales, colsums, group_size, m, k, n, ep,
     );
-    gemm_i8i8(&g, out, false);
+    gemm_i8i8(&g, out, Tile::Saturating);
 }
 
 /// The operands of one whole-int8 GEMM with their geometry checked: the
@@ -607,17 +625,74 @@ impl<'a> I8I8<'a> {
 /// 2 KB of panels), and walking every panel over all rows evicts both
 /// operands between panels; a pass keeps its A and C rows cache-resident
 /// while the panels are re-read once per pass instead. Deep layers
-/// (`510×512→512`) get passes of a few dozen rows.
+/// (`510×512→512`) get passes of a few dozen rows. The row count is rounded
+/// down to whole tiles of the selected instantiation ([`Tile::rows`]), so
+/// only a thread's last pass can end in a short tile.
 const I8I8_PASS_BYTES: usize = 1 << 17;
-/// Fewest rows in a pass: with 16 or more, re-reading every panel once per
-/// pass (`kp·n` bytes) moves no more than the A re-reads per panel it
-/// replaces (`rows·kp·n/NR`), whatever the shape.
-const I8I8_MIN_PASS_ROWS: usize = 4 * MR;
+/// Fewest rows in a pass: with `NR` or more, re-reading every panel once
+/// per pass (`kp·n` bytes) moves no more than the A re-reads per panel it
+/// replaces (`rows·kp·n/NR`), whatever the shape. A whole number of tiles
+/// at either height.
+const I8I8_MIN_PASS_ROWS: usize = NR;
+
+/// Which instantiation of the whole-int8 tile a GEMM runs (module docs,
+/// "Instruction selection"). Builds without AVX2+FMA run the scalar walk
+/// whatever this says, and never select anything but `Saturating`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(dead_code)]
+enum Tile {
+    /// `ymm`, `vpmaddubsw` + `vpmaddwd` + `vpaddd`: the saturating-pair
+    /// contract, for any codes.
+    Saturating,
+    /// `ymm` `vpdpbusd` (AVX-VNNI); pack-clamped codes only.
+    Vnni,
+    /// `zmm` `vpdpbusd` (AVX-512 VNNI) over two adjacent panels;
+    /// pack-clamped codes only.
+    Vnni512,
+}
+
+impl Tile {
+    /// The widest tile this build and this CPU can run on codes clamped to
+    /// `[-63, 63]` — decided from CPUID alone.
+    fn for_packed_codes() -> Tile {
+        #[cfg(all(
+            target_arch = "x86_64",
+            target_feature = "avx2",
+            target_feature = "fma"
+        ))]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx512f") && has!("avx512vnni") {
+                return Tile::Vnni512;
+            }
+            if has!("avxvnni") {
+                return Tile::Vnni;
+            }
+        }
+        Tile::Saturating
+    }
+
+    /// Rows of a full tile.
+    fn rows(self) -> usize {
+        match self {
+            Tile::Vnni512 => 2 * MR,
+            Tile::Saturating | Tile::Vnni => MR,
+        }
+    }
+}
+
+/// Rows per pass of the panel walk over `kp`-byte A rows and `n`-float C
+/// rows: [`I8I8_PASS_BYTES`] worth, at least [`I8I8_MIN_PASS_ROWS`], in
+/// whole tiles of `tile`.
+fn i8i8_pass_rows(kp: usize, n: usize, tile: Tile) -> usize {
+    const { assert!(I8I8_MIN_PASS_ROWS.is_multiple_of(2 * MR)) };
+    (I8I8_PASS_BYTES / (kp + 4 * n)).max(I8I8_MIN_PASS_ROWS) / tile.rows() * tile.rows()
+}
 
 /// Shared whole-int8 driver: row chunks per thread, each walked in passes
-/// of [`I8I8_PASS_BYTES`]. `vnni` selects the `vpdpbusd` tile; callers
-/// pass `true` only for pack-clamped codes on a CPU that has it.
-fn gemm_i8i8(g: &I8I8, out: &mut [f32], vnni: bool) {
+/// of [`I8I8_PASS_BYTES`] by `tile`; callers pass anything but
+/// [`Tile::Saturating`] only for pack-clamped codes.
+fn gemm_i8i8(g: &I8I8, out: &mut [f32], tile: Tile) {
     let (m, n) = (g.m, g.n);
     assert_eq!(out.len(), m * n, "gemm out buffer");
     if m == 0 || n == 0 {
@@ -633,32 +708,12 @@ fn gemm_i8i8(g: &I8I8, out: &mut [f32], vnni: bool) {
     } else {
         1
     };
-    let pass_rows = (I8I8_PASS_BYTES / (g.kp + 4 * n)).max(I8I8_MIN_PASS_ROWS) / MR * MR;
+    let pass_rows = i8i8_pass_rows(g.kp, n, tile);
     parallel_row_blocks_mut(out, n, t, |row0, chunk| {
         for (i, block) in chunk.chunks_mut(pass_rows * n).enumerate() {
-            i8i8_rows(g, block, row0 + i * pass_rows, vnni);
+            i8i8_rows(g, block, row0 + i * pass_rows, tile);
         }
     });
-}
-
-/// Whether this build and this CPU can run the `vpdpbusd` tile.
-fn vnni_available() -> bool {
-    #[cfg(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma"
-    ))]
-    {
-        std::arch::is_x86_feature_detected!("avxvnni")
-    }
-    #[cfg(not(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma"
-    )))]
-    {
-        false
-    }
 }
 
 /// Weight panels prepacked at a chosen [`Precision`], with the matching
@@ -807,7 +862,7 @@ impl PackedPanels {
                     n,
                     ep,
                 );
-                gemm_i8i8(&g, out, vnni_available());
+                gemm_i8i8(&g, out, Tile::for_packed_codes());
             }
             other => panic!(
                 "PackedPanels::gemm_u8 requires Int8Act panels, got {}",
@@ -822,19 +877,19 @@ impl PackedPanels {
 // ---------------------------------------------------------------------------
 
 /// Computes `block` (rows `row0..`) of a whole-int8 GEMM, epilogue
-/// included, with the tile the build and `vnni` select.
-fn i8i8_rows(g: &I8I8, block: &mut [f32], row0: usize, vnni: bool) {
+/// included, with the instantiation the build and `tile` select.
+fn i8i8_rows(g: &I8I8, block: &mut [f32], row0: usize, tile: Tile) {
     #[cfg(all(
         target_arch = "x86_64",
         target_feature = "avx2",
         target_feature = "fma"
     ))]
-    if vnni {
-        // SAFETY: `vnni` is only ever true when `vnni_available()` saw
-        // AVX-VNNI on this CPU.
-        unsafe { i8i8_rows_vnni(g, block, row0) }
-    } else {
-        i8i8_rows_avx2(g, block, row0)
+    // SAFETY: `tile` is only ever one that `Tile::for_packed_codes()` found
+    // the CPU features for.
+    match tile {
+        Tile::Vnni512 => unsafe { simd::i8i8_rows_zmm(g, block, row0) },
+        Tile::Vnni => unsafe { simd::i8i8_rows_vnni(g, block, row0) },
+        Tile::Saturating => simd::i8i8_rows_avx2(g, block, row0),
     }
     #[cfg(not(all(
         target_arch = "x86_64",
@@ -842,7 +897,7 @@ fn i8i8_rows(g: &I8I8, block: &mut [f32], row0: usize, vnni: bool) {
         target_feature = "fma"
     )))]
     {
-        debug_assert!(!vnni);
+        debug_assert_eq!(tile, Tile::Saturating);
         i8i8_rows_scalar(g, block, row0)
     }
 }
@@ -917,218 +972,267 @@ fn micro_kernel_1_i8i8(g: &I8I8, block: &mut [f32], a_row: usize, c_row: usize, 
     g.ep.columns_from(j0).apply(dst, w);
 }
 
-/// The AVX-VNNI instantiation of [`i8i8_rows_simd`]: one `vpdpbusd` per
-/// quad step.
-///
-/// # Safety
-///
-/// The CPU must support AVX-VNNI (`is_x86_feature_detected!("avxvnni")`;
-/// AVX2 and FMA are this build's baseline). The result equals the AVX2
-/// instantiation's only for weight codes in `[-63, 63]` — `vpdpbusd` does
-/// not saturate the pair sums — which [`PackedPanels::Int8Act`] guarantees.
+/// The SIMD tile and its three instantiations: compiled only where the
+/// build's own baseline has AVX2 and FMA (see [`crate::matmul`]).
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx2",
     target_feature = "fma"
 ))]
-#[target_feature(enable = "avx2,fma,avxvnni")]
-unsafe fn i8i8_rows_vnni(g: &I8I8, block: &mut [f32], row0: usize) {
-    // SAFETY: the caller vouches for AVX-VNNI.
-    unsafe { i8i8_rows_simd::<true>(g, block, row0) }
-}
+mod simd {
+    use super::{packed_scales_i8_len, I8I8, MR, NR};
+    use crate::matmul::simd::{finish_tile, Lanes};
+    use std::arch::x86_64::*;
 
-/// The AVX2 instantiation of [`i8i8_rows_simd`]: `vpmaddubsw` +
-/// `vpmaddwd(·, 1)` + `vpaddd` per quad step, the saturating-pair contract
-/// for any codes — the tile for x86-64-v3 hosts without AVX-VNNI and for
-/// caller-supplied codes.
-#[cfg(all(
-    target_arch = "x86_64",
-    target_feature = "avx2",
-    target_feature = "fma"
-))]
-fn i8i8_rows_avx2(g: &I8I8, block: &mut [f32], row0: usize) {
-    // SAFETY: this instantiation uses only AVX2 and FMA, compile-time
-    // target features here.
-    unsafe { i8i8_rows_simd::<false>(g, block, row0) }
-}
+    /// The integer side of an [`i8i8_tile`] instantiation: a vector of
+    /// `F::LANES` adjacent columns as i32 sums — or, loaded from a panel, as
+    /// those columns' `4` s8 codes of one `k`-quad each — and the quad step.
+    ///
+    /// # Safety
+    ///
+    /// Every method requires the instruction set of the implementing type
+    /// (AVX2 for [`Ymm`], plus AVX-VNNI when `VNNI`; AVX-512F and AVX-512
+    /// VNNI for [`Zmm`]); `load` requires `4·LANES` readable bytes at `p`.
+    trait QuadLanes {
+        /// The same columns as f32: what the sums dequantize into.
+        type F: Lanes;
+        type I: Copy;
+        unsafe fn zero() -> Self::I;
+        unsafe fn splat(x: i32) -> Self::I;
+        unsafe fn load(p: *const i32) -> Self::I;
+        /// `acc + Σ₄ a·w` per i32 lane (`a`: u8 quads, `w`: s8 quads). For
+        /// `w` in `[-63, 63]` every implementation is the same integer
+        /// function; outside it only the saturating one is the raw entry
+        /// point's contract.
+        unsafe fn quad_step(acc: Self::I, a: Self::I, w: Self::I) -> Self::I;
+        /// `(acc − zp·colsums) as f32`: the zero-point compensation, then
+        /// an exact conversion.
+        unsafe fn compensated(acc: Self::I, zp: Self::I, colsums: Self::I) -> Self::F;
+    }
 
-/// Panel-major walk of one row block in `MR`-row tiles; the last tile may
-/// be short.
-///
-/// # Safety
-///
-/// AVX2 and FMA must be available, and AVX-VNNI too when `VNNI`.
-#[cfg(all(
-    target_arch = "x86_64",
-    target_feature = "avx2",
-    target_feature = "fma"
-))]
-#[inline(always)]
-unsafe fn i8i8_rows_simd<const VNNI: bool>(g: &I8I8, block: &mut [f32], row0: usize) {
-    let rows = g.block_rows(block, row0);
-    for jp in 0..g.n.div_ceil(NR) {
-        for r in (0..rows).step_by(MR) {
-            // SAFETY: forwarded from the caller; rows `row0 + r..` and the
-            // block's rows `r..r + mr` exist by `block_rows`' check.
-            unsafe { i8i8_tile::<VNNI>(g, block, row0 + r, r, (rows - r).min(MR), jp) };
+    /// `ymm`: half a panel per vector. The quad step is one `vpdpbusd` when
+    /// `VNNI`, else `vpmaddubsw` + `vpmaddwd(·, 1)` + `vpaddd`, whose i16
+    /// pair sums saturate.
+    pub(super) struct Ymm<const VNNI: bool>;
+    /// `zmm`: a whole panel per vector, one `vpdpbusd` per quad step.
+    pub(super) struct Zmm;
+
+    // SAFETY (both impls): each method is the intrinsics its name says, under
+    // the trait's contract.
+    impl<const VNNI: bool> QuadLanes for Ymm<VNNI> {
+        type F = __m256;
+        type I = __m256i;
+        #[inline(always)]
+        unsafe fn zero() -> __m256i {
+            _mm256_setzero_si256()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: i32) -> __m256i {
+            _mm256_set1_epi32(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const i32) -> __m256i {
+            unsafe { _mm256_loadu_si256(p.cast()) }
+        }
+        #[inline(always)]
+        unsafe fn quad_step(acc: __m256i, a: __m256i, w: __m256i) -> __m256i {
+            if VNNI {
+                unsafe { _mm256_dpbusd_avx_epi32(acc, a, w) }
+            } else {
+                let pairs = _mm256_maddubs_epi16(a, w);
+                _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, _mm256_set1_epi16(1)))
+            }
+        }
+        #[inline(always)]
+        unsafe fn compensated(acc: __m256i, zp: __m256i, colsums: __m256i) -> __m256 {
+            _mm256_cvtepi32_ps(_mm256_sub_epi32(acc, _mm256_mullo_epi32(zp, colsums)))
         }
     }
-}
 
-/// One quad step of the integer dot, `acc + Σ₄ a·w` per i32 lane (`a`: u8
-/// quads broadcast to every lane, `w`: 8 columns × 4 s8 codes), as one
-/// `vpdpbusd` or as `vpmaddubsw` + `vpmaddwd(·, 1)` + `vpaddd`. For codes
-/// in `[-63, 63]` the i16 pair sums cannot saturate and the two are the
-/// same integer function.
-///
-/// # Safety
-///
-/// AVX2 must be available, and AVX-VNNI when `VNNI`.
-#[cfg(all(
-    target_arch = "x86_64",
-    target_feature = "avx2",
-    target_feature = "fma"
-))]
-#[inline(always)]
-unsafe fn quad_step<const VNNI: bool>(
-    acc: std::arch::x86_64::__m256i,
-    a: std::arch::x86_64::__m256i,
-    w: std::arch::x86_64::__m256i,
-) -> std::arch::x86_64::__m256i {
-    use std::arch::x86_64::*;
-    // SAFETY: forwarded from the caller.
-    unsafe {
-        if VNNI {
-            _mm256_dpbusd_avx_epi32(acc, a, w)
-        } else {
-            let pairs = _mm256_maddubs_epi16(a, w);
-            _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, _mm256_set1_epi16(1)))
+    impl QuadLanes for Zmm {
+        type F = __m512;
+        type I = __m512i;
+        #[inline(always)]
+        unsafe fn zero() -> __m512i {
+            unsafe { _mm512_setzero_si512() }
+        }
+        #[inline(always)]
+        unsafe fn splat(x: i32) -> __m512i {
+            unsafe { _mm512_set1_epi32(x) }
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const i32) -> __m512i {
+            unsafe { _mm512_loadu_si512(p.cast()) }
+        }
+        #[inline(always)]
+        unsafe fn quad_step(acc: __m512i, a: __m512i, w: __m512i) -> __m512i {
+            unsafe { _mm512_dpbusd_epi32(acc, a, w) }
+        }
+        #[inline(always)]
+        unsafe fn compensated(acc: __m512i, zp: __m512i, colsums: __m512i) -> __m512 {
+            unsafe { _mm512_cvtepi32_ps(_mm512_sub_epi32(acc, _mm512_mullo_epi32(zp, colsums))) }
         }
     }
-}
 
-/// The `4×16` whole-int8 tile at rows `a_row..a_row + mr` (`mr ≤ MR`) of
-/// panel `jp`: per `k`-quad, one 4-byte activation broadcast per row
-/// against two 32-byte panel loads (8 columns × 4 K-rows each) through
-/// [`quad_step`] into per-group i32 accumulators; per group, zero-point
-/// compensation (`vpmulld` + `vpsubd` against the column sums), exact
-/// `vcvtdq2ps`, and one FMA with the group scales; then the activation
-/// scale, the epilogue (`+ bias`, `·scale + shift` fused, `max 0` — the
-/// operations of [`Epilogue::apply`] in its order) and the tile's only
-/// store. Bit-identical to [`micro_kernel_1_i8i8`]: integer arithmetic is
-/// exact and every float operation is the same one in the same order.
-///
-/// A short tile computes its missing rows as copies of its last real row
-/// and stores only the real ones, so remainder rows run at tile speed.
-///
-/// # Safety
-///
-/// AVX2 and FMA must be available (AVX-VNNI when `VNNI`), `1 ≤ mr`,
-/// `a_row + mr ≤ g.m`, and `block` must hold rows `c_row..c_row + mr` of
-/// an `[*, g.n]` matrix; everything else is [`I8I8::checked`]'s geometry.
-#[cfg(all(
-    target_arch = "x86_64",
-    target_feature = "avx2",
-    target_feature = "fma"
-))]
-#[inline(always)]
-unsafe fn i8i8_tile<const VNNI: bool>(
-    g: &I8I8,
-    block: &mut [f32],
-    a_row: usize,
-    c_row: usize,
-    mr: usize,
-    jp: usize,
-) {
-    use std::arch::x86_64::*;
-    const { assert!(NR == 16 && MR == 4) };
-    let (kp, n) = (g.kp, g.n);
-    let np = packed_scales_i8_len(n);
-    let j0 = jp * NR;
-    let quads = kp / 4;
-    let gq = g.group_size / 4;
-    // SAFETY: target features per the caller; `src` rows are below `g.m`,
-    // the panel, scale and column-sum offsets are inside the lengths
-    // `I8I8::checked` asserted, and a full panel has `j0 + NR ≤ n`
-    // epilogue entries and output columns.
-    unsafe {
-        let src: [usize; MR] = std::array::from_fn(|r| a_row + r.min(mr - 1));
-        let pp = g.packed.as_ptr().add(jp * NR * kp);
-        let mut facc = [[_mm256_setzero_ps(); 2]; MR];
-        for gi in 0..kp.div_ceil(g.group_size) {
-            let mut iacc = [[_mm256_setzero_si256(); 2]; MR];
-            for kq in gi * gq..((gi + 1) * gq).min(quads) {
-                let b0 = _mm256_loadu_si256(pp.add(kq * NR * 4).cast());
-                let b1 = _mm256_loadu_si256(pp.add(kq * NR * 4 + 32).cast());
-                for (accr, &i) in iacc.iter_mut().zip(&src) {
-                    let a4 = g.aq.as_ptr().add(i * kp + kq * 4).cast::<i32>();
-                    let av = _mm256_set1_epi32(a4.read_unaligned());
-                    accr[0] = quad_step::<VNNI>(accr[0], av, b0);
-                    accr[1] = quad_step::<VNNI>(accr[1], av, b1);
+    /// The AVX-512 VNNI instantiation of [`i8i8_rows_simd`]: tiles of up to
+    /// 8 rows × 32 columns (two adjacent panels, one 64-byte load each per
+    /// `k`-quad).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and AVX-512 VNNI (AVX2 and FMA are this
+    /// build's baseline). The result equals the AVX2 instantiation's only
+    /// for weight codes in `[-63, 63]` — `vpdpbusd` does not saturate the
+    /// pair sums — which [`super::PackedPanels::Int8Act`] guarantees.
+    #[target_feature(enable = "avx512f,avx512vnni")]
+    pub(super) unsafe fn i8i8_rows_zmm(g: &I8I8, block: &mut [f32], row0: usize) {
+        // SAFETY: the caller vouches for AVX-512F and AVX-512 VNNI.
+        unsafe { i8i8_rows_simd::<Zmm, { 2 * MR }>(g, block, row0) }
+    }
+
+    /// The AVX-VNNI instantiation of [`i8i8_rows_simd`]: the `4×16` tile with
+    /// one `ymm` `vpdpbusd` per quad step — for hosts that have AVX-VNNI but
+    /// not AVX-512.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-VNNI; the `[-63, 63]` condition of
+    /// [`i8i8_rows_zmm`] applies.
+    #[target_feature(enable = "avx2,fma,avxvnni")]
+    pub(super) unsafe fn i8i8_rows_vnni(g: &I8I8, block: &mut [f32], row0: usize) {
+        // SAFETY: the caller vouches for AVX-VNNI.
+        unsafe { i8i8_rows_simd::<Ymm<true>, MR>(g, block, row0) }
+    }
+
+    /// The AVX2 instantiation of [`i8i8_rows_simd`]: the `4×16` tile under
+    /// the saturating-pair contract for any codes — the tile for x86-64-v3
+    /// hosts with neither VNNI extension and for caller-supplied codes.
+    pub(super) fn i8i8_rows_avx2(g: &I8I8, block: &mut [f32], row0: usize) {
+        // SAFETY: this instantiation uses only AVX2 and FMA, compile-time
+        // target features here.
+        unsafe { i8i8_rows_simd::<Ymm<false>, MR>(g, block, row0) }
+    }
+
+    /// Panel-major walk of one row block in tiles of `ROWS` rows by two
+    /// vectors — one panel at `ymm` width, two at `zmm`, where an odd last
+    /// panel gets a tile one vector wide. The last tile of a column strip
+    /// may be short.
+    ///
+    /// # Safety
+    ///
+    /// The instruction set of `Q` must be available.
+    #[inline(always)]
+    unsafe fn i8i8_rows_simd<Q: QuadLanes, const ROWS: usize>(
+        g: &I8I8,
+        block: &mut [f32],
+        row0: usize,
+    ) {
+        let rows = g.block_rows(block, row0);
+        let lanes = Q::F::LANES;
+        for j0 in (0..g.n).step_by(2 * lanes) {
+            let two = lanes < NR || g.n - j0 > NR;
+            for r in (0..rows).step_by(ROWS) {
+                let mr = (rows - r).min(ROWS);
+                // SAFETY: forwarded from the caller; rows `row0 + r..` and
+                // the block's rows `r..r + mr` exist by `block_rows`' check,
+                // and a second vector only where its panel does.
+                unsafe {
+                    if two {
+                        i8i8_tile::<Q, ROWS, 2>(g, block, row0 + r, r, mr, j0)
+                    } else {
+                        i8i8_tile::<Q, ROWS, 1>(g, block, row0 + r, r, mr, j0)
+                    }
                 }
             }
-            let at = gi * np + j0;
-            let sb0 = _mm256_loadu_ps(g.b_scales.as_ptr().add(at));
-            let sb1 = _mm256_loadu_ps(g.b_scales.as_ptr().add(at + 8));
-            let cs0 = _mm256_loadu_si256(g.colsums.as_ptr().add(at).cast());
-            let cs1 = _mm256_loadu_si256(g.colsums.as_ptr().add(at + 8).cast());
-            for ((accr, ir), &i) in facc.iter_mut().zip(&iacc).zip(&src) {
-                let zp = _mm256_set1_epi32(i32::from(g.a_zps[i]));
-                let c0 = _mm256_sub_epi32(ir[0], _mm256_mullo_epi32(zp, cs0));
-                let c1 = _mm256_sub_epi32(ir[1], _mm256_mullo_epi32(zp, cs1));
-                accr[0] = _mm256_fmadd_ps(_mm256_cvtepi32_ps(c0), sb0, accr[0]);
-                accr[1] = _mm256_fmadd_ps(_mm256_cvtepi32_ps(c1), sb1, accr[1]);
+        }
+    }
+
+    /// The whole-int8 tile at rows `a_row..a_row + mr` (`mr ≤ ROWS`) and the
+    /// `NV` vectors of columns from `j0`: per `k`-quad, one 4-byte
+    /// activation broadcast per row against `NV` panel loads (`LANES`
+    /// columns × 4 K-rows each) through [`QuadLanes::quad_step`] into
+    /// per-group i32 accumulators; per group, zero-point compensation
+    /// (`vpmulld` + `vpsubd` against the column sums), exact `vcvtdq2ps`,
+    /// and one FMA with the group scales; then the activation scale and
+    /// [`finish_tile`] (the epilogue on the registers, the tile's only
+    /// store). Bit-identical to [`super::micro_kernel_1_i8i8`]: integer
+    /// arithmetic is exact and every float operation is the same one in the
+    /// same order, in every lane at any width.
+    ///
+    /// A short tile computes its missing rows as copies of its last real row
+    /// and stores only the real ones, so remainder rows run at tile speed.
+    ///
+    /// # Safety
+    ///
+    /// The instruction set of `Q` must be available, `1 ≤ mr ≤ ROWS`,
+    /// `a_row + mr ≤ g.m`, `block` must hold rows `c_row..c_row + mr` of an
+    /// `[*, g.n]` matrix, `j0` must be a multiple of `NR` and
+    /// `j0 + (NV - 1)·LANES` below `g.n` rounded up to whole panels;
+    /// everything else is [`I8I8::checked`]'s geometry.
+    #[inline(always)]
+    unsafe fn i8i8_tile<Q: QuadLanes, const ROWS: usize, const NV: usize>(
+        g: &I8I8,
+        block: &mut [f32],
+        a_row: usize,
+        c_row: usize,
+        mr: usize,
+        j0: usize,
+    ) {
+        const { assert!(NR == 16 && ROWS == Q::F::ROWS && NR.is_multiple_of(Q::F::LANES)) };
+        let lanes = Q::F::LANES;
+        let (kp, n) = (g.kp, g.n);
+        let np = packed_scales_i8_len(n);
+        let quads = kp / 4;
+        let gq = g.group_size / 4;
+        // SAFETY: target features per the caller; `src` rows are below `g.m`.
+        // Vector `v` covers the `LANES` columns from `j0 + v·LANES`, which lie
+        // inside one (zero-padded) panel: its codes, and its scale and
+        // column-sum entries below `np`, are inside the lengths
+        // `I8I8::checked` asserted. `finish_tile`'s conditions are this
+        // function's own.
+        unsafe {
+            let src: [usize; ROWS] = std::array::from_fn(|r| a_row + r.min(mr - 1));
+            let pp: [*const i8; NV] = std::array::from_fn(|v| {
+                let j = j0 + v * lanes;
+                g.packed.as_ptr().add(j / NR * NR * kp + j % NR * 4)
+            });
+            let mut facc = [[Q::F::zero(); NV]; ROWS];
+            for gi in 0..kp.div_ceil(g.group_size) {
+                let mut iacc = [[Q::zero(); NV]; ROWS];
+                for kq in gi * gq..((gi + 1) * gq).min(quads) {
+                    let mut b = [Q::zero(); NV];
+                    for (b, pp) in b.iter_mut().zip(&pp) {
+                        *b = Q::load(pp.add(kq * NR * 4).cast());
+                    }
+                    for (accr, &i) in iacc.iter_mut().zip(&src) {
+                        let a4 = g.aq.as_ptr().add(i * kp + kq * 4).cast::<i32>();
+                        let av = Q::splat(a4.read_unaligned());
+                        for (acc, &b) in accr.iter_mut().zip(&b) {
+                            *acc = Q::quad_step(*acc, av, b);
+                        }
+                    }
+                }
+                let at = gi * np + j0;
+                let mut sb = [Q::F::zero(); NV];
+                let mut cs = [Q::zero(); NV];
+                for v in 0..NV {
+                    sb[v] = Q::F::load(g.b_scales.as_ptr().add(at + v * lanes));
+                    cs[v] = Q::load(g.colsums.as_ptr().add(at + v * lanes));
+                }
+                for ((accr, ir), &i) in facc.iter_mut().zip(&iacc).zip(&src) {
+                    let zp = Q::splat(i32::from(g.a_zps[i]));
+                    for v in 0..NV {
+                        accr[v] = Q::compensated(ir[v], zp, cs[v]).fmadd(sb[v], accr[v]);
+                    }
+                }
             }
-        }
-        for (accr, &i) in facc.iter_mut().zip(&src) {
-            let sa = _mm256_set1_ps(g.a_scales[i]);
-            accr[0] = _mm256_mul_ps(accr[0], sa);
-            accr[1] = _mm256_mul_ps(accr[1], sa);
-        }
-        if n - j0 < NR {
-            // Ragged last panel: spill each row, finish the real columns
-            // with the scalar epilogue.
-            let w = n - j0;
-            let ep = g.ep.columns_from(j0);
-            let mut tmp = [0.0f32; NR];
-            for (r, accr) in facc.iter().enumerate().take(mr) {
-                _mm256_storeu_ps(tmp.as_mut_ptr(), accr[0]);
-                _mm256_storeu_ps(tmp.as_mut_ptr().add(8), accr[1]);
-                let dst = &mut block[(c_row + r) * n + j0..(c_row + r) * n + j0 + w];
-                dst.copy_from_slice(&tmp[..w]);
-                ep.apply(dst, w);
+            for (accr, &i) in facc.iter_mut().zip(&src) {
+                let sa = Q::F::splat(g.a_scales[i]);
+                for acc in accr.iter_mut() {
+                    *acc = acc.mul(sa);
+                }
             }
-            return;
-        }
-        if let Some(bias) = g.ep.bias {
-            let b0 = _mm256_loadu_ps(bias.as_ptr().add(j0));
-            let b1 = _mm256_loadu_ps(bias.as_ptr().add(j0 + 8));
-            for accr in facc.iter_mut() {
-                accr[0] = _mm256_add_ps(accr[0], b0);
-                accr[1] = _mm256_add_ps(accr[1], b1);
-            }
-        }
-        if let Some((scale, shift)) = g.ep.scale_shift {
-            let s0 = _mm256_loadu_ps(scale.as_ptr().add(j0));
-            let s1 = _mm256_loadu_ps(scale.as_ptr().add(j0 + 8));
-            let t0 = _mm256_loadu_ps(shift.as_ptr().add(j0));
-            let t1 = _mm256_loadu_ps(shift.as_ptr().add(j0 + 8));
-            for accr in facc.iter_mut() {
-                accr[0] = _mm256_fmadd_ps(accr[0], s0, t0);
-                accr[1] = _mm256_fmadd_ps(accr[1], s1, t1);
-            }
-        }
-        if g.ep.relu {
-            let zero = _mm256_setzero_ps();
-            for accr in facc.iter_mut() {
-                accr[0] = _mm256_max_ps(accr[0], zero);
-                accr[1] = _mm256_max_ps(accr[1], zero);
-            }
-        }
-        let cp = block[c_row * n + j0..].as_mut_ptr();
-        for (r, accr) in facc.iter().enumerate().take(mr) {
-            _mm256_storeu_ps(cp.add(r * n), accr[0]);
-            _mm256_storeu_ps(cp.add(r * n + 8), accr[1]);
+            finish_tile(facc, &g.ep, block, n, c_row, mr, j0);
         }
     }
 }
@@ -1379,14 +1483,30 @@ mod tests {
             target_feature = "fma"
         ))]
         {
-            tiles.push(("avx2", i8i8_rows_avx2));
-            if std::arch::is_x86_feature_detected!("avxvnni") {
+            use std::arch::is_x86_feature_detected as has;
+            tiles.push(("avx2", simd::i8i8_rows_avx2));
+            if has!("avxvnni") {
                 // SAFETY: AVX-VNNI was detected on this CPU just above.
                 tiles.push(("vnni", |g, block, row0| unsafe {
-                    i8i8_rows_vnni(g, block, row0)
+                    simd::i8i8_rows_vnni(g, block, row0)
                 }));
             } else {
-                println!("lowp: skipping the vpdpbusd tile, this CPU has no AVX-VNNI");
+                println!("lowp: skipping the ymm vpdpbusd tile, this CPU has no AVX-VNNI");
+            }
+            if has!("avx512f") && has!("avx512vnni") {
+                // SAFETY: both features were detected on this CPU just above.
+                tiles.push(("zmm", |g, block, row0| unsafe {
+                    simd::i8i8_rows_zmm(g, block, row0)
+                }));
+            } else {
+                let missing: Vec<&str> = [
+                    ("avx512f", has!("avx512f")),
+                    ("avx512vnni", has!("avx512vnni")),
+                ]
+                .iter()
+                .filter_map(|&(name, present)| (!present).then_some(name))
+                .collect();
+                println!("lowp: skipping the zmm vpdpbusd tile, this CPU has no {missing:?}");
             }
         }
         let names: Vec<&str> = tiles.iter().map(|t| t.0).collect();
@@ -1406,12 +1526,23 @@ mod tests {
     #[test]
     fn i8i8_tile_instantiations_match_scalar_reference_bit_for_bit() {
         // Each instantiation against the from-scratch model: row counts off
-        // the tile height, a ragged last panel, k off the quad and the
-        // group size, zero-points at both ends of the code range, every
-        // epilogue combination, and the row-blocked walk at three block
-        // sizes (tile-sized, mid-matrix with a short last block, whole).
+        // both tile heights, a ragged last panel, the zmm tile's paired-panel
+        // walk (an even count, a ragged second panel, an odd count), k off
+        // the quad and the group size, zero-points at both ends of the code
+        // range, every epilogue combination, and the row-blocked walk at
+        // three block sizes (tile-sized, mid-matrix with a short last block,
+        // whole).
         let tiles = tile_instantiations();
-        for &(m, k, n) in &[(1, 4, 3), (5, 7, 10), (11, 23, 37), (103, 70, 96)] {
+        for &(m, k, n) in &[
+            (1, 4, 3),
+            (5, 7, 10),
+            (11, 23, 37),
+            (103, 70, 96),
+            (8, 9, 32),
+            (9, 66, 33),
+            (13, 23, 48),
+            (103, 7, 80),
+        ] {
             for gs in [4usize, 8, 64] {
                 let mut case = I8I8Case::new(m, k, n, gs);
                 for (i, zp) in case.azp.iter_mut().enumerate().skip(1) {
@@ -1447,27 +1578,51 @@ mod tests {
 
     #[test]
     fn packed_int8act_gemm_walks_tall_outputs_in_passes() {
-        // Tall and thin enough for several `I8I8_PASS_BYTES` passes with a
-        // short last tile: the dispatched GEMM (whichever tile this CPU
-        // selects) must equal the scalar walk over the whole matrix.
-        let (m, k, n) = (1203, 32, 64);
-        assert!(m * (i8i8_padded_k(k) + 4 * n) > 2 * I8I8_PASS_BYTES);
-        let case = I8I8Case::new(m, k, n, I8I8_GROUP_SIZE);
-        let bias = random(n, 86);
-        let ep = Epilogue {
-            bias: Some(&bias),
-            scale_shift: None,
-            relu: true,
-        };
-        let panels = PackedPanels::Int8Act {
-            q: case.q.clone(),
-            scales: case.scales.clone(),
-            colsums: case.colsums.clone(),
-        };
-        let mut got = vec![0.0f32; m * n];
-        panels.gemm_u8(&case.aq, &case.asc, &case.azp, &mut got, m, k, n, ep);
-        let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, walk_in_blocks(i8i8_rows_scalar, &case.operands(ep), m));
+        // Tall and thin enough for several `I8I8_PASS_BYTES` passes, with a
+        // row count off both tile heights (so the last pass ends in a short
+        // tile) and both an even and an odd panel count: the dispatched
+        // GEMM (whichever tile this CPU selects) must equal the scalar walk
+        // over the whole matrix.
+        for (m, k, n) in [(1203, 32, 64), (1203, 32, 80), (1205, 30, 80)] {
+            assert!(m * (i8i8_padded_k(k) + 4 * n) > 2 * I8I8_PASS_BYTES);
+            assert!(m % 4 != 0 && m % 8 != 0);
+            let case = I8I8Case::new(m, k, n, I8I8_GROUP_SIZE);
+            let bias = random(n, 86);
+            let ep = Epilogue {
+                bias: Some(&bias),
+                scale_shift: None,
+                relu: true,
+            };
+            let panels = PackedPanels::Int8Act {
+                q: case.q.clone(),
+                scales: case.scales.clone(),
+                colsums: case.colsums.clone(),
+            };
+            let mut got = vec![0.0f32; m * n];
+            panels.gemm_u8(&case.aq, &case.asc, &case.azp, &mut got, m, k, n, ep);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                got,
+                walk_in_blocks(i8i8_rows_scalar, &case.operands(ep), m),
+                "{m}x{k}x{n}"
+            );
+        }
+    }
+
+    #[test]
+    fn pass_rows_are_whole_tiles_of_the_selected_height() {
+        // A pass that is not a whole number of tiles ends in a short tile
+        // every pass: 20 rows (k = 2048, n = 1126) is five 4-row tiles but
+        // two and a half 8-row ones.
+        for (kp, n) in [(2048, 1126), (32, 64), (512, 512), (4608, 4096)] {
+            for tile in [Tile::Saturating, Tile::Vnni, Tile::Vnni512] {
+                let rows = i8i8_pass_rows(kp, n, tile);
+                assert!(rows >= I8I8_MIN_PASS_ROWS, "{tile:?} {kp}x{n}: {rows}");
+                assert_eq!(rows % tile.rows(), 0, "{tile:?} {kp}x{n}: {rows}");
+            }
+        }
+        assert_eq!(i8i8_pass_rows(2048, 1126, Tile::Vnni), 20);
+        assert_eq!(i8i8_pass_rows(2048, 1126, Tile::Vnni512), 16);
     }
 
     #[test]
@@ -1497,20 +1652,20 @@ mod tests {
         assert_eq!(got, want);
         let clipped = (2 * 32767 * (k / 4)) as f32;
         assert_eq!((got[0], got[1]), (clipped, -clipped - (k / 2) as f32));
-        // The same operands through the `vpdpbusd` tile give the unclipped
-        // sums — the reason only pack-clamped codes may be routed to it.
-        #[cfg(all(
-            target_arch = "x86_64",
-            target_feature = "avx2",
-            target_feature = "fma"
-        ))]
-        if std::arch::is_x86_feature_detected!("avxvnni") {
+        // The same operands through either `vpdpbusd` tile give the
+        // unclipped sums — the reason only pack-clamped codes may be routed
+        // to them, and the raw entry point takes neither: its result above
+        // is the clipped one on every host.
+        let exact = (255 * 127 * k) as f32;
+        assert_ne!(got[0], exact);
+        for (name, walk) in tile_instantiations() {
             let g = I8I8::checked(&aq, &asc, &azp, &q, &scales, &colsums, gs, m, k, n, ep);
             let mut out = vec![0.0f32; m * n];
-            // SAFETY: AVX-VNNI was detected on this CPU just above.
-            unsafe { i8i8_rows_vnni(&g, &mut out, 0) };
-            let exact = (255 * 127 * k) as f32;
-            assert_eq!((out[0], out[1]), (exact, -exact));
+            walk(&g, &mut out, 0);
+            match name {
+                "vnni" | "zmm" => assert_eq!((out[0], out[1]), (exact, -exact), "{name}"),
+                _ => assert_eq!(out, want, "{name}"),
+            }
         }
     }
 

@@ -62,8 +62,9 @@
 use crate::parallel::{parallel_row_blocks_mut, parallel_rows_mut, threads};
 use crate::Tensor;
 
-/// Tile height of the portable f32 kernel and of the whole-int8 tile in
-/// [`crate::lowp`] (the SIMD f32 tiles carry their own, `Lanes::ROWS`).
+/// Tile height of the portable f32 kernel and of the scalar and `ymm`
+/// whole-int8 walks in [`crate::lowp`] (the SIMD tiles of both GEMMs carry
+/// their own, `Lanes::ROWS`: 4 for `ymm`, 8 for `zmm`).
 pub(crate) const MR: usize = 4;
 /// Panel width: columns of packed `B` per panel, in both the f32 layout and
 /// the whole-int8 one. Sixteen `f32` lanes are two `ymm` vectors or one
@@ -501,12 +502,13 @@ fn micro_kernel_mr_generic(
     target_feature = "avx2",
     target_feature = "fma"
 ))]
-mod simd {
-    use super::{F32Gemm, NR};
+pub(crate) mod simd {
+    use super::{Epilogue, F32Gemm, NR};
     use std::arch::x86_64::*;
 
     /// The vector type an [`f32_tile`] instantiation computes in: `LANES`
-    /// adjacent output columns per register, every operation lane-wise.
+    /// adjacent output columns per register, every operation lane-wise. The
+    /// whole-int8 tile in [`crate::lowp`] dequantizes into the same type.
     ///
     /// # Safety
     ///
@@ -514,7 +516,7 @@ mod simd {
     /// (AVX2+FMA for `__m256`, AVX-512F for `__m512`); the pointer methods
     /// additionally require `LANES` readable (or writable) floats at `p`,
     /// except [`Lanes::load_first`], which touches only the first `lanes`.
-    trait Lanes: Copy {
+    pub(crate) trait Lanes: Copy {
         /// Output columns per vector.
         const LANES: usize;
         /// Rows of a full tile: with two vectors per row, as many as leave
@@ -530,6 +532,7 @@ mod simd {
         /// `self · b + c`, fused.
         unsafe fn fmadd(self, b: Self, c: Self) -> Self;
         unsafe fn add(self, b: Self) -> Self;
+        unsafe fn mul(self, b: Self) -> Self;
         /// `max(self, b)` with `b` returned for a NaN `self` — `f32::max(·, 0)`
         /// for `b = 0`.
         unsafe fn max(self, b: Self) -> Self;
@@ -575,6 +578,10 @@ mod simd {
             _mm256_add_ps(self, b)
         }
         #[inline(always)]
+        unsafe fn mul(self, b: Self) -> Self {
+            _mm256_mul_ps(self, b)
+        }
+        #[inline(always)]
         unsafe fn max(self, b: Self) -> Self {
             _mm256_max_ps(self, b)
         }
@@ -615,6 +622,10 @@ mod simd {
         #[inline(always)]
         unsafe fn add(self, b: Self) -> Self {
             unsafe { _mm512_add_ps(self, b) }
+        }
+        #[inline(always)]
+        unsafe fn mul(self, b: Self) -> Self {
+            unsafe { _mm512_mul_ps(self, b) }
         }
         #[inline(always)]
         unsafe fn max(self, b: Self) -> Self {
@@ -730,12 +741,10 @@ mod simd {
     /// against the `NV` vectors of `B` columns starting at `j0`. Per `k` step,
     /// `NV` loads of `B` (lane-masked to the row's end when `MASKED`) and one
     /// broadcast per row feed `ROWS·NV` FMAs, each lane one output element's
-    /// ascending-`k` chain; then the epilogue (`+ bias`, `·scale + shift`
-    /// fused, `max 0` — the operations of [`super::Epilogue::apply`] in its order) on
-    /// the accumulators and the tile's only store. A tile wider than the
-    /// columns left spills its rows and finishes the real columns with the
-    /// scalar epilogue. Bit-identical to [`super::micro_kernel_mr_generic`] in an FMA
-    /// build: every float operation is the same one in the same order.
+    /// ascending-`k` chain; then [`finish_tile`]: the epilogue on the
+    /// accumulators and the tile's only store. Bit-identical to
+    /// [`super::micro_kernel_mr_generic`] in an FMA build: every float
+    /// operation is the same one in the same order.
     ///
     /// A short tile computes its missing rows as copies of its last real row
     /// and stores only the real ones: below `ROWS·NV = 8` chains in flight the
@@ -759,16 +768,14 @@ mod simd {
         mr: usize,
         j0: usize,
     ) {
-        const { assert!(NV * V::LANES <= 8 * NR) };
         let (k, n, ldb) = (g.k, g.n, g.b.ldb);
         let cols = (n - j0).min(NV * V::LANES);
         // SAFETY: target features per the caller. `A` reads are rows below
         // `a_row + mr ≤ g.m` of an `m·k` slice. Vector `v` reads `LANES` floats
         // of each `k` row from column `j0 + v·LANES`: inside a padded panel
         // row, inside a row of an in-place `B` when that many columns are
-        // left, and otherwise only the `cols - v·LANES` lanes that are. A
-        // full-width tile has `j0 + NV·LANES ≤ n` epilogue entries and output
-        // columns.
+        // left, and otherwise only the `cols - v·LANES` lanes that are.
+        // `finish_tile`'s conditions are this function's own.
         unsafe {
             let ap: [*const f32; ROWS] =
                 std::array::from_fn(|r| g.a.as_ptr().add((a_row + r.min(mr - 1)) * k));
@@ -792,8 +799,40 @@ mod simd {
                     }
                 }
             }
+            finish_tile(acc, &g.ep, block, n, c_row, mr, j0);
+        }
+    }
+
+    /// What every register tile does with its finished sums: the epilogue
+    /// (`+ bias`, `·scale + shift` fused, `max 0` — the operations of
+    /// [`Epilogue::apply`] in its order) on the accumulators, then the tile's
+    /// only store, of its first `mr` rows at `block[c_row.., j0..]`. A tile
+    /// wider than the columns left spills its rows and finishes the real
+    /// columns with the scalar epilogue.
+    ///
+    /// # Safety
+    ///
+    /// The instruction set of `V` must be available; `1 ≤ mr ≤ ROWS`, `block`
+    /// must hold rows `c_row..c_row + mr` of an `[*, n]` matrix, `j0 < n`, and
+    /// the epilogue's slices must hold `n` entries.
+    #[inline(always)]
+    pub(crate) unsafe fn finish_tile<V: Lanes, const ROWS: usize, const NV: usize>(
+        mut acc: [[V; NV]; ROWS],
+        ep: &Epilogue,
+        block: &mut [f32],
+        n: usize,
+        c_row: usize,
+        mr: usize,
+        j0: usize,
+    ) {
+        const { assert!(NV * V::LANES <= 8 * NR) };
+        let cols = (n - j0).min(NV * V::LANES);
+        // SAFETY: target features per the caller; a full-width tile has
+        // `j0 + NV·LANES ≤ n` epilogue entries and output columns, and a
+        // narrower one goes through `tmp` and bounds-checked slices.
+        unsafe {
             if cols < NV * V::LANES {
-                let ep = g.ep.columns_from(j0);
+                let ep = ep.columns_from(j0);
                 let mut tmp = [0.0f32; 8 * NR];
                 for (r, accr) in acc.iter().enumerate().take(mr) {
                     for (v, acc) in accr.iter().enumerate() {
@@ -805,7 +844,7 @@ mod simd {
                 }
                 return;
             }
-            if let Some(bias) = g.ep.bias {
+            if let Some(bias) = ep.bias {
                 for v in 0..NV {
                     let b = V::load(bias.as_ptr().add(j0 + v * V::LANES));
                     for accr in acc.iter_mut() {
@@ -813,7 +852,7 @@ mod simd {
                     }
                 }
             }
-            if let Some((scale, shift)) = g.ep.scale_shift {
+            if let Some((scale, shift)) = ep.scale_shift {
                 for v in 0..NV {
                     let s = V::load(scale.as_ptr().add(j0 + v * V::LANES));
                     let t = V::load(shift.as_ptr().add(j0 + v * V::LANES));
@@ -822,7 +861,7 @@ mod simd {
                     }
                 }
             }
-            if g.ep.relu {
+            if ep.relu {
                 // Nested on purpose: through `flatten()` LLVM keeps the whole
                 // accumulator array in memory, `k` loop included.
                 for accr in acc.iter_mut() {
