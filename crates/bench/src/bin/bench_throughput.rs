@@ -2,7 +2,7 @@
 //! plus the raw single-threaded base-DNN forward rate, so successive PRs
 //! can track the perf trajectory of the hot path — plus a `"batched"`
 //! section sweeping micro-batch sizes B ∈ {1, 2, 4, 8} through the batched
-//! extraction path (one GEMM over the stacked im2col matrix per layer; see
+//! extraction path (one GEMM over all the frames' output rows per layer; see
 //! `FeatureExtractor::extract_batch`) and a `"precision"` section sweeping
 //! the backbone precision (f32 / int8act — see `ff_tensor::Precision`) at
 //! B ∈ {1, 8}, and a `"panel_bound"` section sweeping the same precisions

@@ -182,10 +182,11 @@ impl FeatureExtractor {
     /// consecutive frames, or one frame from each of several streams — and
     /// returns per-frame [`FeatureMaps`] aligned with `frames`.
     ///
-    /// The frames are stacked row-wise and every layer executes as a single
-    /// batched kernel (one GEMM over the stacked im2col matrix per
-    /// convolution), so each packed weight panel is streamed through cache
-    /// once per *batch* instead of once per frame. Frame `b`'s maps are
+    /// The frames are stacked and every layer executes as a single batched
+    /// kernel (per convolution one GEMM over every frame's output rows, its
+    /// patches gathered a strip at a time — no stacked im2col matrix), so
+    /// each packed weight panel is streamed through cache once per *batch*
+    /// instead of once per frame. Frame `b`'s maps are
     /// **bit-identical** to what [`Self::extract`] would produce for that
     /// frame alone.
     ///

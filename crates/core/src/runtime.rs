@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | **arrivals** — poll every open stream once, decode pixels → tensor into the task's mailbox | the calling thread | poll order *is* the wake log, and decode is cheap next to inference |
 //! | **service, per-stream style** — every stream with mail serves one frame (extract → MCs → smooth → re-encode) | one pool job per runnable stream ([`PoolShard::run_items`]): `min(runnable, pool width)` cores. A round with one runnable stream keeps the kernel-level fan-out instead (its GEMMs split across the whole pool) | streams share no inference state, so whole passes are the coarsest — cheapest — unit of parallel work |
-//! | **service, gather style** ([`EdgeNodeConfig::gather_batch`]) — served frames are bucketed by (base-DNN config, resolution); one [`crate::FeatureExtractor::extract_batch`] per bucket, then fan-out to each stream's own MCs, upload re-encode and archive | the batched pass fans its kernels across the whole pool; fan-out: one pool job per stream with a gathered frame, `min(streams in batch, width)` cores (a stream with two frames in the batch serves them in batch order inside its one job) | one GEMM over the stacked im2col matrix streams each packed weight panel once per *batch* instead of once per camera; what follows it is per-stream state only, so it parallelises like the per-stream style |
+//! | **service, gather style** ([`EdgeNodeConfig::gather_batch`]) — served frames are bucketed by (base-DNN config, resolution); one [`crate::FeatureExtractor::extract_batch`] per bucket, then fan-out to each stream's own MCs, upload re-encode and archive | the batched pass fans its kernels across the whole pool; fan-out: one pool job per stream with a gathered frame, `min(streams in batch, width)` cores (a stream with two frames in the batch serves them in batch order inside its one job) | one GEMM over all the frames' output rows streams each packed weight panel once per *batch* instead of once per camera; what follows it is per-stream state only, so it parallelises like the per-stream style |
 //! | **fold, close, uplink, control tick** | the calling thread, in stream order | see below |
 //!
 //! # Why every trace replays

@@ -194,6 +194,10 @@ pub struct McDecision {
     pub closed_event: Option<EventRecord>,
 }
 
+/// Widest temporal window [`McRuntime`] streams (the paper's `W` is 5): the
+/// hot path gathers a window's references in a stack array of this many.
+const MAX_WINDOW: usize = 15;
+
 /// A deployed microclassifier: model + temporal buffers + smoother +
 /// transition detector.
 #[derive(Debug)]
@@ -384,17 +388,19 @@ impl McRuntime {
     fn classify_buffered(&mut self, c: u64, w: usize, d: usize) -> f32 {
         let newest = self.frames_seen - 1;
         let first = newest + 1 - self.proj_buf.len() as u64;
-        let window: Vec<&Tensor> = (0..w)
-            .map(|i| {
-                let want = c as i64 - d as i64 + i as i64;
-                let idx = want.clamp(first as i64, newest as i64) as u64 - first;
-                &self.proj_buf[idx as usize]
-            })
-            .collect();
+        // On the stack: a `Vec` of references here was one heap allocation
+        // per windowed MC per frame.
+        assert!(w <= MAX_WINDOW, "window {w} exceeds {MAX_WINDOW}");
+        let mut window = [&self.proj_buf[0]; MAX_WINDOW];
+        for (i, slot) in window[..w].iter_mut().enumerate() {
+            let want = c as i64 - d as i64 + i as i64;
+            let idx = want.clamp(first as i64, newest as i64) as u64 - first;
+            *slot = &self.proj_buf[idx as usize];
+        }
         let McModel::Windowed(wc) = &mut self.model else {
             unreachable!("classify_buffered only for windowed models");
         };
-        let out = wc.classify_window_ws(&window, Phase::Inference, &mut self.ws);
+        let out = wc.classify_window_ws(&window[..w], Phase::Inference, &mut self.ws);
         let logit = out.data()[0];
         self.ws.recycle(out);
         ff_nn::sigmoid(logit)

@@ -50,7 +50,7 @@ pub trait Layer: Send {
     ///
     /// Row `b` of the output is **bit-identical** to
     /// `forward_ws(frame b, Inference, ws)` — batching amortizes weight
-    /// traffic (one GEMM over the stacked im2col matrix streams each packed
+    /// traffic (one GEMM over all the frames' output rows streams each packed
     /// panel once per batch instead of once per frame) but never changes a
     /// single value, because every kernel computes each output element from
     /// its own frame's data in a fixed accumulation order.

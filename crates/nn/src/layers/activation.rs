@@ -53,13 +53,17 @@ impl Layer for Activation {
 
     fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
         let mut y = ws.take(x.dims());
-        let f: fn(f32) -> f32 = match self.kind {
-            ActivationKind::Relu => |v| v.max(0.0),
-            ActivationKind::Relu6 => |v| v.clamp(0.0, 6.0),
-            ActivationKind::Sigmoid => crate::loss::sigmoid,
-        };
-        for (o, &v) in y.data_mut().iter_mut().zip(x.data()) {
-            *o = f(v);
+        // One monomorphised loop per kind, so each vectorises; through a
+        // `fn` pointer picked up front every element is an indirect call.
+        fn map(y: &mut [f32], x: &[f32], f: impl Fn(f32) -> f32) {
+            for (o, &v) in y.iter_mut().zip(x) {
+                *o = f(v);
+            }
+        }
+        match self.kind {
+            ActivationKind::Relu => map(y.data_mut(), x.data(), |v| v.max(0.0)),
+            ActivationKind::Relu6 => map(y.data_mut(), x.data(), |v| v.clamp(0.0, 6.0)),
+            ActivationKind::Sigmoid => map(y.data_mut(), x.data(), crate::loss::sigmoid),
         }
         if phase == Phase::Train {
             // ReLUs need the input sign; sigmoid needs the output. Cache
@@ -135,6 +139,46 @@ mod tests {
         assert!(y.data()[0] < 1e-6);
         assert_eq!(y.data()[1], 0.5);
         assert!(y.data()[2] > 1.0 - 1e-6);
+    }
+
+    #[test]
+    fn vectorised_loops_match_the_scalar_functions_bit_for_bit() {
+        // Each element called through a `fn` pointer (nothing to vectorise)
+        // against the layer's per-kind loops, on the values where a vector
+        // min/max could differ from the scalar one: NaN, both zeros, both
+        // infinities, the clamp bound and its neighbours — at every offset
+        // of a buffer long enough for whole vectors and a tail.
+        let six = 6.0f32;
+        let special = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            six,
+            f32::from_bits(six.to_bits() - 1),
+            f32::from_bits(six.to_bits() + 1),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            -3.5,
+            2.25,
+        ];
+        let x: Vec<f32> = (0..67).map(|i| special[i % special.len()]).collect();
+        for (kind, scalar) in [
+            (ActivationKind::Relu, (|v| v.max(0.0)) as fn(f32) -> f32),
+            (ActivationKind::Relu6, |v| v.clamp(0.0, 6.0)),
+            (ActivationKind::Sigmoid, crate::loss::sigmoid),
+        ] {
+            let y = Activation::new(kind).forward(
+                &Tensor::from_vec(vec![x.len()], x.clone()),
+                Phase::Inference,
+            );
+            for (i, (&got, &v)) in y.data().iter().zip(&x).enumerate() {
+                let want = std::hint::black_box(scalar)(v);
+                assert_eq!(got.to_bits(), want.to_bits(), "{kind:?} [{i}] of {v}");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Standard 2-D convolution, lowered to GEMM through im2col — or fed to the
-//! GEMM directly for 1×1 stride-1 kernels, whose im2col matrix is exactly
-//! the input feature map reinterpreted as `[positions, channels]`.
+//! Standard 2-D convolution, lowered to one GEMM: inference gathers patches
+//! inside it ([`ff_tensor::conv_gemm`], which reads a 1×1 stride-1 kernel's
+//! input in place); training materialises the im2col matrix its backward
+//! pass needs.
 
 use ff_tensor::{
-    col2im, gemm_fused, im2col_batch_into, im2col_into, matmul_transpose_a, matmul_transpose_b,
-    Conv2dGeometry, Epilogue, PackedPanels, Padding, Precision, Tensor, Workspace,
+    col2im, conv_gemm, gemm_fused, im2col_into, matmul_transpose_a, matmul_transpose_b,
+    Conv2dGeometry, Epilogue, GemmB, PackedPanels, Padding, Precision, Tensor, Workspace,
 };
 use rand::SeedableRng;
 
@@ -91,24 +92,6 @@ impl Conv2d {
         self.packed.precision()
     }
 
-    /// Whether this pass runs the whole-int8 prepacked path: inference at
-    /// [`Precision::Int8Act`]. Training (and the default f32 precision)
-    /// uses the raw weights.
-    fn use_int8act(&self, phase: Phase) -> bool {
-        phase == Phase::Inference && self.packed.precision() == Precision::Int8Act
-    }
-
-    /// Refreshes the whole-int8 panels if the weights changed.
-    fn ensure_packed(&mut self) {
-        if self.packed_epoch == self.weight_epoch {
-            return;
-        }
-        let fan_in = self.kh * self.kw * self.in_c;
-        self.packed
-            .repack(self.weight.value.data(), fan_in, self.out_c);
-        self.packed_epoch = self.weight_epoch;
-    }
-
     /// The layer's whole epilogue: one `+ bias` per output element, after
     /// its finished sum.
     fn bias_epilogue(&self) -> Epilogue<'_> {
@@ -118,10 +101,23 @@ impl Conv2d {
         }
     }
 
-    /// One `[m, k]·[k, out_c]` GEMM against the raw f32 weights, plus bias.
-    fn run_gemm(&self, a: &[f32], out: &mut [f32], m: usize, k: usize) {
-        let w = self.weight.value.data();
-        gemm_fused(a, w, out, m, k, self.out_c, self.bias_epilogue());
+    /// Inference over `frames` stacked frames into `out`
+    /// (`[frames·positions, out_c]`): the fused f32 convolution against the
+    /// raw weights where they are, or — at [`Precision::Int8Act`] — the
+    /// whole-int8 pipeline against the panels, refreshed if the weights
+    /// changed. Each frame's rows are the same bits at any `frames`.
+    fn infer(&mut self, x: &[f32], frames: usize, geo: &Conv2dGeometry, out: &mut [f32]) {
+        if self.packed.precision() == Precision::F32 {
+            let w = GemmB::InPlace(self.weight.value.data());
+            return conv_gemm(x, geo, w, out, self.out_c, self.bias_epilogue());
+        }
+        if self.packed_epoch != self.weight_epoch {
+            self.packed
+                .repack(self.weight.value.data(), geo.fan_in(), self.out_c);
+            self.packed_epoch = self.weight_epoch;
+        }
+        let ep = self.bias_epilogue();
+        crate::layers::int8act::forward_int8act(x, frames, geo, &self.packed, out, self.out_c, ep);
     }
 
     fn geometry(&self, in_shape: &[usize]) -> Conv2dGeometry {
@@ -155,41 +151,25 @@ impl Layer for Conv2d {
 
     fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
         let geo = self.geometry(x.dims());
-        let positions = geo.positions();
+        let (positions, fan_in) = (geo.positions(), geo.fan_in());
         let mut out = ws.take(&[positions, self.out_c]);
-        // Whole-int8 inference: the frame quantizes to u8 once and the
-        // patch gather lands directly in a u8 buffer — activations never
-        // round-trip through an f32 im2col matrix (1×1 kernels included,
-        // whose u8 rows still need the GEMM's quad padding).
-        if self.use_int8act(phase) {
-            self.ensure_packed();
-            crate::layers::int8act::forward_int8act(
-                x.data(),
-                1,
-                &geo,
-                &self.packed,
-                out.data_mut(),
-                self.out_c,
-                self.bias_epilogue(),
-            );
-        } else if self.kh == 1 && self.kw == 1 && self.stride == 1 {
-            // 1×1 stride-1 kernels (ubiquitous: every pointwise conv in
-            // MobileNet and the full-frame MC) skip im2col entirely — the
-            // input feature map *is* the im2col matrix.
-            self.run_gemm(x.data(), out.data_mut(), positions, self.in_c);
-            if phase == Phase::Train {
-                let cols = x.clone().reshape(vec![positions, self.in_c]);
-                self.cache.push((geo, cols));
-            }
+        if phase == Phase::Inference {
+            self.infer(x.data(), 1, &geo, out.data_mut());
         } else {
-            let mut cols = ws.take(&[positions, geo.fan_in()]);
+            let mut cols = ws.take(&[positions, fan_in]);
             im2col_into(x, &geo, &mut cols);
-            self.run_gemm(cols.data(), out.data_mut(), positions, geo.fan_in());
-            if phase == Phase::Train {
-                self.cache.push((geo, cols));
-            } else {
-                ws.recycle(cols);
-            }
+            let w = self.weight.value.data();
+            let ep = self.bias_epilogue();
+            gemm_fused(
+                cols.data(),
+                w,
+                out.data_mut(),
+                positions,
+                fan_in,
+                self.out_c,
+                ep,
+            );
+            self.cache.push((geo, cols));
         }
         out.reshape_to(&[geo.out_h, geo.out_w, self.out_c]);
         out
@@ -199,34 +179,11 @@ impl Layer for Conv2d {
         assert!(batch > 0, "empty batch");
         assert_eq!(x.rank(), 4, "batched Conv2d expects [B, H, W, C]");
         let geo = self.geometry(&x.dims()[1..]);
-        let positions = geo.positions();
-        let rows = batch * positions;
-        let mut out = ws.take(&[rows, self.out_c]);
-        // One GEMM for the whole batch; with B frames the streaming of the
-        // weight matrix through cache is paid once per batch instead of
-        // once per frame. Per-row accumulation order is unchanged, so each
-        // frame's rows stay bit-identical to the single-frame path.
-        if self.use_int8act(Phase::Inference) {
-            // Whole-int8 batch: per-frame quantization + u8 gather into
-            // consecutive row ranges, one GEMM for the whole batch.
-            self.ensure_packed();
-            crate::layers::int8act::forward_int8act(
-                x.data(),
-                batch,
-                &geo,
-                &self.packed,
-                out.data_mut(),
-                self.out_c,
-                self.bias_epilogue(),
-            );
-        } else if self.kh == 1 && self.kw == 1 && self.stride == 1 {
-            self.run_gemm(x.data(), out.data_mut(), rows, self.in_c);
-        } else {
-            let mut cols = ws.take(&[rows, geo.fan_in()]);
-            im2col_batch_into(x, batch, &geo, &mut cols);
-            self.run_gemm(cols.data(), out.data_mut(), rows, geo.fan_in());
-            ws.recycle(cols);
-        }
+        // One GEMM for the whole batch; per-row accumulation order is
+        // unchanged, so each frame's rows stay bit-identical to the
+        // single-frame path.
+        let mut out = ws.take(&[batch * geo.positions(), self.out_c]);
+        self.infer(x.data(), batch, &geo, out.data_mut());
         out.reshape_to(&[batch, geo.out_h, geo.out_w, self.out_c]);
         out
     }

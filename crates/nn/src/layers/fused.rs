@@ -14,8 +14,8 @@
 //! streaming inference only.
 
 use ff_tensor::{
-    col2im, gemm_fused, im2col_batch_into, im2col_into, matmul_transpose_a, matmul_transpose_b,
-    Conv2dGeometry, Epilogue, PackedPanels, Padding, Precision, Tensor, Workspace,
+    col2im, conv_gemm, gemm_fused, im2col_into, matmul_transpose_a, matmul_transpose_b,
+    Conv2dGeometry, Epilogue, GemmB, PackedPanels, Padding, Precision, Tensor, Workspace,
 };
 use rand::SeedableRng;
 
@@ -153,67 +153,30 @@ impl ConvBnRelu {
         )
     }
 
-    /// Runs the convolution into `out` (shape `[positions, out_c]`) with the
-    /// requested epilogue, returning the im2col matrix when `keep_cols`.
-    /// Uses the pre-packed weight panels when `prepacked` (inference).
-    #[allow(clippy::too_many_arguments)]
-    fn run_gemm(
-        &self,
-        x: &Tensor,
-        geo: &Conv2dGeometry,
-        out: &mut Tensor,
-        ep: Epilogue,
-        ws: &mut Workspace,
-        keep_cols: bool,
-        prepacked: bool,
-    ) -> Option<Tensor> {
-        let positions = geo.positions();
-        let fan_in = geo.fan_in();
-        // Whole-int8 inference: quantize the frame once and gather straight
-        // into a u8 buffer, with the folded-norm epilogue fused into the
-        // int8 GEMM's dequant pass (train/calibration never take this
-        // branch — they run `prepacked == false`).
-        if prepacked && self.packed_weights.precision() == Precision::Int8Act {
-            debug_assert!(!keep_cols, "whole-int8 path is inference-only");
-            crate::layers::int8act::forward_int8act(
-                x.data(),
-                1,
-                geo,
-                &self.packed_weights,
-                out.data_mut(),
-                self.out_c,
-                ep,
-            );
-            return None;
+    /// `bias`, folded norm and (optionally) ReLU: the unit's epilogue.
+    fn epilogue(&self, relu: bool) -> Epilogue<'_> {
+        Epilogue {
+            bias: Some(self.bias.value.data()),
+            scale_shift: Some((&self.norm.scale, &self.norm.shift)),
+            relu,
         }
-        let run = |a: &[f32], out: &mut [f32]| {
-            if prepacked {
-                self.packed_weights
-                    .gemm(a, out, positions, fan_in, self.out_c, ep);
-            } else {
-                gemm_fused(
-                    a,
-                    self.weight.value.data(),
-                    out,
-                    positions,
-                    fan_in,
-                    self.out_c,
-                    ep,
-                );
+    }
+
+    /// The whole unit over `frames` stacked frames in one pass into `out`
+    /// (`[frames·positions, out_c]`): GEMM + bias + folded norm + ReLU
+    /// against the cached weight panels — the fused f32 convolution, or at
+    /// [`Precision::Int8Act`] the whole-int8 pipeline (the frame quantizes
+    /// once and gathers straight into a u8 buffer). Each frame's rows are
+    /// the same bits at any `frames`.
+    fn infer(&mut self, x: &[f32], frames: usize, geo: &Conv2dGeometry, out: &mut [f32]) {
+        self.ensure_packed();
+        let ep = self.epilogue(true);
+        match &self.packed_weights {
+            PackedPanels::F32(panels) => {
+                conv_gemm(x, geo, GemmB::Packed(panels), out, self.out_c, ep)
             }
-        };
-        if self.k == 1 && self.stride == 1 {
-            run(x.data(), out.data_mut());
-            keep_cols.then(|| x.clone().reshape(vec![positions, self.in_c]))
-        } else {
-            let mut cols = ws.take(&[positions, fan_in]);
-            im2col_into(x, geo, &mut cols);
-            run(cols.data(), out.data_mut());
-            if keep_cols {
-                Some(cols)
-            } else {
-                ws.recycle(cols);
-                None
+            packed => {
+                crate::layers::int8act::forward_int8act(x, frames, geo, packed, out, self.out_c, ep)
             }
         }
     }
@@ -230,28 +193,26 @@ impl Layer for ConvBnRelu {
 
     fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
         let geo = self.geometry(x.dims());
-        let positions = geo.positions();
+        let (positions, fan_in) = (geo.positions(), geo.fan_in());
         let mut out = ws.take(&[positions, self.out_c]);
         if phase == Phase::Inference {
-            // The whole unit in one pass: GEMM + bias + folded norm + ReLU,
-            // against the cached pre-packed weight panels.
-            self.ensure_packed();
-            let ep = Epilogue {
-                bias: Some(self.bias.value.data()),
-                scale_shift: Some((&self.norm.scale, &self.norm.shift)),
-                relu: true,
-            };
-            self.run_gemm(x, &geo, &mut out, ep, ws, false, true);
+            self.infer(x.data(), 1, &geo, out.data_mut());
         } else {
-            // Training: stage at pre-ReLU so backward can mask exactly.
-            let ep = Epilogue {
-                bias: Some(self.bias.value.data()),
-                scale_shift: Some((&self.norm.scale, &self.norm.shift)),
-                relu: false,
-            };
-            let cols = self
-                .run_gemm(x, &geo, &mut out, ep, ws, true, false)
-                .expect("train path keeps cols");
+            // Training: keep the im2col matrix for backward, and stage at
+            // pre-ReLU so it can mask exactly.
+            let mut cols = ws.take(&[positions, fan_in]);
+            im2col_into(x, &geo, &mut cols);
+            let w = self.weight.value.data();
+            let ep = self.epilogue(false);
+            gemm_fused(
+                cols.data(),
+                w,
+                out.data_mut(),
+                positions,
+                fan_in,
+                self.out_c,
+                ep,
+            );
             let pre_relu = out.clone();
             for v in out.data_mut() {
                 *v = v.max(0.0);
@@ -266,45 +227,13 @@ impl Layer for ConvBnRelu {
         assert!(batch > 0, "empty batch");
         assert_eq!(x.rank(), 4, "batched ConvBnRelu expects [B, H, W, C]");
         let geo = self.geometry(&x.dims()[1..]);
-        let positions = geo.positions();
-        let fan_in = geo.fan_in();
-        let rows = batch * positions;
-        // The whole unit for the whole batch in one pass: a single
-        // `gemm_prepacked` over the stacked im2col matrix streams each
-        // packed weight panel once per *batch* instead of once per frame —
-        // the panel-reuse amortization that motivates batching. Per-row
-        // accumulation order and the fused epilogue are unchanged, so each
-        // frame's slice is bit-identical to the single-frame inference path.
-        self.ensure_packed();
-        let ep = Epilogue {
-            bias: Some(self.bias.value.data()),
-            scale_shift: Some((&self.norm.scale, &self.norm.shift)),
-            relu: true,
-        };
-        let mut out = ws.take(&[rows, self.out_c]);
-        if self.packed_weights.precision() == Precision::Int8Act {
-            // Whole-int8 batch: per-frame quantization + u8 gather into
-            // consecutive row ranges, one GEMM for the whole batch.
-            crate::layers::int8act::forward_int8act(
-                x.data(),
-                batch,
-                &geo,
-                &self.packed_weights,
-                out.data_mut(),
-                self.out_c,
-                ep,
-            );
-        } else if self.k == 1 && self.stride == 1 {
-            // Stacked HWC frames are already the stacked im2col matrix.
-            self.packed_weights
-                .gemm(x.data(), out.data_mut(), rows, self.in_c, self.out_c, ep);
-        } else {
-            let mut cols = ws.take(&[rows, fan_in]);
-            im2col_batch_into(x, batch, &geo, &mut cols);
-            self.packed_weights
-                .gemm(cols.data(), out.data_mut(), rows, fan_in, self.out_c, ep);
-            ws.recycle(cols);
-        }
+        // One GEMM streams each packed weight panel once per *batch*
+        // instead of once per frame — the panel-reuse amortization that
+        // motivates batching. Per-row accumulation order and the fused
+        // epilogue are unchanged, so each frame's slice is bit-identical to
+        // the single-frame inference path.
+        let mut out = ws.take(&[batch * geo.positions(), self.out_c]);
+        self.infer(x.data(), batch, &geo, out.data_mut());
         out.reshape_to(&[batch, geo.out_h, geo.out_w, self.out_c]);
         out
     }
@@ -387,11 +316,12 @@ impl Layer for ConvBnRelu {
             .map(|x| {
                 let geo = self.geometry(x.dims());
                 let mut out = ws.take(&[geo.positions(), self.out_c]);
+                let w = GemmB::InPlace(self.weight.value.data());
                 let ep = Epilogue {
                     bias: Some(self.bias.value.data()),
                     ..Epilogue::default()
                 };
-                self.run_gemm(x, &geo, &mut out, ep, &mut ws, false, false);
+                conv_gemm(x.data(), &geo, w, out.data_mut(), self.out_c, ep);
                 out.reshape_to(&[geo.out_h, geo.out_w, self.out_c]);
                 out
             })

@@ -112,8 +112,8 @@ impl Sequential {
 
     /// Runs the full network over a batch of stacked inputs
     /// (`x: [batch, …]`) with every intermediate drawn from `ws`. Each
-    /// layer executes **once** for the whole batch (one GEMM over the
-    /// stacked im2col matrix for the convolution layers), and row `b` of the
+    /// layer executes **once** for the whole batch (one GEMM over all the
+    /// frames' output rows for the convolution layers), and row `b` of the
     /// result is bit-identical to [`Self::forward_ws`] on frame `b` alone.
     /// Inference only.
     pub fn forward_batch_ws(&mut self, x: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {

@@ -2,10 +2,11 @@
 //!
 //! This crate is the numeric substrate under `ff-nn`: contiguous row-major
 //! tensors (HWC layout for images and feature maps), an
-//! [im2col](im2col()) lowering for convolutions — including a batched
-//! variant ([`im2col_batch_into`]) that stacks several frames' patch
-//! matrices row-wise so a whole batch becomes one GEMM per layer — and a
-//! packed, cache-blocked, optionally multi-threaded [GEMM](matmul()).
+//! [im2col](im2col()) lowering for convolutions — materialised for
+//! training only; inference gathers patches a strip at a time inside the
+//! GEMM ([`conv_gemm`]), one GEMM per layer however many frames are
+//! stacked — and a register-tiled, optionally multi-threaded
+//! [GEMM](matmul()).
 //! Static weights are prepacked at one of two precisions ([`Precision`]):
 //! f32 panels for the f32 FMA kernels, or whole-int8 — s8 panels against
 //! dynamically quantized u8 activations, accumulated in i32 — which
@@ -35,10 +36,11 @@
 //! Streaming inference reuses buffers across frames through a [`Workspace`]
 //! arena: kernels with `_into` variants ([`matmul_into`], [`im2col_into`],
 //! [`gemm`]) write into caller-provided buffers, and `ff-nn` layers route
-//! every intermediate (im2col matrices, GEMM outputs, activations) through
-//! the arena. After one warm-up frame, a forward pass performs zero heap
-//! allocations; the f32 GEMM itself owns no scratch at all (it reads `B`
-//! where the caller keeps it, or from panels the caller packed).
+//! every intermediate (GEMM outputs, activations) through the arena. After
+//! one warm-up frame, a forward pass performs zero heap allocations; the
+//! f32 GEMM reads `B` where the caller keeps it, or from panels the caller
+//! packed, and its only scratch is a convolution's strip of patch rows — on
+//! the stack, or a per-thread buffer for fan-ins past 512.
 //!
 //! # Example
 //!
@@ -62,9 +64,7 @@ pub mod parallel;
 mod tensor;
 mod workspace;
 
-pub use im2col::{
-    col2im, im2col, im2col_batch_into, im2col_into, im2col_u8_into, Conv2dGeometry, Padding,
-};
+pub use im2col::{col2im, im2col, im2col_into, im2col_u8_into, Conv2dGeometry, Padding};
 pub use init::{glorot_uniform, he_normal, uniform};
 pub use lowp::{
     gemm_prepacked_i8i8, i8i8_groups, i8i8_padded_k, pack_b_panels_i8i8_into,
@@ -72,8 +72,8 @@ pub use lowp::{
     quantize_map_u8_into, PackedPanels, Precision, I8I8_GROUP_SIZE,
 };
 pub use matmul::{
-    gemm, gemm_fused, gemm_prepacked, matmul, matmul_into, matmul_transpose_a, matmul_transpose_b,
-    pack_b_panels_into, packed_panels_len, Epilogue,
+    conv_gemm, gemm, gemm_fused, gemm_prepacked, matmul, matmul_into, matmul_transpose_a,
+    matmul_transpose_b, pack_b_panels_into, packed_panels_len, Epilogue, GemmB,
 };
 pub use parallel::PoolShard;
 pub use tensor::Tensor;

@@ -41,8 +41,11 @@
 //! without AVX-512 can run) and under `#[target_feature(enable =
 //! "avx512f")]` (`zmm`, 8 rows × 32 columns, two adjacent panels). The
 //! driver picks between them once per call from
-//! `is_x86_feature_detected!("avx512f")`; nothing else — no option, feature
-//! or environment variable — reaches either. A wider vector holds more
+//! `is_x86_feature_detected!("avx512f")` and the column count — an output
+//! of eight columns or fewer (the α = 0.25 stem) fills one `ymm` vector and
+//! half a `zmm`, and eight rows of `ymm` chains measured 1.4× the masked
+//! `zmm` tile there — and nothing else: no option, feature or environment
+//! variable reaches either. A wider vector holds more
 //! columns, not a different sum: each lane is one output element's
 //! ascending-`k` FMA chain either way, so a given build produces the same
 //! bits on an AVX-512 host, on a plain AVX2 host, and from the portable
@@ -59,8 +62,9 @@
 //! bit-for-bit identical across `set_threads(1..)` and equal to the naive
 //! triple loop.
 
+use crate::im2col::PatchWalker;
 use crate::parallel::{parallel_row_blocks_mut, parallel_rows_mut, threads};
-use crate::Tensor;
+use crate::{Conv2dGeometry, Tensor};
 
 /// Tile height of the portable f32 kernel and of the scalar and `ymm`
 /// whole-int8 walks in [`crate::lowp`] (the SIMD tiles of both GEMMs carry
@@ -202,7 +206,110 @@ pub fn gemm_fused(
     n: usize,
     ep: Epilogue,
 ) {
-    F32Gemm::in_place(a, b, m, k, n, ep).run(out);
+    F32Gemm::new(a, GemmB::InPlace(b), m, k, n, ep).run(out);
+}
+
+/// A `[K, N]` right-hand operand, in either place the f32 tile reads one.
+#[derive(Clone, Copy)]
+pub enum GemmB<'a> {
+    /// The caller's row-major matrix, read where it is.
+    InPlace(&'a [f32]),
+    /// Panels written by [`pack_b_panels_into`].
+    Packed(&'a [f32]),
+}
+
+/// A convolution over stacked HWC frames (`x: [frames, in_h, in_w, in_c]`)
+/// as one GEMM with a fused [`Epilogue`]: `out[frames·positions, n]`, row
+/// `f·positions + p` the output cell `p` of frame `f`. The `[rows, fan_in]`
+/// patch matrix never exists: each thread's row block gathers a strip of
+/// patch rows at a time ([`crate::im2col`]'s walker) and runs the register
+/// tiles on it while it is in L1 — one pool dispatch per layer. A 1×1
+/// stride-1 kernel's patch matrix is the input itself and is read in place.
+///
+/// Every output element is the same ascending-`k` chain over the same taps
+/// as [`crate::im2col_into`] followed by [`gemm_fused`] (or
+/// [`gemm_prepacked`]), so the results are bit-identical to those, for any
+/// frame count and thread count.
+///
+/// # Panics
+///
+/// Panics if `x` is not whole frames of `geo`, or on any [`gemm_fused`] /
+/// [`gemm_prepacked`] shape mismatch.
+pub fn conv_gemm(
+    x: &[f32],
+    geo: &Conv2dGeometry,
+    b: GemmB,
+    out: &mut [f32],
+    n: usize,
+    ep: Epilogue,
+) {
+    let (k, frame_len) = (geo.fan_in(), geo.in_h * geo.in_w * geo.in_c);
+    assert!(
+        frame_len > 0 && x.len().is_multiple_of(frame_len),
+        "conv input is not whole frames"
+    );
+    let m = x.len() / frame_len * geo.positions();
+    if k == geo.in_c && geo.positions() * k == frame_len {
+        return F32Gemm::new(x, b, m, k, n, ep).run(out);
+    }
+    assert_eq!(out.len(), m * n, "gemm C buffer");
+    // Validated once against no rows; every strip is this product over
+    // the rows it holds.
+    let g = F32Gemm::new(&[], b, 0, k, n, ep);
+    let strip_rows = (STRIP_LEN / k / STRIP_TILE * STRIP_TILE).max(STRIP_TILE);
+    row_blocks(out, n, |row0, block, wide| {
+        let mut walker = PatchWalker::new(x, geo, 0.0, row0);
+        with_strip(strip_rows * k, |strip| {
+            for chunk in block.chunks_mut(strip_rows * n) {
+                let rows = chunk.len() / n;
+                let a = &mut strip[..rows * k];
+                walker.fill(a, k);
+                f32_rows(&F32Gemm { a, m: rows, ..g }, chunk, 0, wide);
+            }
+        });
+    });
+}
+
+/// Floats in the stack strip [`conv_gemm`] gathers patch rows into: 16 KB,
+/// half of L1d beside the `B` columns and output rows a tile touches.
+const STRIP_LEN: usize = 4096;
+/// A strip holds whole tiles of rows: a multiple of the tallest tile, and
+/// never less than one (a longer `k` takes the thread's heap strip).
+const STRIP_TILE: usize = 8;
+
+thread_local! {
+    /// The strip for `k > STRIP_LEN / STRIP_TILE`; grows to the longest
+    /// such row this thread has served, then stays.
+    static LONG_STRIP: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on a scratch strip of at least `len` floats, stale contents
+/// and all: on the stack if that holds it, else this thread's heap strip.
+fn with_strip(len: usize, f: impl FnOnce(&mut [f32])) {
+    if len <= STRIP_LEN {
+        f(&mut [0.0; STRIP_LEN]);
+    } else {
+        LONG_STRIP.with(|strip| {
+            let strip = &mut *strip.borrow_mut();
+            if strip.len() < len {
+                strip.resize(len, 0.0);
+            }
+            f(strip);
+        });
+    }
+}
+
+/// Hands `out` (`[rows, n]`) to `f` in row blocks — over the thread pool
+/// when the output is big enough — with each block's first row and whether
+/// this build and CPU take the `zmm` tile.
+fn row_blocks(out: &mut [f32], n: usize, f: impl Fn(usize, &mut [f32], bool) + Sync) {
+    let wide = avx512_available();
+    let t = if out.len() >= MIN_ELEMS_FOR_THREADS {
+        threads()
+    } else {
+        1
+    };
+    parallel_row_blocks_mut(out, n, t, |row0, block| f(row0, block, wide));
 }
 
 /// Length of the panel buffer [`pack_b_panels_into`] needs for a `[K, N]`
@@ -251,7 +358,7 @@ pub fn gemm_prepacked(
     n: usize,
     ep: Epilogue,
 ) {
-    F32Gemm::prepacked(a, packed_b, m, k, n, ep).run(out);
+    F32Gemm::new(a, GemmB::Packed(packed_b), m, k, n, ep).run(out);
 }
 
 /// Where a GEMM's `B` lives, as the tile addresses it: element `(kk, j)` of
@@ -275,8 +382,9 @@ impl BMatrix<'_> {
     }
 }
 
-/// One f32 GEMM's operands and geometry, validated once by its two
-/// constructors so the row walkers and tiles index without re-checking.
+/// One f32 GEMM's operands and geometry, validated once by [`Self::new`] so
+/// the row walkers and tiles index without re-checking.
+#[derive(Clone, Copy)]
 struct F32Gemm<'a> {
     a: &'a [f32],
     b: BMatrix<'a>,
@@ -287,64 +395,32 @@ struct F32Gemm<'a> {
 }
 
 impl<'a> F32Gemm<'a> {
-    /// `a[m, k]` against panels written by [`pack_b_panels_into`].
+    /// `a[m, k]` against `b[k, n]`.
     ///
     /// # Panics
     ///
-    /// As [`gemm_prepacked`], short of the output buffer.
-    fn prepacked(
-        a: &'a [f32],
-        packed_b: &'a [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        ep: Epilogue<'a>,
-    ) -> Self {
-        assert_eq!(
-            packed_b.len(),
-            packed_panels_len(k, n),
-            "gemm packed-B buffer"
-        );
-        let b = BMatrix {
-            data: packed_b,
-            ldb: NR,
-            panel_stride: NR * k,
-            padded: true,
+    /// As [`gemm_fused`] or [`gemm_prepacked`], short of the output buffer.
+    fn new(a: &'a [f32], b: GemmB<'a>, m: usize, k: usize, n: usize, ep: Epilogue<'a>) -> Self {
+        let b = match b {
+            GemmB::InPlace(data) => {
+                assert_eq!(data.len(), k * n, "gemm B buffer");
+                BMatrix {
+                    data,
+                    ldb: n,
+                    panel_stride: NR,
+                    padded: false,
+                }
+            }
+            GemmB::Packed(data) => {
+                assert_eq!(data.len(), packed_panels_len(k, n), "gemm packed-B buffer");
+                BMatrix {
+                    data,
+                    ldb: NR,
+                    panel_stride: NR * k,
+                    padded: true,
+                }
+            }
         };
-        Self::checked(a, b, m, k, n, ep)
-    }
-
-    /// `a[m, k]` against a row-major `b[k, n]`, read where it is.
-    ///
-    /// # Panics
-    ///
-    /// As [`gemm_fused`], short of the output buffer.
-    fn in_place(
-        a: &'a [f32],
-        b: &'a [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        ep: Epilogue<'a>,
-    ) -> Self {
-        assert_eq!(b.len(), k * n, "gemm B buffer");
-        let b = BMatrix {
-            data: b,
-            ldb: n,
-            panel_stride: NR,
-            padded: false,
-        };
-        Self::checked(a, b, m, k, n, ep)
-    }
-
-    fn checked(
-        a: &'a [f32],
-        b: BMatrix<'a>,
-        m: usize,
-        k: usize,
-        n: usize,
-        ep: Epilogue<'a>,
-    ) -> Self {
         assert_eq!(a.len(), m * k, "gemm A buffer");
         if let Some(b) = ep.bias {
             assert!(b.len() >= n, "epilogue bias too short");
@@ -358,9 +434,8 @@ impl<'a> F32Gemm<'a> {
         F32Gemm { a, b, m, k, n, ep }
     }
 
-    /// Computes `out[m, n]`: row blocks over the thread pool when the
-    /// output is big enough, each walked by the tile this build and CPU
-    /// select.
+    /// Computes `out[m, n]`, each row block walked by the tile this build
+    /// and CPU select.
     fn run(&self, out: &mut [f32]) {
         let (m, n) = (self.m, self.n);
         assert_eq!(out.len(), m * n, "gemm C buffer");
@@ -372,13 +447,9 @@ impl<'a> F32Gemm<'a> {
             self.ep.apply(out, n);
             return;
         }
-        let wide = avx512_available();
-        let t = if m * n >= MIN_ELEMS_FOR_THREADS {
-            threads()
-        } else {
-            1
-        };
-        parallel_row_blocks_mut(out, n, t, |row0, block| f32_rows(self, block, row0, wide));
+        row_blocks(out, n, |row0, block, wide| {
+            f32_rows(self, block, row0, wide)
+        });
     }
 
     /// Rows in `block`, which must be whole output rows `row0..` of this
@@ -414,14 +485,14 @@ fn avx512_available() -> bool {
 }
 
 /// Computes `block` (rows `row0..`) of an f32 GEMM, epilogue included,
-/// with the tile the build and `wide` select.
+/// with the tile the build, `wide` and the column count select.
 fn f32_rows(g: &F32Gemm, block: &mut [f32], row0: usize, wide: bool) {
     #[cfg(all(
         target_arch = "x86_64",
         target_feature = "avx2",
         target_feature = "fma"
     ))]
-    if wide {
+    if wide && g.n > 8 {
         // SAFETY: `wide` is only ever true when `avx512_available()` saw
         // AVX-512F on this CPU.
         unsafe { simd::f32_rows_zmm(g, block, row0) }
@@ -503,7 +574,7 @@ fn micro_kernel_mr_generic(
     target_feature = "fma"
 ))]
 pub(crate) mod simd {
-    use super::{Epilogue, F32Gemm, NR};
+    use super::{Epilogue, F32Gemm};
     use std::arch::x86_64::*;
 
     /// The vector type an [`f32_tile`] instantiation computes in: `LANES`
@@ -515,7 +586,8 @@ pub(crate) mod simd {
     /// Every method requires the instruction set of the implementing type
     /// (AVX2+FMA for `__m256`, AVX-512F for `__m512`); the pointer methods
     /// additionally require `LANES` readable (or writable) floats at `p`,
-    /// except [`Lanes::load_first`], which touches only the first `lanes`.
+    /// except [`Lanes::load_first`] and [`Lanes::store_first`], which touch
+    /// only the first `lanes`.
     pub(crate) trait Lanes: Copy {
         /// Output columns per vector.
         const LANES: usize;
@@ -529,6 +601,9 @@ pub(crate) mod simd {
         /// past `p + lanes` is not touched.
         unsafe fn load_first(p: *const f32, lanes: usize) -> Self;
         unsafe fn store(self, p: *mut f32);
+        /// Stores the first `lanes ≤ LANES` floats at `p`; memory past
+        /// `p + lanes` is not touched.
+        unsafe fn store_first(self, p: *mut f32, lanes: usize);
         /// `self · b + c`, fused.
         unsafe fn fmadd(self, b: Self, c: Self) -> Self;
         unsafe fn add(self, b: Self) -> Self;
@@ -559,15 +634,17 @@ pub(crate) mod simd {
         }
         #[inline(always)]
         unsafe fn load_first(p: *const f32, lanes: usize) -> Self {
-            // `vmaskmovps` reads a lane only where the mask's sign bit is
+            // `vmaskmovps` touches a lane only where the mask's sign bit is
             // set, and does not fault on the others.
-            let index = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes as i32), index);
-            unsafe { _mm256_maskload_ps(p, mask) }
+            unsafe { _mm256_maskload_ps(p, first_lanes_ymm(lanes)) }
         }
         #[inline(always)]
         unsafe fn store(self, p: *mut f32) {
             unsafe { _mm256_storeu_ps(p, self) }
+        }
+        #[inline(always)]
+        unsafe fn store_first(self, p: *mut f32, lanes: usize) {
+            unsafe { _mm256_maskstore_ps(p, first_lanes_ymm(lanes), self) }
         }
         #[inline(always)]
         unsafe fn fmadd(self, b: Self, c: Self) -> Self {
@@ -585,6 +662,17 @@ pub(crate) mod simd {
         unsafe fn max(self, b: Self) -> Self {
             _mm256_max_ps(self, b)
         }
+    }
+
+    /// The `vmaskmovps` mask of the first `lanes` lanes.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[inline(always)]
+    unsafe fn first_lanes_ymm(lanes: usize) -> __m256i {
+        let index = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes as i32), index)
     }
 
     impl Lanes for __m512 {
@@ -606,14 +694,19 @@ pub(crate) mod simd {
         }
         #[inline(always)]
         unsafe fn load_first(p: *const f32, lanes: usize) -> Self {
-            // A masked-off lane of an AVX-512 load is neither read nor
-            // able to fault.
+            // A masked-off lane of an AVX-512 load or store is neither
+            // touched nor able to fault.
             let mask = ((1u32 << lanes) - 1) as __mmask16;
             unsafe { _mm512_maskz_loadu_ps(mask, p) }
         }
         #[inline(always)]
         unsafe fn store(self, p: *mut f32) {
             unsafe { _mm512_storeu_ps(p, self) }
+        }
+        #[inline(always)]
+        unsafe fn store_first(self, p: *mut f32, lanes: usize) {
+            let mask = ((1u32 << lanes) - 1) as __mmask16;
+            unsafe { _mm512_mask_storeu_ps(p, mask, self) }
         }
         #[inline(always)]
         unsafe fn fmadd(self, b: Self, c: Self) -> Self {
@@ -707,8 +800,10 @@ pub(crate) mod simd {
         }
     }
 
-    /// Runs one [`f32_tile`] over the next of `left` rows — `V::ROWS` tall,
-    /// or 4 when that covers what is left — and returns how many it finished.
+    /// Runs one [`f32_tile`] over the next of `left` rows — `V::ROWS` tall
+    /// (8 when it is one vector wide: as many chains as the `ymm` tile's
+    /// 4 × 2), or 4 when that covers what is left — and returns how many it
+    /// finished.
     ///
     /// # Safety
     ///
@@ -725,7 +820,7 @@ pub(crate) mod simd {
         const { assert!(V::ROWS == 4 || V::ROWS == 8) };
         // SAFETY: forwarded from the caller; `mr` is at most `left`.
         unsafe {
-            if V::ROWS == 8 && left > 4 {
+            if (V::ROWS == 8 || NV == 1) && left > 4 {
                 let mr = left.min(8);
                 f32_tile::<V, 8, NV, MASKED>(g, block, a_row, c_row, mr, j0);
                 mr
@@ -807,8 +902,9 @@ pub(crate) mod simd {
     /// (`+ bias`, `·scale + shift` fused, `max 0` — the operations of
     /// [`Epilogue::apply`] in its order) on the accumulators, then the tile's
     /// only store, of its first `mr` rows at `block[c_row.., j0..]`. A tile
-    /// wider than the columns left spills its rows and finishes the real
-    /// columns with the scalar epilogue.
+    /// wider than the columns left does the same with lane-masked loads and
+    /// stores: each real column's lane sees the same operations, and nothing
+    /// past column `n` of the epilogue slices or of an output row is touched.
     ///
     /// # Safety
     ///
@@ -825,28 +921,28 @@ pub(crate) mod simd {
         mr: usize,
         j0: usize,
     ) {
-        const { assert!(NV * V::LANES <= 8 * NR) };
         let cols = (n - j0).min(NV * V::LANES);
-        // SAFETY: target features per the caller; a full-width tile has
-        // `j0 + NV·LANES ≤ n` epilogue entries and output columns, and a
-        // narrower one goes through `tmp` and bounds-checked slices.
+        let full = cols == NV * V::LANES;
+        // Real columns in vector `v` of a ragged tile (none, for a vector
+        // wholly past `n`).
+        let lanes = |v: usize| cols.saturating_sub(v * V::LANES).min(V::LANES);
+        // SAFETY: target features per the caller. Vector `v` covers columns
+        // `j0 + v·LANES..` of the epilogue slices and of an output row: all
+        // `LANES` of them are below `n` in a full tile, and a ragged one
+        // touches only the `lanes(v)` that are (the pointer itself may lie
+        // past the slice, hence `wrapping_add`).
         unsafe {
-            if cols < NV * V::LANES {
-                let ep = ep.columns_from(j0);
-                let mut tmp = [0.0f32; 8 * NR];
-                for (r, accr) in acc.iter().enumerate().take(mr) {
-                    for (v, acc) in accr.iter().enumerate() {
-                        acc.store(tmp.as_mut_ptr().add(v * V::LANES));
-                    }
-                    let dst = &mut block[(c_row + r) * n + j0..(c_row + r) * n + j0 + cols];
-                    dst.copy_from_slice(&tmp[..cols]);
-                    ep.apply(dst, cols);
+            let load = |s: &[f32], v: usize| {
+                let p = s.as_ptr().wrapping_add(j0 + v * V::LANES);
+                if full {
+                    V::load(p)
+                } else {
+                    V::load_first(p, lanes(v))
                 }
-                return;
-            }
+            };
             if let Some(bias) = ep.bias {
                 for v in 0..NV {
-                    let b = V::load(bias.as_ptr().add(j0 + v * V::LANES));
+                    let b = load(bias, v);
                     for accr in acc.iter_mut() {
                         accr[v] = accr[v].add(b);
                     }
@@ -854,8 +950,7 @@ pub(crate) mod simd {
             }
             if let Some((scale, shift)) = ep.scale_shift {
                 for v in 0..NV {
-                    let s = V::load(scale.as_ptr().add(j0 + v * V::LANES));
-                    let t = V::load(shift.as_ptr().add(j0 + v * V::LANES));
+                    let (s, t) = (load(scale, v), load(shift, v));
                     for accr in acc.iter_mut() {
                         accr[v] = accr[v].fmadd(s, t);
                     }
@@ -873,7 +968,12 @@ pub(crate) mod simd {
             let cp = block[c_row * n + j0..].as_mut_ptr();
             for (r, accr) in acc.iter().enumerate().take(mr) {
                 for (v, acc) in accr.iter().enumerate() {
-                    acc.store(cp.add(r * n + v * V::LANES));
+                    let p = cp.wrapping_add(r * n + v * V::LANES);
+                    if full {
+                        acc.store(p);
+                    } else {
+                        acc.store_first(p, lanes(v));
+                    }
                 }
             }
         }
@@ -1160,8 +1260,11 @@ mod tests {
         ep: Epilogue<'a>,
     ) -> [(&'static str, F32Gemm<'a>); 2] {
         [
-            ("prepacked", F32Gemm::prepacked(a, packed, m, k, n, ep)),
-            ("in place", F32Gemm::in_place(a, b, m, k, n, ep)),
+            (
+                "prepacked",
+                F32Gemm::new(a, GemmB::Packed(packed), m, k, n, ep),
+            ),
+            ("in place", F32Gemm::new(a, GemmB::InPlace(b), m, k, n, ep)),
         ]
     }
 
@@ -1177,14 +1280,14 @@ mod tests {
     #[test]
     fn f32_tile_instantiations_match_naive_bit_for_bit() {
         // Row counts on both sides of every tile height, column counts on
-        // both sides of one and two vectors of either width plus a
-        // many-panel ragged one, `k` from one step to the windowed MC's
+        // both sides of one and two vectors of either width, inside the
+        // first vector (the α = 0.25 stem's 8) plus a many-panel ragged one, `k` from one step to the windowed MC's
         // 1440 — each instantiation against the naive chain, from packed
         // panels and in place, whole and in row blocks with a short last
         // one. Rows are independent, so the 19-row product is the
         // reference for every shorter `m`.
         let tiles = tile_instantiations();
-        for n in [1, 15, 16, 17, 31, 32, 33, 200] {
+        for n in [1, 3, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 200] {
             for k in [1, 27, 64, 1440] {
                 let a = random(vec![19, k], (n * 7 + k) as u64);
                 let b = random(vec![k, n], (n * 13 + k + 1) as u64);
@@ -1210,39 +1313,112 @@ mod tests {
     #[test]
     fn f32_tile_epilogues_match_scalar_apply() {
         // Every epilogue combination, applied by each instantiation to its
-        // registers (full-width tiles) or through the spill path (ragged
-        // ones), against `Epilogue::apply` on the naive product.
+        // registers — whole vectors in a full-width tile, lane-masked in a
+        // ragged one — against `Epilogue::apply` on the naive product. The
+        // epilogue slices hold exactly `n` entries and end at a guard page,
+        // so a masked load that reads past column `n` faults.
         let tiles = tile_instantiations();
-        for &(m, k, n) in &[
-            (1, 27, 200),
-            (5, 9, 15),
-            (8, 64, 32),
-            (13, 27, 33),
-            (19, 5, 200),
+        let ns = [1, 3, 8, 9, 15, 24, 32, 33, 40, 200];
+        println!("matmul: ragged and full epilogues at n = {ns:?}, all 8 combinations each");
+        for n in ns {
+            for (m, k) in [(1, 27), (5, 9), (8, 64), (13, 27), (19, 5)] {
+                let a = random(vec![m, k], 31);
+                let b = random(vec![k, n], 32);
+                let bias = GuardedTail::new(random(vec![n], 33).data());
+                let scale = GuardedTail::new(random(vec![n], 34).data());
+                let shift = GuardedTail::new(random(vec![n], 35).data());
+                let plain = naive(&a, &b);
+                let packed = pack(b.data(), k, n);
+                for bits in 0..8u32 {
+                    let ep = Epilogue {
+                        bias: (bits & 1 != 0).then_some(bias.as_slice()),
+                        scale_shift: (bits & 2 != 0)
+                            .then_some((scale.as_slice(), shift.as_slice())),
+                        relu: bits & 4 != 0,
+                    };
+                    let mut want = plain.clone();
+                    ep.apply(want.data_mut(), n);
+                    let want: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
+                    for (source, g) in b_sources(a.data(), (&packed, b.data()), (m, k, n), ep) {
+                        for &(name, walk) in &tiles {
+                            assert!(
+                                walk_in_blocks(walk, &g, m) == want,
+                                "{name} {source} {m}x{k}x{n} ep={bits:03b}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv_gemm_matches_materialised_im2col_then_gemm() {
+        // The fused convolution against `im2col_into` + `gemm_prepacked` /
+        // `gemm_fused`, bit for bit: the stem at the three ffbench
+        // geometries (n = 8 ends inside the first vector), the windowed
+        // MC's 3×3×160 tail (k = 1440: the heap strip, eight rows of a
+        // 25-row map) and a 1×1 (read in place), one frame and three
+        // (3·512 rows is no multiple of the 144-row strip, and the walk
+        // crosses frames mid-strip), at thread counts that split the rows
+        // unevenly.
+        use crate::parallel::set_threads;
+        use crate::{im2col_into, Padding};
+        for &((h, w, c), k, stride, n) in &[
+            ((32, 64, 3), 3, 2, 8),
+            ((67, 120, 3), 3, 2, 16),
+            ((270, 480, 3), 3, 2, 32),
+            ((5, 5, 160), 3, 1, 32),
+            ((7, 9, 24), 1, 1, 40),
         ] {
-            let a = random(vec![m, k], 31);
-            let b = random(vec![k, n], 32);
-            let bias = random(vec![n], 33);
-            let (scale, shift) = (random(vec![n], 34), random(vec![n], 35));
-            let plain = naive(&a, &b);
-            let packed = pack(b.data(), k, n);
-            for bits in 0..8u32 {
-                let ep = Epilogue {
-                    bias: (bits & 1 != 0).then_some(bias.data()),
-                    scale_shift: (bits & 2 != 0).then_some((scale.data(), shift.data())),
-                    relu: bits & 4 != 0,
-                };
-                let mut want = plain.clone();
-                ep.apply(want.data_mut(), n);
-                let want: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
-                for (source, g) in b_sources(a.data(), (&packed, b.data()), (m, k, n), ep) {
-                    for &(name, walk) in &tiles {
+            let geo = Conv2dGeometry::resolve((h, w, c), (k, k), stride, Padding::Same);
+            let (positions, fan_in) = (geo.positions(), geo.fan_in());
+            let b = random(vec![fan_in, n], 51);
+            let packed = pack(b.data(), fan_in, n);
+            let (bias, scale, shift) = (
+                random(vec![n], 52),
+                random(vec![n], 53),
+                random(vec![n], 54),
+            );
+            let ep = Epilogue {
+                bias: Some(bias.data()),
+                scale_shift: Some((scale.data(), shift.data())),
+                relu: true,
+            };
+            for frames in [1, 3] {
+                let x = random(vec![frames, h, w, c], 55);
+                let rows = frames * positions;
+                let mut cols = Tensor::zeros(vec![rows, fan_in]);
+                for (f, cols) in cols.data_mut().chunks_mut(positions * fan_in).enumerate() {
+                    let frame = x.data()[f * h * w * c..(f + 1) * h * w * c].to_vec();
+                    let mut one = Tensor::zeros(vec![positions, fan_in]);
+                    im2col_into(&Tensor::from_vec(vec![h, w, c], frame), &geo, &mut one);
+                    cols.copy_from_slice(one.data());
+                }
+                let mut want = vec![0.0f32; rows * n];
+                gemm_prepacked(cols.data(), &packed, &mut want, rows, fan_in, n, ep);
+                let mut in_place = vec![0.0f32; rows * n];
+                gemm_fused(cols.data(), b.data(), &mut in_place, rows, fan_in, n, ep);
+                assert!(want == in_place, "references disagree");
+                for t in [1, 2, 8] {
+                    set_threads(t);
+                    for (source, b) in [
+                        ("prepacked", GemmB::Packed(&packed)),
+                        ("in place", GemmB::InPlace(b.data())),
+                    ] {
+                        let mut got = vec![f32::NAN; rows * n];
+                        conv_gemm(x.data(), &geo, b, &mut got, n, ep);
+                        let same = got
+                            .iter()
+                            .zip(&want)
+                            .all(|(g, w)| g.to_bits() == w.to_bits());
                         assert!(
-                            walk_in_blocks(walk, &g, m) == want,
-                            "{name} {source} {m}x{k}x{n} ep={bits:03b}"
+                            same,
+                            "{source} {h}x{w}x{c} k{k} n{n} frames {frames} threads {t}"
                         );
                     }
                 }
+                set_threads(0);
             }
         }
     }
@@ -1319,6 +1495,21 @@ mod tests {
         }
     }
 
+    /// Elsewhere: the same values without the guard page.
+    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+    struct GuardedTail(Vec<f32>);
+
+    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+    impl GuardedTail {
+        fn new(values: &[f32]) -> Self {
+            GuardedTail(values.to_vec())
+        }
+
+        fn as_slice(&self) -> &[f32] {
+            &self.0
+        }
+    }
+
     #[test]
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     fn f32_tile_in_place_b_is_not_read_past_its_end() {
@@ -1332,7 +1523,8 @@ mod tests {
             let b = random(vec![k, n], 42);
             let want: Vec<u32> = naive(&a, &b).data().iter().map(|v| v.to_bits()).collect();
             let guarded = GuardedTail::new(b.data());
-            let g = F32Gemm::in_place(a.data(), guarded.as_slice(), m, k, n, Epilogue::default());
+            let b = GemmB::InPlace(guarded.as_slice());
+            let g = F32Gemm::new(a.data(), b, m, k, n, Epilogue::default());
             for &(name, walk) in &tiles {
                 assert!(walk_in_blocks(walk, &g, m) == want, "{name} {m}x{k}x{n}");
             }

@@ -5,8 +5,9 @@
 //! intermediate buffer needed for frame `t + 1` has an identically-sized
 //! twin freed at frame `t`. A `Workspace` holds those freed tensors —
 //! data buffer *and* shape vector — and hands them back on request, so a
-//! warmed-up forward pass performs **zero heap allocations**: im2col
-//! matrices, GEMM outputs, and activations all cycle through the arena.
+//! warmed-up forward pass performs **zero heap allocations**: GEMM outputs
+//! and activations (and, in training, im2col matrices) all cycle through
+//! the arena.
 //!
 //! The arena is deliberately dumb — a capacity-sorted free list — because
 //! the working set is small (a handful of distinct shapes per network) and

@@ -3,7 +3,7 @@
 //! extract → MC → smoothing as concurrent jobs on one worker pool — and
 //! one shared bandwidth-constrained uplink. Pass `--batched` to gather all
 //! cameras' frames into one shared batched base-DNN pass per round (one
-//! GEMM over the stacked im2col matrix per layer) instead.
+//! GEMM over all the frames' output rows per layer) instead.
 //!
 //! ```sh
 //! cargo run --release --example multi_stream [-- --streams 4 --frames 60 --batched]

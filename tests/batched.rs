@@ -3,8 +3,8 @@
 //! size × thread count × shard layout, and the gather-batch [`EdgeNode`]
 //! must reproduce the serial `FilterForward::process` verdicts exactly.
 //!
-//! This is the acceptance contract of cross-stream batching: stacking N
-//! frames' im2col matrices into one GEMM per layer amortizes weight-panel
+//! This is the acceptance contract of cross-stream batching: computing N
+//! frames' output rows in one GEMM per layer amortizes weight-panel
 //! streaming but computes every output element from its own frame's data in
 //! the same accumulation order, so batch composition — like sharding and
 //! thread count before it — moves *where and how often* memory is touched,

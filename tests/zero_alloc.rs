@@ -75,9 +75,23 @@ fn extractor_and_mc_loop_are_allocation_free_after_warmup() {
         }),
         2,
     );
+    // The windowed MC's first temporal conv has a fan-in of 1440: eight of
+    // its patch rows are past the fused convolution's stack strip, so this
+    // also pins that the per-thread strip stops growing after warm-up.
+    let windowed = McSpec::windowed(
+        "win",
+        Some(ff_data::CropRect {
+            x0: 0.2,
+            y0: 0.1,
+            x1: 0.8,
+            y1: 0.9,
+        }),
+        3,
+    );
     let mut mcs = vec![
         full.build(&extractor, res, ff_core::McId(0)),
         localized.build(&extractor, res, ff_core::McId(1)),
+        windowed.build(&extractor, res, ff_core::McId(2)),
     ];
 
     let frame = Tensor::filled(vec![res.height, res.width, 3], 0.4);

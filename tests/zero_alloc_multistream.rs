@@ -9,7 +9,7 @@
 //!
 //! The second test pins the same contract for the **gather-batch** hot
 //! path: one shared batched base-DNN pass over several streams' frames
-//! (stacked input, batched im2col, one GEMM per layer, per-frame tap
+//! (stacked input, one GEMM per layer, per-frame tap
 //! splits) plus the per-stream MC fanout, all cycling through the batch
 //! extractor's workspace.
 //!
@@ -164,7 +164,7 @@ fn gather_batch_extraction_and_mc_fanout_are_allocation_free_after_warmup() {
     let shard = PoolShard::new(2);
 
     // Warm-up: workspace growth to the batched steady-state set (stacked
-    // input, batched im2col, per-frame tap copies), smoothing windows,
+    // input, per-frame tap copies), smoothing windows,
     // shard worker spawn, pack-buffer growth.
     for _ in 0..10 {
         shard.run(|| {
