@@ -162,15 +162,18 @@ impl FeatureExtractor {
     }
 
     /// Runs the base DNN on one frame tensor (HWC, `[0,1]`), producing all
-    /// registered taps. Executes only to the deepest tap.
+    /// registered taps: [`Sequential::infer_taps`] at one frame, over the
+    /// tap indices resolved at construction, so it executes only to the
+    /// deepest tap.
     ///
     /// The returned maps are owned by the extractor and overwritten by the
     /// next call; `clone` them to keep a frame's activations. Every buffer
     /// involved is drawn from the extractor's workspace, so steady-state
     /// extraction allocates nothing.
     pub fn extract(&mut self, frame: &Tensor) -> &FeatureMaps {
-        self.net.forward_taps_indices_ws(
+        self.net.infer_taps(
             frame,
+            1,
             &self.tap_indices,
             &mut self.ws,
             &mut self.maps.tensors,
@@ -182,13 +185,14 @@ impl FeatureExtractor {
     /// consecutive frames, or one frame from each of several streams — and
     /// returns per-frame [`FeatureMaps`] aligned with `frames`.
     ///
-    /// The frames are stacked and every layer executes as a single batched
-    /// kernel (per convolution one GEMM over every frame's output rows, its
-    /// patches gathered a strip at a time — no stacked im2col matrix), so
-    /// each packed weight panel is streamed through cache once per *batch*
-    /// instead of once per frame. Frame `b`'s maps are
-    /// **bit-identical** to what [`Self::extract`] would produce for that
-    /// frame alone.
+    /// The frames are stacked and go through [`Sequential::infer_taps`] at
+    /// their count, the same walk [`Self::extract`] takes at one: every
+    /// layer runs once for all of them (per convolution one GEMM over every
+    /// frame's output rows, its patches gathered a strip at a time — no
+    /// stacked im2col matrix), so each packed weight panel is streamed
+    /// through cache once per *batch* instead of once per frame. Frame
+    /// `b`'s maps are **bit-identical** to what [`Self::extract`] would
+    /// produce for that frame alone.
     ///
     /// The returned maps are owned by the extractor and overwritten by the
     /// next batched call; every buffer (the stacked input, all
@@ -218,11 +222,13 @@ impl FeatureExtractor {
             }
         }
         let frame_len: usize = fd.iter().product();
-        let mut stacked = self.ws.take(&[batch, fd[0], fd[1], fd[2]]);
+        // One frame has no leading frame count.
+        let dims = [batch, fd[0], fd[1], fd[2]];
+        let mut stacked = self.ws.take(&dims[usize::from(batch == 1)..]);
         for (b, f) in frames.iter().enumerate() {
             stacked.data_mut()[b * frame_len..(b + 1) * frame_len].copy_from_slice(f.data());
         }
-        self.net.forward_taps_batch_indices_ws(
+        self.net.infer_taps(
             &stacked,
             batch,
             &self.tap_indices,

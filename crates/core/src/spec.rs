@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 use ff_data::CropRect;
 use ff_models::{FullFrameConfig, LocalizedConfig, WindowedClassifier, WindowedConfig};
 use ff_models::{LAYER_FULL_FRAME_TAP, LAYER_LOCALIZED_TAP};
-use ff_nn::{Phase, Sequential};
+use ff_nn::{Layer, Sequential};
 use ff_tensor::{Tensor, Workspace};
 use ff_video::Resolution;
 use serde::{Deserialize, Serialize};
@@ -298,15 +298,15 @@ impl McRuntime {
         let ws = &mut self.ws;
         match &mut self.model {
             McModel::Plain(net) => {
-                let out = net.forward_ws(fm, Phase::Inference, ws);
+                let out = net.infer(fm, 1, ws);
                 let logit = out.data()[0];
                 ws.recycle(out);
                 ff_nn::sigmoid(logit)
             }
             McModel::Windowed(wc) => {
-                let p = wc.project_ws(fm, Phase::Inference, ws);
+                let p = wc.project_ws(fm, 1, ws);
                 let window: Vec<&Tensor> = std::iter::repeat_n(&p, wc.window()).collect();
-                let out = wc.classify_window_ws(&window, Phase::Inference, ws);
+                let out = wc.classify_window_ws(&window, ws);
                 let logit = out.data()[0];
                 ws.recycle(out);
                 drop(window);
@@ -354,7 +354,7 @@ impl McRuntime {
         let ws = &mut self.ws;
         match &mut self.model {
             McModel::Plain(net) => {
-                let out = net.forward_ws(cropped_fm, Phase::Inference, ws);
+                let out = net.infer(cropped_fm, 1, ws);
                 let prob = ff_nn::sigmoid(out.data()[0]);
                 ws.recycle(out);
                 raw = Some((t, prob >= self.spec.threshold));
@@ -362,8 +362,7 @@ impl McRuntime {
             McModel::Windowed(wc) => {
                 let d = (wc.window() - 1) / 2;
                 let w = wc.window();
-                self.proj_buf
-                    .push_back(wc.project_ws(cropped_fm, Phase::Inference, ws));
+                self.proj_buf.push_back(wc.project_ws(cropped_fm, 1, ws));
                 if self.proj_buf.len() > w {
                     if let Some(old) = self.proj_buf.pop_front() {
                         ws.recycle(old);
@@ -400,7 +399,7 @@ impl McRuntime {
         let McModel::Windowed(wc) = &mut self.model else {
             unreachable!("classify_buffered only for windowed models");
         };
-        let out = wc.classify_window_ws(&window[..w], Phase::Inference, &mut self.ws);
+        let out = wc.classify_window_ws(&window[..w], &mut self.ws);
         let logit = out.data()[0];
         self.ws.recycle(out);
         ff_nn::sigmoid(logit)

@@ -239,9 +239,15 @@ impl WindowedClassifier {
         self.proj.forward(feature_map, phase)
     }
 
-    /// [`Self::project`] with buffers drawn from `ws`.
-    pub fn project_ws(&mut self, feature_map: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
-        self.proj.forward_ws(feature_map, phase, ws)
+    /// Inference-only [`Self::project`] over `frames` feature maps, laid
+    /// out as [`Layer::infer`] takes them, with buffers drawn from `ws`.
+    pub fn project_ws(
+        &mut self,
+        feature_maps: &Tensor,
+        frames: usize,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        self.proj.infer(feature_maps, frames, ws)
     }
 
     /// Classifies the center frame of a window of projected maps, returning
@@ -251,22 +257,27 @@ impl WindowedClassifier {
     ///
     /// Panics if `projected.len() != window`, or the maps disagree in shape.
     pub fn classify_window(&mut self, projected: &[&Tensor], phase: Phase) -> Tensor {
-        self.classify_window_ws(projected, phase, &mut Workspace::new())
+        let concat = self.concat_window(projected, &mut Workspace::new());
+        self.tail.forward(&concat, phase)
     }
 
-    /// [`Self::classify_window`] with the channel concatenation and every
-    /// tail intermediate drawn from `ws` — the streaming runtime's
-    /// allocation-free path.
+    /// Inference-only [`Self::classify_window`] with the channel
+    /// concatenation and every tail intermediate drawn from `ws` — the
+    /// streaming runtime's allocation-free path.
     ///
     /// # Panics
     ///
-    /// Panics if `projected.len() != window`, or the maps disagree in shape.
-    pub fn classify_window_ws(
-        &mut self,
-        projected: &[&Tensor],
-        phase: Phase,
-        ws: &mut Workspace,
-    ) -> Tensor {
+    /// As [`Self::classify_window`].
+    pub fn classify_window_ws(&mut self, projected: &[&Tensor], ws: &mut Workspace) -> Tensor {
+        let concat = self.concat_window(projected, ws);
+        let out = self.tail.infer(&concat, 1, ws);
+        ws.recycle(concat);
+        out
+    }
+
+    /// The channel concatenation of a window of projected maps, in a `ws`
+    /// buffer.
+    fn concat_window(&self, projected: &[&Tensor], ws: &mut Workspace) -> Tensor {
         assert_eq!(
             projected.len(),
             self.cfg.window,
@@ -278,12 +289,9 @@ impl WindowedClassifier {
             projected[0].dims()[1],
             projected[0].dims()[2],
         );
-        let n = projected.len();
-        let mut concat = ws.take(&[h, w, c * n]);
+        let mut concat = ws.take(&[h, w, c * projected.len()]);
         concat_channels_into(projected, &mut concat);
-        let out = self.tail.forward_ws(&concat, phase, ws);
-        ws.recycle(concat);
-        out
+        concat
     }
 
     /// Full training-mode backward pass for one window: the gradient flows

@@ -13,7 +13,7 @@
 //! depthwise chain goes through `ff_tensor`'s `fmadd`), never on the host.
 
 use ff_models::{FullFrameConfig, LocalizedConfig, WindowedConfig};
-use ff_nn::{Param, Phase, Sequential};
+use ff_nn::{Param, Sequential};
 use ff_tensor::{Tensor, Workspace};
 
 /// A seeded post-ReLU-looking `[h, w, c]` map: about a third exact zeros,
@@ -70,7 +70,7 @@ impl Digest {
 fn walk(net: &mut Sequential, x: &Tensor, ws: &mut Workspace, digest: &mut Digest) {
     let mut x = x.clone();
     for i in 0..net.len() {
-        let y = net.layer_at_mut(i).forward_ws(&x, Phase::Inference, ws);
+        let y = net.layer_at_mut(i).infer(&x, 1, ws);
         digest.add(&y);
         ws.recycle(std::mem::replace(&mut x, y));
     }
@@ -116,14 +116,14 @@ fn windowed() -> Digest {
     seed_biases(mc.params_mut(), 3);
     let (mut ws, mut digest) = (Workspace::new(), Digest::new());
     let projected: Vec<Tensor> = (0..7)
-        .map(|seed| mc.project_ws(&cropped_tap(60 + seed), Phase::Inference, &mut ws))
+        .map(|seed| mc.project_ws(&cropped_tap(60 + seed), 1, &mut ws))
         .collect();
     for p in &projected {
         digest.add(p);
     }
     for window in projected.windows(5) {
         let refs: Vec<&Tensor> = window.iter().collect();
-        digest.add(&mc.classify_window_ws(&refs, Phase::Inference, &mut ws));
+        digest.add(&mc.classify_window_ws(&refs, &mut ws));
     }
     digest
 }

@@ -20,78 +20,55 @@ pub enum Phase {
 /// A neural-network layer.
 ///
 /// Layers own their parameters and their backward caches; networks are plain
-/// sequences of boxed layers (see [`crate::Sequential`]). All tensors are HWC
-/// (rank 3) for spatial layers or rank 1 for vector layers — streaming video
-/// is batch-1 throughout, matching the paper's per-frame pipeline.
+/// sequences of boxed layers (see [`crate::Sequential`]). A frame is HWC
+/// (rank 3) for spatial layers or rank 1 for vector layers, and inference
+/// runs any number of frames at once: a frame is a batch of one.
 pub trait Layer: Send {
     /// Short human-readable type tag, e.g. `"conv2d"`.
     fn layer_type(&self) -> &'static str;
 
-    /// Runs the layer. In [`Phase::Train`] caches state for [`Self::backward`].
-    fn forward(&mut self, x: &Tensor, phase: Phase) -> Tensor;
-
-    /// Runs the layer with scratch buffers drawn from (and returned to) a
-    /// [`Workspace`].
+    /// Inference — the layer's only inference body — over `frames` frames
+    /// held back to back in `x`, with every buffer drawn from `ws`.
     ///
-    /// Semantics are identical to [`Self::forward`]; the returned tensor's
-    /// buffer may come from `ws`, and the caller is expected to
-    /// [`Workspace::recycle`] it once consumed — that cycle is what makes a
-    /// warmed-up streaming forward pass allocation-free. The default
-    /// implementation ignores `ws` and allocates like `forward`; hot layers
-    /// (convolutions, activations, pooling, dense) override it.
-    fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
-        let _ = ws;
-        self.forward(x, phase)
-    }
-
-    /// Runs the layer over a **batch** of stacked inputs in one inference
-    /// pass: `x` is `[batch, …frame dims…]` (frames contiguous) and the
-    /// result is `[batch, …out dims…]`.
-    ///
-    /// Row `b` of the output is **bit-identical** to
-    /// `forward_ws(frame b, Inference, ws)` — batching amortizes weight
-    /// traffic (one GEMM over all the frames' output rows streams each packed
-    /// panel once per batch instead of once per frame) but never changes a
-    /// single value, because every kernel computes each output element from
-    /// its own frame's data in a fixed accumulation order.
-    ///
-    /// Inference only; no training state is cached. The default
-    /// implementation splits the batch and runs `forward_ws` per frame
-    /// (correct for every layer, no amortization); the GEMM-backed layers
-    /// (convolutions, the fused MobileNet units) and the element-wise layers
-    /// override it with true batched kernels.
+    /// A tensor of one frame's shape is the `frames == 1` case and yields
+    /// that frame's output shape; more frames lead with the frame count
+    /// (`[frames, …frame dims…]` in, `[frames, …out dims…]` out). Frame `b`
+    /// of the output is **bit-identical** to running frame `b` alone:
+    /// every kernel computes each output element from its own frame's data
+    /// in a fixed accumulation order, so more frames only amortise weight
+    /// traffic (one GEMM over every frame's rows streams each weight panel
+    /// once). Nothing is cached for [`Self::backward`]. The returned
+    /// tensor's buffer may come from `ws`; [`Workspace::recycle`] it once
+    /// consumed, which keeps a warmed-up stream allocation-free.
     ///
     /// # Panics
     ///
-    /// Panics if `x`'s leading dimension is not `batch` or `batch == 0`.
-    fn forward_batch_ws(&mut self, x: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {
-        assert!(batch > 0, "empty batch");
-        assert_eq!(
-            x.dims().first(),
-            Some(&batch),
-            "batch tensor must lead with the batch dimension"
-        );
-        let frame_dims = &x.dims()[1..];
-        let frame_len: usize = frame_dims.iter().product();
-        let mut frame = ws.take(frame_dims);
-        let mut out: Option<Tensor> = None;
-        for b in 0..batch {
-            frame
-                .data_mut()
-                .copy_from_slice(&x.data()[b * frame_len..(b + 1) * frame_len]);
-            let y = self.forward_ws(&frame, Phase::Inference, ws);
-            let out = out.get_or_insert_with(|| {
-                let mut dims = Vec::with_capacity(y.rank() + 1);
-                dims.push(batch);
-                dims.extend_from_slice(y.dims());
-                ws.take(&dims)
-            });
-            let ylen = y.len();
-            out.data_mut()[b * ylen..(b + 1) * ylen].copy_from_slice(y.data());
-            ws.recycle(y);
+    /// Panics if `frames == 0`, or if `frames > 1` and `x` does not lead
+    /// with `frames`.
+    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor;
+
+    /// Runs the layer on one frame in [`Phase::Train`], caching state for
+    /// [`Self::backward`].
+    fn train(&mut self, x: &Tensor) -> Tensor;
+
+    /// Runs the layer on one frame in either phase: [`Self::infer`] with a
+    /// fresh workspace, or [`Self::train`].
+    fn forward(&mut self, x: &Tensor, phase: Phase) -> Tensor {
+        match phase {
+            Phase::Inference => self.infer(x, 1, &mut Workspace::new()),
+            Phase::Train => self.train(x),
         }
-        ws.recycle(frame);
-        out.expect("batch > 0")
+    }
+
+    /// [`Self::forward`] with inference buffers drawn from `ws`. No layer
+    /// overrides it and no workspace code but its test calls it: it exists
+    /// only because the `ffbench` package times layers through it (its
+    /// README, "Product functions the bench calls").
+    fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
+        match phase {
+            Phase::Inference => self.infer(x, 1, ws),
+            Phase::Train => self.train(x),
+        }
     }
 
     /// Pops the most recent cached forward state and back-propagates.
@@ -149,5 +126,34 @@ pub trait Layer: Send {
             .into_iter()
             .map(|x| self.forward(&x, Phase::Inference))
             .collect()
+    }
+}
+
+/// One frame's dims in an [`Layer::infer`] input of `frames` frames: all of
+/// `x`'s for one frame, the ones after the leading frame count otherwise.
+///
+/// # Panics
+///
+/// As [`Layer::infer`].
+pub(crate) fn frame_dims(x: &Tensor, frames: usize) -> &[usize] {
+    assert!(frames > 0, "no frames");
+    if frames == 1 {
+        return x.dims();
+    }
+    assert_eq!(
+        x.dims().first(),
+        Some(&frames),
+        "{frames} frames must lead with the frame count"
+    );
+    &x.dims()[1..]
+}
+
+/// The shape of `dims[0]` frames of shape `dims[1..]`, as [`Layer::infer`]
+/// lays them out: one frame has no leading frame count.
+pub(crate) fn stacked(dims: &[usize]) -> &[usize] {
+    if dims[0] == 1 {
+        &dims[1..]
+    } else {
+        dims
     }
 }

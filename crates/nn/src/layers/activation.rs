@@ -2,7 +2,7 @@
 
 use ff_tensor::{Tensor, Workspace};
 
-use crate::{Layer, Phase};
+use crate::Layer;
 
 /// Which nonlinearity an [`Activation`] layer applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,11 +47,8 @@ impl Layer for Activation {
         }
     }
 
-    fn forward(&mut self, x: &Tensor, phase: Phase) -> Tensor {
-        self.forward_ws(x, phase, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
+    /// Element-wise, so any number of frames is just a bigger buffer.
+    fn infer(&mut self, x: &Tensor, _frames: usize, ws: &mut Workspace) -> Tensor {
         let mut y = ws.take(x.dims());
         // One monomorphised loop per kind, so each vectorises; through a
         // `fn` pointer picked up front every element is an indirect call.
@@ -65,21 +62,18 @@ impl Layer for Activation {
             ActivationKind::Relu6 => map(y.data_mut(), x.data(), |v| v.clamp(0.0, 6.0)),
             ActivationKind::Sigmoid => map(y.data_mut(), x.data(), crate::loss::sigmoid),
         }
-        if phase == Phase::Train {
-            // ReLUs need the input sign; sigmoid needs the output. Cache
-            // whichever the backward formula uses.
-            self.cache.push(match self.kind {
-                ActivationKind::Sigmoid => y.clone(),
-                _ => x.clone(),
-            });
-        }
         y
     }
 
-    fn forward_batch_ws(&mut self, x: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {
-        // Element-wise: the stacked batch is just a bigger buffer.
-        assert_eq!(x.dims().first(), Some(&batch), "batch dimension mismatch");
-        self.forward_ws(x, Phase::Inference, ws)
+    fn train(&mut self, x: &Tensor) -> Tensor {
+        let y = self.infer(x, 1, &mut Workspace::new());
+        // ReLUs need the input sign; sigmoid needs the output. Cache
+        // whichever the backward formula uses.
+        self.cache.push(match self.kind {
+            ActivationKind::Sigmoid => y.clone(),
+            _ => x.clone(),
+        });
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -108,6 +102,7 @@ impl Layer for Activation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Phase;
 
     #[test]
     fn relu_clamps_negative() {

@@ -9,7 +9,9 @@ use ff_tensor::{
 };
 use rand::SeedableRng;
 
-use crate::{Layer, Param, Phase};
+use crate::layer::{frame_dims, stacked};
+use crate::layers::int8act::forward_int8act;
+use crate::{Layer, Param};
 
 /// A standard convolution over HWC inputs.
 ///
@@ -101,25 +103,6 @@ impl Conv2d {
         }
     }
 
-    /// Inference over `frames` stacked frames into `out`
-    /// (`[frames·positions, out_c]`): the fused f32 convolution against the
-    /// raw weights where they are, or — at [`Precision::Int8Act`] — the
-    /// whole-int8 pipeline against the panels, refreshed if the weights
-    /// changed. Each frame's rows are the same bits at any `frames`.
-    fn infer(&mut self, x: &[f32], frames: usize, geo: &Conv2dGeometry, out: &mut [f32]) {
-        if self.packed.precision() == Precision::F32 {
-            let w = GemmB::InPlace(self.weight.value.data());
-            return conv_gemm(x, geo, w, out, self.out_c, self.bias_epilogue());
-        }
-        if self.packed_epoch != self.weight_epoch {
-            self.packed
-                .repack(self.weight.value.data(), geo.fan_in(), self.out_c);
-            self.packed_epoch = self.weight_epoch;
-        }
-        let ep = self.bias_epilogue();
-        crate::layers::int8act::forward_int8act(x, frames, geo, &self.packed, out, self.out_c, ep);
-    }
-
     fn geometry(&self, in_shape: &[usize]) -> Conv2dGeometry {
         assert_eq!(
             in_shape.len(),
@@ -145,46 +128,47 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&mut self, x: &Tensor, phase: Phase) -> Tensor {
-        self.forward_ws(x, phase, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
-        let geo = self.geometry(x.dims());
-        let (positions, fan_in) = (geo.positions(), geo.fan_in());
-        let mut out = ws.take(&[positions, self.out_c]);
-        if phase == Phase::Inference {
-            self.infer(x.data(), 1, &geo, out.data_mut());
-        } else {
-            let mut cols = ws.take(&[positions, fan_in]);
-            im2col_into(x, &geo, &mut cols);
-            let w = self.weight.value.data();
+    /// The fused f32 convolution against the raw weights where they are,
+    /// or — at [`Precision::Int8Act`] — the whole-int8 pipeline against the
+    /// panels, refreshed if the weights changed: one GEMM over every
+    /// frame's output rows.
+    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+        let geo = self.geometry(frame_dims(x, frames));
+        let mut out = ws.take(&[frames * geo.positions(), self.out_c]);
+        if self.packed.precision() == Precision::F32 {
+            let w = GemmB::InPlace(self.weight.value.data());
             let ep = self.bias_epilogue();
-            gemm_fused(
-                cols.data(),
-                w,
-                out.data_mut(),
-                positions,
-                fan_in,
-                self.out_c,
-                ep,
-            );
-            self.cache.push((geo, cols));
+            conv_gemm(x.data(), &geo, w, out.data_mut(), self.out_c, ep);
+        } else {
+            if self.packed_epoch != self.weight_epoch {
+                self.packed
+                    .repack(self.weight.value.data(), geo.fan_in(), self.out_c);
+                self.packed_epoch = self.weight_epoch;
+            }
+            let (ep, n) = (self.bias_epilogue(), self.out_c);
+            forward_int8act(x.data(), frames, &geo, &self.packed, out.data_mut(), n, ep);
         }
-        out.reshape_to(&[geo.out_h, geo.out_w, self.out_c]);
+        out.reshape_to(stacked(&[frames, geo.out_h, geo.out_w, self.out_c]));
         out
     }
 
-    fn forward_batch_ws(&mut self, x: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {
-        assert!(batch > 0, "empty batch");
-        assert_eq!(x.rank(), 4, "batched Conv2d expects [B, H, W, C]");
-        let geo = self.geometry(&x.dims()[1..]);
-        // One GEMM for the whole batch; per-row accumulation order is
-        // unchanged, so each frame's rows stay bit-identical to the
-        // single-frame path.
-        let mut out = ws.take(&[batch * geo.positions(), self.out_c]);
-        self.infer(x.data(), batch, &geo, out.data_mut());
-        out.reshape_to(&[batch, geo.out_h, geo.out_w, self.out_c]);
+    fn train(&mut self, x: &Tensor) -> Tensor {
+        let geo = self.geometry(x.dims());
+        let (positions, fan_in) = (geo.positions(), geo.fan_in());
+        let mut cols = Tensor::zeros(vec![positions, fan_in]);
+        im2col_into(x, &geo, &mut cols);
+        let mut out = Tensor::zeros(vec![geo.out_h, geo.out_w, self.out_c]);
+        let w = self.weight.value.data();
+        gemm_fused(
+            cols.data(),
+            w,
+            out.data_mut(),
+            positions,
+            fan_in,
+            self.out_c,
+            self.bias_epilogue(),
+        );
+        self.cache.push((geo, cols));
         out
     }
 
@@ -245,6 +229,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Phase;
 
     /// Direct (quadruple-loop) reference convolution.
     fn naive_conv(

@@ -3,7 +3,8 @@
 use ff_tensor::{Epilogue, PackedPanels, Precision, Tensor, Workspace};
 use rand::SeedableRng;
 
-use crate::{Layer, Param, Phase};
+use crate::layer::{frame_dims, stacked};
+use crate::{Layer, Param};
 
 /// A dense (fully-connected) layer over flattened inputs.
 ///
@@ -68,6 +69,14 @@ impl Dense {
             .repack(self.weight.value.data(), self.in_len, self.out_len);
         self.packed_epoch = self.weight_epoch;
     }
+
+    /// The layer's whole epilogue: one `+ bias` per output element.
+    fn bias_epilogue(&self) -> Epilogue<'_> {
+        Epilogue {
+            bias: Some(self.bias.value.data()),
+            ..Epilogue::default()
+        }
+    }
 }
 
 impl Layer for Dense {
@@ -75,40 +84,37 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward(&mut self, x: &Tensor, phase: Phase) -> Tensor {
-        self.forward_ws(x, phase, &mut Workspace::new())
+    /// One GEMM with a row per frame: whole-int8 runs the prepacked panels
+    /// (quantizing each row on its own), f32 the raw weights in place;
+    /// either way each output element is the same ascending-`k` chain at
+    /// any frame count, and the bias is the GEMM's epilogue.
+    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+        let dims = frame_dims(x, frames);
+        assert_eq!(
+            dims.iter().product::<usize>(),
+            self.in_len,
+            "Dense expects {} inputs, got {dims:?}",
+            self.in_len
+        );
+        let mut out = ws.take(stacked(&[frames, self.out_len]));
+        let (k, n) = (self.in_len, self.out_len);
+        if self.packed.precision() == Precision::F32 {
+            let (w, ep) = (self.weight.value.data(), self.bias_epilogue());
+            ff_tensor::gemm_fused(x.data(), w, out.data_mut(), frames, k, n, ep);
+        } else {
+            self.ensure_packed();
+            let ep = self.bias_epilogue();
+            self.packed.gemm(x.data(), out.data_mut(), frames, k, n, ep);
+        }
+        out
     }
 
-    fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
-        assert_eq!(
-            x.len(),
-            self.in_len,
-            "Dense expects {} inputs, got {:?}",
-            self.in_len,
-            x.dims()
-        );
-        let mut out = ws.take(&[self.out_len]);
+    fn train(&mut self, x: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(self.out_shape(x.dims()));
+        let w = self.weight.value.data();
         let (k, n) = (self.in_len, self.out_len);
-        // Whole-int8 inference runs the prepacked panels; training
-        // (and the default f32 precision) uses the raw weights. Either
-        // way the bias is the GEMM's epilogue.
-        let int8 = phase == Phase::Inference && self.packed.precision() != Precision::F32;
-        if int8 {
-            self.ensure_packed();
-        }
-        let ep = Epilogue {
-            bias: Some(self.bias.value.data()),
-            ..Epilogue::default()
-        };
-        if int8 {
-            self.packed.gemm(x.data(), out.data_mut(), 1, k, n, ep);
-        } else {
-            let w = self.weight.value.data();
-            ff_tensor::gemm_fused(x.data(), w, out.data_mut(), 1, k, n, ep);
-        }
-        if phase == Phase::Train {
-            self.cache.push(x.clone().reshape(vec![1, self.in_len]));
-        }
+        ff_tensor::gemm_fused(x.data(), w, out.data_mut(), 1, k, n, self.bias_epilogue());
+        self.cache.push(x.clone().reshape(vec![1, self.in_len]));
         out
     }
 
@@ -181,20 +187,16 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, x: &Tensor, phase: Phase) -> Tensor {
-        if phase == Phase::Train {
-            self.cache.push(x.dims().to_vec());
-        }
-        x.clone().reshape(vec![x.len()])
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
-        if phase == Phase::Train {
-            self.cache.push(x.dims().to_vec());
-        }
-        let mut out = ws.take(&[x.len()]);
+    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+        let len = frame_dims(x, frames).iter().product();
+        let mut out = ws.take(stacked(&[frames, len]));
         out.data_mut().copy_from_slice(x.data());
         out
+    }
+
+    fn train(&mut self, x: &Tensor) -> Tensor {
+        self.cache.push(x.dims().to_vec());
+        x.clone().reshape(vec![x.len()])
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -217,6 +219,7 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Phase;
 
     #[test]
     fn forward_is_affine() {

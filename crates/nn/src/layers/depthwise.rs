@@ -4,7 +4,8 @@
 use ff_tensor::{Conv2dGeometry, Padding, Precision, Tensor, Workspace};
 use rand::SeedableRng;
 
-use crate::{Layer, Param, Phase};
+use crate::layer::{frame_dims, stacked};
+use crate::{Layer, Param};
 
 /// Lazily-maintained quantize-roundtripped copy of a depthwise layer's tap
 /// weights, backing [`Layer::set_precision`] for the depthwise units.
@@ -293,61 +294,45 @@ const STRIP: usize = 4;
 /// bit of the output. The optional fused `·scale + shift → ReLU` tail is
 /// applied while each cell is register/L1-resident.
 ///
+/// `x` holds whole `[in_h, in_w, c]` frames back to back and `out` their
+/// `[out_h, out_w, c]` outputs in the same order. Every output cell is a pure
+/// function of its own frame, so the frame count only widens the parallel
+/// row sweep to `frames·out_h` rows and never changes a bit of a frame.
+///
 /// Used by both [`DepthwiseConv2d`] (no tail) and
 /// [`crate::layers::fused::DepthwiseBnRelu`] (folded-norm tail), so the two
 /// layers cannot drift apart.
+///
+/// # Panics
+///
+/// Panics unless `x` is whole frames of `geo` and `out` their outputs, or as
+/// [`DwPass::checked`].
 pub(crate) fn depthwise_forward(
-    x: &Tensor,
+    x: &[f32],
     geo: &ff_tensor::Conv2dGeometry,
     k: usize,
     weight: &[f32],
     bias: &[f32],
     norm_relu_tail: Option<(&[f32], &[f32])>,
-    out: &mut Tensor,
-) {
-    let p = DwPass::checked(geo, k, weight, bias, norm_relu_tail);
-    let xd = x.data();
-    ff_tensor::parallel::parallel_rows_mut(out.data_mut(), p.g.out_w * p.g.c, |oy, row| {
-        p.row(xd, oy, row);
-    });
-}
-
-/// Batched [`depthwise_forward`]: `x` is `batch` stacked HWC frames
-/// (`[batch, in_h, in_w, in_c]`), `out` is `[batch, out_h, out_w, c]`.
-/// Every output cell is a pure function of its own frame, computed by the
-/// exact same row kernel as the single-frame path, so frame `b` of the
-/// output is bit-identical to running [`depthwise_forward`] on frame `b`
-/// alone; batching only widens the parallel row sweep to `batch·out_h`
-/// rows.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn depthwise_forward_batch(
-    x: &Tensor,
-    batch: usize,
-    geo: &ff_tensor::Conv2dGeometry,
-    k: usize,
-    weight: &[f32],
-    bias: &[f32],
-    norm_relu_tail: Option<(&[f32], &[f32])>,
-    out: &mut Tensor,
+    out: &mut [f32],
 ) {
     let p = DwPass::checked(geo, k, weight, bias, norm_relu_tail);
     let g = &p.g;
-    let out_h = geo.out_h;
-    assert_eq!(
-        x.dims(),
-        &[batch, g.in_h, g.in_w, g.c],
-        "depthwise batch input shape"
-    );
-    assert_eq!(
-        out.dims(),
-        &[batch, out_h, g.out_w, g.c],
-        "depthwise batch output shape"
-    );
-    let xd = x.data();
     let frame_len = g.in_h * g.in_w * g.c;
-    ff_tensor::parallel::parallel_rows_mut(out.data_mut(), g.out_w * g.c, |r, row| {
-        let b = r / out_h;
-        p.row(&xd[b * frame_len..(b + 1) * frame_len], r % out_h, row);
+    let frames = x.len() / frame_len.max(1);
+    assert_eq!(
+        x.len(),
+        frames * frame_len,
+        "depthwise input is not whole frames"
+    );
+    assert_eq!(
+        out.len(),
+        frames * geo.out_h * g.out_w * g.c,
+        "depthwise output"
+    );
+    ff_tensor::parallel::parallel_rows_mut(out, g.out_w * g.c, |r, row| {
+        let f = r / geo.out_h;
+        p.row(&x[f * frame_len..(f + 1) * frame_len], r % geo.out_h, row);
     });
 }
 
@@ -709,48 +694,27 @@ impl Layer for DepthwiseConv2d {
         "depthwise_conv2d"
     }
 
-    fn forward(&mut self, x: &Tensor, phase: Phase) -> Tensor {
-        self.forward_ws(x, phase, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
-        let geo = self.geometry(x.dims());
-        // Every output cell is seeded from the bias inside the kernel, so
-        // stale workspace contents are fine.
-        let mut out = ws.take(&[geo.out_h, geo.out_w, self.c]);
-        // Training must see the raw trainable weights; inference runs the
-        // precision store's (possibly quantize-roundtripped) copy.
-        let w = if phase == Phase::Inference {
-            self.taps
-                .effective(self.weight.value.data(), self.c, self.weight_epoch)
-        } else {
-            self.weight.value.data()
-        };
-        depthwise_forward(x, &geo, self.k, w, self.bias.value.data(), None, &mut out);
-        if phase == Phase::Train {
-            self.cache.push((geo, x.clone()));
-        }
-        out
-    }
-
-    fn forward_batch_ws(&mut self, x: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {
-        assert!(batch > 0, "empty batch");
-        assert_eq!(x.rank(), 4, "batched DepthwiseConv2d expects [B, H, W, C]");
-        let geo = self.geometry(&x.dims()[1..]);
-        let mut out = ws.take(&[batch, geo.out_h, geo.out_w, self.c]);
+    /// Every output cell is seeded from the bias inside the kernel, so
+    /// stale workspace contents are fine; the taps are the precision
+    /// store's (possibly quantize-roundtripped) copy.
+    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+        let geo = self.geometry(frame_dims(x, frames));
+        let mut out = ws.take(stacked(&[frames, geo.out_h, geo.out_w, self.c]));
         let w = self
             .taps
             .effective(self.weight.value.data(), self.c, self.weight_epoch);
-        depthwise_forward_batch(
-            x,
-            batch,
-            &geo,
-            self.k,
-            w,
-            self.bias.value.data(),
-            None,
-            &mut out,
-        );
+        let b = self.bias.value.data();
+        depthwise_forward(x.data(), &geo, self.k, w, b, None, out.data_mut());
+        out
+    }
+
+    /// Training sees the raw trainable weights.
+    fn train(&mut self, x: &Tensor) -> Tensor {
+        let geo = self.geometry(x.dims());
+        let mut out = Tensor::zeros(vec![geo.out_h, geo.out_w, self.c]);
+        let (w, b) = (self.weight.value.data(), self.bias.value.data());
+        depthwise_forward(x.data(), &geo, self.k, w, b, None, out.data_mut());
+        self.cache.push((geo, x.clone()));
         out
     }
 
@@ -835,6 +799,7 @@ impl Layer for DepthwiseConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Phase;
 
     #[test]
     fn channels_do_not_mix() {
@@ -965,7 +930,7 @@ mod tests {
         let geo = Conv2dGeometry::resolve((h, w, c), (k, k), stride, Padding::Same);
         for tail in [None, Some((&scale[..], &shift[..]))] {
             let mut got = Tensor::zeros(vec![geo.out_h, geo.out_w, c]);
-            depthwise_forward(&x, &geo, k, &weight, &bias, tail, &mut got);
+            depthwise_forward(x.data(), &geo, k, &weight, &bias, tail, got.data_mut());
             let mut want = Tensor::zeros(vec![geo.out_h, geo.out_w, c]);
             for oy in 0..geo.out_h {
                 for ox in 0..geo.out_w {
@@ -1083,19 +1048,18 @@ mod tests {
             let scale: Vec<f32> = (0..c).map(|_| rng.gen_range(0.5..1.5)).collect();
             let shift: Vec<f32> = (0..c).map(|_| rng.gen_range(-0.5..0.5)).collect();
             let geo = Conv2dGeometry::resolve((h, w, c), (k, k), stride, Padding::Same);
-            let mut stacked_data = Vec::new();
-            for f in &frames {
-                stacked_data.extend_from_slice(f.data());
-            }
-            let stacked = Tensor::from_vec(vec![batch, h, w, c], stacked_data);
+            let all: Vec<f32> = frames
+                .iter()
+                .flat_map(|f| f.data().iter().copied())
+                .collect();
             for tail in [None, Some((&scale[..], &shift[..]))] {
                 let mut got = Tensor::zeros(vec![batch, geo.out_h, geo.out_w, c]);
-                depthwise_forward_batch(&stacked, batch, &geo, k, &weight, &bias, tail, &mut got);
+                depthwise_forward(&all, &geo, k, &weight, &bias, tail, got.data_mut());
                 let frame_out = geo.out_h * geo.out_w * c;
                 let p = DwPass::checked(&geo, k, &weight, &bias, tail);
                 for (b, f) in frames.iter().enumerate() {
                     let mut want = Tensor::zeros(vec![geo.out_h, geo.out_w, c]);
-                    depthwise_forward(f, &geo, k, &weight, &bias, tail, &mut want);
+                    depthwise_forward(f.data(), &geo, k, &weight, &bias, tail, want.data_mut());
                     let got = &got.data()[b * frame_out..(b + 1) * frame_out];
                     let what = format!("frame {b} (c{c} k{k} s{stride} tail={})", tail.is_some());
                     assert_eq!(got, want.data(), "{what}");

@@ -19,7 +19,10 @@ use ff_tensor::{
 };
 use rand::SeedableRng;
 
-use crate::{Layer, Param, Phase};
+use crate::layer::{frame_dims, stacked};
+use crate::layers::depthwise::depthwise_forward;
+use crate::layers::int8act::forward_int8act;
+use crate::{Layer, Param};
 
 /// Shared folded-norm state for the fused units.
 #[derive(Debug, Clone)]
@@ -161,25 +164,6 @@ impl ConvBnRelu {
             relu,
         }
     }
-
-    /// The whole unit over `frames` stacked frames in one pass into `out`
-    /// (`[frames·positions, out_c]`): GEMM + bias + folded norm + ReLU
-    /// against the cached weight panels — the fused f32 convolution, or at
-    /// [`Precision::Int8Act`] the whole-int8 pipeline (the frame quantizes
-    /// once and gathers straight into a u8 buffer). Each frame's rows are
-    /// the same bits at any `frames`.
-    fn infer(&mut self, x: &[f32], frames: usize, geo: &Conv2dGeometry, out: &mut [f32]) {
-        self.ensure_packed();
-        let ep = self.epilogue(true);
-        match &self.packed_weights {
-            PackedPanels::F32(panels) => {
-                conv_gemm(x, geo, GemmB::Packed(panels), out, self.out_c, ep)
-            }
-            packed => {
-                crate::layers::int8act::forward_int8act(x, frames, geo, packed, out, self.out_c, ep)
-            }
-        }
-    }
 }
 
 impl Layer for ConvBnRelu {
@@ -187,54 +171,49 @@ impl Layer for ConvBnRelu {
         "conv_bn_relu"
     }
 
-    fn forward(&mut self, x: &Tensor, phase: Phase) -> Tensor {
-        self.forward_ws(x, phase, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
-        let geo = self.geometry(x.dims());
-        let (positions, fan_in) = (geo.positions(), geo.fan_in());
-        let mut out = ws.take(&[positions, self.out_c]);
-        if phase == Phase::Inference {
-            self.infer(x.data(), 1, &geo, out.data_mut());
-        } else {
-            // Training: keep the im2col matrix for backward, and stage at
-            // pre-ReLU so it can mask exactly.
-            let mut cols = ws.take(&[positions, fan_in]);
-            im2col_into(x, &geo, &mut cols);
-            let w = self.weight.value.data();
-            let ep = self.epilogue(false);
-            gemm_fused(
-                cols.data(),
-                w,
-                out.data_mut(),
-                positions,
-                fan_in,
-                self.out_c,
-                ep,
-            );
-            let pre_relu = out.clone();
-            for v in out.data_mut() {
-                *v = v.max(0.0);
+    /// The whole unit in one pass: GEMM + bias + folded norm + ReLU against
+    /// the cached weight panels — the fused f32 convolution, or at
+    /// [`Precision::Int8Act`] the whole-int8 pipeline (each frame quantizes
+    /// once and gathers straight into a u8 buffer) — one GEMM over every
+    /// frame's output rows, streaming each packed panel once.
+    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+        let geo = self.geometry(frame_dims(x, frames));
+        let mut out = ws.take(&[frames * geo.positions(), self.out_c]);
+        self.ensure_packed();
+        let (ep, n) = (self.epilogue(true), self.out_c);
+        match &self.packed_weights {
+            PackedPanels::F32(panels) => {
+                conv_gemm(x.data(), &geo, GemmB::Packed(panels), out.data_mut(), n, ep)
             }
-            self.cache.push((geo, cols, pre_relu));
+            packed => forward_int8act(x.data(), frames, &geo, packed, out.data_mut(), n, ep),
         }
-        out.reshape_to(&[geo.out_h, geo.out_w, self.out_c]);
+        out.reshape_to(stacked(&[frames, geo.out_h, geo.out_w, self.out_c]));
         out
     }
 
-    fn forward_batch_ws(&mut self, x: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {
-        assert!(batch > 0, "empty batch");
-        assert_eq!(x.rank(), 4, "batched ConvBnRelu expects [B, H, W, C]");
-        let geo = self.geometry(&x.dims()[1..]);
-        // One GEMM streams each packed weight panel once per *batch*
-        // instead of once per frame — the panel-reuse amortization that
-        // motivates batching. Per-row accumulation order and the fused
-        // epilogue are unchanged, so each frame's slice is bit-identical to
-        // the single-frame inference path.
-        let mut out = ws.take(&[batch * geo.positions(), self.out_c]);
-        self.infer(x.data(), batch, &geo, out.data_mut());
-        out.reshape_to(&[batch, geo.out_h, geo.out_w, self.out_c]);
+    /// Keeps the im2col matrix for backward, and stages at pre-ReLU so it
+    /// can mask exactly.
+    fn train(&mut self, x: &Tensor) -> Tensor {
+        let geo = self.geometry(x.dims());
+        let (positions, fan_in) = (geo.positions(), geo.fan_in());
+        let mut cols = Tensor::zeros(vec![positions, fan_in]);
+        im2col_into(x, &geo, &mut cols);
+        let mut out = Tensor::zeros(vec![geo.out_h, geo.out_w, self.out_c]);
+        let w = self.weight.value.data();
+        gemm_fused(
+            cols.data(),
+            w,
+            out.data_mut(),
+            positions,
+            fan_in,
+            self.out_c,
+            self.epilogue(false),
+        );
+        let pre_relu = out.clone();
+        for v in out.data_mut() {
+            *v = v.max(0.0);
+        }
+        self.cache.push((geo, cols, pre_relu));
         out
     }
 
@@ -416,28 +395,14 @@ impl DepthwiseBnRelu {
         )
     }
 
-    /// The shared depthwise kernel (see
-    /// [`crate::layers::depthwise::depthwise_forward`]) with the folded
-    /// `norm+ReLU` tail fused when `fuse_tail`, run against `weight`
-    /// (the raw trainable weights, or the precision store's copy).
-    fn run(
-        &self,
-        x: &Tensor,
-        geo: &Conv2dGeometry,
-        weight: &[f32],
-        out: &mut Tensor,
-        fuse_tail: bool,
-    ) {
-        let tail = fuse_tail.then_some((&self.norm.scale[..], &self.norm.shift[..]));
-        crate::layers::depthwise::depthwise_forward(
-            x,
-            geo,
-            self.k,
-            weight,
-            self.bias.value.data(),
-            tail,
-            out,
-        );
+    /// The shared depthwise kernel ([`depthwise_forward`]) on one frame
+    /// with the raw trainable weights and no tail: the pre-norm activation
+    /// that training and calibration start from.
+    fn pre_norm(&self, x: &Tensor, geo: &Conv2dGeometry) -> Tensor {
+        let mut out = Tensor::zeros(vec![geo.out_h, geo.out_w, self.c]);
+        let (w, b) = (self.weight.value.data(), self.bias.value.data());
+        depthwise_forward(x.data(), geo, self.k, w, b, None, out.data_mut());
+        out
     }
 }
 
@@ -446,62 +411,33 @@ impl Layer for DepthwiseBnRelu {
         "depthwise_bn_relu"
     }
 
-    fn forward(&mut self, x: &Tensor, phase: Phase) -> Tensor {
-        self.forward_ws(x, phase, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
-        let geo = self.geometry(x.dims());
-        let mut out = ws.take(&[geo.out_h, geo.out_w, self.c]);
-        if phase == Phase::Inference {
-            let w = self
-                .taps
-                .effective(self.weight.value.data(), self.c, self.weight_epoch);
-            let tail = Some((&self.norm.scale[..], &self.norm.shift[..]));
-            crate::layers::depthwise::depthwise_forward(
-                x,
-                &geo,
-                self.k,
-                w,
-                self.bias.value.data(),
-                tail,
-                &mut out,
-            );
-        } else {
-            self.run(x, &geo, self.weight.value.data(), &mut out, false);
-            // Stage: apply norm (pre-ReLU) for the cache, then ReLU.
-            for cell in out.data_mut().chunks_mut(self.c) {
-                for ((v, &s), &t) in cell.iter_mut().zip(&self.norm.scale).zip(&self.norm.shift) {
-                    *v = *v * s + t;
-                }
-            }
-            let pre_relu = out.clone();
-            for v in out.data_mut() {
-                *v = v.max(0.0);
-            }
-            self.cache.push((geo, x.clone(), pre_relu));
-        }
-        out
-    }
-
-    fn forward_batch_ws(&mut self, x: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {
-        assert!(batch > 0, "empty batch");
-        assert_eq!(x.rank(), 4, "batched DepthwiseBnRelu expects [B, H, W, C]");
-        let geo = self.geometry(&x.dims()[1..]);
-        let mut out = ws.take(&[batch, geo.out_h, geo.out_w, self.c]);
+    /// The precision store's taps with the folded `norm+ReLU` tail fused.
+    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+        let geo = self.geometry(frame_dims(x, frames));
+        let mut out = ws.take(stacked(&[frames, geo.out_h, geo.out_w, self.c]));
         let w = self
             .taps
             .effective(self.weight.value.data(), self.c, self.weight_epoch);
-        crate::layers::depthwise::depthwise_forward_batch(
-            x,
-            batch,
-            &geo,
-            self.k,
-            w,
-            self.bias.value.data(),
-            Some((&self.norm.scale[..], &self.norm.shift[..])),
-            &mut out,
-        );
+        let tail = Some((&self.norm.scale[..], &self.norm.shift[..]));
+        let b = self.bias.value.data();
+        depthwise_forward(x.data(), &geo, self.k, w, b, tail, out.data_mut());
+        out
+    }
+
+    /// Stages the unit: the norm (pre-ReLU) for the cache, then ReLU.
+    fn train(&mut self, x: &Tensor) -> Tensor {
+        let geo = self.geometry(x.dims());
+        let mut out = self.pre_norm(x, &geo);
+        for cell in out.data_mut().chunks_mut(self.c) {
+            for ((v, &s), &t) in cell.iter_mut().zip(&self.norm.scale).zip(&self.norm.shift) {
+                *v = *v * s + t;
+            }
+        }
+        let pre_relu = out.clone();
+        for v in out.data_mut() {
+            *v = v.max(0.0);
+        }
+        self.cache.push((geo, x.clone(), pre_relu));
         out
     }
 
@@ -589,15 +525,9 @@ impl Layer for DepthwiseBnRelu {
     }
 
     fn calibrate(&mut self, samples: Vec<Tensor>) -> Vec<Tensor> {
-        let mut ws = Workspace::new();
         let pre: Vec<Tensor> = samples
             .iter()
-            .map(|x| {
-                let geo = self.geometry(x.dims());
-                let mut out = ws.take(&[geo.out_h, geo.out_w, self.c]);
-                self.run(x, &geo, self.weight.value.data(), &mut out, false);
-                out
-            })
+            .map(|x| self.pre_norm(x, &self.geometry(x.dims())))
             .collect();
         self.norm.fit(&pre);
         pre.into_iter()
@@ -617,6 +547,7 @@ impl Layer for DepthwiseBnRelu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Phase;
     use crate::{Activation, ActivationKind, ChannelNorm, Conv2d, DepthwiseConv2d, Sequential};
 
     fn staged_unit(k: usize, stride: usize, in_c: usize, out_c: usize, seed: u64) -> Sequential {

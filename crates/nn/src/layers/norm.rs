@@ -11,7 +11,7 @@
 
 use ff_tensor::{Tensor, Workspace};
 
-use crate::{Layer, Phase};
+use crate::Layer;
 
 /// Folded batch normalization: per-channel affine on HWC tensors.
 #[derive(Debug, Clone)]
@@ -40,23 +40,6 @@ impl ChannelNorm {
     pub fn channels(&self) -> usize {
         self.scale.len()
     }
-
-    fn apply(&self, x: &Tensor) -> Tensor {
-        let c = self.scale.len();
-        assert_eq!(
-            x.dims().last().copied().unwrap_or(0),
-            c,
-            "ChannelNorm expects {c} channels, got {:?}",
-            x.dims()
-        );
-        let mut out = x.clone();
-        for cell in out.data_mut().chunks_mut(c) {
-            for ((v, &s), &b) in cell.iter_mut().zip(&self.scale).zip(&self.shift) {
-                *v = *v * s + b;
-            }
-        }
-        out
-    }
 }
 
 impl Layer for ChannelNorm {
@@ -64,11 +47,9 @@ impl Layer for ChannelNorm {
         "channel_norm"
     }
 
-    fn forward(&mut self, x: &Tensor, _phase: Phase) -> Tensor {
-        self.apply(x)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, _phase: Phase, ws: &mut Workspace) -> Tensor {
+    /// A per-channel affine over the trailing dimension: any number of
+    /// frames is just a bigger buffer of channel cells.
+    fn infer(&mut self, x: &Tensor, _frames: usize, ws: &mut Workspace) -> Tensor {
         let c = self.scale.len();
         assert_eq!(
             x.dims().last().copied().unwrap_or(0),
@@ -85,11 +66,9 @@ impl Layer for ChannelNorm {
         out
     }
 
-    fn forward_batch_ws(&mut self, x: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {
-        // Per-channel affine over the trailing dimension: the stacked batch
-        // is just a bigger buffer of channel cells.
-        assert_eq!(x.dims().first(), Some(&batch), "batch dimension mismatch");
-        self.forward_ws(x, Phase::Inference, ws)
+    /// Folded, so training caches nothing: the backward pass only rescales.
+    fn train(&mut self, x: &Tensor) -> Tensor {
+        self.infer(x, 1, &mut Workspace::new())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -120,7 +99,8 @@ impl Layer for ChannelNorm {
             self.shift = shift;
             self.calibrated = true;
         }
-        samples.iter().map(|s| self.apply(s)).collect()
+        let mut ws = Workspace::new();
+        samples.iter().map(|s| self.infer(s, 1, &mut ws)).collect()
     }
 }
 
@@ -170,6 +150,7 @@ pub(crate) fn fit_channel_stats(samples: &[Tensor], c: usize) -> Option<(Vec<f32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Phase;
 
     #[test]
     fn identity_before_calibration() {

@@ -4,7 +4,8 @@
 
 use ff_tensor::{Tensor, Workspace};
 
-use crate::{Layer, Phase};
+use crate::layer::{frame_dims, stacked};
+use crate::Layer;
 
 /// Windowed max pooling with a square kernel and stride, VALID semantics
 /// (trailing partial windows are dropped), as used by the discrete-classifier
@@ -45,29 +46,17 @@ impl MaxPool2d {
             (w - self.k) / self.stride + 1,
         )
     }
-}
 
-impl Layer for MaxPool2d {
-    fn layer_type(&self) -> &'static str {
-        "max_pool2d"
-    }
-
-    fn forward(&mut self, x: &Tensor, phase: Phase) -> Tensor {
-        self.forward_ws(x, phase, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
-        let (h, w, c) = (x.dims()[0], x.dims()[1], x.dims()[2]);
+    /// Pools one `[h, w, c]` frame into `out` (`[oh, ow, c]`), writing each
+    /// output's flat input index of its maximum to `arg` when given.
+    fn pool(
+        &self,
+        x: &[f32],
+        (h, w, c): (usize, usize, usize),
+        out: &mut [f32],
+        arg: &mut [usize],
+    ) {
         let (oh, ow) = self.out_hw(h, w);
-        let mut out = ws.take(&[oh, ow, c]);
-        let mut arg = vec![
-            0usize;
-            if phase == Phase::Train {
-                oh * ow * c
-            } else {
-                0
-            }
-        ];
         for oy in 0..oh {
             for ox in 0..ow {
                 for ch in 0..c {
@@ -77,22 +66,48 @@ impl Layer for MaxPool2d {
                         for kx in 0..self.k {
                             let (y, xx) = (oy * self.stride + ky, ox * self.stride + kx);
                             let i = (y * w + xx) * c + ch;
-                            if x.data()[i] > best {
-                                best = x.data()[i];
+                            if x[i] > best {
+                                best = x[i];
                                 best_i = i;
                             }
                         }
                     }
-                    out.set3(oy, ox, ch, best);
-                    if phase == Phase::Train {
-                        arg[(oy * ow + ox) * c + ch] = best_i;
+                    let o = (oy * ow + ox) * c + ch;
+                    out[o] = best;
+                    if let Some(a) = arg.get_mut(o) {
+                        *a = best_i;
                     }
                 }
             }
         }
-        if phase == Phase::Train {
-            self.cache.push((x.dims().to_vec(), arg));
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn layer_type(&self) -> &'static str {
+        "max_pool2d"
+    }
+
+    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+        let d = frame_dims(x, frames);
+        let (h, w, c) = (d[0], d[1], d[2]);
+        let (oh, ow) = self.out_hw(h, w);
+        let mut out = ws.take(stacked(&[frames, oh, ow, c]));
+        let (fin, fout) = (h * w * c, oh * ow * c);
+        for f in 0..frames {
+            let of = &mut out.data_mut()[f * fout..(f + 1) * fout];
+            self.pool(&x.data()[f * fin..(f + 1) * fin], (h, w, c), of, &mut []);
         }
+        out
+    }
+
+    fn train(&mut self, x: &Tensor) -> Tensor {
+        let (h, w, c) = (x.dims()[0], x.dims()[1], x.dims()[2]);
+        let (oh, ow) = self.out_hw(h, w);
+        let mut out = Tensor::zeros(vec![oh, ow, c]);
+        let mut arg = vec![0usize; oh * ow * c];
+        self.pool(x.data(), (h, w, c), out.data_mut(), &mut arg);
+        self.cache.push((x.dims().to_vec(), arg));
         out
     }
 
@@ -140,29 +155,28 @@ impl Layer for GlobalMaxPool {
         "global_max_pool"
     }
 
-    fn forward(&mut self, x: &Tensor, phase: Phase) -> Tensor {
-        self.forward_ws(x, phase, &mut Workspace::new())
+    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+        let d = frame_dims(x, frames);
+        let (cells, c) = (d[0] * d[1], d[2]);
+        let mut out = ws.take(stacked(&[frames, c]));
+        for f in 0..frames {
+            let of = &mut out.data_mut()[f * c..(f + 1) * c];
+            grid_max(
+                &x.data()[f * cells * c..(f + 1) * cells * c],
+                cells,
+                of,
+                &mut [],
+            );
+        }
+        out
     }
 
-    fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
-        let (h, w, c) = (x.dims()[0], x.dims()[1], x.dims()[2]);
-        assert!(h * w > 0, "global max over empty grid");
-        let mut out = ws.take(&[c]);
-        out.data_mut().fill(f32::NEG_INFINITY);
-        let mut arg = vec![0usize; if phase == Phase::Train { c } else { 0 }];
-        for pos in 0..h * w {
-            for (ch, &v) in x.data()[pos * c..(pos + 1) * c].iter().enumerate() {
-                if v > out.data()[ch] {
-                    out.data_mut()[ch] = v;
-                    if phase == Phase::Train {
-                        arg[ch] = pos * c + ch;
-                    }
-                }
-            }
-        }
-        if phase == Phase::Train {
-            self.cache.push((x.dims().to_vec(), arg));
-        }
+    fn train(&mut self, x: &Tensor) -> Tensor {
+        let (cells, c) = (x.dims()[0] * x.dims()[1], x.dims()[2]);
+        let mut out = Tensor::zeros(vec![c]);
+        let mut arg = vec![0usize; c];
+        grid_max(x.data(), cells, out.data_mut(), &mut arg);
+        self.cache.push((x.dims().to_vec(), arg));
         out
     }
 
@@ -187,9 +201,29 @@ impl Layer for GlobalMaxPool {
     }
 }
 
+/// Per-channel max over the `cells` cells of one HWC frame `x` into `out`
+/// (`[c]`), writing each channel's flat input index of its maximum to `arg`
+/// when given.
+fn grid_max(x: &[f32], cells: usize, out: &mut [f32], arg: &mut [usize]) {
+    assert!(cells > 0, "global max over empty grid");
+    let c = out.len();
+    out.fill(f32::NEG_INFINITY);
+    for pos in 0..cells {
+        for (ch, &v) in x[pos * c..(pos + 1) * c].iter().enumerate() {
+            if v > out[ch] {
+                out[ch] = v;
+                if let Some(a) = arg.get_mut(ch) {
+                    *a = pos * c + ch;
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Phase;
 
     #[test]
     fn maxpool_picks_window_max() {

@@ -5,7 +5,7 @@
 use ff_tensor::{Tensor, Workspace};
 
 use crate::layers::activation::{Activation, ActivationKind};
-use crate::{Conv2d, DepthwiseConv2d, Layer, Param, Phase};
+use crate::{Conv2d, DepthwiseConv2d, Layer, Param};
 
 /// A separable convolution (`k×k` depthwise → optional activation → 1×1
 /// pointwise).
@@ -59,19 +59,23 @@ impl Layer for SeparableConv2d {
         "separable_conv2d"
     }
 
-    fn forward(&mut self, x: &Tensor, phase: Phase) -> Tensor {
-        self.forward_ws(x, phase, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
-        let mut y = self.dw.forward_ws(x, phase, ws);
+    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+        let mut y = self.dw.infer(x, frames, ws);
         if let Some(act) = &mut self.inner {
-            let a = act.forward_ws(&y, phase, ws);
+            let a = act.infer(&y, frames, ws);
             ws.recycle(std::mem::replace(&mut y, a));
         }
-        let out = self.pw.forward_ws(&y, phase, ws);
+        let out = self.pw.infer(&y, frames, ws);
         ws.recycle(y);
         out
+    }
+
+    fn train(&mut self, x: &Tensor) -> Tensor {
+        let mut y = self.dw.train(x);
+        if let Some(act) = &mut self.inner {
+            y = act.train(&y);
+        }
+        self.pw.train(&y)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -118,6 +122,7 @@ impl Layer for SeparableConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Phase;
 
     #[test]
     fn cost_matches_paper_formula() {

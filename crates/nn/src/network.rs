@@ -3,11 +3,17 @@
 //! Taps are the mechanism behind the paper's computation sharing: the
 //! feature extractor runs the base DNN once and exposes the activations of
 //! *named* layers (`conv4_2/sep`, `conv5_6/sep`, …) to every
-//! microclassifier. [`Sequential::forward_taps`] stops at the deepest
-//! requested layer, so the extractor never pays for layers no MC consumes.
+//! microclassifier. The network has one inference walk besides its
+//! [`Layer::infer`]: [`Sequential::infer_taps`] runs any number of frames
+//! through each layer once, stops at the deepest requested layer — so the
+//! extractor never pays for layers no MC consumes — and hands back one copy
+//! of each tap per frame. Callers resolve tap names to layer indices once,
+//! with [`Sequential::index_of`]; [`Sequential::forward_taps`] is the
+//! allocating by-name wrapper for one-off calls.
 
 use ff_tensor::{Tensor, Workspace};
 
+use crate::layer::frame_dims;
 use crate::{Layer, Param, Phase};
 
 /// An ordered sequence of named layers.
@@ -94,191 +100,54 @@ impl Sequential {
         cur
     }
 
-    /// Runs the full network with every intermediate drawn from `ws` and
-    /// recycled as soon as the next layer consumes it. The returned tensor's
-    /// buffer comes from `ws`; recycle it when done to keep the steady
-    /// state allocation-free.
-    pub fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
-        let mut cur: Option<Tensor> = None;
-        for (_, layer) in &mut self.layers {
-            let next = layer.forward_ws(cur.as_ref().unwrap_or(x), phase, ws);
-            if let Some(prev) = cur.take() {
-                ws.recycle(prev);
-            }
-            cur = Some(next);
-        }
-        cur.unwrap_or_else(|| x.clone())
-    }
-
-    /// Runs the full network over a batch of stacked inputs
-    /// (`x: [batch, …]`) with every intermediate drawn from `ws`. Each
-    /// layer executes **once** for the whole batch (one GEMM over all the
-    /// frames' output rows for the convolution layers), and row `b` of the
-    /// result is bit-identical to [`Self::forward_ws`] on frame `b` alone.
-    /// Inference only.
-    pub fn forward_batch_ws(&mut self, x: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {
-        let mut cur: Option<Tensor> = None;
-        for (_, layer) in &mut self.layers {
-            let next = layer.forward_batch_ws(cur.as_ref().unwrap_or(x), batch, ws);
-            if let Some(prev) = cur.take() {
-                ws.recycle(prev);
-            }
-            cur = Some(next);
-        }
-        cur.unwrap_or_else(|| x.clone())
-    }
-
-    /// Runs the network up to and including the named layer, returning its
-    /// activation. Inference only (no caches are kept).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is unknown.
-    pub fn forward_to(&mut self, x: &Tensor, name: &str) -> Tensor {
-        let idx = self
-            .index_of(name)
-            .unwrap_or_else(|| panic!("unknown layer {name:?}"));
-        let mut cur = x.clone();
-        for (_, layer) in &mut self.layers[..=idx] {
-            cur = layer.forward(&cur, Phase::Inference);
-        }
-        cur
-    }
-
     /// Runs the network just far enough to produce every requested tap,
     /// returning activations aligned with `taps`. Layers after the deepest
-    /// tap are never executed.
+    /// tap are never executed. Inference only; allocates — streaming
+    /// callers resolve their taps once and call [`Self::infer_taps`].
     ///
     /// # Panics
     ///
     /// Panics if any tap name is unknown.
     pub fn forward_taps(&mut self, x: &Tensor, taps: &[&str]) -> Vec<Tensor> {
-        let mut outs = Vec::new();
-        self.forward_taps_ws(x, taps, &mut Workspace::new(), &mut outs);
-        outs
-    }
-
-    /// [`Self::forward_taps`] with all buffers drawn from `ws`: existing
-    /// tensors in `outs` are recycled into `ws` first, then `outs` is
-    /// refilled with tap activations (aligned with `taps`) held in `ws`
-    /// buffers. Streaming callers pass the same `outs`/`ws` pair every
-    /// frame, making steady-state extraction allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any tap name is unknown.
-    pub fn forward_taps_ws<S: AsRef<str>>(
-        &mut self,
-        x: &Tensor,
-        taps: &[S],
-        ws: &mut Workspace,
-        outs: &mut Vec<Tensor>,
-    ) {
-        for t in outs.drain(..) {
-            ws.recycle(t);
-        }
-        if taps.is_empty() {
-            return;
-        }
-        let indices: Vec<usize> = taps
+        let wanted: Vec<usize> = taps
             .iter()
             .map(|t| {
-                let t = t.as_ref();
                 self.index_of(t)
                     .unwrap_or_else(|| panic!("unknown tap {t:?}"))
             })
             .collect();
-        let deepest = indices.iter().copied().max().unwrap_or(0);
-        let mut slots: Vec<Option<Tensor>> = Vec::with_capacity(taps.len());
-        slots.resize_with(taps.len(), || None);
-        let mut cur: Option<Tensor> = None;
-        for (i, (_, layer)) in self.layers.iter_mut().enumerate().take(deepest + 1) {
-            let next = layer.forward_ws(cur.as_ref().unwrap_or(x), Phase::Inference, ws);
-            if let Some(prev) = cur.take() {
-                ws.recycle(prev);
-            }
-            for (slot, &want) in slots.iter_mut().zip(&indices) {
-                if want == i {
-                    let mut copy = ws.take(next.dims());
-                    copy.data_mut().copy_from_slice(next.data());
-                    *slot = Some(copy);
-                }
-            }
-            cur = Some(next);
-        }
-        if let Some(last) = cur {
-            ws.recycle(last);
-        }
-        outs.extend(slots.into_iter().map(|o| o.expect("tap not filled")));
+        let mut indices = wanted.clone();
+        indices.sort_unstable();
+        indices.dedup();
+        let mut outs = Vec::new();
+        self.infer_taps(x, 1, &indices, &mut Workspace::new(), &mut outs);
+        wanted
+            .iter()
+            .map(|w| outs[indices.binary_search(w).expect("resolved above")].clone())
+            .collect()
     }
 
-    /// [`Self::forward_taps_ws`] with pre-resolved, **ascending** layer
-    /// indices — the fully allocation-free streaming path (no name lookups,
-    /// no slot scratch). `outs` is refilled in index order.
+    /// Inference over `frames` frames (laid out as [`Layer::infer`] takes
+    /// them), run just far enough to produce the activation of every layer
+    /// in `indices` — strictly ascending layer indices, resolved once with
+    /// [`Self::index_of`] — with every buffer drawn from `ws`. Each layer
+    /// runs once for all the frames.
     ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is not strictly ascending or any index is out of
-    /// bounds.
-    pub fn forward_taps_indices_ws(
-        &mut self,
-        x: &Tensor,
-        indices: &[usize],
-        ws: &mut Workspace,
-        outs: &mut Vec<Tensor>,
-    ) {
-        for t in outs.drain(..) {
-            ws.recycle(t);
-        }
-        let Some(&deepest) = indices.last() else {
-            return;
-        };
-        assert!(
-            indices.windows(2).all(|w| w[0] < w[1]),
-            "tap indices must be strictly ascending"
-        );
-        assert!(deepest < self.layers.len(), "tap index out of bounds");
-        let mut next_tap = 0;
-        let mut cur: Option<Tensor> = None;
-        for (i, (_, layer)) in self.layers.iter_mut().enumerate().take(deepest + 1) {
-            let next = layer.forward_ws(cur.as_ref().unwrap_or(x), Phase::Inference, ws);
-            if let Some(prev) = cur.take() {
-                ws.recycle(prev);
-            }
-            while next_tap < indices.len() && indices[next_tap] == i {
-                let mut copy = ws.take(next.dims());
-                copy.data_mut().copy_from_slice(next.data());
-                outs.push(copy);
-                next_tap += 1;
-            }
-            cur = Some(next);
-        }
-        if let Some(last) = cur {
-            ws.recycle(last);
-        }
-    }
-
-    /// Batched [`Self::forward_taps_indices_ws`]: runs the network **once**
-    /// for a whole batch of stacked frames (`x: [batch, …frame dims…]`,
-    /// frames contiguous), executing each layer as a single batched kernel
-    /// (see [`Layer::forward_batch_ws`]), and refills `outs` with
-    /// **per-frame** tap activations in tap-major order:
-    /// `outs[t·batch + b]` is tap `indices[t]` of frame `b`.
-    ///
-    /// Every tensor in `outs[..]` is bit-identical to what the per-frame
-    /// walk would have produced for that frame — batching only amortizes
-    /// weight-panel streaming across frames. Streaming callers pass the same
-    /// `outs`/`ws` pair every batch, keeping the steady state
+    /// Existing tensors in `outs` are recycled into `ws` first; `outs` is
+    /// then refilled with **per-frame** tap activations in tap-major order:
+    /// `outs[t·frames + b]` is layer `indices[t]` of frame `b`, bit-identical
+    /// to what a one-frame call gives for that frame. Streaming callers pass
+    /// the same `outs`/`ws` pair every call, keeping the steady state
     /// allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if `indices` is not strictly ascending, any index is out of
-    /// bounds, `batch == 0`, or `x` does not lead with `batch`.
-    pub fn forward_taps_batch_indices_ws(
+    /// bounds, or as [`Layer::infer`].
+    pub fn infer_taps(
         &mut self,
         x: &Tensor,
-        batch: usize,
+        frames: usize,
         indices: &[usize],
         ws: &mut Workspace,
         outs: &mut Vec<Tensor>,
@@ -289,12 +158,6 @@ impl Sequential {
         let Some(&deepest) = indices.last() else {
             return;
         };
-        assert!(batch > 0, "empty batch");
-        assert_eq!(
-            x.dims().first(),
-            Some(&batch),
-            "batch tensor must lead with the batch dimension"
-        );
         assert!(
             indices.windows(2).all(|w| w[0] < w[1]),
             "tap indices must be strictly ascending"
@@ -303,20 +166,16 @@ impl Sequential {
         let mut next_tap = 0;
         let mut cur: Option<Tensor> = None;
         for (i, (_, layer)) in self.layers.iter_mut().enumerate().take(deepest + 1) {
-            let next = layer.forward_batch_ws(cur.as_ref().unwrap_or(x), batch, ws);
+            let next = layer.infer(cur.as_ref().unwrap_or(x), frames, ws);
             if let Some(prev) = cur.take() {
                 ws.recycle(prev);
             }
-            while next_tap < indices.len() && indices[next_tap] == i {
-                // Split the batched activation into per-frame copies — the
-                // batched counterpart of the per-frame tap copy, same bytes
-                // moved per frame.
-                let frame_dims = &next.dims()[1..];
-                let frame_len: usize = frame_dims.iter().product();
-                for b in 0..batch {
-                    let mut copy = ws.take(frame_dims);
+            if indices[next_tap] == i {
+                let len = next.len() / frames;
+                for b in 0..frames {
+                    let mut copy = ws.take(frame_dims(&next, frames));
                     copy.data_mut()
-                        .copy_from_slice(&next.data()[b * frame_len..(b + 1) * frame_len]);
+                        .copy_from_slice(&next.data()[b * len..(b + 1) * len]);
                     outs.push(copy);
                 }
                 next_tap += 1;
@@ -445,16 +304,22 @@ impl Layer for Sequential {
         "sequential"
     }
 
-    fn forward(&mut self, x: &Tensor, phase: Phase) -> Tensor {
-        Sequential::forward(self, x, phase)
+    /// Every layer once for all the frames, each intermediate recycled into
+    /// `ws` as soon as the next layer has consumed it.
+    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+        let mut cur: Option<Tensor> = None;
+        for (_, layer) in &mut self.layers {
+            let next = layer.infer(cur.as_ref().unwrap_or(x), frames, ws);
+            if let Some(prev) = cur.take() {
+                ws.recycle(prev);
+            }
+            cur = Some(next);
+        }
+        cur.unwrap_or_else(|| x.clone())
     }
 
-    fn forward_ws(&mut self, x: &Tensor, phase: Phase, ws: &mut Workspace) -> Tensor {
-        Sequential::forward_ws(self, x, phase, ws)
-    }
-
-    fn forward_batch_ws(&mut self, x: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {
-        Sequential::forward_batch_ws(self, x, batch, ws)
+    fn train(&mut self, x: &Tensor) -> Tensor {
+        Sequential::forward(self, x, Phase::Train)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -551,70 +416,6 @@ mod tests {
         let mut net = Sequential::new();
         net.push("a", Flatten::new());
         net.push("a", Flatten::new());
-    }
-
-    #[test]
-    fn batched_forward_matches_per_frame_bit_for_bit() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        // Mixes true batched kernels (conv, activation) with the per-frame
-        // fallback (flatten, dense).
-        let mut net = tiny_net();
-        let mut ws = Workspace::new();
-        for batch in [1usize, 2, 3, 5] {
-            let frames: Vec<Tensor> = (0..batch)
-                .map(|_| {
-                    Tensor::from_vec(
-                        vec![8, 8, 1],
-                        (0..64).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-                    )
-                })
-                .collect();
-            let mut stacked_data = Vec::new();
-            for f in &frames {
-                stacked_data.extend_from_slice(f.data());
-            }
-            let stacked = Tensor::from_vec(vec![batch, 8, 8, 1], stacked_data);
-            let got = net.forward_batch_ws(&stacked, batch, &mut ws);
-            assert_eq!(got.dims()[0], batch);
-            let flen = got.len() / batch;
-            for (b, f) in frames.iter().enumerate() {
-                let want = net.forward_ws(f, Phase::Inference, &mut ws);
-                assert_eq!(
-                    &got.data()[b * flen..(b + 1) * flen],
-                    want.data(),
-                    "batch {batch} frame {b}"
-                );
-                ws.recycle(want);
-            }
-            ws.recycle(got);
-        }
-    }
-
-    #[test]
-    fn batched_tap_walk_matches_per_frame_taps() {
-        let mut net = tiny_net();
-        let mut ws = Workspace::new();
-        let frames: Vec<Tensor> = (0..3)
-            .map(|i| Tensor::filled(vec![8, 8, 1], 0.1 + 0.3 * i as f32))
-            .collect();
-        let mut stacked_data = Vec::new();
-        for f in &frames {
-            stacked_data.extend_from_slice(f.data());
-        }
-        let stacked = Tensor::from_vec(vec![3, 8, 8, 1], stacked_data);
-        let indices = [0usize, 2]; // conv1, conv2
-        let mut outs = Vec::new();
-        net.forward_taps_batch_indices_ws(&stacked, 3, &indices, &mut ws, &mut outs);
-        assert_eq!(outs.len(), indices.len() * 3);
-        for (b, f) in frames.iter().enumerate() {
-            let mut per_frame = Vec::new();
-            net.forward_taps_indices_ws(f, &indices, &mut ws, &mut per_frame);
-            for (t, want) in per_frame.iter().enumerate() {
-                // Tap-major layout: outs[t·batch + b].
-                assert_eq!(&outs[t * 3 + b], want, "tap {t} frame {b}");
-            }
-        }
     }
 
     #[test]

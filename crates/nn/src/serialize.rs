@@ -103,6 +103,9 @@ pub fn load_weights<R: Read>(net: &mut Sequential, r: R) -> Result<(), Serialize
 
 /// Reads weights into an explicit parameter list (see [`save_params`]).
 ///
+/// The whole stream is read and checked before any parameter changes, so a
+/// failed load leaves every parameter as it was.
+///
 /// # Errors
 ///
 /// Same as [`load_weights`].
@@ -128,7 +131,8 @@ pub fn load_params<R: Read>(
             params.len()
         )));
     }
-    for (i, p) in params.iter_mut().enumerate() {
+    let mut staged = Vec::with_capacity(n);
+    for (i, p) in params.iter().enumerate() {
         let rank = read_u32(&mut r)? as usize;
         if rank > 8 {
             return Err(SerializeError::Format(format!(
@@ -145,10 +149,13 @@ pub fn load_params<R: Read>(
                 p.value.dims()
             )));
         }
-        let mut buf = [0u8; 4];
-        for v in p.value.data_mut() {
-            r.read_exact(&mut buf)?;
-            *v = f32::from_le_bytes(buf);
+        let mut bytes = vec![0u8; p.value.len() * 4];
+        r.read_exact(&mut bytes)?;
+        staged.push(bytes);
+    }
+    for (p, bytes) in params.iter_mut().zip(staged) {
+        for (v, b) in p.value.data_mut().iter_mut().zip(bytes.chunks_exact(4)) {
+            *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
         }
     }
     Ok(())
@@ -211,8 +218,20 @@ mod tests {
         let mut a = net(1);
         let mut buf = Vec::new();
         save_weights(&mut a, &mut buf).unwrap();
-        buf.truncate(buf.len() / 2);
-        let mut b = net(2);
-        assert!(load_weights(&mut b, buf.as_slice()).is_err());
+        // The header is 12 bytes and the conv weight `[9, 2]` the first
+        // param (4 + 2·4 + 18·4 bytes): cut mid-stream, and just after it.
+        let first_param = 12 + 4 + 2 * 4 + 18 * 4;
+        let x = Tensor::filled(vec![4, 4, 1], 0.7);
+        let bits = |net: &mut Sequential| -> Vec<u32> {
+            let y = net.forward(&x, Phase::Inference);
+            y.data().iter().map(|v| v.to_bits()).collect()
+        };
+        for cut in [buf.len() / 2, first_param] {
+            let mut b = net(2);
+            let before = bits(&mut b);
+            assert!(load_weights(&mut b, &buf[..cut]).is_err(), "cut at {cut}");
+            // A failed load leaves the model untouched, bit for bit.
+            assert_eq!(bits(&mut b), before, "cut at {cut}");
+        }
     }
 }

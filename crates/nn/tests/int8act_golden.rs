@@ -20,7 +20,7 @@
 //! mul-then-add under `-C target-cpu=x86-64`), so there is one table per
 //! case.
 
-use ff_nn::{ConvBnRelu, DepthwiseBnRelu, Layer, Phase, Precision, Sequential};
+use ff_nn::{ConvBnRelu, DepthwiseBnRelu, Layer, Precision, Sequential};
 use ff_tensor::{Tensor, Workspace};
 
 /// `(stride, output channels)` of the thirteen separable blocks.
@@ -124,11 +124,7 @@ fn run(precision: Precision, alpha: f32, (w, h): (usize, usize), batch: usize) -
     let (mut digest, mut count) = (0xcbf2_9ce4_8422_2325u64, 0usize);
     for i in 0..net.len() {
         let layer = net.layer_at_mut(i);
-        let y = if batch == 1 {
-            layer.forward_ws(&x, Phase::Inference, &mut ws)
-        } else {
-            layer.forward_batch_ws(&x, batch, &mut ws)
-        };
+        let y = layer.infer(&x, batch, &mut ws);
         fnv1a(&mut digest, y.data());
         count += y.len();
         ws.recycle(std::mem::replace(&mut x, y));
@@ -223,10 +219,10 @@ fn f32_batched_slices_equal_per_frame_walk() {
         let (mut singles, mut stacked) = seeded_frames(w, h, 4);
         for i in 0..net.len() {
             let layer = net.layer_at_mut(i);
-            let y = layer.forward_batch_ws(&stacked, 4, &mut ws);
+            let y = layer.infer(&stacked, 4, &mut ws);
             let per_frame = y.len() / 4;
             for (f, x) in singles.iter_mut().enumerate() {
-                let yf = layer.forward_ws(x, Phase::Inference, &mut ws);
+                let yf = layer.infer(x, 1, &mut ws);
                 assert!(
                     y.data()[f * per_frame..(f + 1) * per_frame]
                         .iter()

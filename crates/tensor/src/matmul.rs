@@ -370,9 +370,6 @@ struct BMatrix<'a> {
     ldb: usize,
     /// Floats between the first elements of adjacent `NR`-column panels.
     panel_stride: usize,
-    /// Whether every panel row holds `NR` floats (the packed layout pads
-    /// its ragged last panel); if not, reads there stop at the row's end.
-    padded: bool,
 }
 
 impl BMatrix<'_> {
@@ -408,7 +405,6 @@ impl<'a> F32Gemm<'a> {
                     data,
                     ldb: n,
                     panel_stride: NR,
-                    padded: false,
                 }
             }
             GemmB::Packed(data) => {
@@ -417,7 +413,6 @@ impl<'a> F32Gemm<'a> {
                     data,
                     ldb: NR,
                     panel_stride: NR * k,
-                    padded: true,
                 }
             }
         };
@@ -574,7 +569,7 @@ fn micro_kernel_mr_generic(
     target_feature = "fma"
 ))]
 pub(crate) mod simd {
-    use super::{Epilogue, F32Gemm};
+    use super::{Epilogue, F32Gemm, NR};
     use std::arch::x86_64::*;
 
     /// The vector type an [`f32_tile`] instantiation computes in: `LANES`
@@ -773,7 +768,11 @@ pub(crate) mod simd {
         while j0 < g.n {
             let cols = g.n - j0;
             let two = cols > V::LANES;
-            let masked = !g.b.padded && cols < 2 * V::LANES && cols != V::LANES;
+            // Rows of `NR` floats — every packed panel's, whose ragged last
+            // panel is zero-padded — can be read a whole tile wide; any
+            // other in-place `B` row may end inside the tile, so its loads
+            // stop at the row's end.
+            let masked = g.b.ldb != NR && cols < 2 * V::LANES && cols != V::LANES;
             let mut r = 0;
             while r < rows {
                 // SAFETY: forwarded from the caller; rows `row0 + r..` and the
@@ -851,9 +850,9 @@ pub(crate) mod simd {
     /// The instruction set of `V` must be available; `1 ≤ mr ≤ ROWS` and
     /// `a_row + mr ≤ g.m`; `block` must hold rows `c_row..c_row + mr` of an
     /// `[*, g.n]` matrix; `j0 + (NV - 1)·LANES < g.n`; and `MASKED` must be
-    /// set if `g.b` is not padded and has fewer than `NV·LANES` columns from
-    /// `j0`. Everything else is the geometry [`F32Gemm`]'s constructors
-    /// asserted.
+    /// set if `g.b`'s rows are not `NR` floats and it has fewer than
+    /// `NV·LANES` columns from `j0`. Everything else is the geometry
+    /// [`F32Gemm`]'s constructors asserted.
     #[inline(always)]
     unsafe fn f32_tile<V: Lanes, const ROWS: usize, const NV: usize, const MASKED: bool>(
         g: &F32Gemm,
