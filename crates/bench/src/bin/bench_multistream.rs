@@ -58,11 +58,8 @@ fn pipeline_cfg(precision: Precision) -> PipelineConfig {
     cfg
 }
 
-fn deploy_mc(ff: &mut FilterForward, stream: usize) {
-    ff.deploy(McSpec::full_frame(
-        format!("s{stream}"),
-        200 + stream as u64,
-    ));
+fn mc_spec(stream: usize) -> McSpec {
+    McSpec::full_frame(format!("s{stream}"), 200 + stream as u64)
 }
 
 /// Serial gold: verdicts of one stream through the plain `process` loop at
@@ -73,7 +70,7 @@ fn serial_verdicts(
     precision: Precision,
 ) -> Vec<FrameVerdict> {
     let mut ff = FilterForward::new(pipeline_cfg(precision));
-    deploy_mc(&mut ff, stream);
+    ff.deploy(mc_spec(stream));
     let mut verdicts = Vec::new();
     for f in frames {
         verdicts.extend(ff.process(f));
@@ -87,7 +84,7 @@ fn serial_verdicts(
 /// fastest of repeats — the single-stream harness convention).
 fn serial_fps(frames: &[ff_video::Frame]) -> f64 {
     let mut ff = FilterForward::new(pipeline_cfg(Precision::F32));
-    deploy_mc(&mut ff, 0);
+    ff.deploy(mc_spec(0));
     let _ = ff.process(&frames[0]);
     let mut best = f64::INFINITY;
     for _ in 0..REPEATS {
@@ -120,7 +117,7 @@ fn measure_node(
         for (s, &seed) in STREAM_SEEDS.iter().enumerate().take(streams) {
             let src = Box::new(SceneSource::new(scene_cfg(seed), n_frames));
             let id = node.add_stream(src, pipeline_cfg(precision));
-            deploy_mc(node.pipeline_mut(id), s);
+            node.deploy(id, mc_spec(s));
         }
         let report = node.run();
         for (s, sr) in report.streams.iter().enumerate() {
@@ -177,7 +174,7 @@ fn measure_controlled(
         let mut node = EdgeNode::new(cfg);
         for (s, src) in skewed_sources(n_frames).into_iter().enumerate() {
             let id = node.add_stream(src, pipeline_cfg(Precision::F32));
-            deploy_mc(node.pipeline_mut(id), s);
+            node.deploy(id, mc_spec(s));
         }
         let ctl = if adaptive {
             ControlConfig {
@@ -248,7 +245,7 @@ fn measure_faults(
         for (s, &seed) in STREAM_SEEDS.iter().enumerate() {
             let src = Box::new(SceneSource::new(scene_cfg(seed), n_frames));
             let id = node.add_stream(src, pipeline_cfg(Precision::F32));
-            deploy_mc(node.pipeline_mut(id), s);
+            node.deploy(id, mc_spec(s));
         }
         let report = node.run_controlled(ControlConfig::observe_only(8));
         for (s, sr) in report.streams.iter().enumerate() {
@@ -332,12 +329,11 @@ fn measure_streams_inner(
     let mut spans = 0u64;
     let mut metrics = 0u64;
     for _ in 0..REPEATS {
-        let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget))
-            .with_gather_batch(GatherBatch {
+        let mut cfg =
+            EdgeNodeConfig::new(ShardLayout::single(budget)).with_gather_batch(GatherBatch {
                 max_batch: 64,
                 gather_wait: Duration::from_millis(1),
-            })
-            .with_shared_backbone();
+            });
         if obs {
             cfg = cfg.with_obs(ObsConfig::default());
         }

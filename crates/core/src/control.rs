@@ -1151,6 +1151,10 @@ pub enum AdmissionError {
         /// `[`AdmissionPolicy::max_streams_per_worker`]`)`, ×1000.
         budget_millistreams: u64,
     },
+    /// The policy's [`AdmissionPolicy::max_streams_per_worker`] is 0,
+    /// which would refuse every stream: a misconfigured node, not a full
+    /// one.
+    ZeroStreamsPerWorker,
 }
 
 impl std::fmt::Display for AdmissionError {
@@ -1193,6 +1197,11 @@ impl std::fmt::Display for AdmissionError {
                 *active_millistreams as f64 / 1000.0,
                 *incoming_millistreams as f64 / 1000.0,
                 *budget_millistreams as f64 / 1000.0
+            ),
+            AdmissionError::ZeroStreamsPerWorker => write!(
+                f,
+                "AdmissionPolicy::max_streams_per_worker must be ≥ 1 \
+                 (0 would refuse every stream)"
             ),
         }
     }

@@ -244,6 +244,13 @@ impl FeatureExtractor {
         &self.batch_maps[..batch]
     }
 
+    /// The per-frame maps of the last [`Self::extract_batch`] call, indexed
+    /// like its `frames` (entries past that batch are stale), for readers
+    /// that cannot hold the `&mut` borrow the call returns under.
+    pub(crate) fn batch_maps(&self) -> &[FeatureMaps] {
+        &self.batch_maps
+    }
+
     /// Shape of a tap's activation for a given input resolution.
     pub fn tap_shape(&self, res: Resolution, tap: &str) -> Vec<usize> {
         self.net.shape_at(&[res.height, res.width, 3], tap)
@@ -268,9 +275,8 @@ impl FeatureExtractor {
     /// Sets the precision the backbone's inference runs at (see
     /// [`ff_tensor::Precision`]): f32, or whole-int8 with quarter-size
     /// weight panels, u8 activations and integer accumulation.
-    /// Updates the recorded [`Self::config`] so twin extractors
-    /// built from it (e.g. the gather-batch runtime's shared extractor)
-    /// quantize identically and stay bit-compatible.
+    /// Updates the recorded [`Self::config`] so a twin extractor built
+    /// from it quantizes identically and stays bit-compatible.
     pub fn set_precision(&mut self, precision: ff_tensor::Precision) {
         self.net.set_precision(precision);
         self.config.precision = precision;
@@ -294,8 +300,8 @@ impl FeatureExtractor {
 
     /// Whether [`Self::calibrate`] has run. A calibrated extractor's folded
     /// norms no longer match a freshly built network of the same config, so
-    /// anything substituting a twin extractor (the gather-batch runtime)
-    /// must reproduce the calibration to stay bit-identical.
+    /// anything substituting a twin extractor must reproduce the
+    /// calibration to stay bit-identical.
     pub fn is_calibrated(&self) -> bool {
         self.calibrated
     }

@@ -34,10 +34,10 @@
 //!  │ (FaultySource)          │ │   NodeTelemetry     │ │   suspended) and        │
 //!  │                         │ │                     │ │   readmits on recovery  │
 //!  │                         │ │                     │ │                         │
-//!  │ scripted stage panic ───┼─┼─▶ catch_unwind at ──┼─┼─▶ bounded restarts,     │
-//!  │                         │ │   the pool-job      │ │   then the circuit      │
-//!  │                         │ │   boundary (Pool-   │ │   breaker kills the one │
-//!  │                         │ │   Shard::run_items) │ │   stream — node lives   │
+//!  │ scripted stage panic ───┼─┼─▶ isolated at ──────┼─┼─▶ bounded restarts,     │
+//!  │                         │ │   selection, before │ │   then the circuit      │
+//!  │                         │ │   the frame reaches │ │   breaker kills the one │
+//!  │                         │ │   any inference     │ │   stream — node lives   │
 //!  └─────────────────────────┘ └─────────────────────┘ └─────────────────────────┘
 //! ```
 //!

@@ -20,8 +20,9 @@
 //! * [`runtime`] — the multi-stream edge node: one virtual-time round
 //!   loop running every stream as a [`task`] (an actor-style state
 //!   machine) on one worker pool sharing one uplink — each round's
-//!   runnable streams served concurrently as pool jobs, or gather-batched
-//!   into one shared base-DNN pass per bucket. No per-stream threads, so a
+//!   selected frames served as one pool job per stream, each stream on its
+//!   own base DNN or, gather-batched, on one node-owned pass per (config,
+//!   resolution) bucket. No per-stream threads, so a
 //!   node carries 1000+ mostly-idle duty-cycled cameras with
 //!   bit-replayable traces.
 //! * [`task`] — the per-stream state machine (poll → decode → infer →

@@ -12,7 +12,7 @@ use ff_video::{Frame, Resolution};
 
 use crate::archive::{ArchiveConfig, EdgeArchive};
 use crate::events::{EventRecord, FrameMetadata, McId};
-use crate::extractor::FeatureExtractor;
+use crate::extractor::{FeatureExtractor, FeatureMaps};
 use crate::spec::{McRuntime, McSpec};
 
 /// Pipeline configuration.
@@ -124,6 +124,25 @@ impl PipelineStats {
     }
 }
 
+/// Where one served frame's base-DNN feature maps come from (see
+/// [`FilterForward::serve_into`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Backbone<'a> {
+    /// The frame's tensor, for the pipeline's private extractor.
+    Own(&'a Tensor),
+    /// Maps a node-owned extractor already produced for the frame, and the
+    /// frame's share of that pass's wall time.
+    Shared(&'a FeatureMaps, Duration),
+}
+
+/// The two taps every extractor serves before any MC is deployed.
+pub(crate) fn default_taps() -> Vec<String> {
+    vec![
+        ff_models::LAYER_LOCALIZED_TAP.to_string(),
+        ff_models::LAYER_FULL_FRAME_TAP.to_string(),
+    ]
+}
+
 struct Pending {
     frame: Frame,
     metadata: FrameMetadata,
@@ -136,15 +155,15 @@ pub struct FilterForward {
     cfg: PipelineConfig,
     /// `None` in **deferred-backbone** mode ([`Self::new_deferred`]): the
     /// pipeline never extracts features itself — a node-owned shared
-    /// extractor feeds it through [`Self::process_with_maps`] — so no
-    /// private base-DNN instance is ever built. This is what makes a
-    /// 1000-stream gather-mode node affordable: one backbone per distinct
-    /// base-DNN config instead of one per stream.
+    /// extractor feeds it maps — so no private base-DNN instance is ever
+    /// built. This is what makes a 1000-stream gather-style node
+    /// affordable: one backbone per (base-DNN config, resolution) bucket
+    /// instead of one per stream.
     extractor: Option<FeatureExtractor>,
     /// Taps the deployed MCs consume plus the two always-on defaults, in
     /// registration order. Mirrors the private extractor's tap set in eager
-    /// mode; in deferred mode this is the record the node unions into its
-    /// shared extractor.
+    /// mode; in deferred mode it records what the pipeline was deployed
+    /// against.
     taps: Vec<String>,
     /// Deferred mode's calibration marker (eager mode asks the extractor).
     calibrated: bool,
@@ -186,23 +205,16 @@ impl FilterForward {
         // a fixed per-frame overhead independent of which taps the
         // currently-deployed MCs use (§3.1). Deploying an MC with an even
         // deeper tap extends the run.
-        let extractor = FeatureExtractor::new(
-            cfg.mobilenet,
-            vec![
-                ff_models::LAYER_LOCALIZED_TAP.to_string(),
-                ff_models::LAYER_FULL_FRAME_TAP.to_string(),
-            ],
-        );
+        let extractor = FeatureExtractor::new(cfg.mobilenet, default_taps());
         Self::build(cfg, Some(extractor))
     }
 
     /// Creates a pipeline in **deferred-backbone** mode: no private
     /// [`FeatureExtractor`] is built — the pipeline only records its
     /// configuration, taps, and calibration state, and classifies feature
-    /// maps extracted elsewhere ([`Self::process_with_maps`]). Used by the
-    /// gather-mode edge node when
-    /// [`crate::runtime::EdgeNodeConfig::shared_backbone`] is set, where the
-    /// node owns one shared extractor per distinct base-DNN config.
+    /// maps extracted elsewhere ([`Self::process_with_maps`]). Every stream
+    /// of a gather-style [`crate::runtime::EdgeNode`] is one, fed by the
+    /// node's extractor for its (base-DNN config, resolution) bucket.
     ///
     /// Per-stream inference entry points ([`Self::process`],
     /// [`Self::process_decoded`], [`Self::extract_only`]) panic on a
@@ -223,10 +235,7 @@ impl FilterForward {
         FilterForward {
             cfg,
             extractor,
-            taps: vec![
-                ff_models::LAYER_LOCALIZED_TAP.to_string(),
-                ff_models::LAYER_FULL_FRAME_TAP.to_string(),
-            ],
+            taps: default_taps(),
             calibrated: false,
             mcs: Vec::new(),
             pending: BTreeMap::new(),
@@ -254,7 +263,7 @@ impl FilterForward {
         assert_eq!(self.next_in, 0, "deploy MCs before streaming");
         let ex = self.extractor.as_mut().expect(
             "deploy on a deferred-backbone pipeline needs the node's \
-             template extractor: use deploy_with",
+             extractor: use deploy_with (or EdgeNode::deploy)",
         );
         ex.ensure_tap(&spec.tap);
         let id = McId(self.mcs.len());
@@ -268,7 +277,9 @@ impl FilterForward {
 
     /// Deploys a microclassifier on a **deferred-backbone** pipeline
     /// ([`Self::new_deferred`]), resolving tap shapes against `template` —
-    /// a node-owned extractor of the same base-DNN config. The resulting
+    /// an extractor of the same base-DNN config, e.g. the node's bucket
+    /// extractor ([`crate::runtime::EdgeNode::deploy`], which also registers
+    /// the tap on it). The resulting
     /// [`McRuntime`] is identical to what an eager [`Self::deploy`] builds
     /// (MC models are seeded and shape-determined), so verdicts stay
     /// bit-compatible with per-stream execution.
@@ -314,8 +325,8 @@ impl FilterForward {
             let tensors: Vec<Tensor> = frames.iter().map(Frame::to_tensor).collect();
             ex.calibrate(&tensors);
         }
-        // Deferred mode: only the marker — the node replays the same
-        // calibration frames into its shared extractor.
+        // Deferred mode: only the marker — the node calibrates its bucket
+        // extractor from the same frames (`EdgeNode::calibrate`).
     }
 
     /// Sets the precision the base DNN's inference runs at — f32 or
@@ -405,8 +416,7 @@ impl FilterForward {
     }
 
     /// Tap layers the deployed MCs consume (the two default taps included),
-    /// in registration order. What the gather-mode node unions into its
-    /// shared extractor.
+    /// in registration order.
     pub fn taps(&self) -> &[String] {
         match &self.extractor {
             Some(ex) => ex.taps(),
@@ -458,9 +468,10 @@ impl FilterForward {
     /// MC's delay.
     ///
     /// Decode (pixel → tensor) and inference run back to back on the
-    /// calling thread; the pipelined runtime ([`crate::runtime::EdgeNode`])
-    /// decodes on a separate stage thread and calls [`Self::process_decoded`]
-    /// instead. Both paths produce identical verdicts.
+    /// calling thread. The node ([`crate::runtime::EdgeNode`]) decodes at
+    /// arrival, a round or more before the frame is served, and serves it
+    /// through the same body as [`Self::process_decoded`]; both paths
+    /// produce identical verdicts.
     ///
     /// # Panics
     ///
@@ -472,61 +483,34 @@ impl FilterForward {
         self.process_decoded(frame, &tensor)
     }
 
-    /// Credits decode time spent on another thread (a pipeline decode
-    /// stage) to the base-DNN phase timer, so [`PhaseTimers`] keeps its
-    /// meaning — decode + feature extraction, in CPU-seconds — identically
-    /// between the serial and pipelined paths.
+    /// Credits decode time spent outside this pipeline's calls — the node
+    /// decodes each frame when it arrives, before a pool job serves it —
+    /// to the base-DNN phase timer, so [`PhaseTimers`] keeps its meaning
+    /// (decode + feature extraction, in CPU-seconds) identically between
+    /// [`Self::process`] and the node.
     pub(crate) fn credit_decode(&mut self, d: Duration) {
         self.timers.base_dnn += d;
     }
 
-    /// Ingests one frame whose tensor was already decoded (by a pipeline
-    /// decode stage), returning any frames that became final (in order).
+    /// Ingests one frame whose tensor was already decoded, returning any
+    /// frames that became final (in order).
     ///
-    /// `tensor` must be `frame.to_tensor()`; splitting the conversion out
-    /// lets the decode of frame `t + 1` overlap the extraction of frame `t`
-    /// when the stages run on different threads.
+    /// `tensor` must be `frame.to_tensor()`: [`Self::process`] is this
+    /// after the conversion, and the node converts at arrival.
     ///
     /// # Panics
     ///
     /// Panics if no MCs are deployed.
     pub fn process_decoded(&mut self, frame: &Frame, tensor: &Tensor) -> Vec<FrameVerdict> {
-        self.ingest_frame(frame);
-
-        // Phase 1: shared base-DNN feature extraction (timed). The returned
-        // maps borrow the extractor's internal workspace-backed buffers.
-        let t0 = Instant::now();
-        let maps = self
-            .extractor
-            .as_mut()
-            .expect(
-                "deferred-backbone pipeline cannot run per-stream inference \
-                 (gather mode owns the shared extractor): use process_with_maps",
-            )
-            .extract(tensor);
-        self.timers.base_dnn += t0.elapsed();
-
-        // Phase 2: every MC consumes the shared maps (timed as one block,
-        // matching the paper's phased execution / end-to-end flow control).
-        // `decisions` is a reused scratch: the MC loop itself is
-        // allocation-free in steady state.
-        let t1 = Instant::now();
-        let mut decisions = std::mem::take(&mut self.decisions_scratch);
-        Self::run_mcs(&mut self.mcs, maps, &mut decisions);
-        self.timers.microclassifiers += t1.elapsed();
-        self.timers.frames += 1;
-
-        for &(mc_id, d) in &decisions {
-            self.apply_decision(mc_id, d);
-        }
-        self.decisions_scratch = decisions;
-        self.drain()
+        let mut out = Vec::new();
+        self.serve_into(frame, Backbone::Own(tensor), &mut out);
+        out
     }
 
     /// Ingests one frame whose feature maps were **already extracted** —
     /// by a shared batched base-DNN pass over several streams' frames (see
-    /// [`crate::runtime::EdgeNode`]'s gather-batch mode) or any other
-    /// external extractor whose network state matches this pipeline's.
+    /// [`crate::runtime::EdgeNode`]'s gather style) or any other external
+    /// extractor whose network state matches this pipeline's.
     ///
     /// `maps` must contain every tap this pipeline's MCs consume and hold
     /// exactly what [`crate::FeatureExtractor::extract`] would have produced
@@ -545,30 +529,54 @@ impl FilterForward {
     pub fn process_with_maps(
         &mut self,
         frame: &Frame,
-        maps: &crate::extractor::FeatureMaps,
+        maps: &FeatureMaps,
         shared_extract: Duration,
     ) -> Vec<FrameVerdict> {
         let mut out = Vec::new();
-        self.process_with_maps_into(frame, maps, shared_extract, &mut out);
+        self.serve_into(frame, Backbone::Shared(maps, shared_extract), &mut out);
         out
     }
 
-    /// [`Self::process_with_maps`] appending the finalized frames to `out`
-    /// instead of returning a fresh `Vec` per frame — the node's gather
-    /// fan-out writes straight into the stream task's pending list.
-    pub(crate) fn process_with_maps_into(
+    /// The one serving body: ingest `frame`, take its feature maps from
+    /// `backbone`, run every MC on them, apply the decisions, and append the
+    /// frames that became final to `out` — the node's pool jobs write
+    /// straight into the stream task's pending list.
+    pub(crate) fn serve_into(
         &mut self,
         frame: &Frame,
-        maps: &crate::extractor::FeatureMaps,
-        shared_extract: Duration,
+        backbone: Backbone<'_>,
         out: &mut Vec<FrameVerdict>,
     ) {
         self.ingest_frame(frame);
-        self.timers.base_dnn += shared_extract;
 
+        // Phase 1: base-DNN feature extraction (timed), or the frame's share
+        // of a shared pass. Own maps borrow the extractor's workspace-backed
+        // buffers.
+        let (maps, extract) = match backbone {
+            Backbone::Own(tensor) => {
+                let t0 = Instant::now();
+                let ex = self.extractor.as_mut().expect(
+                    "deferred-backbone pipeline cannot run per-stream inference \
+                     (the node owns its backbone): use process_with_maps",
+                );
+                (ex.extract(tensor), t0.elapsed())
+            }
+            Backbone::Shared(maps, share) => (maps, share),
+        };
+        self.timers.base_dnn += extract;
+
+        // Phase 2: every MC consumes the maps (timed as one block, matching
+        // the paper's phased execution / end-to-end flow control).
+        // `decisions` is a reused scratch: the MC loop itself is
+        // allocation-free in steady state.
         let t1 = Instant::now();
         let mut decisions = std::mem::take(&mut self.decisions_scratch);
-        Self::run_mcs(&mut self.mcs, maps, &mut decisions);
+        decisions.clear();
+        for mc in &mut self.mcs {
+            if let Some(d) = mc.process_tap(maps.get(&mc.spec().tap)) {
+                decisions.push((mc.id(), d));
+            }
+        }
         self.timers.microclassifiers += t1.elapsed();
         self.timers.frames += 1;
 
@@ -576,7 +584,7 @@ impl FilterForward {
             self.apply_decision(mc_id, d);
         }
         self.decisions_scratch = decisions;
-        self.drain_into(out);
+        self.drain_into(self.mcs.len(), out);
     }
 
     /// Shared ingest bookkeeping: frame counters, archival, and the pending
@@ -605,23 +613,6 @@ impl FilterForward {
         );
     }
 
-    /// The MC loop over one frame's maps, into the reused decision scratch.
-    /// An associated function so callers can hold `maps` borrowed from
-    /// `self.extractor` while the MCs run.
-    fn run_mcs(
-        mcs: &mut [McRuntime],
-        maps: &crate::extractor::FeatureMaps,
-        decisions: &mut Vec<(McId, crate::spec::McDecision)>,
-    ) {
-        decisions.clear();
-        for mc in mcs {
-            let fm = maps.get(&mc.spec().tap);
-            if let Some(d) = mc.process_tap(fm) {
-                decisions.push((mc.id(), d));
-            }
-        }
-    }
-
     fn apply_decision(&mut self, mc: McId, d: crate::spec::McDecision) {
         let entry = self
             .pending
@@ -636,15 +627,8 @@ impl FilterForward {
         entry.decided += 1;
     }
 
-    /// Finalizes fully-decided frames in order.
-    fn drain(&mut self) -> Vec<FrameVerdict> {
-        let mut out = Vec::new();
-        self.drain_into(&mut out);
-        out
-    }
-
-    fn drain_into(&mut self, out: &mut Vec<FrameVerdict>) {
-        let n_mcs = self.mcs.len();
+    /// Finalizes, in order, the frames every one of `n_mcs` MCs decided.
+    fn drain_into(&mut self, n_mcs: usize, out: &mut Vec<FrameVerdict>) {
         while let Some(entry) = self.pending.get(&self.next_out) {
             if entry.decided < n_mcs {
                 break;
@@ -709,21 +693,8 @@ impl FilterForward {
                 self.apply_decision(id, d);
             }
         }
-        // Reinstate count for drain().
         let mut out = Vec::new();
-        while let Some(entry) = self.pending.get(&self.next_out) {
-            if entry.decided < n {
-                break;
-            }
-            let Pending {
-                frame,
-                metadata,
-                closed,
-                ..
-            } = self.pending.remove(&self.next_out).expect("checked");
-            out.push(self.finalize(self.next_out, frame, metadata, closed));
-            self.next_out += 1;
-        }
+        self.drain_into(n, &mut out);
         assert!(
             self.pending.is_empty(),
             "frames left undecided at finish: {:?}",
@@ -736,12 +707,12 @@ impl FilterForward {
     /// training and the throughput harness. The returned maps borrow the
     /// extractor's internal buffers and are overwritten by the next
     /// extraction.
-    pub fn extract_only(&mut self, tensor: &Tensor) -> &crate::extractor::FeatureMaps {
+    pub fn extract_only(&mut self, tensor: &Tensor) -> &FeatureMaps {
         self.extractor
             .as_mut()
             .expect(
                 "deferred-backbone pipeline cannot run per-stream inference \
-                 (gather mode owns the shared extractor): use process_with_maps",
+                 (the node owns its backbone): use process_with_maps",
             )
             .extract(tensor)
     }

@@ -14,18 +14,26 @@
 //! | phase of a round | runs on | why |
 //! |---|---|---|
 //! | **arrivals** — poll every open stream once, decode pixels → tensor into the task's mailbox | the calling thread | poll order *is* the wake log, and decode is cheap next to inference |
-//! | **service, per-stream style** — every stream with mail serves one frame (extract → MCs → smooth → re-encode) | one pool job per runnable stream ([`PoolShard::run_items`]): `min(runnable, pool width)` cores. A round with one runnable stream keeps the kernel-level fan-out instead (its GEMMs split across the whole pool) | streams share no inference state, so whole passes are the coarsest — cheapest — unit of parallel work |
-//! | **service, gather style** ([`EdgeNodeConfig::gather_batch`]) — served frames are bucketed by (base-DNN config, resolution); one [`crate::FeatureExtractor::extract_batch`] per bucket, then fan-out to each stream's own MCs, upload re-encode and archive | the batched pass fans its kernels across the whole pool; fan-out: one pool job per stream with a gathered frame, `min(streams in batch, width)` cores (a stream with two frames in the batch serves them in batch order inside its one job) | one GEMM over all the frames' output rows streams each packed weight panel once per *batch* instead of once per camera; what follows it is per-stream state only, so it parallelises like the per-stream style |
+//! | **service** — *select*: passes over the streams, at most one frame per stream per pass (one pass from stream 0 in per-stream style; in gather style repeated passes from a rotating start, up to `max_batch` frames); a scripted stage panic is isolated here, before any inference. *Node backbones*: one [`crate::FeatureExtractor::extract_batch`] per (base-DNN config, resolution) bucket with selected frames. *Jobs*: one per stream with selected frames — its own backbone's `extract` or its bucket's maps, then its MCs, smoothing, upload re-encode and archive, frames in selection order | selection on the calling thread; a batched pass fans its kernels across the whole pool; the jobs run on [`PoolShard::run_items`], `min(jobs, pool width)` cores — a round with one job keeps the kernel-level fan-out (its GEMMs split across the whole pool) | one GEMM over all a bucket's frames streams each packed weight panel once per *batch* instead of once per camera; what follows it is per-stream state only, so whole streams are the coarsest — cheapest — unit of parallel work |
 //! | **fold, close, uplink, control tick** | the calling thread, in stream order | see below |
+//!
+//! Past selection, the two styles ([`EdgeNodeConfig::gather_batch`])
+//! differ only in who owns the base DNN. In **gather style** the node owns
+//! one [`crate::FeatureExtractor`] per (base-DNN config, resolution)
+//! bucket, built when the bucket's first stream is added, which deploys,
+//! calibrates ([`EdgeNode::calibrate`]), takes the precision knobs and
+//! runs the batched pass, while every stream is a
+//! [`FilterForward::new_deferred`] pipeline with no backbone of its own. In
+//! **per-stream style** every stream's pipeline owns a private extractor
+//! and runs it inside its job.
 //!
 //! # Why every trace replays
 //!
 //! Pool jobs finish in whatever order the cores get to them, but nothing
 //! observes that order: a job writes only its own stream's task (its
-//! pipeline, and in gather style the task's pending verdicts) and result
-//! slot, and the loop folds the round's results — verdicts, sensor counts,
-//! spans, fault events, restarts — back **in stream order** after the last
-//! job lands. Kernels dispatched from inside a job run serially on
+//! pipeline and pending verdicts) and result slot, and the loop folds the
+//! round's results — verdicts, sensor counts, spans, fault events,
+//! restarts — back **in stream order** after the last job lands. Kernels dispatched from inside a job run serially on
 //! the thread that claimed it, and kernel results are independent of worker
 //! count (see [`ff_tensor::parallel`]), batched kernels compute every
 //! output element from its own frame's data in the per-frame accumulation
@@ -54,12 +62,11 @@
 //! channel, or inference workspace, which is what lets one node carry
 //! 1000+ mostly-idle duty-cycled cameras: admission prices each stream by
 //! its [`ff_video::FrameSource::duty_fraction`] (see
-//! [`EdgeNode::try_add_stream`]), and with
-//! [`EdgeNodeConfig::shared_backbone`] the sleepers do not even hold a
-//! private base-DNN instance. Gather style buckets by (base-DNN config,
-//! resolution), so mixed-resolution fleets still get batched backbone
-//! passes; calibrate through [`EdgeNode::calibrate`] so the shared batched
-//! extractors and the per-stream extractors stay in sync.
+//! [`EdgeNode::try_add_stream`]), and in gather style the sleepers do not
+//! even hold a base-DNN instance — the node holds one per bucket, so
+//! mixed-resolution fleets still get batched backbone passes. Calibrate
+//! through [`EdgeNode::calibrate`], which reaches whichever backbone serves
+//! each stream.
 
 use std::time::{Duration, Instant};
 
@@ -73,11 +80,13 @@ use crate::control::{
     ControllerInit, FaultTelemetry, NodeTelemetry, Sensors,
 };
 use crate::events::McId;
-use crate::extractor::FeatureExtractor;
+use crate::extractor::{FeatureExtractor, FeatureMaps};
 use crate::faults::{
     FaultEventKind, FaultPlan, FaultTrace, FaultsReport, RecoveringUplink, RecoveryConfig,
 };
-use crate::pipeline::{FilterForward, FrameVerdict, PhaseTimers, PipelineConfig, PipelineStats};
+use crate::pipeline::{
+    default_taps, Backbone, FilterForward, FrameVerdict, PhaseTimers, PipelineConfig, PipelineStats,
+};
 use crate::spec::McSpec;
 use crate::task::{DecodedFrame, StreamTask};
 use crate::uplink::Uplink;
@@ -155,10 +164,11 @@ pub struct EdgeNodeConfig {
     /// Bounds the uplink send queue; uploads beyond it are dropped
     /// (counted in [`NodeStats::uplink_dropped`]). `None` = unbounded.
     pub uplink_queue_limit_bytes: Option<u64>,
-    /// `Some` switches the node to gather-batch execution: one shared
-    /// batched base-DNN pass per bucket per round, the whole thread budget
-    /// behind it. `None` (the default) serves each stream's frame as its
-    /// own pool job, concurrently across streams.
+    /// `Some` switches the node to gather-batch execution: the node owns one
+    /// base DNN per (config, resolution) bucket and runs one batched pass
+    /// per bucket per round, the whole thread budget behind it; streams
+    /// hold none. `None` (the default) gives every stream a private base
+    /// DNN, run inside the stream's own pool job.
     pub gather_batch: Option<GatherBatch>,
     /// `Some` overrides every stream's base-DNN weight-panel precision at
     /// run start (applied uniformly, so gather-batch streams keep one
@@ -171,15 +181,6 @@ pub struct EdgeNodeConfig {
     /// `None` (the default) admits everything, the pre-control-plane
     /// behavior.
     pub admission: Option<AdmissionPolicy>,
-    /// `true` builds every stream's pipeline in **deferred-backbone** mode
-    /// ([`FilterForward::new_deferred`]): streams hold no private
-    /// [`FeatureExtractor`] — the node owns one shared extractor per
-    /// distinct (base-DNN config, resolution) bucket and runs the batched
-    /// backbone pass for everyone, so a 1000-camera fleet pays for a
-    /// handful of base-DNN instances instead of 1000. Requires gather
-    /// execution ([`Self::gather_batch`]). `false` (the default) keeps a
-    /// private extractor per stream.
-    pub shared_backbone: bool,
     /// `Some` injects a deterministic fault schedule (see
     /// [`crate::faults`]): uplink outages/dips/loss, camera
     /// stalls/blackouts/corruption, scripted stage panics, all keyed to
@@ -226,7 +227,6 @@ impl EdgeNodeConfig {
             gather_batch: None,
             precision: None,
             admission: None,
-            shared_backbone: false,
             faults: None,
             recovery: RecoveryConfig::default(),
             obs: None,
@@ -253,10 +253,11 @@ impl EdgeNodeConfig {
         self
     }
 
-    /// Shares the base-DNN backbone across streams (builder style; see
-    /// [`Self::shared_backbone`]).
-    pub fn with_shared_backbone(mut self) -> Self {
-        self.shared_backbone = true;
+    /// **A no-op.** A gather-style node always shares one backbone per
+    /// (base-DNN config, resolution) bucket across its streams, and
+    /// per-stream style always keeps one per stream. Kept only because
+    /// `ffbench/` still calls it (see ROADMAP).
+    pub fn with_shared_backbone(self) -> Self {
         self
     }
 
@@ -403,21 +404,26 @@ impl ObsReport {
 struct StreamEntry {
     source: Box<dyn FrameSource>,
     ff: FilterForward,
+    /// The gather-style bucket whose extractor serves this stream; `None`
+    /// in per-stream style, where the pipeline owns its extractor.
+    bucket: Option<usize>,
 }
 
 /// A multi-stream edge node.
 ///
 /// Add streams ([`Self::add_stream`]), deploy microclassifiers per stream
-/// ([`Self::deploy`] / [`Self::pipeline_mut`] for weight installation and
-/// calibration), then [`Self::run`] to drive every source to exhaustion.
+/// ([`Self::deploy`]; [`Self::pipeline_mut`] for weight installation),
+/// calibrate ([`Self::calibrate`]), then [`Self::run`] to drive every
+/// source to exhaustion.
 ///
 /// See the [module docs](self) for the round loop.
 pub struct EdgeNode {
     cfg: EdgeNodeConfig,
     streams: Vec<StreamEntry>,
-    /// Frames passed to [`Self::calibrate`], replayed onto the shared
-    /// batched extractor in gather-batch mode.
-    calibration_frames: Option<Vec<Frame>>,
+    /// Gather style's base DNNs: one per (base-DNN config, resolution)
+    /// bucket, built when its first stream is added (see
+    /// [`Self::try_add_stream`]). Empty in per-stream style.
+    buckets: Vec<GatherBucket>,
     /// Base-DNN instance bytes committed by admitted streams, weighted by
     /// each stream's duty fraction (maintained only while
     /// [`EdgeNodeConfig::admission`] is configured, so nodes without
@@ -434,10 +440,6 @@ pub struct EdgeNode {
     /// resolution) — profiling builds a real network, and a 1000-camera
     /// fleet shares a handful of configs.
     instance_cache: Vec<((MobileNetConfig, Resolution), u64)>,
-    /// Template extractors for deferred-backbone deploys, one per distinct
-    /// base-DNN config ([`FilterForward::deploy_with`] resolves tap shapes
-    /// against these instead of a private per-stream extractor).
-    templates: Vec<(MobileNetConfig, FeatureExtractor)>,
 }
 
 impl std::fmt::Debug for EdgeNode {
@@ -457,12 +459,11 @@ impl EdgeNode {
         EdgeNode {
             cfg,
             streams: Vec::new(),
-            calibration_frames: None,
+            buckets: Vec::new(),
             committed_active_bytes: 0.0,
             active_commit: 0.0,
             fractional_admitted: false,
             instance_cache: Vec::new(),
-            templates: Vec::new(),
         }
     }
 
@@ -519,11 +520,9 @@ impl EdgeNode {
             });
         }
         if let Some(adm) = self.cfg.admission {
-            assert!(
-                adm.max_streams_per_worker >= 1,
-                "AdmissionPolicy::max_streams_per_worker must be ≥ 1 \
-                 (0 would refuse every stream)"
-            );
+            if adm.max_streams_per_worker == 0 {
+                return Err(AdmissionError::ZeroStreamsPerWorker);
+            }
             let budget_threads = self.cfg.shards.budget();
             let max_streams = budget_threads * adm.max_streams_per_worker;
             let frac = source.duty_fraction().clamp(0.0, 1.0);
@@ -565,13 +564,38 @@ impl EdgeNode {
             }
         }
         let id = StreamId(self.streams.len());
-        let ff = if self.cfg.shared_backbone {
-            FilterForward::new_deferred(pipeline)
-        } else {
-            FilterForward::new(pipeline)
+        let (ff, bucket) = match self.cfg.gather_batch {
+            Some(_) => (
+                FilterForward::new_deferred(pipeline),
+                Some(self.bucket_for(&pipeline)),
+            ),
+            None => (FilterForward::new(pipeline), None),
         };
-        self.streams.push(StreamEntry { source, ff });
+        self.streams.push(StreamEntry { source, ff, bucket });
         Ok(id)
+    }
+
+    /// The gather-style bucket a stream of this pipeline joins — keyed by
+    /// the base-DNN config it will run (the node precision override
+    /// applied) and its resolution — built with its extractor when the
+    /// bucket's first stream arrives.
+    fn bucket_for(&mut self, pipeline: &PipelineConfig) -> usize {
+        let config = self
+            .cfg
+            .precision
+            .map_or(pipeline.mobilenet, |p| pipeline.mobilenet.with_precision(p));
+        let key =
+            |b: &GatherBucket| *b.ex.config() == config && b.resolution == pipeline.resolution;
+        if let Some(b) = self.buckets.iter().position(key) {
+            return b;
+        }
+        self.buckets.push(GatherBucket {
+            ex: FeatureExtractor::new(config, default_taps()),
+            resolution: pipeline.resolution,
+            tensors: Vec::new(),
+            share: Duration::ZERO,
+        });
+        self.buckets.len() - 1
     }
 
     /// Memoized [`crate::node::mobilenet_instance_bytes`]: the profile
@@ -595,53 +619,61 @@ impl EdgeNode {
         self.streams.len()
     }
 
-    /// Deploys a microclassifier on one stream. On a deferred-backbone
-    /// stream ([`EdgeNodeConfig::shared_backbone`]) tap shapes resolve
-    /// against the node's template extractor for that base-DNN config —
-    /// built once per distinct config, not per stream — via
-    /// [`FilterForward::deploy_with`]; the resulting MC is identical to an
-    /// eager deploy's.
+    /// Deploys a microclassifier on one stream. In gather style the tap is
+    /// registered on the stream's bucket extractor, which also resolves its
+    /// shapes ([`FilterForward::deploy_with`]); the resulting MC is
+    /// identical to an eager deploy's.
     pub fn deploy(&mut self, stream: StreamId, spec: McSpec) -> McId {
-        if !self.streams[stream.0].ff.is_deferred() {
-            return self.streams[stream.0].ff.deploy(spec);
-        }
-        let base = *self.streams[stream.0].ff.base_config();
-        if !self.templates.iter().any(|(c, _)| *c == base) {
-            let ex = FeatureExtractor::new(
-                base,
-                vec![
-                    ff_models::LAYER_LOCALIZED_TAP.to_string(),
-                    ff_models::LAYER_FULL_FRAME_TAP.to_string(),
-                ],
-            );
-            self.templates.push((base, ex));
-        }
-        let template = &self
-            .templates
-            .iter()
-            .find(|(c, _)| *c == base)
-            .expect("just inserted")
-            .1;
-        self.streams[stream.0].ff.deploy_with(spec, template)
+        let e = &mut self.streams[stream.0];
+        let Some(b) = e.bucket else {
+            return e.ff.deploy(spec);
+        };
+        let ex = &mut self.buckets[b].ex;
+        ex.ensure_tap(&spec.tap);
+        e.ff.deploy_with(spec, ex)
     }
 
     /// Mutable access to a stream's pipeline (install trained MC weights,
-    /// calibrate the extractor, tune thresholds) before running.
+    /// tune thresholds) before running. A gather-style stream's pipeline
+    /// has no extractor: deploy through [`Self::deploy`] and calibrate
+    /// through [`Self::calibrate`].
     pub fn pipeline_mut(&mut self, stream: StreamId) -> &mut FilterForward {
         &mut self.streams[stream.0].ff
     }
 
-    /// Calibrates **every** stream's base DNN from the same sample frames
-    /// and remembers them for the shared batched extractor, so gather-batch
-    /// mode stays bit-identical to the per-stream path. In gather-batch
-    /// mode, calibrate through this method (not per-stream
-    /// [`FilterForward::calibrate`], which would leave the shared extractor
-    /// out of sync).
+    /// Calibrates **every** stream's base DNN from the same sample frames:
+    /// each per-stream-style stream's own extractor, and each gather-style
+    /// bucket's extractor (from the frames at the bucket's resolution when
+    /// the node has more than one bucket), so both styles stay
+    /// bit-identical to a serial pipeline calibrated the same way. In
+    /// gather style, calibrate through this method, not per-stream
+    /// [`FilterForward::calibrate`], which cannot reach the node's
+    /// extractor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node has more than one bucket and none of `frames`
+    /// matches some bucket's resolution.
     pub fn calibrate(&mut self, frames: &[Frame]) {
         for s in &mut self.streams {
             s.ff.calibrate(frames);
         }
-        self.calibration_frames = Some(frames.to_vec());
+        let mixed = self.buckets.len() > 1;
+        for b in &mut self.buckets {
+            let tensors: Vec<Tensor> = frames
+                .iter()
+                .filter(|f| !mixed || f.resolution() == b.resolution)
+                .map(Frame::to_tensor)
+                .collect();
+            assert!(
+                !mixed || !tensors.is_empty(),
+                "mixed-resolution gather needs calibration frames at every \
+                 resolution: none matched {}x{}",
+                b.resolution.width,
+                b.resolution.height
+            );
+            b.ex.calibrate(&tensors);
+        }
     }
 
     /// Drives every stream to end-of-source with every control policy off:
@@ -659,43 +691,46 @@ impl EdgeNode {
     /// rounds the [`Controller`] snapshots the sensors and moves the knobs.
     /// Every Sleeping → Awake edge lands in [`ControlledReport::wakes`].
     ///
-    /// Two service styles, chosen by [`EdgeNodeConfig::gather_batch`]:
+    /// Every round serves through one block: select frames from the
+    /// mailboxes, run the node's batched backbone passes (if it owns any),
+    /// then one pool job per stream with selected frames runs its MCs,
+    /// smoothing, re-encode and archive. The two styles, chosen by
+    /// [`EdgeNodeConfig::gather_batch`], differ in selection and in who
+    /// owns the base DNN:
     ///
-    /// * **gather style** (`Some`): the round's served frames are bucketed
-    ///   by (base-DNN config, resolution) and each bucket runs one shared
-    ///   batched base-DNN pass (rotating scan start, so no stream
-    ///   monopolizes the batch), then the bucket's streams run their MCs and
-    ///   re-encodes concurrently — one pool job each; the *batch policy*
-    ///   resizes `max_batch` live.
-    /// * **per-stream style** (`None`): each stream serves at most one
-    ///   frame per round, the round's runnable streams concurrently — one
-    ///   pool job each.
+    /// * **gather style** (`Some`): selection repeats passes from a
+    ///   rotating scan start (so no stream monopolizes the batch) until the
+    ///   batch holds `max_batch` frames, which the *batch policy* resizes
+    ///   live; each (base-DNN config, resolution) bucket's frames go
+    ///   through one batched pass on the node's extractor, and each job
+    ///   classifies its bucket's maps.
+    /// * **per-stream style** (`None`): selection makes one pass from
+    ///   stream 0, so each stream serves at most one frame per round, and
+    ///   each job runs its stream's private extractor.
     ///
-    /// The degradation ladder applies in both styles. When no policy fires,
-    /// per-stream verdicts are bit-identical to a serial
+    /// A scripted stage panic ([`FaultPlan`]) is isolated at selection in
+    /// both styles: the frame is lost and the stage restarts (or the
+    /// circuit breaker kills the stream) before anything runs, in selection
+    /// order. The degradation ladder applies in both styles. When no policy
+    /// fires, per-stream verdicts are bit-identical to a serial
     /// [`FilterForward::process`] loop over the same streams.
     ///
     /// # Panics
     ///
-    /// Panics if no streams are registered, a stream has no MCs deployed,
-    /// the control config or fault plan is invalid (see
-    /// [`Controller::new`], [`FaultPlan::validate`]), gather style meets a
-    /// stream calibrated behind the node's back (see [`Self::calibrate`]),
-    /// or [`EdgeNodeConfig::shared_backbone`] is set without gather-batch
-    /// execution.
+    /// Panics if no streams are registered, the control config or fault
+    /// plan is invalid (see [`Controller::new`], [`FaultPlan::validate`]),
+    /// or gather style meets a stream calibrated or re-quantized behind the
+    /// node's back (see [`Self::calibrate`]). A panic inside a pool job —
+    /// a stream with no MCs deployed, or any bug — is not a scripted fault:
+    /// it ends the run, re-raised on the calling thread once the round's
+    /// other jobs have finished.
     pub fn run_controlled(mut self, ctl: ControlConfig) -> ControlledReport {
         assert!(
             !self.streams.is_empty(),
             "add at least one stream before running"
         );
-        assert!(
-            self.cfg.gather_batch.is_some() || !self.cfg.shared_backbone,
-            "shared_backbone streams have no private extractor, so the \
-             per-stream style cannot serve them: enable gather_batch"
-        );
-        // Apply the node-level precision override before the gather-style
-        // shared extractors snapshot the config, so every stream — and
-        // every shared extractor — quantizes one uniform weight set.
+        // The node-level precision override: every stream quantizes one
+        // uniform weight set (gather buckets were built with it already).
         if let Some(p) = self.cfg.precision {
             for s in &mut self.streams {
                 s.ff.set_precision(p);
@@ -709,10 +744,22 @@ impl EdgeNode {
         let EdgeNode {
             cfg,
             streams,
-            calibration_frames,
+            mut buckets,
             ..
         } = self;
         let n = streams.len();
+        for e in &streams {
+            if let Some(b) = e.bucket {
+                let ex = &buckets[b].ex;
+                assert!(
+                    e.ff.is_calibrated() == ex.is_calibrated() && e.ff.base_config() == ex.config(),
+                    "gather-batch mode requires calibration through EdgeNode::calibrate and \
+                     precision through EdgeNodeConfig::precision, not per-stream \
+                     FilterForward::calibrate or set_precision"
+                );
+            }
+        }
+        let bucket_of: Vec<Option<usize>> = streams.iter().map(|e| e.bucket).collect();
 
         // The recovery layer always wraps the link (a pass-through when no
         // plan is scheduled); the report carries Some only with a plan.
@@ -741,20 +788,11 @@ impl EdgeNode {
         // no fault-machinery API changes needed.
         let mut fault_cursor = 0usize;
 
-        // Service-style state: gather (one shared batched pass per
-        // (config, resolution) bucket, dynamic max_batch) or per-stream
-        // (one frame per stream per round). Both run on ONE budget-wide
-        // pool; no stream owns a thread.
+        // Service-style state: gather style's batch capacity (the batch
+        // policy resizes it live; 0 in per-stream style). Both styles run
+        // on ONE budget-wide pool; no stream owns a thread.
         let gather = cfg.gather_batch.is_some();
-        let mut buckets: Vec<GatherBucket> = Vec::new();
-        let mut bucket_of: Vec<usize> = Vec::new();
-        let mut cur_batch = 0usize;
-        if let Some(gb) = cfg.gather_batch {
-            let (b, map) = build_gather_buckets(&streams, &calibration_frames);
-            buckets = b;
-            bucket_of = map;
-            cur_batch = gb.max_batch.max(1);
-        }
+        let mut cur_batch = cfg.gather_batch.map_or(0, |gb| gb.max_batch.max(1));
         let mut shard = PoolShard::new(cfg.shards.budget());
         if cfg.obs.is_some() {
             shard.bind_obs(ShardObs {
@@ -806,12 +844,10 @@ impl EdgeNode {
             tasks.push(StreamTask::new(source, e.ff));
         }
         let mut reports = empty_reports(n);
-        let mut meta: Vec<(usize, Frame, Duration)> = Vec::new();
-        // Per gathered frame: which bucket it joined and at which position,
-        // so the fanout can find its feature maps after the bucket passes.
-        let mut slot_of: Vec<(usize, usize)> = Vec::new();
-        // Fan-out scratch: one bucket's gathered frames (indices into
-        // `meta`) grouped by stream, batch order kept within a stream.
+        // The round's selected frames, in selection order.
+        let mut meta: Vec<Selected> = Vec::new();
+        // Job scratch: the selected frames (indices into `meta`) grouped by
+        // stream, selection order kept within a stream.
         let mut order: Vec<usize> = Vec::new();
         let mut scan_start = 0usize;
         let mut round: u64 = 0;
@@ -853,204 +889,166 @@ impl EdgeNode {
                 }
             }
 
-            // 2. Service.
-            if gather {
-                // Gather style: fill up to `cur_batch` from the mailboxes,
-                // rotating the scan start so no stream monopolizes the
-                // batch; one shared batched pass per (config, resolution)
-                // bucket, then one pool job per stream for its own MCs.
-                meta.clear();
-                slot_of.clear();
-                for b in &mut buckets {
-                    b.tensors.clear();
-                }
-                'gather: loop {
-                    let mut progressed = false;
-                    for i in 0..n {
-                        if meta.len() == cur_batch {
-                            break 'gather;
+            // 2. Service. Selection takes at most one frame per stream per
+            //    pass over the streams: per-stream style makes one pass from
+            //    stream 0, gather style repeats passes from a rotating scan
+            //    start, so no stream monopolizes the batch, until it holds
+            //    `cur_batch` frames or the mailboxes run dry.
+            meta.clear();
+            for b in &mut buckets {
+                b.tensors.clear();
+            }
+            let (start, cap) = if gather {
+                (scan_start, cur_batch)
+            } else {
+                (0, n)
+            };
+            'select: loop {
+                let mut progressed = false;
+                for i in 0..n {
+                    if meta.len() == cap {
+                        break 'select;
+                    }
+                    let s = (start + i) % n;
+                    if kills.contains(&s) {
+                        continue;
+                    }
+                    let Some(msg) = tasks[s].mailbox.pop_front() else {
+                        continue;
+                    };
+                    let k = tasks[s].served;
+                    tasks[s].served += 1;
+                    progressed = true;
+                    if let Some(idx) = panic_sched
+                        .iter()
+                        .position(|p| p.stream == s && p.at_frame == k)
+                    {
+                        // A scripted stage crash, isolated before anything
+                        // runs, so a shared batch cannot take innocent
+                        // frames down with it: this stream's frame is lost
+                        // and its stage restarts (or the breaker kills the
+                        // stream), while every other stream's round
+                        // proceeds untouched.
+                        panic_sched.remove(idx);
+                        if !tasks[s].stage_panicked(
+                            round,
+                            s,
+                            k,
+                            cfg.recovery.max_restarts_per_stream,
+                            &restarts_cell,
+                            &mut fault_trace,
+                        ) {
+                            kills.push(s);
                         }
-                        let s = (scan_start + i) % n;
-                        if kills.contains(&s) {
-                            continue;
-                        }
-                        if let Some(msg) = tasks[s].mailbox.pop_front() {
-                            let k = tasks[s].served;
-                            tasks[s].served += 1;
-                            progressed = true;
-                            if let Some(idx) = panic_sched
-                                .iter()
-                                .position(|p| p.stream == s && p.at_frame == k)
-                            {
-                                // A scripted stage crash. The shared batch
-                                // must not take innocent same-batch frames
-                                // down with it, so the crash is isolated
-                                // *before* the batch: this stream's frame
-                                // is lost and its stage restarts (or the
-                                // breaker kills the stream), while every
-                                // other stream's round proceeds untouched.
-                                panic_sched.remove(idx);
-                                if !tasks[s].stage_panicked(
-                                    round,
-                                    s,
-                                    k,
-                                    cfg.recovery.max_restarts_per_stream,
-                                    &restarts_cell,
-                                    &mut fault_trace,
-                                ) {
-                                    kills.push(s);
-                                }
-                                continue;
-                            }
-                            sensors.on_served(s);
-                            let b = bucket_of[s];
-                            slot_of.push((b, buckets[b].tensors.len()));
+                        continue;
+                    }
+                    sensors.on_served(s);
+                    let input = match bucket_of[s] {
+                        Some(b) => {
                             buckets[b].tensors.push(msg.tensor);
-                            meta.push((s, msg.frame, msg.decode));
+                            Input::Batched(buckets[b].tensors.len() - 1)
                         }
-                    }
-                    if !progressed {
-                        break;
-                    }
+                        None => Input::Own(msg.tensor),
+                    };
+                    meta.push(Selected {
+                        stream: s,
+                        frame: msg.frame,
+                        decode: msg.decode,
+                        input,
+                    });
                 }
-                scan_start = (scan_start + 1) % n;
-                sensors.on_round(meta.len());
-                if !meta.is_empty() {
+                if !progressed || !gather {
+                    break;
+                }
+            }
+            scan_start = (scan_start + 1) % n;
+            sensors.on_round(meta.len());
+            if !meta.is_empty() {
+                // The node's backbones: one batched pass per bucket with
+                // frames, its kernels fanned across the whole pool.
+                if !buckets.is_empty() {
                     shard.run(|| {
-                        for (bi, bucket) in buckets.iter_mut().enumerate() {
-                            if bucket.tensors.is_empty() {
-                                continue;
-                            }
+                        for bucket in buckets.iter_mut().filter(|b| !b.tensors.is_empty()) {
                             let te = Instant::now();
-                            let maps = bucket.ex.extract_batch(&bucket.tensors);
+                            let _ = bucket.ex.extract_batch(&bucket.tensors);
                             let extract = te.elapsed();
-                            sensors.on_extract_wall(extract, bucket.tensors.len());
+                            let frames = bucket.tensors.len();
+                            bucket.share = extract / frames as u32;
+                            sensors.on_extract_wall(extract, frames);
                             if let Some(t) = tracer.as_mut() {
                                 let mut sp = Span::new(
                                     round,
                                     NODE_SCOPE,
                                     "gather",
                                     "extract",
-                                    bucket.tensors.len() as u64,
+                                    frames as u64,
                                 );
                                 sp.wall_nanos = extract.as_nanos() as u64;
                                 t.emit(sp);
                             }
-                            // Fan-out: one pool job per stream with a frame
-                            // in this bucket. A stream's frames stay in
-                            // batch order inside its job, and a job touches
-                            // only its own task, so nothing observes which
-                            // core ran it or when.
-                            let share = extract / bucket.tensors.len() as u32;
-                            order.clear();
-                            order.extend((0..meta.len()).filter(|&i| slot_of[i].0 == bi));
-                            order.sort_unstable_by_key(|&i| (meta[i].0, i));
-                            let mut rest = tasks.iter_mut().enumerate();
-                            let mut jobs: Vec<FanoutJob> = Vec::with_capacity(order.len());
-                            jobs.extend(order.chunk_by(|&a, &b| meta[a].0 == meta[b].0).map(
-                                |frames| {
-                                    let s = meta[frames[0]].0;
-                                    let (_, task) = rest
-                                        .find(|(t, _)| *t == s)
-                                        .expect("jobs are built in ascending stream order");
-                                    FanoutJob { task, frames }
-                                },
-                            ));
-                            let outcomes = shard.run_items(&mut jobs, |_, job| {
-                                let StreamTask { ff, pending, .. } = &mut *job.task;
-                                let ff = ff.as_mut().expect("open stream has a pipeline");
-                                for &i in job.frames {
-                                    let (_, frame, decode) = &meta[i];
-                                    ff.credit_decode(*decode);
-                                    ff.process_with_maps_into(
-                                        frame,
-                                        &maps[slot_of[i].1],
-                                        share,
-                                        pending,
-                                    );
-                                }
-                            });
-                            // A panic here is a bug, not a scripted fault
-                            // (those were isolated before the batch): it
-                            // ends the run, as it did when the fan-out ran
-                            // on this thread — after the round's other
-                            // jobs have finished.
-                            if let Some(payload) = outcomes.into_iter().find_map(Result::err) {
-                                std::panic::resume_unwind(payload);
-                            }
                         }
                     });
                 }
-            } else {
-                // Per-stream style: every stream with mail serves one frame,
-                // all of them concurrently — one pool job per stream, each
-                // catching its own unwind, so a panicking stage (scripted
-                // or real) costs its own stream one frame and nobody else
-                // anything. Jobs finish in any order; the fold below walks
-                // them in stream order, which is what every trace records.
-                let mut jobs: Vec<ServeJob> = Vec::new();
-                for (s, task) in tasks.iter_mut().enumerate() {
-                    let Some(msg) = task.mailbox.pop_front() else {
-                        continue;
-                    };
-                    let frame_no = task.served;
-                    task.served += 1;
-                    let inject_panic = panic_sched
-                        .iter()
-                        .position(|p| p.stream == s && p.at_frame == frame_no)
-                        .map(|idx| panic_sched.remove(idx))
-                        .is_some();
-                    jobs.push(ServeJob {
-                        stream: s,
-                        frame_no,
-                        inject_panic,
-                        msg,
-                        task,
-                    });
-                }
+                // One pool job per stream with selected frames, which it
+                // serves in selection order. A job touches only its own
+                // task, so nothing observes which core ran it or when.
+                order.clear();
+                order.extend(0..meta.len());
+                order.sort_unstable_by_key(|&i| (meta[i].stream, i));
+                let mut rest = tasks.iter_mut().enumerate();
+                let mut jobs: Vec<ServiceJob> = Vec::with_capacity(order.len());
+                jobs.extend(
+                    order
+                        .chunk_by(|&a, &b| meta[a].stream == meta[b].stream)
+                        .map(|frames| {
+                            let s = meta[frames[0]].stream;
+                            let (_, task) = rest
+                                .find(|(t, _)| *t == s)
+                                .expect("jobs are built in ascending stream order");
+                            let (maps, share) = match bucket_of[s] {
+                                Some(b) => (buckets[b].ex.batch_maps(), buckets[b].share),
+                                None => (&[][..], Duration::ZERO),
+                            };
+                            ServiceJob {
+                                task,
+                                frames,
+                                maps,
+                                share,
+                            }
+                        }),
+                );
                 let outcomes = shard.run_items(&mut jobs, |_, job| {
-                    if job.inject_panic {
-                        panic!(
-                            "scripted stage panic: stream {}, frame {}",
-                            job.stream, job.frame_no
-                        );
+                    let StreamTask { ff, pending, .. } = &mut *job.task;
+                    let ff = ff.as_mut().expect("open stream has a pipeline");
+                    let t = Instant::now();
+                    for &i in job.frames {
+                        let sel = &meta[i];
+                        ff.credit_decode(sel.decode);
+                        let backbone = match &sel.input {
+                            Input::Own(tensor) => Backbone::Own(tensor),
+                            Input::Batched(slot) => Backbone::Shared(&job.maps[*slot], job.share),
+                        };
+                        ff.serve_into(&sel.frame, backbone, pending);
                     }
-                    let ff = job.task.ff.as_mut().expect("open stream has a pipeline");
-                    ff.credit_decode(job.msg.decode);
-                    let te = Instant::now();
-                    let verdicts = ff.process_decoded(&job.msg.frame, &job.msg.tensor);
-                    (verdicts, te.elapsed())
+                    t.elapsed()
                 });
-                let mut served = 0usize;
-                for (job, outcome) in jobs.into_iter().zip(outcomes) {
-                    let (s, task) = (job.stream, job.task);
-                    match outcome {
-                        Ok((verdicts, extract)) => {
-                            sensors.on_extract_wall(extract, 1);
-                            sensors.on_served(s);
-                            served += 1;
-                            if let Some(t) = tracer.as_mut() {
-                                let mut sp = Span::new(round, s as u32, "infer", "serve", 1);
-                                sp.wall_nanos = extract.as_nanos() as u64;
-                                t.emit(sp);
-                            }
-                            task.pending.extend(verdicts);
-                        }
-                        Err(_) => {
-                            if !task.stage_panicked(
-                                round,
-                                s,
-                                job.frame_no,
-                                cfg.recovery.max_restarts_per_stream,
-                                &restarts_cell,
-                                &mut fault_trace,
-                            ) {
-                                kills.push(s);
-                            }
+                // A panic here is a bug, not a scripted fault (those were
+                // isolated at selection): it ends the run, re-raised here
+                // once the round's other jobs have finished.
+                for (job, outcome) in jobs.iter().zip(outcomes) {
+                    let wall = outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                    let s = meta[job.frames[0]].stream;
+                    if bucket_of[s].is_none() {
+                        // The stream ran its own backbone inside the job:
+                        // the job is its inference span.
+                        sensors.on_extract_wall(wall, 1);
+                        if let Some(t) = tracer.as_mut() {
+                            let mut sp = Span::new(round, s as u32, "infer", "serve", 1);
+                            sp.wall_nanos = wall.as_nanos() as u64;
+                            t.emit(sp);
                         }
                     }
                 }
-                sensors.on_round(served);
             }
 
             // 2½. Circuit-breaker kills: flush the task's pipeline (its
@@ -1270,103 +1268,43 @@ fn fault_span(e: &crate::faults::FaultEvent) -> Span {
     Span::new(e.round, stream, stage, kind, value)
 }
 
-/// One per-stream pool job: a stream's next decoded frame and the task
-/// whose pipeline will process it, on loan for the span of the round's
-/// dispatch.
-struct ServeJob<'a> {
+/// One frame selection took for this round's service.
+struct Selected {
     stream: usize,
-    /// Index of the frame among those the stream has served — what the
-    /// panic schedule keys on.
-    frame_no: u64,
-    inject_panic: bool,
-    msg: DecodedFrame,
-    task: &'a mut StreamTask,
+    frame: Frame,
+    /// Wall-clock decode time, credited to the stream's base-DNN timer.
+    decode: Duration,
+    input: Input,
 }
 
-/// One gather-style fan-out pool job: a stream's task on loan for the span
-/// of a bucket's dispatch, and which of the round's gathered frames (indices
-/// into the batch, in batch order) are that stream's.
-struct FanoutJob<'a> {
+/// Where a selected frame's tensor went.
+enum Input {
+    /// Kept for the stream's private extractor (per-stream style).
+    Own(Tensor),
+    /// Joined its bucket's batch at this position (gather style).
+    Batched(usize),
+}
+
+/// One service pool job: a stream's task on loan for the span of the
+/// round's dispatch, which of the round's selected frames (indices into the
+/// selection, in selection order) are that stream's, and — in gather
+/// style — its bucket's maps and per-frame share of that pass's wall time.
+struct ServiceJob<'a> {
     task: &'a mut StreamTask,
     frames: &'a [usize],
+    maps: &'a [FeatureMaps],
+    share: Duration,
 }
 
-/// One controlled-gather **bucket**: the shared batched extractor for a
-/// (base-DNN config, resolution) class of streams, plus the round's tensor
-/// scratch. One `extract_batch` runs per non-empty bucket per round.
+/// One gather-style **bucket**: the node's extractor for a (base-DNN
+/// config, resolution) class of streams, plus the round's tensor scratch
+/// and its pass's per-frame wall-time share. One `extract_batch` runs per
+/// non-empty bucket per round.
 struct GatherBucket {
     ex: FeatureExtractor,
+    resolution: Resolution,
     tensors: Vec<Tensor>,
-}
-
-/// Buckets the controlled executor's streams by (base-DNN config,
-/// resolution) — mixed-resolution fleets batch per bucket instead of being
-/// rejected — and builds one shared extractor per bucket: tap union in
-/// first-appearance order, node calibration frames replayed (filtered to
-/// the bucket's resolution only when more than one bucket exists, so a
-/// homogeneous fleet reproduces the legacy single shared extractor
-/// bit-for-bit). Returns the buckets and the stream → bucket map.
-fn build_gather_buckets(
-    streams: &[StreamEntry],
-    calibration_frames: &Option<Vec<Frame>>,
-) -> (Vec<GatherBucket>, Vec<usize>) {
-    let mut keys: Vec<(MobileNetConfig, Resolution)> = Vec::new();
-    let mut bucket_of = Vec::with_capacity(streams.len());
-    for s in streams {
-        assert_eq!(
-            s.ff.is_calibrated(),
-            calibration_frames.is_some(),
-            "gather-batch mode requires calibration through EdgeNode::calibrate, \
-             not per-stream FilterForward::calibrate"
-        );
-        let key = (*s.ff.base_config(), s.source.resolution());
-        let bi = keys.iter().position(|k| *k == key).unwrap_or_else(|| {
-            keys.push(key);
-            keys.len() - 1
-        });
-        bucket_of.push(bi);
-    }
-    let mut buckets = Vec::with_capacity(keys.len());
-    for (bi, (base, res)) in keys.iter().enumerate() {
-        let mut taps: Vec<String> = Vec::new();
-        for (si, s) in streams.iter().enumerate() {
-            if bucket_of[si] != bi {
-                continue;
-            }
-            for t in s.ff.taps() {
-                if !taps.iter().any(|have| have == t) {
-                    taps.push(t.clone());
-                }
-            }
-        }
-        let mut ex = FeatureExtractor::new(*base, taps);
-        if let Some(frames) = calibration_frames {
-            let tensors: Vec<Tensor> = if keys.len() > 1 {
-                frames
-                    .iter()
-                    .filter(|f| f.resolution() == *res)
-                    .map(|f| f.to_tensor())
-                    .collect()
-            } else {
-                // Single bucket: replay every calibration frame, exactly
-                // like the legacy homogeneous shared extractor.
-                frames.iter().map(Frame::to_tensor).collect()
-            };
-            assert!(
-                keys.len() == 1 || !tensors.is_empty(),
-                "mixed-resolution gather needs calibration frames at every \
-                 resolution: none matched {}x{}",
-                res.width,
-                res.height
-            );
-            ex.calibrate(&tensors);
-        }
-        buckets.push(GatherBucket {
-            ex,
-            tensors: Vec::new(),
-        });
-    }
-    (buckets, bucket_of)
+    share: Duration,
 }
 
 /// Builds the shared uplink. The uplink drains once per offer; the
@@ -1550,23 +1488,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deploy at least one MC")]
     fn gather_fanout_reraises_a_job_panic_on_the_loop_thread() {
         // Stream 1 has no MC, which its pipeline refuses to serve — inside
-        // its fan-out pool job, beside stream 0's. The run must still die
-        // with that message, not lose it on a worker.
+        // its pool job, beside stream 0's. In both styles the run must
+        // still die with that message, not lose it on a worker or fold it
+        // into a stage restart.
         let res = Resolution::new(64, 32);
-        let cfg =
-            EdgeNodeConfig::new(ShardLayout::single(2)).with_gather_batch(GatherBatch::default());
-        let mut node = EdgeNode::new(cfg);
-        for seed in [5, 6] {
-            let src = Box::new(SceneSource::new(scene_cfg(res, seed), 3));
-            let id = node.add_stream(src, tiny_pipeline(res));
-            if seed == 5 {
-                node.deploy(id, McSpec::full_frame("mc", seed));
+        for gather in [Some(GatherBatch::default()), None] {
+            let mut cfg = EdgeNodeConfig::new(ShardLayout::single(2));
+            cfg.gather_batch = gather;
+            let mut node = EdgeNode::new(cfg);
+            for seed in [5, 6] {
+                let src = Box::new(SceneSource::new(scene_cfg(res, seed), 3));
+                let id = node.add_stream(src, tiny_pipeline(res));
+                if seed == 5 {
+                    node.deploy(id, McSpec::full_frame("mc", seed));
+                }
             }
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| node.run()))
+                .expect_err("a job's panic must end the run");
+            let msg = (payload.downcast_ref::<&str>().copied())
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            assert!(
+                msg.is_some_and(|m| m.contains("deploy at least one MC")),
+                "{gather:?}: {msg:?}"
+            );
         }
-        let _ = node.run();
     }
 
     #[test]
@@ -1580,6 +1527,9 @@ mod tests {
                 let src = Box::new(SceneSource::new(scene_cfg(res, seed), 8));
                 let id = node.add_stream(src, tiny_pipeline(res));
                 node.deploy(id, McSpec::full_frame(format!("mc{seed}"), seed));
+                // Gather style serves every stream from the node's bucket
+                // extractor; per-stream style keeps a private one.
+                assert_eq!(node.pipeline_mut(id).is_deferred(), gather.is_some());
             }
             node.run()
         };
@@ -1789,6 +1739,25 @@ mod tests {
                 max_streams: 2
             }
         );
+    }
+
+    #[test]
+    fn admission_refuses_zero_streams_per_worker_as_value() {
+        use crate::control::{AdmissionError, AdmissionPolicy};
+        use crate::node::EdgeNodeSpec;
+        let res = Resolution::new(64, 32);
+        let policy = AdmissionPolicy {
+            spec: EdgeNodeSpec::paper_testbed(),
+            max_streams_per_worker: 0,
+        };
+        let mut node =
+            EdgeNode::new(EdgeNodeConfig::new(ShardLayout::single(1)).with_admission(policy));
+        let src = Box::new(SceneSource::new(scene_cfg(res, 1), 2));
+        let err = node
+            .try_add_stream(src, tiny_pipeline(res))
+            .expect_err("a zero per-worker cap must be refused");
+        assert_eq!(err, AdmissionError::ZeroStreamsPerWorker);
+        assert_eq!(node.stream_count(), 0);
     }
 
     #[test]

@@ -29,14 +29,12 @@ fn arg(name: &str, default: usize) -> usize {
 
 fn run_fleet(n_streams: usize, n_frames: u64, period: u64, budget: usize) -> ControlledReport {
     let res = Resolution::new(64, 32);
-    let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget))
-        .with_gather_batch(GatherBatch {
-            max_batch: 64,
-            gather_wait: Duration::from_millis(1),
-        })
-        // Deferred backbones: the node builds one template extractor and
-        // one gather extractor, not one per camera.
-        .with_shared_backbone();
+    // Gather style: the node builds one base DNN for the whole fleet, not
+    // one per camera.
+    let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget)).with_gather_batch(GatherBatch {
+        max_batch: 64,
+        gather_wait: Duration::from_millis(1),
+    });
     cfg.uplink_capacity_bps = 10_000_000.0;
     let mut node = EdgeNode::new(cfg);
     for s in 0..n_streams {

@@ -77,12 +77,10 @@ fn quiet_ctl() -> ControlConfig {
 /// frame to deliver, phased so ~50 wake per round. Shared backbone +
 /// gather batching: the node builds a handful of extractors, not 1000.
 fn fleet_run(budget: usize) -> ControlledReport {
-    let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget))
-        .with_gather_batch(GatherBatch {
-            max_batch: 64,
-            gather_wait: Duration::from_millis(1),
-        })
-        .with_shared_backbone();
+    let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget)).with_gather_batch(GatherBatch {
+        max_batch: 64,
+        gather_wait: Duration::from_millis(1),
+    });
     cfg.uplink_capacity_bps = 10_000_000.0;
     let mut node = EdgeNode::new(cfg);
     for s in 0..FLEET {
@@ -169,12 +167,10 @@ fn thousand_camera_fleet_is_bit_replayable_across_runs_and_widths() {
 /// One small duty-cycled fleet run for the wake-order property: stream `s`
 /// decodes its schedule from `raw[s]`.
 fn small_fleet_run(budget: usize, raw: &[u64]) -> ControlledReport {
-    let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget))
-        .with_gather_batch(GatherBatch {
-            max_batch: 8,
-            gather_wait: Duration::from_millis(1),
-        })
-        .with_shared_backbone();
+    let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget)).with_gather_batch(GatherBatch {
+        max_batch: 8,
+        gather_wait: Duration::from_millis(1),
+    });
     cfg.uplink_capacity_bps = 10_000_000.0;
     let mut node = EdgeNode::new(cfg);
     for (s, &r) in raw.iter().enumerate() {
@@ -231,7 +227,6 @@ fn chaos_fleet_run(budget: usize) -> ControlledReport {
             max_batch: 8,
             gather_wait: Duration::from_millis(1),
         })
-        .with_shared_backbone()
         .with_faults(FaultPlan::new().camera_stall(1, 4, 6).stage_panic(2, 5));
     cfg.uplink_capacity_bps = 1_000_000.0;
     let mut node = EdgeNode::new(cfg);
