@@ -1,7 +1,8 @@
 //! Multi-stream scaling: aggregate frames/sec of the [`EdgeNode`] runtime
 //! over stream counts — per-stream style (one pool job per stream per
-//! round) **and** gather-batch style (one shared batched base-DNN pass per
-//! round) — against the serial single-stream loop on the same thread
+//! round) **and** gather-batch style (up to `max_batch` frames per round,
+//! each extracted inside its stream's job through one shared base DNN) —
+//! against the serial single-stream loop on the same thread
 //! budget: the node-scale counterpart of Figure 5.
 //!
 //! Every run's per-stream verdicts are checked **bit-for-bit** against the
@@ -444,8 +445,8 @@ fn main() {
 
     // Stream counts on one budget-wide pool. `*_per_stream` rows serve each
     // round's frames as concurrent pool jobs; `*_batched` rows run
-    // gather-batch mode: one shared batched base-DNN pass per round over
-    // the whole thread budget.
+    // gather-batch mode: up to `b` frames per round, every job extracting
+    // through the node's one shared base DNN.
     let gather = |b: usize| {
         Some(GatherBatch {
             max_batch: b,

@@ -14,9 +14,11 @@ use ff_video::Resolution;
 
 /// Activations of the requested tap layers for one frame.
 ///
-/// The extractor owns one of these and refreshes it in place every frame
-/// (tensor buffers cycle through the extractor's [`Workspace`]); borrow it
-/// via [`FeatureExtractor::extract`], or `clone` it to keep a frame's maps.
+/// Refreshed in place every frame (tensor buffers cycle through the
+/// [`Workspace`] extraction draws from): the extractor owns one, borrowed
+/// via [`FeatureExtractor::extract`], and a caller sharing the extractor
+/// owns its own ([`FeatureExtractor::extract_into`]). `clone` one to keep
+/// a frame's maps.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureMaps {
     names: Vec<String>,
@@ -45,7 +47,10 @@ impl FeatureMaps {
 
 /// The shared base-DNN feature extractor.
 ///
-/// Owns a [`Workspace`] and a persistent [`FeatureMaps`]: all intermediate
+/// Extraction is immutable ([`Self::extract_into`]): one extractor — one
+/// set of weights — serves any number of threads at once, each with its
+/// own [`Workspace`] and [`FeatureMaps`]. [`Self::extract`] is the same
+/// call on a pair the extractor owns. Either way all intermediate
 /// activations and the tap outputs themselves are recycled across frames,
 /// so steady-state extraction performs no heap allocation.
 pub struct FeatureExtractor {
@@ -125,16 +130,6 @@ impl FeatureExtractor {
             .iter()
             .map(|t| self.net.index_of(t).expect("validated"))
             .collect();
-        self.maps.names.clone_from(&self.taps);
-        for t in std::mem::take(&mut self.maps.tensors) {
-            self.ws.recycle(t);
-        }
-        for m in &mut self.batch_maps {
-            m.names.clone_from(&self.taps);
-            for t in m.tensors.drain(..) {
-                self.ws.recycle(t);
-            }
-        }
     }
 
     /// The base-DNN configuration.
@@ -162,22 +157,33 @@ impl FeatureExtractor {
     }
 
     /// Runs the base DNN on one frame tensor (HWC, `[0,1]`), producing all
-    /// registered taps: [`Sequential::infer_taps`] at one frame, over the
-    /// tap indices resolved at construction, so it executes only to the
-    /// deepest tap.
+    /// registered taps into `maps`: [`Sequential::infer_taps`] at one
+    /// frame, over the tap indices resolved at construction, so it executes
+    /// only to the deepest tap.
+    ///
+    /// Immutable: any number of threads may extract through one extractor
+    /// at once, each with its own `ws` and `maps`, and each frame's maps
+    /// are bit-identical to what any other caller gets for that frame.
+    /// `maps`' previous tensors are recycled into `ws` and every buffer
+    /// involved is drawn from it, so a caller passing the same pair every
+    /// frame allocates nothing in the steady state.
+    pub fn extract_into(&self, frame: &Tensor, ws: &mut Workspace, maps: &mut FeatureMaps) {
+        if maps.names != self.taps {
+            maps.names.clone_from(&self.taps);
+        }
+        self.net
+            .infer_taps(frame, 1, &self.tap_indices, ws, &mut maps.tensors);
+    }
+
+    /// [`Self::extract_into`] on the extractor's own workspace and maps.
     ///
     /// The returned maps are owned by the extractor and overwritten by the
-    /// next call; `clone` them to keep a frame's activations. Every buffer
-    /// involved is drawn from the extractor's workspace, so steady-state
-    /// extraction allocates nothing.
+    /// next call; `clone` them to keep a frame's activations.
     pub fn extract(&mut self, frame: &Tensor) -> &FeatureMaps {
-        self.net.infer_taps(
-            frame,
-            1,
-            &self.tap_indices,
-            &mut self.ws,
-            &mut self.maps.tensors,
-        );
+        let mut ws = std::mem::take(&mut self.ws);
+        let mut maps = std::mem::take(&mut self.maps);
+        self.extract_into(frame, &mut ws, &mut maps);
+        (self.ws, self.maps) = (ws, maps);
         &self.maps
     }
 
@@ -199,6 +205,11 @@ impl FeatureExtractor {
     /// intermediates, the per-frame tap copies) cycles through the
     /// workspace, so steady-state batched extraction allocates nothing.
     ///
+    /// This is not the edge node's path: its gather style extracts each
+    /// frame on its own through [`Self::extract_into`], inside the frame's
+    /// stream job, because on the node's small cores a batch is no cheaper
+    /// per frame than one frame walked alone and the jobs run side by side.
+    ///
     /// # Panics
     ///
     /// Panics if `frames` is empty or the frames' shapes differ.
@@ -210,13 +221,12 @@ impl FeatureExtractor {
             frames.iter().all(|f| f.dims() == fd),
             "extract_batch frames must share one shape"
         );
-        while self.batch_maps.len() < batch {
-            self.batch_maps.push(FeatureMaps {
-                names: self.taps.clone(),
-                tensors: Vec::with_capacity(self.taps.len()),
-            });
-        }
+        self.batch_maps
+            .resize_with(batch.max(self.batch_maps.len()), Default::default);
         for m in &mut self.batch_maps {
+            if m.names != self.taps {
+                m.names.clone_from(&self.taps);
+            }
             for t in m.tensors.drain(..) {
                 self.ws.recycle(t);
             }
@@ -242,13 +252,6 @@ impl FeatureExtractor {
             self.batch_maps[j % batch].tensors.push(t);
         }
         &self.batch_maps[..batch]
-    }
-
-    /// The per-frame maps of the last [`Self::extract_batch`] call, indexed
-    /// like its `frames` (entries past that batch are stale), for readers
-    /// that cannot hold the `&mut` borrow the call returns under.
-    pub(crate) fn batch_maps(&self) -> &[FeatureMaps] {
-        &self.batch_maps
     }
 
     /// Shape of a tap's activation for a given input resolution.

@@ -131,7 +131,7 @@ pub(crate) enum Backbone<'a> {
     /// The frame's tensor, for the pipeline's private extractor.
     Own(&'a Tensor),
     /// Maps a node-owned extractor already produced for the frame, and the
-    /// frame's share of that pass's wall time.
+    /// wall time that extraction took.
     Shared(&'a FeatureMaps, Duration),
 }
 
@@ -508,17 +508,19 @@ impl FilterForward {
     }
 
     /// Ingests one frame whose feature maps were **already extracted** —
-    /// by a shared batched base-DNN pass over several streams' frames (see
-    /// [`crate::runtime::EdgeNode`]'s gather style) or any other external
-    /// extractor whose network state matches this pipeline's.
+    /// by a base DNN shared across streams (see
+    /// [`crate::runtime::EdgeNode`]'s gather style), a batched pass over
+    /// several frames, or any other external extractor whose network state
+    /// matches this pipeline's.
     ///
     /// `maps` must contain every tap this pipeline's MCs consume and hold
     /// exactly what [`crate::FeatureExtractor::extract`] would have produced
-    /// for `frame` under this pipeline's extractor — batched extraction
-    /// guarantees that bit-for-bit when the extractors' weights and
-    /// calibration agree. `shared_extract` is this frame's share of the
-    /// batched pass's wall time, credited to the base-DNN phase timer so
-    /// [`PhaseTimers`] keeps its meaning across execution modes.
+    /// for `frame` under this pipeline's extractor — shared and batched
+    /// extraction guarantee that bit-for-bit when the extractors' weights
+    /// and calibration agree. `shared_extract` is this frame's extraction
+    /// time (its share of a batched pass's wall), credited to the base-DNN
+    /// phase timer so [`PhaseTimers`] keeps its meaning across execution
+    /// modes.
     ///
     /// Returns any frames that became final (in order), exactly like
     /// [`Self::process_decoded`].
@@ -561,7 +563,7 @@ impl FilterForward {
                 );
                 (ex.extract(tensor), t0.elapsed())
             }
-            Backbone::Shared(maps, share) => (maps, share),
+            Backbone::Shared(maps, wall) => (maps, wall),
         };
         self.timers.base_dnn += extract;
 

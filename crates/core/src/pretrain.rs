@@ -158,8 +158,8 @@ mod tests {
             crop: 32,
             ..Default::default()
         };
-        let mut random = cfg.build();
-        let mut trained = pretrained_mobilenet(&cfg, &pre);
+        let random = cfg.build();
+        let trained = pretrained_mobilenet(&cfg, &pre);
         let x = Tensor::filled(vec![32, 32, 3], 0.5);
         let a = random.forward_taps(&x, &["conv4_2/sep"]).remove(0);
         let b = trained.forward_taps(&x, &["conv4_2/sep"]).remove(0);

@@ -14,18 +14,20 @@
 //! | phase of a round | runs on | why |
 //! |---|---|---|
 //! | **arrivals** — poll every open stream once, decode pixels → tensor into the task's mailbox | the calling thread | poll order *is* the wake log, and decode is cheap next to inference |
-//! | **service** — *select*: passes over the streams, at most one frame per stream per pass (one pass from stream 0 in per-stream style; in gather style repeated passes from a rotating start, up to `max_batch` frames); a scripted stage panic is isolated here, before any inference. *Node backbones*: one [`crate::FeatureExtractor::extract_batch`] per (base-DNN config, resolution) bucket with selected frames. *Jobs*: one per stream with selected frames — its own backbone's `extract` or its bucket's maps, then its MCs, smoothing, upload re-encode and archive, frames in selection order | selection on the calling thread; a batched pass fans its kernels across the whole pool; the jobs run on [`PoolShard::run_items`], `min(jobs, pool width)` cores — a round with one job keeps the kernel-level fan-out (its GEMMs split across the whole pool) | one GEMM over all a bucket's frames streams each packed weight panel once per *batch* instead of once per camera; what follows it is per-stream state only, so whole streams are the coarsest — cheapest — unit of parallel work |
+//! | **service** — *select*: passes over the streams, at most one frame per stream per pass (one pass from stream 0 in per-stream style; in gather style repeated passes from a rotating start, up to `max_batch` frames); a scripted stage panic is isolated here, before any inference. *Jobs*: one per stream with selected frames, each frame in selection order through the base DNN — its own extractor's `extract`, or its bucket's shared extractor's [`crate::FeatureExtractor::extract_into`] in the scratch of the job's pool slot — then its MCs, smoothing, upload re-encode and archive | selection on the calling thread; the jobs run on [`PoolShard::run_items`], `min(jobs, pool width)` cores, their kernels serially inside each job — a round with one job keeps the kernel-level fan-out (its GEMMs split across the whole pool) | everything a frame needs after selection is its stream's state plus read-only weights, so whole streams are the coarsest — cheapest — unit of parallel work; on a node's few small cores a batch is no cheaper per frame than one frame walked alone, so frames run side by side rather than stacked |
 //! | **fold, close, uplink, control tick** | the calling thread, in stream order | see below |
 //!
 //! Past selection, the two styles ([`EdgeNodeConfig::gather_batch`])
 //! differ only in who owns the base DNN. In **gather style** the node owns
 //! one [`crate::FeatureExtractor`] per (base-DNN config, resolution)
 //! bucket, built when the bucket's first stream is added, which deploys,
-//! calibrates ([`EdgeNode::calibrate`]), takes the precision knobs and
-//! runs the batched pass, while every stream is a
-//! [`FilterForward::new_deferred`] pipeline with no backbone of its own. In
-//! **per-stream style** every stream's pipeline owns a private extractor
-//! and runs it inside its job.
+//! calibrates ([`EdgeNode::calibrate`]) and takes the precision knobs;
+//! every stream is a [`FilterForward::new_deferred`] pipeline with no
+//! backbone of its own, and its jobs extract through the bucket's one
+//! weight set, immutably, in one activation scratch per pool slot — so
+//! weights scale with buckets and activations with pool width, neither
+//! with camera count. In **per-stream style** every stream's pipeline owns
+//! a private extractor and runs it inside its job.
 //!
 //! # Why every trace replays
 //!
@@ -33,11 +35,13 @@
 //! observes that order: a job writes only its own stream's task (its
 //! pipeline and pending verdicts) and result slot, and the loop folds the
 //! round's results — verdicts, sensor counts, spans, fault events,
-//! restarts — back **in stream order** after the last job lands. Kernels dispatched from inside a job run serially on
-//! the thread that claimed it, and kernel results are independent of worker
-//! count (see [`ff_tensor::parallel`]), batched kernels compute every
-//! output element from its own frame's data in the per-frame accumulation
-//! order, and streams share no mutable inference state. So per-stream
+//! restarts — back **in stream order** after the last job lands. Kernels
+//! dispatched from inside a job run serially on the thread that claimed it,
+//! kernel results are independent of worker count (see
+//! [`ff_tensor::parallel`]), and streams share no mutable inference state:
+//! a shared extractor is read-only during a run ([`ff_nn::Layer::infer`]
+//! takes `&self`) and a slot's scratch holds one job's activations at a
+//! time. So per-stream
 //! verdicts are **bit-for-bit identical** to a serial
 //! [`FilterForward::process`] loop, and every sensor, control decision,
 //! fault event, and span is a pure function of (round, stream content):
@@ -52,7 +56,7 @@
 //!       │    round with no arrival and an empty mailbox    │ infer → collect
 //!       └──────────────────────────────────────────────────┘ (≤ 1 frame per
 //!                                                             round per-stream;
-//!    Awake / Sleeping ──watchdog quarantine──▶ Suspended     batched in
+//!    Awake / Sleeping ──watchdog quarantine──▶ Suspended     up to the cap in
 //!    Suspended ──readmit──▶ Awake or Sleeping (by mailbox)   gather style)
 //!    any ──source End, mailbox drained, pipeline flushed──▶ Ended
 //!    any ──stage panic past the restart budget──▶ Killed (circuit breaker)
@@ -64,15 +68,17 @@
 //! its [`ff_video::FrameSource::duty_fraction`] (see
 //! [`EdgeNode::try_add_stream`]), and in gather style the sleepers do not
 //! even hold a base-DNN instance — the node holds one per bucket, so
-//! mixed-resolution fleets still get batched backbone passes. Calibrate
+//! mixed-resolution fleets still share weights per resolution. Calibrate
 //! through [`EdgeNode::calibrate`], which reaches whichever backbone serves
 //! each stream.
 
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ff_models::MobileNetConfig;
 use ff_obs::{MetricsSnapshot, Registry, Span, SpanTracer, NODE_SCOPE};
-use ff_tensor::{parallel::ShardObs, PoolShard, Tensor};
+use ff_tensor::parallel::{self, ShardObs};
+use ff_tensor::{PoolShard, Tensor, Workspace};
 use ff_video::{FaultySource, Frame, FrameSource, Resolution, SourcePoll};
 
 use crate::control::{
@@ -130,14 +136,15 @@ impl ShardLayout {
     }
 }
 
-/// Gather-batch settings (see the [module docs](self)): the round's served
-/// frames — one per stream with mail, then extras round-robin, up to
-/// `max_batch` — share one batched base-DNN pass per bucket.
+/// Gather-batch settings (see the [module docs](self)): how many frames a
+/// round serves — one per stream with mail, then extras round-robin, up to
+/// `max_batch` — each through its bucket's shared base DNN.
 #[derive(Debug, Clone, Copy)]
 pub struct GatherBatch {
-    /// Most frames per round's shared passes. With fewer streams than this,
-    /// a backlogged stream's consecutive frames fill the remainder
-    /// (single-stream micro-batching).
+    /// Most frames served per round. With fewer streams than this, a
+    /// backlogged stream's consecutive frames fill the remainder. It caps
+    /// the round's work; it sizes no GEMM — every frame is extracted on
+    /// its own, inside its stream's pool job.
     pub max_batch: usize,
     /// **Ignored.** The round loop gathers from mailboxes and never waits;
     /// this bounded the threaded gatherer's per-stream pull. Kept only
@@ -165,10 +172,11 @@ pub struct EdgeNodeConfig {
     /// (counted in [`NodeStats::uplink_dropped`]). `None` = unbounded.
     pub uplink_queue_limit_bytes: Option<u64>,
     /// `Some` switches the node to gather-batch execution: the node owns one
-    /// base DNN per (config, resolution) bucket and runs one batched pass
-    /// per bucket per round, the whole thread budget behind it; streams
-    /// hold none. `None` (the default) gives every stream a private base
-    /// DNN, run inside the stream's own pool job.
+    /// base DNN per (config, resolution) bucket, which every stream of the
+    /// bucket extracts through inside its own pool job, and serves up to
+    /// [`GatherBatch::max_batch`] frames per round; streams hold none.
+    /// `None` (the default) gives every stream a private base DNN, run
+    /// inside the stream's own pool job, one frame per round.
     pub gather_batch: Option<GatherBatch>,
     /// `Some` overrides every stream's base-DNN weight-panel precision at
     /// run start (applied uniformly, so gather-batch streams keep one
@@ -592,8 +600,6 @@ impl EdgeNode {
         self.buckets.push(GatherBucket {
             ex: FeatureExtractor::new(config, default_taps()),
             resolution: pipeline.resolution,
-            tensors: Vec::new(),
-            share: Duration::ZERO,
         });
         self.buckets.len() - 1
     }
@@ -692,18 +698,17 @@ impl EdgeNode {
     /// Every Sleeping → Awake edge lands in [`ControlledReport::wakes`].
     ///
     /// Every round serves through one block: select frames from the
-    /// mailboxes, run the node's batched backbone passes (if it owns any),
-    /// then one pool job per stream with selected frames runs its MCs,
-    /// smoothing, re-encode and archive. The two styles, chosen by
-    /// [`EdgeNodeConfig::gather_batch`], differ in selection and in who
-    /// owns the base DNN:
+    /// mailboxes, then one pool job per stream with selected frames runs
+    /// its base DNN, MCs, smoothing, re-encode and archive. The two styles,
+    /// chosen by [`EdgeNodeConfig::gather_batch`], differ in selection and
+    /// in who owns the base DNN:
     ///
     /// * **gather style** (`Some`): selection repeats passes from a
-    ///   rotating scan start (so no stream monopolizes the batch) until the
-    ///   batch holds `max_batch` frames, which the *batch policy* resizes
-    ///   live; each (base-DNN config, resolution) bucket's frames go
-    ///   through one batched pass on the node's extractor, and each job
-    ///   classifies its bucket's maps.
+    ///   rotating scan start (so no stream monopolizes the round) until it
+    ///   holds `max_batch` frames, which the *batch policy* resizes live;
+    ///   each job extracts its frames through its (base-DNN config,
+    ///   resolution) bucket's shared extractor, in the scratch of the pool
+    ///   slot running it.
     /// * **per-stream style** (`None`): selection makes one pass from
     ///   stream 0, so each stream serves at most one frame per round, and
     ///   each job runs its stream's private extractor.
@@ -794,6 +799,13 @@ impl EdgeNode {
         let gather = cfg.gather_batch.is_some();
         let mut cur_batch = cfg.gather_batch.map_or(0, |gb| gb.max_batch.max(1));
         let mut shard = PoolShard::new(cfg.shards.budget());
+        // Gather style's activation scratch: one workspace and map set per
+        // pool slot (empty until a job uses it), so activations scale with
+        // the pool's width, not with camera count; and each round's
+        // extraction walls, per bucket.
+        let slots: Vec<Mutex<(Workspace, FeatureMaps)>> =
+            (0..shard.width()).map(|_| Mutex::default()).collect();
+        let mut bucket_extract = vec![(Duration::ZERO, 0usize); buckets.len()];
         if cfg.obs.is_some() {
             shard.bind_obs(ShardObs {
                 jobs: registry.counter("shard", "jobs", &[]),
@@ -895,9 +907,6 @@ impl EdgeNode {
             //    start, so no stream monopolizes the batch, until it holds
             //    `cur_batch` frames or the mailboxes run dry.
             meta.clear();
-            for b in &mut buckets {
-                b.tensors.clear();
-            }
             let (start, cap) = if gather {
                 (scan_start, cur_batch)
             } else {
@@ -943,18 +952,11 @@ impl EdgeNode {
                         continue;
                     }
                     sensors.on_served(s);
-                    let input = match bucket_of[s] {
-                        Some(b) => {
-                            buckets[b].tensors.push(msg.tensor);
-                            Input::Batched(buckets[b].tensors.len() - 1)
-                        }
-                        None => Input::Own(msg.tensor),
-                    };
                     meta.push(Selected {
                         stream: s,
                         frame: msg.frame,
                         decode: msg.decode,
-                        input,
+                        tensor: msg.tensor,
                     });
                 }
                 if !progressed || !gather {
@@ -964,34 +966,12 @@ impl EdgeNode {
             scan_start = (scan_start + 1) % n;
             sensors.on_round(meta.len());
             if !meta.is_empty() {
-                // The node's backbones: one batched pass per bucket with
-                // frames, its kernels fanned across the whole pool.
-                if !buckets.is_empty() {
-                    shard.run(|| {
-                        for bucket in buckets.iter_mut().filter(|b| !b.tensors.is_empty()) {
-                            let te = Instant::now();
-                            let _ = bucket.ex.extract_batch(&bucket.tensors);
-                            let extract = te.elapsed();
-                            let frames = bucket.tensors.len();
-                            bucket.share = extract / frames as u32;
-                            sensors.on_extract_wall(extract, frames);
-                            if let Some(t) = tracer.as_mut() {
-                                let mut sp = Span::new(
-                                    round,
-                                    NODE_SCOPE,
-                                    "gather",
-                                    "extract",
-                                    frames as u64,
-                                );
-                                sp.wall_nanos = extract.as_nanos() as u64;
-                                t.emit(sp);
-                            }
-                        }
-                    });
-                }
                 // One pool job per stream with selected frames, which it
-                // serves in selection order. A job touches only its own
-                // task, so nothing observes which core ran it or when.
+                // serves in selection order, its base DNN included: a
+                // gather stream's frames go through its bucket's shared
+                // extractor in the scratch of the pool slot running the
+                // job. A job touches only its own task and that scratch, so
+                // nothing observes which core ran it or when.
                 order.clear();
                 order.extend(0..meta.len());
                 order.sort_unstable_by_key(|&i| (meta[i].stream, i));
@@ -1005,15 +985,10 @@ impl EdgeNode {
                             let (_, task) = rest
                                 .find(|(t, _)| *t == s)
                                 .expect("jobs are built in ascending stream order");
-                            let (maps, share) = match bucket_of[s] {
-                                Some(b) => (buckets[b].ex.batch_maps(), buckets[b].share),
-                                None => (&[][..], Duration::ZERO),
-                            };
                             ServiceJob {
                                 task,
                                 frames,
-                                maps,
-                                share,
+                                shared: bucket_of[s].map(|b| &buckets[b].ex),
                             }
                         }),
                 );
@@ -1021,33 +996,71 @@ impl EdgeNode {
                     let StreamTask { ff, pending, .. } = &mut *job.task;
                     let ff = ff.as_mut().expect("open stream has a pipeline");
                     let t = Instant::now();
+                    let mut extract = Duration::ZERO;
+                    // A poisoned slot is still sound scratch: extraction
+                    // recycles whatever the maps held and the workspace
+                    // only ever grows.
+                    let mut shared = job.shared.map(|ex| {
+                        let slot = slots[parallel::slot()].lock();
+                        (ex, slot.unwrap_or_else(PoisonError::into_inner))
+                    });
                     for &i in job.frames {
                         let sel = &meta[i];
                         ff.credit_decode(sel.decode);
-                        let backbone = match &sel.input {
-                            Input::Own(tensor) => Backbone::Own(tensor),
-                            Input::Batched(slot) => Backbone::Shared(&job.maps[*slot], job.share),
+                        let backbone = match &mut shared {
+                            Some((ex, scratch)) => {
+                                let (ws, maps) = &mut **scratch;
+                                let te = Instant::now();
+                                ex.extract_into(&sel.tensor, ws, maps);
+                                let wall = te.elapsed();
+                                extract += wall;
+                                Backbone::Shared(maps, wall)
+                            }
+                            None => Backbone::Own(&sel.tensor),
                         };
                         ff.serve_into(&sel.frame, backbone, pending);
                     }
-                    t.elapsed()
+                    (t.elapsed(), extract)
                 });
                 // A panic here is a bug, not a scripted fault (those were
                 // isolated at selection): it ends the run, re-raised here
                 // once the round's other jobs have finished.
                 for (job, outcome) in jobs.iter().zip(outcomes) {
-                    let wall = outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                    let (wall, extract) =
+                        outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
                     let s = meta[job.frames[0]].stream;
-                    if bucket_of[s].is_none() {
-                        // The stream ran its own backbone inside the job:
-                        // the job is its inference span.
-                        sensors.on_extract_wall(wall, 1);
-                        if let Some(t) = tracer.as_mut() {
-                            let mut sp = Span::new(round, s as u32, "infer", "serve", 1);
-                            sp.wall_nanos = wall.as_nanos() as u64;
-                            t.emit(sp);
+                    match bucket_of[s] {
+                        Some(b) => {
+                            bucket_extract[b].0 += extract;
+                            bucket_extract[b].1 += job.frames.len();
+                        }
+                        None => {
+                            // The stream ran its own backbone inside the
+                            // job: the job is its inference span.
+                            sensors.on_extract_wall(wall, 1);
+                            if let Some(t) = tracer.as_mut() {
+                                let mut sp = Span::new(round, s as u32, "infer", "serve", 1);
+                                sp.wall_nanos = wall.as_nanos() as u64;
+                                t.emit(sp);
+                            }
                         }
                     }
+                }
+                // One extract span per bucket that served frames: the
+                // frame count, and the sum of their extraction walls — CPU
+                // time, since the jobs ran side by side.
+                for (extract, frames) in &mut bucket_extract {
+                    if *frames == 0 {
+                        continue;
+                    }
+                    sensors.on_extract_wall(*extract, *frames);
+                    if let Some(t) = tracer.as_mut() {
+                        let mut sp =
+                            Span::new(round, NODE_SCOPE, "gather", "extract", *frames as u64);
+                        sp.wall_nanos = extract.as_nanos() as u64;
+                        t.emit(sp);
+                    }
+                    (*extract, *frames) = (Duration::ZERO, 0);
                 }
             }
 
@@ -1274,37 +1287,26 @@ struct Selected {
     frame: Frame,
     /// Wall-clock decode time, credited to the stream's base-DNN timer.
     decode: Duration,
-    input: Input,
-}
-
-/// Where a selected frame's tensor went.
-enum Input {
-    /// Kept for the stream's private extractor (per-stream style).
-    Own(Tensor),
-    /// Joined its bucket's batch at this position (gather style).
-    Batched(usize),
+    /// The decoded frame, for whichever extractor serves the stream.
+    tensor: Tensor,
 }
 
 /// One service pool job: a stream's task on loan for the span of the
 /// round's dispatch, which of the round's selected frames (indices into the
 /// selection, in selection order) are that stream's, and — in gather
-/// style — its bucket's maps and per-frame share of that pass's wall time.
+/// style — its bucket's shared extractor.
 struct ServiceJob<'a> {
     task: &'a mut StreamTask,
     frames: &'a [usize],
-    maps: &'a [FeatureMaps],
-    share: Duration,
+    shared: Option<&'a FeatureExtractor>,
 }
 
 /// One gather-style **bucket**: the node's extractor for a (base-DNN
-/// config, resolution) class of streams, plus the round's tensor scratch
-/// and its pass's per-frame wall-time share. One `extract_batch` runs per
-/// non-empty bucket per round.
+/// config, resolution) class of streams — one weight set, which every job
+/// of the bucket's streams extracts through at once.
 struct GatherBucket {
     ex: FeatureExtractor,
     resolution: Resolution,
-    tensors: Vec<Tensor>,
-    share: Duration,
 }
 
 /// Builds the shared uplink. The uplink drains once per offer; the
@@ -1599,7 +1601,7 @@ mod tests {
 
     #[test]
     fn gather_batch_buckets_mixed_base_dnn_configs() {
-        // Two base-DNN widths cannot share one batched pass; gather style
+        // Two base-DNN widths cannot share one weight set; gather style
         // gives each its own bucket and every verdict still equals the
         // per-stream style's.
         let res = Resolution::new(64, 32);

@@ -23,7 +23,11 @@ pub enum Phase {
 /// sequences of boxed layers (see [`crate::Sequential`]). A frame is HWC
 /// (rank 3) for spatial layers or rank 1 for vector layers, and inference
 /// runs any number of frames at once: a frame is a batch of one.
-pub trait Layer: Send {
+///
+/// Inference is immutable and layers are `Sync`: one set of weights serves
+/// any number of threads at once, each walking it with its own
+/// [`Workspace`].
+pub trait Layer: Send + Sync {
     /// Short human-readable type tag, e.g. `"conv2d"`.
     fn layer_type(&self) -> &'static str;
 
@@ -37,7 +41,13 @@ pub trait Layer: Send {
     /// every kernel computes each output element from its own frame's data
     /// in a fixed accumulation order, so more frames only amortise weight
     /// traffic (one GEMM over every frame's rows streams each weight panel
-    /// once). Nothing is cached for [`Self::backward`]. The returned
+    /// once). Nothing is cached for [`Self::backward`].
+    ///
+    /// Takes `&self`: the only state inference derives from the weights
+    /// (packed GEMM panels, quantize-roundtripped depthwise taps) is built
+    /// once on first use and dropped by the `&mut` paths that change the
+    /// weights or the precision, so concurrent calls on one layer from
+    /// several threads compute exactly what each would alone. The returned
     /// tensor's buffer may come from `ws`; [`Workspace::recycle`] it once
     /// consumed, which keeps a warmed-up stream allocation-free.
     ///
@@ -45,7 +55,7 @@ pub trait Layer: Send {
     ///
     /// Panics if `frames == 0`, or if `frames > 1` and `x` does not lead
     /// with `frames`.
-    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor;
+    fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor;
 
     /// Runs the layer on one frame in [`Phase::Train`], caching state for
     /// [`Self::backward`].

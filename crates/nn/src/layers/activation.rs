@@ -48,7 +48,7 @@ impl Layer for Activation {
     }
 
     /// Element-wise, so any number of frames is just a bigger buffer.
-    fn infer(&mut self, x: &Tensor, _frames: usize, ws: &mut Workspace) -> Tensor {
+    fn infer(&self, x: &Tensor, _frames: usize, ws: &mut Workspace) -> Tensor {
         let mut y = ws.take(x.dims());
         // One monomorphised loop per kind, so each vectorises; through a
         // `fn` pointer picked up front every element is an indirect call.

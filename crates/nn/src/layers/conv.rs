@@ -11,6 +11,7 @@ use rand::SeedableRng;
 
 use crate::layer::{frame_dims, stacked};
 use crate::layers::int8act::forward_int8act;
+use crate::layers::DerivedWeights;
 use crate::{Layer, Param};
 
 /// A standard convolution over HWC inputs.
@@ -29,16 +30,11 @@ pub struct Conv2d {
     weight: Param,
     bias: Param,
     cache: Vec<(Conv2dGeometry, Tensor)>,
-    /// Weight panels prepacked in the [`Layer::set_precision`] format,
-    /// used by the inference paths at whole-int8 (the f32 path multiplies
-    /// against the raw weights where they are: the GEMM reads a row-major
-    /// `B` in place, so there is nothing to pack or keep in step).
-    /// Refreshed when `weight_epoch` moves.
-    packed: PackedPanels,
-    packed_epoch: u64,
-    /// Bumped by every mutation access point ([`Layer::params_mut`],
-    /// [`Layer::backward`]) so the packed cache notices weight changes.
-    weight_epoch: u64,
+    /// Weight panels packed in the [`Layer::set_precision`] format, used
+    /// by inference at whole-int8 only (the f32 path multiplies against
+    /// the raw weights where they are: the GEMM reads a row-major `B` in
+    /// place, so there is nothing to pack or keep in step).
+    packed: DerivedWeights<PackedPanels>,
 }
 
 impl std::fmt::Debug for Conv2d {
@@ -78,9 +74,7 @@ impl Conv2d {
             weight: Param::new(ff_tensor::he_normal(&mut rng, vec![fan_in, out_c], fan_in)),
             bias: Param::new(Tensor::zeros(vec![out_c])),
             cache: Vec::new(),
-            packed: PackedPanels::empty(Precision::F32),
-            packed_epoch: 0,
-            weight_epoch: 1,
+            packed: DerivedWeights::new(),
         }
     }
 
@@ -130,23 +124,20 @@ impl Layer for Conv2d {
 
     /// The fused f32 convolution against the raw weights where they are,
     /// or — at [`Precision::Int8Act`] — the whole-int8 pipeline against the
-    /// panels, refreshed if the weights changed: one GEMM over every
-    /// frame's output rows.
-    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+    /// panels (packed on first use): one GEMM over every frame's output
+    /// rows.
+    fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let geo = self.geometry(frame_dims(x, frames));
         let mut out = ws.take(&[frames * geo.positions(), self.out_c]);
+        let (ep, n) = (self.bias_epilogue(), self.out_c);
+        let w = self.weight.value.data();
         if self.packed.precision() == Precision::F32 {
-            let w = GemmB::InPlace(self.weight.value.data());
-            let ep = self.bias_epilogue();
-            conv_gemm(x.data(), &geo, w, out.data_mut(), self.out_c, ep);
+            conv_gemm(x.data(), &geo, GemmB::InPlace(w), out.data_mut(), n, ep);
         } else {
-            if self.packed_epoch != self.weight_epoch {
-                self.packed
-                    .repack(self.weight.value.data(), geo.fan_in(), self.out_c);
-                self.packed_epoch = self.weight_epoch;
-            }
-            let (ep, n) = (self.bias_epilogue(), self.out_c);
-            forward_int8act(x.data(), frames, &geo, &self.packed, out.data_mut(), n, ep);
+            let packed = self
+                .packed
+                .get(|p| PackedPanels::pack(p, w, geo.fan_in(), n));
+            forward_int8act(x.data(), frames, &geo, packed, out.data_mut(), n, ep);
         }
         out.reshape_to(stacked(&[frames, geo.out_h, geo.out_w, self.out_c]));
         out
@@ -178,7 +169,7 @@ impl Layer for Conv2d {
             .pop()
             .expect("Conv2d::backward without cached forward");
         let g = grad_out.clone().reshape(vec![geo.positions(), self.out_c]);
-        self.weight_epoch += 1; // weights are about to change
+        self.packed.invalidate(); // weights are about to change
         self.weight.accumulate(&matmul_transpose_a(&cols, &g));
         // Bias gradient: column sums.
         let mut db = Tensor::zeros(vec![self.out_c]);
@@ -195,16 +186,12 @@ impl Layer for Conv2d {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.weight_epoch += 1; // caller may mutate weights through these
+        self.packed.invalidate(); // caller may mutate weights through these
         vec![&mut self.weight, &mut self.bias]
     }
 
     fn set_precision(&mut self, precision: Precision) {
-        if self.packed.precision() == precision {
-            return;
-        }
-        self.packed = PackedPanels::empty(precision);
-        self.packed_epoch = 0; // force a repack at the next inference
+        self.packed.set_precision(precision);
     }
 
     fn out_shape(&self, in_shape: &[usize]) -> Vec<usize> {

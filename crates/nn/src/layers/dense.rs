@@ -4,6 +4,7 @@ use ff_tensor::{Epilogue, PackedPanels, Precision, Tensor, Workspace};
 use rand::SeedableRng;
 
 use crate::layer::{frame_dims, stacked};
+use crate::layers::DerivedWeights;
 use crate::{Layer, Param};
 
 /// A dense (fully-connected) layer over flattened inputs.
@@ -17,15 +18,11 @@ pub struct Dense {
     weight: Param,
     bias: Param,
     cache: Vec<Tensor>,
-    /// Weight panels prepacked in the [`Layer::set_precision`] format, used
+    /// Weight panels packed in the [`Layer::set_precision`] format, used
     /// by inference at whole-int8 (the classification-head weights of the
     /// multiple-MobileNets baseline are a real share of its streamed
-    /// bytes). Refreshed when `weight_epoch` moves.
-    packed: PackedPanels,
-    packed_epoch: u64,
-    /// Bumped by every mutation access point ([`Layer::params_mut`],
-    /// [`Layer::backward`]) so the packed cache notices weight changes.
-    weight_epoch: u64,
+    /// bytes).
+    packed: DerivedWeights<PackedPanels>,
 }
 
 impl std::fmt::Debug for Dense {
@@ -49,25 +46,13 @@ impl Dense {
             )),
             bias: Param::new(Tensor::zeros(vec![out_len])),
             cache: Vec::new(),
-            packed: PackedPanels::empty(Precision::F32),
-            packed_epoch: 0,
-            weight_epoch: 1,
+            packed: DerivedWeights::new(),
         }
     }
 
     /// The storage precision of the inference weights.
     pub fn precision(&self) -> Precision {
         self.packed.precision()
-    }
-
-    /// Refreshes the whole-int8 panels if the weights changed.
-    fn ensure_packed(&mut self) {
-        if self.packed_epoch == self.weight_epoch {
-            return;
-        }
-        self.packed
-            .repack(self.weight.value.data(), self.in_len, self.out_len);
-        self.packed_epoch = self.weight_epoch;
     }
 
     /// The layer's whole epilogue: one `+ bias` per output element.
@@ -88,7 +73,7 @@ impl Layer for Dense {
     /// (quantizing each row on its own), f32 the raw weights in place;
     /// either way each output element is the same ascending-`k` chain at
     /// any frame count, and the bias is the GEMM's epilogue.
-    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+    fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let dims = frame_dims(x, frames);
         assert_eq!(
             dims.iter().product::<usize>(),
@@ -98,13 +83,12 @@ impl Layer for Dense {
         );
         let mut out = ws.take(stacked(&[frames, self.out_len]));
         let (k, n) = (self.in_len, self.out_len);
+        let (w, ep) = (self.weight.value.data(), self.bias_epilogue());
         if self.packed.precision() == Precision::F32 {
-            let (w, ep) = (self.weight.value.data(), self.bias_epilogue());
             ff_tensor::gemm_fused(x.data(), w, out.data_mut(), frames, k, n, ep);
         } else {
-            self.ensure_packed();
-            let ep = self.bias_epilogue();
-            self.packed.gemm(x.data(), out.data_mut(), frames, k, n, ep);
+            let packed = self.packed.get(|p| PackedPanels::pack(p, w, k, n));
+            packed.gemm(x.data(), out.data_mut(), frames, k, n, ep);
         }
         out
     }
@@ -124,7 +108,7 @@ impl Layer for Dense {
             .pop()
             .expect("Dense::backward without cached forward");
         let g = grad_out.clone().reshape(vec![1, self.out_len]);
-        self.weight_epoch += 1; // weights are about to change
+        self.packed.invalidate(); // weights are about to change
         self.weight
             .accumulate(&ff_tensor::matmul_transpose_a(&x, &g));
         self.bias.accumulate(&g.clone().reshape(vec![self.out_len]));
@@ -132,16 +116,12 @@ impl Layer for Dense {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.weight_epoch += 1; // caller may mutate weights through these
+        self.packed.invalidate(); // caller may mutate weights through these
         vec![&mut self.weight, &mut self.bias]
     }
 
     fn set_precision(&mut self, precision: Precision) {
-        if self.packed.precision() == precision {
-            return;
-        }
-        self.packed = PackedPanels::empty(precision);
-        self.packed_epoch = 0; // force a repack at the next inference
+        self.packed.set_precision(precision);
     }
 
     fn out_shape(&self, in_shape: &[usize]) -> Vec<usize> {
@@ -187,7 +167,7 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+    fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let len = frame_dims(x, frames).iter().product();
         let mut out = ws.take(stacked(&[frames, len]));
         out.data_mut().copy_from_slice(x.data());

@@ -5,82 +5,52 @@ use ff_tensor::{Conv2dGeometry, Padding, Precision, Tensor, Workspace};
 use rand::SeedableRng;
 
 use crate::layer::{frame_dims, stacked};
+use crate::layers::DerivedWeights;
 use crate::{Layer, Param};
 
-/// Lazily-maintained quantize-roundtripped copy of a depthwise layer's tap
-/// weights, backing [`Layer::set_precision`] for the depthwise units.
+/// The taps a depthwise layer's inference runs with, backing
+/// [`Layer::set_precision`] for the depthwise units: the raw weights at
+/// f32, else `store`'s quantize-roundtripped copy of them, built on first
+/// use (see [`DerivedWeights`]).
 ///
 /// Depthwise weights are tiny (`k²·C` floats — the packed GEMM panels of
 /// the pointwise convolutions dominate weight bytes by orders of
 /// magnitude), so the point here is not memory but **numeric consistency**:
 /// a backbone set to whole-int8 quantizes *every* conv's weights. The
-/// store keeps an f32 working copy of the roundtripped weights (one
-/// symmetric int8 scale per channel over its `k²` taps), rebuilt only when
-/// the owning layer's weight epoch moves, so streaming inference pays no
+/// copy is an f32 working copy of the roundtripped weights (one symmetric
+/// int8 scale per channel over its `k²` taps), rebuilt only after the
+/// weights or the precision change, so streaming inference pays no
 /// per-frame quantization.
-pub(crate) struct TapWeightStore {
-    precision: Precision,
-    deq: Vec<f32>,
-    /// Weight epoch `deq` was built at (0 = dirty).
-    epoch: u64,
-}
-
-impl TapWeightStore {
-    pub(crate) fn new() -> Self {
-        TapWeightStore {
-            precision: Precision::F32,
-            deq: Vec::new(),
-            epoch: 0,
-        }
+pub(crate) fn inference_taps<'a>(
+    store: &'a DerivedWeights<Vec<f32>>,
+    w: &'a [f32],
+    c: usize,
+) -> &'a [f32] {
+    if store.precision() == Precision::F32 {
+        return w;
     }
-
-    pub(crate) fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    pub(crate) fn set_precision(&mut self, precision: Precision) {
-        if self.precision != precision {
-            self.precision = precision;
-            self.epoch = 0;
-        }
-    }
-
-    /// The weights inference should run with: the raw slice at f32, else
-    /// the cached roundtripped copy (rebuilt if `weight_epoch` moved).
-    pub(crate) fn effective<'a>(
-        &'a mut self,
-        w: &'a [f32],
-        c: usize,
-        weight_epoch: u64,
-    ) -> &'a [f32] {
-        if self.precision == Precision::F32 {
-            return w;
-        }
-        if self.epoch != weight_epoch {
-            self.deq.clear();
-            self.deq.extend_from_slice(w);
-            // Depthwise taps have no GEMM lowering, so the whole-int8
-            // rung gives them a per-channel symmetric int8 roundtrip.
-            let taps = w.len() / c;
-            for ch in 0..c {
-                let mut amax = 0.0f32;
-                for t in 0..taps {
-                    amax = amax.max(w[t * c + ch].abs());
-                }
-                if amax == 0.0 {
-                    continue;
-                }
-                let scale = amax / 127.0;
-                let inv = 127.0 / amax;
-                for t in 0..taps {
-                    let q = (w[t * c + ch] * inv).round().clamp(-127.0, 127.0);
-                    self.deq[t * c + ch] = q * scale;
-                }
+    store.get(|_| {
+        let mut deq = w.to_vec();
+        // Depthwise taps have no GEMM lowering, so the whole-int8 rung
+        // gives them a per-channel symmetric int8 roundtrip.
+        let taps = w.len() / c;
+        for ch in 0..c {
+            let mut amax = 0.0f32;
+            for t in 0..taps {
+                amax = amax.max(w[t * c + ch].abs());
             }
-            self.epoch = weight_epoch;
+            if amax == 0.0 {
+                continue;
+            }
+            let scale = amax / 127.0;
+            let inv = 127.0 / amax;
+            for t in 0..taps {
+                let q = (w[t * c + ch] * inv).round().clamp(-127.0, 127.0);
+                deq[t * c + ch] = q * scale;
+            }
         }
-        &self.deq
-    }
+        deq
+    })
 }
 
 /// A depthwise convolution: each input channel is filtered by its own
@@ -96,12 +66,9 @@ pub struct DepthwiseConv2d {
     weight: Param,
     bias: Param,
     cache: Vec<(Conv2dGeometry, Tensor)>,
-    /// Inference weight store for [`Layer::set_precision`]; training always
-    /// uses the raw f32 weights.
-    taps: TapWeightStore,
-    /// Bumped by every mutation access point ([`Layer::params_mut`],
-    /// [`Layer::backward`]) so the quantized cache notices weight changes.
-    weight_epoch: u64,
+    /// Inference taps for [`Layer::set_precision`] (see
+    /// [`inference_taps`]); training always uses the raw f32 weights.
+    taps: DerivedWeights<Vec<f32>>,
 }
 
 impl std::fmt::Debug for DepthwiseConv2d {
@@ -128,8 +95,7 @@ impl DepthwiseConv2d {
             weight: Param::new(ff_tensor::he_normal(&mut rng, vec![k, k, c], fan_in)),
             bias: Param::new(Tensor::zeros(vec![c])),
             cache: Vec::new(),
-            taps: TapWeightStore::new(),
-            weight_epoch: 1,
+            taps: DerivedWeights::new(),
         }
     }
 
@@ -697,12 +663,10 @@ impl Layer for DepthwiseConv2d {
     /// Every output cell is seeded from the bias inside the kernel, so
     /// stale workspace contents are fine; the taps are the precision
     /// store's (possibly quantize-roundtripped) copy.
-    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+    fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let geo = self.geometry(frame_dims(x, frames));
         let mut out = ws.take(stacked(&[frames, geo.out_h, geo.out_w, self.c]));
-        let w = self
-            .taps
-            .effective(self.weight.value.data(), self.c, self.weight_epoch);
+        let w = inference_taps(&self.taps, self.weight.value.data(), self.c);
         let b = self.bias.value.data();
         depthwise_forward(x.data(), &geo, self.k, w, b, None, out.data_mut());
         out
@@ -761,14 +725,14 @@ impl Layer for DepthwiseConv2d {
                 }
             }
         }
-        self.weight_epoch += 1; // weights are about to change
+        self.taps.invalidate(); // weights are about to change
         self.weight.accumulate(&dw);
         self.bias.accumulate(&db);
         dx
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.weight_epoch += 1; // caller may mutate weights through these
+        self.taps.invalidate(); // caller may mutate weights through these
         vec![&mut self.weight, &mut self.bias]
     }
 

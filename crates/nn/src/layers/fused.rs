@@ -20,8 +20,9 @@ use ff_tensor::{
 use rand::SeedableRng;
 
 use crate::layer::{frame_dims, stacked};
-use crate::layers::depthwise::depthwise_forward;
+use crate::layers::depthwise::{depthwise_forward, inference_taps};
 use crate::layers::int8act::forward_int8act;
+use crate::layers::DerivedWeights;
 use crate::{Layer, Param};
 
 /// Shared folded-norm state for the fused units.
@@ -71,18 +72,12 @@ pub struct ConvBnRelu {
     norm: FoldedNorm,
     /// Train-phase cache: (geometry, im2col matrix, pre-ReLU output).
     cache: Vec<(Conv2dGeometry, Tensor, Tensor)>,
-    /// Weight panels pre-packed for the GEMM micro-kernel — in the format
-    /// chosen by [`Layer::set_precision`] (f32 or whole-int8) — refreshed
-    /// lazily whenever `weight_epoch` moves. Weights are static during
-    /// streaming, so inference walks sequential panels and never pays
-    /// per-call quantization traffic.
-    packed_weights: PackedPanels,
-    packed_epoch: u64,
-    /// Bumped by every mutation access point ([`Layer::params_mut`],
-    /// [`Layer::backward`]); code that writes `weight.value` directly must
-    /// call `params_mut` (the path optimizers and weight loading already
-    /// take) for the packed cache to notice.
-    weight_epoch: u64,
+    /// Weight panels packed for the GEMM micro-kernel — in the format
+    /// chosen by [`Layer::set_precision`] (f32 or whole-int8) — on the
+    /// first inference after the weights or the precision change. Weights
+    /// are static during streaming, so inference walks sequential panels
+    /// and never pays per-call quantization traffic.
+    packed_weights: DerivedWeights<PackedPanels>,
 }
 
 impl std::fmt::Debug for ConvBnRelu {
@@ -110,26 +105,13 @@ impl ConvBnRelu {
             bias: Param::new(Tensor::zeros(vec![out_c])),
             norm: FoldedNorm::identity(out_c),
             cache: Vec::new(),
-            packed_weights: PackedPanels::empty(Precision::F32),
-            packed_epoch: 0,
-            weight_epoch: 1,
+            packed_weights: DerivedWeights::new(),
         }
     }
 
     /// Whether calibration has fit the folded norm.
     pub fn is_calibrated(&self) -> bool {
         self.norm.calibrated
-    }
-
-    /// Refreshes the packed weight panels if the weights changed.
-    fn ensure_packed(&mut self) {
-        if self.packed_epoch == self.weight_epoch {
-            return;
-        }
-        let fan_in = self.k * self.k * self.in_c;
-        self.packed_weights
-            .repack(self.weight.value.data(), fan_in, self.out_c);
-        self.packed_epoch = self.weight_epoch;
     }
 
     /// The storage precision of the inference weight panels.
@@ -176,12 +158,15 @@ impl Layer for ConvBnRelu {
     /// [`Precision::Int8Act`] the whole-int8 pipeline (each frame quantizes
     /// once and gathers straight into a u8 buffer) — one GEMM over every
     /// frame's output rows, streaming each packed panel once.
-    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+    fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let geo = self.geometry(frame_dims(x, frames));
         let mut out = ws.take(&[frames * geo.positions(), self.out_c]);
-        self.ensure_packed();
         let (ep, n) = (self.epilogue(true), self.out_c);
-        match &self.packed_weights {
+        let w = self.weight.value.data();
+        match self
+            .packed_weights
+            .get(|p| PackedPanels::pack(p, w, geo.fan_in(), n))
+        {
             PackedPanels::F32(panels) => {
                 conv_gemm(x.data(), &geo, GemmB::Packed(panels), out.data_mut(), n, ep)
             }
@@ -235,7 +220,7 @@ impl Layer for ConvBnRelu {
                 *gv = if z > 0.0 { *gv * s } else { 0.0 };
             }
         }
-        self.weight_epoch += 1; // weights are about to change
+        self.packed_weights.invalidate(); // weights are about to change
         self.weight.accumulate(&matmul_transpose_a(&cols, &g));
         let mut db = Tensor::zeros(vec![self.out_c]);
         for row in g.data().chunks(self.out_c) {
@@ -253,7 +238,7 @@ impl Layer for ConvBnRelu {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.weight_epoch += 1; // caller may mutate weights through these
+        self.packed_weights.invalidate(); // caller may mutate weights through these
         vec![&mut self.weight, &mut self.bias]
     }
 
@@ -278,11 +263,7 @@ impl Layer for ConvBnRelu {
     }
 
     fn set_precision(&mut self, precision: Precision) {
-        if self.packed_weights.precision() == precision {
-            return;
-        }
-        self.packed_weights = PackedPanels::empty(precision);
-        self.packed_epoch = 0; // force a repack at the next inference
+        self.packed_weights.set_precision(precision);
     }
 
     fn calibrate(&mut self, samples: Vec<Tensor>) -> Vec<Tensor> {
@@ -333,12 +314,10 @@ pub struct DepthwiseBnRelu {
     norm: FoldedNorm,
     /// Train-phase cache: (geometry, input, pre-ReLU output).
     cache: Vec<(Conv2dGeometry, Tensor, Tensor)>,
-    /// Inference weight store for [`Layer::set_precision`]; training and
-    /// calibration always use the raw f32 weights.
-    taps: crate::layers::depthwise::TapWeightStore,
-    /// Bumped by every mutation access point so the quantized cache
-    /// notices weight changes.
-    weight_epoch: u64,
+    /// Inference taps for [`Layer::set_precision`] (see
+    /// [`inference_taps`]); training and calibration always use the raw
+    /// f32 weights.
+    taps: DerivedWeights<Vec<f32>>,
 }
 
 impl std::fmt::Debug for DepthwiseBnRelu {
@@ -365,8 +344,7 @@ impl DepthwiseBnRelu {
             bias: Param::new(Tensor::zeros(vec![c])),
             norm: FoldedNorm::identity(c),
             cache: Vec::new(),
-            taps: crate::layers::depthwise::TapWeightStore::new(),
-            weight_epoch: 1,
+            taps: DerivedWeights::new(),
         }
     }
 
@@ -412,12 +390,10 @@ impl Layer for DepthwiseBnRelu {
     }
 
     /// The precision store's taps with the folded `norm+ReLU` tail fused.
-    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+    fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let geo = self.geometry(frame_dims(x, frames));
         let mut out = ws.take(stacked(&[frames, geo.out_h, geo.out_w, self.c]));
-        let w = self
-            .taps
-            .effective(self.weight.value.data(), self.c, self.weight_epoch);
+        let w = inference_taps(&self.taps, self.weight.value.data(), self.c);
         let tail = Some((&self.norm.scale[..], &self.norm.shift[..]));
         let b = self.bias.value.data();
         depthwise_forward(x.data(), &geo, self.k, w, b, tail, out.data_mut());
@@ -491,14 +467,14 @@ impl Layer for DepthwiseBnRelu {
                 }
             }
         }
-        self.weight_epoch += 1; // weights are about to change
+        self.taps.invalidate(); // weights are about to change
         self.weight.accumulate(&dw);
         self.bias.accumulate(&db);
         dx
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.weight_epoch += 1; // caller may mutate weights through these
+        self.taps.invalidate(); // caller may mutate weights through these
         vec![&mut self.weight, &mut self.bias]
     }
 

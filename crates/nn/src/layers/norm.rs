@@ -49,7 +49,7 @@ impl Layer for ChannelNorm {
 
     /// A per-channel affine over the trailing dimension: any number of
     /// frames is just a bigger buffer of channel cells.
-    fn infer(&mut self, x: &Tensor, _frames: usize, ws: &mut Workspace) -> Tensor {
+    fn infer(&self, x: &Tensor, _frames: usize, ws: &mut Workspace) -> Tensor {
         let c = self.scale.len();
         assert_eq!(
             x.dims().last().copied().unwrap_or(0),

@@ -88,7 +88,7 @@ impl Layer for MaxPool2d {
         "max_pool2d"
     }
 
-    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+    fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let d = frame_dims(x, frames);
         let (h, w, c) = (d[0], d[1], d[2]);
         let (oh, ow) = self.out_hw(h, w);
@@ -155,7 +155,7 @@ impl Layer for GlobalMaxPool {
         "global_max_pool"
     }
 
-    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+    fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let d = frame_dims(x, frames);
         let (cells, c) = (d[0] * d[1], d[2]);
         let mut out = ws.take(stacked(&[frames, c]));

@@ -59,9 +59,9 @@ impl Layer for SeparableConv2d {
         "separable_conv2d"
     }
 
-    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+    fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let mut y = self.dw.infer(x, frames, ws);
-        if let Some(act) = &mut self.inner {
+        if let Some(act) = &self.inner {
             let a = act.infer(&y, frames, ws);
             ws.recycle(std::mem::replace(&mut y, a));
         }

@@ -108,7 +108,7 @@ impl Sequential {
     /// # Panics
     ///
     /// Panics if any tap name is unknown.
-    pub fn forward_taps(&mut self, x: &Tensor, taps: &[&str]) -> Vec<Tensor> {
+    pub fn forward_taps(&self, x: &Tensor, taps: &[&str]) -> Vec<Tensor> {
         let wanted: Vec<usize> = taps
             .iter()
             .map(|t| {
@@ -131,7 +131,9 @@ impl Sequential {
     /// them), run just far enough to produce the activation of every layer
     /// in `indices` — strictly ascending layer indices, resolved once with
     /// [`Self::index_of`] — with every buffer drawn from `ws`. Each layer
-    /// runs once for all the frames.
+    /// runs once for all the frames. Immutable like [`Layer::infer`]: any
+    /// number of threads may walk one network at once, each with its own
+    /// `ws` and `outs`.
     ///
     /// Existing tensors in `outs` are recycled into `ws` first; `outs` is
     /// then refilled with **per-frame** tap activations in tap-major order:
@@ -145,7 +147,7 @@ impl Sequential {
     /// Panics if `indices` is not strictly ascending, any index is out of
     /// bounds, or as [`Layer::infer`].
     pub fn infer_taps(
-        &mut self,
+        &self,
         x: &Tensor,
         frames: usize,
         indices: &[usize],
@@ -165,7 +167,7 @@ impl Sequential {
         assert!(deepest < self.layers.len(), "tap index out of bounds");
         let mut next_tap = 0;
         let mut cur: Option<Tensor> = None;
-        for (i, (_, layer)) in self.layers.iter_mut().enumerate().take(deepest + 1) {
+        for (i, (_, layer)) in self.layers.iter().enumerate().take(deepest + 1) {
             let next = layer.infer(cur.as_ref().unwrap_or(x), frames, ws);
             if let Some(prev) = cur.take() {
                 ws.recycle(prev);
@@ -306,9 +308,9 @@ impl Layer for Sequential {
 
     /// Every layer once for all the frames, each intermediate recycled into
     /// `ws` as soon as the next layer has consumed it.
-    fn infer(&mut self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
+    fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let mut cur: Option<Tensor> = None;
-        for (_, layer) in &mut self.layers {
+        for (_, layer) in &self.layers {
             let next = layer.infer(cur.as_ref().unwrap_or(x), frames, ws);
             if let Some(prev) = cur.take() {
                 ws.recycle(prev);
@@ -381,7 +383,7 @@ mod tests {
 
     #[test]
     fn forward_taps_returns_requested_layers() {
-        let mut net = tiny_net();
+        let net = tiny_net();
         let x = Tensor::filled(vec![8, 8, 1], 0.5);
         let taps = net.forward_taps(&x, &["relu1", "conv1"]);
         assert_eq!(taps.len(), 2);
@@ -406,7 +408,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown tap")]
     fn unknown_tap_panics() {
-        let mut net = tiny_net();
+        let net = tiny_net();
         let _ = net.forward_taps(&Tensor::zeros(vec![8, 8, 1]), &["nope"]);
     }
 

@@ -58,13 +58,15 @@
 //! A shard also runs **whole jobs** side by side: [`PoolShard::run_items`]
 //! hands each of a handful of independent items (a camera stream's
 //! inference pass, say) to its own worker, and the kernels an item
-//! dispatches run serially inside it — same bits, coarser grain.
+//! dispatches run serially inside it — same bits, coarser grain. An item
+//! learns which of the shard's threads runs it from [`slot`], so a caller
+//! can keep one scratch per thread rather than one per item.
 //!
 //! Worker panics are caught, forwarded, and re-raised on the submitting
 //! thread after the job drains, so a poisoned job cannot wedge the pool.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -186,6 +188,13 @@ struct Shared {
     /// Whether this pool's threads spin before parking: true iff the pool
     /// (workers plus submitter) is no wider than the machine.
     spins: bool,
+    /// Whether chunks and items record their run time in `busy_nanos`
+    /// (set by [`PoolShard::bind_obs`]).
+    timed: AtomicBool,
+    /// Nanoseconds this pool's threads spent inside chunks and items since
+    /// the enclosing [`PoolShard`] scope last folded it into its
+    /// [`ShardObs::busy_nanos`].
+    busy_nanos: AtomicU64,
     /// Times a worker went to sleep on `work`, so the tests can tell a job
     /// picked up while spinning from one picked up after parking.
     #[cfg(test)]
@@ -202,6 +211,8 @@ impl Shared {
             epoch_hint: AtomicU64::new(0),
             pending_hint: AtomicUsize::new(0),
             spins: width > 1 && width <= hardware_parallelism(),
+            timed: AtomicBool::new(false),
+            busy_nanos: AtomicU64::new(0),
             #[cfg(test)]
             parks: AtomicUsize::new(0),
         }
@@ -251,6 +262,40 @@ thread_local! {
     static IS_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     /// The enclosing shard, if dispatch is currently scoped to one.
     static CURRENT_SHARD: std::cell::Cell<Option<ShardCtx>> = const { std::cell::Cell::new(None) };
+    /// This thread's [`slot`]: its worker index + 1 on a pool worker, 0 on
+    /// the thread inside a [`PoolShard`] scope it entered.
+    static SLOT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// This thread's run time is already being added to a pool's busy
+    /// count (an item's kernels run inside the item's timer).
+    static TIMING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The calling thread's slot in the [`PoolShard`] it is working for: 0 on
+/// the thread that entered the shard's scope ([`PoolShard::run`],
+/// [`PoolShard::run_items`]), `1..width` on the shard's workers.
+///
+/// Concurrently running items of one [`PoolShard::run_items`] call always
+/// see distinct slots — each thread runs one item at a time, and an item
+/// runs on the submitting thread or on one of the shard's own workers — so
+/// scratch indexed by the slot (one per unit of [`PoolShard::width`]) is
+/// never contended, and scratch memory scales with the pool's width rather
+/// than with the number of items.
+pub fn slot() -> usize {
+    SLOT.with(|s| s.get())
+}
+
+/// Runs `f`, adding its wall time to `shared`'s busy count when the pool is
+/// timed and this thread is not already being timed.
+fn busy<R>(shared: &Shared, f: impl FnOnce() -> R) -> R {
+    if !shared.timed.load(Ordering::Relaxed) || TIMING.with(|t| t.replace(true)) {
+        return f();
+    }
+    let t0 = Instant::now();
+    let r = f();
+    let nanos = t0.elapsed().as_nanos() as u64;
+    shared.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
+    TIMING.with(|t| t.set(false));
+    r
 }
 
 static POOL: OnceLock<Pool> = OnceLock::new();
@@ -266,6 +311,7 @@ impl Pool {
                     .name(format!("ff-tensor-{i}"))
                     .spawn(move || {
                         IS_WORKER.with(|w| w.set(true));
+                        SLOT.with(|s| s.set(i + 1));
                         worker_loop(shared);
                     })
                     .expect("spawn tensor pool worker");
@@ -342,8 +388,13 @@ fn drain_chunks(shared: &Shared, epoch: u64) {
             }
         };
         // SAFETY: the submitter blocks until `pending == 0`, keeping the
-        // closure alive for the duration of this call.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*f)(i) }));
+        // closure alive for the duration of this call. The busy count is
+        // added before `pending` drops under the state lock, and the
+        // submitter reads it only after seeing `pending == 0` under that
+        // lock, so the lock orders the `Relaxed` add before the read.
+        let result = busy(shared, || {
+            catch_unwind(AssertUnwindSafe(|| unsafe { (*f)(i) }))
+        });
         let mut st = shared.state.lock().unwrap();
         if result.is_err() {
             st.panicked = true;
@@ -443,14 +494,14 @@ pub struct PoolShard {
 pub struct ShardObs {
     /// Jobs dispatched through the shard (deterministic).
     pub jobs: ff_obs::Counter,
-    /// Wall-clock nanoseconds the *submitting* thread spent inside this
-    /// shard's outermost [`PoolShard::run`] / [`PoolShard::run_items`]
-    /// scopes (volatile). A scope nested inside another scope of the same
-    /// shard adds nothing — the outer scope's wall already covers it. This
-    /// is submitter-side scope wall, **not core occupancy**: it does not
-    /// know how many of the shard's threads were working, so dividing it by
-    /// `wall × width` reads ≈ `1/width` for a loop that lives inside `run`,
-    /// whatever the workers did.
+    /// **Core occupancy** (volatile): the sum over the shard's threads —
+    /// the submitting thread and every worker — of the wall-clock
+    /// nanoseconds each spent inside a [`PoolShard::run_items`] item or a
+    /// kernel chunk dispatched to the shard. Time inside an item counts
+    /// once, whichever of its kernels' chunks it ran itself; serial code in
+    /// a [`PoolShard::run`] scope outside any chunk counts nothing. Divided
+    /// by `wall × width` it reads the fraction of the shard's cores that
+    /// were doing work. Folded in when each scope ends.
     pub busy_nanos: ff_obs::Counter,
 }
 
@@ -488,6 +539,7 @@ impl PoolShard {
                 .name(format!("ff-shard-{i}"))
                 .spawn(move || {
                     IS_WORKER.with(|w| w.set(true));
+                    SLOT.with(|s| s.set(i + 1));
                     worker_loop(&sh);
                 })
                 .expect("spawn shard worker");
@@ -503,6 +555,7 @@ impl PoolShard {
     /// Binds busy-accounting cells to this shard (see [`ShardObs`] for what
     /// each subsequent scope adds to them). Unbound shards pay nothing.
     pub fn bind_obs(&mut self, obs: ShardObs) {
+        self.shared.timed.store(true, Ordering::Relaxed);
         self.obs = Some(obs);
     }
 
@@ -521,11 +574,13 @@ impl PoolShard {
     }
 
     /// [`Self::run`] accounted as `jobs` jobs in the bound [`ShardObs`].
+    /// The calling thread is slot 0 for the span of the scope.
     fn scoped<R>(&self, jobs: u64, f: impl FnOnce() -> R) -> R {
-        struct Restore(Option<ShardCtx>);
+        struct Restore(Option<ShardCtx>, usize);
         impl Drop for Restore {
             fn drop(&mut self) {
                 CURRENT_SHARD.with(|c| c.set(self.0));
+                SLOT.with(|s| s.set(self.1));
             }
         }
         let ctx = ShardCtx {
@@ -533,23 +588,20 @@ impl PoolShard {
             submit: &self.submit,
             width: self.width,
         };
-        let restore = Restore(CURRENT_SHARD.with(|c| c.replace(Some(ctx))));
+        let _restore = Restore(
+            CURRENT_SHARD.with(|c| c.replace(Some(ctx))),
+            SLOT.with(|s| s.replace(0)),
+        );
         let Some(obs) = &self.obs else {
             return f();
         };
         // The job count is driven by the (single-threaded) scheduler, so it
         // is deterministic; only the wall-clock payload varies run to run.
         obs.jobs.add(jobs);
-        if restore
-            .0
-            .is_some_and(|outer| std::ptr::eq(outer.shared, ctx.shared))
-        {
-            // Nested in a scope of this same shard, whose timer is running.
-            return f();
-        }
-        let t0 = Instant::now();
         let r = f();
-        obs.busy_nanos.add(t0.elapsed().as_nanos() as u64);
+        // Every chunk and item of the scope has finished and added its time.
+        obs.busy_nanos
+            .add(self.shared.busy_nanos.swap(0, Ordering::Relaxed));
         r
     }
 
@@ -568,7 +620,8 @@ impl PoolShard {
     /// that claimed it (the submitting thread counts as a worker while it
     /// drains), and kernel results are width-invariant, so an item computes
     /// the same bits here as it would alone on the shard. A single item is
-    /// simply [`Self::run`]: it keeps the kernel-level fan-out.
+    /// simply [`Self::run`]: it keeps the kernel-level fan-out. Inside an
+    /// item, [`slot`] names the thread running it.
     pub fn run_items<T: Send, R: Send>(
         &self,
         items: &mut [T],
@@ -588,7 +641,9 @@ impl PoolShard {
                         &mut *(out_base as *mut Option<std::thread::Result<R>>).add(i),
                     )
                 };
-                *slot = Some(catch_unwind(AssertUnwindSafe(|| f(i, item))));
+                *slot = Some(busy(&self.shared, || {
+                    catch_unwind(AssertUnwindSafe(|| f(i, item)))
+                }));
             })
         });
         out.into_iter()
@@ -1073,27 +1128,78 @@ mod tests {
     }
 
     #[test]
-    fn nested_scopes_count_jobs_but_time_only_the_outermost() {
+    fn busy_nanos_sums_each_threads_time_inside_items_and_chunks() {
         let mut shard = PoolShard::new(2);
         let obs = ShardObs::new();
         shard.bind_obs(obs.clone());
         let pause = Duration::from_millis(20);
+        let p = pause.as_nanos() as u64;
+        // Serial code in a scope, outside any item or chunk: no occupancy.
+        shard.run(|| std::thread::sleep(pause));
+        assert_eq!(obs.jobs.get(), 1);
+        assert_eq!(obs.busy_nanos.get(), 0);
+        // Two items side by side: both threads' time counts, up to twice
+        // the call's own wall (≈ one pause).
+        let barrier = std::sync::Barrier::new(2);
         let t0 = Instant::now();
-        shard.run(|| {
+        shard.run_items(&mut [(); 2], |_, _| {
+            barrier.wait();
             std::thread::sleep(pause);
-            shard.run_items(&mut [(); 2], |_, _| std::thread::sleep(pause));
         });
-        let outer = t0.elapsed().as_nanos() as u64;
-        assert_eq!(obs.jobs.get(), 3, "one `run` plus two items");
-        // Timed twice, the nested 20 ms would push the sum past the wall
-        // measured out here.
+        let wall = t0.elapsed().as_nanos() as u64;
         let busy = obs.busy_nanos.get();
-        assert!(busy <= outer, "busy {busy} ns inside a {outer} ns scope");
-        assert!(busy >= 2 * pause.as_nanos() as u64);
-        // A sibling scope is its own outermost scope.
-        shard.run_items(&mut [(); 2], |_, _| std::thread::sleep(pause));
-        assert_eq!(obs.jobs.get(), 5);
-        assert!(obs.busy_nanos.get() >= busy + pause.as_nanos() as u64);
+        assert_eq!(obs.jobs.get(), 3, "one `run` plus two items");
+        assert!(busy >= 2 * p, "busy {busy} ns for two {p} ns items");
+        assert!(
+            busy <= 2 * wall,
+            "busy {busy} ns on two threads in {wall} ns"
+        );
+        // A lone item fans its kernel out across the shard: the item counts
+        // once on the submitting thread, plus the worker's chunk.
+        let both = std::sync::Barrier::new(2);
+        shard.run_items(&mut [()], |_, _| {
+            parallel_chunks(1000, |_, _| {
+                both.wait();
+                std::thread::sleep(pause);
+            });
+        });
+        let lone = obs.busy_nanos.get() - busy;
+        assert!(
+            lone >= 2 * p,
+            "item {lone} ns: submitter and worker each {p} ns"
+        );
+        assert!(
+            lone < 5 * p / 2,
+            "item {lone} ns: its own chunk counted twice"
+        );
+        // Nested scopes of one shard still count each thread's time once.
+        let before = obs.busy_nanos.get();
+        shard.run(|| shard.run_items(&mut [(); 2], |_, _| std::thread::sleep(pause)));
+        assert_eq!(obs.jobs.get(), 7);
+        assert!(obs.busy_nanos.get() - before >= 2 * p);
+    }
+
+    #[test]
+    fn concurrent_items_see_distinct_slots_below_the_width() {
+        for width in 1..=3 {
+            let shard = PoolShard::new(width);
+            let barrier = std::sync::Barrier::new(width);
+            let mut items = vec![0usize; width];
+            let slots: Vec<usize> = shard
+                .run_items(&mut items, |_, _| {
+                    barrier.wait();
+                    slot()
+                })
+                .into_iter()
+                .map(|r| r.unwrap())
+                .collect();
+            let mut sorted = slots.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..width).collect::<Vec<_>>(), "width {width}");
+            // A lone item runs on the submitting thread: slot 0.
+            let lone = shard.run_items(&mut [()], |_, _| slot());
+            assert_eq!(*lone[0].as_ref().unwrap(), 0, "width {width}");
+        }
     }
 
     #[test]

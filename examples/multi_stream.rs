@@ -1,9 +1,10 @@
 //! One edge node, many cameras (§2.2.1): four independent street-camera
 //! streams driven by the [`EdgeNode`] round loop — each round's frames run
 //! extract → MC → smoothing as concurrent jobs on one worker pool — and
-//! one shared bandwidth-constrained uplink. Pass `--batched` to gather all
-//! cameras' frames into one shared batched base-DNN pass per round (one
-//! GEMM over all the frames' output rows per layer) instead.
+//! one shared bandwidth-constrained uplink. Pass `--batched` to run gather
+//! style instead: the node holds one base DNN that every camera's job
+//! extracts through, and a round may serve several frames of a backlogged
+//! camera.
 //!
 //! ```sh
 //! cargo run --release --example multi_stream [-- --streams 4 --frames 60 --batched]

@@ -63,8 +63,8 @@ fn int8act_packed_panel_bytes_quartered_up_to_quad_padding() {
 #[test]
 fn int8act_per_layer_outputs_within_relative_tolerance_at_bench_geometry() {
     let frame = bench_frame();
-    let mut f32net = MobileNetConfig::with_width(0.5).build();
-    let mut qnet = MobileNetConfig::with_width(0.5)
+    let f32net = MobileNetConfig::with_width(0.5).build();
+    let qnet = MobileNetConfig::with_width(0.5)
         .with_precision(Precision::Int8Act)
         .build();
     let names: Vec<String> = f32net.layer_names().map(str::to_string).collect();

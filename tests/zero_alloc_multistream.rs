@@ -7,11 +7,11 @@
 //! machinery itself — submission locks, condvar parking, chunk claiming —
 //! which must run allocation-free, on top of the per-stream workspaces.
 //!
-//! The second test pins the same contract for the **gather-batch** hot
-//! path: one shared batched base-DNN pass over several streams' frames
-//! (stacked input, one GEMM per layer, per-frame tap
-//! splits) plus the per-stream MC fanout, all cycling through the batch
-//! extractor's workspace.
+//! The second test pins the same contract for the **gather-style** hot
+//! path: one shared extractor walked by every stream's pool job at once,
+//! each job extracting its frame into the scratch of the pool slot running
+//! it and feeding its stream's MC — nothing on top of what the pool's
+//! dispatch itself costs.
 //!
 //! The third drives a whole gather-style [`ff_core::runtime::EdgeNode`] —
 //! which cannot be allocation-free (every frame is rendered, converted,
@@ -127,71 +127,79 @@ fn sharded_multistream_loop_is_allocation_free_after_warmup() {
     });
 }
 
-/// The gather-batch inference stage of the [`ff_core::runtime::EdgeNode`]:
-/// one shared batched base-DNN pass over one frame per stream, then each
-/// stream's MCs consuming its per-frame maps — allocation-free once the
-/// batch extractor's workspace, the per-frame map set, and the smoothing
-/// windows are warm.
+/// The gather-style inference stage of the [`ff_core::runtime::EdgeNode`]:
+/// one pool job per stream, each extracting its frame through the one
+/// shared extractor into its pool slot's workspace and maps, then running
+/// the stream's MC on them — allocation-free once the slot scratch and the
+/// smoothing windows are warm. `run_items` itself returns a `Vec` of
+/// results per call; the same dispatch with empty jobs measures that, and
+/// the fan-out must add nothing to it.
 #[test]
 fn gather_batch_extraction_and_mc_fanout_are_allocation_free_after_warmup() {
+    use ff_core::FeatureMaps;
+    use ff_tensor::{parallel, Workspace};
+    use std::sync::Mutex;
+
     let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     const STREAMS: usize = 3;
+    const ROUNDS: u64 = 20;
     let res = Resolution::new(192, 108);
 
-    // The shared batched extractor (as the gather-batch EdgeNode builds it)
-    // plus one MC per stream, exactly the per-round fanout of the runtime's
-    // single inference stage.
-    let mut extractor = FeatureExtractor::new(
+    // The shared extractor (as a gather-style EdgeNode builds it per
+    // bucket) plus one MC and one frame per stream, exactly the per-round
+    // jobs of the runtime's service stage.
+    let extractor = FeatureExtractor::new(
         MobileNetConfig::with_width(0.5),
         vec![
             ff_models::LAYER_LOCALIZED_TAP.to_string(),
             ff_models::LAYER_FULL_FRAME_TAP.to_string(),
         ],
     );
-    let mut mcs: Vec<_> = (0..STREAMS)
+    let mut jobs: Vec<_> = (0..STREAMS)
         .map(|s| {
             let spec = if s % 2 == 0 {
                 McSpec::full_frame(format!("g{s}"), s as u64 + 1)
             } else {
                 McSpec::localized(format!("g{s}"), None, s as u64 + 1)
             };
-            spec.build(&extractor, res, ff_core::McId(0))
+            let mc = spec.build(&extractor, res, ff_core::McId(0));
+            let frame = Tensor::filled(vec![res.height, res.width, 3], 0.25 + s as f32 * 0.1);
+            (mc, frame)
         })
         .collect();
-    let frames: Vec<Tensor> = (0..STREAMS)
-        .map(|s| Tensor::filled(vec![res.height, res.width, 3], 0.25 + s as f32 * 0.1))
-        .collect();
     let shard = PoolShard::new(2);
+    let slots: Vec<Mutex<(Workspace, FeatureMaps)>> =
+        (0..shard.width()).map(|_| Mutex::default()).collect();
+    let round = |jobs: &mut [(ff_core::McRuntime, Tensor)]| {
+        shard.run_items(jobs, |_, (mc, frame)| {
+            let mut scratch = slots[parallel::slot()].lock().unwrap();
+            let (ws, maps) = &mut *scratch;
+            extractor.extract_into(frame, ws, maps);
+            let _ = std::hint::black_box(mc.process_tap(maps.get(&mc.spec().tap)));
+        })
+    };
 
-    // Warm-up: workspace growth to the batched steady-state set (stacked
-    // input, per-frame tap copies), smoothing windows,
-    // shard worker spawn, pack-buffer growth.
+    // Warm-up: every slot's workspace and maps (jobs land on either
+    // thread), smoothing windows, shard worker spawn, pack-buffer growth.
     for _ in 0..10 {
-        shard.run(|| {
-            let maps = extractor.extract_batch(&frames);
-            for (s, mc) in mcs.iter_mut().enumerate() {
-                let fm = maps[s].get(&mc.spec().tap);
-                let _ = std::hint::black_box(mc.process_tap(fm));
-            }
-        });
+        let _ = round(&mut jobs);
     }
+    let mut idle = [(); STREAMS];
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..ROUNDS {
+        let _ = shard.run_items(&mut idle, |_, _| ());
+    }
+    let dispatch = ALLOCS.load(Ordering::Relaxed) - before;
 
     let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..20 {
-        shard.run(|| {
-            let maps = extractor.extract_batch(&frames);
-            for (s, mc) in mcs.iter_mut().enumerate() {
-                let fm = maps[s].get(&mc.spec().tap);
-                let _ = std::hint::black_box(mc.process_tap(fm));
-            }
-        });
+    for _ in 0..ROUNDS {
+        let _ = round(&mut jobs);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let fanout = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(
-        after - before,
-        0,
-        "gather-batch hot path allocated {} times over 20 rounds of {STREAMS}-frame batches",
-        after - before,
+        fanout, dispatch,
+        "{ROUNDS} rounds of {STREAMS} gather jobs allocated {fanout} times; \
+         the dispatch alone allocates {dispatch}",
     );
 }
 
@@ -234,11 +242,12 @@ fn gather_node_run_allocs(frames: u64) -> u64 {
     allocs
 }
 
-/// The gather-style round loop itself — arrivals, batched pass, the
-/// one-pool-job-per-stream fan-out, uplink — must not pay for its
-/// parallelism in allocations: the marginal cost of a frame (a long run
-/// minus a short one, which cancels node construction and warm-up) stays at
-/// what it cost while the fan-out still ran serially on the loop thread:
+/// The gather-style round loop itself — arrivals, the
+/// one-pool-job-per-stream fan-out with each job's extraction, uplink —
+/// must not pay for its parallelism in allocations: the marginal cost of a
+/// frame (a long run minus a short one, which cancels node construction and
+/// warm-up) stays at what it cost while the fan-out still ran serially on
+/// the loop thread:
 /// 9.61 on this node (it reads 9.10 now — `run_items` costs a few small
 /// `Vec`s per round, and the jobs appending verdicts straight to their
 /// task's pending list saves one per frame). What is left is the frame
