@@ -95,7 +95,7 @@ use crate::uplink::Uplink;
 pub struct StreamTelemetry {
     /// The stream.
     pub id: StreamId,
-    /// Decoded frames waiting for inference at the snapshot (virtual-time
+    /// Frames waiting for service at the snapshot (virtual-time
     /// queue depth).
     pub queue_depth: usize,
     /// Frames that arrived during the tick.
@@ -247,7 +247,7 @@ pub struct NodeTelemetry {
 }
 
 impl NodeTelemetry {
-    /// Total decoded frames queued across streams at the snapshot.
+    /// Total frames queued across streams at the snapshot.
     pub fn total_queue_depth(&self) -> usize {
         self.streams.iter().map(|s| s.queue_depth).sum()
     }
@@ -390,11 +390,12 @@ impl Sensors {
         self.gathered.add(gathered as u64);
     }
 
-    /// Wall-clock decode time of one frame (observability only).
-    pub fn on_decode_wall(&mut self, d: Duration) {
+    /// Wall-clock decode (pixel→tensor) time of `frames` frames, which
+    /// the pool job that served them measured (observability only).
+    pub fn on_decode_wall(&mut self, d: Duration, frames: usize) {
         self.decode_secs
             .set(self.decode_secs.get() + d.as_secs_f64());
-        self.decode_frames.inc();
+        self.decode_frames.add(frames as u64);
     }
 
     /// Wall-clock extraction time of `frames` frames (observability only).
@@ -406,7 +407,7 @@ impl Sensors {
 
     /// Folds the tick's accumulations into a snapshot, advances EWMAs, and
     /// resets the per-tick counters. `queue_depths` is each stream's
-    /// decoded-but-unserved backlog (the task mailbox depth under the
+    /// arrived-but-unserved backlog (the task mailbox depth under the
     /// controlled executor); `wake_ages` each stream's rounds-since-last-
     /// arrival ([`StreamTelemetry::rounds_since_wake`], pass `&[]` to
     /// report 0 for every stream); `max_batch` the gather capacity in
@@ -538,7 +539,7 @@ impl Sensors {
 // Policies and configuration
 // ---------------------------------------------------------------------------
 
-/// Dynamic gather-batch sizing: grow `max_batch` when decode queues back
+/// Dynamic gather-batch sizing: grow `max_batch` when mailboxes back
 /// up, shrink it when gathers run mostly empty.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPolicy {

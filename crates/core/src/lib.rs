@@ -145,5 +145,5 @@ pub use runtime::{
 };
 pub use smoothing::{KVotingSmoother, SmoothingConfig};
 pub use spec::{McKind, McModel, McRuntime, McSpec};
-pub use task::{DecodedFrame, StreamTask, TaskState};
+pub use task::{StreamTask, TaskState};
 pub use train::{train_dc, train_mc, TrainConfig, TrainedMc};

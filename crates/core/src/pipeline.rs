@@ -184,6 +184,9 @@ pub struct FilterForward {
     timers: PhaseTimers,
     /// Reused per-frame decision buffer (keeps the MC loop allocation-free).
     decisions_scratch: Vec<(McId, crate::spec::McDecision)>,
+    /// [`Self::process`]'s decoded frame, reused from frame to frame;
+    /// `None` until its first call (the node decodes into its own scratch).
+    input: Option<Tensor>,
 }
 
 impl std::fmt::Debug for FilterForward {
@@ -249,6 +252,7 @@ impl FilterForward {
             stats: PipelineStats::default(),
             timers: PhaseTimers::default(),
             decisions_scratch: Vec::new(),
+            input: None,
         }
     }
 
@@ -467,27 +471,31 @@ impl FilterForward {
     /// order). With temporal smoothing, verdicts trail the input by each
     /// MC's delay.
     ///
-    /// Decode (pixel → tensor) and inference run back to back on the
-    /// calling thread. The node ([`crate::runtime::EdgeNode`]) decodes at
-    /// arrival, a round or more before the frame is served, and serves it
-    /// through the same body as [`Self::process_decoded`]; both paths
-    /// produce identical verdicts.
+    /// Decode (pixel → tensor, [`Frame::to_tensor_into`] a buffer this
+    /// pipeline reuses from frame to frame) and inference run back to back
+    /// on the calling thread. The node ([`crate::runtime::EdgeNode`]) does
+    /// the same inside the pool job that serves the frame, into the input
+    /// buffer of the job's pool slot, and serves it through the same body
+    /// as [`Self::process_decoded`]; both paths produce identical verdicts.
     ///
     /// # Panics
     ///
     /// Panics if no MCs are deployed.
     pub fn process(&mut self, frame: &Frame) -> Vec<FrameVerdict> {
         let t0 = Instant::now();
-        let tensor = frame.to_tensor();
+        let mut input = self.input.take().unwrap_or_default();
+        frame.to_tensor_into(&mut input);
         self.timers.base_dnn += t0.elapsed();
-        self.process_decoded(frame, &tensor)
+        let out = self.process_decoded(frame, &input);
+        self.input = Some(input);
+        out
     }
 
-    /// Credits decode time spent outside this pipeline's calls — the node
-    /// decodes each frame when it arrives, before a pool job serves it —
-    /// to the base-DNN phase timer, so [`PhaseTimers`] keeps its meaning
-    /// (decode + feature extraction, in CPU-seconds) identically between
-    /// [`Self::process`] and the node.
+    /// Credits decode time spent outside this pipeline's calls — the
+    /// node's pool job decodes each frame into its slot's buffer just
+    /// before serving it — to the base-DNN phase timer, so [`PhaseTimers`]
+    /// keeps its meaning (decode + feature extraction, in CPU-seconds)
+    /// identically between [`Self::process`] and the node.
     pub(crate) fn credit_decode(&mut self, d: Duration) {
         self.timers.base_dnn += d;
     }
@@ -495,8 +503,9 @@ impl FilterForward {
     /// Ingests one frame whose tensor was already decoded, returning any
     /// frames that became final (in order).
     ///
-    /// `tensor` must be `frame.to_tensor()`: [`Self::process`] is this
-    /// after the conversion, and the node converts at arrival.
+    /// `tensor` must hold what `frame.to_tensor()` returns: [`Self::process`]
+    /// is this after the conversion, and the node converts in the pool job
+    /// that serves the frame.
     ///
     /// # Panics
     ///

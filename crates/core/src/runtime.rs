@@ -13,8 +13,8 @@
 //!
 //! | phase of a round | runs on | why |
 //! |---|---|---|
-//! | **arrivals** — poll every open stream once, decode pixels → tensor into the task's mailbox | the calling thread | poll order *is* the wake log, and decode is cheap next to inference |
-//! | **service** — *select*: passes over the streams, at most one frame per stream per pass (one pass from stream 0 in per-stream style; in gather style repeated passes from a rotating start, up to `max_batch` frames); a scripted stage panic is isolated here, before any inference. *Jobs*: one per stream with selected frames, each frame in selection order through the base DNN — its own extractor's `extract`, or its bucket's shared extractor's [`crate::FeatureExtractor::extract_into`] in the scratch of the job's pool slot — then its MCs, smoothing, upload re-encode and archive | selection on the calling thread; the jobs run on [`PoolShard::run_items`], `min(jobs, pool width)` cores, their kernels serially inside each job — a round with one job keeps the kernel-level fan-out (its GEMMs split across the whole pool) | everything a frame needs after selection is its stream's state plus read-only weights, so whole streams are the coarsest — cheapest — unit of parallel work; on a node's few small cores a batch is no cheaper per frame than one frame walked alone, so frames run side by side rather than stacked |
+//! | **arrivals** — poll every open stream once, queue the frame's pixels in the task's mailbox | the calling thread | poll order *is* the wake log; a queued frame holds its pixels only, a quarter of its `f32` tensor |
+//! | **service** — *select*: passes over the streams, at most one frame per stream per pass (one pass from stream 0 in per-stream style; in gather style repeated passes from a rotating start, up to `max_batch` frames); a scripted stage panic is isolated here, before any inference. *Jobs*: one per stream with selected frames, each frame in selection order decoded (pixels → tensor, [`Frame::to_tensor_into`] the input of the job's pool slot), then through the base DNN — its own extractor's `extract`, or its bucket's shared extractor's [`crate::FeatureExtractor::extract_into`] in the same slot's scratch — then its MCs, smoothing, upload re-encode and archive | selection on the calling thread; the jobs run on [`PoolShard::run_items`], `min(jobs, pool width)` cores, their kernels serially inside each job — a round with one job keeps the kernel-level fan-out (its GEMMs split across the whole pool) | everything a frame needs after selection is its stream's state plus read-only weights, so whole streams are the coarsest — cheapest — unit of parallel work; on a node's few small cores a batch is no cheaper per frame than one frame walked alone, so frames run side by side rather than stacked |
 //! | **fold, close, uplink, control tick** | the calling thread, in stream order | see below |
 //!
 //! Past selection, the two styles ([`EdgeNodeConfig::gather_batch`])
@@ -50,7 +50,7 @@
 //! # Stream tasks
 //!
 //! ```text
-//!              frame arrives (poll → decode → deliver)
+//!              frame arrives (poll → deliver pixels)
 //!    Sleeping ─────────────────────────────────────────▶ Awake
 //!       ▲                                                  │
 //!       │    round with no arrival and an empty mailbox    │ infer → collect
@@ -94,14 +94,14 @@ use crate::pipeline::{
     default_taps, Backbone, FilterForward, FrameVerdict, PhaseTimers, PipelineConfig, PipelineStats,
 };
 use crate::spec::McSpec;
-use crate::task::{DecodedFrame, StreamTask};
+use crate::task::StreamTask;
 use crate::uplink::Uplink;
 
 /// Identifier of a stream within one [`EdgeNode`] (dense, starting at 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StreamId(pub usize);
 
-/// Decoded frames a task's mailbox holds before the loop stops polling its
+/// Frames a task's mailbox holds before the loop stops polling its
 /// source: the stream's next frame then arrives at a later round instead of
 /// growing the mailbox (the camera's clock stalls with it). Leaves room
 /// above [`crate::control::BatchPolicy::grow_backlog`] so the batch sizer
@@ -558,11 +558,10 @@ impl EdgeNode {
                     instance_bytes,
                     committed_bytes: self.committed_active_bytes.round() as u64,
                     budget_bytes,
-                    max_instances: crate::node::max_mobilenet_instances(
-                        &adm.spec,
-                        &pipeline.mobilenet,
-                        pipeline.resolution,
-                    ),
+                    // `max_mobilenet_instances`' arithmetic on the bytes
+                    // memoized above, without building another network.
+                    max_instances: (adm.spec.usable_memory_bytes() / instance_bytes.max(1))
+                        as usize,
                 });
             }
             self.committed_active_bytes += frac * instance_bytes as f64;
@@ -799,12 +798,11 @@ impl EdgeNode {
         let gather = cfg.gather_batch.is_some();
         let mut cur_batch = cfg.gather_batch.map_or(0, |gb| gb.max_batch.max(1));
         let mut shard = PoolShard::new(cfg.shards.budget());
-        // Gather style's activation scratch: one workspace and map set per
-        // pool slot (empty until a job uses it), so activations scale with
-        // the pool's width, not with camera count; and each round's
-        // extraction walls, per bucket.
-        let slots: Vec<Mutex<(Workspace, FeatureMaps)>> =
-            (0..shard.width()).map(|_| Mutex::default()).collect();
+        // The jobs' scratch: one input tensor, workspace and map set per
+        // pool slot (empty until a job uses it), so decoded frames and
+        // activations scale with the pool's width, not with camera count
+        // or queue depth; and each round's extraction walls, per bucket.
+        let slots: Vec<Mutex<SlotScratch>> = (0..shard.width()).map(|_| Mutex::default()).collect();
         let mut bucket_extract = vec![(Duration::ZERO, 0usize); buckets.len()];
         if cfg.obs.is_some() {
             shard.bind_obs(ShardObs {
@@ -876,16 +874,8 @@ impl EdgeNode {
                 }
                 match task.source.poll_frame() {
                     SourcePoll::Frame(frame) => {
-                        let td = Instant::now();
-                        let tensor = frame.to_tensor();
-                        let decode = td.elapsed();
-                        sensors.on_decode_wall(decode);
                         sensors.on_arrival(s);
-                        if task.deliver(DecodedFrame {
-                            frame,
-                            tensor,
-                            decode,
-                        }) {
+                        if task.deliver(frame) {
                             wakes.push((round, s));
                             if let Some(t) = tracer.as_mut() {
                                 let depth = task.mailbox.len() as u64;
@@ -922,7 +912,7 @@ impl EdgeNode {
                     if kills.contains(&s) {
                         continue;
                     }
-                    let Some(msg) = tasks[s].mailbox.pop_front() else {
+                    let Some(frame) = tasks[s].mailbox.pop_front() else {
                         continue;
                     };
                     let k = tasks[s].served;
@@ -952,12 +942,7 @@ impl EdgeNode {
                         continue;
                     }
                     sensors.on_served(s);
-                    meta.push(Selected {
-                        stream: s,
-                        frame: msg.frame,
-                        decode: msg.decode,
-                        tensor: msg.tensor,
-                    });
+                    meta.push(Selected { stream: s, frame });
                 }
                 if !progressed || !gather {
                     break;
@@ -967,11 +952,13 @@ impl EdgeNode {
             sensors.on_round(meta.len());
             if !meta.is_empty() {
                 // One pool job per stream with selected frames, which it
-                // serves in selection order, its base DNN included: a
-                // gather stream's frames go through its bucket's shared
-                // extractor in the scratch of the pool slot running the
-                // job. A job touches only its own task and that scratch, so
-                // nothing observes which core ran it or when.
+                // decodes and serves in selection order, its base DNN
+                // included: each frame is converted into the input tensor
+                // of the pool slot running the job, then goes through the
+                // stream's own extractor or — gather style — its bucket's
+                // shared one, in the same slot's scratch. A job touches
+                // only its own task and that scratch, so nothing observes
+                // which core ran it or when.
                 order.clear();
                 order.extend(0..meta.len());
                 order.sort_unstable_by_key(|&i| (meta[i].stream, i));
@@ -996,38 +983,42 @@ impl EdgeNode {
                     let StreamTask { ff, pending, .. } = &mut *job.task;
                     let ff = ff.as_mut().expect("open stream has a pipeline");
                     let t = Instant::now();
-                    let mut extract = Duration::ZERO;
-                    // A poisoned slot is still sound scratch: extraction
-                    // recycles whatever the maps held and the workspace
-                    // only ever grows.
-                    let mut shared = job.shared.map(|ex| {
-                        let slot = slots[parallel::slot()].lock();
-                        (ex, slot.unwrap_or_else(PoisonError::into_inner))
-                    });
+                    let (mut extract, mut decode) = (Duration::ZERO, Duration::ZERO);
+                    // A poisoned slot is still sound scratch: decode
+                    // overwrites the input, extraction recycles whatever the
+                    // maps held, and the workspace only ever grows.
+                    let mut slot = slots[parallel::slot()]
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner);
+                    let SlotScratch { ws, maps, input } = &mut *slot;
                     for &i in job.frames {
-                        let sel = &meta[i];
-                        ff.credit_decode(sel.decode);
-                        let backbone = match &mut shared {
-                            Some((ex, scratch)) => {
-                                let (ws, maps) = &mut **scratch;
+                        let frame = &meta[i].frame;
+                        let td = Instant::now();
+                        frame.to_tensor_into(input);
+                        let wall = td.elapsed();
+                        decode += wall;
+                        ff.credit_decode(wall);
+                        let backbone = match job.shared {
+                            Some(ex) => {
                                 let te = Instant::now();
-                                ex.extract_into(&sel.tensor, ws, maps);
+                                ex.extract_into(input, ws, maps);
                                 let wall = te.elapsed();
                                 extract += wall;
                                 Backbone::Shared(maps, wall)
                             }
-                            None => Backbone::Own(&sel.tensor),
+                            None => Backbone::Own(input),
                         };
-                        ff.serve_into(&sel.frame, backbone, pending);
+                        ff.serve_into(frame, backbone, pending);
                     }
-                    (t.elapsed(), extract)
+                    (t.elapsed(), extract, decode)
                 });
                 // A panic here is a bug, not a scripted fault (those were
                 // isolated at selection): it ends the run, re-raised here
                 // once the round's other jobs have finished.
                 for (job, outcome) in jobs.iter().zip(outcomes) {
-                    let (wall, extract) =
+                    let (wall, extract, decode) =
                         outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                    sensors.on_decode_wall(decode, job.frames.len());
                     let s = meta[job.frames[0]].stream;
                     match bucket_of[s] {
                         Some(b) => {
@@ -1281,14 +1272,21 @@ fn fault_span(e: &crate::faults::FaultEvent) -> Span {
     Span::new(e.round, stream, stage, kind, value)
 }
 
-/// One frame selection took for this round's service.
+/// One frame selection took for this round's service: pixels only — its
+/// job decodes it.
 struct Selected {
     stream: usize,
     frame: Frame,
-    /// Wall-clock decode time, credited to the stream's base-DNN timer.
-    decode: Duration,
-    /// The decoded frame, for whichever extractor serves the stream.
-    tensor: Tensor,
+}
+
+/// One pool slot's service scratch, used by one job at a time: the frame
+/// being served decoded to a tensor, and — gather style — the activations
+/// of its pass through the bucket's shared extractor.
+#[derive(Default)]
+struct SlotScratch {
+    ws: Workspace,
+    maps: FeatureMaps,
+    input: Tensor,
 }
 
 /// One service pool job: a stream's task on loan for the span of the
@@ -1760,6 +1758,45 @@ mod tests {
             .expect_err("a zero per-worker cap must be refused");
         assert_eq!(err, AdmissionError::ZeroStreamsPerWorker);
         assert_eq!(node.stream_count(), 0);
+    }
+
+    #[test]
+    fn over_memory_refusal_reports_the_memory_models_instance_count() {
+        use crate::control::{AdmissionError, AdmissionPolicy};
+        use crate::node::{max_mobilenet_instances, mobilenet_instance_bytes, EdgeNodeSpec};
+        for (alpha, res) in [
+            (0.25, Resolution::new(64, 32)),
+            (0.5, Resolution::new(96, 54)),
+        ] {
+            let mut pipeline = tiny_pipeline(res);
+            pipeline.mobilenet = MobileNetConfig::with_width(alpha);
+            let per = mobilenet_instance_bytes(&pipeline.mobilenet, res);
+            for memory_bytes in [per / 2, per * 2 + per / 3, per * 5] {
+                let spec = EdgeNodeSpec {
+                    cores: 4,
+                    memory_bytes,
+                };
+                let policy = AdmissionPolicy {
+                    spec,
+                    max_streams_per_worker: 64,
+                };
+                let mut node = EdgeNode::new(
+                    EdgeNodeConfig::new(ShardLayout::single(1)).with_admission(policy),
+                );
+                let err = (0..)
+                    .find_map(|seed| {
+                        let src = Box::new(SceneSource::new(scene_cfg(res, seed), 1));
+                        node.try_add_stream(src, pipeline).err()
+                    })
+                    .expect("an envelope of finite memory refuses some stream");
+                let AdmissionError::OverMemory { max_instances, .. } = err else {
+                    panic!("expected OverMemory, got {err:?}");
+                };
+                let want = max_mobilenet_instances(&spec, &pipeline.mobilenet, res);
+                assert_eq!(max_instances, want, "{alpha} at {res}, {memory_bytes} B");
+                assert_eq!(node.stream_count(), want);
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Each camera stream in [`crate::runtime::EdgeNode::run_controlled`] is one
 //! [`StreamTask`]: a lightweight state machine owning the stream's source,
-//! pipeline, and decoded-frame **mailbox**, multiplexed with every other
+//! pipeline, and frame **mailbox**, multiplexed with every other
 //! stream onto one budget-wide worker pool. A task costs a few hundred
 //! bytes while sleeping — no threads, no channels — which is what lets one
 //! node carry 1000+ mostly-idle duty-cycled cameras (see the state-machine
@@ -10,32 +10,18 @@
 //!
 //! The scheduler (the virtual-time round loop) drives every transition
 //! from its own thread. The one time a task leaves it is on loan to a pool
-//! job for the span of a round's inference, which touches only the task's
-//! pipeline and pending verdicts; results are folded back in stream order —
+//! job for the span of a round's decode and inference, which touches only
+//! the task's pipeline and pending verdicts; results are folded back in
+//! stream order —
 //! so every field here is a pure function of (round, stream content) and the
 //! run's traces stay bit-replayable.
 
 use std::collections::VecDeque;
-use std::time::Duration;
 
-use ff_tensor::Tensor;
 use ff_video::{Frame, FrameSource};
 
 use crate::faults::{FaultEventKind, FaultTrace};
 use crate::pipeline::{FilterForward, FrameVerdict};
-
-/// One decoded frame waiting in a task's mailbox: the typed message the
-/// poll/decode phase sends to the infer phase.
-#[derive(Debug)]
-pub struct DecodedFrame {
-    /// The decoded frame.
-    pub frame: Frame,
-    /// Its pixel→tensor conversion.
-    pub tensor: Tensor,
-    /// Wall-clock decode time (observability only — never a decision
-    /// input).
-    pub decode: Duration,
-}
 
 /// Life-cycle state of a [`StreamTask`].
 ///
@@ -72,9 +58,10 @@ pub struct StreamTask {
     pub(crate) source: Box<dyn FrameSource>,
     /// The stream's pipeline; `None` once finished (flushed or killed).
     pub(crate) ff: Option<FilterForward>,
-    /// Decoded frames awaiting inference (the bounded task mailbox — the
-    /// scheduler skips the poll when it is full).
-    pub(crate) mailbox: VecDeque<DecodedFrame>,
+    /// Frames awaiting service, as the source delivered them: pixels only,
+    /// converted to a tensor by the pool job that serves them (the bounded
+    /// task mailbox — the scheduler skips the poll when it is full).
+    pub(crate) mailbox: VecDeque<Frame>,
     /// Whether the source has reported end-of-stream.
     pub(crate) source_open: bool,
     /// Frames served (sent to inference) so far — the frame index the
@@ -132,7 +119,7 @@ impl StreamTask {
         self.state
     }
 
-    /// Decoded frames waiting for inference.
+    /// Frames waiting for service.
     pub fn mailbox_depth(&self) -> usize {
         self.mailbox.len()
     }
@@ -150,11 +137,11 @@ impl StreamTask {
         self.arrived_this_round = false;
     }
 
-    /// Delivers a decoded frame into the mailbox. Returns `true` when the
-    /// delivery *woke* the task (Sleeping → Awake) — the scheduler logs
-    /// that edge as a `(round, stream)` wake event.
-    pub(crate) fn deliver(&mut self, msg: DecodedFrame) -> bool {
-        self.mailbox.push_back(msg);
+    /// Delivers a frame into the mailbox. Returns `true` when the delivery
+    /// *woke* the task (Sleeping → Awake) — the scheduler logs that edge as
+    /// a `(round, stream)` wake event.
+    pub(crate) fn deliver(&mut self, frame: Frame) -> bool {
+        self.mailbox.push_back(frame);
         self.arrived_this_round = true;
         self.rounds_since_wake = 0;
         if self.state == TaskState::Sleeping {
@@ -263,14 +250,8 @@ mod tests {
         StreamTask::new(source, ff)
     }
 
-    fn frame() -> DecodedFrame {
-        let f = Frame::black(Resolution::new(32, 16));
-        let tensor = f.to_tensor();
-        DecodedFrame {
-            frame: f,
-            tensor,
-            decode: Duration::ZERO,
-        }
+    fn frame() -> Frame {
+        Frame::black(Resolution::new(32, 16))
     }
 
     #[test]

@@ -309,7 +309,7 @@ mod tests {
             let fm = conv.forward(&x, Phase::Inference).sum();
             conv.weight.value.data_mut()[i] = orig;
             let num = (fp - fm) / (2.0 * eps);
-            let ana = conv.weight.grad.data()[i];
+            let ana = conv.weight.grad().unwrap().data()[i];
             assert!((num - ana).abs() < 1e-2, "dW[{i}]: {num} vs {ana}");
         }
     }
@@ -344,6 +344,6 @@ mod tests {
         let _ = conv.backward(&g); // pops x2
         let _ = conv.backward(&g); // pops x1
                                    // dW = Σ_pos x·g accumulated over both frames: (1+2)·4 positions = 12 per filter.
-        assert_eq!(conv.weight.grad.data(), &[12.0, 12.0]);
+        assert_eq!(conv.weight.grad().unwrap().data(), &[12.0, 12.0]);
     }
 }

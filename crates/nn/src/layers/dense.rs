@@ -237,7 +237,7 @@ mod tests {
             let fm = d.forward(&x, Phase::Inference).sum();
             d.weight.value.data_mut()[i] = orig;
             let num = (fp - fm) / (2.0 * eps);
-            assert!((num - d.weight.grad.data()[i]).abs() < 1e-3);
+            assert!((num - d.weight.grad().unwrap().data()[i]).abs() < 1e-3);
         }
     }
 

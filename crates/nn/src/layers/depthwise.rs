@@ -830,7 +830,10 @@ mod tests {
             let fm = dw.forward(&x, Phase::Inference).sum();
             dw.weight.value.data_mut()[i] = orig;
             let num = (fp - fm) / (2.0 * eps);
-            assert!((num - dw.weight.grad.data()[i]).abs() < 1e-2, "dW[{i}]");
+            assert!(
+                (num - dw.weight.grad().unwrap().data()[i]).abs() < 1e-2,
+                "dW[{i}]"
+            );
         }
     }
 

@@ -629,7 +629,7 @@ mod tests {
             let fm = unit.forward(&x, Phase::Inference).sum();
             unit.params_mut()[0].value.data_mut()[i] = orig;
             let num = (fp - fm) / (2.0 * eps);
-            let ana = unit.weight.grad.data()[i];
+            let ana = unit.weight.grad().unwrap().data()[i];
             assert!((num - ana).abs() < 2e-2, "dW[{i}]: {num} vs {ana}");
         }
     }

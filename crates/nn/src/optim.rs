@@ -8,6 +8,15 @@ use ff_tensor::Tensor;
 
 use crate::Param;
 
+/// A parameter's gradient elements, with no gradient read as all zeros
+/// (the same `0.0` a zeroed buffer would hold, so updates are
+/// bit-identical either way). Unbounded: zipped against the value.
+fn grads(grad: Option<&Tensor>) -> impl Iterator<Item = f32> + '_ {
+    grad.into_iter()
+        .flat_map(|g| g.data().iter().copied())
+        .chain(std::iter::repeat(0.0))
+}
+
 /// Stochastic gradient descent with classical momentum.
 #[derive(Debug)]
 pub struct Sgd {
@@ -32,7 +41,7 @@ impl Sgd {
         self
     }
 
-    /// Applies one update and clears gradients.
+    /// Applies one update and drops gradients.
     ///
     /// # Panics
     ///
@@ -50,11 +59,12 @@ impl Sgd {
             "optimizer param list changed"
         );
         for (p, v) in params.iter_mut().zip(&mut self.velocity) {
-            for ((vv, &g), x) in v
+            let (value, grad) = p.value_and_grad();
+            for ((vv, g), x) in v
                 .data_mut()
                 .iter_mut()
-                .zip(p.grad.data())
-                .zip(p.value.data_mut().iter_mut())
+                .zip(grads(grad))
+                .zip(value.data_mut().iter_mut())
             {
                 *vv = self.momentum * *vv - self.lr * g;
                 *x += *vv;
@@ -99,7 +109,7 @@ impl Adam {
         self
     }
 
-    /// Applies one update and clears gradients.
+    /// Applies one update and drops gradients.
     ///
     /// # Panics
     ///
@@ -117,12 +127,13 @@ impl Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
-            for (((mm, vv), &g), x) in m
+            let (value, grad) = p.value_and_grad();
+            for (((mm, vv), g), x) in m
                 .data_mut()
                 .iter_mut()
                 .zip(v.data_mut().iter_mut())
-                .zip(p.grad.data())
-                .zip(p.value.data_mut().iter_mut())
+                .zip(grads(grad))
+                .zip(value.data_mut().iter_mut())
             {
                 *mm = self.beta1 * *mm + (1.0 - self.beta1) * g;
                 *vv = self.beta2 * *vv + (1.0 - self.beta2) * g * g;
@@ -144,7 +155,7 @@ mod tests {
         let mut p = Param::new(Tensor::from_vec(vec![1], vec![5.0]));
         for _ in 0..300 {
             let x = p.value.data()[0];
-            p.grad = Tensor::from_vec(vec![1], vec![2.0 * x]);
+            p.accumulate(&Tensor::from_vec(vec![1], vec![2.0 * x]));
             step(&mut [&mut p]);
         }
         p.value.data()[0].abs()
@@ -165,9 +176,9 @@ mod tests {
     #[test]
     fn step_clears_grads() {
         let mut p = Param::new(Tensor::zeros(vec![2]));
-        p.grad = Tensor::from_vec(vec![2], vec![1.0, -1.0]);
+        p.accumulate(&Tensor::from_vec(vec![2], vec![1.0, -1.0]));
         let mut opt = Adam::new(0.01);
         opt.step(&mut [&mut p]);
-        assert_eq!(p.grad.data(), &[0.0, 0.0]);
+        assert!(p.grad().is_none());
     }
 }

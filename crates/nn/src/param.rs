@@ -7,34 +7,53 @@ use ff_tensor::Tensor;
 /// Gradients accumulate across [`crate::Layer::backward`] calls (which is
 /// what makes weight sharing work — the windowed microclassifier's 1×1 conv
 /// receives gradient contributions from every frame in its window) and are
-/// cleared by the optimizer's `step`.
+/// dropped by the optimizer's `step`. The gradient buffer exists only
+/// between the first `accumulate` and that step: a network that only runs
+/// inference holds its weights and nothing beside them, and the optimizers
+/// read a parameter with no gradient as an all-zero one.
 #[derive(Debug, Clone)]
 pub struct Param {
     /// Current value.
     pub value: Tensor,
-    /// Accumulated gradient, same shape as `value`.
-    pub grad: Tensor,
+    /// Accumulated gradient, same shape as `value`; `None` reads as zero.
+    grad: Option<Tensor>,
 }
 
 impl Param {
-    /// Wraps an initial value with a zeroed gradient.
+    /// Wraps an initial value; no gradient is allocated until the first
+    /// [`Self::accumulate`].
     pub fn new(value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.dims().to_vec());
-        Param { value, grad }
+        Param { value, grad: None }
     }
 
-    /// Adds `g` into the accumulated gradient.
+    /// Adds `g` into the accumulated gradient (a zero one on first use, so
+    /// the sum is bit-identical to accumulating into a zeroed buffer).
     ///
     /// # Panics
     ///
     /// Panics if shapes differ.
     pub fn accumulate(&mut self, g: &Tensor) {
-        self.grad.add_assign(g);
+        let dims = self.value.dims();
+        self.grad
+            .get_or_insert_with(|| Tensor::zeros(dims.to_vec()))
+            .add_assign(g);
     }
 
-    /// Zeroes the accumulated gradient.
+    /// The accumulated gradient, or `None` if nothing accumulated since
+    /// construction or the last [`Self::zero_grad`].
+    pub fn grad(&self) -> Option<&Tensor> {
+        self.grad.as_ref()
+    }
+
+    /// Drops the accumulated gradient (it reads as zero again).
     pub fn zero_grad(&mut self) {
-        self.grad.map_inplace(|_| 0.0);
+        self.grad = None;
+    }
+
+    /// The value to update and the gradient to update it by, borrowed
+    /// together for the optimizers.
+    pub(crate) fn value_and_grad(&mut self) -> (&mut Tensor, Option<&Tensor>) {
+        (&mut self.value, self.grad.as_ref())
     }
 
     /// Number of scalar parameters.
@@ -55,10 +74,22 @@ mod tests {
     #[test]
     fn accumulate_then_zero() {
         let mut p = Param::new(Tensor::zeros(vec![3]));
+        assert!(p.grad().is_none(), "a new parameter holds no gradient");
         p.accumulate(&Tensor::from_vec(vec![3], vec![1., 2., 3.]));
         p.accumulate(&Tensor::from_vec(vec![3], vec![1., 1., 1.]));
-        assert_eq!(p.grad.data(), &[2., 3., 4.]);
+        assert_eq!(p.grad().unwrap().data(), &[2., 3., 4.]);
         p.zero_grad();
-        assert_eq!(p.grad.data(), &[0., 0., 0.]);
+        assert!(p.grad().is_none());
+    }
+
+    #[test]
+    fn first_accumulate_adds_into_zero() {
+        // 0.0 + -0.0 is +0.0: the first gradient lands as if added into a
+        // zeroed buffer, not copied.
+        let mut p = Param::new(Tensor::zeros(vec![2]));
+        p.accumulate(&Tensor::from_vec(vec![2], vec![-0.0, 1.0]));
+        let g = p.grad().unwrap().data();
+        assert_eq!(g[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(g[1], 1.0);
     }
 }

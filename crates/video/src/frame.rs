@@ -29,6 +29,13 @@ impl std::fmt::Display for Resolution {
     }
 }
 
+/// One 8-bit sample as a network input in `[0, 1]`: the one conversion
+/// both [`Frame::to_tensor`] and [`Frame::to_tensor_into`] apply.
+#[inline]
+fn unit(b: u8) -> f32 {
+    b as f32 / 255.0
+}
+
 /// An 8-bit RGB frame, interleaved row-major.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -99,8 +106,22 @@ impl Frame {
     pub fn to_tensor(&self) -> ff_tensor::Tensor {
         ff_tensor::Tensor::from_vec(
             vec![self.resolution.height, self.resolution.width, 3],
-            self.data.iter().map(|&b| b as f32 / 255.0).collect(),
+            self.data.iter().map(|&b| unit(b)).collect(),
         )
+    }
+
+    /// [`Self::to_tensor`] into `out`, bit for bit, reusing its buffers: no
+    /// allocation when `out` already holds a rank-3 tensor of this frame's
+    /// element count (it is reshaped to `[height, width, 3]`).
+    pub fn to_tensor_into(&self, out: &mut ff_tensor::Tensor) {
+        if out.len() != self.data.len() {
+            *out = self.to_tensor();
+            return;
+        }
+        out.reshape_to(&[self.resolution.height, self.resolution.width, 3]);
+        for (o, &b) in out.data_mut().iter_mut().zip(&self.data) {
+            *o = unit(b);
+        }
     }
 
     /// FNV-1a digest over the resolution and RGB bytes: a cheap stable
@@ -184,6 +205,37 @@ mod tests {
         assert_eq!(t.dims(), &[2, 2, 3]);
         assert!((t.at3(0, 0, 0) - 1.0).abs() < 1e-6);
         assert!((t.at3(0, 0, 2) - 128.0 / 255.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn to_tensor_into_matches_to_tensor_in_place() {
+        let res = Resolution::new(5, 3);
+        let data: Vec<u8> = (0..res.pixels() * 3)
+            .map(|i| (i * 37 % 256) as u8)
+            .collect();
+        let f = Frame::from_rgb(res, data);
+        let bits = |t: &ff_tensor::Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let want = f.to_tensor();
+
+        // Every byte value converts exactly as `to_tensor` does.
+        let every = Frame::from_rgb(
+            Resolution::new(256, 1),
+            (0..=255).flat_map(|b| [b; 3]).collect(),
+        );
+        let mut t = ff_tensor::Tensor::default();
+        every.to_tensor_into(&mut t);
+        assert_eq!(bits(&t), bits(&every.to_tensor()));
+
+        // A wrong-sized buffer is replaced; a right-sized one of another
+        // shape is reshaped and written in place.
+        f.to_tensor_into(&mut t);
+        assert_eq!((t.dims(), bits(&t)), (want.dims(), bits(&want)));
+        let mut other = ff_tensor::Tensor::filled(vec![res.width, res.height, 3], 7.0);
+        let (data, dims) = (other.data().as_ptr(), other.dims().as_ptr());
+        f.to_tensor_into(&mut other);
+        assert_eq!((other.dims(), bits(&other)), (want.dims(), bits(&want)));
+        assert_eq!(other.data().as_ptr(), data, "data buffer reallocated");
+        assert_eq!(other.dims().as_ptr(), dims, "shape vector reallocated");
     }
 
     #[test]

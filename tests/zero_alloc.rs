@@ -8,7 +8,9 @@
 //! the microclassifier loop perform **zero heap allocations per frame**,
 //! and the event write path — re-encode for upload, record to the archive —
 //! allocates **exactly its output buffer** per frame. The same holds for the
-//! whole-int8 backbone, single-frame and batched.
+//! whole-int8 backbone, single-frame and batched. The serial pipeline's
+//! `process` decodes each frame into one tensor it reuses, so its count is
+//! pinned at the frame's own bookkeeping.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -43,7 +45,7 @@ fn allocs() -> u64 {
 }
 
 use ff_core::archive::{ArchiveConfig, EdgeArchive};
-use ff_core::{FeatureExtractor, McSpec};
+use ff_core::{FeatureExtractor, FilterForward, McSpec, PipelineConfig};
 use ff_models::MobileNetConfig;
 use ff_tensor::Tensor;
 use ff_video::codec::{Encoder, EncoderConfig};
@@ -137,6 +139,43 @@ fn extractor_and_mc_loop_are_allocation_free_after_warmup() {
     // report on) concurrently.
     write_path_allocates_only_its_output_buffers();
     int8act_extraction_is_allocation_free_after_warmup();
+    serial_process_allocates_only_its_frame_bookkeeping();
+}
+
+/// `FilterForward::process` after warm-up, on frames no MC matches (so
+/// nothing is re-encoded): decode goes into a tensor the pipeline reuses,
+/// extraction and the MC loop into their workspaces, and what is left per
+/// frame is the pending entry — its copy of the pixels and its map node —
+/// and the returned verdict list: 37 allocations over these 12 frames.
+fn serial_process_allocates_only_its_frame_bookkeeping() {
+    let res = Resolution::new(96, 54);
+    let scene = SceneConfig {
+        resolution: res,
+        seed: 5,
+        pedestrian_rate: 0.1,
+        ..Default::default()
+    };
+    let clip: Vec<Frame> = Scene::new(scene).take(12).map(|(f, _)| f).collect();
+    let mut pipeline = PipelineConfig::new(res, 15.0);
+    pipeline.mobilenet = MobileNetConfig::with_width(0.25);
+    let mut ff = FilterForward::new(pipeline);
+    // A threshold no probability reaches: every verdict is "no match".
+    ff.deploy(McSpec {
+        threshold: 2.0,
+        ..McSpec::full_frame("ff", 1)
+    });
+    ff.deploy(McSpec {
+        threshold: 2.0,
+        ..McSpec::windowed("win", None, 2)
+    });
+    for f in clip.iter().chain(&clip) {
+        let _ = ff.process(f);
+    }
+    let before = allocs();
+    for f in &clip {
+        let _ = std::hint::black_box(ff.process(f));
+    }
+    assert_eq!(allocs() - before, 37, "process: allocations over 12 frames");
 }
 
 /// The whole-int8 backbone, one frame at a time and as a gathered batch:

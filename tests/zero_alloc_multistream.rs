@@ -14,8 +14,8 @@
 //! dispatch itself costs.
 //!
 //! The third drives a whole gather-style [`ff_core::runtime::EdgeNode`] —
-//! which cannot be allocation-free (every frame is rendered, converted,
-//! queued and re-encoded) — and pins its *marginal* allocations per frame,
+//! which cannot be allocation-free (every frame is rendered, queued
+//! and re-encoded) — and pins its *marginal* allocations per frame,
 //! so the round loop's pool fan-out cannot start paying in per-round `Vec`s.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -243,15 +243,14 @@ fn gather_node_run_allocs(frames: u64) -> u64 {
 }
 
 /// The gather-style round loop itself — arrivals, the
-/// one-pool-job-per-stream fan-out with each job's extraction, uplink —
-/// must not pay for its parallelism in allocations: the marginal cost of a
-/// frame (a long run minus a short one, which cancels node construction and
-/// warm-up) stays at what it cost while the fan-out still ran serially on
-/// the loop thread:
-/// 9.61 on this node (it reads 9.10 now — `run_items` costs a few small
-/// `Vec`s per round, and the jobs appending verdicts straight to their
-/// task's pending list saves one per frame). What is left is the frame
-/// itself — render, tensor, pending entry, encoder output — not the loop.
+/// one-pool-job-per-stream fan-out with each job's decode and extraction,
+/// uplink — must not pay for its parallelism in allocations: the marginal
+/// cost of a frame (a long run minus a short one, which cancels node
+/// construction and warm-up) stays at 7.12 on this node, where it reads
+/// 7.10–7.11. Arrivals queue pixels and each job decodes into its pool
+/// slot's input tensor, so a frame allocates no tensor of its own, and
+/// `run_items` costs a few small `Vec`s per round. What is left is the
+/// frame itself — render, pending entry, encoder output — not the loop.
 #[test]
 fn gather_round_loop_allocations_per_frame_do_not_rise() {
     let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
@@ -261,7 +260,7 @@ fn gather_round_loop_allocations_per_frame_do_not_rise() {
     let per_frame = (long - short) as f64 / (4 * (LONG - SHORT)) as f64;
     eprintln!("gather-style round loop: {per_frame:.2} allocations per frame");
     assert!(
-        per_frame <= 9.61,
+        per_frame <= 7.12,
         "gather-style steady state allocates {per_frame:.2} times per frame"
     );
 }
