@@ -398,7 +398,8 @@ impl Sensors {
         self.decode_frames.add(frames as u64);
     }
 
-    /// Wall-clock extraction time of `frames` frames (observability only).
+    /// Wall-clock extraction time of `frames` frames (observability only):
+    /// their base-DNN passes alone, in either node style.
     pub fn on_extract_wall(&mut self, d: Duration, frames: usize) {
         self.extract_secs
             .set(self.extract_secs.get() + d.as_secs_f64());

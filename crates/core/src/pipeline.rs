@@ -512,7 +512,7 @@ impl FilterForward {
     /// Panics if no MCs are deployed.
     pub fn process_decoded(&mut self, frame: &Frame, tensor: &Tensor) -> Vec<FrameVerdict> {
         let mut out = Vec::new();
-        self.serve_into(frame, Backbone::Own(tensor), &mut out);
+        self.serve_into(frame.clone(), Backbone::Own(tensor), &mut out);
         out
     }
 
@@ -544,20 +544,30 @@ impl FilterForward {
         shared_extract: Duration,
     ) -> Vec<FrameVerdict> {
         let mut out = Vec::new();
-        self.serve_into(frame, Backbone::Shared(maps, shared_extract), &mut out);
+        self.serve_into(
+            frame.clone(),
+            Backbone::Shared(maps, shared_extract),
+            &mut out,
+        );
         out
     }
 
     /// The one serving body: ingest `frame`, take its feature maps from
     /// `backbone`, run every MC on them, apply the decisions, and append the
     /// frames that became final to `out` — the node's pool jobs write
-    /// straight into the stream task's pending list.
+    /// straight into the stream task's pending list. Returns the frame's
+    /// extraction wall: the private extractor's pass, or the wall a shared
+    /// one reported.
+    ///
+    /// The frame is the pending entry's until its verdict is final (its
+    /// pixels are re-encoded if an MC matched): the node hands over the
+    /// frame it selected, and the `&Frame` entry points clone theirs.
     pub(crate) fn serve_into(
         &mut self,
-        frame: &Frame,
+        frame: Frame,
         backbone: Backbone<'_>,
         out: &mut Vec<FrameVerdict>,
-    ) {
+    ) -> Duration {
         self.ingest_frame(frame);
 
         // Phase 1: base-DNN feature extraction (timed), or the frame's share
@@ -596,11 +606,12 @@ impl FilterForward {
         }
         self.decisions_scratch = decisions;
         self.drain_into(self.mcs.len(), out);
+        extract
     }
 
     /// Shared ingest bookkeeping: frame counters, archival, and the pending
-    /// entry awaiting MC decisions.
-    fn ingest_frame(&mut self, frame: &Frame) {
+    /// entry, which keeps the frame until its MC decisions are in.
+    fn ingest_frame(&mut self, frame: Frame) {
         assert!(
             !self.mcs.is_empty(),
             "deploy at least one MC before streaming"
@@ -610,13 +621,13 @@ impl FilterForward {
         self.stats.frames_in += 1;
 
         if let Some(archive) = &mut self.archive {
-            self.stats.bytes_archived += archive.record(frame) as u64;
+            self.stats.bytes_archived += archive.record(&frame) as u64;
         }
 
         self.pending.insert(
             idx,
             Pending {
-                frame: frame.clone(),
+                frame,
                 metadata: FrameMetadata::new(),
                 closed: Vec::new(),
                 decided: 0,

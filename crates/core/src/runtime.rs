@@ -854,11 +854,9 @@ impl EdgeNode {
             tasks.push(StreamTask::new(source, e.ff));
         }
         let mut reports = empty_reports(n);
-        // The round's selected frames, in selection order.
+        // The round's selected frames: in selection order, then grouped by
+        // stream (selection order kept within a stream) for the jobs.
         let mut meta: Vec<Selected> = Vec::new();
-        // Job scratch: the selected frames (indices into `meta`) grouped by
-        // stream, selection order kept within a stream.
-        let mut order: Vec<usize> = Vec::new();
         let mut scan_start = 0usize;
         let mut round: u64 = 0;
 
@@ -942,7 +940,12 @@ impl EdgeNode {
                         continue;
                     }
                     sensors.on_served(s);
-                    meta.push(Selected { stream: s, frame });
+                    let seq = meta.len();
+                    meta.push(Selected {
+                        stream: s,
+                        seq,
+                        frame: Some(frame),
+                    });
                 }
                 if !progressed || !gather {
                     break;
@@ -959,16 +962,13 @@ impl EdgeNode {
                 // shared one, in the same slot's scratch. A job touches
                 // only its own task and that scratch, so nothing observes
                 // which core ran it or when.
-                order.clear();
-                order.extend(0..meta.len());
-                order.sort_unstable_by_key(|&i| (meta[i].stream, i));
+                meta.sort_unstable_by_key(|sel| (sel.stream, sel.seq));
                 let mut rest = tasks.iter_mut().enumerate();
-                let mut jobs: Vec<ServiceJob> = Vec::with_capacity(order.len());
+                let mut jobs: Vec<ServiceJob> = Vec::with_capacity(meta.len());
                 jobs.extend(
-                    order
-                        .chunk_by(|&a, &b| meta[a].stream == meta[b].stream)
+                    meta.chunk_by_mut(|a, b| a.stream == b.stream)
                         .map(|frames| {
-                            let s = meta[frames[0]].stream;
+                            let s = frames[0].stream;
                             let (_, task) = rest
                                 .find(|(t, _)| *t == s)
                                 .expect("jobs are built in ascending stream order");
@@ -991,8 +991,8 @@ impl EdgeNode {
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner);
                     let SlotScratch { ws, maps, input } = &mut *slot;
-                    for &i in job.frames {
-                        let frame = &meta[i].frame;
+                    for sel in job.frames.iter_mut() {
+                        let frame = sel.frame.take().expect("a frame is served once");
                         let td = Instant::now();
                         frame.to_tensor_into(input);
                         let wall = td.elapsed();
@@ -1002,13 +1002,11 @@ impl EdgeNode {
                             Some(ex) => {
                                 let te = Instant::now();
                                 ex.extract_into(input, ws, maps);
-                                let wall = te.elapsed();
-                                extract += wall;
-                                Backbone::Shared(maps, wall)
+                                Backbone::Shared(maps, te.elapsed())
                             }
                             None => Backbone::Own(input),
                         };
-                        ff.serve_into(frame, backbone, pending);
+                        extract += ff.serve_into(frame, backbone, pending);
                     }
                     (t.elapsed(), extract, decode)
                 });
@@ -1019,7 +1017,7 @@ impl EdgeNode {
                     let (wall, extract, decode) =
                         outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
                     sensors.on_decode_wall(decode, job.frames.len());
-                    let s = meta[job.frames[0]].stream;
+                    let s = job.frames[0].stream;
                     match bucket_of[s] {
                         Some(b) => {
                             bucket_extract[b].0 += extract;
@@ -1027,8 +1025,10 @@ impl EdgeNode {
                         }
                         None => {
                             // The stream ran its own backbone inside the
-                            // job: the job is its inference span.
-                            sensors.on_extract_wall(wall, 1);
+                            // job: its extraction is the wall cell, as in
+                            // gather style, and the whole job its
+                            // inference span.
+                            sensors.on_extract_wall(extract, job.frames.len());
                             if let Some(t) = tracer.as_mut() {
                                 let mut sp = Span::new(round, s as u32, "infer", "serve", 1);
                                 sp.wall_nanos = wall.as_nanos() as u64;
@@ -1273,10 +1273,13 @@ fn fault_span(e: &crate::faults::FaultEvent) -> Span {
 }
 
 /// One frame selection took for this round's service: pixels only — its
-/// job decodes it.
+/// job decodes it, and hands the frame to the stream's pipeline.
 struct Selected {
     stream: usize,
-    frame: Frame,
+    /// Its place in the round's selection order.
+    seq: usize,
+    /// `None` once the job has served it.
+    frame: Option<Frame>,
 }
 
 /// One pool slot's service scratch, used by one job at a time: the frame
@@ -1290,12 +1293,11 @@ struct SlotScratch {
 }
 
 /// One service pool job: a stream's task on loan for the span of the
-/// round's dispatch, which of the round's selected frames (indices into the
-/// selection, in selection order) are that stream's, and — in gather
-/// style — its bucket's shared extractor.
+/// round's dispatch, the round's selected frames that are that stream's (in
+/// selection order), and — in gather style — its bucket's shared extractor.
 struct ServiceJob<'a> {
     task: &'a mut StreamTask,
-    frames: &'a [usize],
+    frames: &'a mut [Selected],
     shared: Option<&'a FeatureExtractor>,
 }
 
@@ -1464,6 +1466,61 @@ mod tests {
         node.deploy(id, McSpec::full_frame("a", 1));
         let report = node.run();
         assert!(report.node.pipeline.bytes_archived > 0);
+    }
+
+    /// Per-stream style reports extraction alone to the wall cells, as
+    /// gather style does: on a node where every frame matches and is
+    /// archived, its jobs spend much of their wall re-encoding and
+    /// recording, so the extract cell stays below the job walls (the
+    /// `infer/serve` spans) minus the decode cell.
+    #[test]
+    fn per_stream_extract_cell_is_extraction_alone() {
+        let res = Resolution::new(64, 32);
+        let cfg = EdgeNodeConfig::new(ShardLayout::single(1)).with_obs(ObsConfig::default());
+        let mut node = EdgeNode::new(cfg);
+        for seed in [21, 22] {
+            let src = Box::new(SceneSource::new(scene_cfg(res, seed), 12));
+            let mut pipeline = tiny_pipeline(res);
+            pipeline.archive = Some(ArchiveConfig::default());
+            let id = node.add_stream(src, pipeline);
+            node.deploy(
+                id,
+                McSpec {
+                    threshold: 0.0,
+                    smoothing: crate::smoothing::SmoothingConfig { n: 1, k: 1 },
+                    ..McSpec::full_frame(format!("all{seed}"), seed)
+                },
+            );
+        }
+        let report = node.run_controlled(crate::control::ControlConfig::default());
+        assert_eq!(
+            report.node.pipeline.frames_uploaded, 24,
+            "every frame matches"
+        );
+        let obs = report.obs.expect("obs enabled");
+        let wall = |name: &str| {
+            obs.metrics
+                .entries
+                .iter()
+                .find(|e| e.key.subsystem == "wall" && e.key.name == name)
+                .map(|e| match e.value {
+                    ff_obs::MetricValue::Gauge(v) => v,
+                    _ => panic!("wall/{name} is a gauge"),
+                })
+                .expect("wall cell registered")
+        };
+        let jobs: f64 = obs
+            .spans
+            .iter()
+            .filter(|sp| sp.stage == "infer" && sp.kind == "serve")
+            .map(|sp| sp.wall_nanos as f64 * 1e-9)
+            .sum();
+        let (extract, decode) = (wall("extract_secs"), wall("decode_secs"));
+        assert!(extract > 0.0, "extraction was timed");
+        assert!(
+            extract < jobs - decode,
+            "extract {extract} s vs jobs {jobs} s minus decode {decode} s"
+        );
     }
 
     #[test]

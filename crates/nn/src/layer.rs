@@ -1,5 +1,7 @@
 //! The [`Layer`] trait: forward/backward execution plus the cost model hooks.
 
+use std::any::Any;
+
 use ff_tensor::{Precision, Tensor, Workspace};
 
 use crate::Param;
@@ -26,8 +28,9 @@ pub enum Phase {
 ///
 /// Inference is immutable and layers are `Sync`: one set of weights serves
 /// any number of threads at once, each walking it with its own
-/// [`Workspace`].
-pub trait Layer: Send + Sync {
+/// [`Workspace`]. Layers are [`Any`], so a network can recognise the units
+/// it walks fused (see [`crate::Sequential::infer_taps`]).
+pub trait Layer: Any + Send + Sync {
     /// Short human-readable type tag, e.g. `"conv2d"`.
     fn layer_type(&self) -> &'static str;
 

@@ -10,7 +10,7 @@ use ff_tensor::{
 use rand::SeedableRng;
 
 use crate::layer::{frame_dims, stacked};
-use crate::layers::int8act::forward_int8act;
+use crate::layers::int8act::with_u8_rows;
 use crate::layers::DerivedWeights;
 use crate::{Layer, Param};
 
@@ -137,7 +137,10 @@ impl Layer for Conv2d {
             let packed = self
                 .packed
                 .get(|p| PackedPanels::pack(p, w, geo.fan_in(), n));
-            forward_int8act(x.data(), frames, &geo, packed, out.data_mut(), n, ep);
+            let rows = 0..frames * geo.out_h;
+            with_u8_rows(x.data(), &geo, None, |a| {
+                a.gemm(packed, rows, out.data_mut(), n, ep)
+            });
         }
         out.reshape_to(stacked(&[frames, geo.out_h, geo.out_w, self.out_c]));
         out

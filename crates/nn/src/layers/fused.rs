@@ -12,16 +12,38 @@
 //! way the separate layers would — but the implementation optimizes the
 //! inference path: the paper's throughput results (Figures 5/6) measure
 //! streaming inference only.
+//!
+//! # The band walk
+//!
+//! A [`ConvBnRelu`] followed by a [`DepthwiseBnRelu`] — MobileNet's stem
+//! `conv1 → conv2_1/dw` and every `*/sep → next */dw` — is a [`BandPair`]
+//! when the map between them is not a tap. On large frames that map is the
+//! biggest the backbone writes (`conv2_1/sep`: 8.3 MB at 480×270, α = 1),
+//! and writing it out and reading it back is a large share of both layers'
+//! time. The pair runs in row bands of [`BAND_BYTES`] instead: the
+//! producer's GEMM computes just the rows a band of depthwise output rows
+//! reads (its 3×3 halo included; a thread keeps the rows its previous band
+//! shares with the next), and the depthwise rows run on them while they
+//! are in L2. Each unit still has one arithmetic body —
+//! [`ConvRows::run`] and [`DepthwiseBnRelu::infer_into`] on a band's rows
+//! ([`crate::layers::band_geometry`]) — and its own `infer` is that body
+//! over the whole map, so every bit is the same either way. A map that
+//! fits one band runs as two whole-map layers.
 
+use std::any::Any;
+use std::ops::Range;
+
+use ff_tensor::parallel::{parallel_row_blocks_scratch_mut, threads};
 use ff_tensor::{
-    col2im, conv_gemm, gemm_fused, im2col_into, matmul_transpose_a, matmul_transpose_b,
+    col2im, conv_gemm, gemm_fused, im2col_into, map_range, matmul_transpose_a, matmul_transpose_b,
     Conv2dGeometry, Epilogue, GemmB, PackedPanels, Padding, Precision, Tensor, Workspace,
 };
 use rand::SeedableRng;
 
 use crate::layer::{frame_dims, stacked};
+use crate::layers::band_geometry;
 use crate::layers::depthwise::{depthwise_forward, inference_taps};
-use crate::layers::int8act::forward_int8act;
+use crate::layers::int8act::{with_u8_rows, U8Rows};
 use crate::layers::DerivedWeights;
 use crate::{Layer, Param};
 
@@ -146,6 +168,92 @@ impl ConvBnRelu {
             relu,
         }
     }
+
+    /// Runs `f` with the unit's inference GEMM made ready over the stacked
+    /// frames `x` of `geo`: the packed panels, and at
+    /// [`Precision::Int8Act`] every frame's quantization fixed — from
+    /// `ranges` (`[lo, hi]` per frame, see [`ff_tensor::map_range`]) when
+    /// the step that wrote `x` kept them.
+    fn with_rows<R>(
+        &self,
+        x: &[f32],
+        geo: &Conv2dGeometry,
+        ranges: Option<&[f32]>,
+        f: impl FnOnce(&ConvRows) -> R,
+    ) -> R {
+        let (n, ep) = (self.out_c, self.epilogue(true));
+        let w = self.weight.value.data();
+        match self
+            .packed_weights
+            .get(|p| PackedPanels::pack(p, w, geo.fan_in(), n))
+        {
+            PackedPanels::F32(panels) => f(&ConvRows {
+                geo,
+                n,
+                ep,
+                gemm: RowGemm::F32 { x, panels },
+            }),
+            packed => with_u8_rows(x, geo, ranges, |a| {
+                f(&ConvRows {
+                    geo,
+                    n,
+                    ep,
+                    gemm: RowGemm::Int8Act { packed, a },
+                })
+            }),
+        }
+    }
+}
+
+/// A [`ConvBnRelu`]'s GEMM made ready over one input, so that any of its
+/// output map rows can be computed on their own.
+struct ConvRows<'a> {
+    geo: &'a Conv2dGeometry,
+    n: usize,
+    ep: Epilogue<'a>,
+    gemm: RowGemm<'a>,
+}
+
+/// The two GEMMs behind [`ConvRows`].
+enum RowGemm<'a> {
+    /// The fused f32 convolution, gathering its own patches from `x`.
+    F32 { x: &'a [f32], panels: &'a [f32] },
+    /// The whole-int8 GEMM, coding or gathering just the rows it reads.
+    Int8Act {
+        packed: &'a PackedPanels,
+        a: &'a U8Rows<'a>,
+    },
+}
+
+impl ConvRows<'_> {
+    /// Output map rows `rows` — rows `f·out_h + oy` of the stacked frames,
+    /// either whole frames or a band of one — into `out`
+    /// (`[rows·out_w, n]`), bit-identical to the same rows of the whole
+    /// output: the unit's one inference body.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` neither covers whole frames nor lies in one.
+    fn run(&self, rows: Range<usize>, out: &mut [f32]) {
+        let geo = self.geo;
+        match self.gemm {
+            RowGemm::Int8Act { packed, a } => a.gemm(packed, rows, out, self.n, self.ep),
+            RowGemm::F32 { x, panels } => {
+                let (h, frame_len) = (geo.out_h, geo.in_h * geo.in_w * geo.in_c);
+                let b = GemmB::Packed(panels);
+                if rows.start.is_multiple_of(h) && rows.end.is_multiple_of(h) {
+                    let x = &x[rows.start / h * frame_len..rows.end / h * frame_len];
+                    conv_gemm(x, geo, b, out, self.n, self.ep);
+                } else {
+                    let f = rows.start / h;
+                    let (band, input) = band_geometry(geo, rows.start - f * h..rows.end - f * h);
+                    let row_len = geo.in_w * geo.in_c;
+                    let x = &x[f * frame_len..][input.start * row_len..input.end * row_len];
+                    conv_gemm(x, &band, b, out, self.n, self.ep);
+                }
+            }
+        }
+    }
 }
 
 impl Layer for ConvBnRelu {
@@ -157,21 +265,14 @@ impl Layer for ConvBnRelu {
     /// the cached weight panels — the fused f32 convolution, or at
     /// [`Precision::Int8Act`] the whole-int8 pipeline (each frame quantizes
     /// once and gathers straight into a u8 buffer) — one GEMM over every
-    /// frame's output rows, streaming each packed panel once.
+    /// frame's output rows, streaming each packed panel once: the band
+    /// walk's body ([`ConvRows::run`]) over every row.
     fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let geo = self.geometry(frame_dims(x, frames));
         let mut out = ws.take(&[frames * geo.positions(), self.out_c]);
-        let (ep, n) = (self.epilogue(true), self.out_c);
-        let w = self.weight.value.data();
-        match self
-            .packed_weights
-            .get(|p| PackedPanels::pack(p, w, geo.fan_in(), n))
-        {
-            PackedPanels::F32(panels) => {
-                conv_gemm(x.data(), &geo, GemmB::Packed(panels), out.data_mut(), n, ep)
-            }
-            packed => forward_int8act(x.data(), frames, &geo, packed, out.data_mut(), n, ep),
-        }
+        self.with_rows(x.data(), &geo, None, |g| {
+            g.run(0..frames * geo.out_h, out.data_mut())
+        });
         out.reshape_to(stacked(&[frames, geo.out_h, geo.out_w, self.out_c]));
         out
     }
@@ -373,6 +474,16 @@ impl DepthwiseBnRelu {
         )
     }
 
+    /// The unit's inference over `x` — whole frames of `geo`, or the input
+    /// rows of one band under the band's [`band_geometry`] — into `out`:
+    /// the one inference body of [`Layer::infer`] and the band walk.
+    fn infer_into(&self, x: &[f32], geo: &Conv2dGeometry, out: &mut [f32]) {
+        let w = inference_taps(&self.taps, self.weight.value.data(), self.c);
+        let tail = Some((&self.norm.scale[..], &self.norm.shift[..]));
+        let b = self.bias.value.data();
+        depthwise_forward(x, geo, self.k, w, b, tail, out);
+    }
+
     /// The shared depthwise kernel ([`depthwise_forward`]) on one frame
     /// with the raw trainable weights and no tail: the pre-norm activation
     /// that training and calibration start from.
@@ -389,14 +500,12 @@ impl Layer for DepthwiseBnRelu {
         "depthwise_bn_relu"
     }
 
-    /// The precision store's taps with the folded `norm+ReLU` tail fused.
+    /// The precision store's taps with the folded `norm+ReLU` tail fused:
+    /// the band walk's body ([`Self::infer_into`]) over the whole map.
     fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let geo = self.geometry(frame_dims(x, frames));
         let mut out = ws.take(stacked(&[frames, geo.out_h, geo.out_w, self.c]));
-        let w = inference_taps(&self.taps, self.weight.value.data(), self.c);
-        let tail = Some((&self.norm.scale[..], &self.norm.shift[..]));
-        let b = self.bias.value.data();
-        depthwise_forward(x.data(), &geo, self.k, w, b, tail, out.data_mut());
+        self.infer_into(x.data(), &geo, out.data_mut());
         out
     }
 
@@ -517,6 +626,155 @@ impl Layer for DepthwiseBnRelu {
                 t
             })
             .collect()
+    }
+}
+
+/// Producer-output bytes one band holds: a quarter of a 2 MB L2, so the
+/// band, the depthwise rows written from it and the GEMM's own pass
+/// ([`ff_tensor`]'s `I8I8_PASS_BYTES`) stay resident together. The same for
+/// both precisions — the band is f32 either way. Early maps of a 480×270
+/// frame take a few dozen bands; every map of a 64×32 frame at α = 0.25 or
+/// a 120×67 one at α = 0.5 fits one.
+const BAND_BYTES: usize = 1 << 19;
+
+/// A [`ConvBnRelu`] whose output feeds a [`DepthwiseBnRelu`] and nothing
+/// else, walked in row bands (module docs, "The band walk").
+pub(crate) struct BandPair<'a> {
+    producer: &'a ConvBnRelu,
+    dw: &'a DepthwiseBnRelu,
+}
+
+impl<'a> BandPair<'a> {
+    /// The pair `a → b`, if `a` is a [`ConvBnRelu`] and `b` a
+    /// [`DepthwiseBnRelu`].
+    pub(crate) fn of(a: &'a dyn Layer, b: &'a dyn Layer) -> Option<Self> {
+        let (a, b): (&dyn Any, &dyn Any) = (a, b);
+        Some(BandPair {
+            producer: a.downcast_ref()?,
+            dw: b.downcast_ref()?,
+        })
+    }
+
+    /// The pair's geometries for frames of `in_dims`, and the depthwise
+    /// output rows per band: as many as [`BAND_BYTES`] of producer rows
+    /// feed, at least one.
+    fn plan(&self, in_dims: &[usize]) -> (Conv2dGeometry, Conv2dGeometry, usize) {
+        let pgeo = self.producer.geometry(in_dims);
+        let dgeo = self
+            .dw
+            .geometry(&[pgeo.out_h, pgeo.out_w, self.producer.out_c]);
+        let fit = BAND_BYTES / (4 * pgeo.out_w * self.producer.out_c).max(1);
+        let rows = fit.saturating_sub(dgeo.kh) / dgeo.stride + 1;
+        (pgeo, dgeo, rows.min(dgeo.out_h))
+    }
+
+    /// Bands per frame for frames of `in_dims`; 1 when the map fits one.
+    pub(crate) fn bands(&self, in_dims: &[usize]) -> usize {
+        let (_, dgeo, rows) = self.plan(in_dims);
+        dgeo.out_h.div_ceil(rows)
+    }
+
+    /// The depthwise unit's output for `frames` frames in `x` — what its
+    /// [`Layer::infer`] gives on the producer's, bit for bit — walked in
+    /// bands (callers run a pair whose map fits one band as two layers),
+    /// and that output's range per frame (`[lo, hi]`, see
+    /// [`ff_tensor::map_range`]), taken from each band while it is in
+    /// cache. `ranges` is `x`'s, if the step that wrote `x` kept it.
+    ///
+    /// The output rows of all frames split across the pool's threads once
+    /// (one dispatch), and each thread walks its rows band by band in its
+    /// own slice of one buffer from `ws`, recomputing the halo only where
+    /// its rows begin.
+    pub(crate) fn infer(
+        &self,
+        x: &Tensor,
+        frames: usize,
+        ranges: Option<&Tensor>,
+        ws: &mut Workspace,
+    ) -> (Tensor, Tensor) {
+        let (pgeo, dgeo, band) = self.plan(frame_dims(x, frames));
+        let c = self.dw.c;
+        let mut out = ws.take(stacked(&[frames, dgeo.out_h, dgeo.out_w, c]));
+        let t = threads().clamp(1, frames * dgeo.out_h);
+        let row_len = pgeo.out_w * self.producer.out_c;
+        let band_len = ((band - 1) * dgeo.stride + dgeo.kh) * row_len;
+        // Each thread's band buffer, then its share of the ranges.
+        let mut parts = ws.take(&[t, band_len + 2 * frames]);
+        let ranges = ranges.map(Tensor::data);
+        self.producer.with_rows(x.data(), &pgeo, ranges, |gemm| {
+            let rows_out = dgeo.out_w * c;
+            parallel_row_blocks_scratch_mut(
+                out.data_mut(),
+                rows_out,
+                t,
+                parts.data_mut(),
+                |r0, block, part| {
+                    let rows = r0..r0 + block.len() / rows_out;
+                    let (buf, ranges) = part.split_at_mut(band_len);
+                    self.walk_bands(gemm, &dgeo, band, rows, block, buf, ranges);
+                },
+            );
+        });
+        let mut ranges = ws.take(&[frames, 2]);
+        for (f, range) in ranges.data_mut().chunks_mut(2).enumerate() {
+            let parts = parts.data().chunks(band_len + 2 * frames);
+            let (lo, hi) = parts.fold((0.0f32, 0.0f32), |(lo, hi), part| {
+                let r = &part[band_len + 2 * f..];
+                (lo.min(r[0]), hi.max(r[1]))
+            });
+            range.copy_from_slice(&[lo, hi]);
+        }
+        ws.recycle(parts);
+        (out, ranges)
+    }
+
+    /// Depthwise output rows `rows` (of the stacked frames) into `out`,
+    /// `band` at a time, through `buf`: each band's producer rows are
+    /// the ones the band reads, minus those the previous band left in
+    /// `buf`, which slide to its front. The range of the rows written for
+    /// frame `f` goes to `ranges[2f..2f + 2]`.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_bands(
+        &self,
+        gemm: &ConvRows,
+        dgeo: &Conv2dGeometry,
+        band: usize,
+        rows: Range<usize>,
+        out: &mut [f32],
+        buf: &mut [f32],
+        ranges: &mut [f32],
+    ) {
+        let (h, rows_out) = (dgeo.out_h, dgeo.out_w * self.dw.c);
+        let row_len = dgeo.in_w * dgeo.in_c;
+        ranges.fill(0.0);
+        // The frame and producer rows `buf` holds.
+        let mut held: Option<(usize, Range<usize>)> = None;
+        let mut r = rows.start;
+        while r < rows.end {
+            let (f, oy) = (r / h, r % h);
+            let end = (oy + band).min(h).min(rows.end - f * h);
+            let (bgeo, need) = band_geometry(dgeo, oy..end);
+            let kept = match held {
+                Some((hf, ref have)) if hf == f && have.contains(&need.start) => {
+                    let kept = have.end.min(need.end) - need.start;
+                    let from = (need.start - have.start) * row_len;
+                    buf.copy_within(from..from + kept * row_len, 0);
+                    kept
+                }
+                _ => 0,
+            };
+            if need.start + kept < need.end {
+                let fresh = f * dgeo.in_h + need.start + kept..f * dgeo.in_h + need.end;
+                gemm.run(fresh, &mut buf[kept * row_len..need.len() * row_len]);
+            }
+            let dst = &mut out[(r - rows.start) * rows_out..(r - rows.start + end - oy) * rows_out];
+            self.dw.infer_into(&buf[..need.len() * row_len], &bgeo, dst);
+            let (lo, hi) = map_range(dst);
+            let range = &mut ranges[2 * f..2 * f + 2];
+            range.copy_from_slice(&[range[0].min(lo), range[1].max(hi)]);
+            held = Some((f, need));
+            r += end - oy;
+        }
     }
 }
 

@@ -1,8 +1,26 @@
 //! Layer implementations.
+//!
+//! # Row bands
+//!
+//! A convolution's output row is a pure function of the input rows its
+//! kernel reads, so a layer can compute any band of its output rows from
+//! just those input rows: [`band_geometry`] restricts a geometry to a band,
+//! and every kernel run on the restricted geometry computes the whole
+//! map's rows bit for bit. [`crate::Sequential::infer_taps`] uses that to
+//! walk each fused `producer → depthwise` pair — the stem `conv1 →
+//! conv2_1/dw` and every `*/sep → next */dw` whose intermediate map is not
+//! a tap — in bands sized to L2 ([`fused`]'s band walk): the producer's
+//! GEMM writes a band of rows, halo included, and the depthwise rows read
+//! it while it is still in cache, so the intermediate map is never written
+//! whole. The other boundary, `*/dw → */sep`, cannot fuse under
+//! [`Precision::Int8Act`]: the 1×1 quantizes its whole input map with one
+//! per-frame scale and zero-point, which needs that map's min and max
+//! before its first row can be coded.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
-use ff_tensor::Precision;
+use ff_tensor::{Conv2dGeometry, Precision};
 
 pub mod activation;
 pub mod conv;
@@ -61,4 +79,38 @@ impl<T> DerivedWeights<T> {
             self.invalidate();
         }
     }
+}
+
+/// `geo` restricted to output rows `rows` of one frame, and the input rows
+/// those read: the same convolution over just those input rows, with the
+/// zero rows SAME padding adds above them when the band starts at the top
+/// of the map. Every output cell of the band sees the same taps, padding
+/// and accumulation order as in the whole map, so a kernel run on the
+/// band's rows under this geometry writes exactly the whole map's rows.
+///
+/// # Panics
+///
+/// Panics unless `rows` is a non-empty range of `geo`'s output rows.
+pub(crate) fn band_geometry(
+    geo: &Conv2dGeometry,
+    rows: Range<usize>,
+) -> (Conv2dGeometry, Range<usize>) {
+    assert!(
+        rows.start < rows.end && rows.end <= geo.out_h,
+        "band rows {rows:?} of {}",
+        geo.out_h
+    );
+    // The first input row the band's taps reach; negative inside the pad.
+    let top = (rows.start * geo.stride) as isize - geo.pad_top as isize;
+    let lo = top.max(0) as usize;
+    let hi = ((rows.end - 1) * geo.stride + geo.kh)
+        .saturating_sub(geo.pad_top)
+        .min(geo.in_h);
+    let band = Conv2dGeometry {
+        in_h: hi - lo,
+        out_h: rows.len(),
+        pad_top: (lo as isize - top) as usize,
+        ..*geo
+    };
+    (band, lo..hi)
 }

@@ -3,17 +3,21 @@
 //! Taps are the mechanism behind the paper's computation sharing: the
 //! feature extractor runs the base DNN once and exposes the activations of
 //! *named* layers (`conv4_2/sep`, `conv5_6/sep`, …) to every
-//! microclassifier. The network has one inference walk besides its
-//! [`Layer::infer`]: [`Sequential::infer_taps`] runs any number of frames
-//! through each layer once, stops at the deepest requested layer — so the
-//! extractor never pays for layers no MC consumes — and hands back one copy
-//! of each tap per frame. Callers resolve tap names to layer indices once,
-//! with [`Sequential::index_of`]; [`Sequential::forward_taps`] is the
-//! allocating by-name wrapper for one-off calls.
+//! microclassifier. The network has one inference walk, behind both its
+//! [`Layer::infer`] and [`Sequential::infer_taps`]: it runs any number of
+//! frames through each layer once, stops at the deepest requested layer —
+//! so the extractor never pays for layers no MC consumes — and hands back
+//! one copy of each tap per frame. Each fused `producer → depthwise` pair
+//! whose intermediate map is not a tap runs in cache-sized row bands (see
+//! [`crate::layers`]), so that map is never written whole. Callers resolve
+//! tap names to layer indices once, with [`Sequential::index_of`];
+//! [`Sequential::forward_taps`] is the allocating by-name wrapper for
+//! one-off calls.
 
 use ff_tensor::{Tensor, Workspace};
 
 use crate::layer::frame_dims;
+use crate::layers::fused::BandPair;
 use crate::{Layer, Param, Phase};
 
 /// An ordered sequence of named layers.
@@ -135,6 +139,22 @@ impl Sequential {
     /// number of threads may walk one network at once, each with its own
     /// `ws` and `outs`.
     ///
+    /// A [`crate::ConvBnRelu`] followed by a [`crate::DepthwiseBnRelu`] —
+    /// MobileNet's stem `conv1 → conv2_1/dw` and every `*/sep → next */dw`
+    /// — runs as one pair when the map between them is not in `indices`:
+    /// in row bands sized to L2, the producer's GEMM writing the rows a
+    /// band of depthwise rows reads (3×3 halo included) and the depthwise
+    /// rows reading them while they are still in cache, so the
+    /// intermediate map is never written to memory and read back. With
+    /// more than one pool thread each pair's output rows split across the
+    /// threads once. Every GEMM row and depthwise cell is a pure function
+    /// of its inputs, so the taps are bit-identical to walking the layers
+    /// one by one; a map that fits one band runs exactly that way. The
+    /// `*/dw → */sep` boundary stays unfused: at
+    /// [`crate::Precision::Int8Act`] the 1×1 quantizes its whole input map
+    /// with one per-frame scale and zero-point, which needs the map's min
+    /// and max first. [`Self::band_plan`] lists the pairs and their bands.
+    ///
     /// Existing tensors in `outs` are recycled into `ws` first; `outs` is
     /// then refilled with **per-frame** tap activations in tap-major order:
     /// `outs[t·frames + b]` is layer `indices[t]` of frame `b`, bit-identical
@@ -165,28 +185,103 @@ impl Sequential {
             "tap indices must be strictly ascending"
         );
         assert!(deepest < self.layers.len(), "tap index out of bounds");
-        let mut next_tap = 0;
+        let last = self.walk(x, frames, deepest, indices, ws, |next, ws| {
+            let len = next.len() / frames;
+            for b in 0..frames {
+                let mut copy = ws.take(frame_dims(next, frames));
+                copy.data_mut()
+                    .copy_from_slice(&next.data()[b * len..(b + 1) * len]);
+                outs.push(copy);
+            }
+        });
+        ws.recycle(last);
+    }
+
+    /// The fused pairs [`Self::infer_taps`] walks for one frame of
+    /// `in_shape` tapped at `indices`: `(producer, depthwise, bands per
+    /// frame)` in layer order — 1 band where the map fits and the pair runs
+    /// as two whole-map layers.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::infer_taps`], or if a layer rejects its input shape.
+    pub fn band_plan(&self, in_shape: &[usize], indices: &[usize]) -> Vec<(&str, &str, usize)> {
+        let mut plan = Vec::new();
+        let Some(&deepest) = indices.last() else {
+            return plan;
+        };
+        let mut shape = in_shape.to_vec();
+        let mut i = 0;
+        while i <= deepest {
+            if let Some(pair) = self.pair_at(i, deepest, indices) {
+                let (a, b) = (&self.layers[i].0, &self.layers[i + 1].0);
+                plan.push((a.as_str(), b.as_str(), pair.bands(&shape)));
+                shape = self.layers[i].1.out_shape(&shape);
+                i += 1;
+            }
+            shape = self.layers[i].1.out_shape(&shape);
+            i += 1;
+        }
+        plan
+    }
+
+    /// The pair layer `i` starts, if it is a [`BandPair`] that ends by
+    /// `last` and whose intermediate map is not one of `taps`, whatever its
+    /// bands.
+    fn pair_at(&self, i: usize, last: usize, taps: &[usize]) -> Option<BandPair<'_>> {
+        if i >= last || taps.binary_search(&i).is_ok() {
+            return None;
+        }
+        BandPair::of(&*self.layers[i].1, &*self.layers[i + 1].1)
+    }
+
+    /// The one inference walk: layers `0..=last` over `frames` frames, each
+    /// [`BandPair`] whose intermediate is not in `taps` and takes more than
+    /// one band as one step, every intermediate recycled into `ws` as soon
+    /// as the next step has consumed it. A banded pair also keeps its
+    /// output's range per frame, which spares a pair right after it the
+    /// pass over its input that quantization would otherwise make. `on_tap`
+    /// sees the output of each layer in `taps`; the last layer's is
+    /// returned.
+    fn walk(
+        &self,
+        x: &Tensor,
+        frames: usize,
+        last: usize,
+        taps: &[usize],
+        ws: &mut Workspace,
+        mut on_tap: impl FnMut(&Tensor, &mut Workspace),
+    ) -> Tensor {
         let mut cur: Option<Tensor> = None;
-        for (i, (_, layer)) in self.layers.iter().enumerate().take(deepest + 1) {
-            let next = layer.infer(cur.as_ref().unwrap_or(x), frames, ws);
-            if let Some(prev) = cur.take() {
+        let mut ranges: Option<Tensor> = None;
+        let mut i = 0;
+        while i <= last {
+            let input = cur.as_ref().unwrap_or(x);
+            let banded = self.pair_at(i, last, taps);
+            let (next, kept) = match banded.filter(|p| p.bands(frame_dims(input, frames)) > 1) {
+                Some(pair) => {
+                    i += 1;
+                    let (next, kept) = pair.infer(input, frames, ranges.as_ref(), ws);
+                    (next, Some(kept))
+                }
+                None => (self.layers[i].1.infer(input, frames, ws), None),
+            };
+            for prev in [cur.take(), std::mem::replace(&mut ranges, kept)]
+                .into_iter()
+                .flatten()
+            {
                 ws.recycle(prev);
             }
-            if indices[next_tap] == i {
-                let len = next.len() / frames;
-                for b in 0..frames {
-                    let mut copy = ws.take(frame_dims(&next, frames));
-                    copy.data_mut()
-                        .copy_from_slice(&next.data()[b * len..(b + 1) * len]);
-                    outs.push(copy);
-                }
-                next_tap += 1;
+            if taps.binary_search(&i).is_ok() {
+                on_tap(&next, ws);
             }
             cur = Some(next);
+            i += 1;
         }
-        if let Some(last) = cur {
-            ws.recycle(last);
+        if let Some(r) = ranges {
+            ws.recycle(r);
         }
+        cur.expect("layer 0 ran")
     }
 
     /// Back-propagates through all layers in reverse, returning the input
@@ -306,18 +401,14 @@ impl Layer for Sequential {
         "sequential"
     }
 
-    /// Every layer once for all the frames, each intermediate recycled into
-    /// `ws` as soon as the next layer has consumed it.
+    /// Every layer once for all the frames — fused pairs in row bands, as
+    /// in [`Sequential::infer_taps`] — each intermediate recycled into `ws`
+    /// as soon as the next layer has consumed it.
     fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
-        let mut cur: Option<Tensor> = None;
-        for (_, layer) in &self.layers {
-            let next = layer.infer(cur.as_ref().unwrap_or(x), frames, ws);
-            if let Some(prev) = cur.take() {
-                ws.recycle(prev);
-            }
-            cur = Some(next);
+        match self.layers.len() {
+            0 => x.clone(),
+            n => self.walk(x, frames, n - 1, &[], ws, |_, _| {}),
         }
-        cur.unwrap_or_else(|| x.clone())
     }
 
     fn train(&mut self, x: &Tensor) -> Tensor {

@@ -761,6 +761,53 @@ pub fn parallel_row_blocks_mut(
     t: usize,
     f: impl Fn(usize, &mut [f32]) + Sync,
 ) {
+    row_blocks_indexed(out, row_len, t, |_, start, block| f(start, block));
+}
+
+/// [`parallel_row_blocks_mut`] with working memory per block: `scratch` is
+/// cut into `t` equal parts, and each block comes with a part no other
+/// block gets — so a kernel that needs a buffer per thread takes all of
+/// them from its caller once.
+///
+/// # Panics
+///
+/// As [`parallel_row_blocks_mut`], or if `t == 0` or `scratch` is not `t`
+/// equal parts.
+pub fn parallel_row_blocks_scratch_mut(
+    out: &mut [f32],
+    row_len: usize,
+    t: usize,
+    scratch: &mut [f32],
+    f: impl Fn(usize, &mut [f32], &mut [f32]) + Sync,
+) {
+    assert!(
+        t > 0 && scratch.len().is_multiple_of(t),
+        "scratch is not {t} equal parts"
+    );
+    let part = scratch.len() / t;
+    let base = scratch.as_mut_ptr() as usize;
+    row_blocks_indexed(out, row_len, t, |i, start, block| {
+        // SAFETY: block `i < t` is handed out once, so part `i` of
+        // `scratch` is borrowed by this call alone, and the dispatcher
+        // blocks until every block is done.
+        let part = unsafe {
+            std::slice::from_raw_parts_mut(
+                (base + i * part * std::mem::size_of::<f32>()) as *mut f32,
+                part,
+            )
+        };
+        f(start, block, part);
+    });
+}
+
+/// The split behind [`parallel_row_blocks_mut`]: `f(i, start, block)` for
+/// the `i`-th of at most `t` blocks.
+fn row_blocks_indexed(
+    out: &mut [f32],
+    row_len: usize,
+    t: usize,
+    f: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
     if row_len == 0 {
         assert!(out.is_empty(), "row_len 0 with non-empty buffer");
         return;
@@ -769,7 +816,7 @@ pub fn parallel_row_blocks_mut(
     let rows = out.len() / row_len;
     let t = t.clamp(1, rows.max(1));
     if t == 1 {
-        f(0, out);
+        f(0, 0, out);
         return;
     }
     let block_rows = rows.div_ceil(t);
@@ -785,7 +832,7 @@ pub fn parallel_row_blocks_mut(
                 (end - start) * row_len,
             )
         };
-        f(start, block);
+        f(i, start, block);
     });
 }
 
@@ -821,6 +868,35 @@ mod tests {
         });
         for (i, v) in buf.iter().enumerate() {
             assert_eq!(*v, i as f32);
+        }
+    }
+
+    #[test]
+    fn row_blocks_get_scratch_no_other_block_gets() {
+        // 10 rows over 4 blocks of 3 rows (the last short), and over more
+        // blocks than rows: each block stamps its part of the scratch with
+        // its first row, and every row once.
+        for t in [1usize, 4, 16] {
+            let mut out = vec![0.0f32; 10 * 2];
+            let mut scratch = vec![-1.0f32; t * 5];
+            let seen = std::sync::Mutex::new(Vec::new());
+            parallel_row_blocks_scratch_mut(&mut out, 2, t, &mut scratch, |r0, block, part| {
+                assert_eq!(part.len(), 5);
+                assert!(part.iter().all(|&v| v == -1.0), "part handed out twice");
+                part.fill(r0 as f32);
+                block.fill(1.0);
+                seen.lock().unwrap().push(r0);
+            });
+            assert!(out.iter().all(|&v| v == 1.0), "t {t}: a row was missed");
+            let mut stamped: Vec<usize> = scratch
+                .chunks(5)
+                .filter(|p| p[0] >= 0.0)
+                .map(|p| p[0] as usize)
+                .collect();
+            stamped.sort_unstable();
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            assert_eq!(stamped, seen, "t {t}");
         }
     }
 

@@ -181,34 +181,41 @@ fn serial_process_allocates_only_its_frame_bookkeeping() {
 /// The whole-int8 backbone, one frame at a time and as a gathered batch:
 /// its u8 scratch (quantized map, im2col codes, row scales and
 /// zero-points) is thread-local and must stop growing after warm-up, like
-/// the f32 workspace.
+/// the f32 workspace. At 96×54 every map fits one band; at 480×270 the
+/// early layer pairs run in row bands, whose per-thread buffers come from
+/// the extractor's workspace and must be recycled there.
 fn int8act_extraction_is_allocation_free_after_warmup() {
-    let res = Resolution::new(96, 54);
-    let mut extractor = FeatureExtractor::new(
-        MobileNetConfig::with_width(0.25).with_precision(ff_tensor::Precision::Int8Act),
-        vec![
-            ff_models::LAYER_LOCALIZED_TAP.to_string(),
-            ff_models::LAYER_FULL_FRAME_TAP.to_string(),
-        ],
-    );
-    let frames: Vec<Tensor> = [0.2, 0.4, 0.6]
-        .iter()
-        .map(|&v| Tensor::filled(vec![res.height, res.width, 3], v))
-        .collect();
-    for _ in 0..3 {
-        let _ = extractor.extract(&frames[0]);
-        let _ = extractor.extract_batch(&frames);
+    for (res, alpha, reps) in [
+        (Resolution::new(96, 54), 0.25, 10),
+        (Resolution::new(480, 270), 0.5, 3),
+    ] {
+        let mut extractor = FeatureExtractor::new(
+            MobileNetConfig::with_width(alpha).with_precision(ff_tensor::Precision::Int8Act),
+            vec![
+                ff_models::LAYER_LOCALIZED_TAP.to_string(),
+                ff_models::LAYER_FULL_FRAME_TAP.to_string(),
+            ],
+        );
+        let frames: Vec<Tensor> = [0.2, 0.4, 0.6]
+            .iter()
+            .map(|&v| Tensor::filled(vec![res.height, res.width, 3], v))
+            .collect();
+        for _ in 0..3 {
+            let _ = extractor.extract(&frames[0]);
+            let _ = extractor.extract_batch(&frames);
+        }
+        let what = format!("int8act {}x{}", res.width, res.height);
+        let before = allocs();
+        for _ in 0..reps {
+            let _ = std::hint::black_box(extractor.extract(&frames[0]));
+        }
+        assert_eq!(allocs() - before, 0, "{what} extract allocated");
+        let before = allocs();
+        for _ in 0..reps {
+            let _ = std::hint::black_box(extractor.extract_batch(&frames));
+        }
+        assert_eq!(allocs() - before, 0, "{what} extract_batch allocated");
     }
-    let before = allocs();
-    for _ in 0..10 {
-        let _ = std::hint::black_box(extractor.extract(&frames[0]));
-    }
-    assert_eq!(allocs() - before, 0, "int8act extract allocated");
-    let before = allocs();
-    for _ in 0..10 {
-        let _ = std::hint::black_box(extractor.extract_batch(&frames));
-    }
-    assert_eq!(allocs() - before, 0, "int8act extract_batch allocated");
 }
 
 /// `Encoder::encode` and `EdgeArchive::record` after warm-up: one
