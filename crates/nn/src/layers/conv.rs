@@ -138,7 +138,7 @@ impl Layer for Conv2d {
                 .packed
                 .get(|p| PackedPanels::pack(p, w, geo.fan_in(), n));
             let rows = 0..frames * geo.out_h;
-            with_u8_rows(x.data(), &geo, None, |a| {
+            with_u8_rows(x.data(), &geo, |a| {
                 a.gemm(packed, rows, out.data_mut(), n, ep)
             });
         }

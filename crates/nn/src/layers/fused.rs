@@ -35,7 +35,7 @@ use std::ops::Range;
 
 use ff_tensor::parallel::{parallel_row_blocks_scratch_mut, threads};
 use ff_tensor::{
-    col2im, conv_gemm, gemm_fused, im2col_into, map_range, matmul_transpose_a, matmul_transpose_b,
+    col2im, conv_gemm, gemm_fused, im2col_into, matmul_transpose_a, matmul_transpose_b,
     Conv2dGeometry, Epilogue, GemmB, PackedPanels, Padding, Precision, Tensor, Workspace,
 };
 use rand::SeedableRng;
@@ -171,16 +171,8 @@ impl ConvBnRelu {
 
     /// Runs `f` with the unit's inference GEMM made ready over the stacked
     /// frames `x` of `geo`: the packed panels, and at
-    /// [`Precision::Int8Act`] every frame's quantization fixed — from
-    /// `ranges` (`[lo, hi]` per frame, see [`ff_tensor::map_range`]) when
-    /// the step that wrote `x` kept them.
-    fn with_rows<R>(
-        &self,
-        x: &[f32],
-        geo: &Conv2dGeometry,
-        ranges: Option<&[f32]>,
-        f: impl FnOnce(&ConvRows) -> R,
-    ) -> R {
+    /// [`Precision::Int8Act`] every frame's quantization fixed.
+    fn with_rows<R>(&self, x: &[f32], geo: &Conv2dGeometry, f: impl FnOnce(&ConvRows) -> R) -> R {
         let (n, ep) = (self.out_c, self.epilogue(true));
         let w = self.weight.value.data();
         match self
@@ -193,7 +185,7 @@ impl ConvBnRelu {
                 ep,
                 gemm: RowGemm::F32 { x, panels },
             }),
-            packed => with_u8_rows(x, geo, ranges, |a| {
+            packed => with_u8_rows(x, geo, |a| {
                 f(&ConvRows {
                     geo,
                     n,
@@ -270,7 +262,7 @@ impl Layer for ConvBnRelu {
     fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let geo = self.geometry(frame_dims(x, frames));
         let mut out = ws.take(&[frames * geo.positions(), self.out_c]);
-        self.with_rows(x.data(), &geo, None, |g| {
+        self.with_rows(x.data(), &geo, |g| {
             g.run(0..frames * geo.out_h, out.data_mut())
         });
         out.reshape_to(stacked(&[frames, geo.out_h, geo.out_w, self.out_c]));
@@ -632,9 +624,11 @@ impl Layer for DepthwiseBnRelu {
 /// Producer-output bytes one band holds: a quarter of a 2 MB L2, so the
 /// band, the depthwise rows written from it and the GEMM's own pass
 /// ([`ff_tensor`]'s `I8I8_PASS_BYTES`) stay resident together. The same for
-/// both precisions — the band is f32 either way. Early maps of a 480×270
-/// frame take a few dozen bands; every map of a 64×32 frame at α = 0.25 or
-/// a 120×67 one at α = 0.5 fits one.
+/// both precisions — the band is f32 either way. Timed against 256 KB and
+/// 1 MB on the pairs of a 480×270 frame at α = 1 (Int8Act, one and two
+/// threads, a 2 MB-L2 AVX-512 x86-64 core), it ties the first and beats
+/// the second. Early maps of a 480×270 frame take a few dozen bands; every
+/// map of a 64×32 frame at α = 0.25 or a 120×67 one at α = 0.5 fits one.
 const BAND_BYTES: usize = 1 << 19;
 
 /// A [`ConvBnRelu`] whose output feeds a [`DepthwiseBnRelu`] and nothing
@@ -675,65 +669,43 @@ impl<'a> BandPair<'a> {
     }
 
     /// The depthwise unit's output for `frames` frames in `x` — what its
-    /// [`Layer::infer`] gives on the producer's, bit for bit — walked in
-    /// bands (callers run a pair whose map fits one band as two layers),
-    /// and that output's range per frame (`[lo, hi]`, see
-    /// [`ff_tensor::map_range`]), taken from each band while it is in
-    /// cache. `ranges` is `x`'s, if the step that wrote `x` kept it.
+    /// [`Layer::infer`] gives on the producer's, bit for bit, walked in
+    /// bands (callers run a pair whose map fits one band as two layers).
     ///
     /// The output rows of all frames split across the pool's threads once
     /// (one dispatch), and each thread walks its rows band by band in its
     /// own slice of one buffer from `ws`, recomputing the halo only where
     /// its rows begin.
-    pub(crate) fn infer(
-        &self,
-        x: &Tensor,
-        frames: usize,
-        ranges: Option<&Tensor>,
-        ws: &mut Workspace,
-    ) -> (Tensor, Tensor) {
+    pub(crate) fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let (pgeo, dgeo, band) = self.plan(frame_dims(x, frames));
         let c = self.dw.c;
         let mut out = ws.take(stacked(&[frames, dgeo.out_h, dgeo.out_w, c]));
         let t = threads().clamp(1, frames * dgeo.out_h);
         let row_len = pgeo.out_w * self.producer.out_c;
         let band_len = ((band - 1) * dgeo.stride + dgeo.kh) * row_len;
-        // Each thread's band buffer, then its share of the ranges.
-        let mut parts = ws.take(&[t, band_len + 2 * frames]);
-        let ranges = ranges.map(Tensor::data);
-        self.producer.with_rows(x.data(), &pgeo, ranges, |gemm| {
+        // One band buffer per thread.
+        let mut bufs = ws.take(&[t, band_len]);
+        self.producer.with_rows(x.data(), &pgeo, |gemm| {
             let rows_out = dgeo.out_w * c;
             parallel_row_blocks_scratch_mut(
                 out.data_mut(),
                 rows_out,
                 t,
-                parts.data_mut(),
-                |r0, block, part| {
+                bufs.data_mut(),
+                |r0, block, buf| {
                     let rows = r0..r0 + block.len() / rows_out;
-                    let (buf, ranges) = part.split_at_mut(band_len);
-                    self.walk_bands(gemm, &dgeo, band, rows, block, buf, ranges);
+                    self.walk_bands(gemm, &dgeo, band, rows, block, buf);
                 },
             );
         });
-        let mut ranges = ws.take(&[frames, 2]);
-        for (f, range) in ranges.data_mut().chunks_mut(2).enumerate() {
-            let parts = parts.data().chunks(band_len + 2 * frames);
-            let (lo, hi) = parts.fold((0.0f32, 0.0f32), |(lo, hi), part| {
-                let r = &part[band_len + 2 * f..];
-                (lo.min(r[0]), hi.max(r[1]))
-            });
-            range.copy_from_slice(&[lo, hi]);
-        }
-        ws.recycle(parts);
-        (out, ranges)
+        ws.recycle(bufs);
+        out
     }
 
     /// Depthwise output rows `rows` (of the stacked frames) into `out`,
     /// `band` at a time, through `buf`: each band's producer rows are
     /// the ones the band reads, minus those the previous band left in
-    /// `buf`, which slide to its front. The range of the rows written for
-    /// frame `f` goes to `ranges[2f..2f + 2]`.
-    #[allow(clippy::too_many_arguments)]
+    /// `buf`, which slide to its front.
     fn walk_bands(
         &self,
         gemm: &ConvRows,
@@ -742,11 +714,9 @@ impl<'a> BandPair<'a> {
         rows: Range<usize>,
         out: &mut [f32],
         buf: &mut [f32],
-        ranges: &mut [f32],
     ) {
         let (h, rows_out) = (dgeo.out_h, dgeo.out_w * self.dw.c);
         let row_len = dgeo.in_w * dgeo.in_c;
-        ranges.fill(0.0);
         // The frame and producer rows `buf` holds.
         let mut held: Option<(usize, Range<usize>)> = None;
         let mut r = rows.start;
@@ -769,9 +739,6 @@ impl<'a> BandPair<'a> {
             }
             let dst = &mut out[(r - rows.start) * rows_out..(r - rows.start + end - oy) * rows_out];
             self.dw.infer_into(&buf[..need.len() * row_len], &bgeo, dst);
-            let (lo, hi) = map_range(dst);
-            let range = &mut ranges[2 * f..2 * f + 2];
-            range.copy_from_slice(&[range[0].min(lo), range[1].max(hi)]);
             held = Some((f, need));
             r += end - oy;
         }

@@ -23,8 +23,8 @@ use std::cell::RefCell;
 use std::ops::Range;
 
 use ff_tensor::{
-    i8i8_padded_k, im2col_u8_into, map_range, quantize_u8_with, range_qparams_u8, Conv2dGeometry,
-    Epilogue, PackedPanels,
+    i8i8_padded_k, im2col_u8_into, map_qparams_u8, quantize_map_u8_into, quantize_u8_with,
+    Conv2dGeometry, Epilogue, PackedPanels,
 };
 
 use crate::layers::band_geometry;
@@ -154,45 +154,31 @@ impl U8Rows<'_> {
 /// Fixes the quantization of the stacked HWC frames `x` of `geo` on this
 /// thread, then runs `f` on the result.
 ///
-/// Each frame's scale and zero-point come from its whole map's range
-/// ([`map_range`]): `ranges` (`[lo, hi]` per frame) when the step that
-/// wrote `x` kept them, else a pass over each frame. A conv that gathers
-/// patches codes the map here too, once. Because quantization is
-/// per-frame and the GEMM accumulates every output element in a fixed
-/// integer order, each frame's rows are bit-identical to a single-frame
-/// call's — the batched path stays verdict-safe.
+/// Each frame's scale and zero-point come from a pass over its whole map
+/// ([`map_qparams_u8`]); a conv that gathers patches codes the map here
+/// too, once ([`quantize_map_u8_into`]). Because quantization is per-frame
+/// and the GEMM accumulates every output element in a fixed integer order,
+/// each frame's rows are bit-identical to a single-frame call's — the
+/// batched path stays verdict-safe.
 ///
 /// # Panics
 ///
-/// Panics if `x` is not whole frames of `geo` or `ranges` not two values
-/// per frame, or if `f` calls this again on this thread (it may hand the
-/// rows to other threads).
-pub(crate) fn with_u8_rows<R>(
-    x: &[f32],
-    geo: &Conv2dGeometry,
-    ranges: Option<&[f32]>,
-    f: impl FnOnce(&U8Rows) -> R,
-) -> R {
+/// Panics if `x` is not whole frames of `geo`, or if `f` calls this again
+/// on this thread (it may hand the rows to other threads).
+pub(crate) fn with_u8_rows<R>(x: &[f32], geo: &Conv2dGeometry, f: impl FnOnce(&U8Rows) -> R) -> R {
     let frame_len = geo.in_h * geo.in_w * geo.in_c;
     let frames = x.len() / frame_len;
     assert_eq!(x.len(), frames * frame_len, "stacked frame length mismatch");
     U8_WS.with(|ws| {
         let Input { qmap, params } = &mut *ws.input.borrow_mut();
         params.clear();
-        match ranges {
-            Some(r) => {
-                assert_eq!(r.len(), 2 * frames, "one range per frame");
-                params.extend(r.chunks(2).map(|r| range_qparams_u8((r[0], r[1]))));
-            }
-            None => params.extend(x.chunks(frame_len).map(|x| range_qparams_u8(map_range(x)))),
-        }
         if U8Rows::identity(geo) {
             qmap.clear();
+            params.extend(x.chunks(frame_len).map(map_qparams_u8));
         } else {
             qmap.resize(x.len(), 0);
-            let coded = x.chunks(frame_len).zip(qmap.chunks_mut(frame_len));
-            for ((x, q), &p) in coded.zip(params.iter()) {
-                quantize_u8_with(x, p, q);
+            for (x, q) in x.chunks(frame_len).zip(qmap.chunks_mut(frame_len)) {
+                params.push(quantize_map_u8_into(x, q));
             }
         }
         f(&U8Rows {
@@ -218,7 +204,7 @@ mod tests {
         let packed = PackedPanels::pack(Precision::Int8Act, &weights, geo.fan_in(), out_c);
         let x = vec![0.5f32; h * w * c];
         let mut out = vec![0.0f32; geo.positions() * out_c];
-        with_u8_rows(&x, &geo, None, |a| {
+        with_u8_rows(&x, &geo, |a| {
             a.gemm(&packed, 0..geo.out_h, &mut out, out_c, Epilogue::default())
         });
         U8_WS.with(|ws| {

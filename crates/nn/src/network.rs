@@ -153,7 +153,7 @@ impl Sequential {
     /// `*/dw → */sep` boundary stays unfused: at
     /// [`crate::Precision::Int8Act`] the 1×1 quantizes its whole input map
     /// with one per-frame scale and zero-point, which needs the map's min
-    /// and max first. [`Self::band_plan`] lists the pairs and their bands.
+    /// and max first.
     ///
     /// Existing tensors in `outs` are recycled into `ws` first; `outs` is
     /// then refilled with **per-frame** tap activations in tap-major order:
@@ -197,14 +197,15 @@ impl Sequential {
         ws.recycle(last);
     }
 
-    /// The fused pairs [`Self::infer_taps`] walks for one frame of
+    /// The fused pairs [`Self::infer_taps`] walks in bands for one frame of
     /// `in_shape` tapped at `indices`: `(producer, depthwise, bands per
-    /// frame)` in layer order — 1 band where the map fits and the pair runs
-    /// as two whole-map layers.
+    /// frame)` in layer order, chosen by the walk's own rule. Empty where
+    /// every map fits one band.
     ///
     /// # Panics
     ///
     /// As [`Self::infer_taps`], or if a layer rejects its input shape.
+    #[doc(hidden)]
     pub fn band_plan(&self, in_shape: &[usize], indices: &[usize]) -> Vec<(&str, &str, usize)> {
         let mut plan = Vec::new();
         let Some(&deepest) = indices.last() else {
@@ -213,9 +214,9 @@ impl Sequential {
         let mut shape = in_shape.to_vec();
         let mut i = 0;
         while i <= deepest {
-            if let Some(pair) = self.pair_at(i, deepest, indices) {
+            if let Some((_, bands)) = self.banded_at(i, deepest, indices, &shape) {
                 let (a, b) = (&self.layers[i].0, &self.layers[i + 1].0);
-                plan.push((a.as_str(), b.as_str(), pair.bands(&shape)));
+                plan.push((a.as_str(), b.as_str(), bands));
                 shape = self.layers[i].1.out_shape(&shape);
                 i += 1;
             }
@@ -225,24 +226,30 @@ impl Sequential {
         plan
     }
 
-    /// The pair layer `i` starts, if it is a [`BandPair`] that ends by
-    /// `last` and whose intermediate map is not one of `taps`, whatever its
-    /// bands.
-    fn pair_at(&self, i: usize, last: usize, taps: &[usize]) -> Option<BandPair<'_>> {
+    /// The walk's one fusion rule: the pair layer `i` starts and its bands
+    /// per frame of `dims`, if it is a [`BandPair`] that ends by `last`,
+    /// whose intermediate map is not one of `taps` and takes more than one
+    /// band. Otherwise layer `i` runs alone.
+    fn banded_at(
+        &self,
+        i: usize,
+        last: usize,
+        taps: &[usize],
+        dims: &[usize],
+    ) -> Option<(BandPair<'_>, usize)> {
         if i >= last || taps.binary_search(&i).is_ok() {
             return None;
         }
-        BandPair::of(&*self.layers[i].1, &*self.layers[i + 1].1)
+        let pair = BandPair::of(&*self.layers[i].1, &*self.layers[i + 1].1)?;
+        let bands = pair.bands(dims);
+        (bands > 1).then_some((pair, bands))
     }
 
     /// The one inference walk: layers `0..=last` over `frames` frames, each
-    /// [`BandPair`] whose intermediate is not in `taps` and takes more than
-    /// one band as one step, every intermediate recycled into `ws` as soon
-    /// as the next step has consumed it. A banded pair also keeps its
-    /// output's range per frame, which spares a pair right after it the
-    /// pass over its input that quantization would otherwise make. `on_tap`
-    /// sees the output of each layer in `taps`; the last layer's is
-    /// returned.
+    /// pair [`Self::banded_at`] picks as one step, every intermediate
+    /// recycled into `ws` as soon as the next step has consumed it.
+    /// `on_tap` sees the output of each layer in `taps`; the last layer's
+    /// is returned.
     fn walk(
         &self,
         x: &Tensor,
@@ -253,23 +260,17 @@ impl Sequential {
         mut on_tap: impl FnMut(&Tensor, &mut Workspace),
     ) -> Tensor {
         let mut cur: Option<Tensor> = None;
-        let mut ranges: Option<Tensor> = None;
         let mut i = 0;
         while i <= last {
             let input = cur.as_ref().unwrap_or(x);
-            let banded = self.pair_at(i, last, taps);
-            let (next, kept) = match banded.filter(|p| p.bands(frame_dims(input, frames)) > 1) {
-                Some(pair) => {
+            let next = match self.banded_at(i, last, taps, frame_dims(input, frames)) {
+                Some((pair, _)) => {
                     i += 1;
-                    let (next, kept) = pair.infer(input, frames, ranges.as_ref(), ws);
-                    (next, Some(kept))
+                    pair.infer(input, frames, ws)
                 }
-                None => (self.layers[i].1.infer(input, frames, ws), None),
+                None => self.layers[i].1.infer(input, frames, ws),
             };
-            for prev in [cur.take(), std::mem::replace(&mut ranges, kept)]
-                .into_iter()
-                .flatten()
-            {
+            if let Some(prev) = cur.take() {
                 ws.recycle(prev);
             }
             if taps.binary_search(&i).is_ok() {
@@ -277,9 +278,6 @@ impl Sequential {
             }
             cur = Some(next);
             i += 1;
-        }
-        if let Some(r) = ranges {
-            ws.recycle(r);
         }
         cur.expect("layer 0 ran")
     }

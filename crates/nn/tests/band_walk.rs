@@ -7,8 +7,8 @@
 //! walks bit for bit, at both precisions, on a MobileNet-V1-shaped stack
 //! (the topology and layer names `ff_models::MobileNetConfig` builds)
 //! tapped where the feature extractor taps it — serially, inside a
-//! width-2 [`PoolShard`], and from two threads sharing one `&Sequential`,
-//! each with its own [`Workspace`].
+//! width-2 and a width-8 [`PoolShard`], and from two threads sharing one
+//! `&Sequential`, each with its own [`Workspace`].
 
 use ff_nn::{ConvBnRelu, DepthwiseBnRelu, Layer, Precision, Sequential};
 use ff_tensor::{PoolShard, Tensor, Workspace};
@@ -169,7 +169,7 @@ fn assert_same(got: &[Vec<u32>], want: &[Vec<u32>], what: &str) {
 }
 
 /// One workspace serves every geometry, so later walks run on buffers
-/// earlier ones left behind. Prints the bands each fused pair takes at
+/// earlier ones left behind. Prints the bands each banded pair takes at
 /// every geometry, so a run where nothing bands shows it; a geometry whose
 /// pairs all fit one band still checks the plain order.
 #[test]
@@ -181,16 +181,14 @@ fn banded_walk_matches_layer_by_layer_serially() {
             let mut net = backbone(alpha, precision);
             let taps = taps_of(&net);
             if precision == Precision::Int8Act {
-                let plan = net.band_plan(&[h, w, 3], &taps);
-                let banded: Vec<String> = plan
+                let banded: Vec<String> = net
+                    .band_plan(&[h, w, 3], &taps)
                     .iter()
-                    .filter(|p| p.2 > 1)
                     .map(|(a, b, n)| format!("{a}→{b} {n}"))
                     .collect();
                 println!(
-                    "band walk: alpha {alpha} {w}x{h}: {} of {} pairs banded {banded:?}",
-                    banded.len(),
-                    plan.len()
+                    "band walk: alpha {alpha} {w}x{h}: {} pairs banded {banded:?}",
+                    banded.len()
                 );
             }
             if !walks(alpha, (w, h), batch) {
@@ -227,6 +225,53 @@ fn banded_walk_matches_layer_by_layer_in_a_two_wide_shard() {
             let got = shard.run(|| walked(&net, &x, batch, &taps, &mut Workspace::new()));
             let what = format!("shard {precision:?} alpha {alpha} {w}x{h} batch {batch}");
             assert_same(&got, &want, &what);
+        }
+    }
+}
+
+/// A workspace whose pooled buffers, one of every power-of-two length up
+/// to 2 Mi floats, hold a huge value: a walk that reads a float it did not
+/// write into the first buffer of a size it takes reads that, and its
+/// quantization ranges and outputs show it.
+fn poisoned_workspace() -> Workspace {
+    let mut ws = Workspace::new();
+    for k in 10..=21 {
+        ws.recycle(Tensor::filled(vec![1 << k], 1.0e30));
+    }
+    ws
+}
+
+/// In an eight-wide shard the 17-row maps of the `conv5_x` pairs at
+/// 480×270 split into six row blocks, fewer than the threads, so some of
+/// the per-thread band buffers go unused. Two frames walk in turn, then
+/// the first again, through one poisoned workspace, so the walk's buffers
+/// start out poisoned and are then reused across pairs and frames.
+#[test]
+fn banded_walk_matches_layer_by_layer_frame_after_frame_in_an_eight_wide_shard() {
+    let shard = PoolShard::new(8);
+    for precision in [Precision::Int8Act, Precision::F32] {
+        for alpha in [0.5, 1.0] {
+            let (w, h) = (480, 270);
+            if !walks(alpha, (w, h), 1) {
+                continue;
+            }
+            let mut net = backbone(alpha, precision);
+            let taps = taps_of(&net);
+            let both = frames(w, h, 2);
+            let len = both.len() / 2;
+            let inputs: Vec<Tensor> = (0..2)
+                .map(|b| Tensor::from_vec(vec![h, w, 3], both.data()[b * len..][..len].to_vec()))
+                .collect();
+            let want: Vec<_> = inputs
+                .iter()
+                .map(|x| layer_by_layer(&mut net, x, 1, &taps))
+                .collect();
+            let mut ws = poisoned_workspace();
+            for (turn, b) in [0, 1, 0].into_iter().enumerate() {
+                let got = shard.run(|| walked(&net, &inputs[b], 1, &taps, &mut ws));
+                let what = format!("8-wide {precision:?} alpha {alpha} turn {turn} frame {b}");
+                assert_same(&got, &want[b], &what);
+            }
         }
     }
 }

@@ -67,10 +67,9 @@ mod workspace;
 pub use im2col::{col2im, im2col, im2col_into, im2col_u8_into, Conv2dGeometry, Padding};
 pub use init::{glorot_uniform, he_normal, uniform};
 pub use lowp::{
-    gemm_prepacked_i8i8, i8i8_groups, i8i8_padded_k, map_range, pack_b_panels_i8i8_into,
+    gemm_prepacked_i8i8, i8i8_groups, i8i8_padded_k, map_qparams_u8, pack_b_panels_i8i8_into,
     packed_panels_i8i8_len, packed_scales_i8_len, packed_scales_i8i8_len, quantize_a_rows_into,
-    quantize_map_u8_into, quantize_u8_with, range_qparams_u8, PackedPanels, Precision,
-    I8I8_GROUP_SIZE,
+    quantize_map_u8_into, quantize_u8_with, PackedPanels, Precision, I8I8_GROUP_SIZE,
 };
 pub use matmul::{
     conv_gemm, gemm, gemm_fused, gemm_prepacked, matmul, matmul_into, matmul_transpose_a,

@@ -319,41 +319,22 @@ pub fn quantize_a_rows_into(
 /// `(scale, zero_point)` pair — the per-frame variant the conv layers use
 /// to quantize an input feature map once, before the u8 im2col gather
 /// (`q.len() == x.len()`, no quad padding; the im2col pads rows instead).
-/// It is [`range_qparams_u8`] of [`map_range`], then [`quantize_u8_with`].
+/// It is [`map_qparams_u8`], then [`quantize_u8_with`].
 pub fn quantize_map_u8_into(x: &[f32], q: &mut [u8]) -> (f32, u8) {
     let params = row_qparams(x);
     quantize_u8_with(x, params, q);
     params
 }
 
-/// The range [`quantize_map_u8_into`] codes `x` over: its minimum and
-/// maximum, widened to include 0. Both are exact, so the range of a map is
-/// the `min`/`max` of its pieces' ranges, however it is cut.
-pub fn map_range(x: &[f32]) -> (f32, f32) {
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-    {
-        // SAFETY: avx2 is a compile-time target feature here.
-        unsafe { minmax_avx2(x) }
-    }
-    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
-    minmax_generic(x)
-}
-
-/// The `(scale, zero_point)` [`quantize_map_u8_into`] codes a map of
-/// [`map_range`] `range` with.
-pub fn range_qparams_u8((lo, hi): (f32, f32)) -> (f32, u8) {
-    if hi <= lo {
-        return (1.0, 0);
-    }
-    let scale = (hi - lo) / 255.0;
-    let zp = (-lo / scale).round().clamp(0.0, 255.0) as u8;
-    (scale, zp)
+/// The `(scale, zero_point)` [`quantize_map_u8_into`] codes `x` with.
+pub fn map_qparams_u8(x: &[f32]) -> (f32, u8) {
+    row_qparams(x)
 }
 
 /// Codes `x` into `q` (`q.len() == x.len()`) under `(scale, zero_point)`.
 /// Each code is a function of its own element alone, so coding a map in
-/// pieces under the parameters of its whole range writes exactly the codes
-/// [`quantize_map_u8_into`] writes for the whole.
+/// pieces under its whole map's [`map_qparams_u8`] writes exactly the
+/// codes [`quantize_map_u8_into`] writes for the whole.
 pub fn quantize_u8_with(x: &[f32], (scale, zp): (f32, u8), q: &mut [u8]) {
     assert_eq!(x.len(), q.len(), "quantize map buffer");
     quantize_row(x, scale, zp, q);
@@ -369,7 +350,17 @@ pub fn quantize_u8_with(x: &[f32], (scale, zp): (f32, u8), q: &mut [u8]) {
 /// commutative and maps hold no NaNs, so the lane split and the scalar
 /// fallback agree on every input either path ever sees.
 fn row_qparams(row: &[f32]) -> (f32, u8) {
-    range_qparams_u8(map_range(row))
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+    // SAFETY: avx2 is a compile-time target feature here.
+    let (lo, hi) = unsafe { minmax_avx2(row) };
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+    let (lo, hi) = minmax_generic(row);
+    if hi <= lo {
+        return (1.0, 0);
+    }
+    let scale = (hi - lo) / 255.0;
+    let zp = (-lo / scale).round().clamp(0.0, 255.0) as u8;
+    (scale, zp)
 }
 
 /// Portable min/max sweep with 8 independent lanes, seeded at 0.0 (the
