@@ -1,15 +1,15 @@
 //! Multi-stream scaling: aggregate frames/sec of the [`EdgeNode`] runtime
-//! over stream counts — per-stream style (one pool job per stream per
-//! round) **and** gather-batch style (up to `max_batch` frames per round,
-//! each extracted inside its stream's job through one shared base DNN) —
-//! against the serial single-stream loop on the same thread
-//! budget: the node-scale counterpart of Figure 5.
+//! over stream counts and round caps (up to the stream count, or up to
+//! `max_batch` frames per round; every frame extracted inside its stream's
+//! pool job through the node's one shared base DNN) against the serial
+//! single-stream loop on the same thread budget: the node-scale
+//! counterpart of Figure 5.
 //!
 //! Every run's per-stream verdicts are checked **bit-for-bit** against the
 //! serial `FilterForward::process` path (run at the same precision — the
-//! `*_int8act` row runs the gather-batched style at whole-int8) before its
-//! throughput is reported, so a number only lands in the JSON if the
-//! concurrent or batched execution is provably equivalent.
+//! `*_int8act` row runs at whole-int8) before its throughput is reported,
+//! so a number only lands in the JSON if the concurrent execution is
+//! provably equivalent.
 //!
 //! Results are spliced into `BENCH_throughput.json` (next to the
 //! single-stream rows emitted by `bench_throughput`) under a
@@ -24,7 +24,7 @@
 use std::io::Write;
 use std::time::{Duration, Instant};
 
-use ff_core::control::{BatchPolicy, ControlConfig};
+use ff_core::control::ControlConfig;
 use ff_core::faults::{FaultPlan, FaultsReport, FleetFaultPlan, RecoveryConfig, RetryPolicy};
 use ff_core::fleet::{Fleet, FleetConfig, FleetReport};
 use ff_core::pipeline::{FilterForward, FrameVerdict, PipelineConfig};
@@ -99,7 +99,8 @@ fn serial_fps(frames: &[ff_video::Frame]) -> f64 {
 }
 
 /// One `EdgeNode` configuration: `streams` scene streams on a `budget`-wide
-/// pool, optionally in gather-batch mode, at the given weight-panel precision.
+/// pool, with the given round cap (`None`: the stream count), at the given
+/// weight-panel precision.
 /// Returns the best aggregate fps across repeats after asserting every
 /// stream's verdicts match the serial gold **of the same precision**.
 fn measure_node(
@@ -125,77 +126,6 @@ fn measure_node(
             assert_eq!(
                 sr.verdicts, gold[s],
                 "{streams} streams / {gather:?}: stream {s} verdicts diverged from serial"
-            );
-        }
-        best = best.max(report.node.aggregate_fps());
-    }
-    best
-}
-
-/// Skewed diurnal load for the control-plane sweep: stream 0 always on,
-/// streams 1.. motion-gated night cameras (8 active ticks, 24 idle). The
-/// frame *contents* are the plain scene streams, so per-stream verdicts
-/// must still match the serial golds bit-for-bit.
-fn skewed_sources(n_frames: u64) -> Vec<Box<dyn FrameSource>> {
-    STREAM_SEEDS
-        .iter()
-        .enumerate()
-        .map(|(s, &seed)| {
-            let inner = SceneSource::new(scene_cfg(seed), n_frames);
-            if s == 0 {
-                Box::new(inner) as Box<dyn FrameSource>
-            } else {
-                Box::new(DutyCycleSource::new(inner, 8, 24)) as Box<dyn FrameSource>
-            }
-        })
-        .collect()
-}
-
-/// One run over the skewed load: `adaptive` arms gather style's batch
-/// sizing; fixed runs use `ControlConfig::observe_only` — the identical
-/// loop with every policy off, so the comparison isolates adaptation
-/// itself. Verdicts are asserted against the serial golds either way (the
-/// policy moves compute, never results).
-fn measure_controlled(
-    gather: bool,
-    adaptive: bool,
-    budget: usize,
-    n_frames: u64,
-    gold: &[Vec<FrameVerdict>],
-) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..REPEATS {
-        let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget));
-        if gather {
-            cfg.gather_batch = Some(GatherBatch {
-                max_batch: 8,
-                gather_wait: Duration::from_millis(1),
-            });
-        }
-        let mut node = EdgeNode::new(cfg);
-        for (s, src) in skewed_sources(n_frames).into_iter().enumerate() {
-            let id = node.add_stream(src, pipeline_cfg(Precision::F32));
-            node.deploy(id, mc_spec(s));
-        }
-        let ctl = if adaptive {
-            ControlConfig {
-                tick_frames: 8,
-                arrival_alpha: 0.5,
-                batch: Some(BatchPolicy::default()),
-                degrade: None, // degradation changes verdicts; keep the A/B pure
-                watchdog: None,
-            }
-        } else {
-            ControlConfig::observe_only(8)
-        };
-        let report = node.run_controlled(ctl);
-        for (s, sr) in report.streams.iter().enumerate() {
-            assert_eq!(
-                sr.verdicts,
-                gold[s],
-                "skewed {} {}: stream {s} verdicts diverged from serial",
-                if gather { "gather" } else { "per-stream" },
-                if adaptive { "adaptive" } else { "fixed" },
             );
         }
         best = best.max(report.node.aggregate_fps());
@@ -443,11 +373,10 @@ fn main() {
     let baseline = serial_fps(&rendered[0]);
     ff_tensor::parallel::set_threads(0);
 
-    // Stream counts on one budget-wide pool. `*_per_stream` rows serve each
-    // round's frames as concurrent pool jobs; `*_batched` rows run
-    // gather-batch mode: up to `b` frames per round, every job extracting
-    // through the node's one shared base DNN.
-    let gather = |b: usize| {
+    // Stream counts on one budget-wide pool, each round's frames served as
+    // concurrent pool jobs through the node's one shared base DNN. Plain
+    // rows cap a round at the stream count; `*_cap<b>` rows at `b` frames.
+    let cap = |b: usize| {
         Some(GatherBatch {
             max_batch: b,
             gather_wait: Duration::from_millis(2),
@@ -456,70 +385,45 @@ fn main() {
     type Case = (&'static str, usize, Option<GatherBatch>, Precision);
     let f32p = Precision::F32;
     let cases: Vec<Case> = vec![
-        ("1s_per_stream", 1, None, f32p),
-        ("2s_per_stream", 2, None, f32p),
-        ("4s_per_stream", 4, None, f32p),
-        ("1s_batched_b8", 1, gather(8), f32p),
-        ("2s_batched_b2", 2, gather(2), f32p),
-        ("4s_batched_b4", 4, gather(4), f32p),
-        ("4s_batched_b8", 4, gather(8), f32p),
-        // Whole-int8 at the strongest batched operating point: weights
-        // *and* activations quantized, the u8 gather + integer GEMM path.
-        ("4s_batched_b8_int8act", 4, gather(8), Precision::Int8Act),
+        ("1s", 1, None, f32p),
+        ("2s", 2, None, f32p),
+        ("4s", 4, None, f32p),
+        ("1s_cap8", 1, cap(8), f32p),
+        ("2s_cap2", 2, cap(2), f32p),
+        ("4s_cap4", 4, cap(4), f32p),
+        ("4s_cap8", 4, cap(8), f32p),
+        // Whole-int8: weights *and* activations quantized, the u8 gather +
+        // integer GEMM path.
+        ("4s_cap8_int8act", 4, cap(8), Precision::Int8Act),
     ];
     let mut rows: Vec<(String, f64)> = vec![(format!("serial_1s_t{budget}"), baseline)];
     println!(
         "{:<24} {baseline:>10.2} fps",
         format!("serial_1s_t{budget}")
     );
-    let mut fps_4s_per_stream = 0.0;
-    let mut fps_4s_batched = 0.0;
+    let mut fps_4s = 0.0;
+    let mut fps_4s_cap4 = 0.0;
     for (name, streams, gb, precision) in &cases {
         let gold_p = match precision {
             Precision::F32 => &gold,
             Precision::Int8Act => &gold_int8act,
         };
         let fps = measure_node(*streams, budget, *gb, *precision, n_frames, gold_p);
-        if *name == "4s_per_stream" {
-            fps_4s_per_stream = fps;
+        if *name == "4s" {
+            fps_4s = fps;
         }
-        if *name == "4s_batched_b4" {
-            fps_4s_batched = fps;
+        if *name == "4s_cap4" {
+            fps_4s_cap4 = fps;
         }
-        let mode = match gb {
-            Some(g) => format!("gather-batch ≤{}", g.max_batch),
-            None => "one pool job per stream".to_string(),
-        };
+        let mode = format!("≤{} frames a round", gb.map_or(*streams, |g| g.max_batch));
         println!("{name:<24} {fps:>10.2} fps  (aggregate, {mode})");
         rows.push((name.to_string(), fps));
     }
-    let speedup = fps_4s_per_stream / baseline;
-    let speedup_batched = fps_4s_batched / baseline;
-    println!("4-stream aggregate vs serial single-stream: {speedup:.2}x per-stream, {speedup_batched:.2}x batched (budget {budget} threads)");
+    let speedup = fps_4s / baseline;
+    let speedup_cap4 = fps_4s_cap4 / baseline;
+    println!("4-stream aggregate vs serial single-stream: {speedup:.2}x uncapped, {speedup_cap4:.2}x at cap 4 (budget {budget} threads)");
     println!(
-        "verdicts: bit-for-bit identical to the serial pipeline for every stream count and batch mode"
-    );
-
-    // Control-plane sweep: the same skewed diurnal load (1 busy camera, 3
-    // night cameras), policies off in both styles vs adaptive batch sizing.
-    // Verdict-checked against the serial golds like every other row.
-    println!();
-    println!("control sweep (skewed diurnal load: 1 always-on + 3 night cameras):");
-    let mut control_rows: Vec<(String, f64)> = Vec::new();
-    for (name, gather, adaptive) in [
-        ("skewed_fixed_per_stream", false, false),
-        ("skewed_fixed_gather_b8", true, false),
-        ("skewed_adaptive_gather", true, true),
-    ] {
-        let fps = measure_controlled(gather, adaptive, budget, n_frames, &gold);
-        println!("{name:<24} {fps:>10.2} fps  (aggregate)");
-        control_rows.push((name.to_string(), fps));
-    }
-    let best_fixed = control_rows[0].1.max(control_rows[1].1);
-    let adaptive_vs_fixed = control_rows[2].1 / best_fixed;
-    println!(
-        "adaptive vs best fixed style on skewed load: {adaptive_vs_fixed:.2}x \
-         (budget {budget} threads)"
+        "verdicts: bit-for-bit identical to the serial pipeline for every stream count and cap"
     );
 
     // Fault sweep: the recovery layer riding out a scripted uplink outage
@@ -639,23 +543,7 @@ fn main() {
     section.push_str("    },\n");
     section.push_str(&format!("    \"speedup_4s_vs_serial\": {speedup:.2},\n"));
     section.push_str(&format!(
-        "    \"speedup_4s_batched_vs_serial\": {speedup_batched:.2},\n"
-    ));
-    section.push_str("    \"verdicts_identical\": true\n  },\n");
-
-    // The control-plane A/B, spliced as its own top-level section.
-    section.push_str("  \"control\": {\n");
-    section.push_str(&format!(
-        "    \"config\": {{\"resolution\": \"{RES}\", \"frames_per_stream\": {n_frames}, \"budget_threads\": {budget}, \"available_parallelism\": {budget}, \"load\": \"1 always-on + 3 duty-cycled 8/24 cameras\", \"policies\": \"batch sizing (gather); degrade off to keep verdicts comparable\"}},\n"
-    ));
-    section.push_str("    \"aggregate_fps\": {\n");
-    for (i, (name, fps)) in control_rows.iter().enumerate() {
-        let comma = if i + 1 == control_rows.len() { "" } else { "," };
-        section.push_str(&format!("      \"{name}\": {fps:.2}{comma}\n"));
-    }
-    section.push_str("    },\n");
-    section.push_str(&format!(
-        "    \"adaptive_vs_best_fixed\": {adaptive_vs_fixed:.2},\n"
+        "    \"speedup_4s_cap4_vs_serial\": {speedup_cap4:.2},\n"
     ));
     section.push_str("    \"verdicts_identical\": true\n  },\n");
 

@@ -5,20 +5,20 @@
 //! The paper's premise is that a constrained edge node must adapt what it
 //! spends per stream to stay inside its compute and uplink budgets. With
 //! every policy off ([`ControlConfig::observe_only`],
-//! [`crate::runtime::EdgeNode::run`]) the gather batch size, precision, and
-//! upload stride are fixed for a whole run. This module adds the loop that
-//! moves those knobs at run time:
+//! [`crate::runtime::EdgeNode::run`]) the precision and upload stride are
+//! fixed for a whole run (the round's cap always is). This module adds the
+//! loop that moves those knobs at run time:
 //!
 //! ```text
 //!             SENSORS                 POLICIES               KNOBS
 //!  ┌──────────────────────────┐  ┌────────────────┐  ┌───────────────────┐
-//!  │ per-stream queue depths  │  │ BatchPolicy    │─▶│ gather max_batch  │
-//!  │ arrival-rate EWMAs       │─▶│ WatchdogPolicy │─▶│ task quarantine   │
-//!  │ per-round gather fill    │  │ DegradePolicy  │─▶│ weight precision  │
-//!  │ uplink offered/accepted  │  │ (hysteresis in │  │ upload stride     │
-//!  │ backlog + drops          │  │  every policy) │  └───────────────────┘
-//!  │ [wall-clock stage EWMAs] │  └────────────────┘   + admission control
-//!  └──────────────────────────┘                         at add_stream
+//!  │ per-stream queue depths  │  │ WatchdogPolicy │─▶│ task quarantine   │
+//!  │ arrival-rate EWMAs       │─▶│ DegradePolicy  │─▶│ weight precision  │
+//!  │ frames served per round  │  │ (hysteresis in │  │ upload stride     │
+//!  │ uplink offered/accepted  │  │  every policy) │  └───────────────────┘
+//!  │ backlog + drops          │  └────────────────┘   + admission control
+//!  │ [wall-clock stage EWMAs] │                         at add_stream
+//!  └──────────────────────────┘
 //!        NodeTelemetry              ControlPlan
 //! ```
 //!
@@ -30,7 +30,7 @@
 //! frame interval, and every [`ControlConfig::tick_frames`] rounds it
 //! snapshots a [`NodeTelemetry`] and lets the [`Controller`] act. Every
 //! sensor a policy consumes — queue depths, arrival counts and their EWMAs,
-//! gather fill, uplink accounting — is a pure function of the round number
+//! uplink accounting — is a pure function of the round number
 //! and the stream contents, so the resulting [`ControlTrace`] is
 //! **bit-replayable**: identical across repeated runs, thread counts, and
 //! pool widths. Wall-clock stage latencies ([`WallTelemetry`]) are
@@ -45,9 +45,7 @@
 //! * a condition must hold for `patience` (or `saturate_ticks` /
 //!   `relax_ticks`) **consecutive** ticks before a policy acts, and any
 //!   tick that breaks the streak resets it;
-//! * opposing conditions use **separated thresholds** (grow above
-//!   [`BatchPolicy::grow_backlog`] vs shrink below
-//!   [`BatchPolicy::shrink_fill`]; stalled below
+//! * opposing conditions use **separated thresholds** (stalled below
 //!   [`WatchdogPolicy::stall_below`] vs recovered above
 //!   [`WatchdogPolicy::recover_above`]; degrade above
 //!   [`DegradePolicy::high_water`] vs recover below
@@ -118,39 +116,18 @@ pub struct StreamTelemetry {
     pub ended: bool,
 }
 
-/// Gather-stage sensors for a tick (all zero when the node runs the
-/// per-stream style, which has no gather stage).
+/// Selection sensors for a tick: observability only, no policy reads
+/// them. The field names are the batched pass's, which is gone; they stay
+/// because `ffbench/` still reads them, and go with a benchmark change (see
+/// ROADMAP).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GatherTelemetry {
     /// Rounds (frame intervals) covered by the tick.
     pub rounds: u64,
-    /// Frames gathered into shared batches over those rounds.
+    /// Frames selected for service over those rounds.
     pub gathered: u64,
-    /// The `max_batch` in force during the tick.
+    /// The round's cap, fixed for the run.
     pub max_batch: usize,
-}
-
-impl GatherTelemetry {
-    /// Mean batch-capacity fill over the tick: `gathered / (rounds ·
-    /// max_batch)`. 0.0 when the tick had no capacity at all.
-    pub fn fill(&self) -> f64 {
-        let cap = self.rounds.saturating_mul(self.max_batch as u64);
-        if cap == 0 {
-            0.0
-        } else {
-            self.gathered as f64 / cap as f64
-        }
-    }
-
-    /// Mean frames gathered per round, rounded up — the service rate the
-    /// batch must at least cover, used as the shrink floor.
-    pub fn served_per_round_ceil(&self) -> usize {
-        if self.rounds == 0 {
-            0
-        } else {
-            self.gathered.div_ceil(self.rounds) as usize
-        }
-    }
 }
 
 /// Shared-uplink sensors at a tick.
@@ -236,7 +213,7 @@ pub struct NodeTelemetry {
     pub round: u64,
     /// Per-stream sensors, indexed by [`StreamId`].
     pub streams: Vec<StreamTelemetry>,
-    /// Gather-stage sensors (zeroed in per-stream style).
+    /// Selection sensors.
     pub gather: GatherTelemetry,
     /// Shared-uplink sensors.
     pub uplink: UplinkTelemetry,
@@ -382,9 +359,8 @@ impl Sensors {
         self.streams[s].ended = true;
     }
 
-    /// A round (frame interval) completed; `gathered` frames went into the
-    /// shared batch (pass the served count in per-stream style — it is ignored
-    /// there because [`GatherTelemetry::max_batch`] is 0).
+    /// A round (frame interval) completed, with `gathered` frames selected
+    /// for service.
     pub fn on_round(&mut self, gathered: usize) {
         self.rounds.inc();
         self.gathered.add(gathered as u64);
@@ -399,7 +375,7 @@ impl Sensors {
     }
 
     /// Wall-clock extraction time of `frames` frames (observability only):
-    /// their base-DNN passes alone, in either node style.
+    /// their base-DNN passes alone.
     pub fn on_extract_wall(&mut self, d: Duration, frames: usize) {
         self.extract_secs
             .set(self.extract_secs.get() + d.as_secs_f64());
@@ -411,8 +387,7 @@ impl Sensors {
     /// arrived-but-unserved backlog (the task mailbox depth under the
     /// controlled executor); `wake_ages` each stream's rounds-since-last-
     /// arrival ([`StreamTelemetry::rounds_since_wake`], pass `&[]` to
-    /// report 0 for every stream); `max_batch` the gather capacity in
-    /// force (0 in per-stream style).
+    /// report 0 for every stream); `max_batch` the round's cap.
     pub fn snapshot(
         &mut self,
         round: u64,
@@ -540,36 +515,6 @@ impl Sensors {
 // Policies and configuration
 // ---------------------------------------------------------------------------
 
-/// Dynamic gather-batch sizing: grow `max_batch` when mailboxes back
-/// up, shrink it when gathers run mostly empty.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchPolicy {
-    /// Smallest batch the policy will set.
-    pub min_batch: usize,
-    /// Largest batch the policy will set.
-    pub max_batch: usize,
-    /// Grow when queued frames **per open stream** exceed this at a tick
-    /// boundary.
-    pub grow_backlog: f64,
-    /// Shrink when the tick's gather fill ([`GatherTelemetry::fill`]) falls
-    /// below this.
-    pub shrink_fill: f64,
-    /// Consecutive ticks a condition must hold before acting.
-    pub patience: u32,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy {
-            min_batch: 1,
-            max_batch: 16,
-            grow_backlog: 1.0,
-            shrink_fill: 0.45,
-            patience: 2,
-        }
-    }
-}
-
 /// Uplink-aware degradation: under sustained offered load above
 /// `high_water` the node steps down the ladder (precision f32 →
 /// whole-int8, then upload stride 2, 4, …), one rung per saturation
@@ -607,7 +552,7 @@ impl Default for DegradePolicy {
 /// `stall_below` (a stalled or dead camera, detected purely from
 /// virtual-time arrivals) is **quarantined**: its task is suspended and
 /// counted out of the healthy census ([`FaultTelemetry::quarantined`]) —
-/// a marker, since an empty mailbox costs neither service style anything.
+/// a marker, since an empty mailbox costs the round loop nothing.
 /// A recovery above `recover_above` **readmits** it. Same
 /// hysteresis discipline as every other arm: separated thresholds plus a
 /// consecutive-tick patience streak.
@@ -636,15 +581,15 @@ impl Default for WatchdogPolicy {
 }
 
 /// Control-plane configuration: the virtual-time tick length plus the
-/// policies (each optional — `None` disables that arm).
+/// policies (each optional — `None` disables that arm). The round's cap is
+/// not among the knobs: it is [`crate::runtime::EdgeNodeConfig::gather_batch`],
+/// fixed for the run.
 #[derive(Debug, Clone, Copy)]
 pub struct ControlConfig {
     /// Rounds (frame intervals) per control tick.
     pub tick_frames: u64,
     /// EWMA weight of the newest tick for arrival rates and wall timings.
     pub arrival_alpha: f64,
-    /// Dynamic gather-batch sizing (gather style only).
-    pub batch: Option<BatchPolicy>,
     /// Uplink-aware degradation ladder.
     pub degrade: Option<DegradePolicy>,
     /// Per-stream stall watchdog (quarantine/readmit).
@@ -656,7 +601,6 @@ impl Default for ControlConfig {
         ControlConfig {
             tick_frames: 8,
             arrival_alpha: 0.5,
-            batch: Some(BatchPolicy::default()),
             degrade: Some(DegradePolicy::default()),
             watchdog: None,
         }
@@ -671,7 +615,6 @@ impl ControlConfig {
         ControlConfig {
             tick_frames,
             arrival_alpha: 0.5,
-            batch: None,
             degrade: None,
             watchdog: None,
         }
@@ -685,13 +628,6 @@ impl ControlConfig {
 /// One knob movement decided by a policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ControlAction {
-    /// Resize the gather batch capacity.
-    SetMaxBatch {
-        /// Capacity before.
-        from: usize,
-        /// Capacity after.
-        to: usize,
-    },
     /// Step the base DNN's weight-panel precision.
     SetPrecision {
         /// Precision before.
@@ -722,7 +658,6 @@ pub enum ControlAction {
 impl std::fmt::Display for ControlAction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ControlAction::SetMaxBatch { from, to } => write!(f, "max_batch {from} → {to}"),
             ControlAction::SetPrecision { from, to } => {
                 write!(f, "precision {from:?} → {to:?}")
             }
@@ -749,7 +684,7 @@ pub struct ControlDecision {
 }
 
 /// The actions one tick's policy evaluation produced, in fixed policy
-/// order (batch, watchdog, degrade) — the runtime applies them
+/// order (watchdog, degrade) — the runtime applies them
 /// before the next round.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ControlPlan {
@@ -807,9 +742,6 @@ impl std::fmt::Display for ControlTrace {
 pub struct ControllerInit {
     /// Stream count.
     pub streams: usize,
-    /// Gather batch capacity at start (0 ⇒ per-stream style, batch policy
-    /// inert).
-    pub initial_batch: usize,
     /// Base-DNN precision at start (the ladder's top rung).
     pub base_precision: Precision,
 }
@@ -826,10 +758,6 @@ struct Activity {
 #[derive(Debug)]
 pub struct Controller {
     cfg: ControlConfig,
-    // Batch arm.
-    cur_batch: usize,
-    grow_streak: u32,
-    shrink_streak: u32,
     // Watchdog arm: per-stream quarantine state. `active == true` means
     // healthy; the streak debounces flips.
     watchdog: Vec<Activity>,
@@ -846,27 +774,11 @@ impl Controller {
     ///
     /// # Panics
     ///
-    /// Panics on a config that could never behave: `tick_frames` 0, a
-    /// batch policy whose floor is 0 (a zero-capacity gather can never
-    /// serve a frame again, wedging the node) or above its ceiling, any
+    /// Panics on a config that could never behave: `tick_frames` 0, any
     /// zero patience/streak length (hysteresis with no memory fires every
     /// tick), or hysteresis thresholds with no band between them.
     pub fn new(cfg: ControlConfig, init: ControllerInit) -> Self {
         assert!(cfg.tick_frames >= 1, "tick_frames must be ≥ 1");
-        if let Some(b) = &cfg.batch {
-            assert!(
-                b.min_batch >= 1,
-                "batch min_batch must be ≥ 1: a zero-capacity gather can \
-                 never serve a frame again"
-            );
-            assert!(
-                b.min_batch <= b.max_batch,
-                "batch min_batch ({}) must not exceed max_batch ({})",
-                b.min_batch,
-                b.max_batch
-            );
-            assert!(b.patience >= 1, "batch patience must be ≥ 1");
-        }
         if let Some(w) = &cfg.watchdog {
             assert!(w.patience >= 1, "watchdog patience must be ≥ 1");
             assert!(
@@ -906,9 +818,6 @@ impl Controller {
         }
         Controller {
             cfg,
-            cur_batch: init.initial_batch,
-            grow_streak: 0,
-            shrink_streak: 0,
             watchdog: vec![
                 Activity {
                     active: true,
@@ -939,7 +848,6 @@ impl Controller {
     /// the virtual-time sensor fields (never [`NodeTelemetry::wall`]).
     pub fn observe(&mut self, t: &NodeTelemetry) -> ControlPlan {
         let mut plan = ControlPlan::default();
-        self.observe_batch(t, &mut plan);
         self.observe_watchdog(t, &mut plan);
         self.observe_degrade(t, &mut plan);
         for action in &plan.actions {
@@ -949,47 +857,6 @@ impl Controller {
             });
         }
         plan
-    }
-
-    fn observe_batch(&mut self, t: &NodeTelemetry, plan: &mut ControlPlan) {
-        let Some(p) = self.cfg.batch else { return };
-        if self.cur_batch == 0 {
-            return; // per-stream style: no gather stage to size
-        }
-        let open = t.open_streams().max(1);
-        let backlog_per_stream = t.total_queue_depth() as f64 / open as f64;
-        if backlog_per_stream > p.grow_backlog {
-            self.grow_streak += 1;
-            self.shrink_streak = 0;
-        } else if t.gather.fill() < p.shrink_fill {
-            self.shrink_streak += 1;
-            self.grow_streak = 0;
-        } else {
-            self.grow_streak = 0;
-            self.shrink_streak = 0;
-        }
-        if self.grow_streak >= p.patience && self.cur_batch < p.max_batch {
-            let to = (self.cur_batch * 2).min(p.max_batch);
-            plan.actions.push(ControlAction::SetMaxBatch {
-                from: self.cur_batch,
-                to,
-            });
-            self.cur_batch = to;
-            self.grow_streak = 0;
-        } else if self.shrink_streak >= p.patience && self.cur_batch > p.min_batch {
-            // Never shrink below what the node is actually serving per
-            // round, or the shrink itself would manufacture a backlog.
-            let floor = t.gather.served_per_round_ceil().max(p.min_batch);
-            let to = (self.cur_batch / 2).max(floor);
-            if to < self.cur_batch {
-                plan.actions.push(ControlAction::SetMaxBatch {
-                    from: self.cur_batch,
-                    to,
-                });
-                self.cur_batch = to;
-            }
-            self.shrink_streak = 0;
-        }
     }
 
     fn observe_watchdog(&mut self, t: &NodeTelemetry, plan: &mut ControlPlan) {
@@ -1215,13 +1082,7 @@ impl std::error::Error for AdmissionError {}
 mod tests {
     use super::*;
 
-    fn telem(
-        tick: u64,
-        queue_depths: &[usize],
-        ewmas: &[f64],
-        fill: (u64, u64, usize),
-        uplink_tick: f64,
-    ) -> NodeTelemetry {
+    fn telem(tick: u64, queue_depths: &[usize], ewmas: &[f64], uplink_tick: f64) -> NodeTelemetry {
         NodeTelemetry {
             tick,
             round: tick * 8,
@@ -1239,11 +1100,7 @@ mod tests {
                     ended: false,
                 })
                 .collect(),
-            gather: GatherTelemetry {
-                rounds: fill.0,
-                gathered: fill.1,
-                max_batch: fill.2,
-            },
+            gather: GatherTelemetry::default(),
             uplink: UplinkTelemetry {
                 offered_utilization_tick: uplink_tick,
                 ..Default::default()
@@ -1253,77 +1110,19 @@ mod tests {
         }
     }
 
-    fn gather_controller(cfg: ControlConfig) -> Controller {
+    fn two_stream_controller(cfg: ControlConfig) -> Controller {
         Controller::new(
             cfg,
             ControllerInit {
                 streams: 2,
-                initial_batch: 4,
                 base_precision: Precision::F32,
             },
         )
     }
 
     #[test]
-    fn batch_grows_after_patience_and_not_before() {
-        let cfg = ControlConfig {
-            batch: Some(BatchPolicy::default()),
-            degrade: None,
-            ..ControlConfig::default()
-        };
-        let mut c = gather_controller(cfg);
-        // Backlog of 2 frames/stream: first tick arms, second fires.
-        let t1 = telem(1, &[2, 2], &[1.0, 1.0], (8, 32, 4), 0.0);
-        assert!(c.observe(&t1).is_empty(), "patience must delay the grow");
-        let t2 = telem(2, &[2, 2], &[1.0, 1.0], (8, 32, 4), 0.0);
-        let plan = c.observe(&t2);
-        assert_eq!(
-            plan.actions,
-            vec![ControlAction::SetMaxBatch { from: 4, to: 8 }]
-        );
-        // An intervening healthy tick resets the streak.
-        let t3 = telem(3, &[2, 2], &[1.0, 1.0], (8, 64, 8), 0.0);
-        assert!(c.observe(&t3).is_empty());
-        let healthy = telem(4, &[0, 0], &[1.0, 1.0], (8, 64, 8), 0.0);
-        assert!(c.observe(&healthy).is_empty());
-        let t5 = telem(5, &[2, 2], &[1.0, 1.0], (8, 64, 8), 0.0);
-        assert!(c.observe(&t5).is_empty(), "streak must restart after reset");
-    }
-
-    #[test]
-    fn batch_shrinks_toward_service_floor() {
-        let cfg = ControlConfig {
-            batch: Some(BatchPolicy::default()),
-            degrade: None,
-            ..ControlConfig::default()
-        };
-        let mut c = gather_controller(cfg);
-        c.cur_batch = 8;
-        // Fill 2/8 = 0.25 < 0.45, two frames served per round on average.
-        let t = |tick| telem(tick, &[0, 0], &[0.2, 0.2], (8, 16, 8), 0.0);
-        assert!(c.observe(&t(1)).is_empty());
-        let plan = c.observe(&t(2));
-        assert_eq!(
-            plan.actions,
-            vec![ControlAction::SetMaxBatch { from: 8, to: 4 }]
-        );
-        // Next shrink halves toward the floor ceil(16/8)=2.
-        assert!(c.observe(&t(3)).is_empty());
-        let plan = c.observe(&t(4));
-        assert_eq!(
-            plan.actions,
-            vec![ControlAction::SetMaxBatch { from: 4, to: 2 }]
-        );
-        // At the service floor the policy stops: shrinking further would
-        // manufacture backlog.
-        assert!(c.observe(&t(5)).is_empty());
-        assert!(c.observe(&t(6)).is_empty());
-    }
-
-    #[test]
     fn watchdog_quarantines_stalled_stream_and_readmits_with_hysteresis() {
         let cfg = ControlConfig {
-            batch: None,
             degrade: None,
             watchdog: Some(WatchdogPolicy::default()),
             ..ControlConfig::default()
@@ -1332,21 +1131,20 @@ mod tests {
             cfg,
             ControllerInit {
                 streams: 4,
-                initial_batch: 0,
                 base_precision: Precision::F32,
             },
         );
         // Stream 2's camera dies; patience 2 ⇒ second tick quarantines.
-        let dead = |tick| telem(tick, &[0; 4], &[1.0, 1.0, 0.0, 1.0], (8, 0, 0), 0.0);
+        let dead = |tick| telem(tick, &[0; 4], &[1.0, 1.0, 0.0, 1.0], 0.0);
         assert!(c.observe(&dead(1)).is_empty(), "patience must delay");
         let plan = c.observe(&dead(2));
         assert_eq!(plan.actions, vec![ControlAction::Quarantine { stream: 2 }]);
         // An EWMA inside the band (0.05..0.5) keeps the quarantine.
-        let limp = |tick| telem(tick, &[0; 4], &[1.0, 1.0, 0.3, 1.0], (8, 0, 0), 0.0);
+        let limp = |tick| telem(tick, &[0; 4], &[1.0, 1.0, 0.3, 1.0], 0.0);
         assert!(c.observe(&limp(3)).is_empty());
         assert!(c.observe(&limp(4)).is_empty());
         // Full recovery readmits after the patience streak.
-        let back = |tick| telem(tick, &[0; 4], &[1.0, 1.0, 1.0, 1.0], (8, 0, 0), 0.0);
+        let back = |tick| telem(tick, &[0; 4], &[1.0, 1.0, 1.0, 1.0], 0.0);
         assert!(c.observe(&back(5)).is_empty());
         let plan = c.observe(&back(6));
         assert_eq!(plan.actions, vec![ControlAction::Readmit { stream: 2 }]);
@@ -1354,7 +1152,6 @@ mod tests {
 
     fn degrade_only(saturate_ticks: u32, relax_ticks: u32) -> ControlConfig {
         ControlConfig {
-            batch: None,
             degrade: Some(DegradePolicy {
                 saturate_ticks,
                 relax_ticks,
@@ -1366,11 +1163,11 @@ mod tests {
 
     #[test]
     fn degrade_treats_an_outage_as_saturation() {
-        let mut c = gather_controller(degrade_only(2, 6));
+        let mut c = two_stream_controller(degrade_only(2, 6));
         // A down link offers nothing — utilization 0.0 — yet must read as
         // hot, or the ladder would *relax* mid-outage.
         let outage = |tick| {
-            let mut t = telem(tick, &[0, 0], &[1.0, 1.0], (8, 32, 4), 0.0);
+            let mut t = telem(tick, &[0, 0], &[1.0, 1.0], 0.0);
             t.faults.link_up = false;
             t
         };
@@ -1394,8 +1191,8 @@ mod tests {
 
     #[test]
     fn degrade_ladder_steps_down_then_recovers_in_order() {
-        let hot = |tick| telem(tick, &[0, 0], &[1.0, 1.0], (8, 32, 4), 1.5);
-        let cool = |tick| telem(tick, &[0, 0], &[1.0, 1.0], (8, 32, 4), 0.2);
+        let hot = |tick| telem(tick, &[0, 0], &[1.0, 1.0], 1.5);
+        let cool = |tick| telem(tick, &[0, 0], &[1.0, 1.0], 0.2);
         // Ten saturated ticks, then relief: every decision with its tick.
         let walk = |c: &mut Controller| {
             let mut decisions = Vec::new();
@@ -1419,7 +1216,7 @@ mod tests {
         // From f32: one rung per saturation streak (2 ticks) until the
         // bottom, where further saturation does nothing; relief retraces
         // the ladder one rung per relax streak (3 ticks).
-        let mut c = gather_controller(degrade_only(2, 3));
+        let mut c = two_stream_controller(degrade_only(2, 3));
         assert_eq!(
             walk(&mut c),
             vec![
@@ -1436,7 +1233,6 @@ mod tests {
             degrade_only(2, 3),
             ControllerInit {
                 streams: 2,
-                initial_batch: 4,
                 base_precision: Precision::Int8Act,
             },
         );
@@ -1453,11 +1249,11 @@ mod tests {
 
     #[test]
     fn degrade_holds_inside_the_watermark_band() {
-        let mut c = gather_controller(degrade_only(2, 6));
+        let mut c = two_stream_controller(degrade_only(2, 6));
         // Oscillating between the watermarks (0.7..1.0) never acts.
         for tick in 1..=20 {
             let u = if tick % 2 == 0 { 0.95 } else { 0.75 };
-            let t = telem(tick, &[0, 0], &[1.0, 1.0], (8, 32, 4), u);
+            let t = telem(tick, &[0, 0], &[1.0, 1.0], u);
             assert!(c.observe(&t).is_empty(), "tick {tick} must hold");
         }
     }
@@ -1485,7 +1281,7 @@ mod tests {
         assert_eq!(t.streams[1].arrival_ewma, 0.0);
         assert_eq!(t.gather.rounds, 8);
         assert_eq!(t.gather.gathered, 4);
-        assert_eq!(t.gather.fill(), 4.0 / 32.0);
+        assert_eq!(t.gather.max_batch, 4);
         // Second tick: stream 0 fully active → EWMA moves halfway.
         for _ in 0..8 {
             s.on_arrival(0);
@@ -1570,31 +1366,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "min_batch must be ≥ 1")]
-    fn zero_min_batch_rejected() {
-        // A floor of 0 would let the shrink arm set max_batch to 0, after
-        // which the gather can never serve a frame again.
-        let cfg = ControlConfig {
-            batch: Some(BatchPolicy {
-                min_batch: 0,
-                ..BatchPolicy::default()
-            }),
-            ..ControlConfig::default()
-        };
-        let _ = gather_controller(cfg);
-    }
-
-    #[test]
     #[should_panic(expected = "patience must be ≥ 1")]
     fn zero_patience_rejected() {
         let cfg = ControlConfig {
-            batch: Some(BatchPolicy {
+            watchdog: Some(WatchdogPolicy {
                 patience: 0,
-                ..BatchPolicy::default()
+                ..WatchdogPolicy::default()
             }),
             ..ControlConfig::default()
         };
-        let _ = gather_controller(cfg);
+        let _ = two_stream_controller(cfg);
     }
 
     #[test]
@@ -1603,7 +1384,7 @@ mod tests {
             decisions: vec![
                 ControlDecision {
                     tick: 3,
-                    action: ControlAction::SetMaxBatch { from: 4, to: 8 },
+                    action: ControlAction::SetUploadStride { from: 1, to: 2 },
                 },
                 ControlDecision {
                     tick: 9,
@@ -1616,6 +1397,6 @@ mod tests {
         };
         let s = trace.to_string();
         assert_eq!(s.lines().count(), 2);
-        assert!(s.contains("max_batch 4 → 8"));
+        assert!(s.contains("upload stride 1 → 2"));
     }
 }

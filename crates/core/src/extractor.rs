@@ -205,10 +205,12 @@ impl FeatureExtractor {
     /// intermediates, the per-frame tap copies) cycles through the
     /// workspace, so steady-state batched extraction allocates nothing.
     ///
-    /// This is not the edge node's path: its gather style extracts each
-    /// frame on its own through [`Self::extract_into`], inside the frame's
-    /// stream job, because on the node's small cores a batch is no cheaper
-    /// per frame than one frame walked alone and the jobs run side by side.
+    /// This is not the edge node's path: the node extracts each frame on
+    /// its own through [`Self::extract_into`], inside the frame's stream
+    /// job, because on the node's small cores a batch is no cheaper per
+    /// frame than one frame walked alone and the jobs run side by side. It
+    /// stays because the `ffbench` package times it, and goes with a
+    /// benchmark change (see ROADMAP).
     ///
     /// # Panics
     ///

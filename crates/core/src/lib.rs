@@ -20,17 +20,17 @@
 //! * [`runtime`] — the multi-stream edge node: one virtual-time round
 //!   loop running every stream as a [`task`] (an actor-style state
 //!   machine) on one worker pool sharing one uplink — each round's
-//!   selected frames served as one pool job per stream, each stream on its
-//!   own base DNN or, gather-batched, on one node-owned pass per (config,
-//!   resolution) bucket. No per-stream threads, so a
+//!   selected frames served as one pool job per stream, each extracting
+//!   through the node-owned base DNN of its (config, resolution) bucket.
+//!   No per-stream threads, so a
 //!   node carries 1000+ mostly-idle duty-cycled cameras with
 //!   bit-replayable traces.
 //! * [`task`] — the per-stream state machine (poll → decode → infer →
 //!   collect as typed messages) the round loop drives.
 //! * [`control`] — the adaptive control plane: deterministic virtual-time
-//!   telemetry (queue depths, arrival EWMAs, gather fill, uplink load)
-//!   feeding policies that resize the gather batch, quarantine stalled
-//!   cameras, degrade precision/upload stride under uplink saturation
+//!   telemetry (queue depths, arrival EWMAs, frames served, uplink load)
+//!   feeding policies that quarantine stalled cameras, degrade
+//!   precision/upload stride under uplink saturation
 //!   (all with hysteresis), and gate stream admission against the
 //!   [`node`] memory model — every decision lands in a bit-replayable
 //!   trace (see [`runtime::EdgeNode::run_controlled`] and

@@ -124,17 +124,6 @@ impl PipelineStats {
     }
 }
 
-/// Where one served frame's base-DNN feature maps come from (see
-/// [`FilterForward::serve_into`]).
-#[derive(Clone, Copy)]
-pub(crate) enum Backbone<'a> {
-    /// The frame's tensor, for the pipeline's private extractor.
-    Own(&'a Tensor),
-    /// Maps a node-owned extractor already produced for the frame, and the
-    /// wall time that extraction took.
-    Shared(&'a FeatureMaps, Duration),
-}
-
 /// The two taps every extractor serves before any MC is deployed.
 pub(crate) fn default_taps() -> Vec<String> {
     vec![
@@ -156,9 +145,9 @@ pub struct FilterForward {
     /// `None` in **deferred-backbone** mode ([`Self::new_deferred`]): the
     /// pipeline never extracts features itself — a node-owned shared
     /// extractor feeds it maps — so no private base-DNN instance is ever
-    /// built. This is what makes a 1000-stream gather-style node
-    /// affordable: one backbone per (base-DNN config, resolution) bucket
-    /// instead of one per stream.
+    /// built. This is what makes a 1000-stream node affordable: one
+    /// backbone per (base-DNN config, resolution) bucket instead of one per
+    /// stream. `Some` only behind [`Self::process`], the serial reference.
     extractor: Option<FeatureExtractor>,
     /// Taps the deployed MCs consume plus the two always-on defaults, in
     /// registration order. Mirrors the private extractor's tap set in eager
@@ -215,12 +204,12 @@ impl FilterForward {
     /// Creates a pipeline in **deferred-backbone** mode: no private
     /// [`FeatureExtractor`] is built — the pipeline only records its
     /// configuration, taps, and calibration state, and classifies feature
-    /// maps extracted elsewhere ([`Self::process_with_maps`]). Every stream
-    /// of a gather-style [`crate::runtime::EdgeNode`] is one, fed by the
-    /// node's extractor for its (base-DNN config, resolution) bucket.
+    /// maps extracted elsewhere. Every stream of a
+    /// [`crate::runtime::EdgeNode`] is one, fed by the node's extractor for
+    /// its (base-DNN config, resolution) bucket inside the stream's pool
+    /// job.
     ///
-    /// Per-stream inference entry points ([`Self::process`],
-    /// [`Self::process_decoded`], [`Self::extract_only`]) panic on a
+    /// [`Self::process`], which runs a private extractor, panics on a
     /// deferred pipeline.
     pub fn new_deferred(cfg: PipelineConfig) -> Self {
         Self::build(cfg, None)
@@ -286,7 +275,7 @@ impl FilterForward {
     /// the tap on it). The resulting
     /// [`McRuntime`] is identical to what an eager [`Self::deploy`] builds
     /// (MC models are seeded and shape-determined), so verdicts stay
-    /// bit-compatible with per-stream execution.
+    /// bit-compatible with the serial [`Self::process`] path.
     ///
     /// Also valid on an eager pipeline when `template` matches its private
     /// extractor's config; the private extractor still registers the tap.
@@ -401,7 +390,7 @@ impl FilterForward {
     pub fn extractor(&self) -> &FeatureExtractor {
         self.extractor
             .as_ref()
-            .expect("deferred-backbone pipeline has no private extractor (gather mode)")
+            .expect("deferred-backbone pipeline has no private extractor (a node stream)")
     }
 
     /// Whether this pipeline defers feature extraction to a node-owned
@@ -472,21 +461,33 @@ impl FilterForward {
     /// MC's delay.
     ///
     /// Decode (pixel → tensor, [`Frame::to_tensor_into`] a buffer this
-    /// pipeline reuses from frame to frame) and inference run back to back
-    /// on the calling thread. The node ([`crate::runtime::EdgeNode`]) does
-    /// the same inside the pool job that serves the frame, into the input
-    /// buffer of the job's pool slot, and serves it through the same body
-    /// as [`Self::process_decoded`]; both paths produce identical verdicts.
+    /// pipeline reuses from frame to frame) and the private extractor's
+    /// pass run back to back on the calling thread — the serial reference
+    /// every node verdict is compared with. The node
+    /// ([`crate::runtime::EdgeNode`]) does the same inside the pool job
+    /// that serves the frame, into its pool slot's scratch and through its
+    /// bucket's extractor, and serves the maps through the same body; both
+    /// paths produce identical verdicts.
     ///
     /// # Panics
     ///
-    /// Panics if no MCs are deployed.
+    /// Panics if no MCs are deployed, or on a deferred-backbone pipeline.
     pub fn process(&mut self, frame: &Frame) -> Vec<FrameVerdict> {
         let t0 = Instant::now();
         let mut input = self.input.take().unwrap_or_default();
         frame.to_tensor_into(&mut input);
         self.timers.base_dnn += t0.elapsed();
-        let out = self.process_decoded(frame, &input);
+        // On loan for the frame, so its maps can sit beside `&mut self`.
+        let mut ex = self.extractor.take().expect(
+            "deferred-backbone pipeline cannot run per-stream inference \
+             (the node owns its backbone): use process_with_maps",
+        );
+        let t1 = Instant::now();
+        let maps = ex.extract(&input);
+        let extracted = t1.elapsed();
+        let mut out = Vec::new();
+        self.serve_into(frame.clone(), maps, extracted, &mut out);
+        self.extractor = Some(ex);
         self.input = Some(input);
         out
     }
@@ -500,27 +501,13 @@ impl FilterForward {
         self.timers.base_dnn += d;
     }
 
-    /// Ingests one frame whose tensor was already decoded, returning any
-    /// frames that became final (in order).
-    ///
-    /// `tensor` must hold what `frame.to_tensor()` returns: [`Self::process`]
-    /// is this after the conversion, and the node converts in the pool job
-    /// that serves the frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no MCs are deployed.
-    pub fn process_decoded(&mut self, frame: &Frame, tensor: &Tensor) -> Vec<FrameVerdict> {
-        let mut out = Vec::new();
-        self.serve_into(frame.clone(), Backbone::Own(tensor), &mut out);
-        out
-    }
-
     /// Ingests one frame whose feature maps were **already extracted** —
-    /// by a base DNN shared across streams (see
-    /// [`crate::runtime::EdgeNode`]'s gather style), a batched pass over
-    /// several frames, or any other external extractor whose network state
-    /// matches this pipeline's.
+    /// by a base DNN shared across streams (as a
+    /// [`crate::runtime::EdgeNode`]'s bucket extractor is), a batched pass
+    /// over several frames, or any other external extractor whose network
+    /// state matches this pipeline's. The node itself serves through the
+    /// crate-private body this wraps; this entry point stays for the
+    /// `ffbench` package, and goes with a benchmark change (see ROADMAP).
     ///
     /// `maps` must contain every tap this pipeline's MCs consume and hold
     /// exactly what [`crate::FeatureExtractor::extract`] would have produced
@@ -532,7 +519,7 @@ impl FilterForward {
     /// modes.
     ///
     /// Returns any frames that became final (in order), exactly like
-    /// [`Self::process_decoded`].
+    /// [`Self::process`].
     ///
     /// # Panics
     ///
@@ -544,20 +531,15 @@ impl FilterForward {
         shared_extract: Duration,
     ) -> Vec<FrameVerdict> {
         let mut out = Vec::new();
-        self.serve_into(
-            frame.clone(),
-            Backbone::Shared(maps, shared_extract),
-            &mut out,
-        );
+        self.serve_into(frame.clone(), maps, shared_extract, &mut out);
         out
     }
 
-    /// The one serving body: ingest `frame`, take its feature maps from
-    /// `backbone`, run every MC on them, apply the decisions, and append the
-    /// frames that became final to `out` — the node's pool jobs write
-    /// straight into the stream task's pending list. Returns the frame's
-    /// extraction wall: the private extractor's pass, or the wall a shared
-    /// one reported.
+    /// The one serving body: ingest `frame`, run every MC on its feature
+    /// `maps`, apply the decisions, and append the frames that became final
+    /// to `out` — the node's pool jobs write straight into the stream
+    /// task's pending list. `extract_wall` is the wall the maps' extraction
+    /// took, credited to the base-DNN phase timer.
     ///
     /// The frame is the pending entry's until its verdict is final (its
     /// pixels are re-encoded if an MC matched): the node hands over the
@@ -565,28 +547,14 @@ impl FilterForward {
     pub(crate) fn serve_into(
         &mut self,
         frame: Frame,
-        backbone: Backbone<'_>,
+        maps: &FeatureMaps,
+        extract_wall: Duration,
         out: &mut Vec<FrameVerdict>,
-    ) -> Duration {
+    ) {
         self.ingest_frame(frame);
+        self.timers.base_dnn += extract_wall;
 
-        // Phase 1: base-DNN feature extraction (timed), or the frame's share
-        // of a shared pass. Own maps borrow the extractor's workspace-backed
-        // buffers.
-        let (maps, extract) = match backbone {
-            Backbone::Own(tensor) => {
-                let t0 = Instant::now();
-                let ex = self.extractor.as_mut().expect(
-                    "deferred-backbone pipeline cannot run per-stream inference \
-                     (the node owns its backbone): use process_with_maps",
-                );
-                (ex.extract(tensor), t0.elapsed())
-            }
-            Backbone::Shared(maps, wall) => (maps, wall),
-        };
-        self.timers.base_dnn += extract;
-
-        // Phase 2: every MC consumes the maps (timed as one block, matching
+        // Every MC consumes the maps (timed as one block, matching
         // the paper's phased execution / end-to-end flow control).
         // `decisions` is a reused scratch: the MC loop itself is
         // allocation-free in steady state.
@@ -606,7 +574,6 @@ impl FilterForward {
         }
         self.decisions_scratch = decisions;
         self.drain_into(self.mcs.len(), out);
-        extract
     }
 
     /// Shared ingest bookkeeping: frame counters, archival, and the pending
@@ -723,20 +690,6 @@ impl FilterForward {
             self.pending.keys().collect::<Vec<_>>()
         );
         (out, self.stats, self.timers)
-    }
-
-    /// Extract features for one frame tensor without running MCs — used by
-    /// training and the throughput harness. The returned maps borrow the
-    /// extractor's internal buffers and are overwritten by the next
-    /// extraction.
-    pub fn extract_only(&mut self, tensor: &Tensor) -> &FeatureMaps {
-        self.extractor
-            .as_mut()
-            .expect(
-                "deferred-backbone pipeline cannot run per-stream inference \
-                 (the node owns its backbone): use process_with_maps",
-            )
-            .extract(tensor)
     }
 }
 

@@ -14,20 +14,18 @@
 //! | phase of a round | runs on | why |
 //! |---|---|---|
 //! | **arrivals** — poll every open stream once, queue the frame's pixels in the task's mailbox | the calling thread | poll order *is* the wake log; a queued frame holds its pixels only, a quarter of its `f32` tensor |
-//! | **service** — *select*: passes over the streams, at most one frame per stream per pass (one pass from stream 0 in per-stream style; in gather style repeated passes from a rotating start, up to `max_batch` frames); a scripted stage panic is isolated here, before any inference. *Jobs*: one per stream with selected frames, each frame in selection order decoded (pixels → tensor, [`Frame::to_tensor_into`] the input of the job's pool slot), then through the base DNN — its own extractor's `extract`, or its bucket's shared extractor's [`crate::FeatureExtractor::extract_into`] in the same slot's scratch — then its MCs, smoothing, upload re-encode and archive | selection on the calling thread; the jobs run on [`PoolShard::run_items`], `min(jobs, pool width)` cores, their kernels serially inside each job — a round with one job keeps the kernel-level fan-out (its GEMMs split across the whole pool) | everything a frame needs after selection is its stream's state plus read-only weights, so whole streams are the coarsest — cheapest — unit of parallel work; on a node's few small cores a batch is no cheaper per frame than one frame walked alone, so frames run side by side rather than stacked |
+//! | **service** — *select*: passes over the streams from a rotating start, at most one frame per stream per pass, until the round's cap ([`EdgeNodeConfig::gather_batch`]; the stream count when `None`) or the mailboxes run dry; a scripted stage panic is isolated here, before any inference. *Jobs*: one per stream with selected frames, each frame in selection order decoded (pixels → tensor, [`Frame::to_tensor_into`] the input of the job's pool slot), then through its bucket's base DNN ([`crate::FeatureExtractor::extract_into`] in the same slot's scratch), then its MCs, smoothing, upload re-encode and archive | selection on the calling thread; the jobs run on [`PoolShard::run_items`], `min(jobs, pool width)` cores, their kernels serially inside each job — a round with one job keeps the kernel-level fan-out (its GEMMs split across the whole pool) | everything a frame needs after selection is its stream's state plus read-only weights, so whole streams are the coarsest — cheapest — unit of parallel work; on a node's few small cores a batch is no cheaper per frame than one frame walked alone, so frames run side by side rather than stacked |
 //! | **fold, close, uplink, control tick** | the calling thread, in stream order | see below |
 //!
-//! Past selection, the two styles ([`EdgeNodeConfig::gather_batch`])
-//! differ only in who owns the base DNN. In **gather style** the node owns
-//! one [`crate::FeatureExtractor`] per (base-DNN config, resolution)
-//! bucket, built when the bucket's first stream is added, which deploys,
-//! calibrates ([`EdgeNode::calibrate`]) and takes the precision knobs;
-//! every stream is a [`FilterForward::new_deferred`] pipeline with no
-//! backbone of its own, and its jobs extract through the bucket's one
-//! weight set, immutably, in one activation scratch per pool slot — so
-//! weights scale with buckets and activations with pool width, neither
-//! with camera count. In **per-stream style** every stream's pipeline owns
-//! a private extractor and runs it inside its job.
+//! The node owns every base DNN: one [`crate::FeatureExtractor`] per
+//! (base-DNN config, resolution) bucket, built when the bucket's first
+//! stream is added, which deploys, calibrates ([`EdgeNode::calibrate`])
+//! and takes the precision knobs. Every stream is a
+//! [`FilterForward::new_deferred`] pipeline with no backbone of its own,
+//! and its jobs extract through the bucket's one weight set, immutably, in
+//! one activation scratch per pool slot — so weights scale with buckets and
+//! activations with pool width, neither with camera count (the paper's
+//! §3.1: one base DNN whose feature maps every microclassifier shares).
 //!
 //! # Why every trace replays
 //!
@@ -45,7 +43,7 @@
 //! verdicts are **bit-for-bit identical** to a serial
 //! [`FilterForward::process`] loop, and every sensor, control decision,
 //! fault event, and span is a pure function of (round, stream content):
-//! identical across runs, pool widths, batch sizes, and core counts.
+//! identical across runs, pool widths, round caps, and core counts.
 //!
 //! # Stream tasks
 //!
@@ -55,9 +53,9 @@
 //!       ▲                                                  │
 //!       │    round with no arrival and an empty mailbox    │ infer → collect
 //!       └──────────────────────────────────────────────────┘ (≤ 1 frame per
-//!                                                             round per-stream;
-//!    Awake / Sleeping ──watchdog quarantine──▶ Suspended     up to the cap in
-//!    Suspended ──readmit──▶ Awake or Sleeping (by mailbox)   gather style)
+//!                                                             pass, up to the
+//!    Awake / Sleeping ──watchdog quarantine──▶ Suspended     round's cap)
+//!    Suspended ──readmit──▶ Awake or Sleeping (by mailbox)
 //!    any ──source End, mailbox drained, pipeline flushed──▶ Ended
 //!    any ──stage panic past the restart budget──▶ Killed (circuit breaker)
 //! ```
@@ -66,11 +64,10 @@
 //! channel, or inference workspace, which is what lets one node carry
 //! 1000+ mostly-idle duty-cycled cameras: admission prices each stream by
 //! its [`ff_video::FrameSource::duty_fraction`] (see
-//! [`EdgeNode::try_add_stream`]), and in gather style the sleepers do not
-//! even hold a base-DNN instance — the node holds one per bucket, so
-//! mixed-resolution fleets still share weights per resolution. Calibrate
-//! through [`EdgeNode::calibrate`], which reaches whichever backbone serves
-//! each stream.
+//! [`EdgeNode::try_add_stream`]), and the sleepers do not even hold a
+//! base-DNN instance — the node holds one per bucket, so mixed-resolution
+//! fleets still share weights per resolution. Calibrate through
+//! [`EdgeNode::calibrate`], which reaches each bucket's backbone.
 
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -91,7 +88,7 @@ use crate::faults::{
     FaultEventKind, FaultPlan, FaultTrace, FaultsReport, RecoveringUplink, RecoveryConfig,
 };
 use crate::pipeline::{
-    default_taps, Backbone, FilterForward, FrameVerdict, PhaseTimers, PipelineConfig, PipelineStats,
+    default_taps, FilterForward, FrameVerdict, PhaseTimers, PipelineConfig, PipelineStats,
 };
 use crate::spec::McSpec;
 use crate::task::StreamTask;
@@ -103,9 +100,9 @@ pub struct StreamId(pub usize);
 
 /// Frames a task's mailbox holds before the loop stops polling its
 /// source: the stream's next frame then arrives at a later round instead of
-/// growing the mailbox (the camera's clock stalls with it). Leaves room
-/// above [`crate::control::BatchPolicy::grow_backlog`] so the batch sizer
-/// sees real backlog before the bound engages.
+/// growing the mailbox (the camera's clock stalls with it). A backlog this
+/// deep is what selection's extra passes drain once a round's cap leaves
+/// room, and what [`crate::control::StreamTelemetry::queue_depth`] reports.
 const MAILBOX_CAP: usize = 4;
 
 /// The node's thread budget: the width of the one [`PoolShard`] every
@@ -136,9 +133,11 @@ impl ShardLayout {
     }
 }
 
-/// Gather-batch settings (see the [module docs](self)): how many frames a
-/// round serves — one per stream with mail, then extras round-robin, up to
-/// `max_batch` — each through its bucket's shared base DNN.
+/// The round cap (see the [module docs](self)): how many frames a round
+/// serves — one per stream with mail per pass, passes from a rotating
+/// start, up to `max_batch`. Fixed for the whole run. The name is the
+/// batched pass's, which is gone; it stays because `ffbench/` still
+/// constructs it, and goes with a benchmark change (see ROADMAP).
 #[derive(Debug, Clone, Copy)]
 pub struct GatherBatch {
     /// Most frames served per round. With fewer streams than this, a
@@ -171,16 +170,16 @@ pub struct EdgeNodeConfig {
     /// Bounds the uplink send queue; uploads beyond it are dropped
     /// (counted in [`NodeStats::uplink_dropped`]). `None` = unbounded.
     pub uplink_queue_limit_bytes: Option<u64>,
-    /// `Some` switches the node to gather-batch execution: the node owns one
-    /// base DNN per (config, resolution) bucket, which every stream of the
-    /// bucket extracts through inside its own pool job, and serves up to
-    /// [`GatherBatch::max_batch`] frames per round; streams hold none.
-    /// `None` (the default) gives every stream a private base DNN, run
-    /// inside the stream's own pool job, one frame per round.
+    /// The round cap: `Some` serves up to [`GatherBatch::max_batch`]
+    /// frames per round; `None` (the default) serves up to the stream
+    /// count. Either way the node owns one base DNN per (config,
+    /// resolution) bucket, which every stream of the bucket extracts
+    /// through inside its own pool job. Kept under this name because
+    /// `ffbench/` still sets it (see ROADMAP).
     pub gather_batch: Option<GatherBatch>,
-    /// `Some` overrides every stream's base-DNN weight-panel precision at
-    /// run start (applied uniformly, so gather-batch streams keep one
-    /// shared config; see [`ff_tensor::Precision`] and
+    /// `Some` overrides every stream's base-DNN weight-panel precision
+    /// (applied uniformly, so streams that differ only in precision share
+    /// one bucket; see [`ff_tensor::Precision`] and
     /// [`crate::pipeline::FilterForward::set_precision`]). `None` (the
     /// default) respects each pipeline's own `MobileNetConfig::precision`.
     pub precision: Option<ff_tensor::Precision>,
@@ -241,7 +240,8 @@ impl EdgeNodeConfig {
         }
     }
 
-    /// Enables gather-batch execution (builder style).
+    /// Sets the round cap (builder style; see [`Self::gather_batch`]).
+    /// Kept because `ffbench/` still calls it (see ROADMAP).
     pub fn with_gather_batch(mut self, gb: GatherBatch) -> Self {
         self.gather_batch = Some(gb);
         self
@@ -261,9 +261,8 @@ impl EdgeNodeConfig {
         self
     }
 
-    /// **A no-op.** A gather-style node always shares one backbone per
-    /// (base-DNN config, resolution) bucket across its streams, and
-    /// per-stream style always keeps one per stream. Kept only because
+    /// **A no-op.** A node always shares one backbone per (base-DNN
+    /// config, resolution) bucket across its streams. Kept only because
     /// `ffbench/` still calls it (see ROADMAP).
     pub fn with_shared_backbone(self) -> Self {
         self
@@ -412,9 +411,8 @@ impl ObsReport {
 struct StreamEntry {
     source: Box<dyn FrameSource>,
     ff: FilterForward,
-    /// The gather-style bucket whose extractor serves this stream; `None`
-    /// in per-stream style, where the pipeline owns its extractor.
-    bucket: Option<usize>,
+    /// The bucket whose extractor serves this stream.
+    bucket: usize,
 }
 
 /// A multi-stream edge node.
@@ -428,10 +426,9 @@ struct StreamEntry {
 pub struct EdgeNode {
     cfg: EdgeNodeConfig,
     streams: Vec<StreamEntry>,
-    /// Gather style's base DNNs: one per (base-DNN config, resolution)
-    /// bucket, built when its first stream is added (see
-    /// [`Self::try_add_stream`]). Empty in per-stream style.
-    buckets: Vec<GatherBucket>,
+    /// The node's base DNNs: one per (base-DNN config, resolution) bucket,
+    /// built when its first stream is added (see [`Self::try_add_stream`]).
+    buckets: Vec<Bucket>,
     /// Base-DNN instance bytes committed by admitted streams, weighted by
     /// each stream's duty fraction (maintained only while
     /// [`EdgeNodeConfig::admission`] is configured, so nodes without
@@ -571,18 +568,16 @@ impl EdgeNode {
             }
         }
         let id = StreamId(self.streams.len());
-        let (ff, bucket) = match self.cfg.gather_batch {
-            Some(_) => (
-                FilterForward::new_deferred(pipeline),
-                Some(self.bucket_for(&pipeline)),
-            ),
-            None => (FilterForward::new(pipeline), None),
-        };
-        self.streams.push(StreamEntry { source, ff, bucket });
+        let bucket = self.bucket_for(&pipeline);
+        self.streams.push(StreamEntry {
+            source,
+            ff: FilterForward::new_deferred(pipeline),
+            bucket,
+        });
         Ok(id)
     }
 
-    /// The gather-style bucket a stream of this pipeline joins — keyed by
+    /// The bucket a stream of this pipeline joins — keyed by
     /// the base-DNN config it will run (the node precision override
     /// applied) and its resolution — built with its extractor when the
     /// bucket's first stream arrives.
@@ -591,12 +586,11 @@ impl EdgeNode {
             .cfg
             .precision
             .map_or(pipeline.mobilenet, |p| pipeline.mobilenet.with_precision(p));
-        let key =
-            |b: &GatherBucket| *b.ex.config() == config && b.resolution == pipeline.resolution;
+        let key = |b: &Bucket| *b.ex.config() == config && b.resolution == pipeline.resolution;
         if let Some(b) = self.buckets.iter().position(key) {
             return b;
         }
-        self.buckets.push(GatherBucket {
+        self.buckets.push(Bucket {
             ex: FeatureExtractor::new(config, default_taps()),
             resolution: pipeline.resolution,
         });
@@ -624,34 +618,30 @@ impl EdgeNode {
         self.streams.len()
     }
 
-    /// Deploys a microclassifier on one stream. In gather style the tap is
-    /// registered on the stream's bucket extractor, which also resolves its
-    /// shapes ([`FilterForward::deploy_with`]); the resulting MC is
-    /// identical to an eager deploy's.
+    /// Deploys a microclassifier on one stream. The tap is registered on
+    /// the stream's bucket extractor, which also resolves its shapes
+    /// ([`FilterForward::deploy_with`]); the resulting MC is identical to
+    /// an eager deploy's.
     pub fn deploy(&mut self, stream: StreamId, spec: McSpec) -> McId {
         let e = &mut self.streams[stream.0];
-        let Some(b) = e.bucket else {
-            return e.ff.deploy(spec);
-        };
-        let ex = &mut self.buckets[b].ex;
+        let ex = &mut self.buckets[e.bucket].ex;
         ex.ensure_tap(&spec.tap);
         e.ff.deploy_with(spec, ex)
     }
 
     /// Mutable access to a stream's pipeline (install trained MC weights,
-    /// tune thresholds) before running. A gather-style stream's pipeline
-    /// has no extractor: deploy through [`Self::deploy`] and calibrate
-    /// through [`Self::calibrate`].
+    /// tune thresholds) before running. A node stream's pipeline has no
+    /// extractor: deploy through [`Self::deploy`] and calibrate through
+    /// [`Self::calibrate`].
     pub fn pipeline_mut(&mut self, stream: StreamId) -> &mut FilterForward {
         &mut self.streams[stream.0].ff
     }
 
-    /// Calibrates **every** stream's base DNN from the same sample frames:
-    /// each per-stream-style stream's own extractor, and each gather-style
-    /// bucket's extractor (from the frames at the bucket's resolution when
-    /// the node has more than one bucket), so both styles stay
-    /// bit-identical to a serial pipeline calibrated the same way. In
-    /// gather style, calibrate through this method, not per-stream
+    /// Calibrates **every** bucket's base DNN from the same sample frames
+    /// (from the frames at the bucket's resolution when the node has more
+    /// than one bucket), so each stream stays bit-identical to a serial
+    /// pipeline calibrated the same way, and marks every stream's pipeline
+    /// calibrated. Calibrate through this method, not per-stream
     /// [`FilterForward::calibrate`], which cannot reach the node's
     /// extractor.
     ///
@@ -672,8 +662,8 @@ impl EdgeNode {
                 .collect();
             assert!(
                 !mixed || !tensors.is_empty(),
-                "mixed-resolution gather needs calibration frames at every \
-                 resolution: none matched {}x{}",
+                "a node with several buckets needs calibration frames at every \
+                 bucket's resolution: none matched {}x{}",
                 b.resolution.width,
                 b.resolution.height
             );
@@ -691,40 +681,33 @@ impl EdgeNode {
     /// plane** (see [`crate::control`]): the lock-step **virtual-time**
     /// round loop of the [module docs](self). Each round every open stream
     /// is polled once ([`FrameSource::poll_frame`], so sources can idle
-    /// without ending), decoded frames land in per-stream task mailboxes,
-    /// the mailboxes are served, and every [`ControlConfig::tick_frames`]
+    /// without ending), arrived frames' pixels land in per-stream task
+    /// mailboxes, the mailboxes are served, and every [`ControlConfig::tick_frames`]
     /// rounds the [`Controller`] snapshots the sensors and moves the knobs.
     /// Every Sleeping → Awake edge lands in [`ControlledReport::wakes`].
     ///
-    /// Every round serves through one block: select frames from the
-    /// mailboxes, then one pool job per stream with selected frames runs
-    /// its base DNN, MCs, smoothing, re-encode and archive. The two styles,
-    /// chosen by [`EdgeNodeConfig::gather_batch`], differ in selection and
-    /// in who owns the base DNN:
+    /// Every round serves through one block: selection makes passes over
+    /// the streams from a rotating scan start (so no stream monopolizes the
+    /// round), at most one frame per stream per pass, until it holds the
+    /// round's cap — [`EdgeNodeConfig::gather_batch`]'s `max_batch`, or the
+    /// stream count — or the mailboxes run dry. Then one pool job per
+    /// stream with selected frames extracts them through its (base-DNN
+    /// config, resolution) bucket's shared extractor, in the scratch of the
+    /// pool slot running it, and runs its MCs, smoothing, re-encode and
+    /// archive.
     ///
-    /// * **gather style** (`Some`): selection repeats passes from a
-    ///   rotating scan start (so no stream monopolizes the round) until it
-    ///   holds `max_batch` frames, which the *batch policy* resizes live;
-    ///   each job extracts its frames through its (base-DNN config,
-    ///   resolution) bucket's shared extractor, in the scratch of the pool
-    ///   slot running it.
-    /// * **per-stream style** (`None`): selection makes one pass from
-    ///   stream 0, so each stream serves at most one frame per round, and
-    ///   each job runs its stream's private extractor.
-    ///
-    /// A scripted stage panic ([`FaultPlan`]) is isolated at selection in
-    /// both styles: the frame is lost and the stage restarts (or the
-    /// circuit breaker kills the stream) before anything runs, in selection
-    /// order. The degradation ladder applies in both styles. When no policy
-    /// fires, per-stream verdicts are bit-identical to a serial
+    /// A scripted stage panic ([`FaultPlan`]) is isolated at selection:
+    /// the frame is lost and the stage restarts (or the circuit breaker
+    /// kills the stream) before anything runs, in selection order. When no
+    /// policy fires, per-stream verdicts are bit-identical to a serial
     /// [`FilterForward::process`] loop over the same streams.
     ///
     /// # Panics
     ///
     /// Panics if no streams are registered, the control config or fault
     /// plan is invalid (see [`Controller::new`], [`FaultPlan::validate`]),
-    /// or gather style meets a stream calibrated or re-quantized behind the
-    /// node's back (see [`Self::calibrate`]). A panic inside a pool job —
+    /// or a stream was calibrated or re-quantized behind the node's back
+    /// (see [`Self::calibrate`]). A panic inside a pool job —
     /// a stream with no MCs deployed, or any bug — is not a scripted fault:
     /// it ends the run, re-raised on the calling thread once the round's
     /// other jobs have finished.
@@ -733,8 +716,8 @@ impl EdgeNode {
             !self.streams.is_empty(),
             "add at least one stream before running"
         );
-        // The node-level precision override: every stream quantizes one
-        // uniform weight set (gather buckets were built with it already).
+        // The node-level precision override: the buckets were built with
+        // it; each stream's pipeline records it for the check below.
         if let Some(p) = self.cfg.precision {
             for s in &mut self.streams {
                 s.ff.set_precision(p);
@@ -753,17 +736,15 @@ impl EdgeNode {
         } = self;
         let n = streams.len();
         for e in &streams {
-            if let Some(b) = e.bucket {
-                let ex = &buckets[b].ex;
-                assert!(
-                    e.ff.is_calibrated() == ex.is_calibrated() && e.ff.base_config() == ex.config(),
-                    "gather-batch mode requires calibration through EdgeNode::calibrate and \
-                     precision through EdgeNodeConfig::precision, not per-stream \
-                     FilterForward::calibrate or set_precision"
-                );
-            }
+            let ex = &buckets[e.bucket].ex;
+            assert!(
+                e.ff.is_calibrated() == ex.is_calibrated() && e.ff.base_config() == ex.config(),
+                "a node stream requires calibration through EdgeNode::calibrate and \
+                 precision through EdgeNodeConfig::precision, not per-stream \
+                 FilterForward::calibrate or set_precision"
+            );
         }
-        let bucket_of: Vec<Option<usize>> = streams.iter().map(|e| e.bucket).collect();
+        let bucket_of: Vec<usize> = streams.iter().map(|e| e.bucket).collect();
 
         // The recovery layer always wraps the link (a pass-through when no
         // plan is scheduled); the report carries Some only with a plan.
@@ -792,11 +773,9 @@ impl EdgeNode {
         // no fault-machinery API changes needed.
         let mut fault_cursor = 0usize;
 
-        // Service-style state: gather style's batch capacity (the batch
-        // policy resizes it live; 0 in per-stream style). Both styles run
-        // on ONE budget-wide pool; no stream owns a thread.
-        let gather = cfg.gather_batch.is_some();
-        let mut cur_batch = cfg.gather_batch.map_or(0, |gb| gb.max_batch.max(1));
+        // The round's cap, fixed for the run, and ONE budget-wide pool; no
+        // stream owns a thread.
+        let cap = cfg.gather_batch.map_or(n, |gb| gb.max_batch.max(1));
         let mut shard = PoolShard::new(cfg.shards.budget());
         // The jobs' scratch: one input tensor, workspace and map set per
         // pool slot (empty until a job uses it), so decoded frames and
@@ -814,8 +793,7 @@ impl EdgeNode {
         // One ladder means one weight-precision knob: with the degradation
         // policy armed, every stream must start at the same precision or
         // the ladder (built from stream 0's) would silently re-quantize a
-        // lower-precision stream *upwards*. Gather style already asserts
-        // per-bucket config homogeneity; per-stream style must check here.
+        // lower-precision bucket *upwards*.
         if ctl.degrade.is_some() {
             for s in &streams {
                 assert_eq!(
@@ -831,7 +809,6 @@ impl EdgeNode {
             ctl,
             ControllerInit {
                 streams: n,
-                initial_batch: cur_batch,
                 base_precision,
             },
         );
@@ -890,23 +867,17 @@ impl EdgeNode {
             }
 
             // 2. Service. Selection takes at most one frame per stream per
-            //    pass over the streams: per-stream style makes one pass from
-            //    stream 0, gather style repeats passes from a rotating scan
-            //    start, so no stream monopolizes the batch, until it holds
-            //    `cur_batch` frames or the mailboxes run dry.
+            //    pass over the streams, repeating passes from a rotating
+            //    scan start, so no stream monopolizes the round, until it
+            //    holds `cap` frames or the mailboxes run dry.
             meta.clear();
-            let (start, cap) = if gather {
-                (scan_start, cur_batch)
-            } else {
-                (0, n)
-            };
             'select: loop {
                 let mut progressed = false;
                 for i in 0..n {
                     if meta.len() == cap {
                         break 'select;
                     }
-                    let s = (start + i) % n;
+                    let s = (scan_start + i) % n;
                     if kills.contains(&s) {
                         continue;
                     }
@@ -921,7 +892,7 @@ impl EdgeNode {
                         .position(|p| p.stream == s && p.at_frame == k)
                     {
                         // A scripted stage crash, isolated before anything
-                        // runs, so a shared batch cannot take innocent
+                        // runs, so a shared round cannot take innocent
                         // frames down with it: this stream's frame is lost
                         // and its stage restarts (or the breaker kills the
                         // stream), while every other stream's round
@@ -947,7 +918,7 @@ impl EdgeNode {
                         frame: Some(frame),
                     });
                 }
-                if !progressed || !gather {
+                if !progressed {
                     break;
                 }
             }
@@ -957,11 +928,10 @@ impl EdgeNode {
                 // One pool job per stream with selected frames, which it
                 // decodes and serves in selection order, its base DNN
                 // included: each frame is converted into the input tensor
-                // of the pool slot running the job, then goes through the
-                // stream's own extractor or — gather style — its bucket's
-                // shared one, in the same slot's scratch. A job touches
-                // only its own task and that scratch, so nothing observes
-                // which core ran it or when.
+                // of the pool slot running the job, then goes through its
+                // bucket's shared extractor in the same slot's scratch. A
+                // job touches only its own task and that scratch, so
+                // nothing observes which core ran it or when.
                 meta.sort_unstable_by_key(|sel| (sel.stream, sel.seq));
                 let mut rest = tasks.iter_mut().enumerate();
                 let mut jobs: Vec<ServiceJob> = Vec::with_capacity(meta.len());
@@ -975,14 +945,13 @@ impl EdgeNode {
                             ServiceJob {
                                 task,
                                 frames,
-                                shared: bucket_of[s].map(|b| &buckets[b].ex),
+                                ex: &buckets[bucket_of[s]].ex,
                             }
                         }),
                 );
                 let outcomes = shard.run_items(&mut jobs, |_, job| {
                     let StreamTask { ff, pending, .. } = &mut *job.task;
                     let ff = ff.as_mut().expect("open stream has a pipeline");
-                    let t = Instant::now();
                     let (mut extract, mut decode) = (Duration::ZERO, Duration::ZERO);
                     // A poisoned slot is still sound scratch: decode
                     // overwrites the input, extraction recycles whatever the
@@ -993,49 +962,29 @@ impl EdgeNode {
                     let SlotScratch { ws, maps, input } = &mut *slot;
                     for sel in job.frames.iter_mut() {
                         let frame = sel.frame.take().expect("a frame is served once");
-                        let td = Instant::now();
+                        let t = Instant::now();
                         frame.to_tensor_into(input);
-                        let wall = td.elapsed();
-                        decode += wall;
-                        ff.credit_decode(wall);
-                        let backbone = match job.shared {
-                            Some(ex) => {
-                                let te = Instant::now();
-                                ex.extract_into(input, ws, maps);
-                                Backbone::Shared(maps, te.elapsed())
-                            }
-                            None => Backbone::Own(input),
-                        };
-                        extract += ff.serve_into(frame, backbone, pending);
+                        let decoded = t.elapsed();
+                        decode += decoded;
+                        ff.credit_decode(decoded);
+                        let t = Instant::now();
+                        job.ex.extract_into(input, ws, maps);
+                        let extracted = t.elapsed();
+                        extract += extracted;
+                        ff.serve_into(frame, maps, extracted, pending);
                     }
-                    (t.elapsed(), extract, decode)
+                    (extract, decode)
                 });
                 // A panic here is a bug, not a scripted fault (those were
                 // isolated at selection): it ends the run, re-raised here
                 // once the round's other jobs have finished.
                 for (job, outcome) in jobs.iter().zip(outcomes) {
-                    let (wall, extract, decode) =
+                    let (extract, decode) =
                         outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
                     sensors.on_decode_wall(decode, job.frames.len());
-                    let s = job.frames[0].stream;
-                    match bucket_of[s] {
-                        Some(b) => {
-                            bucket_extract[b].0 += extract;
-                            bucket_extract[b].1 += job.frames.len();
-                        }
-                        None => {
-                            // The stream ran its own backbone inside the
-                            // job: its extraction is the wall cell, as in
-                            // gather style, and the whole job its
-                            // inference span.
-                            sensors.on_extract_wall(extract, job.frames.len());
-                            if let Some(t) = tracer.as_mut() {
-                                let mut sp = Span::new(round, s as u32, "infer", "serve", 1);
-                                sp.wall_nanos = wall.as_nanos() as u64;
-                                t.emit(sp);
-                            }
-                        }
-                    }
+                    let b = &mut bucket_extract[bucket_of[job.frames[0].stream]];
+                    b.0 += extract;
+                    b.1 += job.frames.len();
                 }
                 // One extract span per bucket that served frames: the
                 // frame count, and the sum of their extraction walls — CPU
@@ -1141,7 +1090,7 @@ impl EdgeNode {
                 let depths: Vec<usize> = tasks.iter().map(StreamTask::mailbox_depth).collect();
                 let wake_ages: Vec<u64> = tasks.iter().map(StreamTask::rounds_since_wake).collect();
                 let tick_faults = rec.take_tick();
-                let mut snap = sensors.snapshot(round, &depths, &wake_ages, rec.link(), cur_batch);
+                let mut snap = sensors.snapshot(round, &depths, &wake_ages, rec.link(), cap);
                 let restarts_cum = restarts_cell.get();
                 let restarts_tick = restarts_cum - last_restarts;
                 last_restarts = restarts_cum;
@@ -1160,7 +1109,6 @@ impl EdgeNode {
                 let plan = controller.observe(&snap);
                 for action in &plan.actions {
                     match action {
-                        ControlAction::SetMaxBatch { to, .. } => cur_batch = *to,
                         ControlAction::SetPrecision { to, .. } => {
                             for bucket in &mut buckets {
                                 bucket.ex.set_precision(*to);
@@ -1283,8 +1231,8 @@ struct Selected {
 }
 
 /// One pool slot's service scratch, used by one job at a time: the frame
-/// being served decoded to a tensor, and — gather style — the activations
-/// of its pass through the bucket's shared extractor.
+/// being served decoded to a tensor, and the activations of its pass
+/// through the bucket's shared extractor.
 #[derive(Default)]
 struct SlotScratch {
     ws: Workspace,
@@ -1294,17 +1242,17 @@ struct SlotScratch {
 
 /// One service pool job: a stream's task on loan for the span of the
 /// round's dispatch, the round's selected frames that are that stream's (in
-/// selection order), and — in gather style — its bucket's shared extractor.
+/// selection order), and its bucket's shared extractor.
 struct ServiceJob<'a> {
     task: &'a mut StreamTask,
     frames: &'a mut [Selected],
-    shared: Option<&'a FeatureExtractor>,
+    ex: &'a FeatureExtractor,
 }
 
-/// One gather-style **bucket**: the node's extractor for a (base-DNN
+/// One **bucket**: the node's extractor for a (base-DNN
 /// config, resolution) class of streams — one weight set, which every job
 /// of the bucket's streams extracts through at once.
-struct GatherBucket {
+struct Bucket {
     ex: FeatureExtractor,
     resolution: Resolution,
 }
@@ -1373,7 +1321,7 @@ mod tests {
     use super::*;
     use crate::archive::ArchiveConfig;
     use ff_models::MobileNetConfig;
-    use ff_video::scene::SceneConfig;
+    use ff_video::scene::{Scene, SceneConfig};
     use ff_video::{Resolution, SceneSource};
 
     fn tiny_pipeline(res: Resolution) -> PipelineConfig {
@@ -1468,61 +1416,6 @@ mod tests {
         assert!(report.node.pipeline.bytes_archived > 0);
     }
 
-    /// Per-stream style reports extraction alone to the wall cells, as
-    /// gather style does: on a node where every frame matches and is
-    /// archived, its jobs spend much of their wall re-encoding and
-    /// recording, so the extract cell stays below the job walls (the
-    /// `infer/serve` spans) minus the decode cell.
-    #[test]
-    fn per_stream_extract_cell_is_extraction_alone() {
-        let res = Resolution::new(64, 32);
-        let cfg = EdgeNodeConfig::new(ShardLayout::single(1)).with_obs(ObsConfig::default());
-        let mut node = EdgeNode::new(cfg);
-        for seed in [21, 22] {
-            let src = Box::new(SceneSource::new(scene_cfg(res, seed), 12));
-            let mut pipeline = tiny_pipeline(res);
-            pipeline.archive = Some(ArchiveConfig::default());
-            let id = node.add_stream(src, pipeline);
-            node.deploy(
-                id,
-                McSpec {
-                    threshold: 0.0,
-                    smoothing: crate::smoothing::SmoothingConfig { n: 1, k: 1 },
-                    ..McSpec::full_frame(format!("all{seed}"), seed)
-                },
-            );
-        }
-        let report = node.run_controlled(crate::control::ControlConfig::default());
-        assert_eq!(
-            report.node.pipeline.frames_uploaded, 24,
-            "every frame matches"
-        );
-        let obs = report.obs.expect("obs enabled");
-        let wall = |name: &str| {
-            obs.metrics
-                .entries
-                .iter()
-                .find(|e| e.key.subsystem == "wall" && e.key.name == name)
-                .map(|e| match e.value {
-                    ff_obs::MetricValue::Gauge(v) => v,
-                    _ => panic!("wall/{name} is a gauge"),
-                })
-                .expect("wall cell registered")
-        };
-        let jobs: f64 = obs
-            .spans
-            .iter()
-            .filter(|sp| sp.stage == "infer" && sp.kind == "serve")
-            .map(|sp| sp.wall_nanos as f64 * 1e-9)
-            .sum();
-        let (extract, decode) = (wall("extract_secs"), wall("decode_secs"));
-        assert!(extract > 0.0, "extraction was timed");
-        assert!(
-            extract < jobs - decode,
-            "extract {extract} s vs jobs {jobs} s minus decode {decode} s"
-        );
-    }
-
     #[test]
     fn gather_batch_mode_finalizes_every_frame() {
         let res = Resolution::new(64, 32);
@@ -1547,34 +1440,47 @@ mod tests {
     #[test]
     fn gather_fanout_reraises_a_job_panic_on_the_loop_thread() {
         // Stream 1 has no MC, which its pipeline refuses to serve — inside
-        // its pool job, beside stream 0's. In both styles the run must
-        // still die with that message, not lose it on a worker or fold it
-        // into a stage restart.
+        // its pool job, beside stream 0's. The run must still die with that
+        // message, not lose it on a worker or fold it into a stage restart.
         let res = Resolution::new(64, 32);
-        for gather in [Some(GatherBatch::default()), None] {
-            let mut cfg = EdgeNodeConfig::new(ShardLayout::single(2));
-            cfg.gather_batch = gather;
-            let mut node = EdgeNode::new(cfg);
-            for seed in [5, 6] {
-                let src = Box::new(SceneSource::new(scene_cfg(res, seed), 3));
-                let id = node.add_stream(src, tiny_pipeline(res));
-                if seed == 5 {
-                    node.deploy(id, McSpec::full_frame("mc", seed));
-                }
+        let mut node = EdgeNode::new(EdgeNodeConfig::new(ShardLayout::single(2)));
+        for seed in [5, 6] {
+            let src = Box::new(SceneSource::new(scene_cfg(res, seed), 3));
+            let id = node.add_stream(src, tiny_pipeline(res));
+            if seed == 5 {
+                node.deploy(id, McSpec::full_frame("mc", seed));
             }
-            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| node.run()))
-                .expect_err("a job's panic must end the run");
-            let msg = (payload.downcast_ref::<&str>().copied())
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-            assert!(
-                msg.is_some_and(|m| m.contains("deploy at least one MC")),
-                "{gather:?}: {msg:?}"
-            );
         }
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| node.run()))
+            .expect_err("a job's panic must end the run");
+        let msg = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert!(
+            msg.is_some_and(|m| m.contains("deploy at least one MC")),
+            "{msg:?}"
+        );
+    }
+
+    /// The serial reference: `frames` frames of scene `seed` through a
+    /// private-extractor pipeline's [`FilterForward::process`].
+    fn serial_gold(pipeline: PipelineConfig, seed: u64, frames: usize) -> Vec<FrameVerdict> {
+        let mut ff = FilterForward::new(pipeline);
+        ff.deploy(McSpec::full_frame(format!("mc{seed}"), seed));
+        let mut scene = Scene::new(scene_cfg(pipeline.resolution, seed));
+        let mut out = Vec::new();
+        for _ in 0..frames {
+            out.extend(ff.process(&scene.step().0));
+        }
+        out.extend(ff.finish().0);
+        out
     }
 
     #[test]
-    fn gather_batch_verdicts_match_per_stream_mode() {
+    fn verdicts_match_across_round_caps() {
+        // The cap moves which round serves a frame, never its verdict: one
+        // frame a round, fewer than the streams, and no cap (the stream
+        // count) all reproduce the serial pipeline, and every stream is
+        // served from the node's bucket extractor.
         let res = Resolution::new(64, 32);
         let build = |gather: Option<GatherBatch>| {
             let mut cfg = EdgeNodeConfig::new(ShardLayout::single(1));
@@ -1584,33 +1490,35 @@ mod tests {
                 let src = Box::new(SceneSource::new(scene_cfg(res, seed), 8));
                 let id = node.add_stream(src, tiny_pipeline(res));
                 node.deploy(id, McSpec::full_frame(format!("mc{seed}"), seed));
-                // Gather style serves every stream from the node's bucket
-                // extractor; per-stream style keeps a private one.
-                assert_eq!(node.pipeline_mut(id).is_deferred(), gather.is_some());
+                assert!(node.pipeline_mut(id).is_deferred());
             }
             node.run()
         };
-        let streamed = build(None);
-        let gathered = build(Some(GatherBatch {
-            max_batch: 4,
-            gather_wait: Duration::from_millis(1),
-        }));
-        for (a, b) in streamed.streams.iter().zip(&gathered.streams) {
-            assert_eq!(a.verdicts, b.verdicts, "stream {:?}", a.id);
+        let cap = |max_batch| {
+            Some(GatherBatch {
+                max_batch,
+                gather_wait: Duration::from_millis(1),
+            })
+        };
+        for gather in [None, cap(1), cap(4)] {
+            let report = build(gather);
+            for (sr, seed) in report.streams.iter().zip([11, 12]) {
+                let gold = serial_gold(tiny_pipeline(res), seed, 8);
+                assert_eq!(sr.verdicts, gold, "{gather:?} stream {:?}", sr.id);
+            }
         }
     }
 
     #[test]
-    fn precision_override_is_deterministic_across_modes() {
-        // A whole-int8 node must produce the same verdicts in per-stream
-        // and gather-batch execution: weights quantize once, to one shared
-        // set, activations quantize per frame, and integer accumulation
-        // makes batching bit-neutral.
+    fn precision_override_is_deterministic_across_round_caps() {
+        // A whole-int8 node must produce the verdicts of a serial
+        // whole-int8 pipeline at any cap: weights quantize once, to one
+        // shared set, and activations quantize per frame.
         let res = Resolution::new(64, 32);
-        let build = |gather: Option<GatherBatch>, precision| {
+        let build = |gather: Option<GatherBatch>| {
             let mut cfg = EdgeNodeConfig::new(ShardLayout::single(1));
             cfg.gather_batch = gather;
-            cfg.precision = precision;
+            cfg.precision = Some(ff_tensor::Precision::Int8Act);
             let mut node = EdgeNode::new(cfg);
             for seed in [21, 22] {
                 let src = Box::new(SceneSource::new(scene_cfg(res, seed), 8));
@@ -1619,32 +1527,34 @@ mod tests {
             }
             node.run()
         };
-        let p = Some(ff_tensor::Precision::Int8Act);
-        let streamed = build(None, p);
-        let gathered = build(
-            Some(GatherBatch {
-                max_batch: 4,
-                gather_wait: Duration::from_millis(1),
-            }),
-            p,
-        );
-        for (a, b) in streamed.streams.iter().zip(&gathered.streams) {
-            assert_eq!(a.verdicts, b.verdicts, "stream {:?}", a.id);
+        let mut int8 = tiny_pipeline(res);
+        int8.mobilenet = int8.mobilenet.with_precision(ff_tensor::Precision::Int8Act);
+        let capped = build(Some(GatherBatch {
+            max_batch: 4,
+            gather_wait: Duration::from_millis(1),
+        }));
+        for (sr, seed) in capped.streams.iter().zip([21, 22]) {
+            assert_eq!(
+                sr.verdicts,
+                serial_gold(int8, seed, 8),
+                "stream {:?}",
+                sr.id
+            );
         }
-        // Re-running the same config reproduces itself bit-for-bit.
-        let again = build(None, p);
-        for (a, b) in streamed.streams.iter().zip(&again.streams) {
-            assert_eq!(a.verdicts, b.verdicts, "rerun {:?}", a.id);
+        // No cap, and a rerun of it, reproduce it bit-for-bit.
+        for _ in 0..2 {
+            let again = build(None);
+            for (a, b) in capped.streams.iter().zip(&again.streams) {
+                assert_eq!(a.verdicts, b.verdicts, "rerun {:?}", a.id);
+            }
         }
     }
 
     #[test]
     #[should_panic(expected = "calibration through EdgeNode::calibrate")]
-    fn gather_batch_rejects_per_stream_calibration() {
+    fn node_rejects_per_stream_calibration() {
         let res = Resolution::new(64, 32);
-        let cfg =
-            EdgeNodeConfig::new(ShardLayout::single(1)).with_gather_batch(GatherBatch::default());
-        let mut node = EdgeNode::new(cfg);
+        let mut node = EdgeNode::new(EdgeNodeConfig::new(ShardLayout::single(1)));
         let src = Box::new(SceneSource::new(scene_cfg(res, 3), 2));
         let id = node.add_stream(src, tiny_pipeline(res));
         node.deploy(id, McSpec::full_frame("mc", 3));
@@ -1654,31 +1564,57 @@ mod tests {
         let _ = node.run();
     }
 
+    /// Three streams at two base-DNN widths: one bucket per width.
+    fn mixed_width_node(gather: Option<GatherBatch>) -> EdgeNode {
+        let res = Resolution::new(64, 32);
+        let mut cfg = EdgeNodeConfig::new(ShardLayout::single(2));
+        cfg.gather_batch = gather;
+        let mut node = EdgeNode::new(cfg);
+        for (seed, width) in MIXED_WIDTHS {
+            let src = Box::new(SceneSource::new(scene_cfg(res, seed), 6));
+            let mut p = tiny_pipeline(res);
+            p.mobilenet = MobileNetConfig::with_width(width);
+            let id = node.add_stream(src, p);
+            node.deploy(id, McSpec::full_frame(format!("mc{seed}"), seed));
+        }
+        node
+    }
+
+    const MIXED_WIDTHS: [(u64, f32); 3] = [(1, 0.25), (2, 0.5), (3, 0.25)];
+
+    fn assert_mixed_width_gold(report: &ControlledReport) {
+        for (sr, (seed, width)) in report.streams.iter().zip(MIXED_WIDTHS) {
+            let mut p = tiny_pipeline(Resolution::new(64, 32));
+            p.mobilenet = MobileNetConfig::with_width(width);
+            assert_eq!(sr.verdicts.len(), 6);
+            assert_eq!(sr.verdicts, serial_gold(p, seed, 6), "stream {:?}", sr.id);
+        }
+    }
+
     #[test]
     fn gather_batch_buckets_mixed_base_dnn_configs() {
-        // Two base-DNN widths cannot share one weight set; gather style
-        // gives each its own bucket and every verdict still equals the
-        // per-stream style's.
-        let res = Resolution::new(64, 32);
-        let build = |gather: Option<GatherBatch>| {
-            let mut cfg = EdgeNodeConfig::new(ShardLayout::single(1));
-            cfg.gather_batch = gather;
-            let mut node = EdgeNode::new(cfg);
-            for (seed, width) in [(1u64, 0.25f32), (2, 0.5), (3, 0.25)] {
-                let src = Box::new(SceneSource::new(scene_cfg(res, seed), 6));
-                let mut p = tiny_pipeline(res);
-                p.mobilenet = MobileNetConfig::with_width(width);
-                let id = node.add_stream(src, p);
-                node.deploy(id, McSpec::full_frame(format!("mc{seed}"), seed));
-            }
-            node.run()
-        };
-        let streamed = build(None);
-        let gathered = build(Some(GatherBatch::default()));
-        for (a, b) in streamed.streams.iter().zip(&gathered.streams) {
-            assert_eq!(a.verdicts.len(), 6);
-            assert_eq!(a.verdicts, b.verdicts, "stream {:?}", a.id);
+        // Two base-DNN widths cannot share one weight set: each gets its
+        // own bucket, and at one frame a round — the streams backlogged
+        // behind each other — every verdict still equals the serial
+        // pipeline's.
+        let node = mixed_width_node(Some(GatherBatch {
+            max_batch: 1,
+            gather_wait: Duration::from_millis(1),
+        }));
+        assert_eq!(node.buckets.len(), 2);
+        assert_mixed_width_gold(&node.run());
+    }
+
+    #[test]
+    fn node_without_cap_extracts_through_one_backbone_per_bucket() {
+        // No cap set: still one extractor per (config, resolution) bucket,
+        // never one per stream, and every stream's pipeline is deferred.
+        let mut node = mixed_width_node(None);
+        assert_eq!(node.buckets.len(), 2, "two widths, two extractors");
+        for s in 0..node.stream_count() {
+            assert!(node.pipeline_mut(StreamId(s)).is_deferred(), "stream {s}");
         }
+        assert_mixed_width_gold(&node.run());
     }
 
     #[test]
@@ -1691,9 +1627,7 @@ mod tests {
     #[test]
     fn controlled_gather_finalizes_every_frame_and_logs_telemetry() {
         let res = Resolution::new(64, 32);
-        // Batch capacity 4 over 3 always-on streams: 75% fill, healthy —
-        // no policy should fire. (A batch of 8 here would legitimately
-        // trigger the shrink policy at 37% fill.)
+        // A cap of 4 over 3 always-on streams on a healthy link.
         let cfg = EdgeNodeConfig::new(ShardLayout::single(2)).with_gather_batch(GatherBatch {
             max_batch: 4,
             gather_wait: Duration::from_millis(1),
@@ -1717,12 +1651,12 @@ mod tests {
         assert!(!report.telemetry.is_empty());
         // Three always-on streams on a healthy link: nothing should fire.
         assert!(report.trace.is_empty(), "trace: {}", report.trace);
-        // Every telemetry snapshot saw the gather stage at work.
-        assert!(report.telemetry.iter().all(|t| t.gather.max_batch > 0));
+        // Every telemetry snapshot reports the fixed cap.
+        assert!(report.telemetry.iter().all(|t| t.gather.max_batch == 4));
     }
 
     #[test]
-    fn controlled_per_stream_finalizes_every_frame() {
+    fn controlled_node_without_cap_finalizes_every_frame() {
         let res = Resolution::new(64, 32);
         let mut node = EdgeNode::new(EdgeNodeConfig::new(ShardLayout::single(2)));
         for seed in [3, 4] {
@@ -1733,13 +1667,15 @@ mod tests {
         let report = node.run_controlled(crate::control::ControlConfig::default());
         assert_eq!(report.node.pipeline.frames_out, 20);
         assert!(report.trace.is_empty());
+        // No cap set: a round serves up to the stream count.
+        assert!(report.telemetry.iter().all(|t| t.gather.max_batch == 2));
     }
 
     #[test]
     #[should_panic(expected = "share one weight-panel precision")]
     fn controlled_degrade_rejects_mixed_precision_streams() {
-        // Per-stream style never asserts config homogeneity, but the ladder
-        // would force-sync an int8act stream up to stream 0's f32 rungs.
+        // Each precision gets a consistent bucket of its own, but the ladder
+        // would force-sync the int8act bucket up to stream 0's f32 rungs.
         let res = Resolution::new(64, 32);
         let mut node = EdgeNode::new(EdgeNodeConfig::new(ShardLayout::single(2)));
         for (seed, precision) in [

@@ -33,7 +33,7 @@
 use std::any::Any;
 use std::ops::Range;
 
-use ff_tensor::parallel::{parallel_row_blocks_scratch_mut, threads};
+use ff_tensor::parallel::{dispatch_threads, parallel_row_blocks_scratch_mut};
 use ff_tensor::{
     col2im, conv_gemm, gemm_fused, im2col_into, matmul_transpose_a, matmul_transpose_b,
     Conv2dGeometry, Epilogue, GemmB, PackedPanels, Padding, Precision, Tensor, Workspace,
@@ -672,15 +672,18 @@ impl<'a> BandPair<'a> {
     /// [`Layer::infer`] gives on the producer's, bit for bit, walked in
     /// bands (callers run a pair whose map fits one band as two layers).
     ///
-    /// The output rows of all frames split across the pool's threads once
-    /// (one dispatch), and each thread walks its rows band by band in its
-    /// own slice of one buffer from `ws`, recomputing the halo only where
-    /// its rows begin.
+    /// The output rows of all frames split across the threads the dispatch
+    /// really has ([`dispatch_threads`]: one inside another dispatch) once,
+    /// and each thread walks its rows band by band in its own slice of one
+    /// buffer from `ws`, recomputing the halo only where its rows begin.
     pub(crate) fn infer(&self, x: &Tensor, frames: usize, ws: &mut Workspace) -> Tensor {
         let (pgeo, dgeo, band) = self.plan(frame_dims(x, frames));
         let c = self.dw.c;
         let mut out = ws.take(stacked(&[frames, dgeo.out_h, dgeo.out_w, c]));
-        let t = threads().clamp(1, frames * dgeo.out_h);
+        // Cut only as many blocks as will really run side by side: inside
+        // a dispatch (an item of a multi-item pool job) that is one, and
+        // each further block would recompute its halo rows for nothing.
+        let t = dispatch_threads().clamp(1, frames * dgeo.out_h);
         let row_len = pgeo.out_w * self.producer.out_c;
         let band_len = ((band - 1) * dgeo.stride + dgeo.kh) * row_len;
         // One band buffer per thread.

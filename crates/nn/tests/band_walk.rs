@@ -7,7 +7,8 @@
 //! walks bit for bit, at both precisions, on a MobileNet-V1-shaped stack
 //! (the topology and layer names `ff_models::MobileNetConfig` builds)
 //! tapped where the feature extractor taps it — serially, inside a
-//! width-2 and a width-8 [`PoolShard`], and from two threads sharing one
+//! width-2 and a width-8 [`PoolShard`], as the items of one two-item
+//! [`PoolShard::run_items`] job, and from two threads sharing one
 //! `&Sequential`, each with its own [`Workspace`].
 
 use ff_nn::{ConvBnRelu, DepthwiseBnRelu, Layer, Precision, Sequential};
@@ -225,6 +226,37 @@ fn banded_walk_matches_layer_by_layer_in_a_two_wide_shard() {
             let got = shard.run(|| walked(&net, &x, batch, &taps, &mut Workspace::new()));
             let what = format!("shard {precision:?} alpha {alpha} {w}x{h} batch {batch}");
             assert_same(&got, &want, &what);
+        }
+    }
+}
+
+/// Two frames walked as the two items of one [`PoolShard::run_items`] job
+/// on a width-2 shard, each with its own workspace: the node's serving
+/// jobs. Each item's kernels run serially on the thread that claimed it,
+/// so a banded pair walks its rows as one block rather than cutting them
+/// into shard-width blocks that run one after another.
+#[test]
+fn banded_walk_matches_layer_by_layer_inside_a_two_item_pool_job() {
+    let shard = PoolShard::new(2);
+    for precision in [Precision::Int8Act, Precision::F32] {
+        let (alpha, (w, h)) = (0.5, (480, 270));
+        let mut net = backbone(alpha, precision);
+        let taps = taps_of(&net);
+        let both = frames(w, h, 2);
+        let len = both.len() / 2;
+        let inputs: Vec<Tensor> = (0..2)
+            .map(|b| Tensor::from_vec(vec![h, w, 3], both.data()[b * len..][..len].to_vec()))
+            .collect();
+        let want: Vec<_> = inputs
+            .iter()
+            .map(|x| layer_by_layer(&mut net, x, 1, &taps))
+            .collect();
+        let mut items: Vec<(&Tensor, Workspace)> =
+            inputs.iter().map(|x| (x, Workspace::new())).collect();
+        let got = shard.run_items(&mut items, |_, (x, ws)| walked(&net, x, 1, &taps, ws));
+        for (b, (g, w)) in got.into_iter().zip(&want).enumerate() {
+            let g = g.expect("the item's walk");
+            assert_same(&g, w, &format!("pool job {precision:?} item {b}"));
         }
     }
 }

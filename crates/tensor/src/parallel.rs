@@ -97,6 +97,21 @@ pub fn threads() -> usize {
     }
 }
 
+/// Threads a kernel dispatched from the calling thread will really run
+/// on: [`threads`], except inside a dispatch — on a pool worker, or on a
+/// submitter draining its own job (each item of a multi-item
+/// [`PoolShard::run_items`], say) — where every chunk runs serially on the
+/// calling thread and this is 1. A kernel whose chunks each pay a fixed
+/// cost (a halo recomputed at every cut) splits by this, not by
+/// [`threads`].
+pub fn dispatch_threads() -> usize {
+    if IS_WORKER.with(|w| w.get()) {
+        1
+    } else {
+        threads()
+    }
+}
+
 /// Cached `std::thread::available_parallelism()` — the std call re-reads
 /// cgroup quota files (and allocates) on every invocation, which would put
 /// filesystem traffic in every kernel dispatch.
@@ -1125,6 +1140,20 @@ mod tests {
         shard.run(|| assert_eq!(threads(), 3));
         assert_eq!(threads(), 7);
         set_threads(0);
+    }
+
+    #[test]
+    fn dispatch_threads_is_one_inside_a_multi_item_job() {
+        let shard = PoolShard::new(3);
+        shard.run(|| assert_eq!(dispatch_threads(), 3));
+        // One item runs inline on the submitter: its kernels keep the
+        // shard's fan-out.
+        let one = shard.run_items(&mut [()], |_, _| dispatch_threads());
+        assert_eq!(one.into_iter().map(Result::unwrap).collect::<Vec<_>>(), [3]);
+        // Several items run side by side, each kernel serially inside its
+        // item, on whichever thread claimed it.
+        let many = shard.run_items(&mut [(); 4], |_, _| dispatch_threads());
+        assert!(many.into_iter().all(|w| w.unwrap() == 1));
     }
 
     #[test]

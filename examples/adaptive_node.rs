@@ -1,22 +1,19 @@
 //! The adaptive node control plane in action: four street cameras — two
 //! always on, two that sleep through the night and return at dawn — share
 //! one constrained edge node and one tight uplink. The controller
-//! ([`ff_core::control`]) watches queue depths, arrival-rate EWMAs, gather
-//! fill, and uplink load on a deterministic virtual-time tick, and moves
-//! the node's knobs live: gather batch capacity, weight-panel precision,
-//! and the upload frame stride. Every decision lands in a bit-replayable
-//! trace, printed at the end.
+//! ([`ff_core::control`]) watches queue depths, arrival-rate EWMAs, frames
+//! served per round, and uplink load on a deterministic virtual-time tick,
+//! and moves the node's knobs live: weight-panel precision and the upload
+//! frame stride. Every decision lands in a bit-replayable trace, printed at
+//! the end.
 //!
 //! ```sh
-//! cargo run --release --example adaptive_node [-- --frames 64 --sharded]
+//! cargo run --release --example adaptive_node [-- --frames 64]
 //! ```
-//!
-//! `--sharded` switches from the gather-batched style (dynamic batch
-//! sizing) to one pool job per stream (only the degradation ladder acts).
 
 use std::time::Duration;
 
-use ff_core::control::{BatchPolicy, ControlConfig, DegradePolicy};
+use ff_core::control::{ControlConfig, DegradePolicy};
 use ff_core::runtime::{EdgeNode, EdgeNodeConfig, GatherBatch, ShardLayout};
 use ff_core::{McSpec, PipelineConfig};
 use ff_models::MobileNetConfig;
@@ -33,17 +30,13 @@ fn arg(name: &str, default: usize) -> usize {
 
 fn main() {
     let n_frames = arg("--frames", 64) as u64;
-    let sharded = std::env::args().any(|a| a == "--sharded");
     let budget = std::thread::available_parallelism().map_or(1, |n| n.get());
     let res = Resolution::new(120, 67);
 
-    let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget));
-    if !sharded {
-        cfg.gather_batch = Some(GatherBatch {
-            max_batch: 8,
-            gather_wait: Duration::from_millis(1),
-        });
-    }
+    let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget)).with_gather_batch(GatherBatch {
+        max_batch: 8,
+        gather_wait: Duration::from_millis(1),
+    });
     // A tight shared link — a few hundred kb/s for the whole node, the
     // paper's provisioning regime — so the degradation ladder has work.
     cfg.uplink_capacity_bps = 120_000.0;
@@ -75,7 +68,6 @@ fn main() {
     let report = node.run_controlled(ControlConfig {
         tick_frames: 8,
         arrival_alpha: 0.5,
-        batch: Some(BatchPolicy::default()),
         degrade: Some(DegradePolicy {
             saturate_ticks: 2,
             relax_ticks: 4,
@@ -84,15 +76,12 @@ fn main() {
         watchdog: None,
     });
 
-    let style = if sharded {
-        "one pool job per stream"
-    } else {
-        "gather-batched + dynamic batch sizing"
-    };
-    println!("adaptive edge node: 4 cameras (2 diurnal), {budget}-thread budget, {style}");
+    println!(
+        "adaptive edge node: 4 cameras (2 diurnal), {budget}-thread budget, ≤ 8 frames a round"
+    );
     println!();
     println!("telemetry (one row per control tick):");
-    println!("  tick  round  queued  arrivals/round        gather-fill  uplink-offered");
+    println!("  tick  round  queued  arrivals/round        served/round  uplink-offered");
     for t in &report.telemetry {
         let arrivals: Vec<String> = t
             .streams
@@ -100,12 +89,12 @@ fn main() {
             .map(|s| format!("{:.2}", s.arrival_ewma))
             .collect();
         println!(
-            "  {:>4}  {:>5}  {:>6}  [{}]  {:>11.2}  {:>13.2}x",
+            "  {:>4}  {:>5}  {:>6}  [{}]  {:>12.2}  {:>13.2}x",
             t.tick,
             t.round,
             t.total_queue_depth(),
             arrivals.join(" "),
-            t.gather.fill(),
+            t.gather.gathered as f64 / t.gather.rounds.max(1) as f64,
             t.uplink.offered_utilization_tick,
         );
     }

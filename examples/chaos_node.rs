@@ -11,7 +11,7 @@
 //! silently lost.
 //!
 //! ```sh
-//! cargo run --release --example chaos_node [-- --frames 64 --sharded]
+//! cargo run --release --example chaos_node [-- --frames 64]
 //! ```
 
 use std::time::Duration;
@@ -34,7 +34,6 @@ fn arg(name: &str, default: usize) -> usize {
 
 fn main() {
     let n_frames = arg("--frames", 64) as u64;
-    let sharded = std::env::args().any(|a| a == "--sharded");
     let budget = std::thread::available_parallelism().map_or(1, |n| n.get());
     let res = Resolution::new(120, 67);
 
@@ -54,13 +53,11 @@ fn main() {
 
     let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget))
         .with_faults(plan)
-        .with_obs(ObsConfig::default());
-    if !sharded {
-        cfg.gather_batch = Some(GatherBatch {
+        .with_obs(ObsConfig::default())
+        .with_gather_batch(GatherBatch {
             max_batch: 8,
             gather_wait: Duration::from_millis(1),
         });
-    }
     cfg.uplink_capacity_bps = 120_000.0;
     let mut node = EdgeNode::new(cfg);
 
@@ -82,7 +79,6 @@ fn main() {
     let report = node.run_controlled(ControlConfig {
         tick_frames: 8,
         arrival_alpha: 0.5,
-        batch: None,
         degrade: Some(DegradePolicy {
             saturate_ticks: 2,
             relax_ticks: 4,
@@ -92,12 +88,9 @@ fn main() {
     });
     let faults = report.faults.as_ref().expect("a plan was scheduled");
 
-    let style = if sharded {
-        "per-stream jobs"
-    } else {
-        "gather-batched"
-    };
-    println!("chaos node: 4 cameras, {style}, scripted outage + dip/loss + stall + panics");
+    println!(
+        "chaos node: 4 cameras, ≤ 8 frames a round, scripted outage + dip/loss + stall + panics"
+    );
     println!();
     println!("fault telemetry (one row per control tick):");
     println!("  tick  round  link  refused  retry-fail  late  spilled  dropped  quarantined");

@@ -29,8 +29,8 @@ fn arg(name: &str, default: usize) -> usize {
 
 fn run_fleet(n_streams: usize, n_frames: u64, period: u64, budget: usize) -> ControlledReport {
     let res = Resolution::new(64, 32);
-    // Gather style: the node builds one base DNN for the whole fleet, not
-    // one per camera.
+    // The node builds one base DNN for the whole fleet, not one per
+    // camera; a round serves at most 64 frames.
     let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget)).with_gather_batch(GatherBatch {
         max_batch: 64,
         gather_wait: Duration::from_millis(1),
@@ -68,7 +68,6 @@ fn run_fleet(n_streams: usize, n_frames: u64, period: u64, budget: usize) -> Con
     node.run_controlled(ControlConfig {
         tick_frames: 8,
         arrival_alpha: 0.5,
-        batch: None,
         degrade: None,
         watchdog: None,
     })

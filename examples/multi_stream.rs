@@ -1,16 +1,14 @@
 //! One edge node, many cameras (§2.2.1): four independent street-camera
 //! streams driven by the [`EdgeNode`] round loop — each round's frames run
-//! extract → MC → smoothing as concurrent jobs on one worker pool — and
-//! one shared bandwidth-constrained uplink. Pass `--batched` to run gather
-//! style instead: the node holds one base DNN that every camera's job
-//! extracts through, and a round may serve several frames of a backlogged
-//! camera.
+//! extract → MC → smoothing as concurrent jobs on one worker pool, every
+//! camera's job extracting through the node's one base DNN — and one
+//! shared bandwidth-constrained uplink.
 //!
 //! ```sh
-//! cargo run --release --example multi_stream [-- --streams 4 --frames 60 --batched]
+//! cargo run --release --example multi_stream [-- --streams 4 --frames 60]
 //! ```
 
-use ff_core::runtime::{EdgeNode, EdgeNodeConfig, GatherBatch, ShardLayout};
+use ff_core::runtime::{EdgeNode, EdgeNodeConfig, ShardLayout};
 use ff_core::{McSpec, PipelineConfig};
 use ff_models::MobileNetConfig;
 use ff_video::scene::SceneConfig;
@@ -32,11 +30,7 @@ fn main() {
 
     // One pool as wide as the machine; all streams share a 600 kb/s uplink
     // (a few hundred kb/s per camera, the paper's provisioning regime).
-    let batched = std::env::args().any(|a| a == "--batched");
     let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget));
-    if batched {
-        cfg.gather_batch = Some(GatherBatch::default());
-    }
     cfg.uplink_capacity_bps = 600_000.0;
     let mut node = EdgeNode::new(cfg);
 
@@ -63,12 +57,7 @@ fn main() {
 
     let report = node.run();
 
-    let mode = if batched {
-        "gather-batched base DNN"
-    } else {
-        "one pool job per stream"
-    };
-    println!("{n_streams} streams x {n_frames} frames at {res}, {budget}-thread budget, {mode}:");
+    println!("{n_streams} streams x {n_frames} frames at {res}, {budget}-thread budget, one shared base DNN:");
     for sr in &report.streams {
         println!(
             "  stream {}: {} frames, {} uploaded ({} bytes offered), {} events, {:.1} ms/frame base DNN",

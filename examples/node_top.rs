@@ -1,7 +1,7 @@
 //! A `top`-style view of one edge node: run a few cameras with
 //! observability on, then fold the span trace into a per-round, per-stage
-//! activity table — wakes, gather batches, frames served, uplink offers,
-//! and control ticks, round by round. The table is a pure function of the
+//! activity table — wakes, extraction spans and the frames they served,
+//! uplink offers, and control ticks, round by round. The table is a pure function of the
 //! deterministic span trace, so two runs print the same rows.
 //!
 //! ```sh
@@ -26,7 +26,7 @@ fn arg(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-const STAGES: [&str; 5] = ["task", "gather", "infer", "uplink", "control"];
+const STAGES: [&str; 4] = ["task", "gather", "uplink", "control"];
 
 fn main() {
     let n_frames = arg("--frames", 48) as u64;
@@ -59,7 +59,7 @@ fn main() {
     let obs = report.obs.as_ref().expect("obs was enabled");
 
     // Fold spans into (round, stage) counts plus a per-stage busiest-lane
-    // census. `value` sums give bytes for uplink offers and batch sizes
+    // census. `value` sums give bytes for uplink offers and frames served
     // for gather, so show both count and volume.
     let mut counts: BTreeMap<(u64, &str), (u64, u64)> = BTreeMap::new();
     let mut lanes: BTreeMap<(&str, u32), u64> = BTreeMap::new();
@@ -75,7 +75,7 @@ fn main() {
         obs.emitted_spans, obs.dropped_spans,
     );
     println!();
-    println!("  round   task  gather   infer  uplink  control  uplink-bytes");
+    println!("  round   task  gather  frames  uplink  control  uplink-bytes");
     let rounds: std::collections::BTreeSet<u64> = counts.keys().map(|&(round, _)| round).collect();
     for round in rounds {
         let get = |stage: &str| counts.get(&(round, stage)).copied().unwrap_or_default();
@@ -85,9 +85,9 @@ fn main() {
             round,
             row[0],
             row[1],
+            get("gather").1,
             row[2],
             row[3],
-            row[4],
             get("uplink").1,
         );
     }

@@ -5,14 +5,14 @@
 //!   whose decision trace must be **bit-identical** across repeated runs
 //!   and thread counts (the virtual-time determinism contract);
 //! * **verdict equivalence** with the policy-free `EdgeNode::run` when no
-//!   policy fires, in both service styles;
+//!   policy fires;
 //! * **admission control** provably refusing the stream that would exceed
 //!   the `node` memory model.
 
 use std::time::Duration;
 
 use ff_core::control::{
-    AdmissionError, AdmissionPolicy, BatchPolicy, ControlAction, ControlConfig, DegradePolicy,
+    AdmissionError, AdmissionPolicy, ControlAction, ControlConfig, DegradePolicy,
 };
 use ff_core::node::{max_mobilenet_instances, mobilenet_instance_bytes, EdgeNodeSpec};
 use ff_core::runtime::{ControlledReport, EdgeNode, EdgeNodeConfig, GatherBatch, ShardLayout};
@@ -44,9 +44,8 @@ fn pipeline() -> PipelineConfig {
 
 /// The diurnal scenario: four cameras, two always on, two that sleep
 /// through long idle stretches and come back — driven by the controlled
-/// gather-style node with every policy armed and a tight uplink so the
-/// batch sizer, the activity classifier, and the degradation ladder all
-/// get something to do.
+/// node with a round cap of 8, the degradation ladder armed and a tight
+/// uplink so the ladder has something to do.
 fn diurnal_gather_run(budget: usize) -> ControlledReport {
     let mut cfg = EdgeNodeConfig::new(ShardLayout::single(budget)).with_gather_batch(GatherBatch {
         max_batch: 8,
@@ -76,7 +75,6 @@ fn diurnal_gather_run(budget: usize) -> ControlledReport {
     node.run_controlled(ControlConfig {
         tick_frames: 4,
         arrival_alpha: 0.5,
-        batch: Some(BatchPolicy::default()),
         degrade: Some(DegradePolicy {
             saturate_ticks: 2,
             relax_ticks: 4,
@@ -95,20 +93,13 @@ fn diurnal_decision_trace_is_bit_identical_across_runs_and_widths() {
         !gold.trace.is_empty(),
         "the scenario must exercise the controller"
     );
-    // The scenario must exercise more than one policy arm: batch resizing
-    // from the diurnal arrivals, and the ladder from the saturated link.
-    let has_batch = gold
-        .trace
-        .decisions
-        .iter()
-        .any(|d| matches!(d.action, ControlAction::SetMaxBatch { .. }));
+    // The ladder must step from the saturated link.
     let has_degrade = gold.trace.decisions.iter().any(|d| {
         matches!(
             d.action,
             ControlAction::SetPrecision { .. } | ControlAction::SetUploadStride { .. }
         )
     });
-    assert!(has_batch, "batch policy never fired:\n{}", gold.trace);
     assert!(has_degrade, "degradation never fired:\n{}", gold.trace);
 
     for run in 0..2 {
@@ -129,7 +120,7 @@ fn diurnal_decision_trace_is_bit_identical_across_runs_and_widths() {
 
 #[test]
 fn diurnal_per_stream_run_replays_across_runs_and_widths() {
-    // Per-stream style under the same diurnal load: night cameras fall
+    // No round cap, under the same diurnal load: night cameras fall
     // asleep and wake while the always-on ones keep serving, so the set of
     // streams sharing a round's dispatch keeps changing. Wake log,
     // telemetry-visible counts, and verdicts must not notice — across
@@ -178,14 +169,11 @@ fn diurnal_per_stream_run_replays_across_runs_and_widths() {
 
 #[test]
 fn controlled_verdicts_match_uncontrolled_when_no_policy_fires() {
-    // Always-on streams, generous uplink, batch capacity matching the
-    // stream count: no armed policy has any reason to act, so the node
-    // must reproduce the policy-free run's verdicts bit-for-bit in both
-    // service styles.
-    let build = |gather: Option<GatherBatch>| {
-        let mut cfg = EdgeNodeConfig::new(ShardLayout::single(2));
-        cfg.gather_batch = gather;
-        let mut node = EdgeNode::new(cfg);
+    // Always-on streams, generous uplink, no round cap (the stream count):
+    // no armed policy has any reason to act, so the node must reproduce
+    // the policy-free run's verdicts bit-for-bit.
+    let build = || {
+        let mut node = EdgeNode::new(EdgeNodeConfig::new(ShardLayout::single(2)));
         for seed in [41u64, 42, 43] {
             let src = Box::new(SceneSource::new(scene_cfg(seed), 16));
             let id = node.add_stream(src, pipeline());
@@ -193,33 +181,20 @@ fn controlled_verdicts_match_uncontrolled_when_no_policy_fires() {
         }
         node
     };
-    let gather = Some(GatherBatch {
-        max_batch: 3,
-        gather_wait: Duration::from_millis(1),
-    });
-    for style in [None, gather] {
-        let uncontrolled = build(style).run();
-        let controlled = build(style).run_controlled(ControlConfig::default());
-        assert!(
-            controlled.trace.is_empty(),
-            "no policy should fire (style gather={}): {}",
-            style.is_some(),
-            controlled.trace
-        );
-        for (a, b) in uncontrolled.streams.iter().zip(&controlled.streams) {
-            assert_eq!(
-                a.verdicts,
-                b.verdicts,
-                "stream {:?}, gather={}",
-                a.id,
-                style.is_some()
-            );
-        }
-        assert_eq!(
-            uncontrolled.node.pipeline.frames_out,
-            controlled.node.pipeline.frames_out
-        );
+    let uncontrolled = build().run();
+    let controlled = build().run_controlled(ControlConfig::default());
+    assert!(
+        controlled.trace.is_empty(),
+        "no policy should fire: {}",
+        controlled.trace
+    );
+    for (a, b) in uncontrolled.streams.iter().zip(&controlled.streams) {
+        assert_eq!(a.verdicts, b.verdicts, "stream {:?}", a.id);
     }
+    assert_eq!(
+        uncontrolled.node.pipeline.frames_out,
+        controlled.node.pipeline.frames_out
+    );
 }
 
 #[test]
@@ -310,7 +285,6 @@ fn degradation_ladder_lowers_offered_uplink_load() {
     let controlled = build().run_controlled(ControlConfig {
         tick_frames: 4,
         arrival_alpha: 0.5,
-        batch: None,
         // One rung per two saturated ticks: the ladder is four rungs deep
         // (one precision rung before the strides), and the stride rungs —
         // the ones that actually shed bytes — must get a meaningful share

@@ -6,12 +6,13 @@
 //!   its segment ledger, leave unaffected streams' verdicts bit-identical
 //!   to a fault-free run, and replay its fault/recovery trace bit-for-bit
 //!   across repeated runs and pool widths;
-//! * **simultaneous stage panics** in per-stream style, where the crashing
-//!   stages run as concurrent pool jobs: the traces record stream order,
-//!   never completion order;
-//! * the **gather fan-out** serving two frames of one stream in one batch
-//!   (a stall, a shrunken batch, then the backlog) as one pool job, equal
-//!   to the serial pipeline and byte-identical at every pool width;
+//! * **simultaneous stage panics** on a node without a round cap, where the
+//!   crashing stages run as concurrent pool jobs: the traces record stream
+//!   order, never completion order;
+//! * the **fan-out** serving two frames of one stream in one round (a
+//!   round cap below the stream count, a stall, then the backlog) as one
+//!   pool job, equal to the serial pipeline and byte-identical at every
+//!   pool width;
 //! * the **circuit breaker** killing a repeatedly-crashing stream while
 //!   the node keeps running;
 //! * the **watchdog** quarantining a stalled camera and readmitting it on
@@ -21,7 +22,7 @@
 
 use std::time::Duration;
 
-use ff_core::control::{BatchPolicy, ControlAction, ControlConfig, DegradePolicy, WatchdogPolicy};
+use ff_core::control::{ControlAction, ControlConfig, DegradePolicy, WatchdogPolicy};
 use ff_core::faults::{FaultEventKind, FaultPlan, RecoveryConfig, RetryPolicy};
 use ff_core::runtime::{
     ControlledReport, EdgeNode, EdgeNodeConfig, GatherBatch, ObsConfig, ShardLayout,
@@ -78,19 +79,17 @@ fn cam_spec(s: usize) -> McSpec {
 }
 
 /// Policy-free control config (faults must not leak into verdicts through
-/// an adaptive policy; the watchdog is armed but marker-only in gather
-/// style).
+/// an adaptive policy; the watchdog is armed but marker-only).
 fn quiet_ctl() -> ControlConfig {
     ControlConfig {
         tick_frames: 4,
         arrival_alpha: 0.5,
-        batch: None,
         degrade: None,
         watchdog: Some(WatchdogPolicy::default()),
     }
 }
 
-/// The acceptance-criteria chaos scenario, gather style: an uplink outage
+/// The acceptance-criteria chaos scenario (round cap 8): an uplink outage
 /// (rounds 12..24), a stalled camera (stream 1, polls 8..20), and one
 /// scripted stage panic (stream 2, served frame 5).
 fn chaos_plan() -> FaultPlan {
@@ -221,8 +220,9 @@ fn chaos_trace_is_bit_identical_across_runs_and_widths() {
 
 #[test]
 fn simultaneous_stage_panics_fold_in_stream_order_at_every_width() {
-    // Per-stream style: streams 3 and 1 both crash on their frame 4, i.e.
-    // in the same round, inside pool jobs that run side by side and finish
+    // No round cap: streams 3 and 1 both crash on their frame 4, i.e. in
+    // the same round (round 4, whose selection starts at stream 0), inside
+    // pool jobs that run side by side and finish
     // in whatever order the cores allow. Fold order, not completion order,
     // is the spec: every trace and export is byte-identical from one
     // worker (jobs back to back) to four.
@@ -298,12 +298,12 @@ fn simultaneous_stage_panics_fold_in_stream_order_at_every_width() {
 
 #[test]
 fn gather_fanout_serves_two_frames_of_a_stream_in_one_batch_identically_at_every_width() {
-    // Gather style, 4 streams, max_batch 8. Cameras 1–3 stall for 12 polls,
-    // the lone stream's thin fill walks the batch policy down 8 → 2, and
-    // when the three come back the node is behind: mailboxes back up, the
-    // policy grows the batch again, and the batches that drain the backlog
-    // carry two frames of the same stream — which the fan-out serves inside
-    // one pool job, in batch order, beside the other streams' jobs.
+    // 4 streams, a fixed round cap of 2. All four deliver for two rounds,
+    // so the node falls behind; then cameras 1–3 stall for 12 polls and
+    // their mailboxes drain, until stream 0's backlog is the only mail and
+    // the round's two frames are both its — which the fan-out serves
+    // inside one pool job, in selection order, beside no other job. After
+    // the stall all four back up again.
     const FRAMES: u64 = 48;
     let plan = || {
         FaultPlan::new()
@@ -311,19 +311,15 @@ fn gather_fanout_serves_two_frames_of_a_stream_in_one_batch_identically_at_every
             .camera_stall(2, 2, 12)
             .camera_stall(3, 2, 12)
     };
+    // One round per tick, so a tick's `served` counts one round's frames.
     let ctl = ControlConfig {
-        tick_frames: 2,
-        batch: Some(BatchPolicy {
-            max_batch: 8,
-            patience: 1,
-            ..BatchPolicy::default()
-        }),
+        tick_frames: 1,
         ..quiet_ctl()
     };
     let run = |width: usize| {
         let mut cfg = EdgeNodeConfig::new(ShardLayout::single(width))
             .with_gather_batch(GatherBatch {
-                max_batch: 8,
+                max_batch: 2,
                 gather_wait: Duration::from_millis(1),
             })
             .with_faults(plan())
@@ -333,27 +329,13 @@ fn gather_fanout_serves_two_frames_of_a_stream_in_one_batch_identically_at_every
     };
     let gold = run(1);
 
-    // The scenario happened: the batch shrank, grew back, and some batch
-    // held more frames than there are streams.
-    let resized: Vec<_> = (gold.trace.decisions.iter())
-        .filter_map(|d| match d.action {
-            ControlAction::SetMaxBatch { from, to } => Some((from, to)),
-            _ => None,
-        })
-        .collect();
-    assert!(
-        resized.contains(&(4, 2)) && resized.contains(&(4, 8)),
-        "{resized:?}"
-    );
-    let obs = gold.obs.as_ref().expect("obs enabled");
-    let fullest = (obs.spans.iter())
-        .filter(|s| (s.stage, s.kind) == ("gather", "extract"))
-        .map(|s| s.value)
-        .max();
-    assert!(
-        fullest > Some(4),
-        "no batch carried two frames of one stream (fullest: {fullest:?})"
-    );
+    // The scenario happened: no round went past the cap, and some round
+    // served two frames of one stream.
+    assert!(gold.telemetry.iter().all(|t| t.gather.gathered <= 2));
+    let doubled = (gold.telemetry.iter())
+        .filter(|t| t.streams.iter().any(|st| st.served == 2))
+        .count();
+    assert!(doubled > 0, "no round served two frames of one stream");
 
     // A stall shifts timing, never content: every verdict equals a serial
     // pipeline's over the same camera.
@@ -436,7 +418,7 @@ fn circuit_breaker_kills_a_crashing_stream_and_the_node_survives() {
 
 #[test]
 fn watchdog_quarantines_the_stalled_camera_and_readmits_it() {
-    // Per-stream style: a long stall collapses stream 2's arrival EWMA,
+    // No round cap: a long stall collapses stream 2's arrival EWMA,
     // the watchdog quarantines it and readmits once frames return.
     let mut cfg = EdgeNodeConfig::new(ShardLayout::single(2))
         .with_faults(FaultPlan::new().camera_stall(2, 8, 40));
@@ -444,7 +426,6 @@ fn watchdog_quarantines_the_stalled_camera_and_readmits_it() {
     let report = build_node(cfg, 4, 72).run_controlled(ControlConfig {
         tick_frames: 4,
         arrival_alpha: 0.5,
-        batch: None,
         degrade: None,
         watchdog: Some(WatchdogPolicy::default()),
     });
@@ -486,7 +467,6 @@ fn degradation_ladder_treats_an_outage_as_saturation() {
     let report = build_node(cfg, 2, 48).run_controlled(ControlConfig {
         tick_frames: 4,
         arrival_alpha: 0.5,
-        batch: None,
         degrade: Some(DegradePolicy {
             saturate_ticks: 2,
             relax_ticks: 16, // hold the rung: this test is about stepping down

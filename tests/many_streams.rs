@@ -67,7 +67,6 @@ fn quiet_ctl() -> ControlConfig {
     ControlConfig {
         tick_frames: 8,
         arrival_alpha: 0.5,
-        batch: None,
         degrade: None,
         watchdog: None,
     }
